@@ -15,6 +15,7 @@ from repro.fftcore.stockham import fft_pow2
 from repro.fftcore.bluestein import fft_bluestein
 from repro.fmm.batched import BatchedFMM
 from repro.fmm.plan import FmmOperators
+from repro.fmm.reference import dense_apply_all
 from repro.util.prng import random_signal
 
 
@@ -45,7 +46,10 @@ def test_host_batched_fmm(benchmark, rng_seed=3):
     rng = np.random.default_rng(rng_seed)
     S = rng.uniform(-1, 1, (16, 4096)) + 1j * rng.uniform(-1, 1, (16, 4096))
     T, r = benchmark(fmm.apply, S)
-    assert T.shape == (16, 4096)
+    # the dense oracle, so a fast-but-wrong kernel cannot pass
+    Tref, rref = dense_apply_all(S, 4096, 16)
+    assert np.linalg.norm(T - Tref) / np.linalg.norm(Tref) < 1e-13
+    assert np.linalg.norm(r - rref) / np.linalg.norm(rref) < 1e-13
 
 
 def test_host_fmmfft_end_to_end(benchmark):

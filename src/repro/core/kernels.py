@@ -34,7 +34,9 @@ def dense_h_matrix(M: int, P: int) -> np.ndarray:
     return H
 
 
-def post_process(T: np.ndarray, r: np.ndarray, M: int, P: int) -> np.ndarray:
+def post_process(
+    T: np.ndarray, r: np.ndarray, M: int, P: int, rho: np.ndarray | None = None
+) -> np.ndarray:
     """Algorithm 1 line 15: ``T_p <- rho_p (T_p + i r_p)`` for p >= 1.
 
     Parameters
@@ -46,6 +48,11 @@ def post_process(T: np.ndarray, r: np.ndarray, M: int, P: int) -> np.ndarray:
     r:
         (P-1,) reduction vector ``r[p-1] = sum_m S[p, m]``, or
         (..., P-1) matching T's leading axes.
+    rho:
+        (P-1,) prefactors in the working precision — a plan's
+        ``operators.rho`` — so a complex64 T is not widened to
+        complex128 for the multiply-add.  Default: ``rho_factors(P, M)``
+        (complex128).
     """
     T = np.asarray(T)
     r = np.asarray(r)
@@ -53,7 +60,10 @@ def post_process(T: np.ndarray, r: np.ndarray, M: int, P: int) -> np.ndarray:
         raise ParameterError(
             f"shape mismatch: T {T.shape}, r {r.shape} for P={P}"
         )
-    rho = rho_factors(P, M)
+    if rho is None:
+        rho = rho_factors(P, M)
+    elif rho.shape != (P - 1,):
+        raise ParameterError(f"rho must have shape ({P - 1},), got {rho.shape}")
     out = np.array(T, dtype=np.result_type(T.dtype, np.complex64))
     out[..., 1:, :] = rho[:, None] * (T[..., 1:, :] + 1j * r[..., :, None])
     return out

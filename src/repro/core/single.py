@@ -60,7 +60,7 @@ def fmmfft_single(
 
     fmm = BatchedFMM(plan.operators)
     T, r = fmm.apply(S)
-    T = post_process(T, r, M, P)
+    T = post_process(T, r, M, P, rho=plan.operators.rho)
 
     # the M x P 2D FFT
     A = np.ascontiguousarray(T.T)                     # A[m, p]
@@ -112,7 +112,7 @@ def fmmfft_batched(
 
     fmm = BatchedFMM(plan.operators)
     T, r = fmm.apply(S)
-    T = post_process(T, r, M, P)
+    T = post_process(T, r, M, P, rho=plan.operators.rho)
 
     # the M x P 2D FFT, batched row-wise through the same local plans
     A = np.ascontiguousarray(np.swapaxes(T, -1, -2))  # (k, M, P)

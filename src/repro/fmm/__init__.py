@@ -14,6 +14,8 @@ contraction:
   and per-device box ownership.
 - :mod:`repro.fmm.interaction` — cousin interaction lists (even/odd) and
   the base-level all-non-neighbours list, plus an exact-cover checker.
+- :mod:`repro.fmm.kernels` — the stage arithmetic, once: every stage a
+  real GEMM on planar (C-flattened) data; both executors below drive it.
 - :mod:`repro.fmm.batched` — single-device batched executor (all P-1
   FMMs at once, one ``matmul`` per stage = one BatchedGEMM).
 - :mod:`repro.fmm.distributed` — the same stages on a

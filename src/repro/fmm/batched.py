@@ -6,16 +6,17 @@ kernel-launch inventory for L - B = 10 is exactly the paper's Figure 2
 count: 1 S2M + 10 M2M + 1 S2T + (10 + 1) M2L + 1 reduce + 10 L2L +
 1 L2T = 35.
 
-Tensor layout: batch-of-FMMs axes ordered ``(p, box, within-box)`` so
-every contraction is a broadcasted matrix product over a contiguous
-trailing pair.
+Tensor layout: batch-of-FMMs axes ordered ``(p, box, within-box)``.
+The arithmetic lives in :mod:`repro.fmm.kernels`; this class only folds
+its input into the kernels' planar layout, sequences the stages with
+cyclic (single-device) halos, and unfolds the result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fmm.interaction import COUSINS_EVEN, COUSINS_ODD, base_offsets
+from repro.fmm import kernels
 from repro.fmm.plan import FmmOperators
 from repro.util.validation import ParameterError
 
@@ -45,9 +46,14 @@ class BatchedFMM:
 
     # -- stages (each one batched contraction) ---------------------------
 
+    def _stage(self, kernel, a: np.ndarray, *args) -> np.ndarray:
+        """One planar kernel on real or complex data of any strides and
+        leading batch axes; the same kind of array comes back."""
+        return kernels.unfold(kernel(self.ops, kernels.fold(a), *args))
+
     def s2m(self, S: np.ndarray) -> np.ndarray:
         """Leaf multipoles: ``M^L[pi, b, q] = sum_m S2M[q, m] S[pi+1, b, m]``."""
-        return S[..., 1:, :, :] @ self.ops.s2m.T
+        return self._stage(kernels.s2m, S[..., 1:, :, :])
 
     def s2t(self, S: np.ndarray) -> np.ndarray:
         """Near field: the interleaved, overlapped Toeplitz convolution.
@@ -55,58 +61,32 @@ class BatchedFMM:
         ``T[pi, b, i] = sum_j' K[pi, i, j'] S_halo[pi, b, j']`` with the
         halo triple [b-1, b, b+1] built cyclically.
         """
-        Sp = S[..., 1:, :, :]
-        Sh = np.concatenate(
-            [np.roll(Sp, 1, axis=-2), Sp, np.roll(Sp, -1, axis=-2)], axis=-1
-        )  # (..., P-1, nb, 3 ML)
-        return Sh @ self.ops.s2t.transpose(0, 2, 1)
+        return self._stage(kernels.s2t, S[..., 1:, :, :])
 
     def m2m(self, child: np.ndarray) -> np.ndarray:
         """One upward level: siblings flattened then one batched GEMM."""
-        nb2, Q = child.shape[-2:]
-        flat = child.reshape(*child.shape[:-2], nb2 // 2, 2 * Q)
-        return flat @ self.ops.m2m.T
+        return self._stage(kernels.m2m, child)
 
     def m2l_level(self, level: int, Mexp: np.ndarray) -> np.ndarray:
         """Cousin interactions at a hierarchical level (3 per box)."""
-        K = self.ops.m2l_level[level]  # (P-1, 2, 3, Q, Q)
-        nb = Mexp.shape[-2]
-        loc = np.zeros_like(Mexp)
-        b = np.arange(nb)
-        for parity, offsets in ((0, COUSINS_EVEN), (1, COUSINS_ODD)):
-            targets = b[parity::2]
-            for si, s in enumerate(offsets):
-                src = (targets + s) % nb
-                loc[..., targets, :] += np.matmul(
-                    Mexp[..., src, :], K[:, parity, si].transpose(0, 2, 1)
-                )
-        return loc
+        return self._stage(kernels.m2l_level, Mexp, level)
 
     def m2l_base(self, MexpB: np.ndarray) -> np.ndarray:
         """Dense base-level interactions: every non-neighbour box."""
-        K = self.ops.m2l_base  # (P-1, nS, Q, Q)
-        nb = MexpB.shape[-2]
-        loc = np.zeros_like(MexpB)
-        b = np.arange(nb)
-        for si, s in enumerate(base_offsets(self.ops.B)):
-            src = (b + s) % nb
-            loc += np.matmul(MexpB[..., src, :], K[:, si].transpose(0, 2, 1))
-        return loc
+        return self._stage(kernels.m2l_base, MexpB)
 
     def reduce(self, MexpB: np.ndarray) -> np.ndarray:
         """``r[pi] = sum_{q,b} M^B[pi, q, b]`` — valid because S2M/M2M
         columns sum to one (Section 4.8)."""
-        return MexpB.sum(axis=(-2, -1))
+        return kernels.reduce(kernels.fold(MexpB))
 
     def l2l(self, parent: np.ndarray) -> np.ndarray:
         """One downward level: evaluate parents at both children's nodes."""
-        nb, Q = parent.shape[-2:]
-        pair = parent @ self.ops.m2m  # (..., nb, 2Q)
-        return pair.reshape(*parent.shape[:-2], 2 * nb, Q)
+        return self._stage(kernels.l2l, parent)
 
     def l2t(self, locL: np.ndarray) -> np.ndarray:
         """Evaluate leaf local expansions at the targets."""
-        return locL @ self.ops.s2m
+        return self._stage(kernels.l2t, locL)
 
     # -- full pipeline ----------------------------------------------------
 
@@ -132,22 +112,19 @@ class BatchedFMM:
         S = np.asarray(S)
         if S.shape[-2:] != (P, M):
             raise ParameterError(f"S must have shape (..., {P}, {M}), got {S.shape}")
-        lead = S.shape[:-2]
-        Sb = S.reshape(*lead, P, nb, ML)
+        Sb = S.reshape(*S.shape[:-2], P, nb, ML)
+        Sp = kernels.fold(Sb[..., 1:, :, :])  # planar from here to the last line
 
-        Mexp = {o.L: self.s2m(Sb)}
+        Mexp = {o.L: kernels.s2m(o, Sp)}
         for ell in o.tree.levels_m2m():
-            Mexp[ell] = self.m2m(Mexp[ell + 1])
+            Mexp[ell] = kernels.m2m(o, Mexp[ell + 1])
+        Tp = kernels.s2t(o, Sp)
 
-        T = np.empty((*lead, P, nb, ML), dtype=np.result_type(S.dtype, o.real_dtype))
-        T[..., 0, :, :] = Sb[..., 0, :, :]
-        T[..., 1:, :, :] = self.s2t(Sb)
-
-        loc = {ell: self.m2l_level(ell, Mexp[ell]) for ell in o.tree.levels_m2l()}
-        loc[o.B] = self.m2l_base(Mexp[o.B]) + loc.get(o.B, 0.0)
-        r = self.reduce(Mexp[o.B])
-
+        loc = kernels.m2l_base(o, Mexp[o.B])
+        r = kernels.reduce(Mexp[o.B])
         for ell in o.tree.levels_l2l():
-            loc[ell + 1] = loc[ell + 1] + self.l2l(loc[ell])
-        T[..., 1:, :, :] += self.l2t(loc[o.L])
-        return T.reshape(*lead, P, M), r
+            loc = kernels.m2l_level(o, Mexp[ell + 1], ell + 1) + kernels.l2l(o, loc)
+        Tp += kernels.l2t(o, loc)
+
+        T = np.concatenate([Sb[..., :1, :, :], kernels.unfold(Tp)], axis=-3)
+        return T.reshape(S.shape), r

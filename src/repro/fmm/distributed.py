@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import comm
-from repro.fmm.interaction import COUSINS_EVEN, COUSINS_ODD, base_offsets
+from repro.fmm import kernels
 from repro.fmm.plan import FmmGeometry, FmmOperators
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
@@ -100,6 +100,7 @@ class DistributedFMM:
         self.C = c_factor(self.dtype)
         self.rsize = np.dtype(real_dtype_for(self.dtype)).itemsize
         self.csize = self.C * self.rsize  # bytes per input element
+        self._begin_pass()
 
     def _buf(self, suffix: str) -> str:
         """Namespaced device buffer name."""
@@ -110,35 +111,38 @@ class DistributedFMM:
     def _gemm_cost(self, m: int, n: int, k: int, batch: float) -> tuple[float, float]:
         """(flops, bytes) for a batched GEMM on C-factor-flattened data.
 
-        Operator A is real (m x k); data B and output C' carry the C
-        factor.  Matches the Section 5 convention that complex input
-        doubles flops and data bytes but not operator bytes.
+        Operator A is real (m x k), read once; data B (read) and output
+        C' (written) carry the C factor.  Matches the Section 5 convention
+        that complex input doubles flops and data bytes, not operator bytes.
         """
         flops = 2.0 * m * n * k * batch * self.C
-        bytes_ = (
-            m * k * self.rsize                      # operator (read)
-            + k * n * batch * self.csize            # input (read)
-            + m * n * batch * self.csize            # output (write)
-        )
-        return flops, bytes_
+        return flops, m * k * self.rsize + (k + m) * n * batch * self.csize
+
+    def _m2l_cost(self, ell: int) -> tuple[float, float]:
+        """(flops, bytes) of the cousin M2L at a level: three Q x Q
+        products per box; the sources are the slab plus two boxes a side."""
+        nbl, n = self.ops.tree.boxes_local(ell), (self.ops.P - 1) * self.batch
+        flops = 6.0 * self.C * nbl * n * self.ops.Q ** 2
+        return flops, ((nbl + 4) + nbl) * self.ops.Q * n * self.csize
 
     # -- data staging ------------------------------------------------------
 
     def scatter(self, S: np.ndarray, key: str | None = None) -> None:
         """Place each device's leaf-box slice of S (shape (P, M))."""
         key = self._buf("S") if key is None else key
-        o = self.ops
-        Sb = np.asarray(S, dtype=self.dtype).reshape(o.P, o.tree.num_leaves, o.ML)
+        Sb = np.asarray(S, dtype=self.dtype).reshape(self.ops.P, -1, self.ops.ML)
         for g in range(self.cl.G):
-            b0, b1 = o.tree.box_range(o.L, g)
-            self.cl.dev(g)[key] = Sb[:, b0:b1, :].copy()
+            self.cl.dev(g)[key] = Sb[:, self._boxes(g), :].copy()
 
     def gather(self, key: str | None = None) -> np.ndarray:
         """Reassemble the (P, M) output from per-device box slices."""
         key = self._buf("T") if key is None else key
-        o = self.ops
         parts = [np.asarray(self.cl.dev(g)[key]) for g in range(self.cl.G)]
-        return np.concatenate(parts, axis=1).reshape(o.P, o.M)
+        return np.concatenate(parts, axis=1).reshape(self.ops.P, self.ops.M)
+
+    def _boxes(self, g: int) -> slice:
+        """Device g's leaf boxes on the global box axis."""
+        return slice(*self.ops.tree.box_range(self.ops.L, g))
 
     # -- pipeline ----------------------------------------------------------
 
@@ -169,16 +173,9 @@ class DistributedFMM:
         k = self.batch
         key_in = self._buf("S") if key_in is None else key_in
         key_out = self._buf("T") if key_out is None else key_out
-        if after is None:
-            rel = [None] * G
-        elif len(after) == G:
-            rel = list(after)
-        elif len(after) == 1:
-            rel = list(after) * G
-        else:
-            raise ParameterError(
-                f"after must have 1 or G={G} events, got {len(after)}"
-            )
+        if after is not None and len(after) not in (1, G):
+            raise ParameterError(f"after must have 1 or G={G} events, got {len(after)}")
+        rel = [None] * G if after is None else list(after) * (G // len(after))
 
         if cl.execute and not staged:
             if S is None:
@@ -186,17 +183,13 @@ class DistributedFMM:
             self.scatter(S, key_in)
 
         # ---- line 1: S2M (one BatchedGEMM per device) --------------------
-        flops, mops = self._gemm_cost(Q, nb_loc, ML, (P - 1) * k)
         with cl.region("fmm"), cl.region("S2M"):
-            ev_s2m = [
-                cl.launch(
-                    g, "S2M", "batched_gemm", flops, mops, self.dtype,
-                    after=[rel[g]] if rel[g] is not None else (),
-                    fn=(lambda c: self._do_s2m(key_in)) if g == 0 else None,
-                    reads=[key_in], writes=[self._buf(f"M{L}")],
-                )
-                for g in range(G)
-            ]
+            ev_s2m = self._launch(
+                "S2M", "batched_gemm", self._gemm_cost(Q, nb_loc, ML, (P - 1) * k),
+                [[e] if e is not None else () for e in rel],
+                lambda c: self._do_s2m(key_in),
+                reads=[key_in], writes=[self._buf(f"M{L}")],
+            )
 
         # ---- line 2: COMM S (halo width 1), overlapped with S2M ----------
         halo_bytes = (P - 1) * ML * self.csize * k
@@ -212,158 +205,125 @@ class DistributedFMM:
         # halo-extended read of S plus the write of T.
         mops = ((nb_loc + 2) * ML * P * self.csize + nb_loc * ML * P * self.csize) * k
         with cl.region("fmm"), cl.region("S2T"):
-            ev_s2t = [
-                cl.launch(
-                    g, "S2T", "custom", flops, mops, self.dtype,
-                    after=[ev_shalo[g], ],
-                    fn=(lambda c: self._do_s2t(key_in, key_out)) if g == 0 else None,
-                    reads=[key_in, self._buf("halo.S")], writes=[key_out],
-                )
-                for g in range(G)
-            ]
+            ev_s2t = self._launch(
+                "S2T", "custom", (flops, mops), [[e] for e in ev_shalo],
+                lambda c: self._do_s2t(key_in, key_out),
+                reads=[key_in, self._buf("halo.S")], writes=[key_out],
+            )
 
         # ---- lines 4-5: M2M up the tree -----------------------------------
-        ev_m_level: dict[int, list[Event]] = {L: list(ev_s2m)}
-        ev_m = list(ev_s2m)
+        ev_m: dict[int, list[Event]] = {L: ev_s2m}  # per level
         with cl.region("fmm"), cl.region("upward"):
             for ell in o.tree.levels_m2m():
-                nbl = o.tree.boxes_local(ell)
-                flops, mops = self._gemm_cost(Q, nbl, 2 * Q, (P - 1) * k)
-                ev_m = [
-                    cl.launch(
-                        g, f"M2M-{ell}", "batched_gemm", flops, mops, self.dtype,
-                        after=[ev_m[g]],
-                        fn=(lambda c, e=ell: self._do_m2m(e)) if g == 0 else None,
-                        reads=[self._buf(f"M{ell + 1}")], writes=[self._buf(f"M{ell}")],
-                    )
-                    for g in range(G)
-                ]
-                ev_m_level[ell] = ev_m
+                ev_m[ell] = self._launch(
+                    f"M2M-{ell}", "batched_gemm",
+                    self._gemm_cost(Q, o.tree.boxes_local(ell), 2 * Q, (P - 1) * k),
+                    [[e] for e in ev_m[ell + 1]],
+                    lambda c, e=ell: self._do_m2m(e),
+                    reads=[self._buf(f"M{ell + 1}")], writes=[self._buf(f"M{ell}")],
+                )
 
         # ---- lines 6-8: M halo + cousin M2L per level ----------------------
         ev_loc: dict[int, list[Event]] = {}
-        ev_mh_level: dict[int, list[Event]] = {}
+        ev_mh: dict[int, list[Event]] = {}
         with cl.region("fmm"), cl.region("m2l"):
             for ell in o.tree.levels_m2l():
-                nbl = o.tree.boxes_local(ell)
                 mh_bytes = 2 * (P - 1) * Q * self.csize * k  # two boxes per side
-                ev_mh = self._halo_exchange(f"M{ell}", None, 2, mh_bytes, f"COMM-M{ell}",
-                                            level=ell, after=ev_m_level[ell])
-                ev_mh_level[ell] = ev_mh
+                ev_mh[ell] = self._halo_exchange(
+                    f"M{ell}", None, 2, mh_bytes, f"COMM-M{ell}", level=ell, after=ev_m[ell])
                 if self.fuse_m2l_l2l:
                     continue  # M2L runs fused with L2L in the downward pass
-                flops = 6.0 * self.C * nbl * (P - 1) * Q * Q * k
-                mops = ((nbl + 4) * Q + nbl * Q) * (P - 1) * self.csize * k
-                ev_loc[ell] = [
-                    cl.launch(
-                        g, f"M2L-{ell}", "custom", flops, mops, self.dtype,
-                        after=[ev_mh[g]],
-                        fn=(lambda c, e=ell: self._do_m2l_level(e)) if g == 0 else None,
-                        reads=[self._buf(f"M{ell}"), self._buf(f"halo.M{ell}")],
-                        writes=[self._buf(f"L{ell}")],
-                    )
-                    for g in range(G)
-                ]
+                ev_loc[ell] = self._launch(
+                    f"M2L-{ell}", "custom", self._m2l_cost(ell), [[e] for e in ev_mh[ell]],
+                    lambda c, e=ell: self._do_m2l_level(e),
+                    reads=[self._buf(f"M{ell}"), self._buf(f"halo.M{ell}")],
+                    writes=[self._buf(f"L{ell}")],
+                )
 
         with cl.region("fmm"), cl.region("base"):
             # ---- line 9: all-to-all gather of base multipoles ---------------
             base_bytes = (P - 1) * o.tree.boxes_local(B) * Q * self.csize * k
             ev_gather = comm.allgather(
                 cl, base_bytes, "COMM-MB",
-                after=[ev_m[g] for g in range(G)] if G > 1 else ev_m,
+                after=ev_m[B],
                 fn=lambda c: self._do_gather_base(),
                 reads=[self._buf(f"M{B}")], writes=[self._buf("MB")],
                 algorithm=self.comm_algorithm,
             )
+            gathered = [[ev_gather[min(g, len(ev_gather) - 1)]] for g in range(G)]
 
             # ---- line 10: dense base-level M2L ------------------------------
             nS = (1 << B) - 3
             nbB_loc = o.tree.boxes_local(B)
             flops = 2.0 * self.C * nbB_loc * nS * (P - 1) * Q * Q * k
             mops = ((1 << B) * Q + nbB_loc * Q) * (P - 1) * self.csize * k
-            ev_base = [
-                cl.launch(
-                    g, "M2L-B", "custom", flops, mops, self.dtype,
-                    after=[ev_gather[min(g, len(ev_gather) - 1)]],
-                    fn=(lambda c: self._do_m2l_base()) if g == 0 else None,
-                    reads=[self._buf("MB")], writes=[self._buf(f"L{B}")],
-                )
-                for g in range(G)
-            ]
+            ev_base = self._launch(
+                "M2L-B", "custom", (flops, mops), gathered,
+                lambda c: self._do_m2l_base(),
+                reads=[self._buf("MB")], writes=[self._buf(f"L{B}")],
+            )
 
             # ---- line 11: REDUCE (one GEMV on the gathered base data) -------
             flops = self.C * (1 << B) * (P - 1) * Q * k
             mops = ((1 << B) * (P - 1) * Q * self.csize + (P - 1) * self.csize) * k
-            ev_red = [
-                cl.launch(
-                    g, "REDUCE", "gemv", flops, mops, self.dtype,
-                    after=[ev_gather[min(g, len(ev_gather) - 1)]],
-                    fn=(lambda c: self._do_reduce()) if g == 0 else None,
-                    reads=[self._buf("MB")], writes=[self._buf("r")],
-                )
-                for g in range(G)
-            ]
+            self._launch(
+                "REDUCE", "gemv", (flops, mops), gathered,
+                lambda c: self._do_reduce(),
+                reads=[self._buf("MB")], writes=[self._buf("r")],
+            )
 
         # ---- lines 12-13: L2L down the tree -----------------------------------
         ev_l = ev_base
         with cl.region("fmm"), cl.region("downward"):
             for ell in o.tree.levels_l2l():
-                nbl = o.tree.boxes_local(ell)
-                flops, mops = self._gemm_cost(2 * Q, nbl, Q, (P - 1) * k)
+                flops, mops = self._gemm_cost(2 * Q, o.tree.boxes_local(ell), Q, (P - 1) * k)
+                name, kind, fn = f"L2L-{ell}", "batched_gemm", self._do_l2l
+                reads = [self._buf(f"L{ell}"), self._buf(f"L{ell + 1}")]
+                gate = ev_loc  # the destination level's own M2L must also be done
                 if self.fuse_m2l_l2l:
                     # one kernel: M2L-(ell+1) accumulated with L2L-(ell);
                     # saves one write + one read of the child L data.
-                    nbl1 = o.tree.boxes_local(ell + 1)
-                    flops += 6.0 * self.C * nbl1 * (P - 1) * Q * Q * k
-                    mops += ((nbl1 + 4) * Q + nbl1 * Q) * (P - 1) * self.csize * k
-                    mops -= 2.0 * nbl1 * Q * (P - 1) * self.csize * k
-                    waits = [
-                        max(ev_l[g], ev_mh_level[ell + 1][g], key=lambda e: e.time)
-                        for g in range(G)
-                    ]
-                    ev_l = [
-                        cl.launch(
-                            g, f"M2L+L2L-{ell + 1}", "custom", flops, mops, self.dtype,
-                            after=[waits[g]],
-                            fn=(lambda c, e=ell: self._do_fused_m2l_l2l(e)) if g == 0 else None,
-                            reads=[self._buf(f"M{ell + 1}"), self._buf(f"halo.M{ell + 1}"),
-                                   self._buf(f"L{ell}")],
-                            writes=[self._buf(f"L{ell + 1}")],
-                        )
-                        for g in range(G)
-                    ]
-                    continue
-                waits = [ev_l[g] for g in range(G)]
-                # the destination level's own M2L must also be done
-                if (ell + 1) in ev_loc:
-                    waits = [max(waits[g], ev_loc[ell + 1][g], key=lambda e: e.time) for g in range(G)]
-                ev_l = [
-                    cl.launch(
-                        g, f"L2L-{ell}", "batched_gemm", flops, mops, self.dtype,
-                        after=[waits[g]],
-                        fn=(lambda c, e=ell: self._do_l2l(e)) if g == 0 else None,
-                        reads=[self._buf(f"L{ell}"), self._buf(f"L{ell + 1}")],
-                        writes=[self._buf(f"L{ell + 1}")],
-                    )
-                    for g in range(G)
-                ]
+                    m2l_flops, m2l_mops = self._m2l_cost(ell + 1)
+                    flops += m2l_flops
+                    mops += m2l_mops - 2.0 * o.tree.boxes_local(ell + 1) * Q * (P - 1) * self.csize * k
+                    name, kind, fn = f"M2L+L2L-{ell + 1}", "custom", self._do_fused_m2l_l2l
+                    reads = [self._buf(f"M{ell + 1}"), self._buf(f"halo.M{ell + 1}"),
+                             self._buf(f"L{ell}")]
+                    gate = ev_mh
+                ev_l = self._launch(
+                    name, kind, (flops, mops),
+                    [[max(ev_l[g], gate[ell + 1][g], key=lambda e: e.time)] for g in range(G)],
+                    lambda c, e=ell, fn=fn: fn(e),
+                    reads=reads, writes=[self._buf(f"L{ell + 1}")],
+                )
 
         # ---- line 14: L2T (accumulate into T) ----------------------------------
         flops, mops = self._gemm_cost(ML, nb_loc, Q, (P - 1) * k)
         mops += nb_loc * ML * (P - 1) * self.csize * k  # read T for accumulation
         with cl.region("fmm"), cl.region("L2T"):
-            ev_t = [
-                cl.launch(
-                    g, "L2T", "batched_gemm", flops, mops, self.dtype,
-                    after=[ev_l[g], ev_s2t[g]],
-                    fn=(lambda c: self._do_l2t(key_out)) if g == 0 else None,
-                    reads=[self._buf(f"L{L}"), key_out], writes=[key_out],
-                )
-                for g in range(G)
-            ]
+            ev_t = self._launch(
+                "L2T", "batched_gemm", (flops, mops),
+                [[ev_l[g], ev_s2t[g]] for g in range(G)],
+                lambda c: self._do_l2t(key_out),
+                reads=[self._buf(f"L{L}"), key_out], writes=[key_out],
+            )
 
-        r = self._r if cl.execute else None
-        return ev_t, r
+        if cl.execute and self._r is None:
+            raise ParameterError("the REDUCE stage did not execute: no r to return")
+        return ev_t, self._r
+
+    def _launch(self, name, kind, cost, after, fn, reads, writes) -> list[Event]:
+        """One kernel per device, device g waiting on ``after[g]``.  The
+        real-data closure ``fn`` serves every device at once, so it rides
+        on device 0's launch only."""
+        flops, mops = cost
+        return [
+            self.cl.launch(
+                g, name, kind, flops, mops, self.dtype, after=after[g],
+                fn=fn if g == 0 else None, reads=reads, writes=writes,
+            )
+            for g in range(self.cl.G)
+        ]
 
     # -- halo machinery ------------------------------------------------------
 
@@ -384,131 +344,65 @@ class DistributedFMM:
         parallel ring shifts whose ``#L``/``#R`` halo slots are disjoint
         sub-resources.  Returns per-device events for halo arrival;
         ``after[g]`` gates device g's sends on its producer kernel.  The
-        real data is stashed in ``self._halo[what]`` as
-        (left_halo, right_halo) per device.
+        real data is stashed in ``self._halo[what]`` as (left, right),
+        each with a device axis.
         """
         cl = self.cl
-        cl.host_action(lambda c: self._stash_halo(what, key, width, level))
+        cl.host_action(lambda c: self._stash_halo(what, width, level))
         src_buf = key if key is not None else self._buf(f"M{level}")
         return comm.halo_exchange(
             cl, nbytes, name, src_buf, self._buf(f"halo.{what}"), after=after,
         )
 
-    def _stash_halo(self, what: str, key: str | None, width: int, level: int | None) -> None:
+    def _stash_halo(self, what: str, width: int, level: int | None) -> None:
         """Record the halo data every device will need (execute mode)."""
-        cl, G = self.cl, self.cl.G
-        halos = {}
-        for g in range(G):
-            if key is not None:
-                a = np.asarray(cl.dev(g)[key])
-            else:
-                a = self._Mexp[g][level]
-            left_src = np.asarray(
-                cl.dev((g - 1) % G)[key] if key is not None else self._Mexp[(g - 1) % G][level]
-            )
-            right_src = np.asarray(
-                cl.dev((g + 1) % G)[key] if key is not None else self._Mexp[(g + 1) % G][level]
-            )
-            halos[g] = (left_src[:, -width:, :], right_src[:, :width, :])
-        if not hasattr(self, "_halo"):
-            self._halo = {}
-        self._halo[what] = halos
+        src = self._S if level is None else self._M[level]
+        self._halo[what] = kernels.halos(src, self.cl.G, width)
 
-    # -- real-data stage implementations ---------------------------------------
-    # Each _do_* runs once (attached to device 0's launch) and updates the
-    # per-device state for all devices; orchestration order guarantees
-    # producers ran first.
+    # -- real-data stage drivers ------------------------------------------------
+    # Orchestration order guarantees producers ran first.  The pass state is
+    # planar (see repro.fmm.kernels) with a *global* box axis, each device's
+    # slab a contiguous run of it: one kernel call reads each operator slice
+    # once for every device, and neighbours' data reaches it only via ``_halo``.
+
+    def _begin_pass(self) -> None:
+        """Forget the previous pass (a second run() on this instance, an
+        IR replay) so nothing of it folds into this one's accumulators."""
+        self._S = self._MB = self._r = None
+        self._M: dict[int, np.ndarray] = {}
+        self._L: dict[int, np.ndarray] = {}
+        self._halo: dict[str, kernels.Halo] = {}
 
     def _do_s2m(self, key_in: str) -> None:
-        cl, o = self.cl, self.ops
-        self._Mexp = []
-        # S2M opens a fresh pass: clear the accumulators too, so a
-        # second run() on the same instance (an IR replay) cannot fold
-        # the previous pass's locals into _do_m2l_base's accumulation
-        self._Loc = [dict() for _ in range(cl.G)]
-        self._MB = None
-        for g in range(cl.G):
-            Sb = np.asarray(cl.dev(g)[key_in])  # (P, nb_loc, ML)
-            self._Mexp.append({o.L: Sb[1:] @ o.s2m.T})
+        o = self.ops
+        self._begin_pass()
+        self._S = kernels.fold(self.gather(key_in).reshape(o.P, -1, o.ML)[1:])
+        self._M[o.L] = kernels.s2m(o, self._S)
 
     def _do_s2t(self, key_in: str, key_out: str) -> None:
-        cl, o = self.cl, self.ops
-        for g in range(cl.G):
-            Sb = np.asarray(cl.dev(g)[key_in])
-            lh, rh = self._halo["S"][g]
-            ext = np.concatenate([lh[1:], Sb[1:], rh[1:]], axis=1)  # (P-1, nb+2, ML)
-            nb = Sb.shape[1]
-            Sh = np.concatenate(
-                [ext[:, 0:nb, :], ext[:, 1 : nb + 1, :], ext[:, 2 : nb + 2, :]], axis=2
-            )  # (P-1, nb, 3ML): [b-1 | b | b+1]
-            T = np.empty(
-                (o.P, nb, o.ML), dtype=np.result_type(Sb.dtype, o.real_dtype)
-            )
-            T[0] = Sb[0]
-            T[1:] = Sh @ o.s2t.transpose(0, 2, 1)
-            cl.dev(g)[key_out] = T
+        near = kernels.unfold(kernels.s2t(self.ops, self._S, self._halo["S"]))
+        for g in range(self.cl.G):
+            self.cl.dev(g)[key_out] = np.concatenate(
+                [self.cl.dev(g)[key_in][:1], near[:, self._boxes(g)]])
 
     def _do_m2m(self, ell: int) -> None:
-        o = self.ops
-        for g in range(self.cl.G):
-            child = self._Mexp[g][ell + 1]
-            Pm1, nb2, Q = child.shape
-            self._Mexp[g][ell] = child.reshape(Pm1, nb2 // 2, 2 * Q) @ o.m2m.T
+        self._M[ell] = kernels.m2m(self.ops, self._M[ell + 1])
 
     def _do_m2l_level(self, ell: int) -> None:
-        cl, o = self.cl, self.ops
-        K = o.m2l_level[ell]
-        if not hasattr(self, "_Loc"):
-            self._Loc = [dict() for _ in range(cl.G)]
-        for g in range(cl.G):
-            Me = self._Mexp[g][ell]
-            lh, rh = self._halo[f"M{ell}"][g]
-            ext = np.concatenate([lh, Me, rh], axis=1)  # (P-1, nb_loc+4, Q)
-            nb = Me.shape[1]
-            loc = np.zeros_like(Me)
-            lb = np.arange(nb)
-            for parity, offsets in ((0, COUSINS_EVEN), (1, COUSINS_ODD)):
-                targets = lb[parity::2]
-                for si, s in enumerate(offsets):
-                    src = targets + s + 2  # index into ext (halo offset 2)
-                    loc[:, targets, :] += np.matmul(
-                        ext[:, src, :], K[:, parity, si].transpose(0, 2, 1)
-                    )
-            self._Loc[g][ell] = loc
+        self._L[ell] = kernels.m2l_level(
+            self.ops, self._M[ell], ell, self._halo[f"M{ell}"])
 
     def _do_gather_base(self) -> None:
-        cl, o = self.cl, self.ops
-        self._MB = np.concatenate([self._Mexp[g][o.B] for g in range(cl.G)], axis=1)
+        self._MB = self._M[self.ops.B]
 
     def _do_m2l_base(self) -> None:
-        cl, o = self.cl, self.ops
-        if not hasattr(self, "_Loc"):
-            self._Loc = [dict() for _ in range(cl.G)]
-        nbB = 1 << o.B
-        for g in range(cl.G):
-            b0, b1 = o.tree.box_range(o.B, g)
-            targets = np.arange(b0, b1)
-            loc = np.zeros_like(self._MB[:, b0:b1, :])
-            for si, s in enumerate(base_offsets(o.B)):
-                src = (targets + s) % nbB
-                loc += np.matmul(
-                    self._MB[:, src, :], o.m2l_base[:, si].transpose(0, 2, 1)
-                )
-            if o.B in self._Loc[g]:
-                self._Loc[g][o.B] = self._Loc[g][o.B] + loc
-            else:
-                self._Loc[g][o.B] = loc
+        self._L[self.ops.B] = kernels.m2l_base(self.ops, self._MB)
 
     def _do_reduce(self) -> None:
-        self._r = self._MB.sum(axis=(1, 2))
+        self._r = kernels.reduce(self._MB)
 
     def _do_l2l(self, ell: int) -> None:
-        o = self.ops
-        for g in range(self.cl.G):
-            parent = self._Loc[g][ell]
-            Pm1, nb, Q = parent.shape
-            pair = (parent @ o.m2m).reshape(Pm1, 2 * nb, Q)
-            self._Loc[g][ell + 1] = self._Loc[g][ell + 1] + pair
+        self._L[ell + 1] = self._L[ell + 1] + kernels.l2l(self.ops, self._L[ell])
 
     def _do_fused_m2l_l2l(self, ell: int) -> None:
         """Fused kernel data path: M2L at level ell+1, then accumulate
@@ -517,8 +411,6 @@ class DistributedFMM:
         self._do_l2l(ell)
 
     def _do_l2t(self, key_out: str) -> None:
-        cl, o = self.cl, self.ops
-        for g in range(cl.G):
-            T = np.asarray(cl.dev(g)[key_out])
-            T[1:] += self._Loc[g][o.L] @ o.s2m
-            cl.dev(g)[key_out] = T
+        far = kernels.unfold(kernels.l2t(self.ops, self._L[self.ops.L]))
+        for g in range(self.cl.G):
+            self.cl.dev(g)[key_out][1:] += far[:, self._boxes(g)]

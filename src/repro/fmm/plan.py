@@ -1,11 +1,12 @@
 """Precomputed operator bundle for a batch of P-1 FMMs.
 
 :class:`FmmOperators` builds every Section 4 operator once for a given
-``(M, P, M_L, B, Q)`` and precision, in the layout the executors consume
-(transposed for right-multiplication where that saves a transpose per
-apply).  Operators are real; the C-factor accounting for complex inputs
-happens at launch-costing time, exactly as the paper's Section 5 flop
-counts prescribe.
+``(M, P, M_L, B, Q)`` and precision, each stored once in the layout the
+GEMM of :mod:`repro.fmm.kernels` right-multiplies by (inputs on the
+second-to-last axis, the sources a target gathers laid side by side), so
+no apply transposes or copies an operator.  Operators are real; the
+C-factor accounting for complex inputs happens at launch-costing time,
+exactly as the paper's Section 5 flop counts prescribe.
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ class FmmGeometry:
 class FmmOperators:
     """All dense operators for P-1 interleaved periodic FMMs of size M.
 
-    Build with :meth:`create`; fields are ready-to-matmul arrays.
+    Build with :meth:`create`; fields are ready-to-matmul arrays.  The
+    per-p operators are the :mod:`repro.fmm.operators` tensors with the
+    trailing ``(out, in)`` pair swapped and the source offsets merged
+    into the inner dimension: ``s2t[p, j', i]``, ``m2l_level[ell][p,
+    parity, si*Q + j, i]``, ``m2l_base[p, si*Q + j, i]``.
     """
 
     tree: Tree1D
@@ -71,9 +76,9 @@ class FmmOperators:
     real_dtype: np.dtype
     s2m: np.ndarray          # (Q, ML)
     m2m: np.ndarray          # (Q, 2Q)
-    m2l_level: dict          # level -> (P-1, 2, 3, Q, Q)
-    m2l_base: np.ndarray     # (P-1, 2^B-3, Q, Q)
-    s2t: np.ndarray          # (P-1, ML, 3ML)
+    m2l_level: dict          # level -> (P-1, 2, 3Q, Q)
+    m2l_base: np.ndarray     # (P-1, (2^B-3) Q, Q)
+    s2t: np.ndarray          # (P-1, 3ML, ML)
     rho: np.ndarray          # (P-1,) complex
 
     @classmethod
@@ -99,8 +104,12 @@ class FmmOperators:
         N = M * P
         rdt = real_dtype_for(dtype)
         cdt = np.complex64 if rdt == np.float32 else np.complex128
+
+        def gemm_layout(K: np.ndarray, *shape: int) -> np.ndarray:
+            return K.swapaxes(-1, -2).astype(rdt, order="C").reshape(P - 1, *shape)
+
         m2l_level = {
-            ell: ops.m2l_level_tensor(ell, P, Q, N).astype(rdt)
+            ell: gemm_layout(ops.m2l_level_tensor(ell, P, Q, N), 2, 3 * Q, Q)
             for ell in tree.levels_m2l()
         }
         return cls(
@@ -112,8 +121,8 @@ class FmmOperators:
             s2m=ops.s2m_matrix(Q, ML).astype(rdt),
             m2m=ops.m2m_matrix(Q).astype(rdt),
             m2l_level=m2l_level,
-            m2l_base=ops.m2l_base_tensor(B, P, Q, N).astype(rdt),
-            s2t=ops.s2t_matrix(P, ML, N).astype(rdt),
+            m2l_base=gemm_layout(ops.m2l_base_tensor(B, P, Q, N), -1, Q),
+            s2t=gemm_layout(ops.s2t_matrix(P, ML, N), 3 * ML, ML),
             rho=ops.rho_factors(P, M).astype(cdt),
         )
 

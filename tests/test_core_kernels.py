@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.kernels import dense_c_matrix, dense_h_matrix, post_process
 from repro.fmm.operators import rho_factors
+from repro.fmm.plan import FmmOperators
 from repro.fmm.reference import dense_apply_all
 from repro.util.validation import ParameterError
 
@@ -54,3 +55,25 @@ class TestPostProcess:
     def test_real_input_promoted(self):
         out = post_process(np.ones((4, 8)), np.ones(3), 8, 4)
         assert np.iscomplexobj(out)
+
+    def test_rho_in_the_plan_precision_keeps_complex64_narrow(self, rng, monkeypatch):
+        """Given the plan's already-narrowed rho, nothing is recomputed
+        per call and a complex64 T meets only complex64 factors; with
+        none passed the default still is ``rho_factors(P, M)``."""
+        M, P = 32, 4
+        T = (rng.standard_normal((P, M)) + 1j * rng.standard_normal((P, M))).astype(np.complex64)
+        r = T[1:].sum(axis=1)
+        rho = FmmOperators.create(M=M, P=P, ML=8, B=2, Q=8, dtype="complex64").rho
+        assert rho.dtype == np.complex64
+        wide = post_process(T, r, M, P)
+
+        import repro.core.kernels as ck
+        monkeypatch.setattr(ck, "rho_factors", lambda *a: pytest.fail("recomputed rho"))
+        out = post_process(T, r, M, P, rho=rho)
+        assert out.dtype == np.complex64
+        assert np.linalg.norm(out - wide) / np.linalg.norm(wide) < 1e-6
+        # batched form, and the shape check on rho
+        np.testing.assert_array_equal(
+            post_process(np.stack([T, T]), np.stack([r, r]), M, P, rho=rho)[1], out)
+        with pytest.raises(ParameterError):
+            post_process(T, r, M, P, rho=rho[:-1])

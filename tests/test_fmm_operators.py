@@ -131,8 +131,17 @@ class TestFmmOperatorsBundle:
         assert b.s2m.shape == (8, 16)
         assert b.m2m.shape == (8, 16)
         assert set(b.m2l_level) == {4, 3}
-        assert b.m2l_base.shape == (3, 1, 8, 8)
-        assert b.s2t.shape == (3, 16, 48)
+        # per-p operators are stored in the layout the GEMM consumes:
+        # (in, out) with the source offsets merged into the inner axis
+        assert b.m2l_level[4].shape == (3, 2, 3 * 8, 8)
+        assert b.m2l_base.shape == (3, 1 * 8, 8)
+        assert b.s2t.shape == (3, 48, 16)
+        assert all(a.flags.c_contiguous for a in (b.s2t, b.m2l_base, b.m2l_level[3]))
+        np.testing.assert_array_equal(
+            b.s2t, ops.s2t_matrix(4, 16, 1024).transpose(0, 2, 1))
+        K = ops.m2l_level_tensor(4, 4, 8, 1024)  # [p, parity, si, i, j]
+        np.testing.assert_array_equal(
+            b.m2l_level[4].reshape(3, 2, 3, 8, 8), K.transpose(0, 1, 2, 4, 3))
         assert b.rho.shape == (3,)
         assert b.N == 1024
 
