@@ -72,15 +72,21 @@ to guard against (run with ``python tools/lint.py src``):
     free-floating series never lands in any snapshot, so ``repro top``
     and the exporters silently under-report.
 
-``ir-capture-site``
-    IR nodes and graphs (:class:`~repro.ir.graph.IRNode` /
+``engine-site``
+    One engine owns the simulated timeline.  Ledger records
+    (``OpRecord``) are constructed and stream clocks (``Stream.clock``)
+    assigned only inside :mod:`repro.machine`, so the
+    stream/event algebra exists once — the replay executor re-issues
+    taped steps through the engine's issue halves instead of mirroring
+    them.  IR nodes and graphs (:class:`~repro.ir.graph.IRNode` /
     :class:`~repro.ir.graph.IRGraph`) are constructed only inside
-    :mod:`repro.ir` — everyone else obtains graphs through the capture
-    entry points (:func:`repro.ir.capture.capture`,
-    :mod:`repro.ir.pipelines`).  A hand-assembled graph skips capture's
-    dependency resolution and :meth:`~repro.ir.graph.IRGraph.certify`'s
-    scratch-replay/hazard/prealloc gauntlet, so replaying it can
-    silently diverge from any interpreted run.
+    :mod:`repro.machine` (the capture tape) and :mod:`repro.ir` —
+    everyone else obtains graphs through the capture entry points
+    (:func:`repro.ir.capture.capture`, :mod:`repro.ir.pipelines`): a
+    hand-assembled graph skips the tape's dependency resolution and
+    :meth:`~repro.ir.graph.IRGraph.certify`'s gauntlet.  And
+    :mod:`repro.machine` must not import :mod:`repro.ir`: the engine
+    writes the tape, the IR reads it, never the other way round.
 
 Any rule can be waived on one line with ``# lint: allow-<rule>``; a
 waiver naming no known rule is itself reported (``unknown-waiver``).
@@ -133,20 +139,24 @@ TELEMETRY_SERIES = ("CounterSeries", "GaugeSeries", "HistogramSeries")
 #: the one module allowed to construct series directly (the registry)
 TELEMETRY_ALLOWED = "repro/obs/telemetry.py"
 
-#: IR node/graph classes whose construction is confined to repro.ir
+#: IR node/graph classes whose construction the engine-site rule confines
 IR_TYPES = ("IRNode", "IRGraph")
 
-#: the only package allowed to build IR nodes/graphs (the IR itself)
-IR_CONSTRUCT_ALLOWED = "repro/ir/"
+#: the only packages allowed to build IR nodes/graphs (tape + IR)
+IR_CONSTRUCT_ALLOWED = ("repro/machine/", "repro/ir/")
+
+#: the only package allowed to build OpRecords or write stream clocks,
+#: and the one package that must not import repro.ir
+ENGINE_PATH = "repro/machine/"
 
 #: every waivable rule; a pragma naming anything else is unknown-waiver
 RULES = (
     "bare-except",
     "deterministic-time",
     "dtype-discipline",
+    "engine-site",
     "fault-injection-site",
     "future-annotations",
-    "ir-capture-site",
     "launch-declares",
     "mutable-default",
     "np-fft",
@@ -208,7 +218,8 @@ class _Checker(ast.NodeVisitor):
         self.fault_raise_ok = any(frag in p for frag in FAULT_RAISE_ALLOWED)
         self.det_time_ok = any(frag in p for frag in DETERMINISTIC_TIME_ALLOWED)
         self.telemetry_ok = TELEMETRY_ALLOWED in p
-        self.ir_ok = IR_CONSTRUCT_ALLOWED in p
+        self.ir_ok = any(frag in p for frag in IR_CONSTRUCT_ALLOWED)
+        self.engine = ENGINE_PATH in p
         self._stmt: ast.stmt | None = None
 
     # -- plumbing ------------------------------------------------------
@@ -283,6 +294,42 @@ class _Checker(ast.NodeVisitor):
                     "input dtype (or waive with '# lint: allow-dtype-discipline')",
                 )
         self.generic_visit(node)
+
+    def _check_clock_write(self, target: ast.expr) -> None:
+        if (isinstance(target, ast.Attribute) and target.attr == "clock"
+                and not self.engine):
+            self._report(
+                target, "engine-site",
+                "stream clock written outside repro.machine -- hand the "
+                "step to the engine's issue halves instead of advancing "
+                "the timeline by hand",
+            )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_clock_write(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_clock_write(node.target)
+        self.generic_visit(node)
+
+    def _check_engine_imports(self, node: ast.stmt, modules) -> None:
+        for module in modules:
+            if self.engine and (module + ".").startswith("repro.ir."):
+                self._report(
+                    node, "engine-site",
+                    f"repro.machine imports {module} -- the engine writes "
+                    "the tape and repro.ir reads it, never the other way",
+                )
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._check_engine_imports(node, [a.name for a in node.names])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        module = node.module or ""
+        self._check_engine_imports(
+            node, [module] + [f"{module}.{a.name}" for a in node.names])
 
     def _check_deterministic_time(self, node: ast.Call) -> None:
         func = node.func
@@ -407,20 +454,24 @@ class _Checker(ast.NodeVisitor):
                     "get series from a MetricsRegistry "
                     "(.counter/.gauge/.histogram) so they land in snapshots",
                 )
-        # IR nodes/graphs are built only by the capture layer
-        if not self.ir_ok:
-            ir_type = None
-            if isinstance(func, ast.Name) and func.id in IR_TYPES:
-                ir_type = func.id
-            elif isinstance(func, ast.Attribute) and func.attr in IR_TYPES:
-                ir_type = func.attr
-            if ir_type is not None:
-                self._report(
-                    node, "ir-capture-site",
-                    f"{ir_type} constructed outside repro.ir -- graphs come "
-                    "from the capture entry points (repro.ir.capture / "
-                    "repro.ir.pipelines); hand-built graphs skip certify()",
-                )
+        # the engine-site rule: who may build records, nodes and graphs
+        callee = (func.id if isinstance(func, ast.Name)
+                  else func.attr if isinstance(func, ast.Attribute) else "")
+        if callee in IR_TYPES and not self.ir_ok:
+            self._report(
+                node, "engine-site",
+                f"{callee} constructed outside repro.machine/repro.ir -- "
+                "graphs come from the capture entry points "
+                "(repro.ir.capture / repro.ir.pipelines); hand-built "
+                "graphs skip certify()",
+            )
+        if callee == "OpRecord" and not self.engine:
+            self._report(
+                node, "engine-site",
+                "OpRecord constructed outside repro.machine -- ledger "
+                "records come from the engine's issue halves, the one "
+                "copy of the stream/event algebra",
+            )
         if isinstance(func, ast.Attribute):
             # dtype-less allocations in kernel code
             if (

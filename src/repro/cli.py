@@ -343,6 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_ir(args: argparse.Namespace) -> int:
     """Capture pipelines into the IR and report graph facts + timings."""
+    import gc
     import json as _json
     import time as _time
 
@@ -372,6 +373,10 @@ def cmd_ir(args: argparse.Namespace) -> int:
         capture_s = _time.perf_counter() - t0
         fused = fuse_elementwise(graph, pspec)
         ex = ReplayExecutor(graph, VirtualCluster(pspec, execute=False))
+        # start every timing loop at the same point of the collector's
+        # cycle: a generation-2 pass over the earlier pipelines' graphs
+        # costs several replays
+        gc.collect()
         t0 = _time.perf_counter()
         for _ in range(reps):
             ex.run()

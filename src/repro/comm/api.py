@@ -25,21 +25,24 @@ consumer waiting on ``events[g]`` is ordered after every send and
 receive at device ``g`` (chained forwarding plans additionally order
 round ``k+1`` sends after round ``k`` receives).
 
-Every call appends a record to ``cluster.comm_log`` (algorithm, payload,
-predicted time) which :func:`repro.obs.metrics.join_comm_model` joins
-against the ledger for measured-vs-model validation.  When the cluster
-carries a :class:`~repro.obs.telemetry.MetricsRegistry`, each message
-additionally streams live series — ``comm.bytes{link_class=...}``,
-``comm.measured_vs_model{link=...}``, and ``comm.retry{stage=...}`` via
-the :class:`~repro.comm.retry.RetryBudget` — stamped with simulated
-time; with no registry installed none of that code runs.
+Every call logs a record through ``cluster.log_comm`` (algorithm,
+payload, predicted time) which :func:`repro.obs.metrics.join_comm_model`
+joins against the ledger for measured-vs-model validation.  Per-message
+telemetry is the engine's: with a
+:class:`~repro.obs.telemetry.MetricsRegistry` on the cluster, its issue
+halves stream ``comm.bytes{link_class=...}`` and
+``comm.measured_vs_model{link=...}`` for every message (and the flat
+model's bytes when a bulk call is logged), identically for eager and
+replayed ops; this layer adds only ``comm.retry{stage=...}`` via the
+:class:`~repro.comm.retry.RetryBudget`.
 
 Fault handling: when the cluster carries a
 :class:`~repro.faults.FaultInjector`, every message (and every bulk
-collective round) asks the injector for an outcome at its estimated
-start time.  A transient failure charges a timed-out ``<stage>!fail``
-record on the same engines, waits out the
-:class:`~repro.comm.retry.RetryPolicy` backoff, and re-issues; budget
+collective round) asks the injector for an outcome at the time the
+engine says it would start (``cluster.comm_ready``).  A transient
+failure charges a timed-out ``<stage>!fail`` record on the same
+engines, waits out the :class:`~repro.comm.retry.RetryPolicy` backoff,
+and re-issues; budget
 exhaustion or a permanent fault (device loss) raises
 :class:`~repro.comm.retry.CommFailure` for the caller (the serve layer)
 to handle.  With no injector, none of this code runs and the issued
@@ -75,11 +78,15 @@ def _resolve(cl, kind: str, payload: float, algorithm: str) -> str:
 
 
 def _log(cl, name: str, kind: str, algorithm: str, payload: float,
-         chunks: int = 1) -> None:
-    """Append one comm_log entry (skipped on G=1 degenerate clusters)."""
+         chunks: int = 1, bulk_done: Sequence[Event] | None = None) -> None:
+    """Log one collective call (skipped on G=1 degenerate clusters).
+
+    ``bulk_done`` — the final events of a flat-model collective — makes
+    the engine count its payload on ``comm.bytes{link_class=bulk}``.
+    """
     if cl.G == 1:
         return
-    cl.comm_log.append({
+    entry = {
         "name": name,
         "kind": kind,
         "algorithm": algorithm,
@@ -88,7 +95,11 @@ def _log(cl, name: str, kind: str, algorithm: str, payload: float,
         "G": cl.G,
         "predicted": _tuning.predict_time(cl.spec, kind, payload, algorithm,
                                           chunks=chunks),
-    })
+    }
+    if bulk_done is None:
+        cl.log_comm(entry)
+    else:
+        cl.log_comm(entry, bulk_bytes=payload * cl.G, done=bulk_done)
 
 
 def _normalize_after(after, G: int):
@@ -103,90 +114,9 @@ def _normalize_after(after, G: int):
 
 def _new_budget(cl):
     """Per-collective-call retry budget, or None on fault-free clusters."""
-    if getattr(cl, "faults", None) is None:
+    if cl.faults is None:
         return None
-    return RetryBudget(cl.retry.budget, telemetry=getattr(cl, "telemetry", None))
-
-
-def _pair_info(cl, src, dst):
-    """Memoized per-pair topology facts for the instrumentation path.
-
-    ``(link_class, pair_latency, pair_bandwidth, link_label)`` — pure
-    functions of the cluster's graph (fault degradation copies the
-    graph via ``degraded_spec`` rather than mutating it, so caching is
-    sound), looked up once per pair instead of once per message.  The
-    memo lives on the cluster so independent runs never share state.
-    """
-    memo = getattr(cl, "_pair_info_memo", None)
-    if memo is None:
-        memo = cl._pair_info_memo = {}
-    info = memo.get((src, dst))
-    if info is None:
-        g = cl.spec.graph
-        info = (
-            topo.link_class(g, src, dst),
-            topo.pair_latency(g, src, dst),
-            topo.pair_bandwidth(g, src, dst),
-            f"{min(src, dst)}-{max(src, dst)}",
-        )
-        memo[(src, dst)] = info
-    return info
-
-
-def _msg_series(cl, tel, cls, link):
-    """Memoized (bytes counter, ratio histogram) for one link.
-
-    Resolving a series through the registry builds a labels dict and a
-    sorted label key every time — pure waste on the per-message hot
-    path.  The memo is guarded by registry identity, so a scheduler
-    that swaps registries on a reused cluster never emits into a stale
-    one.
-    """
-    memo = getattr(cl, "_tel_series_memo", None)
-    if memo is None or memo[0] is not tel:
-        memo = (tel, {})
-        cl._tel_series_memo = memo
-    handles = memo[1]
-    pair = handles.get((cls, link))
-    if pair is None:
-        pair = (tel.counter("comm.bytes", {"link_class": cls}),
-                tel.histogram("comm.measured_vs_model", {"link": link}))
-        handles[(cls, link)] = pair
-    return pair
-
-
-def _instrument_message(cl, tel, src, dst, nbytes, ev, t0, bw, lat):
-    """Emit per-message telemetry (``comm.bytes``, measured-vs-model).
-
-    Measured duration is ``ev.time - t0`` — the record's full priced
-    window including contention and fault stretching — against the lone
-    roofline prediction for the pair, so the per-link ratio is exactly
-    the calibration signal the ROADMAP's feedback loop wants.
-    """
-    cls, pair_lat, pair_bw, link = _pair_info(cl, src, dst)
-    counter, ratio = _msg_series(cl, tel, cls, link)
-    ev_t = ev.time
-    counter.inc(nbytes, t=ev_t)
-    predicted = ((lat if lat is not None else pair_lat)
-                 + nbytes / (bw if bw is not None else pair_bw))
-    if predicted > 0.0 and ev_t > t0:
-        ratio.observe((ev_t - t0) / predicted, t=ev_t)
-
-
-def _dep_time(deps) -> float:
-    return max((e.time for e in deps if e is not None), default=0.0)
-
-
-def _msg_start(cl, src: int, dst: int, deps) -> float:
-    """Side-effect-free estimate of a message's start time.
-
-    Mirrors ``cluster.sendrecv``'s ``max(ready_after(...))`` without
-    touching the streams (``ready_after`` marks events as waited), so
-    fault-outcome queries never perturb the schedule.
-    """
-    return max(cl.dev(src).stream("comm.tx").clock,
-               cl.dev(dst).stream("comm.rx").clock,
-               _dep_time(deps))
+    return RetryBudget(cl.retry.budget, telemetry=cl.telemetry)
 
 
 def _send(cl, src, dst, nbytes, name, deps, fn, reads, writes,
@@ -195,35 +125,20 @@ def _send(cl, src, dst, nbytes, name, deps, fn, reads, writes,
 
     Fault-free clusters (or self-sends, which never cross a link) fall
     straight through to ``cluster.sendrecv``.  Otherwise each attempt's
-    outcome is drawn at its estimated start time: a transient failure
-    appends a zero-byte ``{name}!fail`` record of the policy timeout on
-    the same engines (writes renamed to ``.fail{n}`` siblings so they
-    never alias the real destination), then retries after the seeded
-    backoff; device loss or budget exhaustion raises
+    outcome is drawn at the time the engine says it would start: a
+    transient failure appends a zero-byte ``{name}!fail`` record of the
+    policy timeout on the same engines (writes renamed to ``.fail{n}``
+    siblings so they never alias the real destination), then retries
+    after the seeded backoff; device loss or budget exhaustion raises
     :class:`CommFailure`.
     """
-    tel = getattr(cl, "telemetry", None)
-    if budget is None or src == dst or cl.G == 1:
-        t0 = _msg_start(cl, src, dst, deps) if tel is not None else 0.0
-        ev = cl.sendrecv(src, dst, nbytes, name, after=deps, fn=fn,
-                         reads=list(reads), writes=list(writes),
-                         bandwidth=bw, latency=lat)
-        if tel is not None and src != dst and cl.G > 1:
-            _instrument_message(cl, tel, src, dst, nbytes, ev, t0, bw, lat)
-        return ev
-    inj, policy = cl.faults, cl.retry
     deps = list(deps)
-    while True:
-        t0 = _msg_start(cl, src, dst, deps)
-        outcome = inj.message_outcome(src, dst, name, t0)
+    while budget is not None and src != dst:
+        policy = cl.retry
+        t0 = cl.comm_ready(deps, src, dst)
+        outcome = cl.faults.message_outcome(src, dst, name, t0)
         if outcome == "ok":
-            ev = cl.sendrecv(src, dst, nbytes, name, after=deps, fn=fn,
-                             reads=list(reads), writes=list(writes),
-                             bandwidth=bw, latency=lat)
-            if tel is not None:
-                _instrument_message(cl, tel, src, dst, nbytes, ev, t0,
-                                    bw, lat)
-            return ev
+            break
         if outcome == "lost":
             raise CommFailure(
                 f"{name}: link {src}->{dst} has a lost endpoint",
@@ -245,6 +160,9 @@ def _send(cl, src, dst, nbytes, name, deps, fn, reads, writes,
             )
         deps = deps + [Event(ev.time + policy.delay(name, n),
                              f"{name}.backoff")]
+    return cl.sendrecv(src, dst, nbytes, name, after=deps, fn=fn,
+                       reads=list(reads), writes=list(writes),
+                       bandwidth=bw, latency=lat)
 
 
 def _collective_gate(cl, name, dep, reads, writes, budget):
@@ -260,11 +178,7 @@ def _collective_gate(cl, name, dep, reads, writes, budget):
     inj, policy = cl.faults, cl.retry
     dep = list(dep)
     while True:
-        t0 = max(
-            max(d.stream("comm.tx").clock, d.stream("comm.rx").clock)
-            for d in cl.devices
-        )
-        t0 = max(t0, _dep_time(dep))
+        t0 = cl.comm_ready(dep)
         outcome = inj.collective_outcome(name, t0)
         if outcome == "ok":
             return dep
@@ -329,7 +243,7 @@ def _done_events(cl, touch, name: str) -> list:
     devices (cannot happen for the built-in plans, but stays total)."""
     return [
         touch[g] if touch[g] is not None
-        else Event(cl.dev(g).stream("comm.rx").clock, name)
+        else cl.stream_event(g, "comm.rx", name)
         for g in range(cl.G)
     ]
 
@@ -383,12 +297,8 @@ def alltoall(
                 reads=rds,
                 writes=wrs,
             )
-        _log(cl, name, "alltoall", "bulk", bytes_sent_per_device, chunks)
-        tel = getattr(cl, "telemetry", None)
-        if tel is not None and cl.G > 1:
-            tel.counter("comm.bytes", {"link_class": "bulk"}).inc(
-                bytes_sent_per_device * cl.G,
-                t=max(e.time for e in events))
+        _log(cl, name, "alltoall", "bulk", bytes_sent_per_device, chunks,
+             bulk_done=events)
         return events
 
     touch: list = [None] * cl.G
@@ -434,11 +344,8 @@ def allgather(
                                budget)
         events = cl.allgather(bytes_per_device, name, after=dep, fn=fn,
                               reads=list(reads), writes=list(writes))
-        _log(cl, name, "allgather", "bulk", bytes_per_device)
-        tel = getattr(cl, "telemetry", None)
-        if tel is not None and cl.G > 1:
-            tel.counter("comm.bytes", {"link_class": "bulk"}).inc(
-                bytes_per_device * cl.G, t=max(e.time for e in events))
+        _log(cl, name, "allgather", "bulk", bytes_per_device,
+             bulk_done=events)
         return events
 
     per_dev, extra = _normalize_after(after, cl.G)
@@ -505,7 +412,7 @@ def grouped_alltoall(
         per_dev, extra = _normalize_after(after, cl.G)
         touch = _issue_plan(cl, plan, name, per_dev, extra, fn, touch,
                             _new_budget(cl))
-        cl.comm_log.append({
+        cl.log_comm({
             "name": name, "kind": "alltoall", "algorithm": "grouped",
             "payload": bytes_sent_per_device, "chunks": 1, "G": cl.G,
             "predicted": _plans.plan_time(cl.spec, plan),
@@ -533,8 +440,9 @@ def halo_exchange(
     G = cl.G
     if G == 1:
         if after:
-            return [Event(after[0].time, name)]
-        return [Event(cl.dev(0).stream("comm.rx").clock, name)]
+            # nothing to exchange: the halo "arrives" with its producer
+            return [Event(after[0].time, name, src=after[0].src)]
+        return [cl.stream_event(0, "comm.rx", name)]
     deps = list(after) if after else [None] * G
     budget = _new_budget(cl)
     ev_right = [
@@ -552,7 +460,7 @@ def halo_exchange(
     spec = cl.spec
     shift_r = [_plans.Msg(g, (g + 1) % G, nbytes) for g in range(G)]
     shift_l = [_plans.Msg(g, (g - 1) % G, nbytes) for g in range(G)]
-    cl.comm_log.append({
+    cl.log_comm({
         "name": name, "kind": "halo", "algorithm": "ring", "payload": nbytes,
         "chunks": 1, "G": G,
         "predicted": _plans.round_time(spec, shift_r)
@@ -591,7 +499,7 @@ def sendrecv(
     else:
         predicted = (cl.spec.comm_latency()
                      + nbytes / cl.spec.pair_bandwidth(src, dst))
-    cl.comm_log.append({
+    cl.log_comm({
         "name": name, "kind": "p2p", "algorithm": "p2p", "payload": nbytes,
         "chunks": 1, "G": cl.G, "predicted": predicted,
     })

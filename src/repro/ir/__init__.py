@@ -2,19 +2,21 @@
 
 The subsystem in three moves:
 
-1. **Capture** (:mod:`repro.ir.capture`): run any pipeline once on a
-   :class:`RecordingCluster` proxy — a fully valid interpreted run —
-   and get an :class:`IRGraph` of everything it issued, with
-   dependency edges resolved from the actual event objects.
+1. **Capture** (:mod:`repro.ir.capture`): run any pipeline once on
+   the cluster itself with the engine's capture tape open — the
+   capture run *is* the eager run — and get an :class:`IRGraph` of
+   every step the engine priced, with dependency edges naming their
+   true producers.
 2. **Certify** (:meth:`IRGraph.certify` + :mod:`repro.ir.prealloc`):
    replay timing-only onto a scratch cluster, hazard-sanitize the
    ledger, and check every captured collective against its
    :class:`~repro.analysis.plancheck.PlanCertificate`, deriving the
    graph-level preallocation contract.
-3. **Replay** (:class:`ReplayExecutor`): a tight walk over compiled
-   step tuples with zero per-run plan/graph construction, producing
-   ledger, telemetry, and (execute mode) numerics bit-identical to the
-   interpreted run.
+3. **Replay** (:class:`ReplayExecutor`): a loop that hands the compiled
+   steps to the engine's issue halves — the same code an eager op runs
+   after pricing — with zero per-run plan/graph construction, so
+   ledger, telemetry, and (execute mode) numerics are bit-identical to
+   the eager run by construction.
 
 :mod:`repro.ir.pipelines` has one capture entry point per pipeline;
 :mod:`repro.ir.fuse` implements the opt-in elementwise-stage fusion.
@@ -22,7 +24,7 @@ The subsystem in three moves:
 
 from __future__ import annotations
 
-from repro.ir.capture import CaptureError, RecordingCluster, capture
+from repro.ir.capture import CaptureError, capture
 from repro.ir.executor import ReplayError, ReplayExecutor, scratch_replay
 from repro.ir.fuse import fuse_elementwise
 from repro.ir.graph import IRGraph, IRNode
@@ -43,7 +45,6 @@ __all__ = [
     "IRGraph",
     "IRNode",
     "PIPELINE_NAMES",
-    "RecordingCluster",
     "ReplayError",
     "ReplayExecutor",
     "capture",

@@ -1,312 +1,47 @@
-"""Capture layer: record one interpreted pipeline run into an IRGraph.
+"""Capture: seal the tape of one eager pipeline run into an IRGraph.
 
-:class:`RecordingCluster` is a transparent proxy over a live
-:class:`~repro.machine.cluster.VirtualCluster`.  Pipelines run on it
-unchanged — every primitive (``launch``/``host_op``/``sendrecv``/
-``alltoall``/``allgather``/``barrier``/``host_action``) forwards to the
-real engine, so the capture run *is* a normal interpreted run with
-identical ledger, events, data, and telemetry — and on the way through,
-each call is recorded as one :class:`~repro.ir.graph.IRNode` with its
-dependency edges resolved from the event objects the pipeline passed.
-``comm_log`` appends are intercepted the same way, so the comm layer's
-algorithm/payload/predicted entries replay too.
-
-Dependency resolution policy (events carry a ledger uid when real):
-
-- ``ev is release_event`` — the external release dependency, index -1.
-- ``ev.op >= 0`` — a uid from this capture maps to its producing node
-  (and a ``sub`` device index when the producer is a collective);
-  a uid from *outside* the capture is a :class:`CaptureError` (the
-  graph would silently lose the edge on replay).
-- synthetic ``op == -1`` events the proxy itself returned (G=1
-  degenerate collectives) resolve by identity.
-- ``time == 0.0`` synthetics (``Event.zero()``) are dropped — a clock
-  can never be behind t=0.
-- any other synthetic aliases to the node whose completion time equals
-  ``ev.time`` (G=1 halo/done fallbacks built by the comm layer); no
-  match is a :class:`CaptureError`.
-
-Capture refuses fault-injecting clusters: recorded durations embed any
-fault stretching, so a replayed graph would launder a transient fault
-into every future run.
+There is no recording layer.  :func:`capture` opens the engine's own
+tape (:meth:`VirtualCluster.taping`), calls ``run(cluster)`` on the
+cluster itself — the capture run *is* the eager run: same object, same
+ledger, events, data, and telemetry — and wraps the steps the engine
+wrote (each priced exactly as it was issued, dependencies resolved by
+producer, ``comm_log`` entries included) in an
+:class:`~repro.ir.graph.IRGraph`.  The resolution rules and the
+refusals (fault-injecting clusters, events from outside the capture,
+producer-less synthetics) live with the tape in
+:mod:`repro.machine.tape`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
-from repro.comm.api import _pair_info
-from repro.ir.graph import (
-    IRGraph,
-    IRNode,
-    OP_ACTION,
-    OP_BARRIER,
-    OP_COLL,
-    OP_COLL1,
-    OP_HOST,
-    OP_LAUNCH,
-    OP_LOG,
-    OP_P2P,
-    OP_P2P_SELF,
-)
+from repro.ir.graph import IRGraph
 from repro.machine.spec import spec_fingerprint
 from repro.machine.stream import Event
-from repro.util.validation import ParameterError
-
-
-class CaptureError(ParameterError):
-    """A pipeline issued something the IR cannot faithfully replay."""
-
-
-class _LogShim(list):
-    """``comm_log`` stand-in: mirrors appends to the real log and
-    records each entry as an :data:`~repro.ir.graph.OP_LOG` node."""
-
-    def __init__(self, rec: "RecordingCluster", real: list):
-        super().__init__(real)
-        self._rec = rec
-        self._real = real
-
-    def append(self, entry: dict) -> None:
-        super().append(entry)
-        self._real.append(entry)
-        self._rec._note_log(entry)
-
-
-class RecordingCluster:
-    """Recording proxy over a live cluster (see module docstring).
-
-    Everything not intercepted forwards via ``__getattr__``, so the
-    proxy is drop-in for any pipeline: ``spec``/``G``/``devices``/
-    ``ledger``/``region``/``telemetry``/... all behave as the real
-    cluster.  Call :meth:`finish` after the run to obtain the graph.
-    """
-
-    def __init__(self, cluster, release_event: Event | None = None,
-                 pipeline: str = "", key=None, buffer_prefix: str = ""):
-        if cluster.faults is not None:
-            raise CaptureError(
-                "cannot capture on a fault-injecting cluster: recorded "
-                "durations would bake transient faults into every replay")
-        self._cl = cluster
-        self._nodes: list[IRNode] = []
-        self._uid2ref: dict[int, tuple[int, int]] = {}
-        self._synth: dict[int, int] = {}
-        self._end2idx: dict[float, int] = {}
-        self._release = release_event
-        self._meta = {
-            "pipeline": pipeline,
-            "key": key,
-            "G": cluster.G,
-            "spec_fingerprint": spec_fingerprint(cluster.spec),
-            "buffer_prefix": buffer_prefix,
-            "executed": bool(cluster.execute),
-        }
-        self.comm_log = _LogShim(self, cluster.comm_log)
-
-    def __getattr__(self, name: str):
-        try:
-            cl = self.__dict__["_cl"]
-        except KeyError:
-            raise AttributeError(name) from None
-        return getattr(cl, name)
-
-    # -- capture bookkeeping -------------------------------------------
-
-    def _deps(self, after: Sequence[Event]) -> tuple:
-        out = []
-        for ev in after:
-            if ev is None:
-                continue
-            if ev is self._release:
-                out.append((-1, -1, False))
-                continue
-            if ev.op >= 0:
-                ref = self._uid2ref.get(ev.op)
-                if ref is None:
-                    raise CaptureError(
-                        f"dependency on op uid={ev.op} issued outside this "
-                        "capture; capture must cover the whole pipeline run")
-                out.append((ref[0], ref[1], True))
-                continue
-            idx = self._synth.get(id(ev))
-            if idx is not None:
-                out.append((idx, -1, False))
-                continue
-            if ev.time == 0.0:
-                continue
-            idx = self._end2idx.get(ev.time)
-            if idx is None:
-                raise CaptureError(
-                    f"unresolvable synthetic dependency {ev.label!r} at "
-                    f"t={ev.time!r}: no captured node completes then")
-            out.append((idx, -1, False))
-        return tuple(out)
-
-    def _note(self, idx: int, uid: int, sub: int, end: float) -> None:
-        self._uid2ref[uid] = (idx, sub)
-        self._end2idx[end] = idx
-
-    def _last_rec(self):
-        return self._cl.ledger._records[-1]
-
-    def _note_log(self, entry: dict) -> None:
-        payload = {"entry": dict(entry)}
-        if (entry.get("algorithm") == "bulk"
-                and entry.get("kind") in ("alltoall", "allgather")
-                and self._cl.G > 1):
-            # comm.api emits the flat-model byte counter right after this
-            # log entry, stamped at the final collective's completion
-            for j in range(len(self._nodes) - 1, -1, -1):
-                if self._nodes[j].op == OP_COLL:
-                    payload["bulk_ref"] = j
-                    payload["bulk_bytes"] = entry["payload"] * self._cl.G
-                    break
-        self._nodes.append(IRNode(op=OP_LOG, name=entry.get("name", "log"),
-                                  payload=payload))
-
-    # -- intercepted primitives ----------------------------------------
-
-    def launch(self, g: int, name: str, kind: str, flops: float,
-               mops: float, dtype, stream: str = "compute",
-               after: Sequence[Event] = (), fn: Callable | None = None,
-               reads: Sequence[str] = (), writes: Sequence[str] = ()):
-        """Forward one kernel launch and record it."""
-        deps = self._deps(after)
-        ev = self._cl.launch(g, name, kind, flops, mops, dtype,
-                             stream=stream, after=after, fn=fn,
-                             reads=reads, writes=writes)
-        rec = self._last_rec()
-        idx = len(self._nodes)
-        self._nodes.append(IRNode(
-            op=OP_LAUNCH, name=name, kind=kind, device=g, stream=stream,
-            duration=rec.duration, flops=flops, mops=mops,
-            reads=tuple(reads), writes=tuple(writes), region=rec.region,
-            deps=deps, fn=fn))
-        self._note(idx, ev.op, -1, ev.time)
-        return ev
-
-    def host_op(self, g: int, name: str, fn: Callable | None = None,
-                reads: Sequence[str] = (), writes: Sequence[str] = ()):
-        """Forward one zero-cost host op and record it."""
-        ev = self._cl.host_op(g, name, fn=fn, reads=reads, writes=writes)
-        rec = self._last_rec()
-        idx = len(self._nodes)
-        self._nodes.append(IRNode(
-            op=OP_HOST, name=name, kind="host", device=g, stream="compute",
-            reads=tuple(reads), writes=tuple(writes), region=rec.region,
-            fn=fn))
-        self._note(idx, ev.op, -1, ev.time)
-        return ev
-
-    def host_action(self, fn: Callable | None) -> None:
-        """Forward (and record) a host-side data action."""
-        self._nodes.append(IRNode(op=OP_ACTION, name="host_action", fn=fn))
-        self._cl.host_action(fn)
-
-    def sendrecv(self, src: int, dst: int, nbytes: float, name: str,
-                 after: Sequence[Event] = (), fn: Callable | None = None,
-                 reads: Sequence[str] = (), writes: Sequence[str] = (),
-                 bandwidth: float | None = None,
-                 latency: float | None = None):
-        """Forward one p2p transfer and record it (with its per-message
-        telemetry intent, so replay emits identical series)."""
-        deps = self._deps(after)
-        ev = self._cl.sendrecv(src, dst, nbytes, name, after=after, fn=fn,
-                               reads=reads, writes=writes,
-                               bandwidth=bandwidth, latency=latency)
-        rec = self._last_rec()
-        idx = len(self._nodes)
-        if src == dst or self._cl.G == 1:
-            self._nodes.append(IRNode(
-                op=OP_P2P_SELF, name=name, kind="comm", device=src,
-                peer=src, reads=tuple(reads), writes=tuple(writes),
-                region=rec.region, deps=deps, fn=fn))
-        else:
-            cls, pair_lat, pair_bw, link = _pair_info(self, src, dst)
-            predicted = ((latency if latency is not None else pair_lat)
-                         + nbytes / (bandwidth if bandwidth is not None
-                                     else pair_bw))
-            self._nodes.append(IRNode(
-                op=OP_P2P, name=name, kind="comm", device=src, peer=dst,
-                duration=rec.duration, comm_bytes=nbytes,
-                reads=tuple(reads), writes=tuple(writes),
-                region=rec.region, deps=deps, fn=fn,
-                tel=(cls, link, predicted)))
-        self._note(idx, ev.op, -1, ev.time)
-        return ev
-
-    def _capture_collective(self, issue, name: str, after, fn,
-                            reads, writes) -> list[Event]:
-        deps = self._deps(after)
-        events = issue()
-        idx = len(self._nodes)
-        if self._cl.G == 1:
-            self._nodes.append(IRNode(
-                op=OP_COLL1, name=name, device=0, deps=deps, fn=fn))
-            self._synth[id(events[0])] = idx
-            return events
-        rec = self._last_rec()
-        self._nodes.append(IRNode(
-            op=OP_COLL, name=name, kind="comm", duration=rec.duration,
-            comm_bytes=rec.comm_bytes, reads=tuple(reads),
-            writes=tuple(writes), region=rec.region, deps=deps, fn=fn))
-        for g, ev in enumerate(events):
-            self._uid2ref[ev.op] = (idx, g)
-        self._end2idx[events[0].time] = idx
-        return events
-
-    def alltoall(self, bytes_sent_per_device: float, name: str,
-                 after: Sequence[Event] = (), fn: Callable | None = None,
-                 reads: Sequence[str] = (), writes: Sequence[str] = ()):
-        """Forward one bulk all-to-all and record it."""
-        return self._capture_collective(
-            lambda: self._cl.alltoall(bytes_sent_per_device, name,
-                                      after=after, fn=fn, reads=reads,
-                                      writes=writes),
-            name, after, fn, reads, writes)
-
-    def allgather(self, bytes_per_device: float, name: str,
-                  after: Sequence[Event] = (), fn: Callable | None = None,
-                  reads: Sequence[str] = (), writes: Sequence[str] = ()):
-        """Forward one bulk allgather and record it."""
-        return self._capture_collective(
-            lambda: self._cl.allgather(bytes_per_device, name,
-                                       after=after, fn=fn, reads=reads,
-                                       writes=writes),
-            name, after, fn, reads, writes)
-
-    def barrier(self) -> Event:
-        """Forward one global barrier and record it."""
-        ev = self._cl.barrier()
-        idx = len(self._nodes)
-        self._nodes.append(IRNode(op=OP_BARRIER, name="barrier"))
-        self._synth[id(ev)] = idx
-        self._end2idx[ev.time] = idx
-        return ev
-
-    # -- result --------------------------------------------------------
-
-    def finish(self) -> IRGraph:
-        """Seal the capture and return the graph."""
-        graph = IRGraph(self._nodes, self._meta)
-        graph.validate()
-        return graph
+from repro.machine.tape import CaptureError  # noqa: F401 - re-exported
 
 
 def capture(run: Callable, cluster, *, release_event: Event | None = None,
             pipeline: str = "", key=None, buffer_prefix: str = ""):
-    """Capture one pipeline run: ``run(proxy)`` on a recording proxy.
+    """Capture one pipeline run: ``run(cluster)`` with the tape open.
 
     Returns ``(graph, result)`` where ``result`` is whatever ``run``
-    returned — the capture run is a fully valid interpreted run (same
-    ledger, same data, same telemetry), so its output is usable
-    directly.  ``release_event`` marks an external dependency event to
-    parameterize per replay; ``buffer_prefix`` documents the namespace
-    captured buffer names live under (for slot renaming at replay).
+    returned — the capture run is the eager run, so its output is
+    usable directly.  ``release_event`` marks an external dependency
+    event to parameterize per replay; ``buffer_prefix`` documents the
+    namespace captured buffer names live under (for slot renaming at
+    replay).
     """
-    rec = RecordingCluster(cluster, release_event=release_event,
-                           pipeline=pipeline, key=key,
-                           buffer_prefix=buffer_prefix)
-    result = run(rec)
-    return rec.finish(), result
+    with cluster.taping(release_event) as tape:
+        result = run(cluster)
+    graph = IRGraph(tape.nodes, {
+        "pipeline": pipeline,
+        "key": key,
+        "G": cluster.G,
+        "spec_fingerprint": spec_fingerprint(cluster.spec),
+        "buffer_prefix": buffer_prefix,
+        "executed": bool(cluster.execute),
+    })
+    graph.validate()
+    return graph, result

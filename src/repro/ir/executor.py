@@ -1,23 +1,25 @@
-"""Compiled replay executor: run a captured graph with zero planning.
+"""Compiled replay executor: re-issue a captured tape with zero planning.
 
 :class:`ReplayExecutor` compiles an :class:`~repro.ir.graph.IRGraph`
-against one live cluster exactly once — resolving stream objects,
-pre-qualifying (and optionally slot-renaming) buffer declarations,
-pre-splitting region paths, and freezing every modeled duration — and
-then :meth:`run` is a tight walk over flat step tuples: per replayed
-op it computes the start time from stream clocks and dependency
-completion times using the *same* arithmetic as the interpreted engine
-primitives in :mod:`repro.machine.cluster`, appends the ledger record,
-advances the streams, re-emits the captured comm telemetry, and (in
-execute mode) invokes the captured NumPy closure.  No pipeline object,
-plan, operator bundle, comm plan, roofline evaluation, or region
-context manager is constructed per run — that is the entire point.
+against one live cluster exactly once — binding each node to the engine
+*issue half* of its primitive (``VirtualCluster._issue_*``), resolving
+stream objects, pre-qualifying (and optionally slot-renaming) buffer
+declarations, pre-splitting region paths, and freezing every modeled
+duration — and then :meth:`run` is a loop that turns each step's
+dependency indices into a time and a ``waits`` tuple and hands the step
+to the engine.  Start times, ledger records, clock advances, closures,
+and per-message telemetry are the engine's: the eager primitives call
+the same issue halves right after pricing, so there is one copy of the
+stream/event algebra and nothing here to keep in step with it.  No
+pipeline object, plan, operator bundle, comm plan, roofline evaluation,
+or region context manager is constructed per run — that is the entire
+point.
 
-Because the start-time arithmetic is identical and all durations were
-recorded fault-free, a replay beginning from the same stream state as
-an interpreted run produces bit-identical ledger records (modulo the
-requested buffer renaming / region prefix), which the bit-identity test
-matrix asserts via :meth:`Ledger.fingerprint`.
+All durations were priced fault-free at capture, so a replay beginning
+from the same stream state as an eager run produces bit-identical
+ledger records (modulo the requested buffer renaming / region prefix),
+which the bit-identity test matrix asserts via
+:meth:`Ledger.fingerprint`.
 
 Replay refuses fault-injecting clusters (captured durations cannot
 reflect new faults) and machines whose spec fingerprint differs from
@@ -25,6 +27,8 @@ the capture machine (durations would silently misprice).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.ir.graph import (
     OP_ACTION,
@@ -37,7 +41,6 @@ from repro.ir.graph import (
     OP_P2P,
     OP_P2P_SELF,
 )
-from repro.machine.ledger import OpRecord
 from repro.machine.spec import spec_fingerprint
 from repro.util.validation import ParameterError
 
@@ -90,277 +93,92 @@ class ReplayExecutor:
                 "durations would not transfer")
         self.graph = graph
         self.cluster = cluster
-        self._tel_memo: tuple | None = None
         old, new = rename if rename is not None else ("", "")
         G = cluster.G
         devs = cluster.devices
-        comm_tx = [d.stream("comm.tx") for d in devs]
-        comm_rx = [d.stream("comm.rx") for d in devs]
-        all_streams = [st for d in devs for st in d.streams.values()]
+        tx = [d.stream("comm.tx") for d in devs]
+        rx = [d.stream("comm.rx") for d in devs]
+        regions: dict = {}
+        renamed: dict = {}
 
         def q(g, names):
-            return tuple((g, _rename(b, old, new)) for b in names)
-
-        def rgn(region):
-            parts = region.split("/") if region else []
-            return "/".join(parts[region_strip:])
+            out = []
+            for b in names:
+                r = renamed.get(b)
+                if r is None:
+                    r = renamed[b] = _rename(b, old, new)
+                out.append((g, r))
+            return tuple(out)
 
         steps = []
         for n in graph.nodes:
-            op = n.op
-            if op == OP_LAUNCH:
-                st = devs[n.device].stream(n.stream)
-                steps.append((0, n.deps, n.device, n.stream, st, n.kind,
-                              n.name, n.duration, n.flops, n.mops,
-                              q(n.device, n.reads), q(n.device, n.writes),
-                              rgn(n.region), n.fn))
-            elif op == OP_HOST:
-                st = devs[n.device].stream("compute")
-                steps.append((1, n.device, st, n.name,
-                              q(n.device, n.reads), q(n.device, n.writes),
-                              rgn(n.region), n.fn))
-            elif op == OP_P2P_SELF:
-                steps.append((2, n.deps, n.device, comm_tx[n.device],
-                              comm_rx[n.device], n.name,
-                              q(n.device, n.reads), q(n.device, n.writes),
-                              rgn(n.region), n.fn))
-            elif op == OP_P2P:
-                steps.append((3, n.deps, n.device, n.peer,
-                              comm_tx[n.device], comm_rx[n.peer], n.name,
-                              n.duration, n.comm_bytes,
-                              q(n.device, n.reads), q(n.peer, n.writes),
-                              rgn(n.region), n.fn, n.tel))
+            op, g = n.op, n.device
+            if op in (OP_LAUNCH, OP_HOST):  # a host op is a free launch
+                issue = cluster._issue_launch
+                args = (devs[g].stream(n.stream), g, n.stream, n.kind,
+                        n.name, n.duration, n.flops, n.mops,
+                        q(g, n.reads), q(g, n.writes), n.fn)
+            elif op in (OP_P2P, OP_P2P_SELF):  # a self-send a free message
+                issue = cluster._issue_p2p
+                args = (tx[g], rx[n.peer], g, n.peer, n.name, n.duration,
+                        n.comm_bytes, q(g, n.reads), q(n.peer, n.writes),
+                        n.fn, n.tel)
             elif op == OP_COLL:
-                rq = [q(g, n.reads) for g in range(G)]
-                wq = [q(g, n.writes) for g in range(G)]
-                steps.append((4, n.deps, n.name, n.duration, n.comm_bytes,
-                              rq, wq, rgn(n.region), n.fn,
-                              comm_tx, comm_rx))
+                issue = cluster._issue_collective
+                args = (n.name, n.duration, n.comm_bytes,
+                        [q(d, n.reads) for d in range(G)],
+                        [q(d, n.writes) for d in range(G)], n.fn, False)
             elif op == OP_COLL1:
-                steps.append((5, n.deps, comm_tx[0], n.fn))
+                issue = cluster._issue_collective1
+                args = (tx[0], n.fn)
             elif op == OP_BARRIER:
-                steps.append((6, all_streams))
+                issue, args = cluster._issue_barrier, ()
             elif op == OP_ACTION:
-                steps.append((7, n.fn))
+                issue, args = cluster._issue_action, (n.fn,)
             elif op == OP_LOG:
-                p = n.payload
-                steps.append((8, dict(p["entry"]),
-                              p.get("bulk_ref", -1),
-                              p.get("bulk_bytes", 0.0)))
+                issue = cluster._issue_log
+                args = (n.payload["entry"], n.payload.get("bulk_bytes"))
             else:  # pragma: no cover - graph.validate() rejects these
                 raise ReplayError(f"unknown IR opcode {op!r}")
+            # what the loop needs of the deps: the distinct producers
+            # whose completion gates the start, and the wait edges
+            order = wait = ()
+            if n.deps:
+                order = tuple(dict.fromkeys([d[0] for d in n.deps]))
+                wait = tuple([d[:2] for d in n.deps if d[2]])
+            region = regions.get(n.region)
+            if region is None:
+                region = regions[n.region] = "/".join(
+                    n.region.split("/")[region_strip:])
+            steps.append((partial(issue, *args), order, wait, region))
         self._steps = steps
-        self._n = len(steps)
-        self._range_G = range(G)
-
-    # -- telemetry mirrors (same series/labels as repro.comm.api) ------
-
-    def _series(self, tel, cls, link):
-        memo = self._tel_memo
-        if memo is None or memo[0] is not tel:
-            memo = (tel, {})
-            self._tel_memo = memo
-        handles = memo[1]
-        pair = handles.get((cls, link))
-        if pair is None:
-            pair = (tel.counter("comm.bytes", {"link_class": cls}),
-                    tel.histogram("comm.measured_vs_model", {"link": link}))
-            handles[(cls, link)] = pair
-        return pair
-
-    def _bulk_counter(self, tel):
-        memo = self._tel_memo
-        if memo is None or memo[0] is not tel:
-            memo = (tel, {})
-            self._tel_memo = memo
-        c = memo[1].get("bulk")
-        if c is None:
-            c = tel.counter("comm.bytes", {"link_class": "bulk"})
-            memo[1]["bulk"] = c
-        return c
-
-    # -- replay --------------------------------------------------------
 
     def run(self, release: float = 0.0, region_prefix: str = "") -> float:
         """Replay once; returns the latest record end time (the finish).
 
         ``release`` substitutes the external release dependency;
-        ``region_prefix`` (e.g. ``"serve/b7"``) is prepended to each
+        ``region_prefix`` (e.g. ``"serve/b7/"``) is prepended to each
         record's compile-stripped region remainder.
         """
-        cl = self.cluster
-        append = cl.ledger.append_stamped
-        execute = cl.execute
-        tel = cl.telemetry
-        ends = [0.0] * self._n
-        uids: list = [None] * self._n
+        ends: list = []
+        uids: list = []
         finish = 0.0
-        pfx = region_prefix
-        for i, step in enumerate(self._steps):
-            code = step[0]
-            if code == 0:  # launch
-                (_, deps, g, stream, st, kind, name, dur, flops, mops,
-                 reads, writes, rem, fn) = step
-                start = st.clock
+        for issue, order, wait, region in self._steps:
+            t = 0.0
+            for idx in order:
+                e = release if idx < 0 else ends[idx]
+                if e > t:
+                    t = e
+            if wait:
                 w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                uid = append(OpRecord(
-                    device=g, stream=stream, kind=kind, name=name,
-                    start=start, duration=dur, flops=flops, mops=mops,
-                    reads=reads, writes=writes, waits=tuple(w),
-                    region=pfx + rem if pfx else rem))
-                if fn is not None and execute:
-                    fn(cl)
-                end = start + dur
-                st.clock = end
-                ends[i] = end
-                uids[i] = uid
-                if end > finish:
-                    finish = end
-            elif code == 3:  # p2p
-                (_, deps, src, dst, tx, rx, name, dur, nbytes,
-                 reads, writes, rem, fn, intent) = step
-                start = tx.clock
-                if rx.clock > start:
-                    start = rx.clock
-                w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                uid = append(OpRecord(
-                    device=src, stream="comm", kind="comm", name=name,
-                    start=start, duration=dur, comm_bytes=nbytes, peer=dst,
-                    reads=reads, writes=writes, waits=tuple(w),
-                    region=pfx + rem if pfx else rem))
-                if fn is not None and execute:
-                    fn(cl)
-                end = start + dur
-                tx.clock = end
-                rx.clock = end
-                ends[i] = end
-                uids[i] = uid
-                if end > finish:
-                    finish = end
-                if tel is not None:
-                    cls, link, predicted = intent
-                    counter, ratio = self._series(tel, cls, link)
-                    counter.inc(nbytes, t=end)
-                    if predicted > 0.0 and end > start:
-                        ratio.observe((end - start) / predicted, t=end)
-            elif code == 2:  # self-send / G=1 local copy
-                (_, deps, src, tx, rx, name, reads, writes, rem, fn) = step
-                if fn is not None and execute:
-                    fn(cl)
-                start = tx.clock
-                if rx.clock > start:
-                    start = rx.clock
-                w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                uid = append(OpRecord(
-                    device=src, stream="comm", kind="comm", name=name,
-                    start=start, duration=0.0, comm_bytes=0.0, peer=src,
-                    reads=reads, writes=writes, waits=tuple(w),
-                    region=pfx + rem if pfx else rem))
-                tx.clock = start
-                rx.clock = start
-                ends[i] = start
-                uids[i] = uid
-                if start > finish:
-                    finish = start
-            elif code == 4:  # bulk collective
-                (_, deps, name, dur, bpd, rq, wq, rem, fn,
-                 comm_tx, comm_rx) = step
-                start = 0.0
-                for st in comm_tx:
-                    if st.clock > start:
-                        start = st.clock
-                for st in comm_rx:
-                    if st.clock > start:
-                        start = st.clock
-                w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                waits = tuple(w)
-                region = pfx + rem if pfx else rem
-                us = [append(OpRecord(
-                    device=g, stream="comm", kind="comm", name=name,
-                    start=start, duration=dur, comm_bytes=bpd,
-                    reads=rq[g], writes=wq[g], waits=waits,
-                    region=region)) for g in self._range_G]
-                if fn is not None and execute:
-                    fn(cl)
-                end = start + dur
-                for st in comm_tx:
-                    st.clock = end
-                for st in comm_rx:
-                    st.clock = end
-                ends[i] = end
-                uids[i] = us
-                if end > finish:
-                    finish = end
-            elif code == 1:  # host op
-                (_, g, st, name, reads, writes, rem, fn) = step
-                start = st.clock
-                uid = append(OpRecord(
-                    device=g, stream="compute", kind="host", name=name,
-                    start=start, duration=0.0, reads=reads, writes=writes,
-                    region=pfx + rem if pfx else rem))
-                if fn is not None and execute:
-                    fn(cl)
-                ends[i] = start
-                uids[i] = uid
-                if start > finish:
-                    finish = start
-            elif code == 5:  # G=1 degenerate collective
-                (_, deps, tx0, fn) = step
-                if fn is not None and execute:
-                    fn(cl)
-                end = tx0.clock
-                for idx, _, _ in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > end:
-                        end = t
-                ends[i] = end
-            elif code == 6:  # barrier
-                (_, streams) = step
-                t = 0.0
-                for st in streams:
-                    if st.clock > t:
-                        t = st.clock
-                for st in streams:
-                    st.clock = t
-                ends[i] = t
-            elif code == 7:  # host-side data action
-                fn = step[1]
-                if fn is not None and execute:
-                    fn(cl)
-            else:  # code == 8: comm_log entry (+ bulk byte counter)
-                (_, entry, bulk_ref, bulk_bytes) = step
-                cl.comm_log.append(dict(entry))
-                if bulk_ref >= 0 and tel is not None:
-                    self._bulk_counter(tel).inc(bulk_bytes,
-                                                t=ends[bulk_ref])
+                for idx, sub in wait:
+                    w.append(uids[idx] if sub < 0 else uids[idx][sub])
+                wait = tuple(w)
+            end, uid = issue(t, wait, region_prefix + region)
+            ends.append(end)
+            uids.append(uid)
+            if uid is not None and end > finish:
+                finish = end
         return finish
 
 

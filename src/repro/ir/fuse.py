@@ -30,6 +30,8 @@ both forms and the fused speedup.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.ir.graph import IRGraph, IRNode, OP_BARRIER, OP_HOST, OP_LAUNCH
 
 #: launch kinds that are data-parallel over their buffers and therefore
@@ -120,22 +122,12 @@ def _fuse_once(nodes: list[IRNode], launch_latency: float):
         remap[i] = len(out)
         merged[i] = len(out)
         out.append(n)
-    # rewrite dependency indices (and bulk counter references)
+    # rewrite dependency indices
     final: list[IRNode] = []
     for n in out:
         deps = tuple((remap[idx] if idx >= 0 else idx, sub, w)
                      for idx, sub, w in n.deps)
-        payload = n.payload
-        if payload is not None and "bulk_ref" in payload:
-            payload = dict(payload)
-            payload["bulk_ref"] = remap[payload["bulk_ref"]]
-        if deps != n.deps or payload is not n.payload:
-            n = IRNode(op=n.op, name=n.name, kind=n.kind, device=n.device,
-                       peer=n.peer, stream=n.stream, duration=n.duration,
-                       flops=n.flops, mops=n.mops, comm_bytes=n.comm_bytes,
-                       reads=n.reads, writes=n.writes, region=n.region,
-                       deps=deps, fn=n.fn, tel=n.tel, payload=payload)
-        final.append(n)
+        final.append(n if deps == n.deps else replace(n, deps=deps))
     return final, remap, len(fuse_into)
 
 

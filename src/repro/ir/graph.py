@@ -5,83 +5,52 @@ An :class:`IRGraph` is the captured form of one pipeline run on a
 ordered list of :class:`IRNode` entries, one per engine primitive the
 run issued (kernel launch, host op, point-to-point transfer, bulk
 collective, barrier) plus bookkeeping nodes for host-side data actions
-and ``comm_log`` entries.  Nodes carry exactly the fields the rest of
-the toolchain already consumes — op kind/name, modeled duration,
-flops/mops/comm bytes, declared read/write buffer sets, and the region
-path — so a replayed graph produces ledger records, hazard-sanitizer
-input, trace spans, and telemetry identical to the interpreted run that
-was captured.
+and ``comm_log`` entries.  The nodes are the engine's own capture tape
+(:mod:`repro.machine.tape` defines them and the engine writes them):
+each is a step exactly as the engine priced it — op kind/name, modeled
+duration, flops/mops/comm bytes, declared read/write buffer sets, and
+the region path — so re-issuing it produces ledger records,
+hazard-sanitizer input, trace spans, and telemetry identical to the
+eager run that was captured.
 
 Dependencies are structural, not temporal: each node stores
 ``(producer_index, sub, in_waits)`` triples resolved at capture time
-from the event objects the pipeline actually passed, where ``sub``
-selects one device's completion out of a collective and ``in_waits``
-says whether the edge appears in the ledger record's ``waits`` tuple
-(synthetic ``op == -1`` events contribute ordering but no wait edge).
-``producer_index == -1`` is the external *release* dependency — the
-serve scheduler's batch-release event — substituted per replay.
+from the event objects the pipeline actually passed — every event names
+the step that produced it — where ``sub`` selects one device's
+completion out of a collective and ``in_waits`` says whether the edge
+appears in the ledger record's ``waits`` tuple (synthetic ``op == -1``
+events contribute ordering but no wait edge).  ``producer_index == -1``
+is the external *release* dependency — the serve scheduler's
+batch-release event — substituted per replay.
 
 The IR is backend-neutral by construction: nothing in a node references
 the virtual engine beyond stream *names* and modeled durations, so a
-future backend only needs its own executor.
+future backend only needs its own issue halves.
 
-Construction of nodes and graphs is confined to :mod:`repro.ir` by the
-``ir-capture-site`` lint rule — everyone else receives graphs from
-:func:`repro.ir.capture.capture` or the pipeline helpers in
-:mod:`repro.ir.pipelines`.
+Construction of nodes and graphs is confined to :mod:`repro.machine`
+(the tape) and :mod:`repro.ir` by the ``engine-site`` lint rule —
+everyone else receives graphs from :func:`repro.ir.capture.capture` or
+the pipeline helpers in :mod:`repro.ir.pipelines`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.machine.tape import (  # noqa: F401 - the IR's node vocabulary
+    OP_ACTION,
+    OP_BARRIER,
+    OP_COLL,
+    OP_COLL1,
+    OP_HOST,
+    OP_LAUNCH,
+    OP_LOG,
+    OP_P2P,
+    OP_P2P_SELF,
+    IRNode,
+)
 from repro.util.validation import ParameterError
-
-#: node opcodes, in the order the executor dispatches on them
-OP_LAUNCH = "launch"      #: compute kernel on a device stream
-OP_HOST = "host"          #: zero-cost host bookkeeping op
-OP_P2P_SELF = "p2p_self"  #: self-send / G=1 local copy (zero cost)
-OP_P2P = "p2p"            #: point-to-point transfer src -> dst
-OP_COLL = "coll"          #: bulk collective (G synchronized records)
-OP_COLL1 = "coll1"        #: G=1 degenerate collective (no records)
-OP_BARRIER = "barrier"    #: all-stream synchronization
-OP_ACTION = "action"      #: host-side data action (no ledger footprint)
-OP_LOG = "log"            #: comm_log entry (+ bulk byte counter)
 
 #: opcodes that append ledger records when replayed
 RECORD_OPS = (OP_LAUNCH, OP_HOST, OP_P2P_SELF, OP_P2P, OP_COLL)
-
-
-@dataclass
-class IRNode:
-    """One captured engine primitive.
-
-    ``deps`` holds ``(producer_index, sub, in_waits)`` triples (see the
-    module docstring).  ``fn`` is the capture-time NumPy closure — it
-    already binds the operators/twiddles built when the pipeline was
-    constructed, which is what makes replay free of plan construction.
-    ``tel`` is the per-message telemetry intent for real p2p transfers:
-    ``(link_class, link_label, predicted_seconds)``.  ``payload`` is
-    op-specific extra state (the comm_log dict for :data:`OP_LOG`).
-    """
-
-    op: str
-    name: str = ""
-    kind: str = ""
-    device: int = -1
-    peer: int = -1
-    stream: str = ""
-    duration: float = 0.0
-    flops: float = 0.0
-    mops: float = 0.0
-    comm_bytes: float = 0.0
-    reads: tuple = ()
-    writes: tuple = ()
-    region: str = ""
-    deps: tuple = ()
-    fn: object = None
-    tel: tuple | None = None
-    payload: dict | None = None
 
 
 class IRGraph:

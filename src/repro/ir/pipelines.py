@@ -1,10 +1,10 @@
 """One IR capture entry point per pipeline.
 
-Each ``capture_*`` helper constructs its pipeline object *against the
-recording proxy* (so every primitive the pipeline issues is recorded),
-runs it once — a fully valid interpreted run — and returns
-``(graph, result)``.  On the way out it attaches the two host-side
-data hooks the replay loop needs in execute mode:
+Each ``capture_*`` helper constructs its pipeline object on the cluster,
+runs it once with the engine's capture tape open — the ordinary eager
+run, every primitive it issues taped — and returns ``(graph, result)``.
+On the way out it attaches the two host-side data hooks the replay loop
+needs in execute mode:
 
 - ``graph.stage_in(*inputs)`` — place fresh input data into the
   capture cluster's device buffers (the same host-side scatter the
@@ -47,20 +47,13 @@ def capture_fft1d(cluster, N, *, dtype="complex128", chunks=4,
     """Capture one six-step 1D FFT run; returns ``(graph, result)``."""
     from repro.dfft.fft1d import Distributed1DFFT
 
-    box = {}
-
-    def _run(proxy):
-        plan = Distributed1DFFT(N, proxy, dtype=dtype, chunks=chunks,
-                                backend=backend,
-                                comm_algorithm=comm_algorithm)
-        box["plan"] = plan
-        return plan.run(x, key=key)
-
+    plan = Distributed1DFFT(N, cluster, dtype=dtype, chunks=chunks,
+                            backend=backend, comm_algorithm=comm_algorithm)
     graph, result = capture(
-        _run, cluster, pipeline="fft1d", buffer_prefix=key,
+        lambda cl: plan.run(x, key=key), cluster, pipeline="fft1d",
+        buffer_prefix=key,
         key=("fft1d", N, np.dtype(dtype).name, chunks, backend,
              comm_algorithm, cluster.G))
-    plan = box["plan"]
     return _attach(graph,
                    lambda xv: plan.stage_in(xv, key),
                    lambda: plan.gather(key)), result
@@ -72,20 +65,13 @@ def capture_fft2d(cluster, M, P, *, dtype="complex128", chunks=4,
     """Capture one single-transpose 2D FFT run; returns ``(graph, result)``."""
     from repro.dfft.fft2d import Distributed2DFFT
 
-    box = {}
-
-    def _run(proxy):
-        plan = Distributed2DFFT(M, P, proxy, dtype=dtype, chunks=chunks,
-                                backend=backend,
-                                comm_algorithm=comm_algorithm)
-        box["plan"] = plan
-        return plan.run(a, key=key)
-
+    plan = Distributed2DFFT(M, P, cluster, dtype=dtype, chunks=chunks,
+                            backend=backend, comm_algorithm=comm_algorithm)
     graph, result = capture(
-        _run, cluster, pipeline="fft2d", buffer_prefix=key,
+        lambda cl: plan.run(a, key=key), cluster, pipeline="fft2d",
+        buffer_prefix=key,
         key=("fft2d", M, P, np.dtype(dtype).name, chunks, backend,
              comm_algorithm, cluster.G))
-    plan = box["plan"]
     return _attach(graph,
                    lambda av: plan.stage_in(av, key),
                    lambda: plan.gather(key)), result
@@ -96,20 +82,13 @@ def capture_rfft(cluster, N, *, dtype="float64", chunks=4, backend="auto",
     """Capture one real-input FFT run; returns ``(graph, result)``."""
     from repro.dfft.realfft import DistributedRealFFT
 
-    box = {}
-
-    def _run(proxy):
-        plan = DistributedRealFFT(N, proxy, dtype=dtype, chunks=chunks,
-                                  backend=backend,
-                                  comm_algorithm=comm_algorithm)
-        box["plan"] = plan
-        return plan.run(x, key=key)
-
+    plan = DistributedRealFFT(N, cluster, dtype=dtype, chunks=chunks,
+                              backend=backend, comm_algorithm=comm_algorithm)
     graph, result = capture(
-        _run, cluster, pipeline="rfft", buffer_prefix=key,
+        lambda cl: plan.run(x, key=key), cluster, pipeline="rfft",
+        buffer_prefix=key,
         key=("rfft", N, np.dtype(dtype).name, chunks, backend,
              comm_algorithm, cluster.G))
-    plan = box["plan"]
     return _attach(graph,
                    lambda xv: plan.stage_in(xv, key),
                    lambda: plan.finalize(key)), result
@@ -124,14 +103,12 @@ def capture_fmm(cluster, operators, *, dtype="complex128",
     """
     from repro.fmm.distributed import DistributedFMM
 
-    box = {}
+    fmm = DistributedFMM(operators, cluster, dtype=dtype,
+                         comm_algorithm=comm_algorithm, ns=ns)
 
-    def _run(proxy):
-        fmm = DistributedFMM(operators, proxy, dtype=dtype,
-                             comm_algorithm=comm_algorithm, ns=ns)
-        box["fmm"] = fmm
+    def _run(cl):
         out = fmm.run(S)
-        proxy.barrier()
+        cl.barrier()
         return out
 
     graph, result = capture(
@@ -139,7 +116,6 @@ def capture_fmm(cluster, operators, *, dtype="complex128",
         key=("fmm", operators.tree.G, operators.P, operators.Q,
              operators.ML, operators.B, np.dtype(dtype).name,
              comm_algorithm))
-    fmm = box["fmm"]
     return _attach(graph,
                    lambda Sv: fmm.scatter(Sv),
                    lambda: fmm.gather()), result
@@ -151,20 +127,12 @@ def capture_fmmfft(cluster, plan, *, backend="auto", chunks=4,
     """Capture the full FMM-FFT pipeline; returns ``(graph, result)``."""
     from repro.core.distributed import FmmFftDistributed
 
-    box = {}
-
-    def _run(proxy):
-        ff = FmmFftDistributed(plan, proxy, backend=backend, chunks=chunks,
-                               fuse_post=fuse_post,
-                               comm_algorithm=comm_algorithm, ns=ns)
-        box["ff"] = ff
-        return ff.run(x)
-
+    ff = FmmFftDistributed(plan, cluster, backend=backend, chunks=chunks,
+                           fuse_post=fuse_post,
+                           comm_algorithm=comm_algorithm, ns=ns)
     graph, result = capture(
-        _run, cluster, pipeline="fmmfft",
-        buffer_prefix="fmmfft" if ns is None else ns,
+        lambda cl: ff.run(x), cluster, pipeline="fmmfft", buffer_prefix=ff.ns,
         key=plan.plan_key() + (comm_algorithm, chunks, fuse_post))
-    ff = box["ff"]
     key_s, key_t = f"{ff.ns}.S", f"{ff.ns}.T"
     return _attach(
         graph,
@@ -177,17 +145,10 @@ def capture_nufft(cluster, n, m, *, sigma=2.0, Q=16, B=3, key="nufft",
     """Capture the G=1 type-2 NUFFT pipeline; returns ``(graph, result)``."""
     from repro.nufft.transforms import ClusterNufft2
 
-    box = {}
-
-    def _run(proxy):
-        plan = ClusterNufft2(n, m, proxy, sigma=sigma, Q=Q, B=B)
-        box["plan"] = plan
-        return plan.run(c, x, key=key)
-
+    plan = ClusterNufft2(n, m, cluster, sigma=sigma, Q=Q, B=B)
     graph, result = capture(
-        _run, cluster, pipeline="nufft", buffer_prefix=key,
-        key=("nufft", n, m, sigma, Q, B))
-    plan = box["plan"]
+        lambda cl: plan.run(c, x, key=key), cluster, pipeline="nufft",
+        buffer_prefix=key, key=("nufft", n, m, sigma, Q, B))
     return _attach(graph,
                    lambda cv, xv: plan.stage_in(cv, xv, key),
                    lambda: plan.finalize(key)), result

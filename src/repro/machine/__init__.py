@@ -21,6 +21,10 @@ package replaces that hardware with an event-driven simulator:
   runs *real NumPy computations* while accumulating *simulated time*.
 - :mod:`repro.machine.ledger` / :mod:`trace` — per-op records, aggregate
   summaries, and nvprof-style ASCII profiles (Figure 2).
+- :mod:`repro.machine.tape` — the capture tape the engine writes while
+  :meth:`VirtualCluster.taping` is open: one priced step per primitive,
+  dependencies named by producer (:mod:`repro.ir` seals it into a graph
+  and replays it through the engine's own issue halves).
 
 Every distributed algorithm in the library is written against this
 engine, in the same structure (stages, streams, halos, all-to-alls) as

@@ -29,22 +29,63 @@ writes on the destination) and records which events it waited on.  The
 declarations cost nothing at simulation time but let
 :mod:`repro.analysis.hazards` prove the reconstructed parallel timeline
 race-free — or pinpoint the missing dependency when it is not.
+
+One engine, two halves per primitive.  Each public primitive is a
+*pricing* half — argument checks, roofline/link duration, buffer
+qualification, region path, dependency resolution from the caller's
+events — followed by an *issue* half (``_issue_*``): start = max(stream
+clocks, dependency time), fault scaling, ledger append, ``fn``, clock
+advance, per-message telemetry.  The eager call is price then issue;
+:class:`repro.ir.executor.ReplayExecutor` hands steps priced once, at
+capture, to the very same issue halves, so there is no second copy of
+the stream/event algebra to keep in step.  While :meth:`taping` is
+open the pricing halves also append each priced step to a
+:class:`~repro.machine.tape.Tape` — capture is the tape the eager run
+writes, not a proxy in front of it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.machine import topology as topo
 from repro.machine.device import Device
 from repro.machine.ledger import Ledger, OpRecord
 from repro.machine.roofline import op_time
 from repro.machine.spec import ClusterSpec
 from repro.machine.stream import Event
+from repro.machine.tape import (
+    OP_ACTION,
+    OP_BARRIER,
+    OP_COLL,
+    OP_COLL1,
+    OP_HOST,
+    OP_LAUNCH,
+    OP_LOG,
+    OP_P2P,
+    OP_P2P_SELF,
+    CaptureError,
+    IRNode,
+    Tape,
+)
 from repro.machine.trace import ExecutionTrace
 from repro.util.validation import ParameterError
+
+_INF = float("inf")
+
+
+def _check_amounts(name: str, **amounts: float) -> None:
+    """Reject an op whose name is empty or whose work/byte counts are
+    not finite and >= 0 (NaN fails the comparison too)."""
+    if not name:
+        raise ParameterError("ops need a non-empty stage name")
+    for what, v in amounts.items():
+        if not 0.0 <= v < _INF:
+            raise ParameterError(
+                f"op {name!r}: {what} must be finite and >= 0, got {v!r}")
 
 
 class VirtualCluster:
@@ -100,10 +141,23 @@ class VirtualCluster:
         ]
         self.ledger = Ledger()
         self._a2a_bw = spec.alltoall_bandwidth() if spec.num_devices > 1 else None
-        self._regions: list[str] = []
+        #: every device's comm.tx then comm.rx stream (a collective
+        #: occupies them all)
+        self._comm_streams = ([d.stream("comm.tx") for d in self.devices]
+                              + [d.stream("comm.rx") for d in self.devices])
+        self._region_path = ""
         #: one entry per repro.comm collective call (algorithm, payload,
-        #: predicted time) — joined against the ledger by obs.metrics
+        #: predicted time) — joined against the ledger by obs.metrics;
+        #: appended through :meth:`log_comm`
         self.comm_log: list[dict] = []
+        #: the open capture tape, or None (see :meth:`taping`)
+        self._tape: Tape | None = None
+        #: tape steps ever recorded on this cluster (``Event.src`` base)
+        self._seq = 0
+        #: (src, dst) -> (link_class, pair_latency, pair_bandwidth, label)
+        self._link_memo: dict = {}
+        #: (registry, {(link_class, label): (counter, histogram)})
+        self._series_memo: tuple = (None, {})
 
     # -- basic accessors ----------------------------------------------
 
@@ -150,7 +204,7 @@ class VirtualCluster:
     @property
     def region_path(self) -> str:
         """The '/'-joined path of the active region scopes ('' if none)."""
-        return "/".join(self._regions)
+        return self._region_path
 
     @contextmanager
     def region(self, name: str) -> Iterator["VirtualCluster"]:
@@ -171,13 +225,57 @@ class VirtualCluster:
             raise ParameterError(
                 f"region name must be a non-empty path segment, got {name!r}"
             )
-        self._regions.append(name)
+        outer = self._region_path
+        self._region_path = f"{outer}/{name}" if outer else name
         try:
             yield self
         finally:
-            self._regions.pop()
+            self._region_path = outer
 
-    # -- dependency bookkeeping ---------------------------------------
+    # -- capture ---------------------------------------------------------
+
+    @contextmanager
+    def taping(self, release_event: Event | None = None) -> Iterator[Tape]:
+        """Open a capture tape for the ``with`` block; yields the tape.
+
+        Every primitive issued inside is an ordinary eager op that is
+        also appended to the tape as a priced step (see
+        :mod:`repro.machine.tape`).  ``release_event`` marks the external
+        dependency replays substitute.  Fault-injecting clusters are
+        refused: a replay would launder a transient fault into — or out
+        of — every future run.
+        """
+        if self.faults is not None:
+            raise CaptureError(
+                "cannot capture on a fault-injecting cluster: recorded "
+                "durations would bake transient faults into every replay")
+        if self._tape is not None:
+            raise CaptureError("a capture is already open on this cluster")
+        tape = self._tape = Tape(self._seq, release_event)
+        try:
+            yield tape
+        finally:
+            self._tape = None
+            self._seq += len(tape.nodes)
+
+    def _taped(self, op: str, after: Sequence[Event] = (), advances=(),
+               reads: Sequence[str] = (), writes: Sequence[str] = (),
+               **fields) -> int:
+        """Append the step being priced to the open tape; returns the
+        ``Event.src`` its completion events carry."""
+        tape = self._tape
+        return tape.add(
+            IRNode(op=op, reads=tuple(reads), writes=tuple(writes),
+                   region=self._region_path, deps=tape.deps(after), **fields),
+            len(self.ledger), advances)
+
+    # -- pricing helpers -----------------------------------------------
+
+    def _device(self, g: int, what: str = "device") -> Device:
+        if not 0 <= g < len(self.devices):
+            raise ParameterError(
+                f"{what} id {g!r} out of range 0..{len(self.devices) - 1}")
+        return self.devices[g]
 
     @staticmethod
     def _qualify(g: int, keys: Sequence[str]) -> tuple:
@@ -185,9 +283,77 @@ class VirtualCluster:
         return tuple((g, k) for k in keys)
 
     @staticmethod
-    def _wait_uids(after: Sequence[Event]) -> tuple:
-        """Uids of the producing ops behind a dependency list."""
-        return tuple(ev.op for ev in after if ev is not None and ev.op >= 0)
+    def _wait(after: Sequence[Event]) -> tuple:
+        """``(latest completion time, uids of the real producers)`` of a
+        dependency list.  ``None`` entries are rejected: a silently
+        skipped dependency is exactly the bug the sanitizer exists for.
+        """
+        t = 0.0
+        uids = []
+        for ev in after:
+            if ev is None:
+                raise ValueError(
+                    "None event in dependency list; filter absent "
+                    "dependencies at the call site instead of passing None")
+            ev._mark_waited()
+            if ev.time > t:
+                t = ev.time
+            if ev.op >= 0:
+                uids.append(ev.op)
+        if t == _INF:
+            raise ValueError("dependency list holds an event at t=inf")
+        return t, tuple(uids)
+
+    def _link_intent(self, src: int, dst: int, nbytes: float,
+                     bandwidth: float | None, latency: float | None) -> tuple:
+        """``(link_class, link_label, predicted_seconds)`` of one message.
+
+        The prediction is the pair's lone roofline time (the caller's
+        contention-priced ``bandwidth``/``latency`` where given), so
+        measured/predicted is the per-link calibration signal.  The
+        topology facts are pure functions of the graph (fault
+        degradation copies it), memoized per pair.
+        """
+        info = self._link_memo.get((src, dst))
+        if info is None:
+            g = self.spec.graph
+            info = self._link_memo[(src, dst)] = (
+                topo.link_class(g, src, dst),
+                topo.pair_latency(g, src, dst),
+                topo.pair_bandwidth(g, src, dst),
+                f"{min(src, dst)}-{max(src, dst)}",
+            )
+        cls, pair_lat, pair_bw, link = info
+        predicted = ((latency if latency is not None else pair_lat)
+                     + nbytes / (bandwidth if bandwidth is not None
+                                 else pair_bw))
+        return cls, link, predicted
+
+    def comm_ready(self, after: Sequence[Event] = (),
+                   src: int | None = None, dst: int | None = None) -> float:
+        """When a transfer ``src -> dst`` (a collective when both are
+        None) issued now behind ``after`` would start: the issue halves'
+        max(engine clocks, dependency times), without touching a clock
+        or an event.  The comm layer's fault gate draws each attempt's
+        outcome at this time.
+        """
+        if src is None:
+            streams = self._comm_streams
+        else:
+            streams = (self._device(src).stream("comm.tx"),
+                       self._device(dst).stream("comm.rx"))
+        return max(max(st.clock for st in streams),
+                   max((e.time for e in after if e is not None), default=0.0))
+
+    def stream_event(self, g: int, stream: str, label: str) -> Event:
+        """A synthetic event at a stream's current clock.  It names the
+        step that set that clock (when a tape is open), so a consumer is
+        ordered after the true producer, but carries no ledger uid, so
+        it adds no wait edge.
+        """
+        st = self._device(g).stream(stream)
+        src = -1 if self._tape is None else self._tape.last_on(st)
+        return Event(st.clock, label, src=src)
 
     # -- compute -------------------------------------------------------
 
@@ -213,27 +379,38 @@ class VirtualCluster:
         ``reads``/``writes`` declare the device-local buffers the kernel
         touches, for the hazard sanitizer.
         """
-        dev = self.devices[g]
-        st = dev.stream(stream)
-        start = st.ready_after(*after)
+        dev = self._device(g)
+        _check_amounts(name, flops=flops, mops=mops)
         dur = dev.spec.launch_latency + op_time(dev.spec, flops, mops, dtype, kind=kind)
+        st = dev.stream(stream)
+        t_dep, waits = self._wait(after)
+        src = -1 if self._tape is None else self._taped(
+            OP_LAUNCH, after, (st,), reads, writes, name=name, kind=kind,
+            device=g, stream=stream, duration=dur, flops=flops, mops=mops,
+            fn=fn)
+        end, uid = self._issue_launch(
+            st, g, stream, kind, name, dur, flops, mops,
+            self._qualify(g, reads), self._qualify(g, writes), fn,
+            t_dep, waits, self._region_path)
+        return Event(end, st.label, op=uid, src=src)
+
+    def _issue_launch(self, st, g, stream, kind, name, dur, flops, mops,
+                      reads, writes, fn, t_dep, waits, region) -> tuple:
+        start = st.clock
+        if t_dep > start:
+            start = t_dep
         if self.faults is not None:
             s = self.faults.compute_scale(g, start)
             if s != 1.0:
                 dur *= s
-        uid = self.ledger.append(
-            OpRecord(
-                device=g, stream=stream, kind=kind, name=name,
-                start=start, duration=dur, flops=flops, mops=mops,
-                reads=self._qualify(g, reads),
-                writes=self._qualify(g, writes),
-                waits=self._wait_uids(after),
-                region=self.region_path,
-            )
-        )
+        uid = self.ledger.append_stamped(OpRecord(
+            device=g, stream=stream, kind=kind, name=name,
+            start=start, duration=dur, flops=flops, mops=mops,
+            reads=reads, writes=writes, waits=waits, region=region))
         if fn is not None and self.execute:
             fn(self)
-        return st.advance_to(start + dur, op=uid)
+        end = st.clock = start + dur
+        return end, uid
 
     def host_action(
         self, fn: Callable[["VirtualCluster"], None] | None
@@ -246,11 +423,16 @@ class VirtualCluster:
         :meth:`host_op` nothing is appended to the ledger, so existing
         ledgers and fingerprints are unchanged.  Routing such actions
         through this hook (instead of bare ``if cl.execute:`` blocks)
-        is what lets the :mod:`repro.ir` capture layer see them and
-        re-run them on replay.
+        is what puts them on the capture tape, so a replay re-runs them.
         """
+        if self._tape is not None:
+            self._taped(OP_ACTION, name="host_action", fn=fn)
+        self._issue_action(fn, 0.0, (), "")
+
+    def _issue_action(self, fn, t_dep, waits, region) -> tuple:
         if fn is not None and self.execute:
             fn(self)
+        return 0.0, None
 
     def host_op(
         self,
@@ -260,19 +442,18 @@ class VirtualCluster:
         reads: Sequence[str] = (),
         writes: Sequence[str] = (),
     ) -> Event:
-        """Zero-cost bookkeeping op (plan setup, pointer swaps)."""
-        dev = self.devices[g]
-        st = dev.stream("compute")
-        uid = self.ledger.append(
-            OpRecord(device=g, stream="compute", kind="host", name=name,
-                     start=st.clock, duration=0.0,
-                     reads=self._qualify(g, reads),
-                     writes=self._qualify(g, writes),
-                     region=self.region_path)
-        )
-        if fn is not None and self.execute:
-            fn(self)
-        return Event(st.clock, name, op=uid)
+        """Zero-cost bookkeeping op (plan setup, pointer swaps): a
+        ``host``-kind launch of no work, duration or dependencies."""
+        st = self._device(g).stream("compute")
+        _check_amounts(name)
+        src = -1 if self._tape is None else self._taped(
+            OP_HOST, (), (), reads, writes, name=name, kind="host", device=g,
+            stream="compute", fn=fn)
+        end, uid = self._issue_launch(
+            st, g, "compute", "host", name, 0.0, 0.0, 0.0,
+            self._qualify(g, reads), self._qualify(g, writes), fn,
+            0.0, (), self._region_path)
+        return Event(end, name, op=uid, src=src)
 
     # -- point-to-point communication -----------------------------------
 
@@ -304,48 +485,90 @@ class VirtualCluster:
         still appends a zero-duration ledger record carrying its
         read/write declares so the hazard sanitizer and G=1 traces see
         it (``fn`` still runs, so G=1 degenerates correctly).
+
+        With a telemetry registry installed, each message that carries
+        bytes counts on ``comm.bytes{link_class=...}`` and observes its
+        measured/predicted time on ``comm.measured_vs_model{link=...}``
+        (a zero-byte record — a timed-out attempt — is not a sample).
         """
-        if src == dst or self.G == 1:
-            if fn is not None and self.execute:
-                fn(self)
-            s_st = self.devices[src].stream("comm.tx")
-            d_st = self.devices[src].stream("comm.rx")
-            start = max(s_st.ready_after(*after), d_st.ready_after())
-            uid = self.ledger.append(
-                OpRecord(device=src, stream="comm", kind="comm", name=name,
-                         start=start, duration=0.0, comm_bytes=0.0, peer=src,
-                         reads=self._qualify(src, reads),
-                         writes=self._qualify(src, writes),
-                         waits=self._wait_uids(after),
-                         region=self.region_path)
-            )
-            s_st.advance_to(start, op=uid)
-            return d_st.advance_to(start, op=uid)
-        # Links are full duplex: the sender's tx engine and the receiver's
-        # rx engine are occupied, so a ring shift (every device one send +
-        # one receive) proceeds fully in parallel, as on real NVLink.
-        s_st = self.devices[src].stream("comm.tx")
-        d_st = self.devices[dst].stream("comm.rx")
-        start = max(s_st.ready_after(*after), d_st.ready_after(*after))
-        link_lat = self.spec.comm_latency() if latency is None else latency
-        bw = self.spec.pair_bandwidth(src, dst) if bandwidth is None else bandwidth
-        dur = link_lat + nbytes / bw
+        tx = self._device(src, "source device").stream("comm.tx")
+        rx = self._device(dst, "destination device").stream("comm.rx")
+        _check_amounts(name, nbytes=nbytes)
+        t_dep, waits = self._wait(after)
+        op, dur, tel = OP_P2P_SELF, 0.0, None
+        if src == dst:
+            nbytes = 0.0
+        else:
+            # Links are full duplex: the sender's tx engine and the
+            # receiver's rx engine are occupied, so a ring shift (every
+            # device one send + one receive) proceeds fully in parallel,
+            # as on real NVLink.
+            op = OP_P2P
+            link_lat = self.spec.comm_latency() if latency is None else latency
+            bw = self.spec.pair_bandwidth(src, dst) if bandwidth is None else bandwidth
+            dur = link_lat + nbytes / bw
+            if not 0.0 <= dur < _INF:
+                raise ParameterError(
+                    f"op {name!r}: latency {link_lat!r} / bandwidth {bw!r} "
+                    f"price a transfer of {dur!r} s")
+            if nbytes > 0.0 and (self.telemetry is not None
+                                 or self._tape is not None):
+                tel = self._link_intent(src, dst, nbytes, bandwidth, latency)
+        seq = -1 if self._tape is None else self._taped(
+            op, after, (tx, rx), reads, writes, name=name, kind="comm",
+            device=src, peer=dst, duration=dur, comm_bytes=nbytes, fn=fn,
+            tel=tel)
+        end, uid = self._issue_p2p(
+            tx, rx, src, dst, name, dur, nbytes, self._qualify(src, reads),
+            self._qualify(dst, writes), fn, tel, t_dep, waits,
+            self._region_path)
+        return Event(end, rx.label, op=uid, src=seq)
+
+    def _issue_p2p(self, tx, rx, src, dst, name, dur, nbytes, reads, writes,
+                   fn, tel, t_dep, waits, region) -> tuple:
+        start = tx.clock
+        if rx.clock > start:
+            start = rx.clock
+        if t_dep > start:
+            start = t_dep
         if self.faults is not None:
             s = self.faults.comm_scale(src, dst, start)
             if s != 1.0:
                 dur *= s
-        uid = self.ledger.append(
-            OpRecord(device=src, stream="comm", kind="comm", name=name,
-                     start=start, duration=dur, comm_bytes=nbytes, peer=dst,
-                     reads=self._qualify(src, reads),
-                     writes=self._qualify(dst, writes),
-                     waits=self._wait_uids(after),
-                     region=self.region_path)
-        )
+        uid = self.ledger.append_stamped(OpRecord(
+            device=src, stream="comm", kind="comm", name=name,
+            start=start, duration=dur, comm_bytes=nbytes, peer=dst,
+            reads=reads, writes=writes, waits=waits, region=region))
         if fn is not None and self.execute:
             fn(self)
-        s_st.advance_to(start + dur, op=uid)
-        return d_st.advance_to(start + dur, op=uid)
+        end = tx.clock = rx.clock = start + dur
+        if tel is not None and self.telemetry is not None:
+            # measured = the record's full priced window, contention and
+            # fault stretching included, against the pair's lone roofline
+            cls, link, predicted = tel
+            counter, ratio = self._series(cls, link)
+            counter.inc(nbytes, t=end)
+            if predicted > 0.0 and end > start:
+                ratio.observe((end - start) / predicted, t=end)
+        return end, uid
+
+    def _series(self, cls: str, link: str) -> tuple:
+        """Memoized ``(comm.bytes counter, measured_vs_model histogram)``
+        of one link: resolving a series through the registry builds and
+        sorts a labels dict every time.  Guarded by registry identity,
+        so a scheduler that swaps registries on a reused cluster never
+        emits into a stale one.
+        """
+        tel = self.telemetry
+        if self._series_memo[0] is not tel:
+            self._series_memo = (tel, {})
+        handles = self._series_memo[1]
+        pair = handles.get((cls, link))
+        if pair is None:
+            pair = handles[(cls, link)] = (
+                tel.counter("comm.bytes", {"link_class": cls}),
+                tel.histogram("comm.measured_vs_model", {"link": link}))
+        return pair
 
     # -- collectives -----------------------------------------------------
 
@@ -380,49 +603,70 @@ class VirtualCluster:
 
         ``duration`` overrides the modelled cost — the retry layer uses
         it to charge a timed-out failed attempt (the retry timeout, not
-        the transfer time) while keeping collective coherence: all G
-        records share one name/start/duration.
+        the transfer time, and never fault-stretched) while keeping
+        collective coherence: all G records share one
+        name/start/duration.
         """
+        _check_amounts(name, bytes_per_device=bytes_per_device)
+        t_dep, waits = self._wait(after)
         if self.G == 1:
-            if fn is not None and self.execute:
-                fn(self)
-            st = self.devices[0].stream("comm.tx")
-            return [Event(st.ready_after(*after), name)]
-        # A collective saturates both directions on every device.
-        tx = [d.stream("comm.tx") for d in self.devices]
-        rx = [d.stream("comm.rx") for d in self.devices]
-        start = max(st.ready_after(*after) for st in tx + rx)
+            src = -1 if self._tape is None else self._taped(
+                OP_COLL1, after, name=name, device=0, fn=fn)
+            end, _ = self._issue_collective1(
+                self._comm_streams[0], fn, t_dep, waits, "")
+            return [Event(end, name, src=src)]
         # The G-1 per-peer messages ride distinct links concurrently, so
         # one message latency is paid per collective call, not per peer —
         # plus the host-side synchronization cost of coordinating it.
-        lat = self.spec.comm_latency() + self.spec.collective_overhead
-        if duration is not None:
-            dur = duration
+        if duration is None:
+            dur = (self.spec.comm_latency() + self.spec.collective_overhead
+                   + bytes_per_device / self._a2a_bw)
         else:
-            dur = lat + bytes_per_device / self._a2a_bw
-            if self.faults is not None:
-                s = self.faults.collective_scale(start)
-                if s != 1.0:
-                    dur *= s
-        waits = self._wait_uids(after)
+            _check_amounts(name, duration=duration)
+            dur = duration
+        G = self.G
+        src = -1 if self._tape is None else self._taped(
+            OP_COLL, after, self._comm_streams, reads, writes, name=name,
+            kind="comm", duration=dur, comm_bytes=bytes_per_device, fn=fn)
+        end, uids = self._issue_collective(
+            name, dur, bytes_per_device,
+            [self._qualify(g, reads) for g in range(G)],
+            [self._qualify(g, writes) for g in range(G)],
+            fn, duration is not None, t_dep, waits, self._region_path)
+        return [Event(end, self._comm_streams[G + g].label, op=uids[g], src=src)
+                for g in range(G)]
+
+    def _issue_collective1(self, tx0, fn, t_dep, waits, region) -> tuple:
+        if fn is not None and self.execute:
+            fn(self)
+        return (t_dep if t_dep > tx0.clock else tx0.clock), None
+
+    def _issue_collective(self, name, dur, nbytes, reads, writes, fn, fixed,
+                          t_dep, waits, region) -> tuple:
+        # a collective saturates both directions on every device
+        start = t_dep
+        for st in self._comm_streams:
+            if st.clock > start:
+                start = st.clock
+        if self.faults is not None and not fixed:
+            s = self.faults.collective_scale(start)
+            if s != 1.0:
+                dur *= s
+        append = self.ledger.append_stamped
         uids = [
-            self.ledger.append(
-                OpRecord(device=g, stream="comm", kind="comm", name=name,
-                         start=start, duration=dur, comm_bytes=bytes_per_device,
-                         reads=self._qualify(g, reads),
-                         writes=self._qualify(g, writes),
-                         waits=waits,
-                         region=self.region_path)
-            )
+            append(OpRecord(
+                device=g, stream="comm", kind="comm", name=name,
+                start=start, duration=dur, comm_bytes=nbytes,
+                reads=reads[g], writes=writes[g], waits=waits,
+                region=region))
             for g in range(self.G)
         ]
         if fn is not None and self.execute:
             fn(self)
-        out = []
-        for g in range(self.G):
-            tx[g].advance_to(start + dur, op=uids[g])
-            out.append(rx[g].advance_to(start + dur, op=uids[g]))
-        return out
+        end = start + dur
+        for st in self._comm_streams:
+            st.clock = end
+        return end, uids
 
     def alltoall(
         self,
@@ -461,11 +705,46 @@ class VirtualCluster:
 
     def barrier(self) -> Event:
         """Synchronize every stream on every device to the global max."""
+        src = -1 if self._tape is None else self._taped(
+            OP_BARRIER, (),
+            [st for d in self.devices for st in d.streams.values()],
+            name="barrier")
+        t, _ = self._issue_barrier(0.0, (), "")
+        return Event(t, "barrier", src=src)
+
+    def _issue_barrier(self, t_dep, waits, region) -> tuple:
         t = self.wall_time()
         for d in self.devices:
             for st in d.streams.values():
-                st.advance_to(t)
-        return Event(t, "barrier")
+                st.clock = t
+        return t, None
+
+    # -- comm log ----------------------------------------------------------
+
+    def log_comm(self, entry: dict, bulk_bytes: float | None = None,
+                 done: Sequence[Event] = ()) -> None:
+        """Append one ``comm_log`` entry (one per comm-layer call).
+
+        ``bulk_bytes`` — given for a flat-model collective, whose G
+        records are not messages — is counted on
+        ``comm.bytes{link_class=bulk}``, stamped at the completion of
+        ``done`` (the collective's events).
+        """
+        if self._tape is not None:
+            payload = {"entry": entry}
+            if bulk_bytes is not None:
+                payload["bulk_bytes"] = bulk_bytes
+            self._taped(OP_LOG, done, name=entry.get("name", "log"),
+                        payload=payload)
+        t_dep = max((e.time for e in done), default=0.0)
+        self._issue_log(entry, bulk_bytes, t_dep, (), "")
+
+    def _issue_log(self, entry, bulk_bytes, t_dep, waits, region) -> tuple:
+        self.comm_log.append(dict(entry))
+        if bulk_bytes is not None and self.telemetry is not None:
+            self.telemetry.counter("comm.bytes", {"link_class": "bulk"}).inc(
+                bulk_bytes, t=t_dep)
+        return t_dep, None
 
     # -- memory helpers ---------------------------------------------------
 

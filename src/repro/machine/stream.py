@@ -11,9 +11,11 @@ and S2T waits on the halo's event.
 Events additionally carry the ledger uid of the operation that produced
 them (``op``), which is what lets the hazard sanitizer in
 :mod:`repro.analysis.hazards` reconstruct the happens-before graph of a
-run, and a ``wait_count`` recording how many times the event was
+run, a ``wait_count`` recording how many times the event was
 actually waited on (unwaited events are a smell: a declared dependency
-nobody enforces).
+nobody enforces), and — while the engine is writing a capture tape —
+the tape step that produced them (``src``), so a captured dependency
+names its producer exactly instead of being guessed from a timestamp.
 """
 
 from __future__ import annotations
@@ -37,15 +39,23 @@ class Event:
         degenerate paths).  Excluded from equality/hash so pre-existing
         event comparisons keep their semantics.
     wait_count:
-        Number of times a stream actually waited on this event.
+        Number of times an op (or a stream, via
+        :meth:`Stream.ready_after`) actually waited on this event.
         Mutable bookkeeping (via ``object.__setattr__``), excluded from
         equality/hash.
+    src:
+        Cluster-wide sequence number of the capture-tape step that
+        produced this event (:mod:`repro.machine.tape`), or -1 outside
+        a capture.  Synthetic events carry it too — it orders a
+        consumer after its true producer without adding a wait edge.
+        Excluded from equality/hash.
     """
 
     time: float
     label: str = ""
     op: int = field(default=-1, compare=False)
     wait_count: int = field(default=0, compare=False)
+    src: int = field(default=-1, compare=False)
 
     @staticmethod
     def zero() -> "Event":
@@ -61,6 +71,8 @@ class Stream:
     def __init__(self, device: int, name: str):
         self.device = device
         self.name = name
+        #: label of the completion events of ops on this stream
+        self.label = f"{name}@dev{device}"
         self.clock = 0.0
 
     def ready_after(self, *events: Event) -> float:
@@ -95,7 +107,7 @@ class Stream:
                 f"{self.clock} -> {t}"
             )
         self.clock = t
-        return Event(t, f"{self.name}@dev{self.device}", op=op)
+        return Event(t, self.label, op=op)
 
     def reset(self) -> None:
         self.clock = 0.0

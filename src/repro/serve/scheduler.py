@@ -17,19 +17,20 @@ free, and launches each batch onto the *shared* virtual cluster:
   top of the paper's within-transform overlap.
 
 IR replay: the first batch at each ``(plan_key, comm_algorithm, k)``
-configuration is issued through :func:`repro.ir.capture.capture` — a
-normal interpreted run that also records the op graph — then certified
+configuration is issued through :func:`repro.ir.capture.capture` — the
+normal eager run with the engine's capture tape open — then certified
 (hazards + prealloc) and stored in the plan cache's graph tier.  Every
 warm batch replays the compiled graph instead of re-constructing the
 pipeline: buffers are renamed into a reusable slot namespace
 (``serve.r<slot>``, slots reused only after their previous batch
 finished, so the hazard sanitizer still certifies the interleaving),
 regions are re-stamped ``serve/b<bid>/...`` truthfully, and the ledger
-records are bit-identical to what the interpreted issue would have
-appended.  Fault-injecting clusters never capture or replay (recorded
-durations would launder transient faults), and a zero-capacity cache
-disables the graph tier with the rest of the cache.  ``replay=False``
-restores the pure interpreted path (the benchmark's baseline arm).
+records are bit-identical to what the eager issue would have appended
+(replay re-issues the taped steps through the same engine halves).
+Fault-injecting clusters never capture or replay (recorded durations
+would launder transient faults), and a zero-capacity cache disables the
+graph tier with the rest of the cache.  ``replay=False`` restores the
+pure interpreted path (the benchmark's baseline arm).
 
 With ``max_inflight=1`` the loop degrades to strict one-at-a-time
 serving (the baseline arm); the default 2 keeps one batch's comm under
@@ -57,6 +58,8 @@ simulated time, so instrumented runs replay bit-identically.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -290,16 +293,16 @@ class ServeScheduler:
                          release: float) -> float:
         """Issue one batch through the interpreted pipeline.
 
-        With ``gkey`` set, the run goes through the IR recording proxy
-        — same ledger, same events — and the captured graph is
-        certified and stored so the next batch at this configuration
-        replays.  Returns the batch finish time.
+        With ``gkey`` set, the engine's capture tape is open for the
+        run — the same eager issue, also written down — and the captured
+        graph is certified and stored so the next batch at this
+        configuration replays.  Returns the batch finish time.
         """
         cl = self.cluster
 
-        def _run(proxy):
+        def _run(cl):
             FmmFftDistributed(
-                batch.plan, proxy, comm_algorithm=algo,
+                batch.plan, cl, comm_algorithm=algo,
                 ns=f"serve.b{batch.bid}", batch=batch.k,
             ).run(after=[rel], barrier=False)
 
@@ -313,8 +316,8 @@ class ServeScheduler:
         if gkey is not None:
             graph.certify(cl.spec)
             self.batcher.cache.put_graph(gkey, graph)
-        recs = list(cl.ledger)[start_idx:]
-        return max((r.end for r in recs), default=release)
+        return max((r.end for r in islice(cl.ledger, start_idx, None)),
+                   default=release)
 
     def _replay_batch(self, graph, gkey: tuple, batch: Batch,
                       release: float) -> float:
@@ -347,8 +350,8 @@ class ServeScheduler:
     def _fail(self, batch: Batch, release: float, start_idx: int,
               exc: CommFailure) -> float:
         """Account one failed batch; returns the time it died."""
-        recs = list(self.cluster.ledger)[start_idx:]
-        fail_time = max([r.end for r in recs] + [exc.time, release])
+        fail_time = max(exc.time, release, *(
+            r.end for r in islice(self.cluster.ledger, start_idx, None)))
         self.failed_batches += 1
         tel = self.telemetry
         tel.counter("serve.batch_failed").inc(1.0, t=fail_time)

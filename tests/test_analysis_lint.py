@@ -374,6 +374,10 @@ class TestPerRuleWaivers:
         self.waiver_case("s = GaugeSeries('q.depth')", "telemetry-registry",
                          path="src/repro/serve/x.py")
 
+    def test_engine_site(self):
+        self.waiver_case("r = OpRecord(device=0)", "engine-site",
+                         path="src/repro/serve/x.py")
+
 
 class TestUnknownWaiver:
     def test_unknown_waiver_is_itself_an_issue(self):

@@ -2,8 +2,9 @@
 
 Three layers of identity, swept across every pipeline:
 
-- **schedule**: a scratch replay's ledger fingerprint equals a plain
-  (proxy-free) interpreted run's, for every comm algorithm;
+- **schedule**: a replay's ledger fingerprint, telemetry snapshot and
+  ``comm_log`` equal a plain (tape-closed) eager run's, for every comm
+  algorithm;
 - **numerics**: execute-mode replay with re-staged inputs returns the
   same output bytes the interpreted run produced;
 - **host twin**: the G = 1 FMM-FFT graph agrees with the plan cache's
@@ -31,6 +32,7 @@ from repro.ir import (
 )
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
+from repro.obs.telemetry import MetricsRegistry
 
 N = 1 << 12
 NUFFT_N, NUFFT_M = 128, 64
@@ -39,7 +41,7 @@ SPEC = p100_nvlink_node(2)
 
 
 def _plain_run(name, cl, algo):
-    """The proxy-free interpreted run capture must be invisible against."""
+    """The tape-closed eager run capture must be invisible against."""
     if name == "fft1d":
         from repro.dfft.fft1d import Distributed1DFFT
 
@@ -82,14 +84,34 @@ def _capture_args(name):
 @pytest.mark.parametrize("name", PIPELINE_NAMES)
 def test_schedule_bit_identity(name, algo):
     spec = p100_nvlink_node(1) if name == "nufft" else SPEC
-    plain = VirtualCluster(spec, execute=False)
+
+    def cluster():
+        return VirtualCluster(spec, execute=False,
+                              telemetry=MetricsRegistry())
+
+    plain = cluster()
     _plain_run(name, plain, algo)
 
-    captured = VirtualCluster(spec, execute=False)
+    captured = cluster()
     graph, _ = capture_pipeline(name, captured, _capture_args(name)["N"],
                                 comm_algorithm=algo)
+    replayed = cluster()
+    ReplayExecutor(graph, replayed).run()
     fp = plain.ledger.fingerprint()
-    assert captured.ledger.fingerprint() == fp
+    telemetry = plain.telemetry.snapshot()
+    if spec.num_devices > 1:
+        assert telemetry["series"] and plain.comm_log
+    for cl in (captured, replayed):
+        assert cl.ledger.fingerprint() == fp
+        assert cl.telemetry.snapshot() == telemetry
+        assert cl.comm_log == plain.comm_log
+    # a graph taped without a registry replays the same series
+    bare = VirtualCluster(spec, execute=False)
+    graph, _ = capture_pipeline(name, bare, _capture_args(name)["N"],
+                                comm_algorithm=algo)
+    replayed = cluster()
+    ReplayExecutor(graph, replayed).run()
+    assert replayed.telemetry.snapshot() == telemetry
     assert scratch_replay(graph, spec).ledger.fingerprint() == fp
 
 

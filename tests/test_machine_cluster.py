@@ -177,3 +177,116 @@ class TestMemoryAndBarrier:
     def test_host_op_free(self, cluster2):
         ev = cluster2.host_op(0, "setup")
         assert ev.time == pytest.approx(0.0)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.fixture
+def cluster8():
+    return VirtualCluster(p100_nvlink_node(8))
+
+
+class TestPricingRejectsGarbage:
+    """Every primitive validates in its pricing half: device ids in
+    0..G-1, work and byte counts finite and >= 0 — with a ParameterError
+    naming the value, and nothing appended to the ledger."""
+
+    def rejected(self, cl, match, call):
+        with pytest.raises(ParameterError, match=match):
+            call()
+        assert len(cl.ledger) == 0
+        assert cl.wall_time() == 0.0
+
+    @pytest.mark.parametrize("g", [-1, 8, 100])
+    def test_launch_device(self, cluster8, g):
+        self.rejected(cluster8, rf"device id {g} out of range 0\.\.7",
+                      lambda: cluster8.launch(g, "k", "gemm", 1.0, 1.0,
+                                              np.float64))
+
+    @pytest.mark.parametrize("flops,mops,what", [
+        (-1.0, 1.0, "flops"), (NAN, 1.0, "flops"), (INF, 1.0, "flops"),
+        (1.0, -8.0, "mops"), (1.0, NAN, "mops"), (1.0, INF, "mops"),
+    ])
+    def test_launch_amounts(self, cluster8, flops, mops, what):
+        self.rejected(cluster8, f"'k': {what} must be finite and >= 0",
+                      lambda: cluster8.launch(0, "k", "gemm", flops, mops,
+                                              np.float64))
+
+    def test_launch_name(self, cluster8):
+        self.rejected(cluster8, "non-empty stage name",
+                      lambda: cluster8.launch(0, "", "gemm", 1.0, 1.0,
+                                              np.float64))
+
+    @pytest.mark.parametrize("g", [-1, 8])
+    def test_host_op_device(self, cluster8, g):
+        self.rejected(cluster8, f"device id {g} out of range",
+                      lambda: cluster8.host_op(g, "setup"))
+
+    @pytest.mark.parametrize("src,dst,what", [
+        (-1, 2, "source device id -1"), (8, 2, "source device id 8"),
+        (0, -2, "destination device id -2"), (0, 8, "destination device id 8"),
+    ])
+    def test_sendrecv_devices(self, cluster8, src, dst, what):
+        self.rejected(cluster8, what + " out of range",
+                      lambda: cluster8.sendrecv(src, dst, 8.0, "msg"))
+
+    @pytest.mark.parametrize("nbytes", [-8.0, NAN, INF])
+    def test_sendrecv_nbytes(self, cluster8, nbytes):
+        self.rejected(cluster8, "'msg': nbytes must be finite and >= 0",
+                      lambda: cluster8.sendrecv(0, 2, nbytes, "msg"))
+        self.rejected(cluster8, "'msg': nbytes must be finite and >= 0",
+                      lambda: cluster8.sendrecv(3, 3, nbytes, "msg"))
+
+    def test_sendrecv_override_pricing(self, cluster8):
+        self.rejected(cluster8, "price a transfer of",
+                      lambda: cluster8.sendrecv(0, 1, 8.0, "msg",
+                                                latency=-1.0))
+
+    @pytest.mark.parametrize("method", ["alltoall", "allgather"])
+    @pytest.mark.parametrize("nbytes", [-5.0, NAN, INF])
+    def test_collective_bytes(self, cluster8, method, nbytes):
+        self.rejected(cluster8, "bytes_per_device must be finite and >= 0",
+                      lambda: getattr(cluster8, method)(nbytes, "coll"))
+
+    def test_g1_collective_bytes(self):
+        cl = VirtualCluster(p100_nvlink_node(1))
+        self.rejected(cl, "bytes_per_device must be finite",
+                      lambda: cl.alltoall(-5.0, "coll"))
+
+    def test_failed_attempt_duration(self, cluster8):
+        self.rejected(cluster8, "duration must be finite and >= 0",
+                      lambda: cluster8._collective("c!fail", 0.0, (), None,
+                                                   duration=-1.0))
+
+    def test_valid_edge_values_still_accepted(self, cluster8):
+        cluster8.launch(7, "k", "gemm", 0.0, 0.0, np.float64)
+        cluster8.sendrecv(0, 7, 0.0, "empty")
+        cluster8.alltoall(0.0, "empty")
+        assert len(cluster8.ledger) == 2 + 8
+
+
+class TestEngineQueries:
+    def test_comm_ready_matches_the_issued_start(self, cluster4):
+        cluster4.sendrecv(0, 1, 36e6, "warm")
+        dep = cluster4.launch(2, "k", "gemm", 1e9, 1e6, np.float64)
+        t = cluster4.comm_ready([dep], 2, 1)
+        n = len(cluster4.ledger)
+        cluster4.sendrecv(2, 1, 8.0, "probe", after=[dep])
+        assert list(cluster4.ledger)[n].start == t
+        t = cluster4.comm_ready([dep])
+        n = len(cluster4.ledger)
+        cluster4.alltoall(8.0, "coll", after=[dep])
+        assert list(cluster4.ledger)[n].start == t
+
+    def test_comm_ready_leaves_events_and_clocks_alone(self, cluster4):
+        dep = cluster4.launch(0, "k", "gemm", 1e9, 1e6, np.float64)
+        before = cluster4.wall_time()
+        cluster4.comm_ready([dep], 0, 1)
+        assert dep.wait_count == 0
+        assert cluster4.wall_time() == before
+
+    def test_stream_event_reads_the_clock(self, cluster2):
+        ev = cluster2.sendrecv(0, 1, 36e6, "m")
+        syn = cluster2.stream_event(1, "comm.rx", "done")
+        assert syn.time == ev.time and syn.op == -1 and syn.label == "done"
