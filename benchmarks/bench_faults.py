@@ -65,13 +65,7 @@ def _injector(spec):
 
 
 def _run(spec, requests, faults=None, compute_outputs=False):
-    """One serve run -> (cluster, scheduler); sanitizes the schedule.
-
-    Every arm interprets (``replay=False``): an injector-carrying
-    cluster never replays, and a replayed batch homes its buffers in a
-    slot namespace, so only like-for-like ledgers can be fingerprinted
-    against each other.
-    """
+    """One serve run -> (cluster, scheduler); sanitizes the schedule."""
     cache = PlanCache(spec, autotune=not compute_outputs,
                       build_operators=compute_outputs)
     cl = VirtualCluster(spec, execute=False, faults=faults)
@@ -79,7 +73,7 @@ def _run(spec, requests, faults=None, compute_outputs=False):
         cl, Batcher(cache, max_batch=8),
         queue=AdmissionQueue(capacity=4096),
         max_inflight=2, retry_budget=2,
-        compute_outputs=compute_outputs, replay=False,
+        compute_outputs=compute_outputs,
     )
     sched.run(requests)
     cl.sanitize()  # retried schedules must stay provably hazard-free

@@ -47,8 +47,8 @@ to guard against (run with ``python tools/lint.py src``):
 
 ``fault-injection-site``
     Synthetic faults originate only in :mod:`repro.faults` and are
-    consumed only by the machine/comm layers: pipelines and serving
-    code must not query fault outcomes (``.message_outcome`` /
+    consumed only by the engine (:mod:`repro.machine`): the comm layer,
+    pipelines and serving code must not query fault outcomes (``.message_outcome`` /
     ``.collective_outcome``) or construct ``CommFailure`` themselves.
     A pipeline raising its own faults bypasses the injector's seeded
     event stream, so the run stops being replay-deterministic and the
@@ -125,7 +125,7 @@ SERVE_PATHS = ("repro/serve/",)
 SERVE_PLAN_ALLOWED = "repro/serve/cache.py"
 
 #: the only packages allowed to draw fault outcomes or raise CommFailure
-FAULT_RAISE_ALLOWED = ("repro/faults/", "repro/comm/", "repro/machine/")
+FAULT_RAISE_ALLOWED = ("repro/faults/", "repro/machine/")
 
 #: injector outcome queries covered by the fault-injection-site rule
 FAULT_OUTCOME_METHODS = ("message_outcome", "collective_outcome")
@@ -403,12 +403,12 @@ class _Checker(ast.NodeVisitor):
         func = node.func
         if not self.det_time_ok:
             self._check_deterministic_time(node)
-        # synthetic faults originate only in repro.faults / comm / machine
+        # synthetic faults originate only in repro.faults / machine
         if not self.fault_raise_ok:
             if isinstance(func, ast.Name) and func.id == "CommFailure":
                 self._report(
                     node, "fault-injection-site",
-                    "CommFailure constructed outside the fault/comm/machine "
+                    "CommFailure constructed outside the fault/machine "
                     "layers -- synthetic faults must come from the seeded "
                     "injector, or replay determinism is lost",
                 )
@@ -418,8 +418,8 @@ class _Checker(ast.NodeVisitor):
             ):
                 self._report(
                     node, "fault-injection-site",
-                    f".{func.attr}() outside the fault/comm/machine layers "
-                    "-- only the comm layer may draw fault outcomes (each "
+                    f".{func.attr}() outside the fault/machine layers "
+                    "-- only the engine may draw fault outcomes (each "
                     "draw consumes the injector's seeded stream)",
                 )
         # serving code must get plans from the cache, not build them

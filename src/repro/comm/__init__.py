@@ -22,8 +22,9 @@ routed over the machine's actual interconnect topology:
   ``repro comm``;
 - :mod:`repro.comm.retry` — the fault-handling contract: a
   :class:`~repro.comm.retry.RetryPolicy` (timeout, exponential backoff
-  with seeded jitter, per-collective budget) applied by the api layer
-  when the cluster carries a :class:`~repro.faults.FaultInjector`, and
+  with seeded jitter, a failed-attempt budget per call of this layer)
+  applied by the engine as it issues each transfer when the cluster
+  carries a :class:`~repro.faults.FaultInjector`, and
   :class:`~repro.comm.retry.CommFailure` raised when retries cannot
   succeed.
 

@@ -33,20 +33,17 @@ telemetry is the engine's: with a
 halves stream ``comm.bytes{link_class=...}`` and
 ``comm.measured_vs_model{link=...}`` for every message (and the flat
 model's bytes when a bulk call is logged), identically for eager and
-replayed ops; this layer adds only ``comm.retry{stage=...}`` via the
-:class:`~repro.comm.retry.RetryBudget`.
+replayed ops.
 
-Fault handling: when the cluster carries a
-:class:`~repro.faults.FaultInjector`, every message (and every bulk
-collective round) asks the injector for an outcome at the time the
-engine says it would start (``cluster.comm_ready``).  A transient
-failure charges a timed-out ``<stage>!fail`` record on the same
-engines, waits out the :class:`~repro.comm.retry.RetryPolicy` backoff,
-and re-issues; budget
-exhaustion or a permanent fault (device loss) raises
-:class:`~repro.comm.retry.CommFailure` for the caller (the serve layer)
-to handle.  With no injector, none of this code runs and the issued
-schedule is bit-identical to the fault-free path.
+Fault handling is the engine's too: when the cluster carries a
+:class:`~repro.faults.FaultInjector`, its issue halves draw the outcome
+of every attempt of a message or bulk collective, charge timed-out
+``<stage>!fail`` records, back off and retry (``docs/FAULTS.md``).
+What this layer contributes is the *scope* failed attempts are counted
+over — one call here, closed by its ``cluster.log_comm`` entry — and
+letting :class:`~repro.comm.retry.CommFailure` propagate to the caller
+(the serve layer).  Completion events are never chosen here by comparing
+times, which a fault can reorder: ``cluster.latest`` joins them.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from typing import Callable, Sequence
 
 from repro.comm import plans as _plans
 from repro.comm import tuning as _tuning
-from repro.comm.retry import CommFailure, RetryBudget
 from repro.machine import topology as topo
 from repro.machine.stream import Event
 from repro.util.validation import ParameterError
@@ -112,99 +108,11 @@ def _normalize_after(after, G: int):
     return None, [e for e in deps if e is not None]
 
 
-def _new_budget(cl):
-    """Per-collective-call retry budget, or None on fault-free clusters."""
-    if cl.faults is None:
-        return None
-    return RetryBudget(cl.retry.budget, telemetry=cl.telemetry)
-
-
-def _send(cl, src, dst, nbytes, name, deps, fn, reads, writes,
-          bw, lat, budget):
-    """One message through the fault/retry gate.
-
-    Fault-free clusters (or self-sends, which never cross a link) fall
-    straight through to ``cluster.sendrecv``.  Otherwise each attempt's
-    outcome is drawn at the time the engine says it would start: a
-    transient failure appends a zero-byte ``{name}!fail`` record of the
-    policy timeout on the same engines (writes renamed to ``.fail{n}``
-    siblings so they never alias the real destination), then retries
-    after the seeded backoff; device loss or budget exhaustion raises
-    :class:`CommFailure`.
-    """
-    deps = list(deps)
-    while budget is not None and src != dst:
-        policy = cl.retry
-        t0 = cl.comm_ready(deps, src, dst)
-        outcome = cl.faults.message_outcome(src, dst, name, t0)
-        if outcome == "ok":
-            break
-        if outcome == "lost":
-            raise CommFailure(
-                f"{name}: link {src}->{dst} has a lost endpoint",
-                time=t0, permanent=True,
-            )
-        n = budget.spent
-        ev = cl.sendrecv(
-            src, dst, 0.0, f"{name}!fail", after=deps, fn=None,
-            reads=list(reads),
-            writes=[f"{w}.fail{n}" for w in writes],
-            bandwidth=bw, latency=policy.timeout,
-        )
-        budget.charge(name, ev.time)
-        if budget.exhausted:
-            raise CommFailure(
-                f"{name}: retry budget ({budget.limit}) exhausted on "
-                f"link {src}->{dst}",
-                time=ev.time, permanent=False,
-            )
-        deps = deps + [Event(ev.time + policy.delay(name, n),
-                             f"{name}.backoff")]
-    return cl.sendrecv(src, dst, nbytes, name, after=deps, fn=fn,
-                       reads=list(reads), writes=list(writes),
-                       bandwidth=bw, latency=lat)
-
-
-def _collective_gate(cl, name, dep, reads, writes, budget):
-    """Fault/retry gate ahead of one bulk collective issue.
-
-    Returns the (possibly backoff-extended) dependency list to issue
-    the real collective with.  Failed attempts are charged as coherent
-    ``{name}!fail`` collectives — all G records share one start and the
-    policy timeout as duration — so the schedule auditor accepts them.
-    """
-    if budget is None or cl.G == 1:
-        return dep
-    inj, policy = cl.faults, cl.retry
-    dep = list(dep)
-    while True:
-        t0 = cl.comm_ready(dep)
-        outcome = inj.collective_outcome(name, t0)
-        if outcome == "ok":
-            return dep
-        if outcome == "lost":
-            raise CommFailure(f"{name}: device lost during collective",
-                              time=t0, permanent=True)
-        n = budget.spent
-        evs = cl._collective(
-            f"{name}!fail", 0.0, dep, None,
-            reads=list(reads),
-            writes=[f"{w}.fail{n}" for w in writes],
-            duration=policy.timeout,
-        )
-        t_end = max(e.time for e in evs)
-        budget.charge(name, t_end)
-        if budget.exhausted:
-            raise CommFailure(
-                f"{name}: retry budget ({budget.limit}) exhausted",
-                time=t_end, permanent=False,
-            )
-        dep = dep + [Event(t_end + policy.delay(name, n), f"{name}.backoff")]
-
-
-def _issue_plan(cl, plan, name: str, per_dev, extra, fn, touch, budget=None):
-    """Issue one plan's rounds as sendrecv ops; returns per-device latest
-    events (``touch``, updated in place across chunks)."""
+def _issue_plan(cl, plan, name: str, per_dev, extra, fn, touch):
+    """Issue one plan's rounds as sendrecv ops.  ``touch[g]`` (updated in
+    place across chunks) keeps device g's last send and last receive in
+    issue order: its engines are in-order, so those two bound every
+    message touching it."""
     spec = cl.spec
     last_recv: list = [None] * cl.G
     for ridx, rnd in enumerate(plan.rounds):
@@ -221,28 +129,26 @@ def _issue_plan(cl, plan, name: str, per_dev, extra, fn, touch, budget=None):
                 deps = [last_recv[m.src]]
             else:
                 deps = []
-            ev = _send(
-                cl, m.src, m.dst, m.nbytes, name,
-                deps, fn,
-                list(m.reads), list(m.writes),
-                bw, topo.pair_latency(spec.graph, m.src, m.dst),
-                budget,
-            )
+            ev = cl.sendrecv(
+                m.src, m.dst, m.nbytes, name, after=deps, fn=fn,
+                reads=list(m.reads), writes=list(m.writes), bandwidth=bw,
+                latency=topo.pair_latency(spec.graph, m.src, m.dst))
             fn = None
             new_recv[m.dst] = ev
-            for g in (m.src, m.dst):
-                if touch[g] is None or ev.time > touch[g].time:
-                    touch[g] = ev
+            for g, engine in ((m.src, "tx"), (m.dst, "rx")):
+                touch[g].pop(engine, None)
+                touch[g][engine] = ev
         for d, ev in new_recv.items():
             last_recv[d] = ev
     return touch
 
 
 def _done_events(cl, touch, name: str) -> list:
-    """Per-device completion events, with clock fallbacks for untouched
-    devices (cannot happen for the built-in plans, but stays total)."""
+    """Per-device completion events: the later of the device's last send
+    and last receive, with clock fallbacks for untouched devices (cannot
+    happen for the built-in plans, but stays total)."""
     return [
-        touch[g] if touch[g] is not None
+        cl.latest(*touch[g].values()) if touch[g]
         else cl.stream_event(g, "comm.rx", name)
         for g in range(cl.G)
     ]
@@ -277,7 +183,6 @@ def alltoall(
             f"after_chunks has {len(after_chunks)} entries for {chunks} chunks"
         )
     algo = _resolve(cl, "alltoall", bytes_sent_per_device, algorithm)
-    budget = _new_budget(cl)
     if algo == "bulk":
         events: list[Event] = []
         for i in range(chunks):
@@ -288,7 +193,6 @@ def alltoall(
             else:
                 rds = [f"{r}#r{i}" for r in reads]
                 wrs = [f"{w}#t{i}" for w in writes]
-            dep = _collective_gate(cl, name, dep, rds, wrs, budget)
             events = cl.alltoall(
                 bytes_sent_per_device / chunks,
                 name=name,
@@ -301,7 +205,7 @@ def alltoall(
              bulk_done=events)
         return events
 
-    touch: list = [None] * cl.G
+    touch: list = [{} for _ in range(cl.G)]
     for i in range(chunks):
         dep = (after_chunks[i] if after_chunks is not None
                else (after if i == 0 else ()))
@@ -315,7 +219,7 @@ def alltoall(
             rds, tuple(writes), f"#t{i}",
         )
         touch = _issue_plan(cl, plan, name, per_dev, extra,
-                            fn if i == 0 else None, touch, budget)
+                            fn if i == 0 else None, touch)
     _log(cl, name, "alltoall", algo, bytes_sent_per_device, chunks)
     return _done_events(cl, touch, name)
 
@@ -338,11 +242,8 @@ def allgather(
     therefore ordered by the returned per-device events.
     """
     algo = _resolve(cl, "allgather", bytes_per_device, algorithm)
-    budget = _new_budget(cl)
     if algo == "bulk":
-        dep = _collective_gate(cl, name, after, list(reads), list(writes),
-                               budget)
-        events = cl.allgather(bytes_per_device, name, after=dep, fn=fn,
+        events = cl.allgather(bytes_per_device, name, after=after, fn=fn,
                               reads=list(reads), writes=list(writes))
         _log(cl, name, "allgather", "bulk", bytes_per_device,
              bulk_done=events)
@@ -352,7 +253,7 @@ def allgather(
     plan = _plans.build_plan(cl.spec, "allgather", bytes_per_device, algo,
                              tuple(reads), tuple(writes), "")
     touch = _issue_plan(cl, plan, name, per_dev, extra, fn,
-                        [None] * cl.G, budget)
+                        [{} for _ in range(cl.G)])
     _log(cl, name, "allgather", algo, bytes_per_device)
     return _done_events(cl, touch, name)
 
@@ -407,11 +308,10 @@ def grouped_alltoall(
             rounds.append(tuple(msgs))
     plan = _plans.CommPlan(algorithm="grouped", kind="alltoall",
                            rounds=tuple(rounds), chained=False)
-    touch: list = [None] * cl.G
+    touch: list = [{} for _ in range(cl.G)]
     if plan.rounds:
         per_dev, extra = _normalize_after(after, cl.G)
-        touch = _issue_plan(cl, plan, name, per_dev, extra, fn, touch,
-                            _new_budget(cl))
+        touch = _issue_plan(cl, plan, name, per_dev, extra, fn, touch)
         cl.log_comm({
             "name": name, "kind": "alltoall", "algorithm": "grouped",
             "payload": bytes_sent_per_device, "chunks": 1, "G": cl.G,
@@ -443,18 +343,16 @@ def halo_exchange(
             # nothing to exchange: the halo "arrives" with its producer
             return [Event(after[0].time, name, src=after[0].src)]
         return [cl.stream_event(0, "comm.rx", name)]
-    deps = list(after) if after else [None] * G
-    budget = _new_budget(cl)
+    deps = [[e] if e is not None else []
+            for e in (after if after else [None] * G)]
     ev_right = [
-        _send(cl, g, (g + 1) % G, nbytes, name,
-              [deps[g]] if deps[g] is not None else [], None,
-              [src_buf], [f"{halo_buf}#L"], None, None, budget)
+        cl.sendrecv(g, (g + 1) % G, nbytes, name, after=deps[g],
+                    reads=[src_buf], writes=[f"{halo_buf}#L"])
         for g in range(G)
     ]
     ev_left = [
-        _send(cl, g, (g - 1) % G, nbytes, name,
-              [deps[g]] if deps[g] is not None else [], None,
-              [src_buf], [f"{halo_buf}#R"], None, None, budget)
+        cl.sendrecv(g, (g - 1) % G, nbytes, name, after=deps[g],
+                    reads=[src_buf], writes=[f"{halo_buf}#R"])
         for g in range(G)
     ]
     spec = cl.spec
@@ -466,13 +364,9 @@ def halo_exchange(
         "predicted": _plans.round_time(spec, shift_r)
         + _plans.round_time(spec, shift_l),
     })
-    out = []
-    for g in range(G):
-        # device g receives from g-1 (right shift) and g+1 (left shift)
-        recv_r = ev_right[(g - 1) % G]
-        recv_l = ev_left[(g + 1) % G]
-        out.append(recv_r if recv_r.time >= recv_l.time else recv_l)
-    return out
+    # device g receives from g-1 (right shift) and g+1 (left shift)
+    return [cl.latest(ev_right[(g - 1) % G], ev_left[(g + 1) % G])
+            for g in range(G)]
 
 
 def sendrecv(
@@ -492,8 +386,8 @@ def sendrecv(
     event/declare semantics, including the zero-cost self-send record)
     that additionally logs the transfer for measured-vs-model joins.
     """
-    ev = _send(cl, src, dst, nbytes, name, list(after), fn,
-               list(reads), list(writes), None, None, _new_budget(cl))
+    ev = cl.sendrecv(src, dst, nbytes, name, after=after, fn=fn,
+                     reads=reads, writes=writes)
     if src == dst or cl.G == 1:
         predicted = 0.0
     else:

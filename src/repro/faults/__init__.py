@@ -6,11 +6,11 @@ reproducibly*.  A :class:`FaultInjector` holds scheduled fault windows
 a seeded online transient-failure stream, and answers time-indexed
 queries from the rest of the stack:
 
-- :mod:`repro.machine` asks for duration scale factors (stragglers,
-  degraded links stretch recorded ops);
-- :mod:`repro.comm` asks for per-attempt outcomes and turns transient
-  failures into timed-out ``<stage>!fail`` ledger records, retried
-  under a :class:`~repro.comm.retry.RetryPolicy`;
+- :mod:`repro.machine` asks, as it issues each op, for duration scale
+  factors (stragglers, degraded links stretch recorded ops) and for
+  per-attempt outcomes, turning transient failures into timed-out
+  ``<stage>!fail`` ledger records, retried under a
+  :class:`~repro.comm.retry.RetryPolicy`;
 - :mod:`repro.serve` asks for the degraded topology to replan failed
   batches, and for the fault ledger (:attr:`FaultInjector.events`) to
   report.

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the virtual cluster.
 
-The injector is a *pure observer of simulated time*: the machine and
-comm layers ask it "what is true at time t?" and it answers from two
+The injector is a *pure observer of simulated time*: the engine's
+issue halves ask it "what is true at time t?" and it answers from two
 sources —
 
 - **scheduled faults**: explicit windows handed to the constructor
@@ -12,10 +12,10 @@ sources —
   replayed issues ops in the same order, so the draws (and therefore the
   whole chaos run) are bit-reproducible too.
 
-Nothing here mutates the cluster.  Timing degradation is applied by the
-machine layer (duration scale factors), failures are surfaced by the
-comm layer (:class:`~repro.comm.retry.CommFailure` after retries), and
-recovery policy lives in serve.  The zero-fault configuration returns
+Nothing here mutates the cluster.  Timing degradation (duration scale
+factors) and failures (:class:`~repro.comm.retry.CommFailure` after
+retries) are both applied by the machine layer as it issues each op,
+and recovery policy lives in serve.  The zero-fault configuration returns
 scale 1.0 and outcome ``"ok"`` everywhere and never perturbs a single
 record — the twin-ledger tests pin that bit-identity.
 """
@@ -265,7 +265,7 @@ class FaultInjector:
                 s = max(s, 1.0 / f.bandwidth_scale)
         return s
 
-    # -- failures (queried by repro.comm before each attempt) ----------
+    # -- failures (queried by repro.machine at each attempt's start) ---
 
     def message_outcome(self, src: int, dst: int, name: str, t: float) -> str:
         """Outcome of one src->dst message attempt starting at t."""

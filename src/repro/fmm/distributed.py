@@ -292,7 +292,7 @@ class DistributedFMM:
                     gate = ev_mh
                 ev_l = self._launch(
                     name, kind, (flops, mops),
-                    [[max(ev_l[g], gate[ell + 1][g], key=lambda e: e.time)] for g in range(G)],
+                    [[cl.latest(ev_l[g], gate[ell + 1][g])] for g in range(G)],
                     lambda c, e=ell, fn=fn: fn(e),
                     reads=reads, writes=[self._buf(f"L{ell + 1}")],
                 )

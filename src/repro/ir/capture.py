@@ -7,8 +7,8 @@ ledger, events, data, and telemetry — and wraps the steps the engine
 wrote (each priced exactly as it was issued, dependencies resolved by
 producer, ``comm_log`` entries included) in an
 :class:`~repro.ir.graph.IRGraph`.  The resolution rules and the
-refusals (fault-injecting clusters, events from outside the capture,
-producer-less synthetics) live with the tape in
+refusals (events from outside the capture, producer-less synthetics)
+live with the tape in
 :mod:`repro.machine.tape`.
 """
 

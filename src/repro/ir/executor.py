@@ -7,23 +7,27 @@ stream objects, pre-qualifying (and optionally slot-renaming) buffer
 declarations, pre-splitting region paths, and freezing every modeled
 duration — and then :meth:`run` is a loop that turns each step's
 dependency indices into a time and a ``waits`` tuple and hands the step
-to the engine.  Start times, ledger records, clock advances, closures,
-and per-message telemetry are the engine's: the eager primitives call
-the same issue halves right after pricing, so there is one copy of the
-stream/event algebra and nothing here to keep in step with it.  No
+to the engine.  Start times, attempt outcomes under a fault injector,
+ledger records, clock advances, closures, and per-message telemetry are
+the engine's: the eager primitives call the same issue halves right
+after pricing, so there is one copy of the stream/event algebra and
+nothing here to keep in step with it.  No
 pipeline object, plan, operator bundle, comm plan, roofline evaluation,
 or region context manager is constructed per run — that is the entire
 point.
 
-All durations were priced fault-free at capture, so a replay beginning
-from the same stream state as an eager run produces bit-identical
-ledger records (modulo the requested buffer renaming / region prefix),
-which the bit-identity test matrix asserts via
-:meth:`Ledger.fingerprint`.
+All durations were priced fault-free at capture and every dependency
+names its producers, so a replay beginning from the same stream state
+as an eager run — under the same fault history, whatever the history
+the graph was captured under — produces bit-identical ledger records
+(modulo the requested buffer renaming / region prefix), which the
+bit-identity and faults × replay test matrices assert via
+:meth:`Ledger.fingerprint`.  Where a dependency names several producers
+(``cluster.latest``), the ``waits`` edge goes to whichever finished
+last in *this* run.
 
-Replay refuses fault-injecting clusters (captured durations cannot
-reflect new faults) and machines whose spec fingerprint differs from
-the capture machine (durations would silently misprice).
+Replay refuses machines whose spec fingerprint differs from the capture
+machine (durations would silently misprice).
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ class ReplayExecutor:
     graph:
         A captured (and normally certified) :class:`IRGraph`.
     cluster:
-        The live cluster to replay onto.  Must be fault-free and match
-        the capture spec fingerprint.
+        The live cluster to replay onto.  Must match the capture spec
+        fingerprint.
     rename:
         Optional ``(old_prefix, new_prefix)`` rewriting every captured
         buffer name that starts with ``old_prefix`` — how the serve
@@ -78,10 +82,6 @@ class ReplayExecutor:
 
     def __init__(self, graph, cluster, rename: tuple | None = None,
                  region_strip: int = 0):
-        if cluster.faults is not None:
-            raise ReplayError(
-                "cannot replay on a fault-injecting cluster: captured "
-                "durations are fault-free")
         if cluster.G != graph.meta["G"]:
             raise ReplayError(
                 f"graph captured on G={graph.meta['G']}, "
@@ -127,7 +127,7 @@ class ReplayExecutor:
                 issue = cluster._issue_collective
                 args = (n.name, n.duration, n.comm_bytes,
                         [q(d, n.reads) for d in range(G)],
-                        [q(d, n.writes) for d in range(G)], n.fn, False)
+                        [q(d, n.writes) for d in range(G)], n.fn)
             elif op == OP_COLL1:
                 issue = cluster._issue_collective1
                 args = (tx[0], n.fn)
@@ -140,17 +140,28 @@ class ReplayExecutor:
                 args = (n.payload["entry"], n.payload.get("bulk_bytes"))
             else:  # pragma: no cover - graph.validate() rejects these
                 raise ReplayError(f"unknown IR opcode {op!r}")
-            # what the loop needs of the deps: the distinct producers
-            # whose completion gates the start, and the wait edges
-            order = wait = ()
+            # what the loop needs of the deps, as slots of its per-run
+            # tables (slot 0 is the release, step i is slot i + 1): the
+            # distinct producers whose completion gates the start, and
+            # the wait edges — fixed ones, or (``among``) every entry as
+            # its candidates when one of them is decided per run
+            order = wait = among = ()
             if n.deps:
-                order = tuple(dict.fromkeys([d[0] for d in n.deps]))
-                wait = tuple([d[:2] for d in n.deps if d[2]])
+                slots = [[(i + 1, sub, w) for i, sub, w in
+                          (d if type(d[0]) is tuple else (d,))]
+                         for d in n.deps]
+                order = tuple(dict.fromkeys(
+                    [c[0] for cands in slots for c in cands]))
+                if max(map(len, slots)) > 1:
+                    among = tuple([(*cands[0], tuple(cands[1:]))
+                                   for cands in slots])
+                else:
+                    wait = tuple([c[:2] for (c,) in slots if c[2]])
             region = regions.get(n.region)
             if region is None:
                 region = regions[n.region] = "/".join(
                     n.region.split("/")[region_strip:])
-            steps.append((partial(issue, *args), order, wait, region))
+            steps.append((partial(issue, *args), order, wait, among, region))
         self._steps = steps
 
     def run(self, release: float = 0.0, region_prefix: str = "") -> float:
@@ -160,19 +171,31 @@ class ReplayExecutor:
         ``region_prefix`` (e.g. ``"serve/b7/"``) is prepended to each
         record's compile-stripped region remainder.
         """
-        ends: list = []
-        uids: list = []
+        ends: list = [release]
+        uids: list = [None]
         finish = 0.0
-        for issue, order, wait, region in self._steps:
+        for issue, order, wait, among, region in self._steps:
             t = 0.0
-            for idx in order:
-                e = release if idx < 0 else ends[idx]
+            for slot in order:
+                e = ends[slot]
                 if e > t:
                     t = e
-            if wait:
+            if among:
                 w = []
-                for idx, sub in wait:
-                    w.append(uids[idx] if sub < 0 else uids[idx][sub])
+                for slot, sub, in_waits, rest in among:
+                    # the candidate that finished last, the first on a tie
+                    last = ends[slot]
+                    for c in rest:
+                        if ends[c[0]] > last:
+                            slot, sub, in_waits = c
+                            last = ends[slot]
+                    if in_waits:
+                        w.append(uids[slot] if sub < 0 else uids[slot][sub])
+                wait = tuple(w)
+            elif wait:
+                w = []
+                for slot, sub in wait:
+                    w.append(uids[slot] if sub < 0 else uids[slot][sub])
                 wait = tuple(w)
             end, uid = issue(t, wait, region_prefix + region)
             ends.append(end)

@@ -54,7 +54,7 @@ def _common_region(a: str, b: str) -> str:
 def _use_counts(nodes) -> list[int]:
     use = [0] * len(nodes)
     for n in nodes:
-        for idx, _, _ in n.deps:
+        for idx, _, _ in n.producers():
             if idx >= 0:
                 use[idx] += 1
     return use
@@ -123,10 +123,15 @@ def _fuse_once(nodes: list[IRNode], launch_latency: float):
         merged[i] = len(out)
         out.append(n)
     # rewrite dependency indices
+    def moved(d):
+        if type(d[0]) is tuple:  # latest-of-several: every candidate
+            return tuple(moved(c) for c in d)
+        idx, sub, w = d
+        return (remap[idx] if idx >= 0 else idx, sub, w)
+
     final: list[IRNode] = []
     for n in out:
-        deps = tuple((remap[idx] if idx >= 0 else idx, sub, w)
-                     for idx, sub, w in n.deps)
+        deps = tuple(moved(d) for d in n.deps)
         final.append(n if deps == n.deps else replace(n, deps=deps))
     return final, remap, len(fuse_into)
 

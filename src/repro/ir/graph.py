@@ -21,7 +21,11 @@ completion out of a collective and ``in_waits`` says whether the edge
 appears in the ledger record's ``waits`` tuple (synthetic ``op == -1``
 events contribute ordering but no wait edge).  ``producer_index == -1``
 is the external *release* dependency — the serve scheduler's
-batch-release event — substituted per replay.
+batch-release event — substituted per replay.  A dependency on the
+latest of several events (``cluster.latest``) is a tuple of such
+triples: the node follows every one, and the ``waits`` edge goes to
+whichever finishes last when the node is issued, so the graph stays
+valid under any fault history.
 
 The IR is backend-neutral by construction: nothing in a node references
 the virtual engine beyond stream *names* and modeled durations, so a
@@ -157,7 +161,7 @@ class IRGraph:
     def validate(self) -> None:
         """Structural sanity: dep indices acyclic (strictly backward)."""
         for i, n in enumerate(self.nodes):
-            for idx, sub, _ in n.deps:
+            for idx, sub, _ in n.producers():
                 if idx >= i:
                     raise ParameterError(
                         f"IR node {i} ({n.op} {n.name!r}) depends on node "

@@ -34,8 +34,13 @@ One engine, two halves per primitive.  Each public primitive is a
 *pricing* half — argument checks, roofline/link duration, buffer
 qualification, region path, dependency resolution from the caller's
 events — followed by an *issue* half (``_issue_*``): start = max(stream
-clocks, dependency time), fault scaling, ledger append, ``fn``, clock
-advance, per-message telemetry.  The eager call is price then issue;
+clocks, dependency time), the fault injector's verdict on each attempt
+of a transfer (timed-out ``!fail`` records, backoff,
+:class:`~repro.machine.retry.CommFailure`), fault scaling, ledger
+append, ``fn``, clock advance, per-message telemetry.  Prices are
+fault-free; everything a fault does happens at issue, so a step priced
+once meets whatever faults are live when it is issued.  The eager call
+is price then issue;
 :class:`repro.ir.executor.ReplayExecutor` hands steps priced once, at
 capture, to the very same issue halves, so there is no second copy of
 the stream/event algebra to keep in step.  While :meth:`taping` is
@@ -54,6 +59,7 @@ import numpy as np
 from repro.machine import topology as topo
 from repro.machine.device import Device
 from repro.machine.ledger import Ledger, OpRecord
+from repro.machine.retry import DEFAULT_RETRY, CommFailure
 from repro.machine.roofline import op_time
 from repro.machine.spec import ClusterSpec
 from repro.machine.stream import Event
@@ -101,17 +107,19 @@ class VirtualCluster:
         sizes where Python-side numerics would be prohibitive.
     faults:
         Optional :class:`~repro.faults.FaultInjector`.  When installed,
-        stragglers/degraded links stretch recorded op durations and
-        :mod:`repro.comm` consults it for per-attempt outcomes (retrying
-        under ``retry``).  With no injector — or an injector that never
-        fires — every duration is bit-identical to the fault-free path.
+        stragglers/degraded links stretch recorded op durations and the
+        issue halves ask it for the outcome of every attempt of a
+        transfer (retrying under ``retry``).  With no injector — or an
+        injector that never fires — every duration is bit-identical to
+        the fault-free path.
     retry:
-        Optional :class:`~repro.comm.retry.RetryPolicy` governing the
-        comm layer's timeout/backoff/budget.  Defaults to
-        ``DEFAULT_RETRY`` whenever ``faults`` is installed.
+        Optional :class:`~repro.machine.retry.RetryPolicy` governing
+        the timeout/backoff of a failed attempt and the failed-attempt
+        budget of one comm-layer call.  Defaults to ``DEFAULT_RETRY``
+        whenever ``faults`` is installed.
     telemetry:
         Optional :class:`~repro.obs.telemetry.MetricsRegistry`.  When
-        installed, the comm layer emits ``comm.bytes`` /
+        installed, the engine emits ``comm.bytes`` /
         ``comm.retry`` / ``comm.measured_vs_model`` series (stamped
         with simulated time).  None (the default) keeps the bare
         cluster's hot path free of any instrumentation.
@@ -130,10 +138,11 @@ class VirtualCluster:
             raise ParameterError("retry policy given without a fault injector")
         self.faults = faults
         if faults is not None and retry is None:
-            from repro.comm.retry import DEFAULT_RETRY
-
             retry = DEFAULT_RETRY
         self.retry = retry
+        #: timed-out attempts charged to the open comm-layer call (the
+        #: retry budget's spend; :meth:`log_comm` or a failure closes it)
+        self._failed_attempts = 0
         #: live metrics registry, or None (serve installs one)
         self.telemetry = telemetry
         self.devices = [
@@ -182,6 +191,7 @@ class VirtualCluster:
         for d in self.devices:
             d.reset_time()
         self.ledger = Ledger()
+        self._failed_attempts = 0
         if self.faults is not None:
             self.faults.reset()
 
@@ -241,14 +251,10 @@ class VirtualCluster:
         Every primitive issued inside is an ordinary eager op that is
         also appended to the tape as a priced step (see
         :mod:`repro.machine.tape`).  ``release_event`` marks the external
-        dependency replays substitute.  Fault-injecting clusters are
-        refused: a replay would launder a transient fault into — or out
-        of — every future run.
+        dependency replays substitute.  A fault injector changes nothing
+        about the tape: steps are priced fault-free and name their
+        producers, and faults act only in the issue halves.
         """
-        if self.faults is not None:
-            raise CaptureError(
-                "cannot capture on a fault-injecting cluster: recorded "
-                "durations would bake transient faults into every replay")
         if self._tape is not None:
             raise CaptureError("a capture is already open on this cluster")
         tape = self._tape = Tape(self._seq, release_event)
@@ -260,14 +266,14 @@ class VirtualCluster:
 
     def _taped(self, op: str, after: Sequence[Event] = (), advances=(),
                reads: Sequence[str] = (), writes: Sequence[str] = (),
-               **fields) -> int:
+               uid0: int = -1, **fields) -> int:
         """Append the step being priced to the open tape; returns the
         ``Event.src`` its completion events carry."""
         tape = self._tape
         return tape.add(
             IRNode(op=op, reads=tuple(reads), writes=tuple(writes),
                    region=self._region_path, deps=tape.deps(after), **fields),
-            len(self.ledger), advances)
+            advances, uid0)
 
     # -- pricing helpers -----------------------------------------------
 
@@ -295,7 +301,6 @@ class VirtualCluster:
                 raise ValueError(
                     "None event in dependency list; filter absent "
                     "dependencies at the call site instead of passing None")
-            ev._mark_waited()
             if ev.time > t:
                 t = ev.time
             if ev.op >= 0:
@@ -329,21 +334,24 @@ class VirtualCluster:
                                  else pair_bw))
         return cls, link, predicted
 
-    def comm_ready(self, after: Sequence[Event] = (),
-                   src: int | None = None, dst: int | None = None) -> float:
-        """When a transfer ``src -> dst`` (a collective when both are
-        None) issued now behind ``after`` would start: the issue halves'
-        max(engine clocks, dependency times), without touching a clock
-        or an event.  The comm layer's fault gate draws each attempt's
-        outcome at this time.
+    def latest(self, *events: Event) -> Event:
+        """The event that completes last (the first of them on a tie).
+
+        For a consumer that must follow several producers but records
+        one ``waits`` edge.  Under an open tape the result names every
+        candidate, so the captured step is ordered after them all and a
+        replay gives the edge to whichever finishes last *then* — the
+        comparison made here holds only for this run's fault history.
         """
-        if src is None:
-            streams = self._comm_streams
-        else:
-            streams = (self._device(src).stream("comm.tx"),
-                       self._device(dst).stream("comm.rx"))
-        return max(max(st.clock for st in streams),
-                   max((e.time for e in after if e is not None), default=0.0))
+        best = events[0]
+        for ev in events:
+            if ev.time > best.time:
+                best = ev
+        if self._tape is None or len(events) == 1:
+            return best
+        among = tuple(c for ev in events
+                      for c in (ev.src if type(ev.src) is tuple else (ev,)))
+        return Event(best.time, best.label, op=best.op, src=among)
 
     def stream_event(self, g: int, stream: str, label: str) -> Event:
         """A synthetic event at a stream's current clock.  It names the
@@ -490,6 +498,13 @@ class VirtualCluster:
         bytes counts on ``comm.bytes{link_class=...}`` and observes its
         measured/predicted time on ``comm.measured_vs_model{link=...}``
         (a zero-byte record — a timed-out attempt — is not a sample).
+
+        Under a fault injector the issue half asks it for the outcome
+        of each attempt at the time the attempt would start: a transient
+        failure is charged as a zero-byte ``{name}!fail`` record of the
+        retry timeout on the same two engines, the next attempt follows
+        the policy backoff, and a lost endpoint or an exhausted budget
+        raises :class:`~repro.machine.retry.CommFailure`.
         """
         tx = self._device(src, "source device").stream("comm.tx")
         rx = self._device(dst, "destination device").stream("comm.rx")
@@ -531,8 +546,33 @@ class VirtualCluster:
             start = rx.clock
         if t_dep > start:
             start = t_dep
-        if self.faults is not None:
-            s = self.faults.comm_scale(src, dst, start)
+        faults = self.faults
+        if faults is not None:
+            # each attempt's outcome is drawn at the time it would start;
+            # a self-send never crosses a link, so it cannot fail
+            while src != dst:
+                outcome = faults.message_outcome(src, dst, name, start)
+                if outcome == "ok":
+                    break
+                if outcome == "lost":
+                    raise self._comm_failure(
+                        f"{name}: link {src}->{dst} has a lost endpoint",
+                        start, True)
+                # a timed-out attempt holds both engines for the policy
+                # timeout and moves no bytes; its writes get ``.fail{n}``
+                # names so they never alias the real destination
+                n = self._failed_attempts
+                wait = self.retry.timeout * faults.comm_scale(src, dst, start)
+                self.ledger.append_stamped(OpRecord(
+                    device=src, stream="comm", kind="comm",
+                    name=f"{name}!fail", start=start, duration=wait,
+                    comm_bytes=0.0, peer=dst, reads=reads,
+                    writes=tuple((g, f"{w}.fail{n}") for g, w in writes),
+                    waits=waits, region=region))
+                tx.clock = rx.clock = start + wait
+                start = self._charge_attempt(
+                    name, start + wait, f" on link {src}->{dst}")
+            s = faults.comm_scale(src, dst, start)
             if s != 1.0:
                 dur *= s
         uid = self.ledger.append_stamped(OpRecord(
@@ -551,6 +591,32 @@ class VirtualCluster:
             if predicted > 0.0 and end > start:
                 ratio.observe((end - start) / predicted, t=end)
         return end, uid
+
+    def _charge_attempt(self, name: str, end: float, where: str = "") -> float:
+        """Charge a timed-out attempt of ``name``, over at ``end``, to the
+        open comm-layer call's budget; returns when the seeded backoff
+        lets the next attempt start.  The ``comm.retry`` stage label is
+        the last dot-component of the op name, so batch namespaces
+        (``serve.b3.transpose`` -> ``transpose``) stay bounded.
+        """
+        n = self._failed_attempts
+        self._failed_attempts = n + 1
+        if self.telemetry is not None:
+            self.telemetry.counter(
+                "comm.retry", {"stage": name.rsplit(".", 1)[-1]}
+            ).inc(1.0, t=end)
+        policy = self.retry
+        if n >= policy.budget:
+            raise self._comm_failure(
+                f"{name}: retry budget ({policy.budget}) exhausted{where}",
+                end, False)
+        return end + policy.delay(name, n)
+
+    def _comm_failure(self, message: str, time: float,
+                      permanent: bool) -> CommFailure:
+        """The failure ending the open comm-layer call (budget closed)."""
+        self._failed_attempts = 0
+        return CommFailure(message, time=time, permanent=permanent)
 
     def _series(self, cls: str, link: str) -> tuple:
         """Memoized ``(comm.bytes counter, measured_vs_model histogram)``
@@ -580,7 +646,6 @@ class VirtualCluster:
         fn: Callable[["VirtualCluster"], None] | None,
         reads: Sequence[str] = (),
         writes: Sequence[str] = (),
-        duration: float | None = None,
     ) -> list[Event]:
         """Shared costing for alltoall/allgather (the ``bulk`` model).
 
@@ -600,12 +665,6 @@ class VirtualCluster:
         Pipelines should not call this directly: :mod:`repro.comm`
         wraps it (``algorithm="bulk"``) alongside the per-round message
         plans, and the ``raw-comm`` lint rule enforces that boundary.
-
-        ``duration`` overrides the modelled cost — the retry layer uses
-        it to charge a timed-out failed attempt (the retry timeout, not
-        the transfer time, and never fault-stretched) while keeping
-        collective coherence: all G records share one
-        name/start/duration.
         """
         _check_amounts(name, bytes_per_device=bytes_per_device)
         t_dep, waits = self._wait(after)
@@ -618,21 +677,19 @@ class VirtualCluster:
         # The G-1 per-peer messages ride distinct links concurrently, so
         # one message latency is paid per collective call, not per peer —
         # plus the host-side synchronization cost of coordinating it.
-        if duration is None:
-            dur = (self.spec.comm_latency() + self.spec.collective_overhead
-                   + bytes_per_device / self._a2a_bw)
-        else:
-            _check_amounts(name, duration=duration)
-            dur = duration
+        dur = (self.spec.comm_latency() + self.spec.collective_overhead
+               + bytes_per_device / self._a2a_bw)
         G = self.G
-        src = -1 if self._tape is None else self._taped(
-            OP_COLL, after, self._comm_streams, reads, writes, name=name,
-            kind="comm", duration=dur, comm_bytes=bytes_per_device, fn=fn)
         end, uids = self._issue_collective(
             name, dur, bytes_per_device,
             [self._qualify(g, reads) for g in range(G)],
             [self._qualify(g, writes) for g in range(G)],
-            fn, duration is not None, t_dep, waits, self._region_path)
+            fn, t_dep, waits, self._region_path)
+        # taped once issued: device 0's uid follows any timed-out attempts
+        src = -1 if self._tape is None else self._taped(
+            OP_COLL, after, self._comm_streams, reads, writes,
+            uid0=uids[0], name=name, kind="comm", duration=dur,
+            comm_bytes=bytes_per_device, fn=fn)
         return [Event(end, self._comm_streams[G + g].label, op=uids[g], src=src)
                 for g in range(G)]
 
@@ -641,17 +698,44 @@ class VirtualCluster:
             fn(self)
         return (t_dep if t_dep > tx0.clock else tx0.clock), None
 
-    def _issue_collective(self, name, dur, nbytes, reads, writes, fn, fixed,
+    def _issue_collective(self, name, dur, nbytes, reads, writes, fn,
                           t_dep, waits, region) -> tuple:
         # a collective saturates both directions on every device
         start = t_dep
         for st in self._comm_streams:
             if st.clock > start:
                 start = st.clock
-        if self.faults is not None and not fixed:
-            s = self.faults.collective_scale(start)
+        faults = self.faults
+        if faults is not None:
+            while True:
+                outcome = faults.collective_outcome(name, start)
+                if outcome == "ok":
+                    break
+                if outcome == "lost":
+                    raise self._comm_failure(
+                        f"{name}: device lost during collective", start, True)
+                # a timed-out attempt is a coherent collective too: G
+                # records sharing one start and the policy timeout (never
+                # fault-stretched), so the schedule auditor accepts it
+                n = self._failed_attempts
+                end, _ = self._collective_records(
+                    f"{name}!fail", start, self.retry.timeout, 0.0, reads,
+                    [tuple((g, f"{w}.fail{n}") for g, w in ws)
+                     for ws in writes], waits, region)
+                start = self._charge_attempt(name, end)
+            s = faults.collective_scale(start)
             if s != 1.0:
                 dur *= s
+        end, uids = self._collective_records(
+            name, start, dur, nbytes, reads, writes, waits, region)
+        if fn is not None and self.execute:
+            fn(self)
+        return end, uids
+
+    def _collective_records(self, name, start, dur, nbytes, reads, writes,
+                            waits, region) -> tuple:
+        """Append a collective's G records and move every comm engine to
+        their shared end; returns ``(end, uids)``."""
         append = self.ledger.append_stamped
         uids = [
             append(OpRecord(
@@ -661,8 +745,6 @@ class VirtualCluster:
                 region=region))
             for g in range(self.G)
         ]
-        if fn is not None and self.execute:
-            fn(self)
         end = start + dur
         for st in self._comm_streams:
             st.clock = end
@@ -723,7 +805,8 @@ class VirtualCluster:
 
     def log_comm(self, entry: dict, bulk_bytes: float | None = None,
                  done: Sequence[Event] = ()) -> None:
-        """Append one ``comm_log`` entry (one per comm-layer call).
+        """Append one ``comm_log`` entry, closing one comm-layer call
+        (and with it the retry budget its failed attempts drew on).
 
         ``bulk_bytes`` — given for a flat-model collective, whose G
         records are not messages — is counted on
@@ -741,6 +824,7 @@ class VirtualCluster:
 
     def _issue_log(self, entry, bulk_bytes, t_dep, waits, region) -> tuple:
         self.comm_log.append(dict(entry))
+        self._failed_attempts = 0  # the comm-layer call is over
         if bulk_bytes is not None and self.telemetry is not None:
             self.telemetry.counter("comm.bytes", {"link_class": "bulk"}).inc(
                 bulk_bytes, t=t_dep)

@@ -11,11 +11,9 @@ and S2T waits on the halo's event.
 Events additionally carry the ledger uid of the operation that produced
 them (``op``), which is what lets the hazard sanitizer in
 :mod:`repro.analysis.hazards` reconstruct the happens-before graph of a
-run, a ``wait_count`` recording how many times the event was
-actually waited on (unwaited events are a smell: a declared dependency
-nobody enforces), and — while the engine is writing a capture tape —
-the tape step that produced them (``src``), so a captured dependency
-names its producer exactly instead of being guessed from a timestamp.
+run, and — while the engine is writing a capture tape — the tape step
+that produced them (``src``), so a captured dependency names its
+producer exactly instead of being guessed from a timestamp.
 """
 
 from __future__ import annotations
@@ -38,31 +36,25 @@ class Event:
         or -1 for synthetic events (``Event.zero()``, barriers, G=1
         degenerate paths).  Excluded from equality/hash so pre-existing
         event comparisons keep their semantics.
-    wait_count:
-        Number of times an op (or a stream, via
-        :meth:`Stream.ready_after`) actually waited on this event.
-        Mutable bookkeeping (via ``object.__setattr__``), excluded from
-        equality/hash.
     src:
         Cluster-wide sequence number of the capture-tape step that
         produced this event (:mod:`repro.machine.tape`), or -1 outside
         a capture.  Synthetic events carry it too — it orders a
         consumer after its true producer without adding a wait edge.
-        Excluded from equality/hash.
+        The event :meth:`VirtualCluster.latest` returns under a tape is
+        the latest of several: its ``src`` is the tuple of those
+        candidate events, every one a producer the consumer is ordered
+        after.  Excluded from equality/hash.
     """
 
     time: float
     label: str = ""
     op: int = field(default=-1, compare=False)
-    wait_count: int = field(default=0, compare=False)
-    src: int = field(default=-1, compare=False)
+    src: int | tuple = field(default=-1, compare=False)
 
     @staticmethod
     def zero() -> "Event":
         return Event(0.0, "t0")
-
-    def _mark_waited(self) -> None:
-        object.__setattr__(self, "wait_count", self.wait_count + 1)
 
 
 class Stream:
@@ -74,40 +66,6 @@ class Stream:
         #: label of the completion events of ops on this stream
         self.label = f"{name}@dev{device}"
         self.clock = 0.0
-
-    def ready_after(self, *events: Event) -> float:
-        """Earliest start respecting stream order and the given events.
-
-        ``None`` entries are rejected: a silently skipped dependency is
-        exactly the class of bug the hazard sanitizer exists to catch,
-        so passing one is always a call-site error.
-        """
-        t = self.clock
-        for ev in events:
-            if ev is None:
-                raise ValueError(
-                    f"stream {self.name}@dev{self.device}: None event in "
-                    "dependency list; filter absent dependencies at the "
-                    "call site instead of passing None"
-                )
-            ev._mark_waited()
-            if ev.time > t:
-                t = ev.time
-        return t
-
-    def advance_to(self, t: float, op: int = -1) -> Event:
-        """Move the clock to ``t`` (monotone) and return an event for it.
-
-        ``op`` is the ledger uid of the operation completing at ``t``;
-        it rides on the returned event so later waits are attributable.
-        """
-        if t < self.clock:
-            raise ValueError(
-                f"stream {self.name}@dev{self.device} cannot rewind "
-                f"{self.clock} -> {t}"
-            )
-        self.clock = t
-        return Event(t, self.label, op=op)
 
     def reset(self) -> None:
         self.clock = 0.0

@@ -8,7 +8,8 @@ ordinary eager run; the tape is a side product, not an interposed layer.
 
 Resolution is exact: every event handed out while a tape is open carries
 the sequence number of the step that produced it (``Event.src``), so
-each entry of ``after`` resolves by name, never by timestamp:
+each entry of ``after`` resolves by name, never by timestamp — under any
+fault history the graph orders a consumer after the same producers:
 
 - the tape's ``release`` event — the external release dependency,
   ``(-1, -1, False)``, substituted per replay;
@@ -19,7 +20,11 @@ each entry of ``after`` resolves by name, never by timestamp:
 - a ledger uid from outside the tape — :class:`CaptureError` (the graph
   would silently lose the edge on replay);
 - a producer-less synthetic: dropped at ``time == 0.0`` (no clock is
-  ever behind t=0), :class:`CaptureError` at any other time.
+  ever behind t=0), :class:`CaptureError` at any other time;
+- the latest of several events (:meth:`VirtualCluster.latest`) — one
+  entry holding a triple per candidate: the consumer is ordered after
+  them all, and which of them gets the ``waits`` edge is decided when
+  the step is issued (whichever finished last, the first on a tie).
 
 Sequence numbers are cluster-wide and only ever grow, so an event kept
 from an earlier capture can never alias a step of the current one.
@@ -52,7 +57,8 @@ class CaptureError(ParameterError):
 class IRNode:
     """One priced engine step.
 
-    ``deps`` holds ``(producer_index, sub, in_waits)`` triples (see the
+    ``deps`` holds ``(producer_index, sub, in_waits)`` triples, or a
+    tuple of such triples for a latest-of-several dependency (see the
     module docstring).  ``fn`` is the capture-time NumPy closure — it
     already binds the operators/twiddles built when the pipeline was
     constructed, which is what makes replay free of plan construction.
@@ -81,6 +87,15 @@ class IRNode:
     tel: tuple | None = None
     payload: dict | None = None
 
+    def producers(self):
+        """Every ``(producer_index, sub, in_waits)`` triple the step is
+        ordered after, latest-of-several candidates flattened."""
+        for d in self.deps:
+            if type(d[0]) is tuple:
+                yield from d
+            else:
+                yield d
+
 
 class Tape:
     """The steps of one open capture, in issue order.
@@ -93,16 +108,18 @@ class Tape:
         self.nodes: list[IRNode] = []
         self.base = base
         self.release = release
-        #: ledger uid of each step's first record (collective ``sub``)
+        #: ledger uid of a collective step's first real record (``sub``)
         self._uid0: list[int] = []
         #: step that last advanced each stream's clock
         self._last: dict = {}
 
-    def add(self, node: IRNode, uid0: int, advances: Sequence = ()) -> int:
+    def add(self, node: IRNode, advances: Sequence = (),
+            uid0: int = -1) -> int:
         """Append a step; returns its sequence number (``Event.src``).
 
-        ``uid0`` is the uid its first ledger record will get;
-        ``advances`` the streams whose clocks it moves.
+        ``advances`` are the streams whose clocks it moves; ``uid0``,
+        for a bulk collective, the uid of device 0's record — known
+        only once it is issued, since timed-out attempts come first.
         """
         idx = len(self.nodes)
         self.nodes.append(node)
@@ -121,20 +138,28 @@ class Tape:
         """Resolve a dependency list (module docstring)."""
         out = []
         for ev in after:
-            if ev is self.release:
-                out.append((-1, -1, False))
-                continue
-            idx = ev.src - self.base
-            if 0 <= idx < len(self.nodes):
-                sub = (ev.op - self._uid0[idx]
-                       if self.nodes[idx].op == OP_COLL else -1)
-                out.append((idx, sub, ev.op >= 0))
-            elif ev.op >= 0:
-                raise CaptureError(
-                    f"dependency on op uid={ev.op} issued outside this "
-                    "capture; capture must cover the whole pipeline run")
-            elif ev.time != 0.0:
-                raise CaptureError(
-                    f"unresolvable synthetic dependency {ev.label!r} at "
-                    f"t={ev.time!r}: it names no step of this capture")
+            if type(ev.src) is tuple:
+                among = tuple(d for c in ev.src for d in self._resolve(c))
+                out.extend(among if len(among) < 2 else (among,))
+            else:
+                out.extend(self._resolve(ev))
         return tuple(out)
+
+    def _resolve(self, ev) -> tuple:
+        """The triple naming one event's producer, as a 0/1-tuple."""
+        if ev is self.release:
+            return ((-1, -1, False),)
+        idx = ev.src - self.base
+        if 0 <= idx < len(self.nodes):
+            sub = (ev.op - self._uid0[idx]
+                   if self.nodes[idx].op == OP_COLL else -1)
+            return ((idx, sub, ev.op >= 0),)
+        if ev.op >= 0:
+            raise CaptureError(
+                f"dependency on op uid={ev.op} issued outside this "
+                "capture; capture must cover the whole pipeline run")
+        if ev.time != 0.0:
+            raise CaptureError(
+                f"unresolvable synthetic dependency {ev.label!r} at "
+                f"t={ev.time!r}: it names no step of this capture")
+        return ()

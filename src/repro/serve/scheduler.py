@@ -27,10 +27,12 @@ finished, so the hazard sanitizer still certifies the interleaving),
 regions are re-stamped ``serve/b<bid>/...`` truthfully, and the ledger
 records are bit-identical to what the eager issue would have appended
 (replay re-issues the taped steps through the same engine halves).
-Fault-injecting clusters never capture or replay (recorded durations
-would launder transient faults), and a zero-capacity cache disables the
-graph tier with the rest of the cache.  ``replay=False`` restores the
-pure interpreted path (the benchmark's baseline arm).
+Fault injection changes none of this: graphs carry fault-free prices
+and the engine applies faults — stretched durations, retries,
+:class:`~repro.comm.retry.CommFailure` — as it issues each step, eager
+or replayed.  A zero-capacity cache disables the graph tier with the
+rest of the cache, and ``replay=False`` restores the pure interpreted
+path (the benchmark's baseline arm).
 
 With ``max_inflight=1`` the loop degrades to strict one-at-a-time
 serving (the baseline arm); the default 2 keeps one batch's comm under
@@ -201,8 +203,8 @@ class ServeScheduler:
         self.retry_shed: dict[str, int] = {c: 0 for c in DEADLINE_CLASSES}
         self._attempts: dict[int, int] = {}
         self._retry_pending: list[tuple[float, TransformRequest]] = []
-        #: replay enabled (off automatically under fault injection or a
-        #: zero-capacity cache — see the module docstring)
+        #: replay enabled (off automatically with a zero-capacity cache —
+        #: see the module docstring)
         self.replay = replay
         #: replay-slot occupancy: finish time of the last batch replayed
         #: into ``serve.r<slot>``; a slot is reusable once that batch
@@ -244,14 +246,14 @@ class ServeScheduler:
         start_idx = len(cl.ledger)
         algo = self._comm_algorithm(batch, release)
         cache = self.batcher.cache
-        replayable = (self.replay and self.faults is None
-                      and cache.capacity > 0)
+        replayable = self.replay and cache.capacity > 0
         gkey = (batch.plan.plan_key() + (algo, batch.k)
                 if replayable else None)
         graph = cache.graph_for(gkey) if replayable else None
         try:
             if graph is not None:
-                finish = self._replay_batch(graph, gkey, batch, release)
+                finish = self._replay_batch(graph, gkey, batch, release,
+                                            start_idx)
             else:
                 finish = self._interpret_batch(batch, rel, algo, gkey,
                                                start_idx, release)
@@ -320,13 +322,14 @@ class ServeScheduler:
                    default=release)
 
     def _replay_batch(self, graph, gkey: tuple, batch: Batch,
-                      release: float) -> float:
+                      release: float, start_idx: int) -> float:
         """Replay a certified graph for one warm batch.
 
         Picks the lowest slot whose previous batch finished by this
         batch's release (so same-name buffer intervals never overlap),
         reusing the slot's compiled executor when one exists.  Returns
-        the batch finish time.
+        the batch finish time; a batch that dies mid-replay holds its
+        slot until the time it died (its partial records live there).
         """
         slot = next((s for s, t in enumerate(self._slot_free)
                      if t <= release), None)
@@ -340,18 +343,27 @@ class ServeScheduler:
                 rename=(graph.meta["buffer_prefix"], f"serve.r{slot}"),
                 region_strip=2)
             self._executors[(gkey, slot)] = ex
-        finish = ex.run(release=release,
-                        region_prefix=f"serve/b{batch.bid}/")
+        try:
+            finish = ex.run(release=release,
+                            region_prefix=f"serve/b{batch.bid}/")
+        except CommFailure as e:
+            self._slot_free[slot] = self._fail_time(e, release, start_idx)
+            raise
         self._slot_free[slot] = finish
         self.replayed_batches += 1
         self.batcher.cache.count_replay()
         return finish
 
+    def _fail_time(self, exc: CommFailure, release: float,
+                   start_idx: int) -> float:
+        """When a batch died: its failure, or its last partial record."""
+        return max(exc.time, release, *(
+            r.end for r in islice(self.cluster.ledger, start_idx, None)))
+
     def _fail(self, batch: Batch, release: float, start_idx: int,
               exc: CommFailure) -> float:
         """Account one failed batch; returns the time it died."""
-        fail_time = max(exc.time, release, *(
-            r.end for r in islice(self.cluster.ledger, start_idx, None)))
+        fail_time = self._fail_time(exc, release, start_idx)
         self.failed_batches += 1
         tel = self.telemetry
         tel.counter("serve.batch_failed").inc(1.0, t=fail_time)

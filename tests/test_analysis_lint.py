@@ -193,6 +193,10 @@ class TestFaultInjectionSite:
         assert rules(self.RAISE, "src/repro/dfft/plan.py") == [
             "fault-injection-site"
         ]
+        # the comm layer lost its fault gate: the engine raises
+        assert rules(self.RAISE, "src/repro/comm/api.py") == [
+            "fault-injection-site"
+        ]
 
     def test_outcome_draws_flagged_outside_allowed_layers(self):
         assert rules(self.DRAW, "src/repro/serve/scheduler.py") == [
@@ -201,10 +205,12 @@ class TestFaultInjectionSite:
         assert rules(self.DRAW_COLL, "src/repro/core/api.py") == [
             "fault-injection-site"
         ]
+        assert rules(self.DRAW, "src/repro/comm/api.py") == [
+            "fault-injection-site"
+        ]
 
     def test_allowed_layers_exempt(self):
         for path in ("src/repro/faults/injector.py",
-                     "src/repro/comm/api.py",
                      "src/repro/machine/cluster.py"):
             assert rules(self.RAISE, path) == []
             assert rules(self.DRAW, path) == []

@@ -4,7 +4,10 @@ Opening the tape must be invisible — the run appends the same ledger
 the plain pipeline would — while the graph it yields accounts for every
 record, resolves every dependency to its true producer (by name, never
 by timestamp), and refuses anything it cannot replay truthfully
-(foreign events, producer-less synthetics, fault-injecting clusters).
+(foreign events, producer-less synthetics).  A fault injector on the
+cluster is no reason to refuse: the tape holds fault-free prices and
+the faults stay with the run (``tests/test_ir_faults.py`` has the full
+faults x replay matrix).
 """
 
 from __future__ import annotations
@@ -113,13 +116,31 @@ class TestCaptureIsTransparent:
         np.testing.assert_allclose(result, np.fft.fft(x), rtol=1e-9)
 
 
-class TestCaptureRefusals:
-    def test_fault_cluster_refused(self):
-        inj = FaultInjector(SPEC, scheduled=(LinkFlap(0, 1, 5e-3, 7.5e-3),))
-        cl = VirtualCluster(SPEC, execute=False, faults=inj)
-        with pytest.raises(CaptureError, match="fault"):
-            capture_fft1d(cl, N)
+    def test_fault_cluster_captures_fault_free_steps(self):
+        from repro.dfft.fft1d import Distributed1DFFT
 
+        def flapping():
+            inj = FaultInjector(SPEC, scheduled=(LinkFlap(0, 1, 0.0, 40e-6),))
+            return VirtualCluster(SPEC, execute=False, faults=inj)
+
+        plain = flapping()
+        Distributed1DFFT(N, plain, comm_algorithm="ring").run()
+        captured = flapping()
+        graph, _ = capture_fft1d(captured, N, comm_algorithm="ring")
+        # the capture run is the faulty eager run ...
+        assert captured.ledger.fingerprint() == plain.ledger.fingerprint()
+        fails = [r for r in captured.ledger if r.name.endswith("!fail")]
+        assert fails
+        # ... and the graph is what a healthy capture would have taped
+        healthy = VirtualCluster(SPEC, execute=False)
+        clean, _ = capture_fft1d(healthy, N, comm_algorithm="ring")
+        assert graph.num_records == len(captured.ledger) - len(fails)
+        assert ([(n.op, n.name, n.duration, n.deps) for n in graph.nodes]
+                == [(n.op, n.name, n.duration, n.deps) for n in clean.nodes])
+        assert graph.certify(SPEC)["hazards"] == 0
+
+
+class TestCaptureRefusals:
     def test_foreign_event_refused(self):
         cl = VirtualCluster(SPEC, execute=False)
         # a real event produced *before* capture starts: its uid names

@@ -51,6 +51,22 @@ class TestScratchReplay:
         b = scratch_replay(graph, cl.spec).ledger.fingerprint()
         assert a == b
 
+    def test_fault_cluster_replays_with_its_faults(self):
+        from repro.dfft.fft1d import Distributed1DFFT
+
+        graph, _ = capture_pipeline("fft1d", _cluster("fft1d"), N)
+
+        def flapping():
+            inj = FaultInjector(SPEC, scheduled=(LinkFlap(0, 1, 0.0, 40e-6),))
+            return VirtualCluster(SPEC, execute=False, faults=inj)
+
+        replayed, eager = flapping(), flapping()
+        ReplayExecutor(graph, replayed).run()
+        Distributed1DFFT(N, eager).run()
+        assert any(r.name.endswith("!fail") for r in replayed.ledger)
+        assert replayed.ledger.fingerprint() == eager.ledger.fingerprint()
+        assert replayed.comm_log == eager.comm_log
+
 
 class TestCertify:
     def test_certify_attaches_prealloc_contract(self):
@@ -88,14 +104,6 @@ class TestRefusals:
         with pytest.raises(ReplayError, match="different machine spec"):
             ReplayExecutor(graph, VirtualCluster(dual_k40c_pcie(),
                                                  execute=False))
-
-    def test_fault_cluster_refused(self):
-        cl = _cluster("fft1d")
-        graph, _ = capture_pipeline("fft1d", cl, N)
-        inj = FaultInjector(SPEC, scheduled=(LinkFlap(0, 1, 5e-3, 7.5e-3),))
-        with pytest.raises(ReplayError, match="fault"):
-            ReplayExecutor(graph, VirtualCluster(SPEC, execute=False,
-                                                 faults=inj))
 
 
 class TestLedgerFastPath:

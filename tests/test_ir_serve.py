@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from repro.faults import FaultInjector, LinkFlap
+from repro.faults import FaultInjector
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
 from repro.serve import (
@@ -101,6 +101,17 @@ class TestWarmBatchesReplay:
         for rid, y in on.outputs.items():
             assert y.tobytes() == off.outputs[rid].tobytes()
 
+    def test_fault_injection_keeps_replay(self):
+        def flaky():
+            return FaultInjector(SPEC, seed=3, transient_rate=0.1)
+
+        reqs = synthetic_workload(8, rate=1e5, seed=5, sizes={1 << 12: 1.0})
+        cl_on, on = _run(reqs, faults=flaky())
+        cl_off, off = _run(reqs, replay=False, faults=flaky())
+        assert on.replayed_batches > 0
+        assert any(r.name.endswith("!fail") for r in cl_on.ledger)
+        assert _normalized(cl_on) == _normalized(cl_off)
+
 
 class TestReplayDisables:
     def test_zero_capacity_cache_disables_replay(self):
@@ -108,12 +119,6 @@ class TestReplayDisables:
         cl, sched = _run(reqs, capacity=0)
         assert sched.replayed_batches == 0
         assert sched.batcher.cache.graph_misses == 0  # tier never queried
-
-    def test_fault_injection_disables_replay(self):
-        inj = FaultInjector(SPEC, scheduled=(LinkFlap(0, 1, 1e3, 1e3 + 1),))
-        reqs = synthetic_workload(8, rate=1e5, seed=5, sizes={1 << 12: 1.0})
-        cl, sched = _run(reqs, faults=inj)
-        assert sched.replayed_batches == 0
 
     def test_replay_false_disables_graph_tier(self):
         reqs = synthetic_workload(8, rate=1e5, seed=5, sizes={1 << 12: 1.0})
