@@ -28,10 +28,10 @@ Finding` rows whose rule prefix is the category:
     algorithm's forwarding rule prescribes (and their bytes must equal
     ``Msg.nbytes``), and at the end every logical block must have been
     delivered exactly once with nothing stranded in staging.  Wire
-    bytes are cross-checked against the tuner's model inputs
-    (:func:`repro.comm.plans.plan_time` on an independently rebuilt
-    twin), so :func:`repro.comm.tuning.predict_time` prices exactly the
-    bytes certified here.
+    bytes and the plan's carried price are cross-checked against the
+    tuner's model input (an independently rebuilt twin), so
+    :func:`repro.comm.tuning.predict_time` prices exactly the bytes
+    certified here.
 ``liveness-*``
     Buffer def-use over the declared reads/writes: reads of staging
     sub-resources (``#via``/``#fwd``/``#nd`` parts) that nothing wrote
@@ -726,9 +726,9 @@ def certify_plan(spec, plan, payload: float) -> PlanCertificate:
 
     This is the :func:`repro.comm.plans.build_plan` admission gate.  On
     a verdict-cache miss the plan is fully checked and its wire bytes
-    are cross-checked against an independently rebuilt twin priced by
-    the tuner's :func:`repro.comm.plans.plan_time` model; on a hit the
-    stored certificate is returned at zero cost.
+    and price are cross-checked against an independently rebuilt twin
+    (the tuner's model input); on a hit the stored certificate is
+    returned at zero cost.
     """
     key = (spec_fingerprint(spec), plan.kind, plan.algorithm)
     cert = _VERDICTS.get(key)
@@ -759,7 +759,7 @@ def _cross_check_model(spec, plan, payload: float,
                 "predict_time would price a different plan"),
             context=finding_context(algorithm=plan.algorithm, kind=plan.kind,
                                     G=spec.num_devices)))
-    elif not _close(_plans.plan_time(spec, twin), _plans.plan_time(spec, plan)):
+    elif not _close(twin.time, plan.time):
         rows.append(Finding(
             tool=_TOOL, rule="conservation-model-drift", severity="error",
             message="plan prices differently from the tuner's model twin",
@@ -840,7 +840,6 @@ def verify_matrix(g_list=DEFAULT_G_LIST, payload: float = float(1 << 20),
     of them (empty when every plan is healthy).
     """
     from repro.comm.plans import build_plan
-    from repro.comm.tuning import predict_time
 
     rows = []
     findings: list = []
@@ -856,31 +855,11 @@ def verify_matrix(g_list=DEFAULT_G_LIST, payload: float = float(1 << 20),
                     plan = build_plan(spec, kind, payload, algorithm,
                                       reads=("x",), certify=False)
                     cert = check_plan(spec, plan, payload)
-                    # seed the admission cache so predict_time's internal
-                    # build_plan calls below don't re-verify
-                    _VERDICTS.setdefault(
-                        (cert.fingerprint, kind, algorithm), cert)
-                    if cert.ok and not _close(
-                        predict_time(spec, kind, payload, algorithm),
-                        _plan_time(spec, plan),
-                    ):
-                        findings.append(Finding(
-                            tool=_TOOL, rule="conservation-model-drift",
-                            severity="error",
-                            message=(f"{label} {kind}/{algorithm}: verified "
-                                     "plan prices differently from "
-                                     "predict_time's model input"),
-                            context=finding_context(
-                                algorithm=algorithm, kind=kind,
-                                G=spec.num_devices)))
+                    if cert.ok:
+                        cert = _cross_check_model(spec, plan, payload, cert)
                 row = cert.to_json()
                 row["spec"] = label
                 rows.append(row)
                 findings.extend(cert.findings)
     return rows, findings
 
-
-def _plan_time(spec, plan) -> float:
-    from repro.comm.plans import plan_time
-
-    return plan_time(spec, plan)

@@ -43,7 +43,7 @@ from repro.comm.api import (
     sendrecv,
 )
 from repro.comm.retry import DEFAULT_RETRY, CommFailure, RetryPolicy
-from repro.comm.plans import CommPlan, Msg, build_plan, plan_time
+from repro.comm.plans import CommPlan, Msg, build_plan
 from repro.comm.tuning import (
     algorithm_table,
     candidate_algorithms,
@@ -66,7 +66,6 @@ __all__ = [
     "choose_algorithm",
     "grouped_alltoall",
     "halo_exchange",
-    "plan_time",
     "predict_time",
     "sendrecv",
 ]

@@ -15,6 +15,13 @@ through these functions instead of calling the
 - picks the cheapest plan from the Section-5 cost model
   (``algorithm="auto"``, via :mod:`repro.comm.tuning`).
 
+Nothing is priced here: :func:`~repro.comm.plans.build_plan` returns a
+plan carrying each message's contended bandwidth and latency and its
+own ``time``, and this layer hands that object to issue (the stored
+prices go to ``cluster.sendrecv``) and to the log (``chunks *
+plan.time``); bulk and lone-transfer predictions are the spec's own
+``collective_time`` / ``p2p_time``, the formulas the engine charges.
+
 Dependency contract: ``after`` (or each ``after_chunks[i]``) with
 exactly G entries is treated as *per-device* producer events — round-0
 messages wait on both endpoints' entries, which is what makes in-place
@@ -26,8 +33,9 @@ receive at device ``g`` (chained forwarding plans additionally order
 round ``k+1`` sends after round ``k`` receives).
 
 Every call logs a record through ``cluster.log_comm`` (algorithm,
-payload, predicted time) which :func:`repro.obs.metrics.join_comm_model`
-joins against the ledger for measured-vs-model validation.  Per-message
+payload, the predicted time of what was issued) which
+:func:`repro.obs.metrics.join_comm_model` joins against the ledger for
+measured-vs-model validation.  Per-message
 telemetry is the engine's: with a
 :class:`~repro.obs.telemetry.MetricsRegistry` on the cluster, its issue
 halves stream ``comm.bytes{link_class=...}`` and
@@ -52,7 +60,6 @@ from typing import Callable, Sequence
 
 from repro.comm import plans as _plans
 from repro.comm import tuning as _tuning
-from repro.machine import topology as topo
 from repro.machine.stream import Event
 from repro.util.validation import ParameterError
 
@@ -74,51 +81,37 @@ def _resolve(cl, kind: str, payload: float, algorithm: str) -> str:
 
 
 def _log(cl, name: str, kind: str, algorithm: str, payload: float,
-         chunks: int = 1, bulk_done: Sequence[Event] | None = None) -> None:
-    """Log one collective call (skipped on G=1 degenerate clusters).
+         chunks: int, predicted: float,
+         bulk_done: Sequence[Event] | None = None) -> None:
+    """Log one comm-layer call.  ``predicted`` is the price of what was
+    just issued, taken from where it was priced — never re-derived here.
 
     ``bulk_done`` — the final events of a flat-model collective — makes
     the engine count its payload on ``comm.bytes{link_class=bulk}``.
     """
-    if cl.G == 1:
-        return
-    entry = {
-        "name": name,
-        "kind": kind,
-        "algorithm": algorithm,
-        "payload": payload,
-        "chunks": chunks,
-        "G": cl.G,
-        "predicted": _tuning.predict_time(cl.spec, kind, payload, algorithm,
-                                          chunks=chunks),
-    }
+    entry = {"name": name, "kind": kind, "algorithm": algorithm,
+             "payload": payload, "chunks": chunks, "G": cl.G,
+             "predicted": predicted}
     if bulk_done is None:
         cl.log_comm(entry)
     else:
         cl.log_comm(entry, bulk_bytes=payload * cl.G, done=bulk_done)
 
 
-def _normalize_after(after, G: int):
-    """Split a dependency list into (per-device list | None, flat extras)."""
-    if not after:
-        return None, []
-    deps = list(after)
-    if len(deps) == G:
-        return deps, []
-    return None, [e for e in deps if e is not None]
-
-
-def _issue_plan(cl, plan, name: str, per_dev, extra, fn, touch):
-    """Issue one plan's rounds as sendrecv ops.  ``touch[g]`` (updated in
-    place across chunks) keeps device g's last send and last receive in
-    issue order: its engines are in-order, so those two bound every
-    message touching it."""
-    spec = cl.spec
+def _issue_plan(cl, plan, name: str, after, fn, touch):
+    """Issue one priced plan's rounds as sendrecv ops at its prices.
+    ``after`` with exactly G entries is per-device, else a flat list.
+    ``touch[g]`` (updated in place across chunks) keeps device g's last
+    send and last receive in issue order: its engines are in-order, so
+    those two bound every message touching it."""
+    given = list(after or ())
+    per_dev = given if len(given) == cl.G else None
+    extra = [e for e in given if e is not None]
     last_recv: list = [None] * cl.G
-    for ridx, rnd in enumerate(plan.rounds):
-        bws = _plans.message_bandwidths(spec, rnd)
+    for ridx, (rnd, prices) in enumerate(
+            zip(plan.rounds, plan.prices, strict=True)):
         new_recv: dict = {}
-        for m, bw in zip(rnd, bws):
+        for m, (bw, lat) in zip(rnd, prices, strict=True):
             if ridx == 0:
                 if per_dev is not None:
                     deps = [e for e in (per_dev[m.src], per_dev[m.dst])
@@ -132,7 +125,7 @@ def _issue_plan(cl, plan, name: str, per_dev, extra, fn, touch):
             ev = cl.sendrecv(
                 m.src, m.dst, m.nbytes, name, after=deps, fn=fn,
                 reads=list(m.reads), writes=list(m.writes), bandwidth=bw,
-                latency=topo.pair_latency(spec.graph, m.src, m.dst))
+                latency=lat)
             fn = None
             new_recv[m.dst] = ev
             for g, engine in ((m.src, "tx"), (m.dst, "rx")):
@@ -176,8 +169,7 @@ def alltoall(
     producing kernels.  ``fn`` performs the real data movement, attached
     to the first op issued.
     """
-    if chunks < 1:
-        raise ParameterError(f"chunks must be >= 1, got {chunks}")
+    _plans.check_chunks(chunks)
     if after_chunks is not None and len(after_chunks) != chunks:
         raise ParameterError(
             f"after_chunks has {len(after_chunks)} entries for {chunks} chunks"
@@ -201,15 +193,16 @@ def alltoall(
                 reads=rds,
                 writes=wrs,
             )
-        _log(cl, name, "alltoall", "bulk", bytes_sent_per_device, chunks,
-             bulk_done=events)
+        if cl.G > 1:  # a G=1 degenerate collective is not logged
+            _log(cl, name, "alltoall", "bulk", bytes_sent_per_device, chunks,
+                 chunks * cl.spec.collective_time(
+                     bytes_sent_per_device / chunks), bulk_done=events)
         return events
 
     touch: list = [{} for _ in range(cl.G)]
     for i in range(chunks):
         dep = (after_chunks[i] if after_chunks is not None
                else (after if i == 0 else ()))
-        per_dev, extra = _normalize_after(dep, cl.G)
         # chunk sub-resources: reads from the producer's row-chunk i,
         # writes into transposed slot i, further split per source so
         # concurrent messages (and an in-place src==dst) never alias
@@ -218,9 +211,10 @@ def alltoall(
             cl.spec, "alltoall", bytes_sent_per_device / chunks, algo,
             rds, tuple(writes), f"#t{i}",
         )
-        touch = _issue_plan(cl, plan, name, per_dev, extra,
-                            fn if i == 0 else None, touch)
-    _log(cl, name, "alltoall", algo, bytes_sent_per_device, chunks)
+        touch = _issue_plan(cl, plan, name, dep, fn if i == 0 else None,
+                            touch)
+    _log(cl, name, "alltoall", algo, bytes_sent_per_device, chunks,
+         chunks * plan.time)
     return _done_events(cl, touch, name)
 
 
@@ -245,16 +239,16 @@ def allgather(
     if algo == "bulk":
         events = cl.allgather(bytes_per_device, name, after=after, fn=fn,
                               reads=list(reads), writes=list(writes))
-        _log(cl, name, "allgather", "bulk", bytes_per_device,
-             bulk_done=events)
+        if cl.G > 1:
+            _log(cl, name, "allgather", "bulk", bytes_per_device, 1,
+                 cl.spec.collective_time((cl.G - 1) * bytes_per_device),
+                 bulk_done=events)
         return events
 
-    per_dev, extra = _normalize_after(after, cl.G)
     plan = _plans.build_plan(cl.spec, "allgather", bytes_per_device, algo,
                              tuple(reads), tuple(writes), "")
-    touch = _issue_plan(cl, plan, name, per_dev, extra, fn,
-                        [{} for _ in range(cl.G)])
-    _log(cl, name, "allgather", algo, bytes_per_device)
+    touch = _issue_plan(cl, plan, name, after, fn, [{} for _ in range(cl.G)])
+    _log(cl, name, "allgather", algo, bytes_per_device, 1, plan.time)
     return _done_events(cl, touch, name)
 
 
@@ -274,7 +268,7 @@ def grouped_alltoall(
     the process grid — many small all-to-alls running *simultaneously*.
     Issuing them as separate collectives would price each in isolation;
     this merges round ``k`` of every group into one global round, so
-    :func:`repro.comm.plans.message_bandwidths` sees the cross-group
+    :func:`repro.comm.plans.price_round` sees the cross-group
     contention on shared NICs and fabric uplinks.  Each member of an
     ``n``-device group sends ``bytes_sent_per_device`` split over its
     ``n - 1`` peers (pairwise permutation rounds, no forwarding).
@@ -284,6 +278,9 @@ def grouped_alltoall(
     seen: set[int] = set()
     for grp in groups:
         for g in grp:
+            if type(g) is not int:
+                raise ParameterError(
+                    f"group members must be device ids, got {g!r}")
             if not 0 <= g < cl.G:
                 raise ParameterError(f"group device {g} out of range 0..{cl.G - 1}")
             if g in seen:
@@ -306,17 +303,13 @@ def grouped_alltoall(
                     tuple(f"{w}#s{g}" for w in writes)))
         if msgs:
             rounds.append(tuple(msgs))
-    plan = _plans.CommPlan(algorithm="grouped", kind="alltoall",
-                           rounds=tuple(rounds), chained=False)
     touch: list = [{} for _ in range(cl.G)]
-    if plan.rounds:
-        per_dev, extra = _normalize_after(after, cl.G)
-        touch = _issue_plan(cl, plan, name, per_dev, extra, fn, touch)
-        cl.log_comm({
-            "name": name, "kind": "alltoall", "algorithm": "grouped",
-            "payload": bytes_sent_per_device, "chunks": 1, "G": cl.G,
-            "predicted": _plans.plan_time(cl.spec, plan),
-        })
+    if rounds:
+        plan = _plans.price_plan(cl.spec, _plans.CommPlan(
+            "grouped", "alltoall", tuple(rounds), False))
+        touch = _issue_plan(cl, plan, name, after, fn, touch)
+        _log(cl, name, "alltoall", "grouped", bytes_sent_per_device, 1,
+             plan.time)
     return _done_events(cl, touch, name)
 
 
@@ -338,6 +331,9 @@ def halo_exchange(
     the paper's COMM-S / COMM-M pattern), so there is no algorithm knob.
     """
     G = cl.G
+    if after and len(after) != G:
+        raise ParameterError(
+            f"after must be empty or hold G={G} entries, got {len(after)}")
     if G == 1:
         if after:
             # nothing to exchange: the halo "arrives" with its producer
@@ -355,15 +351,10 @@ def halo_exchange(
                     reads=[src_buf], writes=[f"{halo_buf}#R"])
         for g in range(G)
     ]
-    spec = cl.spec
-    shift_r = [_plans.Msg(g, (g + 1) % G, nbytes) for g in range(G)]
-    shift_l = [_plans.Msg(g, (g - 1) % G, nbytes) for g in range(G)]
-    cl.log_comm({
-        "name": name, "kind": "halo", "algorithm": "ring", "payload": nbytes,
-        "chunks": 1, "G": G,
-        "predicted": _plans.round_time(spec, shift_r)
-        + _plans.round_time(spec, shift_l),
-    })
+    shifts = [[_plans.Msg(g, (g + step) % G, nbytes) for g in range(G)]
+              for step in (1, -1)]
+    _log(cl, name, "halo", "ring", nbytes, 1,
+         sum(_plans.price_round(cl.spec, shift)[1] for shift in shifts))
     # device g receives from g-1 (right shift) and g+1 (left shift)
     return [cl.latest(ev_right[(g - 1) % G], ev_left[(g + 1) % G])
             for g in range(G)]
@@ -388,13 +379,6 @@ def sendrecv(
     """
     ev = cl.sendrecv(src, dst, nbytes, name, after=after, fn=fn,
                      reads=reads, writes=writes)
-    if src == dst or cl.G == 1:
-        predicted = 0.0
-    else:
-        predicted = (cl.spec.comm_latency()
-                     + nbytes / cl.spec.pair_bandwidth(src, dst))
-    cl.log_comm({
-        "name": name, "kind": "p2p", "algorithm": "p2p", "payload": nbytes,
-        "chunks": 1, "G": cl.G, "predicted": predicted,
-    })
+    predicted = 0.0 if src == dst else cl.spec.p2p_time(src, dst, nbytes)
+    _log(cl, name, "p2p", "p2p", nbytes, 1, predicted)
     return ev

@@ -48,9 +48,8 @@ is what makes the sanitizer prove them race-free.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.machine import routing, topology as topo
 from repro.util.validation import ParameterError
 
 #: All algorithm names accepted by :func:`repro.comm.api.alltoall` /
@@ -83,12 +82,20 @@ class CommPlan:
     ``chained`` means round ``k+1``'s send from a device must wait that
     device's round-``k`` receive (store-and-forward data dependency);
     non-chained plans only order rounds through per-stream program order.
+
+    A plan from :func:`price_plan` (every plan the library issues or
+    selects among) carries its prices: ``prices[r][i]`` is the
+    ``(contended bandwidth, latency)`` of ``rounds[r][i]`` — what issue
+    hands ``cluster.sendrecv`` — and ``time`` the predicted completion,
+    rounds back to back.  A hand-assembled plan is unpriced.
     """
 
     algorithm: str
     kind: str
     rounds: tuple  # tuple[tuple[Msg, ...], ...]
     chained: bool
+    prices: tuple = ()
+    time: float = float("nan")
 
     @property
     def num_messages(self) -> int:
@@ -462,8 +469,54 @@ def _allgather_hier2(graph, G: int, b: float, reads: tuple, writes: tuple,
 
 
 # ---------------------------------------------------------------------------
-# dispatch + costing
+# costing + dispatch
 # ---------------------------------------------------------------------------
+
+def price_round(spec, msgs) -> tuple[tuple, float]:
+    """``(per-message (bandwidth, latency), completion time)`` of a round.
+
+    Each message crosses the wire segments of its pair (a dedicated
+    edge, or the hops of its routed path — ``spec.pair(...).segments``);
+    within a round every segment is shared equally by the same-direction
+    messages mapped to it, so a message's bandwidth is the minimum over
+    its segments of ``capacity / load`` (links stay full duplex:
+    opposite directions never contend).  The round completes with its
+    slowest message.
+    """
+    pairs = [spec.pair(m.src, m.dst) for m in msgs]
+    load: Counter = Counter()
+    for p in pairs:
+        for key, _ in p.segments:
+            load[key] += 1
+    prices = tuple(
+        (min(bw / load[key] for key, bw in p.segments), p.latency)
+        for p in pairs
+    )
+    return prices, max(
+        spec.p2p_time(m.src, m.dst, m.nbytes, bw, lat)
+        for m, (bw, lat) in zip(msgs, prices)
+    )
+
+
+def price_plan(spec, plan: CommPlan) -> CommPlan:
+    """``plan`` carrying its prices on ``spec`` — computed once, here."""
+    priced = [price_round(spec, r) for r in plan.rounds]
+    return replace(plan, prices=tuple(p for p, _ in priced),
+                   time=sum(t for _, t in priced))
+
+
+def check_chunks(chunks: int) -> None:
+    """Require ``chunks`` to be an ``int`` >= 1."""
+    if type(chunks) is not int or chunks < 1:
+        raise ParameterError(f"chunks must be an int >= 1, got {chunks!r}")
+
+
+def check_payload(payload: float) -> None:
+    """Reject a payload that is not finite and >= 0 (NaN fails too)."""
+    if not 0.0 <= payload < float("inf"):
+        raise ParameterError(
+            f"payload must be finite and >= 0, got {payload!r}")
+
 
 def build_plan(
     spec,
@@ -483,13 +536,15 @@ def build_plan(
     chunk-qualified on the read side); ``part`` is the chunk tag appended
     to write names before the per-message ``#s``/``#b`` sub-parts.
 
-    Unless ``certify=False``, the plan is admitted through the static
+    The plan comes back priced on ``spec`` (:func:`price_plan`).
+    Unless ``certify=False``, it is also admitted through the static
     verifier (:func:`repro.analysis.plancheck.certify_plan`) before it
     is returned: deadlock-freedom, payload conservation, and buffer
     liveness are proved once per ``(spec_fingerprint, kind, algorithm)``
     and cached, so the warm path pays one dict lookup.
     """
     G = spec.num_devices
+    check_payload(payload)
     if kind not in KINDS:
         raise ParameterError(f"unknown collective kind {kind!r}")
     if G < 2:
@@ -519,70 +574,9 @@ def build_plan(
             f"unknown plan algorithm {algorithm!r}; choose from "
             f"{[a for a in ALGORITHMS if a != 'bulk']}"
         )
-    plan = CommPlan(algorithm=algorithm, kind=kind, rounds=rounds,
-                    chained=chained)
+    plan = price_plan(spec, CommPlan(algorithm, kind, rounds, chained))
     if certify:
         from repro.analysis.plancheck import certify_plan  # lazy: no cycle
 
         certify_plan(spec, plan, payload)
     return plan
-
-
-def _message_hops(spec, m) -> tuple[tuple[tuple, float], ...]:
-    """(contention key, capacity) per wire segment the message crosses.
-
-    Direct edges are a single dedicated segment.  Inter-node messages
-    follow their routed path (:mod:`repro.machine.routing`): the source
-    node's NIC, any leaf/spine uplinks, the destination node's NIC —
-    keys are per *shared interface* (per node, per leaf), so all of a
-    node's devices contend for its one NIC.  Same-node pairs without an
-    edge keep the per-device fallback ports (PCIe injection/ejection).
-    """
-    graph = spec.graph
-    if graph.has_edge(m.src, m.dst):
-        bw = graph.edges[m.src, m.dst]["link"].bandwidth
-        return ((("edge", m.src, m.dst), bw),)
-    node_of = graph.graph.get("node_of")
-    if node_of is not None:
-        na, nb = node_of.get(m.src), node_of.get(m.dst)
-        if na is not None and nb is not None and na != nb:
-            return tuple(
-                (h.key, h.bandwidth)
-                for h in routing.route_hops(graph, m.src, m.dst)
-            )
-    fb = topo.fallback_link(graph).bandwidth
-    return ((("fb-tx", m.src), fb), (("fb-rx", m.dst), fb))
-
-
-def message_bandwidths(spec, msgs) -> list[float]:
-    """Contention-adjusted effective bandwidth for each message of a round.
-
-    Each message crosses a sequence of segments (a dedicated edge, or
-    the hops of its routed path); within a round every segment is shared
-    equally by the same-direction messages mapped to it.  A message's
-    bandwidth is the minimum over its segments of ``capacity / load`` —
-    links stay full duplex, so opposite directions never contend.
-    """
-    load: Counter = Counter()
-    hops_per_msg = [_message_hops(spec, m) for m in msgs]
-    for hops in hops_per_msg:
-        for key, _ in hops:
-            load[key] += 1
-    return [
-        min(bw / load[key] for key, bw in hops)
-        for hops in hops_per_msg
-    ]
-
-
-def round_time(spec, msgs) -> float:
-    """Completion time of one round: slowest message, contention included."""
-    bws = message_bandwidths(spec, msgs)
-    return max(
-        topo.pair_latency(spec.graph, m.src, m.dst) + m.nbytes / bw
-        for m, bw in zip(msgs, bws)
-    )
-
-
-def plan_time(spec, plan: CommPlan) -> float:
-    """Predicted completion time of a plan: rounds run back to back."""
-    return sum(round_time(spec, r) for r in plan.rounds)

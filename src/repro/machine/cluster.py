@@ -8,13 +8,16 @@ library runs on.  It provides:
   optional ``fn`` performs the *real* NumPy computation on the device's
   memory dict.
 - ``sendrecv`` — point-to-point transfer occupying both endpoints' comm
-  streams (halo exchanges).
+  streams: a lone transfer (a halo) at the spec's worst-path latency
+  and pair bandwidth, a message of a priced plan at the prices it
+  carries (``spec.p2p_time`` either way).
 - ``alltoall`` / ``allgather`` — the legacy flat ("bulk") collectives
-  costed with the topology's effective bandwidth; ``alltoall`` supports
-  chunking so transposes can pipeline against local compute, as cuFFTXT
-  does.  Pipelines issue collectives through :mod:`repro.comm`, which
-  either delegates here (``algorithm="bulk"``) or decomposes them into
-  explicit per-round ``sendrecv`` message plans.
+  costed with the topology's effective bandwidth
+  (``spec.collective_time``).  Pipelines issue collectives through
+  :mod:`repro.comm`, which either delegates here (``algorithm="bulk"``,
+  once per chunk) or decomposes them into explicit per-round
+  ``sendrecv`` message plans.  Link facts are read off the spec, which
+  tabulates them once per spec object; the engine memoizes none.
 - events/streams — explicit dependencies, so overlap is expressed the
   same way the paper's CUDA implementation expresses it.
 
@@ -56,7 +59,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.machine import topology as topo
 from repro.machine.device import Device
 from repro.machine.ledger import Ledger, OpRecord
 from repro.machine.retry import DEFAULT_RETRY, CommFailure
@@ -149,7 +151,6 @@ class VirtualCluster:
             Device(g, spec.device, execute=execute) for g in range(spec.num_devices)
         ]
         self.ledger = Ledger()
-        self._a2a_bw = spec.alltoall_bandwidth() if spec.num_devices > 1 else None
         #: every device's comm.tx then comm.rx stream (a collective
         #: occupies them all)
         self._comm_streams = ([d.stream("comm.tx") for d in self.devices]
@@ -163,8 +164,6 @@ class VirtualCluster:
         self._tape: Tape | None = None
         #: tape steps ever recorded on this cluster (``Event.src`` base)
         self._seq = 0
-        #: (src, dst) -> (link_class, pair_latency, pair_bandwidth, label)
-        self._link_memo: dict = {}
         #: (registry, {(link_class, label): (counter, histogram)})
         self._series_memo: tuple = (None, {})
 
@@ -308,31 +307,6 @@ class VirtualCluster:
         if t == _INF:
             raise ValueError("dependency list holds an event at t=inf")
         return t, tuple(uids)
-
-    def _link_intent(self, src: int, dst: int, nbytes: float,
-                     bandwidth: float | None, latency: float | None) -> tuple:
-        """``(link_class, link_label, predicted_seconds)`` of one message.
-
-        The prediction is the pair's lone roofline time (the caller's
-        contention-priced ``bandwidth``/``latency`` where given), so
-        measured/predicted is the per-link calibration signal.  The
-        topology facts are pure functions of the graph (fault
-        degradation copies it), memoized per pair.
-        """
-        info = self._link_memo.get((src, dst))
-        if info is None:
-            g = self.spec.graph
-            info = self._link_memo[(src, dst)] = (
-                topo.link_class(g, src, dst),
-                topo.pair_latency(g, src, dst),
-                topo.pair_bandwidth(g, src, dst),
-                f"{min(src, dst)}-{max(src, dst)}",
-            )
-        cls, pair_lat, pair_bw, link = info
-        predicted = ((latency if latency is not None else pair_lat)
-                     + nbytes / (bandwidth if bandwidth is not None
-                                 else pair_bw))
-        return cls, link, predicted
 
     def latest(self, *events: Event) -> Event:
         """The event that completes last (the first of them on a tie).
@@ -519,16 +493,21 @@ class VirtualCluster:
             # device one send + one receive) proceeds fully in parallel,
             # as on real NVLink.
             op = OP_P2P
-            link_lat = self.spec.comm_latency() if latency is None else latency
-            bw = self.spec.pair_bandwidth(src, dst) if bandwidth is None else bandwidth
-            dur = link_lat + nbytes / bw
+            dur = self.spec.p2p_time(src, dst, nbytes, bandwidth, latency)
             if not 0.0 <= dur < _INF:
                 raise ParameterError(
-                    f"op {name!r}: latency {link_lat!r} / bandwidth {bw!r} "
-                    f"price a transfer of {dur!r} s")
+                    f"op {name!r}: latency {latency!r} / bandwidth "
+                    f"{bandwidth!r} price a transfer of {dur!r} s")
             if nbytes > 0.0 and (self.telemetry is not None
                                  or self._tape is not None):
-                tel = self._link_intent(src, dst, nbytes, bandwidth, latency)
+                # (link_class, link label, predicted seconds): the lone
+                # time on this pair's own latency (the plan's prices where
+                # given), so measured/predicted calibrates the link
+                pair = self.spec.pair(src, dst)
+                tel = (pair.link_class, f"{min(src, dst)}-{max(src, dst)}",
+                       self.spec.p2p_time(
+                           src, dst, nbytes, bandwidth,
+                           pair.latency if latency is None else latency))
         seq = -1 if self._tape is None else self._taped(
             op, after, (tx, rx), reads, writes, name=name, kind="comm",
             device=src, peer=dst, duration=dur, comm_bytes=nbytes, fn=fn,
@@ -674,11 +653,7 @@ class VirtualCluster:
             end, _ = self._issue_collective1(
                 self._comm_streams[0], fn, t_dep, waits, "")
             return [Event(end, name, src=src)]
-        # The G-1 per-peer messages ride distinct links concurrently, so
-        # one message latency is paid per collective call, not per peer —
-        # plus the host-side synchronization cost of coordinating it.
-        dur = (self.spec.comm_latency() + self.spec.collective_overhead
-               + bytes_per_device / self._a2a_bw)
+        dur = self.spec.collective_time(bytes_per_device)
         G = self.G
         end, uids = self._issue_collective(
             name, dur, bytes_per_device,

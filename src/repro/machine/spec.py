@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
@@ -97,9 +99,27 @@ class LinkSpec:
         check_positive("latency", self.latency)
 
 
+class PairFacts(NamedTuple):
+    """What the topology says about one ordered device pair ``a -> b``:
+    its telemetry ``link_class``, the ``bandwidth`` and ``latency`` of a
+    lone transfer, and the ``(contention key, capacity)`` wire
+    ``segments`` the messages of a round share."""
+
+    link_class: str
+    bandwidth: float
+    latency: float
+    segments: tuple
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """A node: G identical devices plus an interconnect graph.
+
+    A spec is immutable, so what is derived from it — :meth:`pair`
+    facts, :meth:`comm_latency`, :meth:`alltoall_bandwidth`,
+    :attr:`fingerprint` — is worked out once per spec *object*, on first
+    use.  ``dataclasses.replace`` builds a new object: a rescaled or
+    fault-degraded spec starts with nothing derived.
 
     Attributes
     ----------
@@ -150,19 +170,88 @@ class ClusterSpec:
             raise ParameterError(f"no direct link between device {a} and {b}")
         return self.graph.edges[a, b]["link"]
 
+    @cached_property
+    def _pairs(self) -> dict:
+        return {}
+
+    def pair(self, a: int, b: int) -> PairFacts:
+        """The link facts of the ordered pair ``a -> b`` (distinct devices)."""
+        facts = self._pairs.get((a, b))
+        if facts is None:
+            g = self.graph
+            facts = self._pairs[a, b] = PairFacts(
+                topo.link_class(g, a, b), topo.pair_bandwidth(g, a, b),
+                topo.pair_latency(g, a, b), topo.pair_segments(g, a, b))
+        return facts
+
     def pair_bandwidth(self, a: int, b: int) -> float:
         """Effective P2P bandwidth a->b, shortest-path routed."""
-        return topo.pair_bandwidth(self.graph, a, b)
+        return self.pair(a, b).bandwidth
+
+    @cached_property
+    def _alltoall_bandwidth(self) -> float:
+        return topo.alltoall_effective_bandwidth(self.graph)
 
     def alltoall_bandwidth(self) -> float:
         """Effective per-device all-to-all injection bandwidth (byte/s)."""
-        return topo.alltoall_effective_bandwidth(self.graph)
+        return self._alltoall_bandwidth
+
+    @cached_property
+    def _comm_latency(self) -> float:
+        return topo.diameter_latency(self.graph)
 
     def comm_latency(self) -> float:
         """Representative per-message latency (worst routed path)."""
-        if self.num_devices == 1:
-            return 0.0
-        return topo.diameter_latency(self.graph)
+        return self._comm_latency
+
+    def p2p_time(self, src: int, dst: int, nbytes: float,
+                 bandwidth: float | None = None,
+                 latency: float | None = None) -> float:
+        """Duration of one transfer: a lone one (a halo) pays the
+        worst-path latency and the pair's full bandwidth, a message of a
+        priced plan brings its contended ``bandwidth`` and ``latency``."""
+        if latency is None:
+            latency = self._comm_latency
+        if bandwidth is None:
+            bandwidth = self.pair(src, dst).bandwidth
+        return latency + nbytes / bandwidth
+
+    def collective_time(self, bytes_per_device: float) -> float:
+        """Duration of one flat-model (``bulk``) collective: the G-1
+        per-peer messages ride distinct links concurrently, so one
+        message latency is paid per call — plus the host-side
+        synchronization cost of coordinating it."""
+        return (self._comm_latency + self.collective_overhead
+                + bytes_per_device / self._alltoall_bandwidth)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable hash of everything about the machine that affects
+        tuning (see :func:`spec_fingerprint`)."""
+        dev = self.device
+        fb = self.graph.graph.get("fallback_link")
+        node_of = self.graph.graph.get("node_of")
+        fab = routing.fabric_of(self.graph)
+        doc = {
+            "device": [dev.name, dev.gamma_f, dev.gamma_d, dev.beta,
+                       dev.launch_latency, dev.batched_gemm_derate,
+                       dev.custom_kernel_derate],
+            "G": self.num_devices,
+            "edges": sorted(
+                (min(a, b), max(a, b), d["link"].bandwidth, d["link"].latency)
+                for a, b, d in self.graph.edges(data=True)
+            ),
+            "fallback": None if fb is None else [fb.bandwidth, fb.latency],
+            "node_of": (None if node_of is None
+                        else sorted((int(g), int(n)) for g, n in node_of.items())),
+            "mpi_latency": routing.mpi_latency(self.graph),
+            "fabric": (None if fab is None
+                       else [fab.nic.bandwidth, fab.nic.latency, fab.radix,
+                             fab.oversubscription, fab.switch_latency]),
+            "collective_overhead": self.collective_overhead,
+        }
+        blob = json.dumps(doc, sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 #: Tesla K40c with the paper's achieved parameters.
@@ -288,27 +377,4 @@ def spec_fingerprint(spec: ClusterSpec) -> str:
     and vice versa.  The same key scopes the static plan verifier's
     verdict cache (:mod:`repro.analysis.plancheck`).
     """
-    dev = spec.device
-    fb = spec.graph.graph.get("fallback_link")
-    node_of = spec.graph.graph.get("node_of")
-    fab = routing.fabric_of(spec.graph)
-    doc = {
-        "device": [dev.name, dev.gamma_f, dev.gamma_d, dev.beta,
-                   dev.launch_latency, dev.batched_gemm_derate,
-                   dev.custom_kernel_derate],
-        "G": spec.num_devices,
-        "edges": sorted(
-            (min(a, b), max(a, b), d["link"].bandwidth, d["link"].latency)
-            for a, b, d in spec.graph.edges(data=True)
-        ),
-        "fallback": None if fb is None else [fb.bandwidth, fb.latency],
-        "node_of": (None if node_of is None
-                    else sorted((int(g), int(n)) for g, n in node_of.items())),
-        "mpi_latency": routing.mpi_latency(spec.graph),
-        "fabric": (None if fab is None
-                   else [fab.nic.bandwidth, fab.nic.latency, fab.radix,
-                         fab.oversubscription, fab.switch_latency]),
-        "collective_overhead": spec.collective_overhead,
-    }
-    blob = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return spec.fingerprint

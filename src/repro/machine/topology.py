@@ -146,6 +146,25 @@ def pair_latency(graph: nx.Graph, a: int, b: int) -> float:
     return fallback_link(graph).latency
 
 
+def pair_segments(graph: nx.Graph, a: int, b: int) -> tuple[tuple[tuple, float], ...]:
+    """(contention key, capacity) per wire segment an a->b message crosses.
+
+    Direct edges are a single dedicated segment.  Inter-node messages
+    follow their routed path (:mod:`repro.machine.routing`): the source
+    node's NIC, any leaf/spine uplinks, the destination node's NIC —
+    keys are per *shared interface* (per node, per leaf), so all of a
+    node's devices contend for its one NIC.  Same-node pairs without an
+    edge keep the per-device fallback ports (PCIe injection/ejection).
+    """
+    if graph.has_edge(a, b):
+        return ((("edge", a, b), graph.edges[a, b]["link"].bandwidth),)
+    if _internode(graph, a, b):
+        return tuple((h.key, h.bandwidth)
+                     for h in routing.route_hops(graph, a, b))
+    fb = fallback_link(graph).bandwidth
+    return ((("fb-tx", a), fb), (("fb-rx", b), fb))
+
+
 def link_class(graph: nx.Graph, a: int, b: int) -> str:
     """Coarse label for the path an a->b message crosses.
 

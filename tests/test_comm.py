@@ -8,14 +8,16 @@ loop.
 """
 
 import json
+import re
 
 import pytest
 
 from repro import comm
 from repro.analysis.hazards import find_hazards
 from repro.analysis.lint import lint_source
+from repro.analysis.plancheck import PlanCheckError
 from repro.cli import main
-from repro.comm import build_plan, choose_algorithm, plan_time, predict_time
+from repro.comm import build_plan, choose_algorithm, predict_time
 from repro.core.api import default_params
 from repro.core.distributed import FmmFftDistributed
 from repro.core.plan import FmmFftPlan
@@ -158,8 +160,106 @@ class TestTuning:
         for algo in ("direct", "ring", "bruck"):
             plan = build_plan(spec, "alltoall", float(PAYLOAD), algo)
             assert predict_time(spec, "alltoall", float(PAYLOAD), algo) == (
-                pytest.approx(plan_time(spec, plan))
+                pytest.approx(plan.time)
             )
+
+
+    def test_every_candidate_wins_somewhere(self):
+        """The evidence behind ``candidate_algorithms``: over a reduced
+        grid of the sweep tabulated in docs/COMM.md, every plan ``auto``
+        builds and prices for a kind is the cheapest in at least one
+        cell — and the one it no longer prices for an all-to-all
+        (``hier``) never is."""
+        ring4 = ClusterSpec(device=P100, num_devices=4,
+                            graph=topo.ring(4, NVLINK_P100_LINK), name="ring4")
+        beds = [
+            preset("2xP100"), preset("8xP100"), ring4,
+            multinode_p100(2, gpus_per_node=4),
+            routed_multinode_p100(2, gpus_per_node=8, radix=36,
+                                  oversubscription=2.0),
+            routed_multinode_p100(4, gpus_per_node=4, radix=8,
+                                  oversubscription=2.0),
+            routed_multinode_p100(8, gpus_per_node=2, radix=4,
+                                  oversubscription=4.0),
+        ]
+        sizes = [64.0 * 8 ** k for k in range(8)]  # 64 B .. 128 MiB
+        for kind in ("alltoall", "allgather"):
+            priced, winners = set(), set()
+            for spec in beds:
+                cands = comm.candidate_algorithms(spec, kind)
+                priced.update(cands)
+                for size in sizes:
+                    best = choose_algorithm(spec, kind, size)
+                    assert best in cands
+                    winners.add(best)
+                    if kind == "alltoall" and "hier2" in cands:
+                        assert predict_time(spec, kind, size, "hier") > (
+                            predict_time(spec, kind, size, best))
+            assert winners == priced, (kind, priced - winners)
+        multi = beds[3]
+        assert "hier" not in comm.candidate_algorithms(multi, "alltoall")
+        assert "hier" in comm.candidate_algorithms(multi, "allgather")
+
+
+# ---------------------------------------------------------------------------
+# the door: bad values are ParameterErrors naming the value
+# ---------------------------------------------------------------------------
+
+class TestEntryPointValidation:
+    @pytest.mark.parametrize("payload", [float("nan"), -5.0, float("inf")])
+    @pytest.mark.parametrize("entry", [
+        "predict_time", "choose_algorithm", "build_plan", "alltoall_auto",
+        "algorithm_table"])
+    def test_refused_payload_never_poisons_the_verdict_cache(self, entry,
+                                                             payload):
+        from repro.analysis.plancheck import _VERDICTS, clear_verdicts
+
+        spec = preset("8xP100")
+        clear_verdicts()
+        fresh = {a: predict_time(spec, "alltoall", float(PAYLOAD), a)
+                 for a in ("direct", "ring", "bruck")}
+        clear_verdicts()
+        calls = {
+            "predict_time": lambda: predict_time(spec, "alltoall", payload,
+                                                 "ring"),
+            "choose_algorithm": lambda: choose_algorithm(spec, "alltoall",
+                                                         payload),
+            "build_plan": lambda: build_plan(spec, "alltoall", payload, "ring"),
+            "alltoall_auto": lambda: comm.alltoall(
+                VirtualCluster(spec, execute=False), payload, "t",
+                writes=["b"], algorithm="auto"),
+            "algorithm_table": lambda: comm.algorithm_table(
+                spec, sizes=(payload,)),
+        }
+        with pytest.raises(ParameterError, match="payload must be finite") as e:
+            calls[entry]()
+        assert not isinstance(e.value, PlanCheckError)
+        assert repr(payload) in str(e.value)
+        assert not _VERDICTS  # nothing was built, so nothing was certified
+        # the good call right after: same answer as on a fresh process
+        for a, t in fresh.items():
+            assert predict_time(spec, "alltoall", float(PAYLOAD), a) == t
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda cl: comm.alltoall(cl, 1e6, "t", writes=["b"], chunks=2.0),
+         "chunks must be an int >= 1, got 2.0"),
+        (lambda cl: comm.alltoall(cl, 1e6, "t", writes=["b"], chunks=0),
+         "chunks must be an int >= 1, got 0"),
+        (lambda cl: predict_time(cl.spec, "alltoall", 1e6, "ring", chunks=2.5),
+         "chunks must be an int >= 1, got 2.5"),
+        (lambda cl: comm.halo_exchange(
+            cl, 8.0, "h", "s", "hb",
+            after=[cl.host_op(0, "producer", writes=["s"])]),
+         "after must be empty or hold G=8 entries, got 1"),
+        (lambda cl: comm.grouped_alltoall(cl, 1e6, "g", groups=[["a", "b"]]),
+         "group members must be device ids, got 'a'"),
+    ], ids=["alltoall-chunks-float", "alltoall-chunks-zero",
+            "predict-chunks-float", "halo-after-short", "group-member-str"])
+    def test_bad_arguments_are_parameter_errors(self, call, message):
+        cl = VirtualCluster(preset("8xP100"), execute=False)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            call(cl)
+        assert len(cl.ledger) <= 1  # nothing issued past the producer
 
 
 # ---------------------------------------------------------------------------
