@@ -7,7 +7,7 @@ The package provides, from scratch:
   factorization ``F_N = F_{M,P} H^_{M,P}`` with every FMM stage a
   batched dense tensor contraction;
 - the **periodic 1D interpolative FMM** substrate (:mod:`repro.fmm`);
-- a **local FFT engine** (:mod:`repro.fftcore`: Stockham + Bluestein);
+- a **local FFT engine** (:mod:`repro.fftcore`: GEMM passes + Bluestein);
 - a **distributed FFT library** (:mod:`repro.dfft`) with the six-step
   three-transpose baseline and the single-transpose 2D FFT;
 - a **virtual multi-GPU cluster** (:mod:`repro.machine`) that executes

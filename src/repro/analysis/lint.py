@@ -1,6 +1,6 @@
 """Repo-specific AST lint: the numeric discipline the kernels rely on.
 
-Twelve rules, each targeting a failure mode this codebase has actually
+Thirteen rules, each targeting a failure mode this codebase has actually
 to guard against (run with ``python tools/lint.py src``):
 
 ``future-annotations``
@@ -88,6 +88,15 @@ to guard against (run with ``python tools/lint.py src``):
     :mod:`repro.machine` must not import :mod:`repro.ir`: the engine
     writes the tape, the IR reads it, never the other way round.
 
+``launch-trig``
+    In pipelines (``core/``, ``dfft/``, ``fmm/``): no ``np.exp`` /
+    ``np.cos`` / ``np.sin`` inside a function passed as ``fn=`` to
+    ``.launch``, nor in a same-module function or method it calls.  The
+    closure runs on every execution of the plan, so a table built there
+    is rebuilt per op (the six-step twiddle cost 6.5 ms of a 33 ms op
+    this way); build it at plan time or take it from
+    :mod:`repro.fftcore.twiddle`'s cache.
+
 Any rule can be waived on one line with ``# lint: allow-<rule>``; a
 waiver naming no known rule is itself reported (``unknown-waiver``).
 """
@@ -149,6 +158,9 @@ IR_CONSTRUCT_ALLOWED = ("repro/machine/", "repro/ir/")
 #: and the one package that must not import repro.ir
 ENGINE_PATH = "repro/machine/"
 
+#: transcendental table builders the launch-trig rule keeps out of closures
+TRIG_FUNCS = ("exp", "cos", "sin")
+
 #: every waivable rule; a pragma naming anything else is unknown-waiver
 RULES = (
     "bare-except",
@@ -158,6 +170,7 @@ RULES = (
     "fault-injection-site",
     "future-annotations",
     "launch-declares",
+    "launch-trig",
     "mutable-default",
     "np-fft",
     "raw-comm",
@@ -542,6 +555,64 @@ def _check_future_import(path: str, tree: ast.Module,
                       "missing 'from __future__ import annotations'")]
 
 
+def _check_launch_trig(path: str, tree: ast.Module,
+                       pragmas: dict[int, set[str]]) -> list[LintIssue]:
+    """Trig calls reachable from a ``fn=`` launch closure, per module.
+
+    ``fn=`` names resolve to functions nested in the function that makes
+    the launch call; from there, ``self.f(...)`` and ``f(...)`` calls
+    are followed to any function of that name defined in the module.
+    """
+    if not any(frag in path.replace("\\", "/") for frag in PIPELINE_PATHS):
+        return []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    funcs = [n for n in ast.walk(tree) if isinstance(n, defs)]
+    by_name: dict[str, list[ast.AST]] = {}
+    for f in funcs:
+        by_name.setdefault(f.name, []).append(f)
+    queue: list[ast.AST] = []
+    for outer in funcs:
+        local = {n.name: n for n in ast.walk(outer)
+                 if isinstance(n, defs) and n is not outer}
+        for call in ast.walk(outer):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "launch"):
+                for kw in call.keywords:
+                    if kw.arg != "fn":
+                        continue
+                    for n in ast.walk(kw.value):
+                        if isinstance(n, ast.Lambda):
+                            queue.append(n)
+                        elif isinstance(n, ast.Name) and n.id in local:
+                            queue.append(local[n.id])
+    lines: set[int] = set()
+    seen: set[int] = set()
+    while queue:
+        fn = queue.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Attribute) and _is_np(func.value):
+                if func.attr in TRIG_FUNCS:
+                    lines.add(call.lineno)
+            elif isinstance(func, ast.Name):
+                queue += by_name.get(func.id, [])
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id == "self"):
+                queue += by_name.get(func.attr, [])
+    return [
+        LintIssue(path, line, "launch-trig",
+                  "np.exp/cos/sin reachable from a launch closure -- it runs "
+                  "on every execution; build the table once (plan time, or "
+                  "repro.fftcore.twiddle's cache)")
+        for line in sorted(lines) if "launch-trig" not in pragmas.get(line, ())
+    ]
+
+
 def lint_source(path: str, source: str) -> list[LintIssue]:
     """Lint one module's source text; returns sorted issues."""
     try:
@@ -552,7 +623,8 @@ def lint_source(path: str, source: str) -> list[LintIssue]:
     pragmas = _pragmas(source)
     checker = _Checker(path, source, pragmas)
     checker.visit(tree)
-    issues = checker.issues + _check_future_import(path, tree, pragmas)
+    issues = (checker.issues + _check_future_import(path, tree, pragmas)
+              + _check_launch_trig(path, tree, pragmas))
     known = set(RULES)
     for line, names in pragmas.items():
         for name in sorted(names - known):

@@ -28,6 +28,7 @@ from repro.dfft.layout import BlockRows
 from repro.dfft.transpose import distributed_transpose
 from repro.fftcore.flops import fft_flops, fft_mops, fft_small_n_efficiency
 from repro.fftcore.plan import LocalFFTPlan
+from repro.fftcore.twiddle import twiddle_block
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
 from repro.util.bitmath import ilog2, is_pow2
@@ -51,7 +52,7 @@ class Distributed1DFFT:
     chunks:
         Pipeline depth for FFT/transpose overlap.
     backend:
-        Local FFT backend ('auto' = our Stockham, 'numpy' = pocketfft
+        Local FFT backend ('auto' = our GEMM passes, 'numpy' = pocketfft
         oracle/fast path).
     comm_algorithm:
         Collective algorithm for the three transposes (see
@@ -128,7 +129,7 @@ class Distributed1DFFT:
             for g in range(cl.G):
                 a = np.asarray(c.dev(g)[key]).reshape(rows_local, layout.cols)
                 if twiddle:
-                    a = a * self._twiddle_block(g, rows_local, layout.cols)
+                    a = self._twiddle_block(a, g)
                 c.dev(g)[key] = plan.forward(a, axis=1)
 
         per_chunk: list[list[Event]] = []
@@ -157,17 +158,21 @@ class Distributed1DFFT:
             per_chunk.append(evs)
         return per_chunk
 
-    def _twiddle_block(self, g: int, rows_local: int, cols: int) -> np.ndarray:
-        """Twiddle ``omega_N^(p m)`` for device g's (P/G, M) block.
+    def _twiddle_block(self, a: np.ndarray, g: int) -> np.ndarray:
+        """Device g's (P/G, M) block times its twiddle ``omega_N^(p m)``.
 
         After transpose #1 the local block is ``Y[p, m]`` with p in
         device g's row block; the diagonal ``T_{P,M}`` entry at global
-        vector position ``m + p M`` is ``omega_N^(m p)``.
+        vector position ``m + p M`` is ``omega_N^(m p)``.  It factors as
+        ``omega_N^(p0 m) * omega_N^(p' m)``, ``p = p0 + p'``: one base
+        block shared by all devices times one length-M row per device,
+        both from the process-wide cache — no exponential is evaluated
+        per op and no N-sized table is resident.
         """
-        p0 = g * rows_local
-        p = np.arange(p0, p0 + rows_local, dtype=np.float64)[:, None]
-        m = np.arange(cols, dtype=np.float64)[None, :]
-        return np.exp(-2j * np.pi * (p * m) / self.N).astype(self.dtype)
+        rows, cols = a.shape
+        a = a * twiddle_block(self.N, 1, cols, -1, self.dtype, row0=g * rows)
+        a *= twiddle_block(self.N, rows, cols, -1, self.dtype)
+        return a
 
     # -- staging ----------------------------------------------------------
 

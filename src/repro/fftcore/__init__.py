@@ -4,15 +4,16 @@ The paper's pipelines lean on a vendor FFT (cuFFT) for the *local*
 transforms inside the distributed 1D and 2D FFTs.  This package provides
 that substrate:
 
-- :mod:`repro.fftcore.stockham` — iterative Stockham autosort radix-2/4
-  FFT, batched over leading axes, one O(n·batch) NumPy pass per stage so
-  it vectorizes well (see the HPC guides: few large vector ops, no
-  per-element Python).
+- :mod:`repro.fftcore.stockham` — the power-of-two FFT as dense-DFT GEMM
+  passes (``n = a * b``: ``F_a`` matmul, twiddle, ``F_b`` matmul), the
+  paper's every-stage-a-BatchedGEMM rule applied to the local transform.
+- :mod:`repro.fftcore.twiddle` — roots of unity (twiddles, DFT operators,
+  six-step blocks), correctly rounded, in one bounded process-wide cache.
 - :mod:`repro.fftcore.bluestein` — chirp-z (Bluestein) transform for
-  arbitrary lengths, built on the power-of-two Stockham core.
-- :mod:`repro.fftcore.plan` — :class:`LocalFFTPlan` with cached twiddles
-  and a backend switch (``stockham`` / ``bluestein`` / ``numpy``), plus
-  module-level :func:`fft` / :func:`ifft` conveniences.
+  arbitrary lengths, built on the power-of-two core.
+- :mod:`repro.fftcore.plan` — :class:`LocalFFTPlan` with a backend
+  switch (``stockham`` / ``bluestein`` / ``numpy``), plus module-level
+  :func:`fft` / :func:`ifft` conveniences.
 - :mod:`repro.fftcore.flops` — flop/memory-pass cost model used by the
   machine simulator to price local FFT launches.
 """

@@ -2,7 +2,7 @@
 
 Rewrites the DFT as a circular convolution with a chirp::
 
-    X_k = conj(c_k) * sum_j (x_j * conj(c_j)) * c_(k-j),   c_j = exp(sign pi i j^2 / n)
+    X_k = conj(c_k) * sum_j (x_j * conj(c_j)) * c_(k-j),   c_j = exp(-sign pi i j^2 / n)
 
 and evaluates the convolution with a zero-padded power-of-two FFT of
 length >= 2n - 1 via :func:`repro.fftcore.stockham.fft_pow2`.  This makes
@@ -13,20 +13,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fftcore.stockham import fft_pow2
+from repro.fftcore.stockham import check_rows, fft_pow2
+from repro.fftcore.twiddle import cached, check_order, unit_roots
 from repro.util.bitmath import next_pow2
+from repro.util.validation import complex_dtype_for
 
 
-def _chirp(n: int, sign: int, dtype) -> np.ndarray:
-    """The chirp ``exp(sign * pi i j^2 / n)``, computed with j^2 mod 2n.
+def _chirp_pair(n: int, sign: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``(conj(c), fft(b))`` for the length-n transform (cached).
 
-    Reducing ``j^2`` modulo ``2n`` before the complex exponential keeps
-    full accuracy for large ``n`` (j^2 overflows double-precision exactness
-    around n ~ 2^26 otherwise).
+    ``c`` is a root of unity of order 2n, so ``j^2`` is reduced modulo 2n
+    in exact integers (it overflows double-precision exactness around
+    n ~ 2^26 otherwise); ``b`` is ``c`` wrapped to negative lags on the
+    padded length.
     """
-    j = np.arange(n, dtype=np.int64)
-    jsq = (j * j) % (2 * n)
-    return np.exp(sign * 1j * np.pi * jsq / n).astype(dtype)
+    def build():
+        j = np.arange(n, dtype=np.int64)
+        c = unit_roots(j * j, 2 * n, -sign, dtype)
+        m = next_pow2(2 * n - 1)
+        b = np.zeros(m, dtype=dtype)
+        b[:n] = c
+        b[m - n + 1 :] = c[1:][::-1]  # wrap negative lags: b[m-j] = c[j]
+        return np.conj(c), fft_pow2(b, sign=-1)
+
+    return cached(("bluestein", n, sign, dtype.name), build)
 
 
 def fft_bluestein(x: np.ndarray, sign: int = -1) -> np.ndarray:
@@ -39,23 +49,12 @@ def fft_bluestein(x: np.ndarray, sign: int = -1) -> np.ndarray:
     sign:
         -1 forward, +1 unnormalized inverse.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +-1, got {sign!r}")
+    check_rows("fft_bluestein", x)
     n = x.shape[-1]
-    cdt = np.complex64 if x.dtype in (np.float32, np.complex64) else np.complex128
-    if n == 1:
-        return x.astype(cdt).copy()
-    # With c built from -sign, conj(c_k) * sum_j (x_j conj(c_j)) c_{k-j}
-    # expands to sum_j x_j exp(sign 2 pi i j k / n) — the requested kernel.
-    c = _chirp(n, -sign, cdt)
-    m = next_pow2(2 * n - 1)
-    lead = x.shape[:-1]
-    a = np.zeros(lead + (m,), dtype=cdt)
-    a[..., :n] = x.astype(cdt) * np.conj(c)
-    b = np.zeros(m, dtype=cdt)
-    b[:n] = c
-    b[m - n + 1 :] = c[1:][::-1]  # wrap negative lags: b[m-j] = c[j]
-    fa = fft_pow2(a, sign=-1)
-    fb = fft_pow2(b, sign=-1)
-    conv = fft_pow2(fa * fb, sign=+1) / m
-    return (np.conj(c) * conv[..., :n]).astype(cdt)
+    check_order(n, sign)
+    cdt = complex_dtype_for(x.dtype)
+    cc, fb = _chirp_pair(n, sign, cdt)
+    a = np.zeros(x.shape[:-1] + (fb.size,), dtype=cdt)
+    a[..., :n] = x * cc
+    conv = fft_pow2(fft_pow2(a, sign=-1) * fb, sign=+1)
+    return (cc / fb.size * conv[..., :n]).astype(cdt, copy=False)

@@ -4,7 +4,7 @@
 (cuFFT/FFTW): construct once for a ``(n, dtype)`` pair, then apply to many
 batches.  The plan chooses a backend:
 
-- ``stockham`` — power-of-two iterative autosort (default for 2^k),
+- ``stockham`` — power-of-two dense-DFT GEMM passes (default for 2^k),
 - ``bluestein`` — chirp-z for general n,
 - ``numpy`` — delegate to ``numpy.fft`` (pocketfft); used as an oracle in
   tests and as an opt-in fast path for very large integration runs.
@@ -19,8 +19,9 @@ import numpy as np
 
 from repro.fftcore.bluestein import fft_bluestein
 from repro.fftcore.stockham import fft_pow2
+from repro.fftcore.twiddle import check_order
 from repro.util.bitmath import is_pow2
-from repro.util.validation import ParameterError, check_in, check_positive
+from repro.util.validation import ParameterError, check_in, complex_dtype_for
 
 
 class LocalFFTPlan:
@@ -46,7 +47,7 @@ class LocalFFTPlan:
     """
 
     def __init__(self, n: int, dtype="complex128", backend: str = "auto"):
-        check_positive("n", n)
+        check_order(n)
         dt = np.dtype(dtype)
         if dt.kind != "c":
             raise ParameterError(f"LocalFFTPlan dtype must be complex, got {dt!r}")
@@ -60,18 +61,17 @@ class LocalFFTPlan:
         self.backend = backend
 
     def _apply(self, x: np.ndarray, axis: int, sign: int) -> np.ndarray:
-        if x.shape[axis] != self.n:
-            raise ParameterError(
-                f"axis {axis} has length {x.shape[axis]}, plan expects {self.n}"
-            )
+        if (not isinstance(axis, (int, np.integer)) or not -x.ndim <= axis < x.ndim
+                or x.shape[axis] != self.n):
+            raise ParameterError(f"axis {axis!r} of an input of shape {x.shape} "
+                                 f"is not an axis of length {self.n}")
         moved = np.moveaxis(x, axis, -1)
         if self.backend == "numpy":
             out = np.fft.fft(moved) if sign < 0 else np.fft.ifft(moved) * self.n
             out = out.astype(self.dtype)
-        elif self.backend == "stockham":
-            out = fft_pow2(moved.astype(self.dtype, copy=False), sign=sign)
         else:
-            out = fft_bluestein(moved.astype(self.dtype, copy=False), sign=sign)
+            kernel = fft_pow2 if self.backend == "stockham" else fft_bluestein
+            out = kernel(moved.astype(self.dtype, copy=False), sign=sign)
         return np.moveaxis(out, -1, axis)
 
     def forward(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -89,14 +89,12 @@ class LocalFFTPlan:
 def fft(x: np.ndarray, axis: int = -1, dtype=None) -> np.ndarray:
     """One-shot forward FFT along ``axis`` using a throwaway plan."""
     x = np.asarray(x)
-    if dtype is None:
-        dtype = np.complex64 if x.dtype in (np.float32, np.complex64) else np.complex128
+    dtype = dtype or complex_dtype_for(x.dtype)
     return LocalFFTPlan(x.shape[axis], dtype=dtype).forward(x, axis=axis)
 
 
 def ifft(x: np.ndarray, axis: int = -1, dtype=None) -> np.ndarray:
     """One-shot inverse FFT along ``axis`` using a throwaway plan."""
     x = np.asarray(x)
-    if dtype is None:
-        dtype = np.complex64 if x.dtype in (np.float32, np.complex64) else np.complex128
+    dtype = dtype or complex_dtype_for(x.dtype)
     return LocalFFTPlan(x.shape[axis], dtype=dtype).inverse(x, axis=axis)

@@ -39,11 +39,9 @@ def rfft_pow2(x: np.ndarray) -> np.ndarray:
     E = 0.5 * (Z + Zc)
     O = -0.5j * (Z - Zc)
     w = twiddles(n, -1, cdt)[:h]
-    Xh = E + w * O          # bins 0..h-1
-    nyq = (E[..., :1] - O[..., :1]).real  # bin h = E_0 - O_0 (real)
     out = np.empty(x.shape[:-1] + (h + 1,), dtype=cdt)
-    out[..., :h] = Xh
-    out[..., h] = nyq[..., 0]
+    out[..., :h] = E + w * O  # bins 0..h-1
+    out[..., h] = (E[..., 0] - O[..., 0]).real  # bin h = E_0 - O_0 (real)
     return out
 
 
@@ -67,18 +65,11 @@ def irfft_pow2(X: np.ndarray, n: int | None = None) -> np.ndarray:
     h = n // 2
     cdt = np.complex64 if X.dtype == np.complex64 else np.complex128
     Xh = X[..., :h]
-    idx = (-np.arange(h)) % h
-    # rebuild the full-length bins k = h..n-1 by Hermitian symmetry, then
-    # invert the packing: Z_k = E_k + i O_k with
-    # E_k = (X_k + conj(X_{n/2... the algebra below inverts rfft_pow2.
+    # invert rfft_pow2's untangling: X_{-k} by Hermitian symmetry, then
+    # Z_k = E_k + i O_k
+    Xm = np.conj(np.concatenate([X[..., h:h + 1], Xh[..., :0:-1]], axis=-1))
     w = np.conj(twiddles(n, -1, cdt)[:h])
-    Xfull_k = Xh
-    Xfull_mk = np.conj(
-        np.concatenate([X[..., h:h + 1], Xh[..., 1:][..., ::-1]], axis=-1)
-    )
-    E = 0.5 * (Xfull_k + Xfull_mk)
-    O = 0.5 * w * (Xfull_k - Xfull_mk)
-    Z = E + 1j * O
+    Z = 0.5 * (Xh + Xm) + 0.5j * w * (Xh - Xm)
     z = fft_pow2(Z, sign=+1) / h
     out = np.empty(X.shape[:-1] + (n,), dtype=np.float32 if cdt == np.complex64 else np.float64)
     out[..., 0::2] = z.real
@@ -92,10 +83,8 @@ def rfft_flop_saving(n: int) -> float:
     ~2x asymptotically — the engine-level realization of the paper's
     C = 1 accounting for real input.
     """
-    import math
-
     if n < 4:
         return 1.0
-    full = 5.0 * n * math.log2(n)
-    half = 5.0 * (n / 2) * math.log2(n / 2) + 6.0 * n  # untangle pass
+    full = 5.0 * n * np.log2(n)
+    half = 5.0 * (n / 2) * np.log2(n / 2) + 6.0 * n  # untangle pass
     return full / half

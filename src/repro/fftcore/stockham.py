@@ -1,65 +1,49 @@
-"""Iterative Stockham autosort FFT for power-of-two sizes.
+"""Power-of-two FFT as dense-DFT GEMM passes.
 
-The Stockham formulation carries the working array through shapes
-``(batch, l, m)`` with ``l * m == n``, where ``l`` is the length of the
-transforms completed so far and ``m`` the number of interleaved
-subsequences remaining.  The invariant maintained by every pass is::
+The paper's rule — every stage a BatchedGEMM (PAPER.md §1) — applied to
+the local FFT.  Split ``n = a * b`` (factors at most :data:`MAX_FACTOR`)
+and view a row as ``x[j_a, j_b]``, ``j = j_a b + j_b``; with
+``k = k_a + a k_b``::
 
-    Y[b, k, j] = sum_t  x[b, j + t*m] * w_l^(k t),   w_l = exp(sign 2 pi i / l)
+    X[k_b, k_a] = sum_{j_b} F_b[k_b, j_b] w_n^(k_a j_b) sum_{j_a} F_a[k_a, j_a] x[j_a, j_b]
 
-i.e. column ``j`` holds the length-``l`` DFT of the stride-``m``
-subsequence starting at ``j``.  A radix-2 pass halves ``m`` and doubles
-``l`` with one vectorized butterfly over the whole array; a radix-4 pass
-quarters ``m``.  No bit-reversal permutation is ever needed (autosort),
-and every pass is a constant number of whole-array NumPy operations —
-exactly the "few large vector ops" idiom the performance guides call for.
+— a matmul against the dense ``F_a``, a twiddle multiply, and a matmul
+of ``F_b`` against the *transposed* intermediate (a BLAS flag, not a
+copy), so the result lands in natural order: self-sorting, like the
+Stockham passes whose slot this fills.  A larger ``n`` peels one
+``MAX_FACTOR`` pass, recurses on the length-``b`` rows and pays one
+transposing copy per level.  Several times the butterflies' flops and
+several times faster on a host, where BLAS runs near peak and
+whole-array butterfly passes were memory-bound.  Operators and twiddles
+come from :mod:`repro.fftcore.twiddle`'s cache, O(n) bytes per key.
+
+Batch invariance: both matmuls broadcast the operator over the batch
+axis, so every row is its own pair of fixed-shape GEMMs and its bits
+cannot depend on how many rows share the call (the serving tier's
+coalesced-vs-one-by-one identity rests on this).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fftcore.twiddle import twiddles
-from repro.util.bitmath import ilog2
-from repro.util.validation import ParameterError
+from repro.fftcore.twiddle import check_order, twiddle_block
+from repro.util.bitmath import ilog2, is_pow2
+from repro.util.validation import ParameterError, complex_dtype_for
+
+#: Largest dense DFT factor: 64 keeps n <= 4096 at two GEMMs (2048 as
+#: 64 * 32 measured 1.35x faster than 32 * 8 * 8, equally accurate).
+MAX_FACTOR = 64
 
 
-def _radix2_pass(y: np.ndarray, l: int, m: int, sign: int) -> np.ndarray:
-    """One radix-2 Stockham pass: (batch, l, m) -> (batch, 2l, m//2)."""
-    h = m // 2
-    # w_k = exp(sign 2 pi i k / (2l)), k < l: first half of the 2l-table.
-    w = twiddles(2 * l, sign, y.dtype)[:l].reshape(1, l, 1)
-    e = y[:, :, :h]
-    t = w * y[:, :, h:]
-    return np.concatenate((e + t, e - t), axis=1)
+def check_rows(name: str, x: np.ndarray) -> None:
+    """Require an ndarray with at least one axis to transform along."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        raise ParameterError(f"{name} needs an ndarray of shape (..., n), got "
+                             f"{type(x).__name__} with ndim {np.ndim(x)}")
 
 
-def _radix4_pass(y: np.ndarray, l: int, m: int, sign: int) -> np.ndarray:
-    """One radix-4 Stockham pass: (batch, l, m) -> (batch, 4l, m//4).
-
-    The radix-4 butterfly combines the four stride-``m``-interleaved
-    subsequences ``j``, ``j+m/4``, ``j+2m/4``, ``j+3m/4``::
-
-        Y'[k + a*l, j] = sum_b  i_s^(a b) * w_(4l)^(b k) * Y[k, j + b*m/4]
-
-    where ``i_s = exp(sign pi i / 2)`` is the quarter rotation.
-    """
-    q = m // 4
-    tab = twiddles(4 * l, sign, y.dtype)
-    w1 = tab[:l].reshape(1, l, 1)
-    w2 = (tab[:l] ** 2).reshape(1, l, 1)
-    w3 = (tab[:l] ** 3).reshape(1, l, 1)
-    y0 = y[:, :, 0 * q : 1 * q]
-    y1 = w1 * y[:, :, 1 * q : 2 * q]
-    y2 = w2 * y[:, :, 2 * q : 3 * q]
-    y3 = w3 * y[:, :, 3 * q : 4 * q]
-    ii = 1j if sign > 0 else -1j
-    a02, s02 = y0 + y2, y0 - y2
-    a13, s13 = y1 + y3, ii * (y1 - y3)
-    return np.concatenate((a02 + a13, s02 + s13, a02 - a13, s02 - s13), axis=1)
-
-
-def fft_pow2(x: np.ndarray, sign: int = -1, radix: int = 4) -> np.ndarray:
+def fft_pow2(x: np.ndarray, sign: int = -1) -> np.ndarray:
     """Batched power-of-two FFT along the last axis (unnormalized).
 
     Parameters
@@ -70,44 +54,28 @@ def fft_pow2(x: np.ndarray, sign: int = -1, radix: int = 4) -> np.ndarray:
     sign:
         -1 for the forward transform ``sum_j x_j exp(-2 pi i j k / n)``,
         +1 for the unnormalized inverse.
-    radix:
-        4 uses radix-4 passes (with one radix-2 pass when ``log2 n`` is
-        odd); 2 forces pure radix-2.  Results are identical; radix 4 does
-        half the passes over memory.
 
     Returns
     -------
     Array of the same shape, complex dtype.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +-1, got {sign!r}")
-    if radix not in (2, 4):
-        raise ValueError(f"radix must be 2 or 4, got {radix!r}")
+    check_rows("fft_pow2", x)
     n = x.shape[-1]
-    q = ilog2(n)  # raises on non-pow2
-    cdt = np.complex64 if x.dtype in (np.float32, np.complex64) else np.complex128
-    lead = x.shape[:-1]
-    y = np.ascontiguousarray(x, dtype=cdt).reshape(-1, 1, n)
-    l, m = 1, n
-    if radix == 4 and q % 2 == 1:
-        y = _radix2_pass(y, l, m, sign)
-        l, m = 2 * l, m // 2
-    while m > 1:
-        if radix == 4 and m % 4 == 0:
-            y = _radix4_pass(y, l, m, sign)
-            l, m = 4 * l, m // 4
+    if not is_pow2(n):
+        raise ParameterError(f"fft_pow2 needs a power-of-two length, got n={n}")
+    check_order(n, sign)
+    dt = complex_dtype_for(x.dtype)
+    a = min(MAX_FACTOR, 1 << ((ilog2(n) + 1) // 2))
+    b = n // a
+    y = np.ascontiguousarray(x, dtype=dt).reshape(x.size // n, a, b)
+    t = np.matmul(twiddle_block(a, a, a, sign, dt), y)
+    if b > 1:
+        t *= twiddle_block(n, a, b, sign, dt)
+        if b <= MAX_FACTOR:
+            t = np.matmul(twiddle_block(b, b, b, sign, dt), t.transpose(0, 2, 1))
         else:
-            y = _radix2_pass(y, l, m, sign)
-            l, m = 2 * l, m // 2
-    return y.reshape(*lead, n)
-
-
-def num_passes(n: int, radix: int = 4) -> int:
-    """Number of full passes over the data :func:`fft_pow2` performs."""
-    q = ilog2(n)
-    if radix == 2:
-        return q
-    return q // 2 + q % 2
+            t = np.ascontiguousarray(fft_pow2(t, sign).transpose(0, 2, 1))
+    return t.reshape(x.shape)
 
 
 def dft_direct(x: np.ndarray, sign: int = -1) -> np.ndarray:
@@ -121,5 +89,5 @@ def dft_direct(x: np.ndarray, sign: int = -1) -> np.ndarray:
         raise ParameterError(f"dft_direct is O(n^2); refusing n={n}")
     j = np.arange(n)
     w = np.exp(sign * 2j * np.pi * np.outer(j, j) / n)
-    cdt = np.complex64 if x.dtype in (np.float32, np.complex64) else np.complex128
+    cdt = complex_dtype_for(x.dtype)
     return np.tensordot(x.astype(cdt), w.astype(cdt), axes=([-1], [0]))

@@ -129,6 +129,73 @@ class TestLaunchDeclares:
         assert rules(HDR + "launch()\n") == []
 
 
+class TestLaunchTrig:
+    """No table-building transcendental may be reachable from a launch
+    closure: the closure runs on every execution of the plan."""
+
+    KP = "src/repro/dfft/x.py"  # a pipeline path
+    LAUNCH = ("        cl.launch(g, name='k', fn=data_fn if g == 0 else None,\n"
+              "                  reads=['x'], writes=['x'])\n")
+    DIRECT = (HDR + "import numpy as np\n"
+              "class Plan:\n"
+              "    def stage(self, cl, g):\n"
+              "        def data_fn(c):\n"
+              "            c.dev(g)['x'] = c.dev(g)['x'] * np.exp(self.phase)\n"
+              + LAUNCH)
+    VIA_METHOD = (HDR + "import numpy as np\n"
+                  "class Plan:\n"
+                  "    def _twiddle(self, g):\n"
+                  "        return np.cos(g) + 1j * np.sin(g)\n"
+                  "    def stage(self, cl, g):\n"
+                  "        def data_fn(c):\n"
+                  "            c.dev(g)['x'] = c.dev(g)['x'] * self._twiddle(g)\n"
+                  + LAUNCH)
+    PLAN_TIME = (HDR + "import numpy as np\n"
+                 "class Plan:\n"
+                 "    def stage(self, cl, g):\n"
+                 "        w = np.exp(self.phase)\n"
+                 "        def data_fn(c):\n"
+                 "            c.dev(g)['x'] = c.dev(g)['x'] * w\n"
+                 + LAUNCH)
+
+    def test_trig_in_closure_flagged(self):
+        assert rules(self.DIRECT, self.KP) == ["launch-trig"]
+
+    def test_trig_in_method_called_from_closure_flagged(self):
+        issues = lint_source(self.KP, self.VIA_METHOD)
+        assert [(i.rule, i.line) for i in issues] == [("launch-trig", 5)]
+
+    def test_lambda_closure_flagged(self):
+        src = (HDR + "import numpy as np\n"
+               "cl.launch(0, name='k', fn=lambda c: np.sin(c.t), reads=[], writes=[])\n")
+        assert rules(src, self.KP) == []  # module level: no enclosing plan method
+        src = (HDR + "import numpy as np\ndef stage(cl):\n"
+               "    cl.launch(0, name='k', fn=lambda c: np.sin(c.t), reads=[], writes=[])\n")
+        assert rules(src, self.KP) == ["launch-trig"]
+
+    def test_table_built_at_plan_time_ok(self):
+        assert rules(self.PLAN_TIME, self.KP) == []
+
+    def test_only_pipeline_paths(self):
+        assert rules(self.DIRECT, "src/repro/nufft/x.py") == []
+
+    def test_mutant_of_shipped_six_step_caught_by_this_rule_only(self):
+        """Seeded mutant: put the per-op exponential back into the
+        shipped six-step twiddle.  Every other rule stays silent."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "src", "repro", "dfft", "fft1d.py")
+        with open(path, encoding="utf-8") as fh:
+            shipped = fh.read()
+        cached = "twiddle_block(self.N, rows, cols, -1, self.dtype)"
+        per_op = ("np.exp(-2j * np.pi * np.outer(np.arange(rows), "
+                  "np.arange(cols)) / self.N)")
+        assert shipped.count(cached) == 1
+        assert lint_source("src/repro/dfft/fft1d.py", shipped) == []
+        mutant = lint_source("src/repro/dfft/fft1d.py",
+                             shipped.replace(cached, per_op))
+        assert [i.rule for i in mutant] == ["launch-trig"]
+
+
 class TestMachinery:
     def test_syntax_error_reported_not_raised(self):
         issues = lint_source("src/repro/x.py", "def f(:\n")
@@ -359,6 +426,14 @@ class TestPerRuleWaivers:
 
     def test_launch_declares(self):
         self.waiver_case("cl.launch(op)", "launch-declares")
+
+    def test_launch_trig(self):
+        src = TestLaunchTrig.DIRECT
+        bad = "            c.dev(g)['x'] = c.dev(g)['x'] * np.exp(self.phase)"
+        assert rules(src.replace(bad, bad + "  # lint: allow-launch-trig"),
+                     TestLaunchTrig.KP) == []
+        assert rules(src + "# lint: allow-launch-trig\n",
+                     TestLaunchTrig.KP) == ["launch-trig"]
 
     def test_raw_comm(self):
         self.waiver_case("cl.sendrecv(0, 1, reads=(), writes=('b',))",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from repro.fftcore import bluestein
 from repro.fftcore.bluestein import fft_bluestein
+from repro.fftcore.twiddle import clear_cache
 
 
 def _rand(n, rng):
@@ -32,6 +34,24 @@ class TestBluestein:
     def test_rejects_bad_sign(self, rng):
         with pytest.raises(ValueError):
             fft_bluestein(_rand(5, rng), sign=2)
+
+    def test_chirp_cached_second_call_two_ffts(self, rng, monkeypatch):
+        # the chirp and its padded transform are per-(n, sign, dtype)
+        # constants: the first call pays three power-of-two FFTs, every
+        # later one two, and the answer does not change by a bit
+        calls = []
+        real = bluestein.fft_pow2
+        monkeypatch.setattr(bluestein, "fft_pow2",
+                            lambda a, sign=-1: calls.append(sign) or real(a, sign=sign))
+        clear_cache()
+        x = _rand((3, 60), rng)
+        first = fft_bluestein(x)
+        assert len(calls) == 3
+        second = fft_bluestein(x)
+        assert calls[3:] == [-1, 1]
+        assert np.array_equal(first, second)
+        fft_bluestein(x, sign=+1)  # a different key: the chirp is rebuilt
+        assert len(calls) == 8
 
     def test_single_precision_dtype(self, rng):
         x = _rand(31, rng).astype(np.complex64)

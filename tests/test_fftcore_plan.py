@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from repro.fftcore.bluestein import fft_bluestein
 from repro.fftcore.plan import LocalFFTPlan, fft, ifft
+from repro.fftcore.stockham import fft_pow2
+from repro.fftcore.twiddle import twiddle_block, twiddles
 from repro.util.validation import ParameterError
 
 
@@ -27,6 +32,42 @@ class TestPlanConstruction:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ParameterError):
             LocalFFTPlan(0)
+
+
+_X = np.zeros((2, 8), dtype=complex)
+
+#: every way into fftcore with an argument it cannot use, and the text
+#: the error must carry (the offending value)
+BAD_INPUT = {
+    "axis-out-of-range": (lambda: LocalFFTPlan(8).forward(_X, axis=5), "5"),
+    "axis-not-int": (lambda: LocalFFTPlan(8).forward(_X, axis=1.0), "1.0"),
+    "0-d-input": (lambda: LocalFFTPlan(8).forward(np.float64(3.0)), "shape ()"),
+    "inverse-0-d-input": (lambda: LocalFFTPlan(8).inverse(np.float64(3.0)), "()"),
+    "plan-float-n": (lambda: LocalFFTPlan(8.0), "8.0"),
+    "plan-bool-n": (lambda: LocalFFTPlan(True), "True"),
+    "plan-negative-n": (lambda: LocalFFTPlan(-4), "-4"),
+    "fft_pow2-list": (lambda: fft_pow2([1, 2, 3, 4]), "list"),
+    "fft_pow2-0-d": (lambda: fft_pow2(np.array(3.0)), "ndim 0"),
+    "fft_pow2-length": (lambda: fft_pow2(np.zeros(12)), "12"),
+    "fft_pow2-empty": (lambda: fft_pow2(np.zeros((3, 0))), "0"),
+    "fft_pow2-sign": (lambda: fft_pow2(_X, sign=0), "0"),
+    "fft_pow2-bool-sign": (lambda: fft_pow2(_X, sign=True), "True"),
+    "bluestein-list": (lambda: fft_bluestein([1, 2, 3]), "list"),
+    "bluestein-empty": (lambda: fft_bluestein(np.zeros((3, 0))), "0"),
+    "bluestein-sign": (lambda: fft_bluestein(_X, sign=2), "2"),
+    "twiddles-zero": (lambda: twiddles(0, -1), "0"),
+    "twiddles-negative": (lambda: twiddles(-1, -1), "-1"),
+    "twiddles-sign": (lambda: twiddles(8, 3), "3"),
+    "twiddle_block-float-n": (lambda: twiddle_block(8.5, 2, 2, -1), "8.5"),
+}
+
+
+class TestBadInputDoors:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_parameter_error_names_the_value(self, case):
+        call, value = BAD_INPUT[case]
+        with pytest.raises(ParameterError, match=re.escape(value)):
+            call()
 
 
 class TestPlanApply:

@@ -95,7 +95,9 @@ class TestEngineSite:
         assert _rules("src/repro/ir/executor.py", elsewhere) == ["engine-site"]
 
     def test_rule_count_unchanged(self):
-        assert len(RULES) == 12 and "ir-capture-site" not in RULES
+        # engine-site replaced ir-capture-site one for one; launch-trig
+        # (the per-op twiddle rule) is the thirteenth
+        assert len(RULES) == 13 and "ir-capture-site" not in RULES
 
     def test_seeded_mutant_only_this_rule_catches(self):
         """A hand-advanced clock planted in the real replay loop."""
