@@ -2,11 +2,7 @@
 
 1. **M2L+L2L kernel fusion** — "the M2L and L2L stages could be fused to
    prevent 1 read and 1 write ... of the L data" (Section 5.3).
-2. **Operator symmetries** — "exploiting additional symmetries of the
-   operators M2L, S2T, M2M, and S2M to further reduce memory
-   requirements" (Section 7): storage saved by the S2T reversal, the
-   M2M child mirror, the L2T/L2L transposes, and M2L persymmetry.
-3. **Reduced-order transforms** — "FFTs that produce less accurate
+2. **Reduced-order transforms** — "FFTs that produce less accurate
    results are then potentially faster by 1.5x" (Section 6.3.4): the
    error model picks Q for a tolerance and we measure the FMM-stage
    speedup (simulated) and the delivered accuracy (real numerics).
@@ -20,7 +16,6 @@ from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_relative_error
 from repro.fmm.distributed import DistributedFMM
 from repro.fmm.plan import FmmGeometry
-from repro.fmm.symmetry import operator_storage_savings
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_p100_nvlink
 from repro.model.error import choose_q, predicted_error
@@ -49,21 +44,6 @@ def test_ext_m2l_l2l_fusion(benchmark):
     )
     assert t_f <= t_s
     assert m_f < m_s
-
-
-def test_ext_operator_symmetries(benchmark):
-    s = benchmark.pedantic(
-        lambda: operator_storage_savings(P=256, ML=64, Q=16, levels=10),
-        rounds=1, iterations=1,
-    )
-    t = Table(["symmetry", "bytes saved"], title="Operator storage savings (Fig-2 config)")
-    t.add_row(["S2T reversal (p <-> P-p)", f"{s['s2t']/2**20:.2f} MiB"])
-    t.add_row(["M2M child mirror + L2L transpose", f"{s['m2m_l2l']/1024:.2f} KiB"])
-    t.add_row(["L2T = S2M^T", f"{s['l2t']/1024:.2f} KiB"])
-    t.add_row(["M2L persymmetry", f"{s['m2l']/2**20:.2f} MiB"])
-    t.add_row(["total fraction", f"{100*s['total_fraction']:.1f}%"])
-    emit("ext_symmetries", t.render())
-    assert s["total_fraction"] > 0.3
 
 
 def test_ext_reduced_q(benchmark):

@@ -42,12 +42,12 @@ def main() -> None:
     # ------------------------------------------------------------------
     plan2 = plan.with_devices(2)
     cl = VirtualCluster(preset("2xP100"))
-    X3 = FmmFftDistributed(plan2, cl, backend="numpy").run(x)
+    X3 = FmmFftDistributed(plan2, cl).run(x)
     t_fmm = cl.wall_time()
     assert np.allclose(X3, X, atol=1e-8)
 
     cl_b = VirtualCluster(preset("2xP100"))
-    _, t_base = baseline_1d_fft(N, cl_b, x, backend="numpy")
+    _, t_base = baseline_1d_fft(N, cl_b, x)
     print(f"[3] simulated 2xP100: FMM-FFT {t_fmm*1e3:.3f} ms vs "
           f"1D FFT {t_base*1e3:.3f} ms -> speedup {t_base/t_fmm:.2f}x")
     print()

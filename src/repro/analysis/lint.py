@@ -14,10 +14,10 @@ to guard against (run with ``python tools/lint.py src``):
     ``def f(x=[])`` aliases state across calls — plans and caches here
     are long-lived, so this bites.
 ``np-fft``
-    ``np.fft`` may only be called inside :mod:`repro.fftcore` (the
-    backend and its reference oracles).  Everything else must route
-    through the library's own transforms, or the reproduction silently
-    stops reproducing.
+    ``np.fft`` may only be called inside ``repro/fftcore/oracle.py``
+    (the reference oracles).  Everything else — the rest of
+    :mod:`repro.fftcore` included — must route through the library's
+    own transforms, or the reproduction silently stops reproducing.
 ``dtype-discipline``
     In kernel paths (``core/``, ``dfft/``, ``fmm/``, ``fftcore/``):
     no dtype-less ``np.zeros``/``np.empty``/``np.ones``/``np.full``
@@ -61,7 +61,13 @@ to guard against (run with ``python tools/lint.py src``):
     :mod:`repro.util.prng` and ``benchmarks/``.  The simulator's only
     clock is virtual and every stochastic choice is a seeded draw; a
     stray wall-clock read or unseeded sample silently breaks the
-    ``repro chaos --replay-check`` bit-identity gate.
+    ``repro chaos --replay-check`` bit-identity gate.  Under ``tests/``
+    this is the only rule applied (the others are about library code:
+    tests call ``np.fft`` as their oracle and build records by hand),
+    and it also refuses a hypothesis ``settings(...)`` that sets
+    ``derandomize`` to anything but ``True`` or names a ``database``:
+    the tier-1 gate runs the one derandomized, database-less profile of
+    ``tests/conftest.py``, so a green run is the same run everywhere.
 
 ``telemetry-registry``
     Metric series (``CounterSeries`` / ``GaugeSeries`` /
@@ -112,8 +118,8 @@ from typing import Iterable, Sequence
 #: rules that only apply under these path fragments (kernel code)
 KERNEL_PATHS = ("repro/core/", "repro/dfft/", "repro/fmm/", "repro/fftcore/")
 
-#: the only package allowed to touch numpy.fft
-NP_FFT_ALLOWED = "repro/fftcore/"
+#: the only module allowed to touch numpy.fft
+NP_FFT_ALLOWED = "repro/fftcore/oracle.py"
 
 #: VirtualCluster methods that must declare their buffer access sets
 COMM_METHODS = ("launch", "sendrecv", "alltoall", "allgather")
@@ -141,6 +147,11 @@ FAULT_OUTCOME_METHODS = ("message_outcome", "collective_outcome")
 
 #: the only places allowed to touch wall clocks / unseeded randomness
 DETERMINISTIC_TIME_ALLOWED = ("repro/util/prng.py", "benchmarks/")
+
+#: the test suite: linted for the determinism of the gate, nothing else
+TESTS_PATH = "/tests/"
+#: hypothesis settings a test module may only restate, never change
+HYPOTHESIS_PINNED = {"derandomize": True, "database": None}
 
 #: metric series classes that must be built via the registry
 TELEMETRY_SERIES = ("CounterSeries", "GaugeSeries", "HistogramSeries")
@@ -230,6 +241,7 @@ class _Checker(ast.NodeVisitor):
         )
         self.fault_raise_ok = any(frag in p for frag in FAULT_RAISE_ALLOWED)
         self.det_time_ok = any(frag in p for frag in DETERMINISTIC_TIME_ALLOWED)
+        self.tests = TESTS_PATH in "/" + p
         self.telemetry_ok = TELEMETRY_ALLOWED in p
         self.ir_ok = any(frag in p for frag in IR_CONSTRUCT_ALLOWED)
         self.engine = ENGINE_PATH in p
@@ -292,7 +304,7 @@ class _Checker(ast.NodeVisitor):
         if node.attr == "fft" and _is_np(node.value) and not self.np_fft_ok:
             self._report(
                 node, "np-fft",
-                "numpy.fft outside repro.fftcore -- use the library's own "
+                "numpy.fft outside repro/fftcore/oracle.py -- use the library's own "
                 "transforms or repro.fftcore.oracle",
             )
         # silent complex64 -> complex128 upcasts in kernel code
@@ -412,10 +424,25 @@ class _Checker(ast.NodeVisitor):
                     "use a seeded generator (see repro.util.prng)",
                 )
 
+    def _check_hypothesis_settings(self, node: ast.Call) -> None:
+        """``settings(...)`` in a test module may not undo the profile."""
+        for kw in node.keywords:
+            if kw.arg in HYPOTHESIS_PINNED and not (
+                    isinstance(kw.value, ast.Constant)
+                    and kw.value.value is HYPOTHESIS_PINNED[kw.arg]):
+                self._report(
+                    node, "deterministic-time",
+                    f"settings({kw.arg}=...) overrides the derandomized, "
+                    "database-less tier-1 profile of tests/conftest.py -- "
+                    "commit a find as an @example instead",
+                )
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if not self.det_time_ok:
             self._check_deterministic_time(node)
+        if self.tests and isinstance(func, ast.Name) and func.id == "settings":
+            self._check_hypothesis_settings(node)
         # synthetic faults originate only in repro.faults / machine
         if not self.fault_raise_ok:
             if isinstance(func, ast.Name) and func.id == "CommFailure":
@@ -633,6 +660,8 @@ def lint_source(path: str, source: str) -> list[LintIssue]:
                 f"'# lint: allow-{name}' names no known rule -- a typo "
                 "here silently waives nothing",
             ))
+    if checker.tests:
+        issues = [i for i in issues if i.rule == "deterministic-time"]
     issues.sort(key=lambda i: (i.path, i.line, i.rule))
     return issues
 

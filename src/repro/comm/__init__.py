@@ -20,12 +20,12 @@ routed over the machine's actual interconnect topology:
 - :mod:`repro.comm.tuning` — the model-driven selector
   (``algorithm="auto"``) and the prediction table behind
   ``repro comm``;
-- :mod:`repro.comm.retry` — the fault-handling contract: a
-  :class:`~repro.comm.retry.RetryPolicy` (timeout, exponential backoff
+- :mod:`repro.machine.retry` (re-exported here) — the fault-handling
+  contract: a :class:`~repro.machine.retry.RetryPolicy` (timeout, exponential backoff
   with seeded jitter, a failed-attempt budget per call of this layer)
   applied by the engine as it issues each transfer when the cluster
   carries a :class:`~repro.faults.FaultInjector`, and
-  :class:`~repro.comm.retry.CommFailure` raised when retries cannot
+  :class:`~repro.machine.retry.CommFailure` raised when retries cannot
   succeed.
 
 See ``docs/COMM.md`` for the cost model and selector policy, and
@@ -42,7 +42,7 @@ from repro.comm.api import (
     halo_exchange,
     sendrecv,
 )
-from repro.comm.retry import DEFAULT_RETRY, CommFailure, RetryPolicy
+from repro.machine.retry import DEFAULT_RETRY, CommFailure, RetryPolicy
 from repro.comm.plans import CommPlan, Msg, build_plan
 from repro.comm.tuning import (
     algorithm_table,

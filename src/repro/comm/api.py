@@ -49,7 +49,7 @@ of every attempt of a message or bulk collective, charge timed-out
 ``<stage>!fail`` records, back off and retry (``docs/FAULTS.md``).
 What this layer contributes is the *scope* failed attempts are counted
 over — one call here, closed by its ``cluster.log_comm`` entry — and
-letting :class:`~repro.comm.retry.CommFailure` propagate to the caller
+letting :class:`~repro.machine.retry.CommFailure` propagate to the caller
 (the serve layer).  Completion events are never chosen here by comparing
 times, which a fault can reorder: ``cluster.latest`` joins them.
 """

@@ -23,7 +23,7 @@ from repro.core.single import fmmfft_single
 from repro.fftcore.plan import LocalFFTPlan
 from repro.machine.cluster import VirtualCluster
 from repro.util.bitmath import ilog2, is_pow2
-from repro.util.validation import ParameterError, complex_dtype_for
+from repro.util.validation import ParameterError, check_numeric, complex_dtype_for
 
 
 def default_params(N: int, G: int = 1) -> dict:
@@ -72,7 +72,6 @@ def fmmfft(
     B: int | None = None,
     Q: int | None = None,
     cluster: VirtualCluster | None = None,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Compute the DFT of ``x`` with the FMM-FFT.
 
@@ -83,6 +82,12 @@ def fmmfft(
     x = np.asarray(x)
     if x.ndim != 1:
         raise ParameterError(f"input must be 1D, got shape {x.shape}")
+    check_numeric("input", x)
+    if cluster is not None and not cluster.execute:
+        raise ParameterError(
+            f"fmmfft returns a transform, which a timing-only cluster "
+            f"(execute={cluster.execute}) does not compute; time one with "
+            f"FmmFftDistributed(plan, cluster).run()")
     N = x.shape[0]
     G = cluster.G if cluster is not None else 1
     d = default_params(N, G)
@@ -95,8 +100,8 @@ def fmmfft(
     dtype = complex_dtype_for(x.dtype if x.dtype.kind in "fc" else np.float64)
     plan = FmmFftPlan.create(N=N, G=G, dtype=dtype, **params)
     if cluster is None:
-        return fmmfft_single(x, plan, backend=backend)
-    return FmmFftDistributed(plan, cluster, backend=backend).run(x)
+        return fmmfft_single(x, plan)
+    return FmmFftDistributed(plan, cluster).run(x)
 
 
 def ifmmfft(
@@ -106,7 +111,6 @@ def ifmmfft(
     B: int | None = None,
     Q: int | None = None,
     cluster: VirtualCluster | None = None,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Inverse DFT via the FMM-FFT (numpy ``ifft`` convention).
 
@@ -114,8 +118,8 @@ def ifmmfft(
     so the inverse inherits the forward transform's accuracy and cost.
     """
     X = np.asarray(X)
-    out = np.conj(fmmfft(np.conj(X), P=P, ML=ML, B=B, Q=Q, cluster=cluster,
-                         backend=backend))
+    check_numeric("input", X)
+    out = np.conj(fmmfft(np.conj(X), P=P, ML=ML, B=B, Q=Q, cluster=cluster))
     return out / X.shape[0]
 
 

@@ -18,7 +18,6 @@ def baseline_1d_fft(
     cluster: VirtualCluster,
     x: np.ndarray | None = None,
     dtype="complex128",
-    backend: str = "auto",
     chunks: int = 4,
 ) -> tuple[np.ndarray | None, float]:
     """Run the six-step baseline once; returns ``(result, wall_seconds)``.
@@ -27,6 +26,6 @@ def baseline_1d_fft(
     freshly-reset cluster for standalone timings.
     """
     t0 = cluster.wall_time()
-    plan = Distributed1DFFT(N, cluster, dtype=dtype, backend=backend, chunks=chunks)
+    plan = Distributed1DFFT(N, cluster, dtype=dtype, chunks=chunks)
     out = plan.run(x)
     return out, cluster.wall_time() - t0

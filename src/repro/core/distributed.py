@@ -32,8 +32,6 @@ class FmmFftDistributed:
         An :class:`FmmFftPlan` whose G matches the cluster.
     cluster:
         The machine to run on (execute or timing-only).
-    backend:
-        Local FFT backend for the 2D stage.
     chunks:
         Transpose pipeline depth in the 2D FFT.
     fuse_post:
@@ -60,7 +58,6 @@ class FmmFftDistributed:
         self,
         plan: FmmFftPlan,
         cluster: VirtualCluster,
-        backend: str = "auto",
         chunks: int = 4,
         fuse_post: bool = True,
         comm_algorithm: str = "bulk",
@@ -71,16 +68,8 @@ class FmmFftDistributed:
             raise ParameterError(f"plan G={plan.G} != cluster G={cluster.G}")
         if plan.operators is None and cluster.execute:
             raise ParameterError("execute-mode cluster requires built operators")
-        if batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {batch}")
-        if batch > 1 and cluster.execute:
-            raise ParameterError(
-                "batch > 1 is a timing-only cost model; execute-mode numerics "
-                "run through core.single.fmmfft_batched"
-            )
         self.plan = plan
         self.cl = cluster
-        self.backend = backend
         self.ns = "fmmfft" if ns is None else ns
         fmm_ns = "fmm" if ns is None else f"{ns}.fmm"
         self.fmm = DistributedFMM(
@@ -90,10 +79,9 @@ class FmmFftDistributed:
         )
         self.fft2d = Distributed2DFFT(
             plan.M, plan.P, cluster, dtype=plan.dtype, chunks=chunks,
-            backend=backend, fuse_load=fuse_post,
+            fuse_load=fuse_post,
             comm_algorithm=comm_algorithm, batch=batch,
         )
-        self._r: np.ndarray | None = None
 
     # -- staging -----------------------------------------------------------
 
@@ -116,11 +104,11 @@ class FmmFftDistributed:
 
         Reads the FMM's live reduction result (not a snapshot from the
         orchestrating ``run``), so a replayed schedule — where the FMM
-        stage closures refresh ``fmm._r`` without re-running ``run`` —
+        stage closures refresh ``fmm.state`` without re-running ``run`` —
         feeds POST the current pass's values.
         """
         rho = self.plan.operators.rho
-        r = self.fmm._r
+        r = self.fmm.state.r
         out = np.array(block, dtype=self.plan.dtype)
         out[:, 1:] = rho[None, :] * (block[:, 1:] + 1j * r[None, :])
         return out
@@ -151,9 +139,8 @@ class FmmFftDistributed:
             self._scatter_input(x, key_s)
         # Algorithm 1 lines 1-14
         with cl.region("fmmfft"):
-            ev_t, r = self.fmm.run(key_in=key_s, key_out=key_t, staged=True,
+            ev_t, _ = self.fmm.run(key_in=key_s, key_out=key_t, staged=True,
                                    after=after)
-        self._r = r
 
         # Relayout T (P, nb_loc, ML) -> A (M/G, P): free at the timing level
         # (the fused load callback gathers directly from T's storage).

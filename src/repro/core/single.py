@@ -22,76 +22,38 @@ from repro.core.plan import FmmFftPlan
 from repro.fftcore.oracle import reference_fft
 from repro.fftcore.plan import LocalFFTPlan
 from repro.fmm.batched import BatchedFMM
-from repro.util.validation import ParameterError
+from repro.util.validation import ParameterError, check_numeric
 
 
-def fmmfft_single(
-    x: np.ndarray,
-    plan: FmmFftPlan,
-    backend: str = "auto",
-) -> np.ndarray:
-    """Compute the in-order DFT of ``x`` via the FMM-FFT.
-
-    Parameters
-    ----------
-    x:
-        Length-N input (real or complex; promoted to the plan dtype).
-    plan:
-        A :class:`FmmFftPlan` with operators built (any G — the G only
-        matters for distributed layout).
-    backend:
-        Local FFT backend for the 2D stage ('auto' = our Stockham,
-        'numpy' = pocketfft fast path).
-
-    Returns
-    -------
-    The length-N DFT, same convention as ``numpy.fft.fft``.
+def fmmfft_single(x: np.ndarray, plan: FmmFftPlan) -> np.ndarray:
+    """Compute the in-order DFT of the length-N ``x`` via the FMM-FFT:
+    the ``k = 1`` call of :func:`fmmfft_batched` (same plan requirements,
+    dtype promotion and ``numpy.fft.fft`` convention), so one transform
+    and a row of a stack are the same code.
     """
-    if plan.operators is None:
-        raise ParameterError("plan was built with build_operators=False")
     x = np.asarray(x)
     if x.shape != (plan.N,):
         raise ParameterError(f"input must have shape ({plan.N},), got {x.shape}")
-    M, P = plan.M, plan.P
-    x = x.astype(plan.dtype, copy=False)
-
-    # p-major view: S[p, m] = x[p + m P]
-    S = np.ascontiguousarray(x.reshape(M, P).T)
-
-    fmm = BatchedFMM(plan.operators)
-    T, r = fmm.apply(S)
-    T = post_process(T, r, M, P, rho=plan.operators.rho)
-
-    # the M x P 2D FFT
-    A = np.ascontiguousarray(T.T)                     # A[m, p]
-    A = LocalFFTPlan(P, dtype=plan.dtype, backend=backend).forward(A, axis=1)
-    Bt = np.ascontiguousarray(A.T)                    # B[p, m]
-    Bt = LocalFFTPlan(M, dtype=plan.dtype, backend=backend).forward(Bt, axis=1)
-    return Bt.reshape(plan.N)
+    return fmmfft_batched(x[None], plan)[0]
 
 
-def fmmfft_batched(
-    xs: np.ndarray,
-    plan: FmmFftPlan,
-    backend: str = "auto",
-) -> np.ndarray:
+def fmmfft_batched(xs: np.ndarray, plan: FmmFftPlan) -> np.ndarray:
     """Compute the DFTs of a stack of inputs via one batched FMM-FFT.
 
-    The batched analogue of :func:`fmmfft_single`: every stage runs as
-    one broadcasted contraction over the leading batch axis (the serve
-    batcher's coalesced execution), sharing a single operator bundle.
-    Results are bit-identical to calling :func:`fmmfft_single` on each
-    row — numpy applies the same per-slice kernels either way — which is
-    what makes serve's coalescing transparent to callers.
+    Every stage runs as one broadcasted contraction over the leading
+    batch axis (the serve batcher's coalesced execution), sharing a
+    single operator bundle.  Results are bit-identical to transforming
+    each row alone — numpy applies the same per-slice kernels either
+    way — which is what makes serve's coalescing transparent to callers.
 
     Parameters
     ----------
     xs:
-        (k, N) stack of inputs (k >= 1; real or complex).
+        (k, N) stack of inputs (k >= 1; real or complex, promoted to the
+        plan dtype).
     plan:
-        A :class:`FmmFftPlan` with operators built.
-    backend:
-        Local FFT backend for the 2D stage.
+        A :class:`FmmFftPlan` with operators built (any G — the G only
+        matters for distributed layout).
 
     Returns
     -------
@@ -100,41 +62,32 @@ def fmmfft_batched(
     if plan.operators is None:
         raise ParameterError("plan was built with build_operators=False")
     xs = np.asarray(xs)
-    if xs.ndim != 2 or xs.shape[1] != plan.N:
-        raise ParameterError(
-            f"input must have shape (k, {plan.N}), got {xs.shape}"
-        )
+    if xs.ndim != 2 or xs.shape[0] < 1 or xs.shape[1] != plan.N:
+        raise ParameterError(f"input must have shape (k, {plan.N}) with k >= 1, got {xs.shape}")
+    check_numeric("input", xs)
     k, (M, P) = xs.shape[0], (plan.M, plan.P)
     xs = xs.astype(plan.dtype, copy=False)
 
     # p-major view per problem: S[i, p, m] = xs[i, p + m P]
     S = np.ascontiguousarray(np.swapaxes(xs.reshape(k, M, P), -1, -2))
 
-    fmm = BatchedFMM(plan.operators)
-    T, r = fmm.apply(S)
+    T, r = BatchedFMM(plan.operators).apply(S)
     T = post_process(T, r, M, P, rho=plan.operators.rho)
 
-    # the M x P 2D FFT, batched row-wise through the same local plans
+    # the M x P 2D FFT: every (problem, row) pair is one row of the local plan
     A = np.ascontiguousarray(np.swapaxes(T, -1, -2))  # (k, M, P)
-    A = LocalFFTPlan(P, dtype=plan.dtype, backend=backend).forward(
-        A.reshape(k * M, P), axis=1
-    ).reshape(k, M, P)
+    A = LocalFFTPlan(P, dtype=plan.dtype).forward(A)
     Bt = np.ascontiguousarray(np.swapaxes(A, -1, -2))  # (k, P, M)
-    Bt = LocalFFTPlan(M, dtype=plan.dtype, backend=backend).forward(
-        Bt.reshape(k * P, M), axis=1
-    ).reshape(k, P, M)
-    return Bt.reshape(k, plan.N)
+    return LocalFFTPlan(M, dtype=plan.dtype).forward(Bt).reshape(k, plan.N)
 
 
-def fmmfft_relative_error(
-    x: np.ndarray, plan: FmmFftPlan, backend: str = "numpy"
-) -> float:
+def fmmfft_relative_error(x: np.ndarray, plan: FmmFftPlan) -> float:
     """Relative l2 error of the FMM-FFT against the exact FFT.
 
     The oracle is ``numpy.fft.fft`` in double precision (our own FFT is
     validated against it separately); this is the quantity Figure 9
     (bottom) sweeps over Q.
     """
-    got = fmmfft_single(x, plan, backend=backend)
+    got = fmmfft_single(x, plan)
     ref = reference_fft(x)
     return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))

@@ -66,8 +66,6 @@ class Distributed3DFFT:
     grid:
         Pencil process grid ``(Gr, Gc)``; defaults to the near-square
         split.  Ignored for slabs.
-    backend:
-        Local FFT backend.
     comm_algorithm:
         Collective algorithm for the slab's global all-to-all (see
         :mod:`repro.comm`); the pencil subgroup exchanges are issued as
@@ -83,7 +81,6 @@ class Distributed3DFFT:
         dtype="complex128",
         decomposition: str = "slab",
         grid: tuple[int, int] | None = None,
-        backend: str = "auto",
         comm_algorithm: str = "bulk",
     ):
         check_pow2("nx", nx)
@@ -116,9 +113,9 @@ class Distributed3DFFT:
             check_multiple("ny", ny, gr, "Gr")
             check_multiple("nz", nz, gc, "Gc")
             self.grid = (gr, gc)
-        self._plan_x = LocalFFTPlan(nx, dtype=dt, backend=backend)
-        self._plan_y = LocalFFTPlan(ny, dtype=dt, backend=backend)
-        self._plan_z = LocalFFTPlan(nz, dtype=dt, backend=backend)
+        self._plan_x = LocalFFTPlan(nx, dtype=dt)
+        self._plan_y = LocalFFTPlan(ny, dtype=dt)
+        self._plan_z = LocalFFTPlan(nz, dtype=dt)
 
     # -- staging ----------------------------------------------------------
 

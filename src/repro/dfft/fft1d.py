@@ -51,9 +51,6 @@ class Distributed1DFFT:
         ``M = 2^ceil(q/2)`` that vendor libraries prefer.
     chunks:
         Pipeline depth for FFT/transpose overlap.
-    backend:
-        Local FFT backend ('auto' = our GEMM passes, 'numpy' = pocketfft
-        oracle/fast path).
     comm_algorithm:
         Collective algorithm for the three transposes (see
         :mod:`repro.comm`); ``"bulk"`` is the legacy flat model.
@@ -67,7 +64,6 @@ class Distributed1DFFT:
         M: int | None = None,
         P: int | None = None,
         chunks: int = 4,
-        backend: str = "auto",
         comm_algorithm: str = "bulk",
     ):
         check_pow2("N", N)
@@ -97,10 +93,9 @@ class Distributed1DFFT:
         if N // G < (1 << 16):
             chunks = 1
         self.chunks = max(1, min(chunks, M // G, P // G))
-        self.backend = backend
         self.comm_algorithm = comm_algorithm
-        self._plan_M = LocalFFTPlan(M, dtype=dt, backend=backend)
-        self._plan_P = LocalFFTPlan(P, dtype=dt, backend=backend)
+        self._plan_M = LocalFFTPlan(M, dtype=dt)
+        self._plan_P = LocalFFTPlan(P, dtype=dt)
 
     # -- helpers ---------------------------------------------------------
 

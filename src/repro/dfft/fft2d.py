@@ -43,8 +43,6 @@ class Distributed2DFFT:
         complex64 or complex128.
     chunks:
         Pipeline depth for overlap of (a) with (b).
-    backend:
-        Local FFT backend.
     fuse_load:
         When a ``load_callback`` is supplied, True fuses it into the
         first FFT (no extra memory round trip); False charges a separate
@@ -67,7 +65,6 @@ class Distributed2DFFT:
         cluster: VirtualCluster,
         dtype="complex128",
         chunks: int = 4,
-        backend: str = "auto",
         fuse_load: bool = True,
         comm_algorithm: str = "bulk",
         batch: int = 1,
@@ -95,12 +92,11 @@ class Distributed2DFFT:
         if (M // G) * P < (1 << 16):
             chunks = 1
         self.chunks = max(1, min(chunks, M // G, P // G))
-        self.backend = backend
         self.fuse_load = fuse_load
         self.comm_algorithm = comm_algorithm
         self.batch = batch
-        self._plan_M = LocalFFTPlan(M, dtype=dt, backend=backend)
-        self._plan_P = LocalFFTPlan(P, dtype=dt, backend=backend)
+        self._plan_M = LocalFFTPlan(M, dtype=dt)
+        self._plan_P = LocalFFTPlan(P, dtype=dt)
 
     # -- staging ----------------------------------------------------------
 

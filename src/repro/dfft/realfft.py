@@ -41,7 +41,7 @@ class DistributedRealFFT:
         The machine to run on.
     dtype:
         Real input precision: 'float32' or 'float64'.
-    chunks, backend:
+    chunks:
         Passed through to the inner complex FFT.
     comm_algorithm:
         Collective algorithm for the inner FFT's transposes (see
@@ -55,7 +55,6 @@ class DistributedRealFFT:
         cluster: VirtualCluster,
         dtype="float64",
         chunks: int = 4,
-        backend: str = "auto",
         comm_algorithm: str = "bulk",
     ):
         check_pow2("N", N)
@@ -70,7 +69,7 @@ class DistributedRealFFT:
         self.rdtype = dt
         self.cdtype = np.dtype(np.complex64 if dt == np.float32 else np.complex128)
         self.inner = Distributed1DFFT(
-            N // 2, cluster, dtype=self.cdtype, chunks=chunks, backend=backend,
+            N // 2, cluster, dtype=self.cdtype, chunks=chunks,
             comm_algorithm=comm_algorithm,
         )
 

@@ -10,7 +10,7 @@ queries from the rest of the stack:
   factors (stragglers, degraded links stretch recorded ops) and for
   per-attempt outcomes, turning transient failures into timed-out
   ``<stage>!fail`` ledger records, retried under a
-  :class:`~repro.comm.retry.RetryPolicy`;
+  :class:`~repro.machine.retry.RetryPolicy`;
 - :mod:`repro.serve` asks for the degraded topology to replan failed
   batches, and for the fault ledger (:attr:`FaultInjector.events`) to
   report.

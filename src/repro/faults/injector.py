@@ -13,7 +13,7 @@ sources —
   whole chaos run) are bit-reproducible too.
 
 Nothing here mutates the cluster.  Timing degradation (duration scale
-factors) and failures (:class:`~repro.comm.retry.CommFailure` after
+factors) and failures (:class:`~repro.machine.retry.CommFailure` after
 retries) are both applied by the machine layer as it issues each op,
 and recovery policy lives in serve.  The zero-fault configuration returns
 scale 1.0 and outcome ``"ok"`` everywhere and never perturbs a single

@@ -11,8 +11,8 @@ that substrate:
   six-step blocks), correctly rounded, in one bounded process-wide cache.
 - :mod:`repro.fftcore.bluestein` — chirp-z (Bluestein) transform for
   arbitrary lengths, built on the power-of-two core.
-- :mod:`repro.fftcore.plan` — :class:`LocalFFTPlan` with a backend
-  switch (``stockham`` / ``bluestein`` / ``numpy``), plus module-level
+- :mod:`repro.fftcore.plan` — :class:`LocalFFTPlan` (GEMM passes for
+  powers of two, Bluestein otherwise), plus module-level
   :func:`fft` / :func:`ifft` conveniences.
 - :mod:`repro.fftcore.flops` — flop/memory-pass cost model used by the
   machine simulator to price local FFT launches.

@@ -2,12 +2,10 @@
 
 :class:`LocalFFTPlan` mirrors the plan-based API of vendor FFT libraries
 (cuFFT/FFTW): construct once for a ``(n, dtype)`` pair, then apply to many
-batches.  The plan chooses a backend:
-
-- ``stockham`` — power-of-two dense-DFT GEMM passes (default for 2^k),
-- ``bluestein`` — chirp-z for general n,
-- ``numpy`` — delegate to ``numpy.fft`` (pocketfft); used as an oracle in
-  tests and as an opt-in fast path for very large integration runs.
+batches.  The plan picks its kernel from ``n``: the dense-DFT GEMM passes
+(:func:`~repro.fftcore.stockham.fft_pow2`) for powers of two, Bluestein's
+chirp-z (:func:`~repro.fftcore.bluestein.fft_bluestein`) otherwise.
+``numpy.fft`` lives in :mod:`repro.fftcore.oracle` only.
 
 Conventions match ``numpy.fft``: forward is unnormalized, inverse scales
 by ``1/n``.
@@ -21,7 +19,7 @@ from repro.fftcore.bluestein import fft_bluestein
 from repro.fftcore.stockham import fft_pow2
 from repro.fftcore.twiddle import check_order
 from repro.util.bitmath import is_pow2
-from repro.util.validation import ParameterError, check_in, complex_dtype_for
+from repro.util.validation import ParameterError, complex_dtype_for
 
 
 class LocalFFTPlan:
@@ -33,9 +31,6 @@ class LocalFFTPlan:
         Transform length.
     dtype:
         Working complex precision: 'complex64' or 'complex128'.
-    backend:
-        'auto' (default), 'stockham', 'bluestein', or 'numpy'.
-        'auto' selects 'stockham' for powers of two, else 'bluestein'.
 
     Examples
     --------
@@ -46,19 +41,14 @@ class LocalFFTPlan:
     True
     """
 
-    def __init__(self, n: int, dtype="complex128", backend: str = "auto"):
+    def __init__(self, n: int, dtype="complex128"):
         check_order(n)
         dt = np.dtype(dtype)
         if dt.kind != "c":
             raise ParameterError(f"LocalFFTPlan dtype must be complex, got {dt!r}")
-        check_in("backend", backend, ("auto", "stockham", "bluestein", "numpy"))
-        if backend == "auto":
-            backend = "stockham" if is_pow2(n) else "bluestein"
-        if backend == "stockham" and not is_pow2(n):
-            raise ParameterError(f"stockham backend requires power-of-two n, got {n}")
         self.n = int(n)
         self.dtype = dt
-        self.backend = backend
+        self.kernel = fft_pow2 if is_pow2(n) else fft_bluestein
 
     def _apply(self, x: np.ndarray, axis: int, sign: int) -> np.ndarray:
         if (not isinstance(axis, (int, np.integer)) or not -x.ndim <= axis < x.ndim
@@ -66,12 +56,7 @@ class LocalFFTPlan:
             raise ParameterError(f"axis {axis!r} of an input of shape {x.shape} "
                                  f"is not an axis of length {self.n}")
         moved = np.moveaxis(x, axis, -1)
-        if self.backend == "numpy":
-            out = np.fft.fft(moved) if sign < 0 else np.fft.ifft(moved) * self.n
-            out = out.astype(self.dtype)
-        else:
-            kernel = fft_pow2 if self.backend == "stockham" else fft_bluestein
-            out = kernel(moved.astype(self.dtype, copy=False), sign=sign)
+        out = self.kernel(moved.astype(self.dtype, copy=False), sign=sign)
         return np.moveaxis(out, -1, axis)
 
     def forward(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -83,7 +68,7 @@ class LocalFFTPlan:
         return self._apply(np.asarray(x), axis, +1) / self.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LocalFFTPlan(n={self.n}, dtype={self.dtype.name}, backend={self.backend!r})"
+        return f"LocalFFTPlan(n={self.n}, dtype={self.dtype.name}, kernel={self.kernel.__name__})"
 
 
 def fft(x: np.ndarray, axis: int = -1, dtype=None) -> np.ndarray:

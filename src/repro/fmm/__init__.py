@@ -15,12 +15,18 @@ contraction:
 - :mod:`repro.fmm.interaction` — cousin interaction lists (even/odd) and
   the base-level all-non-neighbours list, plus an exact-cover checker.
 - :mod:`repro.fmm.kernels` — the stage arithmetic, once: every stage a
-  real GEMM on planar (C-flattened) data; both executors below drive it.
-- :mod:`repro.fmm.batched` — single-device batched executor (all P-1
-  FMMs at once, one ``matmul`` per stage = one BatchedGEMM).
-- :mod:`repro.fmm.distributed` — the same stages on a
-  :class:`~repro.machine.cluster.VirtualCluster` with S/M halo exchanges
-  and the base-level allgather (Algorithm 1).
+  real GEMM on planar (C-flattened) data.
+- :mod:`repro.fmm.driver` — Algorithm 1, once: ``drive_fmm`` names the
+  stage order against an ``issue(stage, level, *tokens)`` callback, and
+  ``PassState`` is each stage's data path over ``G`` slabs of the box
+  axis (halos always explicit).  The two executors are its wranglers:
+- :mod:`repro.fmm.batched` — single device: ``issue`` runs the data path
+  on the spot (all P-1 FMMs at once, one ``matmul`` per stage = one
+  BatchedGEMM), one slab, cyclic halos.
+- :mod:`repro.fmm.distributed` — a
+  :class:`~repro.machine.cluster.VirtualCluster`: ``issue`` prices the
+  stage, launches it on every device after the event tokens, and charges
+  the S/M halo exchanges and the base-level allgather (Algorithm 1).
 - :mod:`repro.fmm.reference` — dense O(M^2) oracle.
 """
 
@@ -32,7 +38,6 @@ from repro.fmm.plan import FmmGeometry, FmmOperators
 from repro.fmm.batched import BatchedFMM
 from repro.fmm.distributed import DistributedFMM
 from repro.fmm.reference import dense_kernel_matrix, dense_apply
-from repro.fmm import symmetry
 
 __all__ = [
     "BatchedFMM",
@@ -44,5 +49,4 @@ __all__ = [
     "dense_apply",
     "dense_kernel_matrix",
     "lagrange_eval",
-    "symmetry",
 ]

@@ -1,5 +1,12 @@
 """Distributed execution of the P-1 interleaved FMMs (Algorithm 1).
 
+The cluster wrangler of :func:`repro.fmm.driver.drive_fmm`: the driver
+names the stage order, this module's ``issue`` prices each stage and
+launches it on every device of a
+:class:`~repro.machine.cluster.VirtualCluster` after the events the
+driver's tokens hold, and the stage's data path (execute mode) is the
+shared :class:`~repro.fmm.driver.PassState` with one slab per device.
+
 Box ownership is contiguous per device at every level (see
 :class:`~repro.fmm.tree.Tree1D`), so the communication pattern is
 exactly the paper's:
@@ -24,10 +31,19 @@ import numpy as np
 
 from repro import comm
 from repro.fmm import kernels
+from repro.fmm.driver import PassState, drive_fmm
 from repro.fmm.plan import FmmGeometry, FmmOperators
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
 from repro.util.validation import ParameterError, c_factor, real_dtype_for
+
+
+#: stage -> the telemetry region (under ``fmm``) its ops are stamped with
+_REGION = {
+    "S2M": "S2M", "COMM-S": "halo-S", "S2T": "S2T", "M2M": "upward",
+    "COMM-M": "m2l", "M2L": "m2l", "COMM-MB": "base", "M2L-B": "base",
+    "REDUCE": "base", "L2L": "downward", "L2T": "L2T",
+}
 
 
 class DistributedFMM:
@@ -100,7 +116,9 @@ class DistributedFMM:
         self.C = c_factor(self.dtype)
         self.rsize = np.dtype(real_dtype_for(self.dtype)).itemsize
         self.csize = self.C * self.rsize  # bytes per input element
-        self._begin_pass()
+        #: the current pass's data (execute mode); ``state.r`` is the live
+        #: reduction vector POST reads, refreshed by every pass and replay
+        self.state = PassState(operators, None, cluster.G)
 
     def _buf(self, suffix: str) -> str:
         """Namespaced device buffer name."""
@@ -166,151 +184,108 @@ class DistributedFMM:
         to the caller — the FMM-FFT fuses it into the 2D FFT's load
         callback.
         """
-        cl, o = self.cl, self.ops
-        G, P, Q, ML = cl.G, o.P, o.Q, o.ML
-        L, B = o.L, o.B
-        nb_loc = o.tree.boxes_local(L)
-        k = self.batch
+        cl, G = self.cl, self.cl.G
         key_in = self._buf("S") if key_in is None else key_in
         key_out = self._buf("T") if key_out is None else key_out
         if after is not None and len(after) not in (1, G):
             raise ParameterError(f"after must have 1 or G={G} events, got {len(after)}")
-        rel = [None] * G if after is None else list(after) * (G // len(after))
+        rel = None if after is None else list(after) * (G // len(after))
 
         if cl.execute and not staged:
             if S is None:
                 raise ParameterError("execute-mode cluster requires input data")
             self.scatter(S, key_in)
 
-        # ---- line 1: S2M (one BatchedGEMM per device) --------------------
-        with cl.region("fmm"), cl.region("S2M"):
-            ev_s2m = self._launch(
-                "S2M", "batched_gemm", self._gemm_cost(Q, nb_loc, ML, (P - 1) * k),
-                [[e] if e is not None else () for e in rel],
-                lambda c: self._do_s2m(key_in),
-                reads=[key_in], writes=[self._buf(f"M{L}")],
-            )
+        def issue(stage: str, ell: int, *tokens: list[Event]) -> list[Event]:
+            with cl.region("fmm"), cl.region(_REGION[stage]):
+                return self._issue(stage, ell, tokens, key_in, key_out, rel)
 
-        # ---- line 2: COMM S (halo width 1), overlapped with S2M ----------
-        halo_bytes = (P - 1) * ML * self.csize * k
-        with cl.region("fmm"), cl.region("halo-S"):
-            ev_shalo = self._halo_exchange(
-                "S", key_in, 1, halo_bytes, "COMM-S",
-                after=rel if after is not None else None,
-            )
-
-        # ---- line 3: S2T after the S halo ---------------------------------
-        flops = 6.0 * self.C * ML * ML * nb_loc * (P - 1) * k
-        # operators generated on the fly (Section 5.3): traffic is the
-        # halo-extended read of S plus the write of T.
-        mops = ((nb_loc + 2) * ML * P * self.csize + nb_loc * ML * P * self.csize) * k
-        with cl.region("fmm"), cl.region("S2T"):
-            ev_s2t = self._launch(
-                "S2T", "custom", (flops, mops), [[e] for e in ev_shalo],
-                lambda c: self._do_s2t(key_in, key_out),
-                reads=[key_in, self._buf("halo.S")], writes=[key_out],
-            )
-
-        # ---- lines 4-5: M2M up the tree -----------------------------------
-        ev_m: dict[int, list[Event]] = {L: ev_s2m}  # per level
-        with cl.region("fmm"), cl.region("upward"):
-            for ell in o.tree.levels_m2m():
-                ev_m[ell] = self._launch(
-                    f"M2M-{ell}", "batched_gemm",
-                    self._gemm_cost(Q, o.tree.boxes_local(ell), 2 * Q, (P - 1) * k),
-                    [[e] for e in ev_m[ell + 1]],
-                    lambda c, e=ell: self._do_m2m(e),
-                    reads=[self._buf(f"M{ell + 1}")], writes=[self._buf(f"M{ell}")],
-                )
-
-        # ---- lines 6-8: M halo + cousin M2L per level ----------------------
-        ev_loc: dict[int, list[Event]] = {}
-        ev_mh: dict[int, list[Event]] = {}
-        with cl.region("fmm"), cl.region("m2l"):
-            for ell in o.tree.levels_m2l():
-                mh_bytes = 2 * (P - 1) * Q * self.csize * k  # two boxes per side
-                ev_mh[ell] = self._halo_exchange(
-                    f"M{ell}", None, 2, mh_bytes, f"COMM-M{ell}", level=ell, after=ev_m[ell])
-                if self.fuse_m2l_l2l:
-                    continue  # M2L runs fused with L2L in the downward pass
-                ev_loc[ell] = self._launch(
-                    f"M2L-{ell}", "custom", self._m2l_cost(ell), [[e] for e in ev_mh[ell]],
-                    lambda c, e=ell: self._do_m2l_level(e),
-                    reads=[self._buf(f"M{ell}"), self._buf(f"halo.M{ell}")],
-                    writes=[self._buf(f"L{ell}")],
-                )
-
-        with cl.region("fmm"), cl.region("base"):
-            # ---- line 9: all-to-all gather of base multipoles ---------------
-            base_bytes = (P - 1) * o.tree.boxes_local(B) * Q * self.csize * k
-            ev_gather = comm.allgather(
-                cl, base_bytes, "COMM-MB",
-                after=ev_m[B],
-                fn=lambda c: self._do_gather_base(),
-                reads=[self._buf(f"M{B}")], writes=[self._buf("MB")],
-                algorithm=self.comm_algorithm,
-            )
-            gathered = [[ev_gather[min(g, len(ev_gather) - 1)]] for g in range(G)]
-
-            # ---- line 10: dense base-level M2L ------------------------------
-            nS = (1 << B) - 3
-            nbB_loc = o.tree.boxes_local(B)
-            flops = 2.0 * self.C * nbB_loc * nS * (P - 1) * Q * Q * k
-            mops = ((1 << B) * Q + nbB_loc * Q) * (P - 1) * self.csize * k
-            ev_base = self._launch(
-                "M2L-B", "custom", (flops, mops), gathered,
-                lambda c: self._do_m2l_base(),
-                reads=[self._buf("MB")], writes=[self._buf(f"L{B}")],
-            )
-
-            # ---- line 11: REDUCE (one GEMV on the gathered base data) -------
-            flops = self.C * (1 << B) * (P - 1) * Q * k
-            mops = ((1 << B) * (P - 1) * Q * self.csize + (P - 1) * self.csize) * k
-            self._launch(
-                "REDUCE", "gemv", (flops, mops), gathered,
-                lambda c: self._do_reduce(),
-                reads=[self._buf("MB")], writes=[self._buf("r")],
-            )
-
-        # ---- lines 12-13: L2L down the tree -----------------------------------
-        ev_l = ev_base
-        with cl.region("fmm"), cl.region("downward"):
-            for ell in o.tree.levels_l2l():
-                flops, mops = self._gemm_cost(2 * Q, o.tree.boxes_local(ell), Q, (P - 1) * k)
-                name, kind, fn = f"L2L-{ell}", "batched_gemm", self._do_l2l
-                reads = [self._buf(f"L{ell}"), self._buf(f"L{ell + 1}")]
-                gate = ev_loc  # the destination level's own M2L must also be done
-                if self.fuse_m2l_l2l:
-                    # one kernel: M2L-(ell+1) accumulated with L2L-(ell);
-                    # saves one write + one read of the child L data.
-                    m2l_flops, m2l_mops = self._m2l_cost(ell + 1)
-                    flops += m2l_flops
-                    mops += m2l_mops - 2.0 * o.tree.boxes_local(ell + 1) * Q * (P - 1) * self.csize * k
-                    name, kind, fn = f"M2L+L2L-{ell + 1}", "custom", self._do_fused_m2l_l2l
-                    reads = [self._buf(f"M{ell + 1}"), self._buf(f"halo.M{ell + 1}"),
-                             self._buf(f"L{ell}")]
-                    gate = ev_mh
-                ev_l = self._launch(
-                    name, kind, (flops, mops),
-                    [[cl.latest(ev_l[g], gate[ell + 1][g])] for g in range(G)],
-                    lambda c, e=ell, fn=fn: fn(e),
-                    reads=reads, writes=[self._buf(f"L{ell + 1}")],
-                )
-
-        # ---- line 14: L2T (accumulate into T) ----------------------------------
-        flops, mops = self._gemm_cost(ML, nb_loc, Q, (P - 1) * k)
-        mops += nb_loc * ML * (P - 1) * self.csize * k  # read T for accumulation
-        with cl.region("fmm"), cl.region("L2T"):
-            ev_t = self._launch(
-                "L2T", "batched_gemm", (flops, mops),
-                [[ev_l[g], ev_s2t[g]] for g in range(G)],
-                lambda c: self._do_l2t(key_out),
-                reads=[self._buf(f"L{L}"), key_out], writes=[key_out],
-            )
-
-        if cl.execute and self._r is None:
+        ev_t = drive_fmm(self.ops.tree, issue)
+        if cl.execute and self.state.r is None:
             raise ParameterError("the REDUCE stage did not execute: no r to return")
-        return ev_t, self._r
+        return ev_t, self.state.r
+
+    def _issue(self, stage, ell, tokens, key_in, key_out, rel) -> list[Event]:
+        """Price one stage at level ``ell`` from the actual tensor shapes
+        and put it on every device after the events in ``tokens``; its
+        data path (execute mode) is the shared :class:`PassState`'s."""
+        cl, o, buf = self.cl, self.ops, self._buf
+        Q, ML, n = o.Q, o.ML, (o.P - 1) * self.batch  # n: data columns per box row
+        nbl = o.tree.boxes_local(ell)
+        own = [[e] for e in tokens[0]] if len(tokens) == 1 else None  # device g after its own event
+
+        def fn(c):
+            self.state.run(stage, ell)
+
+        if stage == "S2M":  # line 1: one BatchedGEMM per device
+            return self._launch(
+                "S2M", "batched_gemm", self._gemm_cost(Q, nbl, ML, n),
+                [[e] if e is not None else () for e in rel or [None] * cl.G],
+                lambda c: self._load(key_in), reads=[key_in], writes=[buf(f"M{ell}")])
+        if stage == "COMM-S":  # line 2: halo width 1, overlapped with S2M
+            return self._halo_exchange("S", key_in, n * ML * self.csize, fn, rel)
+        if stage == "S2T":  # line 3, after the S halo
+            flops = 6.0 * self.C * ML * ML * nbl * n
+            # operators generated on the fly (Section 5.3): traffic is the
+            # halo-extended read of S plus the write of T.
+            mops = ((nbl + 2) * ML * o.P * self.csize + nbl * ML * o.P * self.csize) * self.batch
+            return self._launch("S2T", "custom", (flops, mops), own, fn,
+                                reads=[key_in, buf("halo.S")], writes=[key_out])
+        if stage == "M2M":  # lines 4-5
+            return self._launch(
+                f"M2M-{ell}", "batched_gemm", self._gemm_cost(Q, nbl, 2 * Q, n), own, fn,
+                reads=[buf(f"M{ell + 1}")], writes=[buf(f"M{ell}")])
+        if stage == "COMM-M":  # lines 6-7: two boxes per side
+            return self._halo_exchange(
+                f"M{ell}", buf(f"M{ell}"), 2 * n * Q * self.csize, fn, tokens[0])
+        if stage == "M2L":  # line 8
+            if self.fuse_m2l_l2l:
+                return tokens[0]  # runs fused with the L2L into this level
+            return self._launch(
+                f"M2L-{ell}", "custom", self._m2l_cost(ell), own, fn,
+                reads=[buf(f"M{ell}"), buf(f"halo.M{ell}")], writes=[buf(f"L{ell}")])
+        if stage == "COMM-MB":  # line 9: all-to-all gather of base multipoles
+            ev = comm.allgather(
+                cl, n * nbl * Q * self.csize, "COMM-MB", after=tokens[0], fn=fn,
+                reads=[buf(f"M{ell}")], writes=[buf("MB")], algorithm=self.comm_algorithm)
+            return [ev[min(g, len(ev) - 1)] for g in range(cl.G)]
+        if stage == "M2L-B":  # line 10: dense, on the replicated base data
+            flops = 2.0 * self.C * nbl * ((1 << ell) - 3) * n * Q * Q
+            mops = ((1 << ell) * Q + nbl * Q) * n * self.csize
+            return self._launch("M2L-B", "custom", (flops, mops), own, fn,
+                                reads=[buf("MB")], writes=[buf(f"L{ell}")])
+        if stage == "REDUCE":  # line 11: one GEMV on the gathered base data
+            flops = self.C * (1 << ell) * n * Q
+            mops = ((1 << ell) * (o.P - 1) * Q * self.csize + (o.P - 1) * self.csize) * self.batch
+            return self._launch("REDUCE", "gemv", (flops, mops), own, fn,
+                                reads=[buf("MB")], writes=[buf("r")])
+        if stage == "L2L":  # lines 12-13, after the parent and the child's M2L (or M halo)
+            flops, mops = self._gemm_cost(2 * Q, nbl, Q, n)
+            name, kind = f"L2L-{ell}", "batched_gemm"
+            reads = [buf(f"L{ell}"), buf(f"L{ell + 1}")]
+            if self.fuse_m2l_l2l:
+                # one kernel: M2L-(ell+1) accumulated with L2L-(ell);
+                # saves one write + one read of the child L data.
+                m2l_flops, m2l_mops = self._m2l_cost(ell + 1)
+                flops += m2l_flops
+                mops += m2l_mops - 2.0 * o.tree.boxes_local(ell + 1) * Q * n * self.csize
+                name, kind = f"M2L+L2L-{ell + 1}", "custom"
+                reads = [buf(f"M{ell + 1}"), buf(f"halo.M{ell + 1}"), buf(f"L{ell}")]
+
+                def fn(c):
+                    self.state.run("M2L", ell + 1)
+                    self.state.run("L2L", ell)
+            return self._launch(
+                name, kind, (flops, mops), [[cl.latest(*pair)] for pair in zip(*tokens)],
+                fn, reads=reads, writes=[buf(f"L{ell + 1}")])
+        if stage == "L2T":  # line 14: accumulate into T
+            flops, mops = self._gemm_cost(ML, nbl, Q, n)
+            mops += nbl * ML * n * self.csize  # read T for accumulation
+            return self._launch(
+                "L2T", "batched_gemm", (flops, mops), [list(pair) for pair in zip(*tokens)],
+                lambda c: self._store(key_in, key_out),
+                reads=[buf(f"L{ell}"), key_out], writes=[key_out])
+        raise ParameterError(f"unknown FMM stage {stage!r}")
 
     def _launch(self, name, kind, cost, after, fn, reads, writes) -> list[Event]:
         """One kernel per device, device g waiting on ``after[g]``.  The
@@ -325,92 +300,34 @@ class DistributedFMM:
             for g in range(self.cl.G)
         ]
 
-    # -- halo machinery ------------------------------------------------------
-
-    def _halo_exchange(
-        self,
-        what: str,
-        key: str | None,
-        width: int,
-        nbytes: float,
-        name: str,
-        level: int | None = None,
-        after: list[Event] | None = None,
-    ) -> list[Event]:
-        """Cyclic neighbour exchange of ``width`` boxes per side.
-
-        Stashes the real halo data (execute mode), then issues the
-        exchange through :func:`repro.comm.halo_exchange` — two fully
-        parallel ring shifts whose ``#L``/``#R`` halo slots are disjoint
-        sub-resources.  Returns per-device events for halo arrival;
-        ``after[g]`` gates device g's sends on its producer kernel.  The
-        real data is stashed in ``self._halo[what]`` as (left, right),
-        each with a device axis.
-        """
-        cl = self.cl
-        cl.host_action(lambda c: self._stash_halo(what, width, level))
-        src_buf = key if key is not None else self._buf(f"M{level}")
+    def _halo_exchange(self, what, src_buf, nbytes, fn, after) -> list[Event]:
+        """COMM-``what``: every device's boundary boxes of ``src_buf`` to
+        both cyclic neighbours.  The data (``fn``: the pass state records
+        the halos) moves as a host action, off the ledger; the exchange
+        it mirrors is charged by :func:`repro.comm.halo_exchange`, whose
+        per-device arrival events come back.  ``after[g]`` gates device
+        g's sends on its producer kernel."""
+        self.cl.host_action(fn)
         return comm.halo_exchange(
-            cl, nbytes, name, src_buf, self._buf(f"halo.{what}"), after=after,
-        )
+            self.cl, nbytes, f"COMM-{what}", src_buf, self._buf(f"halo.{what}"), after=after)
 
-    def _stash_halo(self, what: str, width: int, level: int | None) -> None:
-        """Record the halo data every device will need (execute mode)."""
-        src = self._S if level is None else self._M[level]
-        self._halo[what] = kernels.halos(src, self.cl.G, width)
+    # -- execute mode: device buffers <-> pass state -------------------------
+    # The pass state's box axis is global, each device's slab a contiguous
+    # run of it: one kernel call reads each operator slice once for every
+    # device, and neighbours' data reaches it only via the recorded halos.
 
-    # -- real-data stage drivers ------------------------------------------------
-    # Orchestration order guarantees producers ran first.  The pass state is
-    # planar (see repro.fmm.kernels) with a *global* box axis, each device's
-    # slab a contiguous run of it: one kernel call reads each operator slice
-    # once for every device, and neighbours' data reaches it only via ``_halo``.
-
-    def _begin_pass(self) -> None:
-        """Forget the previous pass (a second run() on this instance, an
-        IR replay) so nothing of it folds into this one's accumulators."""
-        self._S = self._MB = self._r = None
-        self._M: dict[int, np.ndarray] = {}
-        self._L: dict[int, np.ndarray] = {}
-        self._halo: dict[str, kernels.Halo] = {}
-
-    def _do_s2m(self, key_in: str) -> None:
+    def _load(self, key_in: str) -> None:
+        """S2M's closure: a new pass on the devices' input slices."""
         o = self.ops
-        self._begin_pass()
-        self._S = kernels.fold(self.gather(key_in).reshape(o.P, -1, o.ML)[1:])
-        self._M[o.L] = kernels.s2m(o, self._S)
+        S = self.gather(key_in).reshape(o.P, -1, o.ML)[1:]
+        self.state = PassState(o, kernels.fold(S), self.cl.G)
+        self.state.run("S2M", o.L)
 
-    def _do_s2t(self, key_in: str, key_out: str) -> None:
-        near = kernels.unfold(kernels.s2t(self.ops, self._S, self._halo["S"]))
+    def _store(self, key_in: str, key_out: str) -> None:
+        """L2T's closure: far field onto near, then each device's slice
+        of T under its own passthrough row ``p = 0``."""
+        self.state.run("L2T", self.ops.L)
+        T = kernels.unfold(self.state.T)
         for g in range(self.cl.G):
-            self.cl.dev(g)[key_out] = np.concatenate(
-                [self.cl.dev(g)[key_in][:1], near[:, self._boxes(g)]])
-
-    def _do_m2m(self, ell: int) -> None:
-        self._M[ell] = kernels.m2m(self.ops, self._M[ell + 1])
-
-    def _do_m2l_level(self, ell: int) -> None:
-        self._L[ell] = kernels.m2l_level(
-            self.ops, self._M[ell], ell, self._halo[f"M{ell}"])
-
-    def _do_gather_base(self) -> None:
-        self._MB = self._M[self.ops.B]
-
-    def _do_m2l_base(self) -> None:
-        self._L[self.ops.B] = kernels.m2l_base(self.ops, self._MB)
-
-    def _do_reduce(self) -> None:
-        self._r = kernels.reduce(self._MB)
-
-    def _do_l2l(self, ell: int) -> None:
-        self._L[ell + 1] = self._L[ell + 1] + kernels.l2l(self.ops, self._L[ell])
-
-    def _do_fused_m2l_l2l(self, ell: int) -> None:
-        """Fused kernel data path: M2L at level ell+1, then accumulate
-        the parent translation (identical numerics to the split path)."""
-        self._do_m2l_level(ell + 1)
-        self._do_l2l(ell)
-
-    def _do_l2t(self, key_out: str) -> None:
-        far = kernels.unfold(kernels.l2t(self.ops, self._L[self.ops.L]))
-        for g in range(self.cl.G):
-            self.cl.dev(g)[key_out][1:] += far[:, self._boxes(g)]
+            dev = self.cl.dev(g)
+            dev[key_out] = np.concatenate([dev[key_in][:1], T[:, self._boxes(g)]])

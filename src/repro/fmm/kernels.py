@@ -11,8 +11,10 @@ batch dimensions of ``np.matmul``, so a stack of problems is
 bit-identical to one at a time.
 
 The box axis is global: a device's slab is a contiguous run of it, so
-stacking the devices of the distributed driver is the same reshape, and
-what a slab needs of its neighbours comes in as an explicit ``halo``.
+stacking the devices of a cluster is the same reshape, and what a slab
+needs of its neighbours comes in as an explicit ``halo`` (one slab is
+its own cyclic neighbour).  :class:`repro.fmm.driver.PassState` is the
+only caller of the stage functions.
 docs/ALGORITHM.md ("Host kernels") has the reasoning and the rounding.
 """
 
@@ -54,11 +56,10 @@ def halos(a: np.ndarray, G: int, w: int) -> Halo:
             np.roll(slabs[..., :w, :], -1, axis=-3))
 
 
-def _extend(a: np.ndarray, halo: Halo | None, w: int) -> np.ndarray:
+def _extend(a: np.ndarray, halo: Halo, w: int) -> np.ndarray:
     """Each slab between the innermost ``w`` boxes of its two halos:
-    ``(..., C, G, n + 2w, X)``; nothing further out is read.  No halo
-    means one slab that is its own cyclic neighbour."""
-    left, right = halo or halos(a, 1, w)
+    ``(..., C, G, n + 2w, X)``; nothing further out is read."""
+    left, right = halo
     slabs = a.reshape(*a.shape[:-2], left.shape[-3], -1, a.shape[-1])
     return np.concatenate([left[..., -w:, :], slabs, right[..., :w, :]], axis=-2)
 
@@ -95,16 +96,14 @@ def l2t(o: FmmOperators, loc: np.ndarray) -> np.ndarray:
     return _gemm(loc, o.s2m)
 
 
-def s2t(o: FmmOperators, S: np.ndarray, halo: Halo | None = None) -> np.ndarray:
+def s2t(o: FmmOperators, S: np.ndarray, halo: Halo) -> np.ndarray:
     """Near field: ``T[p, b] = [S[b-1] | S[b] | S[b+1]] @ S2T[p]``."""
     ext = _extend(S, halo, Tree1D.S_HALO)
     win = sliding_window_view(ext, 3, axis=-2).swapaxes(-1, -2)
     return _gemm(win.reshape(*S.shape[:-1], 3 * S.shape[-1]), o.s2t)
 
 
-def m2l_level(
-    o: FmmOperators, Mexp: np.ndarray, ell: int, halo: Halo | None = None
-) -> np.ndarray:
+def m2l_level(o: FmmOperators, Mexp: np.ndarray, ell: int, halo: Halo) -> np.ndarray:
     """Cousin interactions of a hierarchical level: per box parity, the
     three sources side by side and one GEMM over ``3Q``."""
     w, Q = Tree1D.M_HALO, Mexp.shape[-1]

@@ -11,7 +11,7 @@ exactly as the paper's Section 5 flop counts prescribe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,9 @@ class FmmGeometry:
 
 
 @dataclass(frozen=True)
-class FmmOperators:
-    """All dense operators for P-1 interleaved periodic FMMs of size M.
+class FmmOperators(FmmGeometry):
+    """All dense operators for P-1 interleaved periodic FMMs of size M:
+    the geometry (``tree``, ``P``, ``Q``, ``N``) plus the arrays.
 
     Build with :meth:`create`; fields are ready-to-matmul arrays.  The
     per-p operators are the :mod:`repro.fmm.operators` tensors with the
@@ -69,10 +70,6 @@ class FmmOperators:
     parity, si*Q + j, i]``, ``m2l_base[p, si*Q + j, i]``.
     """
 
-    tree: Tree1D
-    P: int
-    Q: int
-    N: int
     real_dtype: np.dtype
     s2m: np.ndarray          # (Q, ML)
     m2m: np.ndarray          # (Q, 2Q)
@@ -97,11 +94,8 @@ class FmmOperators:
         ``N = M * P`` fixes the kernel shift ``pi p / N``.  Operators are
         computed in float64 and narrowed to the working precision.
         """
-        check_positive("Q", Q)
-        if P < 2:
-            raise ParameterError(f"P must be >= 2 (P-1 FMMs), got {P}")
-        tree = Tree1D(M=M, ML=ML, B=B, G=G)
-        N = M * P
+        geo = FmmGeometry.create(M, P, ML, B, Q, G)  # validates the shape
+        tree, N = geo.tree, geo.N
         rdt = real_dtype_for(dtype)
         cdt = np.complex64 if rdt == np.float32 else np.complex128
 
@@ -125,22 +119,6 @@ class FmmOperators:
             s2t=gemm_layout(ops.s2t_matrix(P, ML, N), 3 * ML, ML),
             rho=ops.rho_factors(P, M).astype(cdt),
         )
-
-    @property
-    def M(self) -> int:
-        return self.tree.M
-
-    @property
-    def ML(self) -> int:
-        return self.tree.ML
-
-    @property
-    def L(self) -> int:
-        return self.tree.L
-
-    @property
-    def B(self) -> int:
-        return self.tree.B
 
     @property
     def geometry(self) -> FmmGeometry:

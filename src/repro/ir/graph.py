@@ -28,8 +28,8 @@ whichever finishes last when the node is issued, so the graph stays
 valid under any fault history.
 
 The IR is backend-neutral by construction: nothing in a node references
-the virtual engine beyond stream *names* and modeled durations, so a
-future backend only needs its own issue halves.
+the virtual engine beyond stream *names* and modeled durations, so
+another engine only needs its own issue halves.
 
 Construction of nodes and graphs is confined to :mod:`repro.machine`
 (the tape) and :mod:`repro.ir` by the ``engine-site`` lint rule —

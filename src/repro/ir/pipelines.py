@@ -42,53 +42,51 @@ def _attach(graph, stage_in, finalize):
 
 
 def capture_fft1d(cluster, N, *, dtype="complex128", chunks=4,
-                  backend="auto", comm_algorithm="bulk", key="dfft1",
-                  x=None):
+                  comm_algorithm="bulk", key="dfft1", x=None):
     """Capture one six-step 1D FFT run; returns ``(graph, result)``."""
     from repro.dfft.fft1d import Distributed1DFFT
 
     plan = Distributed1DFFT(N, cluster, dtype=dtype, chunks=chunks,
-                            backend=backend, comm_algorithm=comm_algorithm)
+                            comm_algorithm=comm_algorithm)
     graph, result = capture(
         lambda cl: plan.run(x, key=key), cluster, pipeline="fft1d",
         buffer_prefix=key,
-        key=("fft1d", N, np.dtype(dtype).name, chunks, backend,
-             comm_algorithm, cluster.G))
+        key=("fft1d", N, np.dtype(dtype).name, chunks, comm_algorithm,
+             cluster.G))
     return _attach(graph,
                    lambda xv: plan.stage_in(xv, key),
                    lambda: plan.gather(key)), result
 
 
 def capture_fft2d(cluster, M, P, *, dtype="complex128", chunks=4,
-                  backend="auto", comm_algorithm="bulk", key="dfft2",
-                  a=None):
+                  comm_algorithm="bulk", key="dfft2", a=None):
     """Capture one single-transpose 2D FFT run; returns ``(graph, result)``."""
     from repro.dfft.fft2d import Distributed2DFFT
 
     plan = Distributed2DFFT(M, P, cluster, dtype=dtype, chunks=chunks,
-                            backend=backend, comm_algorithm=comm_algorithm)
+                            comm_algorithm=comm_algorithm)
     graph, result = capture(
         lambda cl: plan.run(a, key=key), cluster, pipeline="fft2d",
         buffer_prefix=key,
-        key=("fft2d", M, P, np.dtype(dtype).name, chunks, backend,
-             comm_algorithm, cluster.G))
+        key=("fft2d", M, P, np.dtype(dtype).name, chunks, comm_algorithm,
+             cluster.G))
     return _attach(graph,
                    lambda av: plan.stage_in(av, key),
                    lambda: plan.gather(key)), result
 
 
-def capture_rfft(cluster, N, *, dtype="float64", chunks=4, backend="auto",
+def capture_rfft(cluster, N, *, dtype="float64", chunks=4,
                  comm_algorithm="bulk", key="drfft", x=None):
     """Capture one real-input FFT run; returns ``(graph, result)``."""
     from repro.dfft.realfft import DistributedRealFFT
 
     plan = DistributedRealFFT(N, cluster, dtype=dtype, chunks=chunks,
-                              backend=backend, comm_algorithm=comm_algorithm)
+                              comm_algorithm=comm_algorithm)
     graph, result = capture(
         lambda cl: plan.run(x, key=key), cluster, pipeline="rfft",
         buffer_prefix=key,
-        key=("rfft", N, np.dtype(dtype).name, chunks, backend,
-             comm_algorithm, cluster.G))
+        key=("rfft", N, np.dtype(dtype).name, chunks, comm_algorithm,
+             cluster.G))
     return _attach(graph,
                    lambda xv: plan.stage_in(xv, key),
                    lambda: plan.finalize(key)), result
@@ -121,14 +119,12 @@ def capture_fmm(cluster, operators, *, dtype="complex128",
                    lambda: fmm.gather()), result
 
 
-def capture_fmmfft(cluster, plan, *, backend="auto", chunks=4,
-                   fuse_post=True, comm_algorithm="bulk", ns=None,
-                   x=None):
+def capture_fmmfft(cluster, plan, *, chunks=4, fuse_post=True,
+                   comm_algorithm="bulk", ns=None, x=None):
     """Capture the full FMM-FFT pipeline; returns ``(graph, result)``."""
     from repro.core.distributed import FmmFftDistributed
 
-    ff = FmmFftDistributed(plan, cluster, backend=backend, chunks=chunks,
-                           fuse_post=fuse_post,
+    ff = FmmFftDistributed(plan, cluster, chunks=chunks, fuse_post=fuse_post,
                            comm_algorithm=comm_algorithm, ns=ns)
     graph, result = capture(
         lambda cl: ff.run(x), cluster, pipeline="fmmfft", buffer_prefix=ff.ns,

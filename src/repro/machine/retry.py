@@ -10,7 +10,7 @@ again.  A budget per comm-layer call bounds the total failed attempts;
 exhausting it (or hitting a permanent fault such as device loss) raises
 :class:`CommFailure`, which the serve layer catches to re-enqueue the
 batch.  The policy lives beside the engine that applies it;
-:mod:`repro.comm.retry` re-exports it.
+:mod:`repro.comm` re-exports the three names.
 
 Jitter is *stateless*: a hash of (seed, stage name, attempt index)
 rather than a consumed generator, so a shared policy object replays

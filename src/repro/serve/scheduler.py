@@ -29,7 +29,7 @@ records are bit-identical to what the eager issue would have appended
 (replay re-issues the taped steps through the same engine halves).
 Fault injection changes none of this: graphs carry fault-free prices
 and the engine applies faults — stretched durations, retries,
-:class:`~repro.comm.retry.CommFailure` — as it issues each step, eager
+:class:`~repro.machine.retry.CommFailure` — as it issues each step, eager
 or replayed.  A zero-capacity cache disables the graph tier with the
 rest of the cache, and ``replay=False`` restores the pure interpreted
 path (the benchmark's baseline arm).
@@ -40,7 +40,7 @@ another's compute.
 
 Graceful degradation: when the cluster carries a fault injector, a
 batch whose communication exhausts its retry budget (or hits a
-permanent fault) raises :class:`~repro.comm.retry.CommFailure`.  The
+permanent fault) raises :class:`~repro.machine.retry.CommFailure`.  The
 scheduler absorbs it — the batch's partial schedule stays on the
 ledger (the engines really were occupied), its requests re-enter the
 admission queue with a bounded per-request retry budget, and requests
@@ -65,7 +65,7 @@ from itertools import islice
 
 import numpy as np
 
-from repro.comm.retry import CommFailure
+from repro.machine.retry import CommFailure
 from repro.comm.tuning import choose_algorithm
 from repro.core.distributed import FmmFftDistributed
 from repro.core.single import fmmfft_batched

@@ -72,6 +72,13 @@ def check_dtype(name: str, dtype: Any) -> np.dtype:
     return dt
 
 
+def check_numeric(name: str, a: np.ndarray) -> None:
+    """Reject arrays of strings, objects, dates: they would otherwise
+    reach a cast or a GEMM and fail there with NumPy's own error."""
+    if a.dtype.kind not in "biufc":
+        raise ParameterError(f"{name} must be numeric, got dtype {a.dtype}")
+
+
 def complex_dtype_for(dtype: Any) -> np.dtype:
     """The complex dtype with the same precision as ``dtype``."""
     dt = np.dtype(dtype)

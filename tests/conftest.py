@@ -4,11 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.plan import FmmFftPlan
 from repro.fmm.plan import FmmOperators
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
+
+# The tier-1 gate is deterministic: every run draws the same examples and
+# none is replayed from a local, git-ignored database, so a green run is
+# the same run on every checkout.  The randomized search is a separate,
+# non-gating CI step (``--hypothesis-profile=search``); what it finds is
+# committed as an ``@example`` on the test.  tools/lint.py holds test
+# modules to this (``deterministic-time`` under ``tests/``).
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("search", database=None, deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

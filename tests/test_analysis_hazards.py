@@ -15,7 +15,9 @@ from repro.core.plan import FmmFftPlan
 from repro.dfft.fft1d import Distributed1DFFT
 from repro.dfft.fft2d import Distributed2DFFT
 from repro.dfft.realfft import DistributedRealFFT
+from repro.fmm import distributed as fmm_distributed
 from repro.fmm.distributed import DistributedFMM
+from repro.fmm.driver import drive_fmm
 from repro.machine import topology as topo
 from repro.machine.cluster import VirtualCluster
 from repro.machine.ledger import Ledger, OpRecord
@@ -286,16 +288,16 @@ class TestSeededHazard:
     event edge is gone, so nothing but the sanitizer would notice."""
 
     def _run_with_dropped_s_halo(self, monkeypatch):
-        orig = DistributedFMM._halo_exchange
+        """At the driver's issue/token seam: S2T is issued with a token
+        that no longer names the COMM-S events."""
+        def dropping(tree, issue):
+            def dropped(stage, ell, *tokens):
+                if stage == "S2T":
+                    tokens = ([Event(0.0, "dropped")] * len(tokens[0]),)
+                return issue(stage, ell, *tokens)
+            return drive_fmm(tree, dropped)
 
-        def patched(self, what, key, width, nbytes, name, level=None, after=None):
-            evs = orig(self, what, key, width, nbytes, name,
-                       level=level, after=after)
-            if what == "S":
-                return [Event(0.0, "dropped")] * self.cl.G
-            return evs
-
-        monkeypatch.setattr(DistributedFMM, "_halo_exchange", patched)
+        monkeypatch.setattr(fmm_distributed, "drive_fmm", dropping)
         cl = VirtualCluster(slow_link_node(2), execute=False)
         geo = FmmFftPlan.create(N=4096, P=8, ML=16, B=3, Q=16, G=2,
                                 build_operators=False).geometry

@@ -70,6 +70,19 @@ class TestNpFftContainment:
         src = HDR + "import numpy\ny = numpy.fft.ifft(x)\n"
         assert rules(src, "src/repro/dfft/x.py") == ["np-fft"]
 
+    def test_mutant_put_back_in_the_plan_is_caught_by_this_rule_only(self):
+        """The ``numpy`` fast path of LocalFFTPlan, re-seeded: inside
+        ``repro.fftcore`` but not the oracle module."""
+        import repro.fftcore.plan as plan
+
+        src = open(plan.__file__).read()
+        assert rules(src, "src/repro/fftcore/plan.py") == []
+        mutant = src.replace(
+            "out = self.kernel(moved.astype(self.dtype, copy=False), sign=sign)",
+            "out = np.fft.fft(moved) if sign < 0 else self.kernel(moved, sign=sign)")
+        assert mutant != src
+        assert rules(mutant, "src/repro/fftcore/plan.py") == ["np-fft"]
+
 
 class TestDtypeDiscipline:
     KP = "src/repro/core/x.py"  # a kernel path
@@ -349,6 +362,46 @@ class TestDeterministicTime:
     def test_pragma_waives(self):
         src = "t = time.time()  # lint: allow-deterministic-time\n"
         assert not self.det(src)
+
+
+class TestDeterministicGate:
+    """The ``tests/`` twin: the tier-1 gate runs one derandomized,
+    database-less hypothesis profile and seeded generators only."""
+
+    T = "tests/test_x.py"
+
+    @staticmethod
+    def lint(src, path):
+        return [i.rule for i in lint_source(path, src)]
+
+    def test_settings_may_not_undo_the_profile(self):
+        for kw in ("derandomize=False", "derandomize=flag",
+                   "database=DirectoryBasedExampleDatabase('.h')"):
+            src = f"@settings(max_examples=5, {kw})\ndef test_x():\n    pass\n"
+            assert self.lint(src, self.T) == ["deterministic-time"], kw
+
+    def test_settings_within_the_profile_ok(self):
+        src = ("@settings(deadline=None, max_examples=5, derandomize=True, "
+               "database=None)\ndef test_x():\n    pass\n")
+        assert self.lint(src, self.T) == []
+
+    def test_unseeded_rng_flagged_seeded_ok(self):
+        assert self.lint("rng = np.random.default_rng()\n", self.T) == ["deterministic-time"]
+        assert self.lint("rng = np.random.default_rng(7)\n", self.T) == []
+
+    def test_only_this_rule_applies_to_tests(self):
+        # no __future__ import, np.fft as the oracle, a bare OpRecord: src rules
+        src = "y = np.fft.fft(x)\nr = OpRecord(device=0)\n"
+        assert self.lint(src, self.T) == []
+        assert "np-fft" in self.lint(src, "src/repro/util/x.py")
+
+    def test_settings_rule_is_for_tests_only(self):
+        src = HDR + "s = settings(derandomize=False)\n"
+        assert self.lint(src, "src/repro/util/x.py") == []
+
+    def test_suite_is_clean(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        assert lint_paths([here]) == []
 
 
 class TestTelemetryRegistry:

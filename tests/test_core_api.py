@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from repro.core.api import default_params, fmmfft, fourier_transform
+from repro.core.api import default_params, fmmfft, fourier_transform, ifmmfft
 from repro.core.plan import FmmFftPlan
+from repro.core.single import fmmfft_batched, fmmfft_single
+from repro.fmm.batched import BatchedFMM
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
 from repro.util.prng import random_signal
@@ -42,7 +46,7 @@ class TestFmmfft:
     def test_distributed_path(self):
         x = random_signal(8192, seed=2)
         cl = VirtualCluster(p100_nvlink_node(2))
-        out = fmmfft(x, cluster=cl, backend="numpy")
+        out = fmmfft(x, cluster=cl)
         np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-8)
         assert cl.wall_time() > 0
 
@@ -61,6 +65,49 @@ class TestFmmfft:
     def test_rejects_2d(self):
         with pytest.raises(ParameterError):
             fmmfft(np.zeros((4, 4), dtype=complex))
+
+
+_N = 1024
+_TEXT = np.full(_N, "a")
+
+
+def _plan1():
+    return FmmFftPlan.create(N=_N, **default_params(_N))
+
+
+def _timing_only():
+    return VirtualCluster(p100_nvlink_node(2), execute=False)
+
+
+#: the entry points of the single-device and one-call pipelines with an
+#: input they cannot use, and the text the error must carry
+BAD_INPUT = {
+    "fmmfft-timing-only-cluster": (
+        lambda: fmmfft(random_signal(_N, seed=0), cluster=_timing_only()), "execute=False"),
+    "ifmmfft-timing-only-cluster": (
+        lambda: ifmmfft(random_signal(_N, seed=0), cluster=_timing_only()), "execute=False"),
+    "fmmfft-text": (lambda: fmmfft(_TEXT), "<U1"),
+    "ifmmfft-text": (lambda: ifmmfft(_TEXT), "<U1"),
+    "single-text": (lambda: fmmfft_single(_TEXT, _plan1()), "<U1"),
+    "single-stack": (lambda: fmmfft_single(np.zeros((1, _N)), _plan1()), f"(1, {_N})"),
+    "batched-empty-stack": (
+        lambda: fmmfft_batched(np.empty((0, _N)), _plan1()), f"(0, {_N})"),
+    "batched-text": (lambda: fmmfft_batched(_TEXT[None], _plan1()), "<U1"),
+    "BatchedFMM.apply-text": (
+        lambda: BatchedFMM(_plan1().operators).apply(
+            _TEXT.reshape(_plan1().P, -1)), "<U1"),
+    "BatchedFMM.s2t-text": (
+        lambda: BatchedFMM(_plan1().operators).s2t(
+            _TEXT.reshape(_plan1().P, -1, _plan1().ML)), "<U1"),
+}
+
+
+class TestBadInputDoors:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_parameter_error_names_the_value(self, case):
+        call, value = BAD_INPUT[case]
+        with pytest.raises(ParameterError, match=re.escape(value)):
+            call()
 
 
 class TestFourierTransform:

@@ -20,7 +20,7 @@ class TestCorrectness:
         plan = _plan(G=G)
         cl = VirtualCluster(p100_nvlink_node(G))
         x = random_signal(plan.N, seed=G)
-        out = FmmFftDistributed(plan, cl, backend="numpy").run(x)
+        out = FmmFftDistributed(plan, cl).run(x)
         ref = np.fft.fft(x)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 2e-14
 
@@ -28,16 +28,16 @@ class TestCorrectness:
         plan1 = _plan(G=1)
         plan2 = _plan(G=2)
         x = random_signal(plan1.N, seed=42)
-        single = fmmfft_single(x, plan1, backend="numpy")
+        single = fmmfft_single(x, plan1)
         cl = VirtualCluster(p100_nvlink_node(2))
-        dist = FmmFftDistributed(plan2, cl, backend="numpy").run(x)
+        dist = FmmFftDistributed(plan2, cl).run(x)
         np.testing.assert_allclose(dist, single, atol=1e-9)
 
     def test_own_backend(self):
         plan = _plan(G=2)
         cl = VirtualCluster(p100_nvlink_node(2))
         x = random_signal(plan.N, seed=9)
-        out = FmmFftDistributed(plan, cl, backend="auto").run(x)
+        out = FmmFftDistributed(plan, cl).run(x)
         ref = np.fft.fft(x)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 2e-13
 
@@ -45,16 +45,16 @@ class TestCorrectness:
         plan = _plan(G=2)
         x = random_signal(plan.N, seed=10)
         cl1 = VirtualCluster(p100_nvlink_node(2))
-        out1 = FmmFftDistributed(plan, cl1, backend="numpy", fuse_post=True).run(x)
+        out1 = FmmFftDistributed(plan, cl1, fuse_post=True).run(x)
         cl2 = VirtualCluster(p100_nvlink_node(2))
-        out2 = FmmFftDistributed(plan, cl2, backend="numpy", fuse_post=False).run(x)
+        out2 = FmmFftDistributed(plan, cl2, fuse_post=False).run(x)
         np.testing.assert_allclose(out1, out2, atol=1e-10)
 
     def test_single_precision(self):
         plan = _plan(Q=8, dtype="complex64")
         cl = VirtualCluster(p100_nvlink_node(2))
         x = random_signal(plan.N, "complex64", seed=11)
-        out = FmmFftDistributed(plan, cl, backend="numpy").run(x)
+        out = FmmFftDistributed(plan, cl).run(x)
         ref = np.fft.fft(x.astype(np.complex128))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 4e-7
 

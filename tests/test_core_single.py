@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import FmmFftPlan
-from repro.core.single import fmmfft_relative_error, fmmfft_single
+from repro.core.single import fmmfft_batched, fmmfft_relative_error, fmmfft_single
 from repro.util.prng import random_signal
 from repro.util.validation import ParameterError
 
@@ -42,14 +42,14 @@ class TestAccuracy:
         """The full pipeline through our Stockham engine (no numpy.fft)."""
         plan = FmmFftPlan.create(N=4096, P=8, ML=16, B=3, Q=16)
         x = random_signal(4096, seed=3)
-        ours = fmmfft_single(x, plan, backend="auto")
+        ours = fmmfft_single(x, plan)
         ref = np.fft.fft(x)
         assert np.linalg.norm(ours - ref) / np.linalg.norm(ref) < 2e-13
 
     def test_real_input(self):
         plan = FmmFftPlan.create(N=2048, P=8, ML=16, B=2, Q=16)
         x = random_signal(2048, "float64", seed=4)
-        out = fmmfft_single(x, plan, backend="numpy")
+        out = fmmfft_single(x, plan)
         ref = np.fft.fft(x)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-13
 
@@ -57,23 +57,23 @@ class TestAccuracy:
         plan = FmmFftPlan.create(N=1024, P=4, ML=16, B=2, Q=16)
         x = np.zeros(1024, dtype=np.complex128)
         x[5] = 1.0
-        out = fmmfft_single(x, plan, backend="numpy")
+        out = fmmfft_single(x, plan)
         np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-12)
 
     def test_pure_tone_spectrum(self):
         plan = FmmFftPlan.create(N=1024, P=4, ML=16, B=2, Q=16)
         t = np.arange(1024) / 1024
         x = np.exp(2j * np.pi * 100 * t)
-        out = fmmfft_single(x, plan, backend="numpy")
+        out = fmmfft_single(x, plan)
         assert np.argmax(np.abs(out)) == 100
         assert abs(out[100]) == pytest.approx(1024, rel=1e-10)
 
     def test_linearity(self):
         plan = FmmFftPlan.create(N=1024, P=4, ML=16, B=2, Q=16)
         x, y = random_signal(1024, seed=5), random_signal(1024, seed=6)
-        fx = fmmfft_single(x, plan, backend="numpy")
-        fy = fmmfft_single(y, plan, backend="numpy")
-        fxy = fmmfft_single(x + 3j * y, plan, backend="numpy")
+        fx = fmmfft_single(x, plan)
+        fy = fmmfft_single(y, plan)
+        fxy = fmmfft_single(x + 3j * y, plan)
         np.testing.assert_allclose(fxy, fx + 3j * fy, atol=1e-9)
 
 
@@ -97,6 +97,24 @@ class TestQBehaviour:
         e18 = fmmfft_relative_error(x, plan18)
         e24 = fmmfft_relative_error(x, plan24)
         assert e24 > e18 * 0.1  # no order-of-magnitude gain past 18
+
+
+class TestOneBody:
+    """``fmmfft_single`` is the ``k = 1`` call of ``fmmfft_batched``,
+    and a row's bits do not depend on what shares its stack."""
+
+    @pytest.mark.parametrize("dtype", ["complex64", "complex128"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_single_is_batched_k1_bit_for_bit(self, kind, dtype):
+        plan = FmmFftPlan.create(N=4096, P=8, ML=16, B=3, Q=16, dtype=dtype)
+        xs = np.stack([random_signal(4096, dtype, seed=s) for s in (1, 2, 3)])
+        xs = xs.real if kind == "real" else xs
+        stacked = fmmfft_batched(xs, plan)
+        for x, row in zip(xs, stacked):
+            one = fmmfft_single(x, plan)
+            assert one.dtype == np.dtype(dtype)
+            assert np.array_equal(one, fmmfft_batched(x[None], plan)[0])
+            assert np.array_equal(one, row)
 
 
 class TestValidation:

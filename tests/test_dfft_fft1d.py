@@ -28,12 +28,6 @@ class TestCorrectness:
         y = Distributed1DFFT(M * P, cl, M=M, P=P).run(x)
         assert np.linalg.norm(y - np.fft.fft(x)) / np.linalg.norm(y) < 1e-12
 
-    def test_numpy_backend(self, rng):
-        cl = VirtualCluster(p100_nvlink_node(2))
-        x = _rand(1 << 10, rng)
-        y = Distributed1DFFT(1 << 10, cl, backend="numpy").run(x)
-        np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
-
     def test_single_precision(self, rng):
         cl = VirtualCluster(p100_nvlink_node(2))
         x = _rand(1 << 10, rng, np.complex64)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fftcore.bluestein import fft_bluestein
+from repro.fftcore.oracle import reference_fft
 from repro.fftcore.plan import LocalFFTPlan, fft, ifft
 from repro.fftcore.stockham import fft_pow2
 from repro.fftcore.twiddle import twiddle_block, twiddles
@@ -12,22 +13,24 @@ from repro.util.validation import ParameterError
 
 class TestPlanConstruction:
     def test_auto_pow2_is_stockham(self):
-        assert LocalFFTPlan(64).backend == "stockham"
+        assert LocalFFTPlan(64).kernel is fft_pow2
 
     def test_auto_general_is_bluestein(self):
-        assert LocalFFTPlan(60).backend == "bluestein"
+        assert LocalFFTPlan(60).kernel is fft_bluestein
 
     def test_stockham_rejects_non_pow2(self):
-        with pytest.raises(ParameterError):
-            LocalFFTPlan(60, backend="stockham")
+        """The GEMM passes refuse the length a plan never hands them."""
+        with pytest.raises(ParameterError, match="60"):
+            fft_pow2(np.zeros(60, dtype=complex))
 
     def test_rejects_real_dtype(self):
         with pytest.raises(ParameterError):
             LocalFFTPlan(8, dtype="float64")
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ParameterError):
-            LocalFFTPlan(8, backend="fftw")
+        """The kernel follows from ``n``; there is no switch to set."""
+        with pytest.raises(TypeError, match="backend"):
+            LocalFFTPlan(8, backend="numpy")
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ParameterError):
@@ -71,17 +74,20 @@ class TestBadInputDoors:
 
 
 class TestPlanApply:
-    @pytest.mark.parametrize("backend", ["stockham", "numpy"])
-    def test_forward(self, backend, rng):
-        x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        plan = LocalFFTPlan(128, backend=backend)
-        np.testing.assert_allclose(plan.forward(x), np.fft.fft(x), atol=1e-9)
-
-    @pytest.mark.parametrize("backend", ["stockham", "bluestein", "numpy"])
-    def test_inverse_roundtrip(self, backend, rng):
-        n = 64 if backend != "bluestein" else 60
+    @pytest.mark.parametrize("n", [128, 120], ids=["stockham", "bluestein"])
+    def test_forward(self, n, rng):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        plan = LocalFFTPlan(n, backend=backend)
+        np.testing.assert_allclose(LocalFFTPlan(n).forward(x), reference_fft(x), atol=1e-9)
+
+    def test_bluestein_agrees_with_the_plan_on_pow2(self, rng):
+        """The two kernels are one transform where both apply."""
+        x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        np.testing.assert_allclose(fft_bluestein(x), LocalFFTPlan(128).forward(x), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [64, 60], ids=["stockham", "bluestein"])
+    def test_inverse_roundtrip(self, n, rng):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        plan = LocalFFTPlan(n)
         np.testing.assert_allclose(plan.inverse(plan.forward(x)), x, atol=1e-9)
 
     def test_axis_argument(self, rng):

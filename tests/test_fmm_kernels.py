@@ -1,4 +1,5 @@
-"""The shared FMM kernel set (``repro.fmm.kernels``) behind both drivers.
+"""The shared FMM kernel set (``repro.fmm.kernels``) and the one data
+path over it (``repro.fmm.driver``) behind both executors.
 
 References are deliberately the slow way round: the dense O(M^2) oracle
 for the whole pipeline, and per-stage loops over boxes and offsets that
@@ -10,9 +11,10 @@ operators, nor the windows with the code under test.
 import numpy as np
 import pytest
 
-from repro.fmm import kernels, operators
+from repro.fmm import batched, distributed, kernels, operators
 from repro.fmm.batched import BatchedFMM
 from repro.fmm.distributed import DistributedFMM
+from repro.fmm.driver import PassState, drive_fmm
 from repro.fmm.interaction import COUSINS_EVEN, COUSINS_ODD, base_offsets
 from repro.fmm.plan import FmmOperators
 from repro.fmm.reference import dense_apply_all
@@ -108,17 +110,30 @@ def _ref_l2l(parent):
     return out
 
 
+def _planar(kernel, *args, halo=None):
+    """A planar kernel on real or complex data of any strides and leading
+    batch axes: ``call(ops, a)`` returning the same kind of array.  The
+    halo, where the kernel takes one, is the cyclic one of a single slab."""
+    def call(o, a):
+        a = kernels.fold(a)
+        extra = (kernels.halos(a, 1, halo),) if halo else ()
+        return kernels.unfold(kernel(o, a, *args, *extra))
+    return call
+
+
 STAGES = {
     # name: (input shape after the batch axes, call, reference)
-    "s2m": ((P, NB, ML), lambda f, a: f.s2m(a),
+    "s2m": ((P, NB, ML), lambda o, a: _planar(kernels.s2m)(o, a[..., 1:, :, :]),
             lambda a: np.einsum("qm,...pbm->...pbq", operators.s2m_matrix(Q, ML), a[..., 1:, :, :])),
-    "s2t": ((P, NB, ML), lambda f, a: f.s2t(a), _ref_s2t),
-    "m2m": ((P - 1, NB, Q), lambda f, a: f.m2m(a), _ref_m2m),
-    "m2l_level": ((P - 1, NB, Q), lambda f, a: f.m2l_level(4, a), lambda a: _ref_m2l_level(4, a)),
-    "m2l_base": ((P - 1, 1 << B, Q), lambda f, a: f.m2l_base(a), _ref_m2l_base),
-    "reduce": ((P - 1, 1 << B, Q), lambda f, a: f.reduce(a), lambda a: a.sum(axis=(-2, -1))),
-    "l2l": ((P - 1, NB // 2, Q), lambda f, a: f.l2l(a), _ref_l2l),
-    "l2t": ((P - 1, NB, Q), lambda f, a: f.l2t(a),
+    "s2t": ((P, NB, ML), lambda o, a: BatchedFMM(o).s2t(a), _ref_s2t),
+    "m2m": ((P - 1, NB, Q), _planar(kernels.m2m), _ref_m2m),
+    "m2l_level": ((P - 1, NB, Q), _planar(kernels.m2l_level, 4, halo=2),
+                  lambda a: _ref_m2l_level(4, a)),
+    "m2l_base": ((P - 1, 1 << B, Q), _planar(kernels.m2l_base), _ref_m2l_base),
+    "reduce": ((P - 1, 1 << B, Q), lambda o, a: kernels.reduce(kernels.fold(a)),
+               lambda a: a.sum(axis=(-2, -1))),
+    "l2l": ((P - 1, NB // 2, Q), _planar(kernels.l2l), _ref_l2l),
+    "l2t": ((P - 1, NB, Q), _planar(kernels.l2t),
             lambda a: np.einsum("qm,...pbq->...pbm", operators.s2m_matrix(Q, ML), a)),
 }
 
@@ -131,7 +146,7 @@ class TestAgainstReferences:
     def test_stage(self, stage, dtype, layout, batch):
         shape, call, ref = STAGES[stage]
         a = _data((*batch, *shape), dtype, layout)
-        got = call(BatchedFMM(_ops(dtype)), a)
+        got = call(_ops(dtype), a)
         want = ref(a.astype(np.result_type(dtype, np.float64)))
         assert got.shape == want.shape
         assert got.dtype == np.dtype(dtype)  # real stays real, precision kept
@@ -207,13 +222,71 @@ class TestNoComplexGemm:
         self._check(matmul_dtypes, dtype, 12)
 
 
-# -- the distributed driver: halos, pass state ---------------------------------
+# -- the driver seam: one order, one data path, explicit halos -------------------
 
-def _run_distributed(G, S, **kwargs):
-    ops = FmmOperators.create(M=512, P=8, ML=16, B=3, Q=16, G=G)
+BIG = dict(M=512, P=8, ML=16, B=3, Q=16)     # L = 5: levels 5 and 4 are hierarchical
+
+
+def _run_distributed(G, S, monkeypatch=None, around=None, **kwargs):
+    """Run S through a G-device cluster; ``around(dfmm, issue)`` wraps the
+    ``issue`` callback the driver is handed (the issue/token seam)."""
+    dtype = kwargs.get("dtype", "complex128")
+    ops = FmmOperators.create(**BIG, G=G, dtype=dtype)
     dfmm = DistributedFMM(ops, VirtualCluster(p100_nvlink_node(G)), **kwargs)
+    if around is not None:
+        monkeypatch.setattr(distributed, "drive_fmm",
+                            lambda tree, issue: drive_fmm(tree, around(dfmm, issue)))
     _, r = dfmm.run(S)
     return dfmm, r
+
+
+def _halo_key(stage, ell):
+    return {"COMM-S": "S", "COMM-M": f"M{ell}"}.get(stage)
+
+
+class TestOneDriver:
+    """Host and cluster are the same code: one stage sequence, one data
+    path, the cluster adding only pricing, events and device buffers."""
+
+    @staticmethod
+    def _sequence(monkeypatch, run):
+        """The (stage, level) calls ``run`` makes through ``drive_fmm``."""
+        seen = []
+
+        def recording(tree, issue):
+            def spy(stage, ell, *tokens):
+                seen.append((stage, ell))
+                return issue(stage, ell, *tokens)
+            return drive_fmm(tree, spy)
+
+        for module in (batched, distributed):
+            monkeypatch.setattr(module, "drive_fmm", recording)
+        run()
+        return seen
+
+    @pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
+    def test_host_and_cluster_are_driven_through_one_sequence(self, fuse, monkeypatch):
+        S = _data((8, 512), np.complex128, "contiguous")
+        host = self._sequence(
+            monkeypatch, lambda: BatchedFMM(FmmOperators.create(**BIG)).apply(S))
+        cluster = self._sequence(
+            monkeypatch, lambda: _run_distributed(4, S, fuse_m2l_l2l=fuse))
+        assert host == cluster
+        assert host[:3] == [("S2M", 5), ("COMM-S", 5), ("S2T", 5)]
+        assert host[-1] == ("L2T", 5) and len(host) == 7 + 4 * 2  # 4 per hierarchical level
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_g1_cluster_is_bit_identical_to_batched(self, dtype):
+        S = _data((8, 512), dtype, "contiguous")
+        dfmm, r = _run_distributed(1, S, dtype=dtype)
+        T, r_host = BatchedFMM(FmmOperators.create(**BIG, dtype=dtype)).apply(S)
+        assert dfmm.gather().dtype == T.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(dfmm.gather(), T)
+        np.testing.assert_array_equal(r, r_host)
+
+    def test_unknown_stage_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="S2X"):
+            PassState(_ops(np.float64)).run("S2X", 4)
 
 
 class TestHaloFootprint:
@@ -227,59 +300,68 @@ class TestHaloFootprint:
 
     @pytest.fixture
     def single(self, S):
-        return BatchedFMM(FmmOperators.create(M=512, P=8, ML=16, B=3, Q=16)).apply(S)
+        return BatchedFMM(FmmOperators.create(**BIG)).apply(S)
 
     @pytest.mark.parametrize("G", [2, 4, 8])
     def test_nan_outside_declared_width_is_never_read(self, G, S, single, monkeypatch):
-        stash = DistributedFMM._stash_halo
+        def padding(dfmm, issue):
+            def padded(stage, ell, *tokens):
+                token = issue(stage, ell, *tokens)
+                key = _halo_key(stage, ell)
+                if key:  # execute mode: the COMM stage's data has just moved
+                    left, right = dfmm.state.halo[key]
+                    assert left.shape[-2] == right.shape[-2] == (1 if key == "S" else 2)
+                    nan = np.full_like(left[..., :1, :], np.nan)
+                    dfmm.state.halo[key] = (np.concatenate([nan, left], axis=-2),
+                                            np.concatenate([right, nan], axis=-2))
+                return token
+            return padded
 
-        def padded(self, what, width, level):
-            stash(self, what, width, level)
-            left, right = self._halo[what]
-            assert left.shape[-2] == right.shape[-2] == width
-            nan = np.full_like(left[..., :1, :], np.nan)
-            self._halo[what] = (np.concatenate([nan, left], axis=-2),
-                                np.concatenate([right, nan], axis=-2))
-
-        monkeypatch.setattr(DistributedFMM, "_stash_halo", padded)
-        dfmm, r = _run_distributed(G, S)
-        assert sorted(dfmm._halo) == ["M4", "M5", "S"]
-        assert all(np.isnan(h).any() for pair in dfmm._halo.values() for h in pair)
+        dfmm, r = _run_distributed(G, S, monkeypatch, padding)
+        assert sorted(dfmm.state.halo) == ["M4", "M5", "S"]
+        assert all(np.isnan(h).any() for pair in dfmm.state.halo.values() for h in pair)
         assert _rel(dfmm.gather(), single[0]) < 1e-13
         assert _rel(r, single[1]) < 1e-13
 
     @pytest.mark.parametrize("what", ["S", "M5", "M4"])
     def test_nan_inside_declared_width_is_read(self, what, S, monkeypatch):
         """Control: the halos are the path, not a by-pass around them."""
-        stash = DistributedFMM._stash_halo
+        def poisoning(dfmm, issue):
+            def poisoned(stage, ell, *tokens):
+                token = issue(stage, ell, *tokens)
+                if _halo_key(stage, ell) == what:
+                    dfmm.state.halo[what][0][..., 0, :] = np.nan  # outermost declared box
+                return token
+            return poisoned
 
-        def poisoned(self, name, width, level):
-            stash(self, name, width, level)
-            if name == what:
-                self._halo[name][0][..., 0, :] = np.nan  # outermost declared box
-
-        monkeypatch.setattr(DistributedFMM, "_stash_halo", poisoned)
-        dfmm, _ = _run_distributed(4, S)
+        dfmm, _ = _run_distributed(4, S, monkeypatch, poisoning)
         assert np.isnan(dfmm.gather()[1:]).any()
 
 
 class TestPassState:
     def test_state_exists_before_any_pass(self):
-        ops = FmmOperators.create(M=512, P=8, ML=16, B=3, Q=16, G=2)
+        ops = FmmOperators.create(**BIG, G=2)
         dfmm = DistributedFMM(ops, VirtualCluster(p100_nvlink_node(2), execute=False))
-        assert dfmm._M == dfmm._L == dfmm._halo == {}
-        assert dfmm._S is dfmm._MB is dfmm._r is None
+        st = dfmm.state
+        assert st.M == st.L == st.halo == {}
+        assert st.S is st.T is st.MB is st.r is None
         assert dfmm.run()[1] is None  # timing-only: no r, no error
+        assert dfmm.state is st       # and no data path ran
 
     def test_second_run_starts_clean(self):
         S = _data((8, 512), np.complex128, "contiguous")
         dfmm, r1 = _run_distributed(2, S)
-        T1 = dfmm.gather()
+        T1, first = dfmm.gather(), dfmm.state
         _, r2 = dfmm.run(S)
+        assert dfmm.state is not first  # a pass never folds into the previous one's state
         np.testing.assert_array_equal(dfmm.gather(), T1)
         np.testing.assert_array_equal(r2, r1)
 
     def test_missing_reduce_is_a_parameter_error(self, monkeypatch):
-        monkeypatch.setattr(DistributedFMM, "_do_reduce", lambda self: None)
+        def dropping(dfmm, issue):
+            return lambda stage, ell, *tokens: (
+                None if stage == "REDUCE" else issue(stage, ell, *tokens))
+
         with pytest.raises(ParameterError, match="REDUCE"):
-            _run_distributed(2, _data((8, 512), np.complex128, "contiguous"))
+            _run_distributed(2, _data((8, 512), np.complex128, "contiguous"),
+                             monkeypatch, dropping)

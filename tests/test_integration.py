@@ -22,9 +22,9 @@ class TestFmmfftVsBaselineNumerics:
         x = random_signal(N, seed=G)
         plan = FmmFftPlan.create(N=N, P=32, ML=16, B=3, Q=16, G=G)
         cl1 = VirtualCluster(p100_nvlink_node(G))
-        fmm_out = FmmFftDistributed(plan, cl1, backend="numpy").run(x)
+        fmm_out = FmmFftDistributed(plan, cl1).run(x)
         cl2 = VirtualCluster(p100_nvlink_node(G))
-        base_out = Distributed1DFFT(N, cl2, backend="numpy").run(x)
+        base_out = Distributed1DFFT(N, cl2).run(x)
         assert np.linalg.norm(fmm_out - base_out) / np.linalg.norm(base_out) < 1e-12
 
     def test_fmmfft_is_faster_in_simulated_time(self):
@@ -32,9 +32,9 @@ class TestFmmfftVsBaselineNumerics:
         x = random_signal(N, seed=0)
         plan = FmmFftPlan.create(N=N, P=32, ML=16, B=3, Q=16, G=2)
         cl1 = VirtualCluster(dual_p100_nvlink())
-        FmmFftDistributed(plan, cl1, backend="numpy").run(x)
+        FmmFftDistributed(plan, cl1).run(x)
         cl2 = VirtualCluster(dual_p100_nvlink())
-        Distributed1DFFT(N, cl2, backend="numpy").run(x)
+        Distributed1DFFT(N, cl2).run(x)
         assert cl1.wall_time() < cl2.wall_time()
 
 
@@ -46,7 +46,7 @@ class TestExecuteVsTimingConsistency:
         N = 1 << 13
         plan = FmmFftPlan.create(N=N, P=32, ML=16, B=3, Q=16, G=2)
         cl_e = VirtualCluster(dual_p100_nvlink(), execute=True)
-        FmmFftDistributed(plan, cl_e, backend="numpy").run(random_signal(N, seed=1))
+        FmmFftDistributed(plan, cl_e).run(random_signal(N, seed=1))
         plan_t = FmmFftPlan.create(N=N, P=32, ML=16, B=3, Q=16, G=2,
                                    build_operators=False)
         cl_t = VirtualCluster(dual_p100_nvlink(), execute=False)
@@ -56,7 +56,7 @@ class TestExecuteVsTimingConsistency:
     def test_identical_ledgers(self):
         N = 1 << 12
         cl_e = VirtualCluster(dual_p100_nvlink(), execute=True)
-        Distributed1DFFT(N, cl_e, backend="numpy").run(random_signal(N, seed=2))
+        Distributed1DFFT(N, cl_e).run(random_signal(N, seed=2))
         cl_t = VirtualCluster(dual_p100_nvlink(), execute=False)
         Distributed1DFFT(N, cl_t).run()
         assert len(cl_e.ledger) == len(cl_t.ledger)
@@ -96,7 +96,7 @@ class TestSignals:
         N = 1 << 12
         x = structured_signal(N, kind="tones", seed=3)
         plan = FmmFftPlan.create(N=N, P=16, ML=16, B=2, Q=16)
-        spec = np.abs(fmmfft_single(x, plan, backend="numpy"))
+        spec = np.abs(fmmfft_single(x, plan))
         ref = np.abs(np.fft.fft(x))
         np.testing.assert_allclose(spec, ref, atol=1e-8 * ref.max())
 
@@ -105,8 +105,8 @@ class TestSignals:
         plan = FmmFftPlan.create(N=N, P=8, ML=16, B=3, Q=16)
         x = random_signal(N, seed=4)
         h = structured_signal(N, kind="gaussian")
-        X = fmmfft_single(x, plan, backend="numpy")
-        H = fmmfft_single(h, plan, backend="numpy")
+        X = fmmfft_single(x, plan)
+        H = fmmfft_single(h, plan)
         conv_freq = np.fft.ifft(X * H)
         conv_direct = np.fft.ifft(np.fft.fft(x) * np.fft.fft(h))
         np.testing.assert_allclose(conv_freq, conv_direct, atol=1e-9)

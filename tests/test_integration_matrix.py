@@ -1,4 +1,4 @@
-"""Cross-configuration integration matrix: dtype x G x fusion x backend.
+"""Cross-configuration integration matrix: dtype x G x fusion.
 
 Every combination must produce the numpy-exact spectrum (to its
 precision) and a physically valid schedule.
@@ -27,7 +27,7 @@ def test_dtype_by_devices(dtype, G):
     plan = FmmFftPlan.create(N=N, P=32, ML=16, B=3, Q=Q, G=G, dtype=dtype)
     cl = VirtualCluster(p100_nvlink_node(G))
     x = random_signal(N, dtype, seed=G)
-    out = FmmFftDistributed(plan, cl, backend="numpy").run(x)
+    out = FmmFftDistributed(plan, cl).run(x)
     ref = np.fft.fft(x.astype(np.complex128))
     assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < TOL[dtype]
     assert_valid_schedule(cl.ledger)
@@ -41,21 +41,11 @@ def test_fusion_by_chunking(fuse_post, chunks):
     cl = VirtualCluster(p100_nvlink_node(2))
     x = random_signal(N, seed=7)
     out = FmmFftDistributed(
-        plan, cl, backend="numpy", chunks=chunks, fuse_post=fuse_post
+        plan, cl, chunks=chunks, fuse_post=fuse_post
     ).run(x)
     ref = np.fft.fft(x)
     assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 5e-14
     assert_valid_schedule(cl.ledger)
-
-
-@pytest.mark.parametrize("backend", ["auto", "numpy"])
-def test_backends_agree(backend):
-    N = 1 << 12
-    plan = FmmFftPlan.create(N=N, P=16, ML=16, B=3, Q=16, G=2)
-    cl = VirtualCluster(p100_nvlink_node(2))
-    x = random_signal(N, seed=8)
-    out = FmmFftDistributed(plan, cl, backend=backend).run(x)
-    assert np.linalg.norm(out - np.fft.fft(x)) / np.linalg.norm(out) < 2e-13
 
 
 def test_multinode_execute_with_fmm_fusion():

@@ -349,7 +349,7 @@ class TestGraphKeys:
         cl = _cluster("fft1d")
         graph, _ = capture_fft1d(cl, N, comm_algorithm="ring")
         assert graph.meta["key"] == (
-            "fft1d", N, "complex128", 4, "auto", "ring", 2)
+            "fft1d", N, "complex128", 4, "ring", 2)
 
     def test_spec_fingerprint_recorded(self):
         from repro.machine.spec import spec_fingerprint

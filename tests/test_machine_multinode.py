@@ -57,7 +57,7 @@ class TestNumerics:
         plan = FmmFftPlan.create(N=N, P=32, ML=16, B=3, Q=16, G=8)
         cl = VirtualCluster(multinode_p100(2, 4))
         x = random_signal(N, seed=5)
-        out = FmmFftDistributed(plan, cl, backend="numpy").run(x)
+        out = FmmFftDistributed(plan, cl).run(x)
         ref = np.fft.fft(x)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 2e-14
 

@@ -33,7 +33,7 @@ class TestDfft1dProperty:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         cl = VirtualCluster(p100_nvlink_node(G))
-        out = Distributed1DFFT(N, cl, M=M, P=P, chunks=chunks, backend="numpy").run(x)
+        out = Distributed1DFFT(N, cl, M=M, P=P, chunks=chunks).run(x)
         ref = np.fft.fft(x)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-11
         assert_valid_schedule(cl.ledger)
@@ -54,7 +54,7 @@ class TestDfft2dProperty:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
         cl = VirtualCluster(p100_nvlink_node(G))
-        out = Distributed2DFFT(M, P, cl, backend="numpy").run(a)
+        out = Distributed2DFFT(M, P, cl).run(a)
         np.testing.assert_allclose(out.T, np.fft.fft2(a), atol=1e-8)
         assert_valid_schedule(cl.ledger)
 
@@ -74,7 +74,7 @@ class TestFmmFftProperty:
         plan = FmmFftPlan.create(N=N, P=P, ML=ML, B=B, Q=16, G=G)
         x = random_signal(N, seed=seed % (2**31))
         cl = VirtualCluster(p100_nvlink_node(G))
-        out = FmmFftDistributed(plan, cl, backend="numpy").run(x)
+        out = FmmFftDistributed(plan, cl).run(x)
         ref = np.fft.fft(x)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-12
         assert_valid_schedule(cl.ledger)
