@@ -15,14 +15,12 @@
 import pytest
 
 from repro.bench.figures import emit
-from repro.core.distributed import FmmFftDistributed
-from repro.core.plan import FmmFftPlan
-from repro.dfft.fft1d import Distributed1DFFT
 from repro.fmm.distributed import DistributedFMM
 from repro.fmm.plan import FmmGeometry
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dgx1_p100, dual_p100_nvlink
 from repro.model.mops import fmm_stage_mops
+from repro.pipelines import simulate
 from repro.util.table import Table
 from repro.util.validation import real_dtype_for, c_factor
 
@@ -57,15 +55,13 @@ def test_ablation_base_level(benchmark):
 
 def test_ablation_fused_post(benchmark):
     spec = dual_p100_nvlink()
-    plan = FmmFftPlan.create(N=1 << 26, P=1 << 9, ML=64, B=3, Q=16, G=2,
-                             build_operators=False)
+    params = dict(P=1 << 9, ML=64, B=3, Q=16)
 
     def run():
-        cl_f = VirtualCluster(spec, execute=False)
-        FmmFftDistributed(plan, cl_f, fuse_post=True).run()
-        cl_u = VirtualCluster(spec, execute=False)
-        FmmFftDistributed(plan, cl_u, fuse_post=False).run()
-        return cl_f.wall_time(), cl_u.wall_time()
+        return tuple(
+            simulate("fmmfft", 1 << 26, spec,
+                     params={**params, "fuse_post": fuse}).wall_time()
+            for fuse in (True, False))
 
     t_f, t_u = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
@@ -81,11 +77,9 @@ def test_ablation_transpose_pipelining(benchmark):
     N = 1 << 26
 
     def run():
-        cl_p = VirtualCluster(spec, execute=False)
-        Distributed1DFFT(N, cl_p, chunks=8).run()
-        cl_b = VirtualCluster(spec, execute=False)
-        Distributed1DFFT(N, cl_b, chunks=1).run()
-        return cl_p.wall_time(), cl_b.wall_time()
+        return tuple(
+            simulate("fft1d", N, spec, params={"chunks": chunks}).wall_time()
+            for chunks in (8, 1))
 
     t_p, t_b = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(

@@ -17,12 +17,9 @@ import pytest
 from repro.bench.figures import emit, out_dir
 from repro.comm import algorithm_table, choose_algorithm
 from repro.core.api import default_params
-from repro.core.distributed import FmmFftDistributed
-from repro.core.plan import FmmFftPlan
-from repro.dfft.fft1d import Distributed1DFFT
-from repro.machine.cluster import VirtualCluster
 from repro.machine.multinode import multinode_p100
 from repro.machine.spec import preset
+from repro.pipelines import simulate
 from repro.util.table import Table, format_bytes, format_time
 
 _N = 1 << 20
@@ -41,18 +38,10 @@ def _pipeline_times(spec):
     rows = {}
     for pipe in ("fmmfft", "fft1d"):
         rows[pipe] = {}
+        params = default_params(_N) if pipe == "fmmfft" else None
         for algo in ("bulk", "auto"):
-            cl = VirtualCluster(spec, execute=False)
-            if pipe == "fmmfft":
-                plan = FmmFftPlan.create(
-                    N=_N, G=spec.num_devices, dtype="complex128",
-                    build_operators=False, **default_params(_N),
-                )
-                FmmFftDistributed(plan, cl, comm_algorithm=algo).run()
-            else:
-                Distributed1DFFT(_N, cl, dtype="complex128",
-                                 comm_algorithm=algo).run()
-            rows[pipe][algo] = cl.wall_time()
+            rows[pipe][algo] = simulate(
+                pipe, _N, spec, comm_algorithm=algo, params=params).wall_time()
     return rows
 
 

@@ -12,13 +12,10 @@ large across nodes.
 import pytest
 
 from repro.bench.figures import emit
-from repro.core.distributed import FmmFftDistributed
-from repro.core.plan import FmmFftPlan
-from repro.dfft.fft1d import Distributed1DFFT
-from repro.machine.cluster import VirtualCluster
 from repro.machine.multinode import multinode_p100
 from repro.machine.spec import dgx1_p100, dual_p100_nvlink
 from repro.model.energy import energy_ratio, run_energy
+from repro.pipelines import simulate
 from repro.util.table import Table
 
 N = 1 << 26
@@ -35,16 +32,10 @@ def _measure():
     rows = []
     for label, make in SYSTEMS:
         spec = make()
-        cl_b = VirtualCluster(spec, execute=False)
-        Distributed1DFFT(N, cl_b).run()
-        e_b = run_energy(cl_b)
-        G = spec.num_devices
-        B = max(3, G.bit_length() - 1)  # need G | 2^B
-        plan = FmmFftPlan.create(N=N, P=1 << 9, ML=64, B=B, Q=16,
-                                 G=G, build_operators=False)
-        cl_f = VirtualCluster(spec, execute=False)
-        FmmFftDistributed(plan, cl_f).run()
-        e_f = run_energy(cl_f)
+        e_b = run_energy(simulate("fft1d", N, spec))
+        B = max(3, spec.num_devices.bit_length() - 1)  # need G | 2^B
+        e_f = run_energy(simulate(
+            "fmmfft", N, spec, params=dict(P=1 << 9, ML=64, B=B, Q=16)))
         rows.append((label, e_b, e_f, energy_ratio(e_b, e_f)))
     return rows
 

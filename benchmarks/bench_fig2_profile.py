@@ -16,30 +16,24 @@ import pytest
 
 from repro.bench.data import PAPER_FIG2
 from repro.bench.figures import emit
-from repro.core.distributed import FmmFftDistributed
-from repro.core.plan import FmmFftPlan
-from repro.dfft.fft1d import Distributed1DFFT
-from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_p100_nvlink
+from repro.pipelines import simulate
 
 
 def _run_profiles():
     cfg = PAPER_FIG2
     # baseline
-    cl_b = VirtualCluster(dual_p100_nvlink(), execute=False)
-    Distributed1DFFT(cfg["N"], cl_b, dtype=cfg["dtype"]).run()
+    cl_b = simulate("fft1d", cfg["N"], dual_p100_nvlink(), dtype=cfg["dtype"])
     # FMM-FFT
-    plan = FmmFftPlan.create(
-        N=cfg["N"], P=cfg["P"], ML=cfg["ML"], B=cfg["B"], Q=cfg["Q"],
-        G=cfg["G"], dtype=cfg["dtype"], build_operators=False,
-    )
-    cl_f = VirtualCluster(dual_p100_nvlink(), execute=False)
-    FmmFftDistributed(plan, cl_f).run()
-    return cl_b, cl_f, plan
+    params = {k: cfg[k] for k in ("P", "ML", "B", "Q")}
+    cl_f = simulate("fmmfft", cfg["N"], dual_p100_nvlink(),
+                    dtype=cfg["dtype"], params=params)
+    return cl_b, cl_f
 
 
 def test_fig2_profiles(benchmark):
-    cl_b, cl_f, plan = benchmark.pedantic(_run_profiles, rounds=1, iterations=1)
+    cl_b, cl_f = benchmark.pedantic(_run_profiles, rounds=1, iterations=1)
+    fmm_count, fmm_size = PAPER_FIG2["P"] - 1, PAPER_FIG2["N"] // PAPER_FIG2["P"]
 
     text = []
     text.append("-- 1D cuFFTXT-style baseline (top panel) --")
@@ -65,15 +59,15 @@ def test_fig2_profiles(benchmark):
     )
     text.append("")
     text.append(
-        f"claims: FMMs={plan.P - 1} of size {plan.M}x{plan.M} "
+        f"claims: FMMs={fmm_count} of size {fmm_size}x{fmm_size} "
         f"(paper: {PAPER_FIG2['fmm_count']} of {PAPER_FIG2['fmm_size']}); "
         f"FMM stage {fmm_time * 1e3:.1f} ms (paper ~{PAPER_FIG2['fmm_time_ms']} ms); "
         f"{launches} kernel launches (paper {PAPER_FIG2['kernel_launches']})"
     )
     emit("fig2_profile", "\n".join(text))
 
-    assert plan.P - 1 == PAPER_FIG2["fmm_count"]
-    assert plan.M == PAPER_FIG2["fmm_size"]
+    assert fmm_count == PAPER_FIG2["fmm_count"]
+    assert fmm_size == PAPER_FIG2["fmm_size"]
     assert launches == PAPER_FIG2["kernel_launches"]
     assert 15e-3 < fmm_time < 60e-3
     # baseline is communication bound; the FMM-FFT is not

@@ -18,7 +18,7 @@ from repro.bench.figures import emit, fastest_config_sweep
 from repro.fmm.plan import FmmGeometry
 from repro.machine.spec import preset
 from repro.model.roofline import fmmfft_model_time
-from repro.model.search import simulate_fft2d
+from repro.pipelines import simulate
 from repro.util.table import Table
 from repro.util.asciiplot import ascii_series
 
@@ -46,7 +46,8 @@ def _panel(sysname: str, dtype: str, qs) -> tuple[str, dict]:
             M=(1 << q) // p["P"], P=p["P"], ML=p["ML"], B=p["B"], Q=p["Q"],
             G=spec.num_devices,
         )
-        t2d = simulate_fft2d(1 << q, p["P"], spec, dtype=dtype)
+        t2d = simulate("fft2d", 1 << q, spec, dtype=dtype,
+                       params={"P": p["P"]}).wall_time()
         model_speedup = row["baseline_time"] / fmmfft_model_time(
             geom, spec, dtype, fft2d_time=t2d
         )

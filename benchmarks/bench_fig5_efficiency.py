@@ -12,13 +12,13 @@ import pytest
 
 from repro.bench.data import PAPER_MODEL
 from repro.bench.figures import emit
-from repro.core.distributed import FmmFftDistributed
 from repro.core.plan import FmmFftPlan
 from repro.fmm.distributed import DistributedFMM
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_p100_nvlink
 from repro.model.roofline import fmm_model_time, fmm_stage_times
-from repro.model.search import find_fastest, simulate_fft2d
+from repro.model.search import find_fastest
+from repro.pipelines import simulate
 from repro.util.table import Table
 
 QS = [16, 18, 20, 22, 24, 26]
@@ -61,10 +61,10 @@ def _efficiencies(q: int, spec) -> dict[str, float]:
     # whole-FMM and whole-FMM-FFT efficiency
     fmm_measured = sum(measured.values())
     eff["FMM"] = fmm_model_time(geom, spec) / max(fmm_measured, 1e-30)
-    t2d = simulate_fft2d(1 << q, r.params["P"], spec)
-    cl2 = VirtualCluster(spec, execute=False)
-    FmmFftDistributed(plan, cl2).run()
-    eff["FMM-FFT"] = (fmm_model_time(geom, spec) + t2d) / cl2.wall_time()
+    t2d = simulate("fft2d", 1 << q, spec,
+                   params={"P": r.params["P"]}).wall_time()
+    t_full = simulate("fmmfft", 1 << q, spec, params=r.params).wall_time()
+    eff["FMM-FFT"] = (fmm_model_time(geom, spec) + t2d) / t_full
     return eff
 
 

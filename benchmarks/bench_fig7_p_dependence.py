@@ -16,7 +16,7 @@ from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_p100_nvlink
 from repro.model.flops import fmm_total_flops
 from repro.model.roofline import fmm_model_time
-from repro.model.search import simulate_fft2d
+from repro.pipelines import simulate
 from repro.util.table import Table
 
 N, ML, B, Q, G = 1 << 27, 64, 3, 16, 2
@@ -37,7 +37,8 @@ def _sweep():
             gflops=fmm_total_flops(geom, "complex128") / 1e9,
             model_ms=fmm_model_time(geom, spec, "complex128") * 1e3,
             measured_ms=cl.wall_time() * 1e3,
-            fft2d_ms=simulate_fft2d(N, P, spec, "complex128") * 1e3,
+            fft2d_ms=simulate("fft2d", N, spec,
+                              params={"P": P}).wall_time() * 1e3,
         )
     return rows
 

@@ -14,24 +14,15 @@ Timing-only mode makes the N = 2^26 sweep instant; numerics for these
 exact pipelines are validated in the test suite.
 """
 
-from repro.fmm.distributed import DistributedFMM
-from repro.fmm.plan import FmmGeometry
-from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
-from repro.model.search import find_fastest, simulate_fft1d, simulate_fmmfft
+from repro.model.search import find_fastest
+from repro.pipelines import simulate
 from repro.util.table import Table
 
 
 def fmm_stage_time(N: int, params: dict, G: int) -> float:
     """Simulated time of the FMM stage alone (no 2D FFT)."""
-    spec = p100_nvlink_node(G)
-    geom = FmmGeometry.create(
-        M=N // params["P"], P=params["P"], ML=params["ML"], B=params["B"],
-        Q=params["Q"], G=G,
-    )
-    cl = VirtualCluster(spec, execute=False)
-    DistributedFMM(geom, cl).run(staged=True)
-    return cl.wall_time()
+    return simulate("fmm", N, p100_nvlink_node(G), params=params).wall_time()
 
 
 def main() -> None:

@@ -11,8 +11,8 @@ Covers the three levels of the API:
 
 import numpy as np
 
-from repro import FmmFftDistributed, FmmFftPlan, VirtualCluster, fmmfft, preset
-from repro.core.baseline import baseline_1d_fft
+from repro import FmmFftPlan, VirtualCluster, fmmfft, preset
+from repro.pipelines import build
 from repro.util.prng import random_signal
 
 
@@ -40,14 +40,15 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Distributed on a simulated 2xP100 node, vs the 1D baseline.
     # ------------------------------------------------------------------
-    plan2 = plan.with_devices(2)
+    # Every distributed pipeline is built by name from one table.
     cl = VirtualCluster(preset("2xP100"))
-    X3 = FmmFftDistributed(plan2, cl).run(x)
+    X3 = build("fmmfft", cl, N, params=dict(P=64, ML=16, B=3, Q=16)).run(x)
     t_fmm = cl.wall_time()
     assert np.allclose(X3, X, atol=1e-8)
 
     cl_b = VirtualCluster(preset("2xP100"))
-    _, t_base = baseline_1d_fft(N, cl_b, x)
+    assert np.allclose(build("fft1d", cl_b, N).run(x), X, atol=1e-8)
+    t_base = cl_b.wall_time()
     print(f"[3] simulated 2xP100: FMM-FFT {t_fmm*1e3:.3f} ms vs "
           f"1D FFT {t_base*1e3:.3f} ms -> speedup {t_base/t_fmm:.2f}x")
     print()

@@ -31,7 +31,6 @@ from repro.core.api import fmmfft, fourier_transform, ifmmfft
 from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_single
 from repro.core.distributed import FmmFftDistributed
-from repro.core.baseline import baseline_1d_fft
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import preset
 
@@ -42,7 +41,6 @@ __all__ = [
     "FmmFftPlan",
     "VirtualCluster",
     "__version__",
-    "baseline_1d_fft",
     "fmmfft",
     "fmmfft_single",
     "fourier_transform",

@@ -97,11 +97,12 @@ to guard against (run with ``python tools/lint.py src``):
 ``launch-trig``
     In pipelines (``core/``, ``dfft/``, ``fmm/``): no ``np.exp`` /
     ``np.cos`` / ``np.sin`` inside a function passed as ``fn=`` to
-    ``.launch``, nor in a same-module function or method it calls.  The
-    closure runs on every execution of the plan, so a table built there
-    is rebuilt per op (the six-step twiddle cost 6.5 ms of a 33 ms op
-    this way); build it at plan time or take it from
-    :mod:`repro.fftcore.twiddle`'s cache.
+    ``.launch`` or as a load callback (``load=`` / ``load_callback=``)
+    to a stage that launches it, nor in a same-module function or method
+    it calls.  The closure runs on every execution of the plan, so a
+    table built there is rebuilt per op (the six-step twiddle cost
+    6.5 ms of a 33 ms op this way); build it at plan time or take it
+    from :mod:`repro.fftcore.twiddle`'s cache.
 
 Any rule can be waived on one line with ``# lint: allow-<rule>``; a
 waiver naming no known rule is itself reported (``unknown-waiver``).
@@ -171,6 +172,9 @@ ENGINE_PATH = "repro/machine/"
 
 #: transcendental table builders the launch-trig rule keeps out of closures
 TRIG_FUNCS = ("exp", "cos", "sin")
+
+#: keywords that hand a callback to a stage whose launch closure runs it
+LOAD_KWARGS = ("load", "load_callback")
 
 #: every waivable rule; a pragma naming anything else is unknown-waiver
 RULES = (
@@ -584,11 +588,14 @@ def _check_future_import(path: str, tree: ast.Module,
 
 def _check_launch_trig(path: str, tree: ast.Module,
                        pragmas: dict[int, set[str]]) -> list[LintIssue]:
-    """Trig calls reachable from a ``fn=`` launch closure, per module.
+    """Trig calls reachable from a launch closure, per module.
 
-    ``fn=`` names resolve to functions nested in the function that makes
-    the launch call; from there, ``self.f(...)`` and ``f(...)`` calls
-    are followed to any function of that name defined in the module.
+    The roots are ``fn=`` of a ``.launch`` call and the load callbacks
+    (:data:`LOAD_KWARGS`) of any call.  Their names resolve to functions
+    nested in the function that makes the call, or (``self.f``) to
+    methods of the module; from there, ``self.f(...)`` and ``f(...)``
+    calls are followed to any function of that name defined in the
+    module.
     """
     if not any(frag in path.replace("\\", "/") for frag in PIPELINE_PATHS):
         return []
@@ -602,16 +609,22 @@ def _check_launch_trig(path: str, tree: ast.Module,
         local = {n.name: n for n in ast.walk(outer)
                  if isinstance(n, defs) and n is not outer}
         for call in ast.walk(outer):
-            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "launch"):
-                for kw in call.keywords:
-                    if kw.arg != "fn":
-                        continue
-                    for n in ast.walk(kw.value):
-                        if isinstance(n, ast.Lambda):
-                            queue.append(n)
-                        elif isinstance(n, ast.Name) and n.id in local:
-                            queue.append(local[n.id])
+            if not isinstance(call, ast.Call):
+                continue
+            launch = (isinstance(call.func, ast.Attribute)
+                      and call.func.attr == "launch")
+            for kw in call.keywords:
+                if not (launch and kw.arg == "fn" or kw.arg in LOAD_KWARGS):
+                    continue
+                for n in ast.walk(kw.value):
+                    if isinstance(n, ast.Lambda):
+                        queue.append(n)
+                    elif isinstance(n, ast.Name) and n.id in local:
+                        queue.append(local[n.id])
+                    elif (isinstance(n, ast.Attribute)
+                          and isinstance(n.value, ast.Name)
+                          and n.value.id == "self"):
+                        queue += by_name.get(n.attr, [])
     lines: set[int] = set()
     seen: set[int] = set()
     while queue:

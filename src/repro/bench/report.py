@@ -34,7 +34,6 @@ ORDER = [
     "multinode_projection",
     "multinode_crossover",
     "energy_projection",
-    "obs_metrics",
 ]
 
 

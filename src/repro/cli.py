@@ -53,7 +53,7 @@ Commands
 ``tune``
     Build/extend a JSON tuning-wisdom file over a range of sizes.
 ``trace``
-    Export a chrome://tracing JSON of a simulated run.
+    Export a Perfetto / chrome://tracing JSON of a simulated run.
 ``report``
     Stitch the benchmark artifacts into one markdown report.
 """
@@ -63,12 +63,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from repro.core.distributed import FmmFftDistributed
+from repro import pipelines
+from repro.comm import ALGORITHMS
 from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_relative_error
-from repro.dfft.fft1d import Distributed1DFFT
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import preset, _PRESETS
 from repro.model.error import choose_q
@@ -108,14 +106,12 @@ def cmd_transform(args: argparse.Namespace) -> int:
     N = _parse_size(args.n)
     Q = args.q if args.q else choose_q(args.tolerance, args.dtype)
     x = random_signal(N, args.dtype, seed=args.seed)
-    plan_kw = {}
-    if args.p:
-        plan_kw["P"] = args.p
     from repro.core.api import default_params
 
     d = default_params(N)
-    d.update(plan_kw)
     d["Q"] = Q
+    if args.p:
+        d["P"] = args.p
     plan = FmmFftPlan.create(N=N, dtype=args.dtype, **d)
     err = fmmfft_relative_error(x, plan)
     print(f"plan: {plan.describe()}")
@@ -127,11 +123,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         from repro.obs import save_trace
 
         spec = preset(args.system)
-        r = find_fastest(N, spec, dtype=args.dtype)
-        tplan = FmmFftPlan.create(N=N, G=spec.num_devices, dtype=args.dtype,
-                                  build_operators=False, **r.params)
-        cl = VirtualCluster(spec, execute=False)
-        FmmFftDistributed(tplan, cl).run()
+        cl, _ = _simulate("fmmfft", N, spec, args.dtype)
         save_trace(args.trace_out, cl.ledger, spec)
         print(f"wrote {args.trace_out} ({spec.name} timing replay, "
               f"{len(cl.ledger)} ops)")
@@ -164,35 +156,17 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_pipeline(pipeline: str, N: int, spec, dtype: str, comm: str = "bulk"):
-    """Run one pipeline timing-only; returns (cluster, geometry, params).
+def _simulate(pipeline: str, N: int, spec, dtype: str, comm: str = "bulk"):
+    """Run one pipeline timing-only; returns ``(cluster, params)``.
 
-    geometry/params are None for the non-FMM pipelines.  ``comm`` picks
-    the collective algorithm (see :mod:`repro.comm`).  Shared by
-    ``analyze`` and ``metrics`` so both profile identical schedules.
+    The FMM-FFT runs at the fastest parameters :func:`find_fastest`
+    finds on ``spec``; ``params`` is None for every other pipeline.
     """
-    cl = VirtualCluster(spec, execute=False)
-    geom = params = None
-    if pipeline == "fmmfft":
-        r = find_fastest(N, spec, dtype=dtype)
-        plan = FmmFftPlan.create(N=N, G=spec.num_devices, dtype=dtype,
-                                 build_operators=False, **r.params)
-        FmmFftDistributed(plan, cl, comm_algorithm=comm).run()
-        geom, params = plan.geometry, r.params
-    elif pipeline == "fft1d":
-        Distributed1DFFT(N, cl, dtype=dtype, comm_algorithm=comm).run()
-    elif pipeline == "fft2d":
-        from repro.dfft.fft2d import Distributed2DFFT
-        from repro.util.bitmath import ilog2
-
-        M = 1 << ((ilog2(N) + 1) // 2)
-        Distributed2DFFT(M, N // M, cl, dtype=dtype, comm_algorithm=comm).run()
-    else:  # rfft
-        from repro.dfft.realfft import DistributedRealFFT
-
-        rdt = "float32" if dtype == "complex64" else "float64"
-        DistributedRealFFT(N, cl, dtype=rdt, comm_algorithm=comm).run()
-    return cl, geom, params
+    params = (find_fastest(N, spec, dtype=dtype).params
+              if pipeline == "fmmfft" else None)
+    cl = pipelines.simulate(pipeline, N, spec, dtype=dtype,
+                            comm_algorithm=comm, params=params)
+    return cl, params
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -200,7 +174,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     N = _parse_size(args.n)
     spec = preset(args.system)
     pipeline = "fft1d" if args.baseline else "fmmfft"
-    cl, _, params = _run_pipeline(pipeline, N, spec, args.dtype)
+    cl, params = _simulate(pipeline, N, spec, args.dtype)
     if params is not None:
         print(f"params: {params}")
     devices = [int(d) for d in args.devices.split(",")] if args.devices else None
@@ -224,8 +198,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         spec = multinode_p100(args.nodes, gpus_per_node=args.gpus_per_node)
     else:
         spec = preset(args.system)
-    cl, _, params = _run_pipeline(args.pipeline, N, spec, args.dtype,
-                                  comm=args.comm)
+    cl, params = _simulate(args.pipeline, N, spec, args.dtype, comm=args.comm)
     if params is not None:
         print(f"params: {params}")
 
@@ -238,7 +211,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                              write_findings)
 
         ctx = finding_context(pipeline=args.pipeline, comm=args.comm,
-                              n=N, system=spec.name)
+                              n=N, system=cl.spec.name)
         write_findings(args.json, from_hazards(report, context=ctx))
         print(f"findings JSON written to {args.json}")
     if args.sanitize:
@@ -255,14 +228,10 @@ def _verify_ir(N: int, dtype: str, comm: str):
     """
     from repro.ir import capture_pipeline, check_graph_prealloc
     from repro.ir.executor import scratch_replay
-    from repro.machine.spec import p100_nvlink_node
 
-    spec8 = preset("8xP100")
     rows, findings = [], []
-    from repro.ir import PIPELINE_NAMES
-
-    for name in PIPELINE_NAMES:
-        spec = p100_nvlink_node(1) if name == "nufft" else spec8
+    for name in pipelines.NAMES:
+        spec = pipelines.machine_for(name, preset("8xP100"))
         cl = VirtualCluster(spec, execute=False)
         graph, _ = capture_pipeline(name, cl, N, dtype=dtype,
                                     comm_algorithm=comm)
@@ -347,13 +316,11 @@ def cmd_ir(args: argparse.Namespace) -> int:
     import json as _json
     import time as _time
 
-    from repro.ir import (PIPELINE_NAMES, ReplayExecutor, capture_pipeline,
-                          fuse_elementwise)
-    from repro.machine.spec import p100_nvlink_node
+    from repro.ir import ReplayExecutor, capture_pipeline, fuse_elementwise
 
     N = _parse_size(args.n)
     spec = preset(args.system)
-    names = PIPELINE_NAMES if args.pipeline == "all" else (args.pipeline,)
+    names = pipelines.NAMES if args.pipeline == "all" else (args.pipeline,)
     reps = max(1, args.repeats)
     t = Table(
         ["pipeline", "G", "nodes", "records", "buffers", "comm", "fused",
@@ -362,9 +329,7 @@ def cmd_ir(args: argparse.Namespace) -> int:
     )
     rows = []
     for name in names:
-        # the NUFFT pipeline is single-device by construction
-        pspec = (p100_nvlink_node(1)
-                 if name == "nufft" and spec.num_devices != 1 else spec)
+        pspec = pipelines.machine_for(name, spec)
         cl = VirtualCluster(pspec, execute=False)
         t0 = _time.perf_counter()
         graph, _ = capture_pipeline(name, cl, N, dtype=args.dtype,
@@ -407,26 +372,30 @@ def cmd_ir(args: argparse.Namespace) -> int:
     return 0
 
 
+def _plan_cache(spec, wisdom_path: str | None):
+    """A serve plan cache over the wisdom file at ``wisdom_path``, when
+    there is one: what ``tune`` fills and ``serve`` starts warm from."""
+    from pathlib import Path
+
+    from repro.serve import PlanCache, Wisdom
+
+    warm = wisdom_path and Path(wisdom_path).exists()
+    return PlanCache(spec, wisdom=Wisdom.load(wisdom_path) if warm else None)
+
+
 def _run_serve(spec, args: argparse.Namespace):
     """Serve a synthetic workload; returns (cluster, scheduler).
 
     Shared by ``serve`` and ``metrics --pipeline serve`` so both observe
     identical schedules.
     """
-    from repro.serve import (AdmissionQueue, Batcher, PlanCache,
-                             ServeScheduler, Wisdom, synthetic_workload)
+    from repro.serve import (AdmissionQueue, Batcher, ServeScheduler,
+                             synthetic_workload)
 
     sizes = None
     if getattr(args, "sizes", None):
         sizes = {_parse_size(s): 1.0 for s in args.sizes.split(",")}
-    wisdom = None
-    wisdom_path = getattr(args, "wisdom", None)
-    if wisdom_path:
-        from pathlib import Path
-
-        if Path(wisdom_path).exists():
-            wisdom = Wisdom.load(wisdom_path)
-    cache = PlanCache(spec, wisdom=wisdom)
+    cache = _plan_cache(spec, getattr(args, "wisdom", None))
     cl = VirtualCluster(spec, execute=False)
     batcher = Batcher(cache, max_batch=getattr(args, "max_batch", 8),
                       batching=not getattr(args, "no_batching", False))
@@ -585,12 +554,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         from repro.serve import summarize
 
         cl, sched = _run_serve(spec, args)
-        geom, params = None, None
+        params = None
         serve_report = summarize(sched)
     else:
-        cl, geom, params = _run_pipeline(args.pipeline, N, spec, args.dtype,
-                                         comm=args.comm)
-    rep = compute_metrics(cl.ledger, spec, geom=geom, dtype=args.dtype,
+        cl, params = _simulate(args.pipeline, N, spec, args.dtype,
+                               comm=args.comm)
+    geom = params and _geometry(N, spec, args.dtype, params)
+    rep = compute_metrics(cl.ledger, cl.spec, geom=geom, dtype=args.dtype,
                           comm_log=cl.comm_log)
     if params is not None:
         print(f"params: {params}")
@@ -606,7 +576,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         Path(args.json).write_text(json.dumps(rep.to_json(), indent=1))
         print(f"wrote {args.json}")
     if args.trace_out:
-        save_trace(args.trace_out, cl.ledger, spec)
+        save_trace(args.trace_out, cl.ledger, cl.spec)
         print(f"wrote {args.trace_out}")
     return 0
 
@@ -637,16 +607,21 @@ def cmd_comm(args: argparse.Namespace) -> int:
     return 0
 
 
+def _geometry(N: int, spec, dtype: str, params: dict):
+    """The FMM geometry of one FMM-FFT configuration (no operators)."""
+    return FmmFftPlan.create(N=N, G=spec.num_devices, dtype=dtype,
+                             build_operators=False, **params).geometry
+
+
 def cmd_model(args: argparse.Namespace) -> int:
     """Print the Section 5 model breakdown."""
     from repro.model.report import render_model_report
 
     N = _parse_size(args.n)
     spec = preset(args.system)
-    r = find_fastest(N, spec, dtype=args.dtype)
-    plan = FmmFftPlan.create(N=N, G=spec.num_devices, dtype=args.dtype,
-                             build_operators=False, **r.params)
-    print(render_model_report(plan.geometry, spec, args.dtype))
+    params = find_fastest(N, spec, dtype=args.dtype).params
+    print(render_model_report(_geometry(N, spec, args.dtype, params), spec,
+                              args.dtype))
     return 0
 
 
@@ -656,15 +631,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
     N = _parse_size(args.n)
     spec = preset(args.system)
-    cl_b = VirtualCluster(spec, execute=False)
-    Distributed1DFFT(N, cl_b, dtype=args.dtype).run()
-    e_b = run_energy(cl_b)
-    r = find_fastest(N, spec, dtype=args.dtype)
-    plan = FmmFftPlan.create(N=N, G=spec.num_devices, dtype=args.dtype,
-                             build_operators=False, **r.params)
-    cl_f = VirtualCluster(spec, execute=False)
-    FmmFftDistributed(plan, cl_f).run()
-    e_f = run_energy(cl_f)
+    e_b = run_energy(_simulate("fft1d", N, spec, args.dtype)[0])
+    e_f = run_energy(_simulate("fmmfft", N, spec, args.dtype)[0])
     t = Table(["pipeline", "compute [J]", "memory [J]", "comm [J]", "idle [J]", "total [J]"],
               title=f"Energy projection, N={N} on {spec.name}")
     for label, e in (("1D FFT", e_b), ("FMM-FFT", e_f)):
@@ -699,36 +667,24 @@ def cmd_multinode(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    """Build or extend a tuning-wisdom JSON file."""
-    from pathlib import Path
-
-    from repro.model.tuning import TuningCache, tuned_params
-
-    spec = preset(args.system)
-    path = Path(args.wisdom)
-    cache = TuningCache.load(path) if path.exists() else TuningCache()
+    """Build or extend the wisdom file ``repro serve --wisdom`` reads."""
+    cache = _plan_cache(preset(args.system), args.wisdom)
     for q in range(args.min, args.max + 1):
-        p = tuned_params(1 << q, spec, dtype=args.dtype, cache=cache)
-        print(f"N=2^{q}: {p}")
-    cache.save(path)
-    print(f"wisdom saved to {path} ({len(cache)} entries)")
+        params, alg, _ = cache.resolve(1 << q, args.dtype)
+        print(f"N=2^{q}: {params} comm={alg}")
+    cache.wisdom.save(args.wisdom)
+    print(f"wisdom saved to {args.wisdom} ({len(cache.wisdom)} entries)")
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Export a chrome://tracing JSON of a simulated run."""
-    N = _parse_size(args.n)
+    """Export a Perfetto / chrome://tracing JSON of a simulated run."""
+    from repro.obs import save_trace
+
     spec = preset(args.system)
-    r = find_fastest(N, spec, dtype=args.dtype)
-    plan = FmmFftPlan.create(N=N, G=spec.num_devices, dtype=args.dtype,
-                             build_operators=False, **r.params)
-    cl = VirtualCluster(spec, execute=False)
-    FmmFftDistributed(plan, cl).run()
-    if args.rich:
-        cl.trace().save_perfetto(args.out)
-    else:
-        cl.trace().save_chrome_trace(args.out)
-    print(f"wrote {len(cl.ledger)} events to {args.out} "
+    cl, _ = _simulate("fmmfft", _parse_size(args.n), spec, args.dtype)
+    save_trace(args.out, cl.ledger, spec)
+    print(f"wrote {len(cl.ledger)} ops to {args.out} "
           f"(load in chrome://tracing or Perfetto)")
     return 0
 
@@ -742,6 +698,44 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dtype_option(sub, **kw) -> None:
+    sub.add_argument("--dtype", default="complex128",
+                     choices=["complex64", "complex128"], **kw)
+
+
+def _comm_option(sub, help: str) -> None:
+    sub.add_argument("--comm", default="bulk", choices=ALGORITHMS,
+                     help=help)
+
+
+def _workload_options(sub) -> None:
+    """The synthetic serve workload ``serve``, ``chaos`` and ``top`` share."""
+    sub.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
+    _dtype_option(sub)
+    sub.add_argument("--requests", type=int, default=32,
+                     help="number of requests in the synthetic trace")
+    sub.add_argument("--rate", type=float, default=2000.0,
+                     help="offered load [req/s] (Poisson arrivals)")
+    sub.add_argument("--sizes", default=None,
+                     help="comma-separated size mix (e.g. '2^16,2^18'); "
+                          "default 3:2:1 mix of 2^16/2^17/2^18")
+    sub.add_argument("--max-batch", type=int, default=8,
+                     help="largest coalesced batch")
+    sub.add_argument("--max-inflight", type=int, default=2,
+                     help="concurrent in-flight batches on the cluster")
+    sub.add_argument("--queue-capacity", type=int, default=64,
+                     help="admission queue depth (arrivals beyond it shed)")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="workload seed (arrivals, sizes)")
+
+
+def _pipeline_option(sub, default: str, *extra: str) -> None:
+    """``--pipeline``: the table's names, plus ``extra`` where a command
+    has a mode of its own."""
+    sub.add_argument("--pipeline", default=default,
+                     choices=[*extra, *pipelines.NAMES])
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     p = argparse.ArgumentParser(prog="repro", description=__doc__,
@@ -752,8 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("transform", help="FMM-FFT a synthetic signal")
     tr.add_argument("--n", default="2^14", help="size (e.g. 4096 or 2^20)")
-    tr.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(tr)
     tr.add_argument("--tolerance", type=float, default=1e-12)
     tr.add_argument("--q", type=int, default=0, help="override expansion order")
     tr.add_argument("--p", type=int, default=0, help="override P")
@@ -767,14 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
     se = sub.add_parser("search", help="find the fastest parameters")
     se.add_argument("--n", default="2^24")
     se.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    se.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(se)
     se.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("speedup", help="Figure-3-style sweep")
     sp.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    sp.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(sp)
     sp.add_argument("--min", type=int, default=14)
     sp.add_argument("--max", type=int, default=24)
     sp.set_defaults(fn=cmd_speedup)
@@ -782,8 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("profile", help="Figure-2-style timeline")
     pr.add_argument("--n", default="2^24")
     pr.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    pr.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(pr)
     pr.add_argument("--baseline", action="store_true",
                     help="profile the six-step 1D FFT instead")
     pr.add_argument("--width", type=int, default=100)
@@ -794,19 +784,15 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=cmd_profile)
 
     an = sub.add_parser("analyze", help="hazard-sanitize a simulated schedule")
-    an.add_argument("--pipeline", default="fmmfft",
-                    choices=["fmmfft", "fft1d", "fft2d", "rfft"])
+    _pipeline_option(an, "fmmfft")
     an.add_argument("--n", default="2^20", help="size (e.g. 4096 or 2^20)")
     an.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
     an.add_argument("--nodes", type=int, default=1,
                     help="> 1 analyzes a multi-node machine instead of --system")
     an.add_argument("--gpus-per-node", type=int, default=4)
-    an.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(an)
     an.add_argument("--width", type=int, default=100)
-    an.add_argument("--comm", default="bulk",
-                    choices=["bulk", "direct", "ring", "bruck", "hier", "hier2", "auto"],
-                    help="collective algorithm (see repro.comm)")
+    _comm_option(an, "collective algorithm (see repro.comm)")
     an.add_argument("--sanitize", action="store_true",
                     help="strict mode: raise HazardError on any finding")
     an.add_argument("--json", metavar="PATH", default=None,
@@ -829,26 +815,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "it against the prealloc contracts (repro.ir)")
     vf.add_argument("--ir-n", default="2^12",
                     help="problem size for the --ir captures")
-    vf.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"],
-                    help="dtype for the --ir captures")
-    vf.add_argument("--comm", default="bulk",
-                    choices=["bulk", "direct", "ring", "bruck", "hier", "hier2", "auto"],
-                    help="collective algorithm for the --ir captures")
+    _dtype_option(vf, help="dtype for the --ir captures")
+    _comm_option(vf, "collective algorithm for the --ir captures")
     vf.set_defaults(fn=cmd_verify)
 
     ir = sub.add_parser(
         "ir", help="capture/certify/replay a pipeline's op-graph IR")
-    ir.add_argument("--pipeline", default="all",
-                    choices=["all", "fft1d", "fft2d", "rfft", "fmm",
-                             "fmmfft", "nufft"])
+    _pipeline_option(ir, "all", "all")
     ir.add_argument("--n", default="2^12", help="size (e.g. 4096 or 2^12)")
     ir.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
-    ir.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
-    ir.add_argument("--comm", default="bulk",
-                    choices=["bulk", "direct", "ring", "bruck", "hier", "hier2", "auto"],
-                    help="collective algorithm (see repro.comm)")
+    _dtype_option(ir)
+    _comm_option(ir, "collective algorithm (see repro.comm)")
     ir.add_argument("--repeats", type=int, default=5,
                     help="replay repetitions for the host-wall timing")
     ir.add_argument("--json", metavar="PATH", default=None,
@@ -856,15 +833,11 @@ def build_parser() -> argparse.ArgumentParser:
     ir.set_defaults(fn=cmd_ir)
 
     me = sub.add_parser("metrics", help="observability report for a run")
-    me.add_argument("--pipeline", default="fmmfft",
-                    choices=["fmmfft", "fft1d", "fft2d", "rfft", "serve"])
+    _pipeline_option(me, "fmmfft", "serve")
     me.add_argument("--n", default="2^20", help="size (e.g. 4096 or 2^20)")
     me.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    me.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
-    me.add_argument("--comm", default="bulk",
-                    choices=["bulk", "direct", "ring", "bruck", "hier", "hier2", "auto"],
-                    help="collective algorithm (see repro.comm)")
+    _dtype_option(me)
+    _comm_option(me, "collective algorithm (see repro.comm)")
     me.add_argument("--json", default=None,
                     help="also write the report as JSON to this path")
     me.add_argument("--trace-out", default=None,
@@ -880,15 +853,13 @@ def build_parser() -> argparse.ArgumentParser:
     mo = sub.add_parser("model", help="Section 5 model breakdown")
     mo.add_argument("--n", default="2^24")
     mo.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    mo.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(mo)
     mo.set_defaults(fn=cmd_model)
 
     en = sub.add_parser("energy", help="energy projection")
     en.add_argument("--n", default="2^24")
     en.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
-    en.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(en)
     en.set_defaults(fn=cmd_energy)
 
     mn = sub.add_parser("multinode", help="multi-node projection")
@@ -898,33 +869,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fat-tree switch radix (0 = flat NIC model)")
     mn.add_argument("--oversubscription", type=float, default=1.0,
                     help="leaf uplink oversubscription factor")
-    mn.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(mn)
     mn.set_defaults(fn=cmd_multinode)
 
     sv = sub.add_parser("serve", help="batching transform service workload")
-    sv.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
-    sv.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
-    sv.add_argument("--requests", type=int, default=32,
-                    help="number of requests in the synthetic trace")
-    sv.add_argument("--rate", type=float, default=2000.0,
-                    help="offered load [req/s] (Poisson arrivals)")
-    sv.add_argument("--sizes", default=None,
-                    help="comma-separated size mix (e.g. '2^16,2^18'); "
-                         "default 3:2:1 mix of 2^16/2^17/2^18")
-    sv.add_argument("--max-batch", type=int, default=8,
-                    help="largest coalesced batch")
+    _workload_options(sv)
     sv.add_argument("--no-batching", action="store_true",
                     help="serve one request per execution (baseline)")
-    sv.add_argument("--max-inflight", type=int, default=2,
-                    help="concurrent in-flight batches on the cluster")
-    sv.add_argument("--queue-capacity", type=int, default=64,
-                    help="admission queue depth (arrivals beyond it shed)")
     sv.add_argument("--wisdom", default=None,
                     help="persistent wisdom JSON: loaded if present, "
                          "saved after the run (warm starts skip autotuning)")
-    sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--sanitize", action="store_true",
                     help="hazard-sanitize the interleaved schedule")
     sv.add_argument("--json", default=None,
@@ -938,20 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(fn=cmd_serve)
 
     ch = sub.add_parser("chaos", help="serve workload under fault injection")
-    ch.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
-    ch.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
-    ch.add_argument("--requests", type=int, default=32,
-                    help="number of requests in the synthetic trace")
-    ch.add_argument("--rate", type=float, default=2000.0,
-                    help="offered load [req/s] (Poisson arrivals)")
-    ch.add_argument("--sizes", default=None,
-                    help="comma-separated size mix (e.g. '2^16,2^18')")
-    ch.add_argument("--max-batch", type=int, default=8)
-    ch.add_argument("--max-inflight", type=int, default=2)
-    ch.add_argument("--queue-capacity", type=int, default=64)
-    ch.add_argument("--seed", type=int, default=0,
-                    help="workload seed (arrivals, sizes)")
+    _workload_options(ch)
     ch.add_argument("--fault-seed", type=int, default=0,
                     help="chaos scenario seed (see repro.faults.seeded_chaos)")
     ch.add_argument("--transient-rate", type=float, default=0.02,
@@ -981,39 +922,25 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--replay", default=None, metavar="PATH",
                     help="render from a saved serve-run / telemetry-snapshot "
                          "JSON instead of running a workload")
-    tp.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
-    tp.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
-    tp.add_argument("--requests", type=int, default=32)
-    tp.add_argument("--rate", type=float, default=2000.0)
-    tp.add_argument("--sizes", default=None,
-                    help="comma-separated size mix (e.g. '2^16,2^18')")
-    tp.add_argument("--max-batch", type=int, default=8)
-    tp.add_argument("--max-inflight", type=int, default=2)
-    tp.add_argument("--queue-capacity", type=int, default=64)
-    tp.add_argument("--seed", type=int, default=0)
+    _workload_options(tp)
     tp.add_argument("--out", default=None,
                     help="also write the rendered dashboard to this path")
     tp.set_defaults(fn=cmd_top)
 
     tu = sub.add_parser("tune", help="build a tuning-wisdom file")
     tu.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    tu.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(tu)
     tu.add_argument("--min", type=int, default=14)
     tu.add_argument("--max", type=int, default=20)
-    tu.add_argument("--wisdom", default="wisdom.json")
+    tu.add_argument("--wisdom", default="wisdom.json",
+                    help="wisdom JSON to extend (what `serve --wisdom` reads)")
     tu.set_defaults(fn=cmd_tune)
 
-    tc = sub.add_parser("trace", help="export a chrome://tracing JSON")
+    tc = sub.add_parser("trace", help="export a Perfetto trace JSON")
     tc.add_argument("--n", default="2^24")
     tc.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    tc.add_argument("--dtype", default="complex128",
-                    choices=["complex64", "complex128"])
+    _dtype_option(tc)
     tc.add_argument("--out", default="trace.json")
-    tc.add_argument("--rich", action="store_true",
-                    help="use the repro.obs exporter (named tracks, flow "
-                         "arrows, counters) instead of the flat one")
     tc.set_defaults(fn=cmd_trace)
 
     rp = sub.add_parser("report", help="aggregate benchmark artifacts")

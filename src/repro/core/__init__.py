@@ -16,7 +16,6 @@ by a distributed M x P 2D FFT (one all-to-all), replacing the six-step
   accuracy workhorse, Figure 9).
 - :mod:`repro.core.distributed` — Algorithm 1 + fused POST + 2D FFT on
   a :class:`~repro.machine.cluster.VirtualCluster`.
-- :mod:`repro.core.baseline` — the cuFFTXT-style 1D FFT comparator.
 - :mod:`repro.core.api` — one-call conveniences.
 """
 
@@ -25,13 +24,11 @@ from __future__ import annotations
 from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_single
 from repro.core.distributed import FmmFftDistributed
-from repro.core.baseline import baseline_1d_fft
 from repro.core.api import fmmfft, fourier_transform, ifmmfft
 
 __all__ = [
     "FmmFftDistributed",
     "FmmFftPlan",
-    "baseline_1d_fft",
     "fmmfft",
     "fmmfft_single",
     "fourier_transform",

@@ -20,7 +20,7 @@ from repro.core.plan import FmmFftPlan
 from repro.dfft.fft2d import Distributed2DFFT
 from repro.fmm.distributed import DistributedFMM
 from repro.machine.cluster import VirtualCluster
-from repro.util.validation import ParameterError
+from repro.util.validation import ParameterError, host_input
 
 
 class FmmFftDistributed:
@@ -85,18 +85,27 @@ class FmmFftDistributed:
 
     # -- staging -----------------------------------------------------------
 
-    def _scatter_input(self, x: np.ndarray, key: str) -> None:
+    def graph_key(self) -> tuple:
+        """Hashable configuration key: equal keys, equal schedules."""
+        f = self.fft2d
+        return self.plan.plan_key() + (f.comm_algorithm, f.chunks, f.fuse_load)
+
+    def stage_in(self, x: np.ndarray) -> None:
         """Device g gets S_g = S[:, b0:b1, :] (its leaf boxes, all p).
 
         In terms of the natural vector this is exactly the contiguous
         block ``x[g N/G : (g+1) N/G]`` re-viewed p-major.
         """
         plan = self.plan
-        x = np.asarray(x, dtype=plan.dtype)
+        x = host_input(x, plan.dtype, plan.N)
         if x.shape != (plan.N,):
             raise ParameterError(f"input must have shape ({plan.N},), got {x.shape}")
         S = np.ascontiguousarray(x.reshape(plan.M, plan.P).T)  # (P, M)
-        self.fmm.scatter(S, key)
+        self.fmm.stage_in(S, f"{self.ns}.S")
+
+    def finalize(self) -> np.ndarray:
+        """The in-order spectrum, gathered from the 2D FFT's output."""
+        return self.fft2d.finalize(f"{self.ns}.T").reshape(self.plan.N)
 
     def _post_callback(self, block: np.ndarray, g: int) -> np.ndarray:
         """POST on device g's (M/G, P) block: columns p >= 1 scale by
@@ -136,7 +145,7 @@ class FmmFftDistributed:
         if cl.execute:
             if x is None:
                 raise ParameterError("execute-mode cluster requires input data")
-            self._scatter_input(x, key_s)
+            self.stage_in(x)
         # Algorithm 1 lines 1-14
         with cl.region("fmmfft"):
             ev_t, _ = self.fmm.run(key_in=key_s, key_out=key_t, staged=True,

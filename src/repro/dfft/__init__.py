@@ -1,7 +1,10 @@
 """Distributed FFTs on the virtual cluster (the cuFFTXT substitute).
 
-Two pipelines, both built from :mod:`repro.fftcore` local transforms and
-:mod:`repro.machine` communication:
+Every pipeline here is assembled from two stage kinds, each written
+once — a batched serial FFT along one local axis
+(:func:`~repro.dfft.localfft.local_fft_stage`) and a global
+redistribution (:func:`~repro.dfft.transpose.distributed_transpose`) —
+to which it passes its own stage names, regions, axes and chunk counts:
 
 - :class:`~repro.dfft.fft1d.Distributed1DFFT` — the industry-standard
   in-order six-step radix-P split with **three** all-to-all transposes
@@ -16,15 +19,19 @@ Two pipelines, both built from :mod:`repro.fftcore` local transforms and
   decompositions of a 3D transform for routed multi-node machines: one
   global all-to-all (slab) vs. two subgroup exchanges on a ``Gr x Gc``
   process grid (pencil).
+- :class:`~repro.dfft.realfft.DistributedRealFFT` — the real-input
+  two-for-one FFT over a half-length :class:`Distributed1DFFT`.
 
-Both run real NumPy numerics in ``execute=True`` clusters and
-shape-determined timing in ``execute=False`` clusters.
+All are rows of the pipeline table (:mod:`repro.pipelines`) and meet
+its contract; all run real NumPy numerics in ``execute=True`` clusters
+and shape-determined timing in ``execute=False`` clusters.
 """
 
 from __future__ import annotations
 
 from repro.dfft.layout import BlockRows
 from repro.dfft.transpose import distributed_transpose
+from repro.dfft.localfft import local_fft_stage
 from repro.dfft.fft1d import Distributed1DFFT
 from repro.dfft.fft2d import Distributed2DFFT
 from repro.dfft.decomp import Distributed3DFFT, default_grid
@@ -38,4 +45,5 @@ __all__ = [
     "DistributedRealFFT",
     "default_grid",
     "distributed_transpose",
+    "local_fft_stage",
 ]

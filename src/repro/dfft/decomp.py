@@ -30,12 +30,17 @@ import numpy as np
 
 from repro import comm
 from repro.dfft.layout import BlockRows
+from repro.dfft.localfft import local_fft_stage
 from repro.dfft.transpose import distributed_transpose
-from repro.fftcore.flops import fft_flops, fft_mops, fft_small_n_efficiency
 from repro.fftcore.plan import LocalFFTPlan
 from repro.machine.cluster import VirtualCluster
 from repro.util.bitmath import ilog2, is_pow2
-from repro.util.validation import ParameterError, check_multiple, check_pow2
+from repro.util.validation import (
+    ParameterError,
+    check_multiple,
+    check_pow2,
+    host_input,
+)
 
 DECOMPOSITIONS = ("slab", "pencil")
 
@@ -71,6 +76,8 @@ class Distributed3DFFT:
         :mod:`repro.comm`); the pencil subgroup exchanges are issued as
         merged pairwise rounds and take no algorithm knob.
     """
+
+    ns = "dfft3"  # device buffer prefix: the default ``key`` below
 
     def __init__(
         self,
@@ -117,44 +124,32 @@ class Distributed3DFFT:
         self._plan_y = LocalFFTPlan(ny, dtype=dt)
         self._plan_z = LocalFFTPlan(nz, dtype=dt)
 
+    def graph_key(self) -> tuple:
+        """Hashable configuration key: equal keys, equal schedules."""
+        return ("fft3d", self.nx, self.ny, self.nz, self.dtype.name,
+                self.decomposition, self.grid, self.comm_algorithm, self.cl.G)
+
     # -- staging ----------------------------------------------------------
 
-    def _row_groups(self) -> list[list[int]]:
-        gr, gc = self.grid
-        return [[r * gc + c for c in range(gc)] for r in range(gr)]
-
-    def _col_groups(self) -> list[list[int]]:
-        gr, gc = self.grid
-        return [[r * gc + c for r in range(gr)] for c in range(gc)]
-
-    def stage_in(self, a: np.ndarray, key: str = "dfft3") -> None:
+    def stage_in(self, a: np.ndarray, key: str = ns) -> None:
         """Scatter the global cube into per-device blocks (host-side)."""
-        cl = self.cl
-        a = np.asarray(a, dtype=self.dtype).reshape(self.nx, self.ny, self.nz)
-        if self.decomposition == "slab":
-            nxl = self.nx // cl.G
-            for g in range(cl.G):
-                cl.dev(g)[key] = np.ascontiguousarray(
-                    a[g * nxl:(g + 1) * nxl])
-            return
-        gr, gc = self.grid
+        a = host_input(a, self.dtype, self.nx * self.ny * self.nz).reshape(
+            self.nx, self.ny, self.nz)
+        # input layout: x over grid rows, y over columns; a slab is (G, 1)
+        gr, gc = self.grid or (self.cl.G, 1)
         nxr, nyc = self.nx // gr, self.ny // gc
         for r in range(gr):
             for c in range(gc):
-                cl.dev(r * gc + c)[key] = np.ascontiguousarray(
+                self.cl.dev(r * gc + c)[key] = np.ascontiguousarray(
                     a[r * nxr:(r + 1) * nxr, c * nyc:(c + 1) * nyc, :])
 
-    def gather(self, key: str = "dfft3") -> np.ndarray:
+    def finalize(self, key: str = ns) -> np.ndarray:
         """Reassemble the transformed cube from device blocks."""
         cl, nx, ny, nz = self.cl, self.nx, self.ny, self.nz
         if self.decomposition == "slab":
-            # device g holds rows [g*rl, (g+1)*rl) of the (ny*nz, nx)
-            # transposed matrix
-            rl = (ny * nz) // cl.G
-            flat = np.vstack([
-                np.asarray(cl.dev(g)[key]).reshape(rl, nx)
-                for g in range(cl.G)
-            ])
+            # device g holds a row block of the (ny*nz, nx) transposed matrix
+            flat = BlockRows(rows=ny * nz, cols=nx, G=cl.G).gather(
+                [cl.dev(g)[key] for g in range(cl.G)])
             return np.ascontiguousarray(flat.T).reshape(nx, ny, nz)
         gr, gc = self.grid
         nyr, nzc = ny // gr, nz // gc
@@ -169,13 +164,18 @@ class Distributed3DFFT:
     # -- execution --------------------------------------------------------
 
     def run(self, a: np.ndarray | None = None,
-            key: str = "dfft3") -> np.ndarray | None:
+            key: str = ns) -> np.ndarray | None:
         """Execute the 3D FFT; returns the transformed cube or None."""
         cl = self.cl
         if cl.execute:
             if a is None:
                 raise ParameterError("execute-mode cluster requires input data")
             self.stage_in(a, key)
+        else:
+            gr, gc = self.grid or (cl.G, 1)
+            for g in range(cl.G):
+                cl.dev(g).alloc(
+                    key, (self.nx // gr, self.ny // gc, self.nz), self.dtype)
         with cl.region("fft3d"):
             if self.decomposition == "slab":
                 self._run_slab(key)
@@ -183,52 +183,19 @@ class Distributed3DFFT:
                 self._run_pencil(key)
         cl.barrier()
         if cl.execute:
-            return self.gather(key)
+            return self.finalize(key)
         return None
-
-    def _fft_pass(self, name: str, n: int, batch: float, after, fn, key: str):
-        """One local FFT pass on every device; returns per-device events."""
-        cl = self.cl
-        flops = fft_flops(n, batch=batch)
-        mops = fft_mops(n, batch=batch, itemsize=self.dtype.itemsize) \
-            / fft_small_n_efficiency(n)
-        evs = []
-        for g in range(cl.G):
-            dep = [after[g]] if after and after[g] is not None else ()
-            evs.append(cl.launch(
-                g, name=name, kind="fft", flops=flops, mops=mops,
-                dtype=self.dtype, stream="compute", after=dep,
-                fn=fn if g == 0 else None, reads=[key], writes=[key]))
-        return evs
 
     def _run_slab(self, key: str) -> None:
         cl, nx, ny, nz = self.cl, self.nx, self.ny, self.nz
         G = cl.G
         nxl = nx // G
         lay = BlockRows(rows=nx, cols=ny * nz, G=G)
-        if not cl.execute:
-            for g in range(G):
-                cl.dev(g).alloc(key, lay.local_shape(), self.dtype)
 
-        def fft_yz(c: VirtualCluster) -> None:
-            for g in range(G):
-                blk = np.asarray(c.dev(g)[key]).reshape(nxl, ny, nz)
-                blk = self._plan_y.forward(blk, axis=1)
-                c.dev(g)[key] = self._plan_z.forward(blk, axis=2)
-
-        with cl.region("fftYZ"):
-            # two stacked 1D passes priced as one launch
-            flops = fft_flops(ny, batch=nxl * nz) + fft_flops(nz, batch=nxl * ny)
-            mops = (fft_mops(ny, batch=nxl * nz, itemsize=self.dtype.itemsize)
-                    / fft_small_n_efficiency(ny)
-                    + fft_mops(nz, batch=nxl * ny, itemsize=self.dtype.itemsize)
-                    / fft_small_n_efficiency(nz))
-            evs = []
-            for g in range(G):
-                evs.append(cl.launch(
-                    g, name="fft3d.yz", kind="fft", flops=flops, mops=mops,
-                    dtype=self.dtype, stream="compute",
-                    fn=fft_yz if g == 0 else None, reads=[key], writes=[key]))
+        # two stacked 1D passes priced as one launch
+        evs = local_fft_stage(
+            cl, key, "fft3d.yz", "fftYZ", (nxl, ny, nz),
+            [(self._plan_y, 1), (self._plan_z, 2)], self.dtype)[0]
 
         with cl.region("transpose"):
             evs2 = distributed_transpose(
@@ -236,105 +203,62 @@ class Distributed3DFFT:
                 after_chunks=[evs], chunks=1,
                 algorithm=self.comm_algorithm)
 
-        rl = (ny * nz) // G
+        local_fft_stage(cl, key, "fft3d.x", "fftX", ((ny * nz) // G, nx),
+                        [(self._plan_x, 1)], self.dtype, after=evs2)
 
-        def fft_x(c: VirtualCluster) -> None:
-            for g in range(G):
-                blk = np.asarray(c.dev(g)[key]).reshape(rl, nx)
-                c.dev(g)[key] = self._plan_x.forward(blk, axis=1)
+    def _exchange(self, name: str, region: str, groups, shape, split: int,
+                  join: int, after, key: str, stage: int):
+        """One subgroup exchange under ``region``; returns per-device events.
 
-        with cl.region("fftX"):
-            self._fft_pass("fft3d.x", nx, float(rl), evs2, fft_x, key)
-
-    def _exchange(self, name: str, groups, frac_kept: float, fn, after,
-                  key: str, stage: int):
-        """One subgroup exchange; returns per-device events.
-
-        Message reads/writes use sibling sub-parts of ``key`` so the
-        concurrent messages of a round never alias while whole-buffer
-        FFT passes still conflict with (and are ordered against) them.
+        Within each group, every member's block (viewed as ``shape``) is
+        split along axis ``split`` over the members and the pieces each
+        receives are joined along ``join``.  Message reads/writes use
+        sibling sub-parts of ``key`` so the concurrent messages of a
+        round never alias while whole-buffer FFT passes still conflict
+        with (and are ordered against) them.
         """
         cl = self.cl
-        local_bytes = self._pencil_local_bytes()
-        sent = local_bytes * (1.0 - frac_kept)
-        evs = comm.grouped_alltoall(
-            cl, sent, name, groups=groups, after=after, fn=fn,
-            reads=[f"{key}#pack{stage}"], writes=[f"{key}#x{stage}"])
-        out = []
-        for g in range(cl.G):
-            out.append(cl.launch(
-                g, name=f"{name}.reorder", kind="copy", flops=0.0,
-                mops=2.0 * local_bytes, dtype=self.dtype, stream="compute",
-                after=[evs[g]], reads=[key], writes=[key]))
-        return out
+        n = len(groups[0])
 
-    def _pencil_local_bytes(self) -> float:
-        gr, gc = self.grid
-        return (self.nx * self.ny * self.nz / (gr * gc)) \
-            * self.dtype.itemsize
+        def move(c: VirtualCluster) -> None:
+            for members in groups:
+                parts = [np.array_split(
+                    np.asarray(c.dev(g)[key]).reshape(shape), n, axis=split)
+                    for g in members]
+                for i, g in enumerate(members):
+                    c.dev(g)[key] = np.concatenate(
+                        [p[i] for p in parts], axis=join)
+
+        local_bytes = (self.nx * self.ny * self.nz / cl.G) * self.dtype.itemsize
+        with cl.region(region):
+            evs = comm.grouped_alltoall(
+                cl, local_bytes * (1.0 - 1.0 / n), name, groups=groups,
+                after=after, fn=move,
+                reads=[f"{key}#pack{stage}"], writes=[f"{key}#x{stage}"])
+            return [
+                cl.launch(
+                    g, name=f"{name}.reorder", kind="copy", flops=0.0,
+                    mops=2.0 * local_bytes, dtype=self.dtype, stream="compute",
+                    after=[evs[g]], reads=[key], writes=[key])
+                for g in range(cl.G)
+            ]
 
     def _run_pencil(self, key: str) -> None:
         cl, nx, ny, nz = self.cl, self.nx, self.ny, self.nz
         gr, gc = self.grid
         nxr, nyc, nyr, nzc = nx // gr, ny // gc, ny // gr, nz // gc
-        if not cl.execute:
-            for g in range(cl.G):
-                cl.dev(g).alloc(key, (nxr, nyc, nz), self.dtype)
+        rows = [[r * gc + c for c in range(gc)] for r in range(gr)]
+        cols = [[r * gc + c for r in range(gr)] for c in range(gc)]
 
-        def fft_z(c: VirtualCluster) -> None:
-            for g in range(c.G):
-                blk = np.asarray(c.dev(g)[key]).reshape(nxr, nyc, nz)
-                c.dev(g)[key] = self._plan_z.forward(blk, axis=2)
-
-        with cl.region("fftZ"):
-            evs = self._fft_pass("fft3d.z", nz, float(nxr * nyc), None,
-                                 fft_z, key)
-
-        row_groups = self._row_groups()
-
-        def move_rows(c: VirtualCluster) -> None:
-            # within each row group: split z over members, join y
-            for members in row_groups:
-                blks = [np.asarray(c.dev(g)[key]).reshape(nxr, nyc, nz)
-                        for g in members]
-                for ci, g in enumerate(members):
-                    c.dev(g)[key] = np.concatenate(
-                        [b[:, :, ci * nzc:(ci + 1) * nzc] for b in blks],
-                        axis=1)
-
-        with cl.region("rowX"):
-            evs = self._exchange("fft3d.rowx", row_groups, 1.0 / gc,
-                                 move_rows, evs, key, 1)
-
-        def fft_y(c: VirtualCluster) -> None:
-            for g in range(c.G):
-                blk = np.asarray(c.dev(g)[key]).reshape(nxr, ny, nzc)
-                c.dev(g)[key] = self._plan_y.forward(blk, axis=1)
-
-        with cl.region("fftY"):
-            evs = self._fft_pass("fft3d.y", ny, float(nxr * nzc), evs,
-                                 fft_y, key)
-
-        col_groups = self._col_groups()
-
-        def move_cols(c: VirtualCluster) -> None:
-            # within each column group: split y over members, join x
-            for members in col_groups:
-                blks = [np.asarray(c.dev(g)[key]).reshape(nxr, ny, nzc)
-                        for g in members]
-                for ri, g in enumerate(members):
-                    c.dev(g)[key] = np.concatenate(
-                        [b[:, ri * nyr:(ri + 1) * nyr, :] for b in blks],
-                        axis=0)
-
-        with cl.region("colX"):
-            evs = self._exchange("fft3d.colx", col_groups, 1.0 / gr,
-                                 move_cols, evs, key, 2)
-
-        def fft_x(c: VirtualCluster) -> None:
-            for g in range(c.G):
-                blk = np.asarray(c.dev(g)[key]).reshape(nx, nyr, nzc)
-                c.dev(g)[key] = self._plan_x.forward(blk, axis=0)
-
-        with cl.region("fftX"):
-            self._fft_pass("fft3d.x", nx, float(nyr * nzc), evs, fft_x, key)
+        evs = local_fft_stage(cl, key, "fft3d.z", "fftZ", (nxr, nyc, nz),
+                              [(self._plan_z, 2)], self.dtype)[0]
+        # within each row group: split z over members, join y
+        evs = self._exchange("fft3d.rowx", "rowX", rows, (nxr, nyc, nz), 2, 1,
+                             evs, key, 1)
+        evs = local_fft_stage(cl, key, "fft3d.y", "fftY", (nxr, ny, nzc),
+                              [(self._plan_y, 1)], self.dtype, after=evs)[0]
+        # within each column group: split y over members, join x
+        evs = self._exchange("fft3d.colx", "colX", cols, (nxr, ny, nzc), 1, 0,
+                             evs, key, 2)
+        local_fft_stage(cl, key, "fft3d.x", "fftX", (nx, nyr, nzc),
+                        [(self._plan_x, 0)], self.dtype, after=evs)

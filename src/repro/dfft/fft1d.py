@@ -24,15 +24,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.plans import check_chunks
 from repro.dfft.layout import BlockRows
+from repro.dfft.localfft import local_fft_stage
 from repro.dfft.transpose import distributed_transpose
-from repro.fftcore.flops import fft_flops, fft_mops, fft_small_n_efficiency
 from repro.fftcore.plan import LocalFFTPlan
 from repro.fftcore.twiddle import twiddle_block
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
-from repro.util.bitmath import ilog2, is_pow2
-from repro.util.validation import ParameterError, check_multiple, check_pow2
+from repro.util.bitmath import ilog2
+from repro.util.validation import (
+    ParameterError,
+    check_multiple,
+    check_pow2,
+    host_input,
+)
 
 
 class Distributed1DFFT:
@@ -56,6 +62,8 @@ class Distributed1DFFT:
         :mod:`repro.comm`); ``"bulk"`` is the legacy flat model.
     """
 
+    ns = "dfft1"  # device buffer prefix: the default ``key`` below
+
     def __init__(
         self,
         N: int,
@@ -67,13 +75,11 @@ class Distributed1DFFT:
         comm_algorithm: str = "bulk",
     ):
         check_pow2("N", N)
+        check_chunks(chunks)
         q = ilog2(N)
-        if M is None and P is None:
-            M = 1 << ((q + 1) // 2)
-            P = N // M
-        elif M is None:
-            M = N // P
-        elif P is None:
+        if M is None:
+            M = N // P if P is not None else 1 << ((q + 1) // 2)
+        if P is None:
             P = N // M
         if M * P != N:
             raise ParameterError(f"M*P = {M}*{P} != N = {N}")
@@ -92,66 +98,15 @@ class Distributed1DFFT:
         # overhead would dominate any overlap win)
         if N // G < (1 << 16):
             chunks = 1
-        self.chunks = max(1, min(chunks, M // G, P // G))
+        self.chunks = min(chunks, M // G, P // G)
         self.comm_algorithm = comm_algorithm
         self._plan_M = LocalFFTPlan(M, dtype=dt)
         self._plan_P = LocalFFTPlan(P, dtype=dt)
 
-    # -- helpers ---------------------------------------------------------
-
-    def _chunked_row_fft(
-        self,
-        key: str,
-        layout: BlockRows,
-        plan: LocalFFTPlan,
-        name: str,
-        after: list[Event],
-        twiddle: bool = False,
-    ) -> list[list[Event]]:
-        """Batch row FFTs on every device, issued in ``self.chunks`` pieces.
-
-        Returns per-chunk event lists (``chunks`` lists of G events) so a
-        following transpose can pipeline.  The optional twiddle is fused
-        as a load callback (charged as extra flops, no extra memory
-        pass), matching cuFFTXT's callback facility.
-        """
-        cl = self.cl
-        n = plan.n
-        rows_local = layout.rows_local
-        itemsize = self.dtype.itemsize
-
-        def data_fn(c: VirtualCluster) -> None:
-            for g in range(cl.G):
-                a = np.asarray(c.dev(g)[key]).reshape(rows_local, layout.cols)
-                if twiddle:
-                    a = self._twiddle_block(a, g)
-                c.dev(g)[key] = plan.forward(a, axis=1)
-
-        per_chunk: list[list[Event]] = []
-        rows_chunk = rows_local / self.chunks
-        flops = fft_flops(n, batch=rows_chunk)
-        # small-n batched transforms run below peak bandwidth; charge the
-        # inefficiency as effective extra traffic
-        mops = fft_mops(n, batch=rows_chunk, itemsize=itemsize) / fft_small_n_efficiency(n)
-        if twiddle:
-            flops += 6.0 * n * rows_chunk  # complex multiply per element
-        for i in range(self.chunks):
-            # chunk i transforms row-chunk i in place: a disjoint
-            # sub-resource, so later chunks overlap the transpose of
-            # earlier ones without aliasing
-            bufs = [key] if self.chunks == 1 else [f"{key}#r{i}"]
-            evs = []
-            for g in range(cl.G):
-                ev = cl.launch(
-                    g, name=name, kind="fft", flops=flops, mops=mops,
-                    dtype=self.dtype, stream="compute",
-                    after=[after[g]] if i == 0 and after else (),
-                    fn=data_fn if (i == 0 and g == 0) else None,
-                    reads=bufs, writes=bufs,
-                )
-                evs.append(ev)
-            per_chunk.append(evs)
-        return per_chunk
+    def graph_key(self) -> tuple:
+        """Hashable configuration key: equal keys, equal schedules."""
+        return ("fft1d", self.N, self.M, self.P, self.dtype.name, self.chunks,
+                self.comm_algorithm, self.cl.G)
 
     def _twiddle_block(self, a: np.ndarray, g: int) -> np.ndarray:
         """Device g's (P/G, M) block times its twiddle ``omega_N^(p m)``.
@@ -171,39 +126,28 @@ class Distributed1DFFT:
 
     # -- staging ----------------------------------------------------------
 
-    def stage_in(self, x: np.ndarray, key: str = "dfft1") -> None:
-        """Scatter the global input vector into per-device blocks.
-
-        Host-side data motion with no schedule footprint; the replay
-        executor calls it before each execute-mode replay (the IR's
-        ``stage_in`` hook) exactly as :meth:`run` does on capture.
-        """
+    def stage_in(self, x: np.ndarray, key: str = ns) -> None:
+        """Scatter the global input vector into per-device blocks
+        (host-side, no schedule footprint)."""
         cl, G = self.cl, self.cl.G
-        x = np.asarray(x, dtype=self.dtype)
+        x = host_input(x, self.dtype, self.N)
         if x.shape != (self.N,):
             raise ParameterError(f"input must have shape ({self.N},), got {x.shape}")
         lay_mp = BlockRows(rows=self.M, cols=self.P, G=G)
-        blocks = lay_mp.scatter(x)
-        for g in range(G):
-            cl.dev(g)[key] = blocks[g]
+        for g, blk in enumerate(lay_mp.scatter(x)):
+            cl.dev(g)[key] = blk
 
-    def gather(self, key: str = "dfft1") -> np.ndarray:
-        """Concatenate the per-device output blocks into the spectrum.
-
-        The inverse host-side motion of :meth:`stage_in`; doubles as the
-        IR ``finalize`` hook.
-        """
-        cl, G = self.cl, self.cl.G
-        return np.concatenate(
-            [np.asarray(cl.dev(g)[key]).ravel() for g in range(G)]
-        )
+    def finalize(self, key: str = ns) -> np.ndarray:
+        """Concatenate the per-device output blocks into the spectrum."""
+        return np.concatenate([np.asarray(self.cl.dev(g)[key]).ravel()
+                               for g in range(self.cl.G)])
 
     # -- execution --------------------------------------------------------
 
     def run(
         self,
         x: np.ndarray | None = None,
-        key: str = "dfft1",
+        key: str = ns,
         after: list[Event] | None = None,
     ) -> np.ndarray | None:
         """Execute the six-step pipeline.
@@ -236,40 +180,35 @@ class Distributed1DFFT:
             for g in range(G):
                 cl.dev(g).alloc(key, lay_mp.local_shape(), self.dtype)
 
+        def transpose(i: int, lay: BlockRows, after_chunks, chunks: int):
+            with cl.region(f"transpose{i}"):
+                return distributed_transpose(
+                    cl, key, key, lay, self.dtype, name=f"transpose{i}",
+                    after_chunks=after_chunks, chunks=chunks,
+                    algorithm=self.comm_algorithm)
+
         with cl.region("fft1d"):
             # (1) transpose #1: P-major -> M-major (gated on the producer of
             # ``key`` when there is one; no compute to overlap either way)
-            with cl.region("transpose1"):
-                evs = distributed_transpose(
-                    cl, key, key, lay_mp, self.dtype, name="transpose1", chunks=1,
-                    after_chunks=[after] if after is not None else None,
-                    algorithm=self.comm_algorithm,
-                )
+            evs = transpose(1, lay_mp, [after] if after is not None else None, 1)
             # (2) P local FFTs of size M, chunked
-            with cl.region("fftM"):
-                chunk_evs = self._chunked_row_fft(
-                    key, lay_pm, self._plan_M, "fftM", after=evs
-                )
+            chunk_evs = local_fft_stage(
+                cl, key, "fftM", "fftM", (lay_pm.rows_local, M),
+                [(self._plan_M, 1)], self.dtype, after=evs, chunks=self.chunks,
+            )
             # (4) transpose #2, pipelined against (2)
-            with cl.region("transpose2"):
-                evs = distributed_transpose(
-                    cl, key, key, lay_pm, self.dtype, name="transpose2",
-                    after_chunks=chunk_evs, chunks=self.chunks,
-                    algorithm=self.comm_algorithm,
-                )
-            # (3)+(5) twiddle fused into M local FFTs of size P, chunked
-            with cl.region("fftP"):
-                chunk_evs = self._chunked_row_fft(
-                    key, lay_mp, self._plan_P, "fftP", after=evs, twiddle=True
-                )
+            evs = transpose(2, lay_pm, chunk_evs, self.chunks)
+            # (3)+(5) M local FFTs of size P, chunked; the twiddle is fused
+            # as a load callback (a complex multiply per element, no extra
+            # memory pass), matching cuFFTXT's callback facility
+            chunk_evs = local_fft_stage(
+                cl, key, "fftP", "fftP", (lay_mp.rows_local, P),
+                [(self._plan_P, 1)], self.dtype, after=evs, chunks=self.chunks,
+                load=self._twiddle_block, extra=6.0,
+            )
             # (6) transpose #3, pipelined against (5)
-            with cl.region("transpose3"):
-                evs = distributed_transpose(
-                    cl, key, key, lay_mp, self.dtype, name="transpose3",
-                    after_chunks=chunk_evs, chunks=self.chunks,
-                    algorithm=self.comm_algorithm,
-                )
+            transpose(3, lay_mp, chunk_evs, self.chunks)
             cl.barrier()
         if cl.execute:
-            return self.gather(key)
+            return self.finalize(key)
         return None

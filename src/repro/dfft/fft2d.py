@@ -21,13 +21,19 @@ from typing import Callable
 
 import numpy as np
 
+from repro.comm.plans import check_chunks
 from repro.dfft.layout import BlockRows
+from repro.dfft.localfft import local_fft_stage
 from repro.dfft.transpose import distributed_transpose
-from repro.fftcore.flops import fft_flops, fft_mops, fft_small_n_efficiency
 from repro.fftcore.plan import LocalFFTPlan
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
-from repro.util.validation import ParameterError, check_multiple, check_pow2
+from repro.util.validation import (
+    ParameterError,
+    check_multiple,
+    check_pow2,
+    host_input,
+)
 
 
 class Distributed2DFFT:
@@ -58,6 +64,8 @@ class Distributed2DFFT:
         serve batcher amortizes fixed costs over coalesced requests.
     """
 
+    ns = "dfft2"  # device buffer prefix: the default ``key`` below
+
     def __init__(
         self,
         M: int,
@@ -71,6 +79,7 @@ class Distributed2DFFT:
     ):
         check_pow2("M", M)
         check_pow2("P", P)
+        check_chunks(chunks)
         G = cluster.G
         check_multiple("M", M, G, "G")
         check_multiple("P", P, G, "G")
@@ -91,44 +100,39 @@ class Distributed2DFFT:
         self.dtype = dt
         if (M // G) * P < (1 << 16):
             chunks = 1
-        self.chunks = max(1, min(chunks, M // G, P // G))
+        self.chunks = min(chunks, M // G, P // G)
         self.fuse_load = fuse_load
         self.comm_algorithm = comm_algorithm
         self.batch = batch
         self._plan_M = LocalFFTPlan(M, dtype=dt)
         self._plan_P = LocalFFTPlan(P, dtype=dt)
 
+    def graph_key(self) -> tuple:
+        """Hashable configuration key: equal keys, equal schedules."""
+        return ("fft2d", self.M, self.P, self.dtype.name, self.chunks,
+                self.comm_algorithm, self.cl.G)
+
     # -- staging ----------------------------------------------------------
 
-    def stage_in(self, a: np.ndarray, key: str = "dfft2") -> None:
-        """Scatter the global (M, P) array into per-device row blocks.
-
-        Host-side data motion with no schedule footprint; the replay
-        executor calls it before each execute-mode replay (the IR's
-        ``stage_in`` hook) exactly as :meth:`run` does on capture.
-        """
+    def stage_in(self, a: np.ndarray, key: str = ns) -> None:
+        """Scatter the global (M, P) array into per-device row blocks
+        (host-side, no schedule footprint)."""
         cl, M, P, G = self.cl, self.M, self.P, self.cl.G
-        a = np.asarray(a, dtype=self.dtype).reshape(M, P)
+        a = host_input(a, self.dtype, M * P).reshape(M, P)
         lay_mp = BlockRows(rows=M, cols=P, G=G)
         for g, blk in enumerate(lay_mp.scatter(a)):
             cl.dev(g)[key] = blk
 
-    def gather(self, key: str = "dfft2") -> np.ndarray:
-        """Stack the per-device output blocks into the (P, M) result.
-
-        The inverse host-side motion of :meth:`stage_in`; doubles as the
-        IR ``finalize`` hook.
-        """
-        cl, M, P, G = self.cl, self.M, self.P, self.cl.G
-        rows_local = BlockRows(rows=P, cols=M, G=G).rows_local
-        return np.vstack(
-            [np.asarray(cl.dev(g)[key]).reshape(rows_local, M) for g in range(G)]
-        )
+    def finalize(self, key: str = ns) -> np.ndarray:
+        """Stack the per-device output blocks into the (P, M) result."""
+        cl, G = self.cl, self.cl.G
+        return BlockRows(rows=self.P, cols=self.M, G=G).gather(
+            [cl.dev(g)[key] for g in range(G)])
 
     def run(
         self,
         a: np.ndarray | None = None,
-        key: str = "dfft2",
+        key: str = ns,
         load_callback: Callable[[np.ndarray, int], np.ndarray] | None = None,
         after: list[Event] | None = None,
         staged: bool = False,
@@ -165,8 +169,9 @@ class Distributed2DFFT:
         cl, M, P, G = self.cl, self.M, self.P, self.cl.G
         k = self.batch
         lay_mp = BlockRows(rows=M, cols=P, G=G)
-        itemsize = self.dtype.itemsize
-        local_elems = lay_mp.rows_local * P * k
+        lay_pm = lay_mp.transposed()
+        if after is not None and len(after) != G:
+            raise ParameterError(f"after must have G={G} events, got {len(after)}")
 
         if cl.execute and not staged:
             if a is None:
@@ -176,89 +181,51 @@ class Distributed2DFFT:
             for g in range(G):
                 cl.dev(g).alloc(key, lay_mp.local_shape(), self.dtype)
 
-        # Unfused load callback: a separate elementwise pass.
-        evs = list(after) if after else [None] * G
-        if load_callback is not None and not self.fuse_load:
-            new_evs = []
-            with cl.region("fft2d"), cl.region("load"):
-                for g in range(G):
-                    ev = cl.launch(
-                        g, name="load", kind="custom",
-                        flops=8.0 * local_elems,
-                        mops=2.0 * local_elems * itemsize,
-                        dtype=self.dtype, stream="compute",
-                        after=[evs[g]] if evs[g] is not None else (),
-                        fn=(lambda c: self._apply_callback(c, key, load_callback))
-                        if g == 0 else None,
-                        reads=[key], writes=[key],
-                    )
-                    new_evs.append(ev)
-            evs = new_evs
+        fused = load_callback is not None and self.fuse_load
+        with cl.region("fft2d"):
+            # Unfused load callback: a separate elementwise pass.
+            if load_callback is not None and not self.fuse_load:
+                local_elems = lay_mp.rows_local * P * k
 
-        # (a) M local FFTs of size P, chunked; fused callback adds flops only.
-        def fft_p_fn(c: VirtualCluster) -> None:
-            for g in range(G):
-                blk = np.asarray(c.dev(g)[key]).reshape(lay_mp.rows_local, P)
-                if load_callback is not None and self.fuse_load:
-                    blk = load_callback(blk, g)
-                c.dev(g)[key] = self._plan_P.forward(blk, axis=1)
+                def apply(c: VirtualCluster) -> None:
+                    for g in range(G):
+                        c.dev(g)[key] = load_callback(np.asarray(c.dev(g)[key]), g)
 
-        rows_chunk = lay_mp.rows_local / self.chunks * k
-        flops = fft_flops(P, batch=rows_chunk)
-        if load_callback is not None and self.fuse_load:
-            flops += 8.0 * P * rows_chunk
-        mops = fft_mops(P, batch=rows_chunk, itemsize=itemsize) / fft_small_n_efficiency(P)
-        chunk_evs: list[list[Event]] = []
-        with cl.region("fft2d"), cl.region("fftP"):
-            for i in range(self.chunks):
-                # chunk i owns row-chunk i of ``key``: disjoint from the
-                # already-transposing earlier chunks
-                bufs = [key] if self.chunks == 1 else [f"{key}#r{i}"]
-                es = []
-                for g in range(G):
-                    ev = cl.launch(
-                        g, name="fft2d.P", kind="fft", flops=flops, mops=mops,
-                        dtype=self.dtype, stream="compute",
-                        after=[evs[g]] if i == 0 and evs[g] is not None else (),
-                        fn=fft_p_fn if (i == 0 and g == 0) else None,
-                        reads=bufs, writes=bufs,
-                    )
-                    es.append(ev)
-                chunk_evs.append(es)
-
-        # (b) the single all-to-all, pipelined against (a)
-        with cl.region("fft2d"), cl.region("transpose"):
-            evs2 = distributed_transpose(
-                cl, key, key, lay_mp, self.dtype, name="fft2d.transpose",
-                after_chunks=chunk_evs, chunks=self.chunks,
-                algorithm=self.comm_algorithm, batch=k,
+                with cl.region("load"):
+                    after = [
+                        cl.launch(
+                            g, name="load", kind="custom",
+                            flops=8.0 * local_elems,
+                            mops=2.0 * local_elems * self.dtype.itemsize,
+                            dtype=self.dtype, stream="compute",
+                            after=[after[g]] if after and after[g] is not None else (),
+                            fn=apply if g == 0 else None,
+                            reads=[key], writes=[key],
+                        )
+                        for g in range(G)
+                    ]
+            # (a) M local FFTs of size P, chunked; a fused callback adds
+            # flops only
+            chunk_evs = local_fft_stage(
+                cl, key, "fft2d.P", "fftP", (lay_mp.rows_local, P),
+                [(self._plan_P, 1)], self.dtype, after=after,
+                chunks=self.chunks, load=load_callback if fused else None,
+                extra=8.0 if fused else 0.0, scale=k,
             )
-
-        # (c) P local FFTs of size M
-        lay_pm = lay_mp.transposed()
-
-        def fft_m_fn(c: VirtualCluster) -> None:
-            for g in range(G):
-                blk = np.asarray(c.dev(g)[key]).reshape(lay_pm.rows_local, M)
-                c.dev(g)[key] = self._plan_M.forward(blk, axis=1)
-
-        flops_m = fft_flops(M, batch=lay_pm.rows_local * k)
-        mops_m = fft_mops(M, batch=lay_pm.rows_local * k, itemsize=itemsize) / fft_small_n_efficiency(M)
-        with cl.region("fft2d"), cl.region("fftM"):
-            for g in range(G):
-                cl.launch(
-                    g, name="fft2d.M", kind="fft", flops=flops_m, mops=mops_m,
-                    dtype=self.dtype, stream="compute", after=[evs2[g]],
-                    fn=fft_m_fn if g == 0 else None,
-                    reads=[key], writes=[key],
+            # (b) the single all-to-all, pipelined against (a)
+            with cl.region("transpose"):
+                evs = distributed_transpose(
+                    cl, key, key, lay_mp, self.dtype, name="fft2d.transpose",
+                    after_chunks=chunk_evs, chunks=self.chunks,
+                    algorithm=self.comm_algorithm, batch=k,
                 )
+            # (c) P local FFTs of size M
+            local_fft_stage(
+                cl, key, "fft2d.M", "fftM", (lay_pm.rows_local, M),
+                [(self._plan_M, 1)], self.dtype, after=evs, scale=k,
+            )
         if barrier:
             cl.barrier()
         if cl.execute:
-            return self.gather(key)
+            return self.finalize(key)
         return None
-
-    @staticmethod
-    def _apply_callback(cl: VirtualCluster, key: str, cb) -> None:
-        for g in range(cl.G):
-            cl.dev(g)[key] = cb(np.asarray(cl.dev(g)[key]), g)

@@ -27,7 +27,12 @@ from repro.fftcore.twiddle import twiddles
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
 from repro.util.bitmath import is_pow2
-from repro.util.validation import ParameterError, check_multiple, check_pow2
+from repro.util.validation import (
+    ParameterError,
+    check_multiple,
+    check_pow2,
+    host_input,
+)
 
 
 class DistributedRealFFT:
@@ -48,6 +53,8 @@ class DistributedRealFFT:
         :mod:`repro.comm`); the mirror exchange itself is already a
         per-message plan.
     """
+
+    ns = "drfft"  # device buffer prefix: the default ``key`` below
 
     def __init__(
         self,
@@ -73,11 +80,15 @@ class DistributedRealFFT:
             comm_algorithm=comm_algorithm,
         )
 
+    def graph_key(self) -> tuple:
+        """Hashable configuration key: equal keys, equal schedules."""
+        return ("rfft", self.rdtype.name) + self.inner.graph_key()[1:]
+
     # -- staging ----------------------------------------------------------
 
     def _pack(self, x: np.ndarray) -> np.ndarray:
         """Two-for-one pack ``z[k] = x[2k] + i x[2k+1]`` (host-side)."""
-        x = np.asarray(x, dtype=self.rdtype)
+        x = host_input(x, self.rdtype, self.N)
         if x.shape != (self.N,):
             raise ParameterError(f"input must have shape ({self.N},), got {x.shape}")
         return (x[0::2] + 1j * x[1::2]).astype(self.cdtype)
@@ -96,15 +107,15 @@ class DistributedRealFFT:
         out[h] = (E[0] - O[0]).real
         return out
 
-    def stage_in(self, x: np.ndarray, key: str = "drfft") -> None:
+    def stage_in(self, x: np.ndarray, key: str = ns) -> None:
         """Pack the real input and scatter it (the IR ``stage_in`` hook)."""
         self.inner.stage_in(self._pack(x), key)
 
-    def finalize(self, key: str = "drfft") -> np.ndarray:
+    def finalize(self, key: str = ns) -> np.ndarray:
         """Gather the packed spectrum and untangle it (IR ``finalize``)."""
-        return self._untangle(self.inner.gather(key))
+        return self._untangle(self.inner.finalize(key))
 
-    def run(self, x: np.ndarray | None = None, key: str = "drfft") -> np.ndarray | None:
+    def run(self, x: np.ndarray | None = None, key: str = ns) -> np.ndarray | None:
         """Execute; returns the N/2 + 1 rfft bins (gathered) or None."""
         cl, N, G = self.cl, self.N, self.cl.G
         h = N // 2
@@ -138,7 +149,6 @@ class DistributedRealFFT:
         # dependency edges declared so the sanitizer can certify it.
         itemc = self.cdtype.itemsize
         C = self.inner.chunks
-        last: list[Event | None] = [None] * G
         for j in range(C):
             part = f"#m{j}" if C > 1 else ""
             ev_mirror: list[Event | None] = [None] * G
@@ -153,16 +163,13 @@ class DistributedRealFFT:
                         reads=[key], writes=[f"{key}.mirror{part}"],
                     )
             with cl.region("rfft"), cl.region("untangle"):
-                last = [
+                for g in range(G):
                     cl.launch(g, "rfft.untangle", "custom",
                               flops=10.0 * blk / C, mops=3 * blk * itemc / C,
                               dtype=self.cdtype,
                               after=[ev_mirror[g]] if ev_mirror[g] is not None else (),
                               reads=[key, f"{key}.mirror{part}"],
                               writes=[f"{key}.out{part}"])
-                    for g in range(G)
-                ]
-        evs = last
         cl.barrier()
 
         if not cl.execute:

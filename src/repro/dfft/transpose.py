@@ -82,14 +82,8 @@ def distributed_transpose(
     """
     if cl.G != layout.G:
         raise ParameterError(f"cluster G={cl.G} != layout G={layout.G}")
-    if chunks < 1:
-        raise ParameterError(f"chunks must be >= 1, got {chunks}")
     if batch < 1:
         raise ParameterError(f"batch must be >= 1, got {batch}")
-    if after_chunks is not None and len(after_chunks) != chunks:
-        raise ParameterError(
-            f"after_chunks has {len(after_chunks)} entries for {chunks} chunks"
-        )
     itemsize = np.dtype(dtype).itemsize
     sent = layout.alltoall_bytes_sent(itemsize) * batch
 

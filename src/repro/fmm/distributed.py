@@ -145,15 +145,22 @@ class DistributedFMM:
 
     # -- data staging ------------------------------------------------------
 
-    def scatter(self, S: np.ndarray, key: str | None = None) -> None:
+    def graph_key(self) -> tuple:
+        """Hashable configuration key: equal keys, equal schedules."""
+        o = self.ops
+        return ("fmm", o.tree.G, o.M, o.P, o.ML, o.B, o.Q, self.dtype.name,
+                self.comm_algorithm)
+
+    def stage_in(self, S: np.ndarray, key: str | None = None) -> None:
         """Place each device's leaf-box slice of S (shape (P, M))."""
         key = self._buf("S") if key is None else key
         Sb = np.asarray(S, dtype=self.dtype).reshape(self.ops.P, -1, self.ops.ML)
         for g in range(self.cl.G):
             self.cl.dev(g)[key] = Sb[:, self._boxes(g), :].copy()
 
-    def gather(self, key: str | None = None) -> np.ndarray:
-        """Reassemble the (P, M) output from per-device box slices."""
+    def finalize(self, key: str | None = None) -> np.ndarray:
+        """Reassemble a (P, M) tensor (default: the output T) from
+        per-device box slices."""
         key = self._buf("T") if key is None else key
         parts = [np.asarray(self.cl.dev(g)[key]) for g in range(self.cl.G)]
         return np.concatenate(parts, axis=1).reshape(self.ops.P, self.ops.M)
@@ -194,7 +201,7 @@ class DistributedFMM:
         if cl.execute and not staged:
             if S is None:
                 raise ParameterError("execute-mode cluster requires input data")
-            self.scatter(S, key_in)
+            self.stage_in(S, key_in)
 
         def issue(stage: str, ell: int, *tokens: list[Event]) -> list[Event]:
             with cl.region("fmm"), cl.region(_REGION[stage]):
@@ -319,7 +326,7 @@ class DistributedFMM:
     def _load(self, key_in: str) -> None:
         """S2M's closure: a new pass on the devices' input slices."""
         o = self.ops
-        S = self.gather(key_in).reshape(o.P, -1, o.ML)[1:]
+        S = self.finalize(key_in).reshape(o.P, -1, o.ML)[1:]
         self.state = PassState(o, kernels.fold(S), self.cl.G)
         self.state.run("S2M", o.L)
 

@@ -18,7 +18,8 @@ The subsystem in three moves:
    ledger, telemetry, and (execute mode) numerics are bit-identical to
    the eager run by construction.
 
-:mod:`repro.ir.pipelines` has one capture entry point per pipeline;
+:mod:`repro.ir.pipelines` captures the pipelines of the one table
+(:mod:`repro.pipelines`) by name or from a built object;
 :mod:`repro.ir.fuse` implements the opt-in elementwise-stage fusion.
 """
 
@@ -28,33 +29,18 @@ from repro.ir.capture import CaptureError, capture
 from repro.ir.executor import ReplayError, ReplayExecutor, scratch_replay
 from repro.ir.fuse import fuse_elementwise
 from repro.ir.graph import IRGraph, IRNode
-from repro.ir.pipelines import (
-    PIPELINE_NAMES,
-    capture_fft1d,
-    capture_fft2d,
-    capture_fmm,
-    capture_fmmfft,
-    capture_nufft,
-    capture_pipeline,
-    capture_rfft,
-)
+from repro.ir.pipelines import capture_built, capture_pipeline
 from repro.ir.prealloc import check_graph_prealloc
 
 __all__ = [
     "CaptureError",
     "IRGraph",
     "IRNode",
-    "PIPELINE_NAMES",
     "ReplayError",
     "ReplayExecutor",
     "capture",
-    "capture_fft1d",
-    "capture_fft2d",
-    "capture_fmm",
-    "capture_fmmfft",
-    "capture_nufft",
+    "capture_built",
     "capture_pipeline",
-    "capture_rfft",
     "check_graph_prealloc",
     "fuse_elementwise",
     "scratch_replay",

@@ -98,7 +98,20 @@ def check_graph_prealloc(graph, spec) -> list[Finding]:
             entry = node.payload["entry"]
             kind, algo = entry["kind"], entry["algorithm"]
             payload, chunks = entry["payload"], entry.get("chunks", 1)
-            if kind in ("alltoall", "allgather"):
+            if algo == "grouped":
+                # concurrent subgroup all-to-alls (pencil exchanges): the
+                # groups are not in the log, so the contract is read off
+                # the captured messages -- every member receives, and
+                # holds live, exactly the payload its peers send it
+                for dst, b in win.per_dst.items():
+                    if not _close(b, payload):
+                        err("prealloc-conservation",
+                            f"{entry['name']}: device {dst} receives "
+                            f"{b:.0f} bytes of a grouped all-to-all whose "
+                            f"members exchange {payload:.0f}", entry)
+                    if b > peak[dst]:
+                        peak[dst] = b
+            elif kind in ("alltoall", "allgather"):
                 if algo == "bulk":
                     cert = check_bulk(spec, kind, payload)
                     expected = (G * payload if kind == "alltoall"

@@ -96,52 +96,6 @@ class ExecutionTrace:
             ])
         return t
 
-    def to_chrome_trace(self) -> list[dict]:
-        """Export the run as Chrome-tracing events (chrome://tracing,
-        Perfetto).  One complete ('X') event per op: pid = device,
-        tid = stream, microsecond timestamps."""
-        events = []
-        streams: dict[tuple[int, str], int] = {}
-        for r in self.ledger:
-            tid = streams.setdefault((r.device, r.stream), len(streams))
-            events.append({
-                "name": r.name,
-                "cat": r.kind,
-                "ph": "X",
-                "pid": r.device,
-                "tid": tid,
-                "ts": r.start * 1e6,
-                "dur": r.duration * 1e6,
-                "args": {
-                    "flops": r.flops,
-                    "mops": r.mops,
-                    "comm_bytes": r.comm_bytes,
-                    "stream": r.stream,
-                },
-            })
-        return events
-
-    def save_chrome_trace(self, path) -> None:
-        """Write a ``chrome://tracing``-loadable JSON file."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps({"traceEvents": self.to_chrome_trace()}))
-
-    def to_perfetto(self) -> dict:
-        """Export via the richer :mod:`repro.obs.perfetto` pipeline:
-        named tracks, flow arrows for dependency edges, and counter
-        tracks.  Lazy import — obs depends on machine, not vice versa."""
-        from repro.obs.perfetto import build_trace
-
-        return build_trace(self.ledger, self.spec)
-
-    def save_perfetto(self, path) -> None:
-        """Write a Perfetto-UI-loadable JSON file (rich exporter)."""
-        from repro.obs.perfetto import save_trace
-
-        save_trace(path, self.ledger, self.spec)
-
     def compute_time(self, device: int | None = None) -> float:
         """Total duration of non-comm ops (summed, not unioned)."""
         return sum(

@@ -29,7 +29,7 @@ from repro.model.roofline import (
     fft1d_model_time,
     fmmfft_model_time,
 )
-from repro.model.search import search_grid, find_fastest, simulate_fmmfft, simulate_fft1d
+from repro.model.search import search_grid, find_fastest
 from repro.model.error import choose_q, predicted_error
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "fmmfft_model_time",
     "predicted_error",
     "search_grid",
-    "simulate_fft1d",
-    "simulate_fmmfft",
     "v_levels",
     "v_top",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fftcore.flops import fft_flops, fft_mops, fft_small_n_efficiency
+from repro.dfft.localfft import local_fft_price
 from repro.fmm.plan import FmmGeometry
 from repro.machine.roofline import op_time
 from repro.machine.spec import ClusterSpec
@@ -48,13 +48,8 @@ def fmm_model_time(geom: FmmGeometry, spec: ClusterSpec, dtype="complex128") -> 
 
 def _local_fft_time(n: int, batch: float, spec: ClusterSpec, dtype) -> float:
     itemsize = 2 * real_dtype_for(dtype).itemsize
-    return op_time(
-        spec.device,
-        fft_flops(n, batch=batch),
-        fft_mops(n, batch=batch, itemsize=itemsize) / fft_small_n_efficiency(n),
-        dtype,
-        kind="fft",
-    )
+    return op_time(spec.device, *local_fft_price(n, batch, itemsize), dtype,
+                   kind="fft")
 
 
 def _alltoall_time(bytes_sent_per_device: float, spec: ClusterSpec) -> float:

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distributed import FmmFftDistributed
-from repro.core.plan import FmmFftPlan
-from repro.dfft.fft1d import Distributed1DFFT
-from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import ClusterSpec
+from repro.pipelines import simulate
 from repro.util.bitmath import ilog2
 from repro.util.validation import ParameterError, check_pow2, real_dtype_for
 
@@ -53,42 +50,6 @@ def search_grid(N: int, G: int, dtype="complex128") -> list[dict]:
     return grid
 
 
-def simulate_fmmfft(
-    N: int,
-    params: dict,
-    spec: ClusterSpec,
-    dtype="complex128",
-    chunks: int = 4,
-) -> float:
-    """Simulated wall time of one FMM-FFT configuration (timing-only)."""
-    plan = FmmFftPlan.create(
-        N=N, G=spec.num_devices, dtype=dtype, build_operators=False, **params
-    )
-    cl = VirtualCluster(spec, execute=False)
-    FmmFftDistributed(plan, cl, chunks=chunks).run()
-    return cl.wall_time()
-
-
-def simulate_fft1d(
-    N: int, spec: ClusterSpec, dtype="complex128", chunks: int = 4
-) -> float:
-    """Simulated wall time of the six-step baseline (timing-only)."""
-    cl = VirtualCluster(spec, execute=False)
-    Distributed1DFFT(N, cl, dtype=dtype, chunks=chunks).run()
-    return cl.wall_time()
-
-
-def simulate_fft2d(
-    N: int, P: int, spec: ClusterSpec, dtype="complex128", chunks: int = 4
-) -> float:
-    """Simulated wall time of the M x P 2D FFT alone (timing-only)."""
-    from repro.dfft.fft2d import Distributed2DFFT
-
-    cl = VirtualCluster(spec, execute=False)
-    Distributed2DFFT(N // P, P, cl, dtype=dtype, chunks=chunks).run()
-    return cl.wall_time()
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a per-N parameter search."""
@@ -117,7 +78,7 @@ def find_fastest(
     best_t, best_p = float("inf"), None
     for params in candidates:
         try:
-            t = simulate_fmmfft(N, params, spec, dtype)
+            t = simulate("fmmfft", N, spec, dtype=dtype, params=params).wall_time()
         except ParameterError:
             continue
         # require a >1% win to displace an earlier (squarer) candidate
@@ -129,5 +90,5 @@ def find_fastest(
         N=N,
         params=best_p,
         fmmfft_time=best_t,
-        baseline_time=simulate_fft1d(N, spec, dtype),
+        baseline_time=simulate("fft1d", N, spec, dtype=dtype).wall_time(),
     )

@@ -178,6 +178,9 @@ class ClusterNufft2:
         As for :func:`nufft2`.
     """
 
+    #: device buffer prefix: the default ``key`` of every method below
+    ns = "nufft"
+
     def __init__(self, n: int, m: int, cluster, sigma: float = 2.0,
                  Q: int = 16, B: int = 3):
         if cluster.G != 1:
@@ -194,7 +197,11 @@ class ClusterNufft2:
         self.nf = _fine_grid_size(n, sigma)
         self._plan = LocalFFTPlan(self.nf)  # twiddles built at plan time
 
-    def stage_in(self, c: np.ndarray, x: np.ndarray, key: str = "nufft") -> None:
+    def graph_key(self) -> tuple:
+        """Hashable configuration key: equal keys, equal schedules."""
+        return ("nufft", self.n, self.m, self.sigma, self.Q, self.B)
+
+    def stage_in(self, c: np.ndarray, x: np.ndarray, key: str = ns) -> None:
         """Place coefficients and points into device buffers (host-side)."""
         c = np.asarray(c, dtype=np.complex128)
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -206,12 +213,12 @@ class ClusterNufft2:
         dev[f"{key}.c"] = c
         dev[f"{key}.x"] = x
 
-    def finalize(self, key: str = "nufft") -> np.ndarray:
+    def finalize(self, key: str = ns) -> np.ndarray:
         """Read the evaluated samples back from the device (host-side)."""
         return np.asarray(self.cl.dev(0)[f"{key}.out"])
 
     def run(self, c: np.ndarray | None = None, x: np.ndarray | None = None,
-            key: str = "nufft") -> np.ndarray | None:
+            key: str = ns) -> np.ndarray | None:
         """Execute the three-stage pipeline; returns samples or None."""
         from repro.fftcore.flops import fft_flops, fft_mops
         from repro.nufft.barycentric import trig_barycentric_fmm

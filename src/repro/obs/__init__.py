@@ -20,8 +20,6 @@ predictions.  This package gives the simulator the same toolchain:
   validating :mod:`repro.comm` predictions against the ledger,
   comm/compute overlap and exposed-comm accounting, and critical-path
   extraction with per-op slack over the happens-before graph;
-- :mod:`repro.obs.bench` — the ``BENCH_obs.json`` harness recording the
-  perf trajectory per testbed;
 - :mod:`repro.obs.telemetry` — the *live* side: a process-wide metrics
   registry (counters, gauges, streaming histograms on a fixed
   log-spaced grid) every serve run emits into, with versioned snapshot
@@ -32,7 +30,7 @@ predictions.  This package gives the simulator the same toolchain:
   from a snapshot or serve-run document.
 
 CLI entry points: ``repro metrics``, ``repro profile --trace-out``,
-``repro transform --trace-out``, ``repro top``, ``python -m repro.obs``.
+``repro transform --trace-out``, ``repro trace``, ``repro top``.
 See ``docs/OBSERVABILITY.md``.
 """
 

@@ -19,7 +19,7 @@ Four analyses over one recorded run, all pure functions of the
 
 :func:`compute_metrics` bundles all four into a :class:`MetricsReport`
 with ``render()`` (the ``repro metrics`` CLI output) and ``to_json()``
-(the ``BENCH_obs.json`` payload).
+(its ``--json`` payload).
 """
 
 from __future__ import annotations

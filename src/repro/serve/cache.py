@@ -51,10 +51,11 @@ def _wisdom_key(fingerprint: str, N: int, dtype) -> str:
 class Wisdom:
     """Persistent autotuning results, keyed by machine fingerprint.
 
-    Unlike :class:`repro.model.tuning.TuningCache` (keyed by the
-    spec's display *name*), wisdom keys on :func:`spec_fingerprint`, so
-    it is safe to ship between hosts: a mismatched machine misses
-    instead of silently serving another machine's parameters.
+    The one wisdom store: ``repro tune`` fills it and ``repro serve
+    --wisdom`` reads it.  Entries key on :func:`spec_fingerprint` (not
+    the spec's display *name*), so a file is safe to ship between
+    hosts: a mismatched machine misses instead of silently serving
+    another machine's parameters.
     """
 
     entries: dict[str, dict] = field(default_factory=dict)

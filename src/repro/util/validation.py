@@ -79,6 +79,20 @@ def check_numeric(name: str, a: np.ndarray) -> None:
         raise ParameterError(f"{name} must be numeric, got dtype {a.dtype}")
 
 
+def host_input(a: Any, dtype: Any, size: int) -> np.ndarray:
+    """Host data on its way into a pipeline's ``stage_in``: numeric,
+    ``size`` elements, cast to ``dtype`` (complex data is never
+    narrowed to a real ``dtype``: that would drop its imaginary part).
+    """
+    a = np.asarray(a)
+    check_numeric("input", a)
+    if a.size != size:
+        raise ParameterError(f"input must have {size} elements, got shape {a.shape}")
+    if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise ParameterError(f"input must be real, got dtype {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
 def complex_dtype_for(dtype: Any) -> np.dtype:
     """The complex dtype with the same precision as ``dtype``."""
     dt = np.dtype(dtype)

@@ -84,24 +84,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2 entries" in out
 
-    def test_trace_export(self, capsys, tmp_path):
+    def test_tune_feeds_serve(self, capsys, tmp_path):
+        """The file ``tune`` writes is the one ``serve --wisdom`` reads:
+        a tuned service starts warm and searches nothing."""
         import json
 
-        out_file = tmp_path / "t.json"
-        assert main(["trace", "--n", "2^16", "--out", str(out_file)]) == 0
-        doc = json.loads(out_file.read_text())
-        assert doc["traceEvents"]
+        wisdom, doc = str(tmp_path / "w.json"), tmp_path / "run.json"
+        assert main(["tune", "--system", "8xP100", "--min", "16",
+                     "--max", "18", "--wisdom", wisdom]) == 0
+        assert main(["serve", "--requests", "12", "--wisdom", wisdom,
+                     "--json", str(doc)]) == 0
+        rep = json.loads(doc.read_text())["report"]
+        assert rep["searches"] == 0 and rep["wisdom_misses"] == 0
+        assert rep["wisdom_hits"] > 0
 
-    def test_trace_rich_export(self, capsys, tmp_path):
+    def test_trace_export(self, capsys, tmp_path):
         import json
 
         from repro.obs import validate_trace
 
         out_file = tmp_path / "t.json"
-        assert main(["trace", "--n", "2^16", "--rich",
-                     "--out", str(out_file)]) == 0
+        assert main(["trace", "--n", "2^16", "--out", str(out_file)]) == 0
         doc = json.loads(out_file.read_text())
-        assert validate_trace(doc) == []
+        assert doc["traceEvents"] and validate_trace(doc) == []
 
     def test_metrics_fmmfft(self, capsys, tmp_path):
         import json

@@ -31,7 +31,7 @@ class TestMatchesBatched:
     @pytest.mark.parametrize("G", [1, 2, 4, 8])
     def test_all_device_counts(self, G, rng):
         cl, dfmm, S, r = _run(G, rng=rng)
-        T = dfmm.gather()
+        T = dfmm.finalize()
         ref_ops = FmmOperators.create(M=512, P=8, ML=16, B=3, Q=16)
         Tref, rref = BatchedFMM(ref_ops).apply(S)
         assert np.linalg.norm(T - Tref) / np.linalg.norm(Tref) < 1e-13
@@ -40,7 +40,7 @@ class TestMatchesBatched:
     @pytest.mark.parametrize("B", [2, 3, 4, 5])
     def test_base_levels(self, B, rng):
         cl, dfmm, S, _ = _run(2, M=512, ML=16, B=B, rng=rng)
-        T = dfmm.gather()
+        T = dfmm.finalize()
         ref_ops = FmmOperators.create(M=512, P=8, ML=16, B=B, Q=16)
         Tref, _ = BatchedFMM(ref_ops).apply(S)
         assert np.linalg.norm(T - Tref) / np.linalg.norm(Tref) < 1e-13
@@ -48,7 +48,7 @@ class TestMatchesBatched:
     def test_l_equals_b(self, rng):
         """No hierarchical levels at all."""
         cl, dfmm, S, _ = _run(2, M=128, ML=16, B=3, rng=rng)
-        T = dfmm.gather()
+        T = dfmm.finalize()
         ref_ops = FmmOperators.create(M=128, P=8, ML=16, B=3, Q=16)
         Tref, _ = BatchedFMM(ref_ops).apply(S)
         assert np.linalg.norm(T - Tref) / np.linalg.norm(Tref) < 1e-13

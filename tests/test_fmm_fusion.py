@@ -25,7 +25,7 @@ class TestFusion:
     @pytest.mark.parametrize("G", [1, 2, 4])
     def test_identical_numerics(self, G, rng):
         (cl_s, d_s), (cl_f, d_f) = _pair(G, rng=rng)
-        np.testing.assert_array_equal(d_s.gather(), d_f.gather())
+        np.testing.assert_array_equal(d_s.finalize(), d_f.finalize())
 
     def test_fewer_launches(self, rng):
         (cl_s, _), (cl_f, _) = _pair(2, rng=rng)
@@ -71,4 +71,4 @@ class TestFusion:
         from repro.fmm.batched import BatchedFMM
 
         Tref, _ = BatchedFMM(ref_ops).apply(S)
-        assert np.linalg.norm(d.gather() - Tref) / np.linalg.norm(Tref) < 1e-13
+        assert np.linalg.norm(d.finalize() - Tref) / np.linalg.norm(Tref) < 1e-13

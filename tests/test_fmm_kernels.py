@@ -280,8 +280,8 @@ class TestOneDriver:
         S = _data((8, 512), dtype, "contiguous")
         dfmm, r = _run_distributed(1, S, dtype=dtype)
         T, r_host = BatchedFMM(FmmOperators.create(**BIG, dtype=dtype)).apply(S)
-        assert dfmm.gather().dtype == T.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(dfmm.gather(), T)
+        assert dfmm.finalize().dtype == T.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(dfmm.finalize(), T)
         np.testing.assert_array_equal(r, r_host)
 
     def test_unknown_stage_is_a_parameter_error(self):
@@ -320,7 +320,7 @@ class TestHaloFootprint:
         dfmm, r = _run_distributed(G, S, monkeypatch, padding)
         assert sorted(dfmm.state.halo) == ["M4", "M5", "S"]
         assert all(np.isnan(h).any() for pair in dfmm.state.halo.values() for h in pair)
-        assert _rel(dfmm.gather(), single[0]) < 1e-13
+        assert _rel(dfmm.finalize(), single[0]) < 1e-13
         assert _rel(r, single[1]) < 1e-13
 
     @pytest.mark.parametrize("what", ["S", "M5", "M4"])
@@ -335,7 +335,7 @@ class TestHaloFootprint:
             return poisoned
 
         dfmm, _ = _run_distributed(4, S, monkeypatch, poisoning)
-        assert np.isnan(dfmm.gather()[1:]).any()
+        assert np.isnan(dfmm.finalize()[1:]).any()
 
 
 class TestPassState:
@@ -351,10 +351,10 @@ class TestPassState:
     def test_second_run_starts_clean(self):
         S = _data((8, 512), np.complex128, "contiguous")
         dfmm, r1 = _run_distributed(2, S)
-        T1, first = dfmm.gather(), dfmm.state
+        T1, first = dfmm.finalize(), dfmm.state
         _, r2 = dfmm.run(S)
         assert dfmm.state is not first  # a pass never folds into the previous one's state
-        np.testing.assert_array_equal(dfmm.gather(), T1)
+        np.testing.assert_array_equal(dfmm.finalize(), T1)
         np.testing.assert_array_equal(r2, r1)
 
     def test_missing_reduce_is_a_parameter_error(self, monkeypatch):

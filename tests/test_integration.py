@@ -9,7 +9,8 @@ from repro.core.single import fmmfft_single
 from repro.dfft.fft1d import Distributed1DFFT
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_p100_nvlink, p100_nvlink_node, preset
-from repro.model.search import find_fastest, simulate_fft1d, simulate_fmmfft
+from repro.model.search import find_fastest
+from repro.pipelines import simulate
 from repro.util.prng import random_signal, structured_signal
 
 
@@ -84,8 +85,8 @@ class TestScalingStudy:
     def test_baseline_scales_poorly(self):
         """The transpose-bound baseline gains little from 2 -> 8 GPUs."""
         N = 1 << 26
-        t2 = simulate_fft1d(N, p100_nvlink_node(2))
-        t8 = simulate_fft1d(N, p100_nvlink_node(8))
+        t2 = simulate("fft1d", N, p100_nvlink_node(2)).wall_time()
+        t8 = simulate("fft1d", N, p100_nvlink_node(8)).wall_time()
         assert t8 > 0.25 * t2  # far from the 4x ideal
 
 
@@ -123,6 +124,6 @@ class TestSearchEndToEnd:
     def test_simulated_time_deterministic(self):
         spec = preset("8xP100")
         p = dict(P=256, ML=64, B=3, Q=16)
-        assert simulate_fmmfft(1 << 22, p, spec) == pytest.approx(
-            simulate_fmmfft(1 << 22, p, spec)
-        )
+        t = [simulate("fmmfft", 1 << 22, spec, params=p).wall_time()
+             for _ in range(2)]
+        assert t[0] == pytest.approx(t[1])

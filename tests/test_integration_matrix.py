@@ -65,7 +65,7 @@ def test_multinode_execute_with_fmm_fusion():
 
     ref_ops = FmmOperators.create(M=M, P=P, ML=16, B=3, Q=16)
     Tref, _ = BatchedFMM(ref_ops).apply(S)
-    T = d.gather()
+    T = d.finalize()
     assert np.linalg.norm(T - Tref) / np.linalg.norm(Tref) < 1e-12
     assert_valid_schedule(cl.ledger)
 

@@ -16,20 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import pipelines
 from repro.core.api import default_params
 from repro.core.plan import FmmFftPlan
-from repro.ir import (
-    PIPELINE_NAMES,
-    ReplayExecutor,
-    capture_fft1d,
-    capture_fft2d,
-    capture_fmm,
-    capture_fmmfft,
-    capture_nufft,
-    capture_pipeline,
-    capture_rfft,
-    scratch_replay,
-)
+from repro.ir import ReplayExecutor, capture_built, scratch_replay
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
 from repro.obs.telemetry import MetricsRegistry
@@ -38,10 +28,16 @@ N = 1 << 12
 NUFFT_N, NUFFT_M = 128, 64
 ALGOS = ("bulk", "ring", "auto")
 SPEC = p100_nvlink_node(2)
+PENCIL = {"decomposition": "pencil"}
+
+#: every table row at its defaults, plus the 3D FFT's other decomposition
+VARIANTS = [pytest.param(name, {}, id=name) for name in pipelines.NAMES] + [
+    pytest.param("fft3d", PENCIL, id="fft3d-pencil")]
 
 
-def _plain_run(name, cl, algo):
-    """The tape-closed eager run capture must be invisible against."""
+def _plain_run(name, params, cl, algo):
+    """The tape-closed eager run, constructed by hand: what the table's
+    build and the capture must both be invisible against."""
     if name == "fft1d":
         from repro.dfft.fft1d import Distributed1DFFT
 
@@ -56,6 +52,10 @@ def _plain_run(name, cl, algo):
         from repro.dfft.realfft import DistributedRealFFT
 
         DistributedRealFFT(N, cl, comm_algorithm=algo).run()
+    elif name == "fft3d":
+        from repro.dfft.decomp import Distributed3DFFT
+
+        Distributed3DFFT(16, 16, 16, cl, comm_algorithm=algo, **params).run()
     elif name in ("fmm", "fmmfft"):
         plan = FmmFftPlan.create(N=N, G=cl.G, build_operators=False,
                                  **default_params(N, cl.G))
@@ -74,27 +74,32 @@ def _plain_run(name, cl, algo):
         ClusterNufft2(NUFFT_N, NUFFT_M, cl).run()
 
 
-def _capture_args(name):
+def _table_args(name, params, algo="bulk"):
+    """The table's spelling of what ``_plain_run`` constructs by hand."""
     if name == "nufft":
-        return dict(N=NUFFT_N)
-    return dict(N=N)
+        return NUFFT_N, dict(comm_algorithm=algo, params={"m": NUFFT_M})
+    return N, dict(comm_algorithm=algo, params=params)
+
+
+def _build(name, params, cl, algo="bulk"):
+    n, kw = _table_args(name, params, algo)
+    return pipelines.build(name, cl, n, **kw)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("name", PIPELINE_NAMES)
-def test_schedule_bit_identity(name, algo):
-    spec = p100_nvlink_node(1) if name == "nufft" else SPEC
+@pytest.mark.parametrize("name,params", VARIANTS)
+def test_schedule_bit_identity(name, params, algo):
+    spec = pipelines.machine_for(name, SPEC)
 
     def cluster():
         return VirtualCluster(spec, execute=False,
                               telemetry=MetricsRegistry())
 
     plain = cluster()
-    _plain_run(name, plain, algo)
+    _plain_run(name, params, plain, algo)
 
     captured = cluster()
-    graph, _ = capture_pipeline(name, captured, _capture_args(name)["N"],
-                                comm_algorithm=algo)
+    graph, _ = capture_built(_build(name, params, captured, algo))
     replayed = cluster()
     ReplayExecutor(graph, replayed).run()
     fp = plain.ledger.fingerprint()
@@ -107,56 +112,23 @@ def test_schedule_bit_identity(name, algo):
         assert cl.comm_log == plain.comm_log
     # a graph taped without a registry replays the same series
     bare = VirtualCluster(spec, execute=False)
-    graph, _ = capture_pipeline(name, bare, _capture_args(name)["N"],
-                                comm_algorithm=algo)
+    graph, _ = capture_built(_build(name, params, bare, algo))
     replayed = cluster()
     ReplayExecutor(graph, replayed).run()
     assert replayed.telemetry.snapshot() == telemetry
     assert scratch_replay(graph, spec).ledger.fingerprint() == fp
+    n, kw = _table_args(name, params, algo)
+    assert pipelines.simulate(name, n, SPEC, **kw).ledger.fingerprint() == fp
 
 
-def _capture_with_inputs(name, cl, rng):
-    """Execute-mode capture with explicit inputs; returns (graph, ref, inputs)."""
-
-    def cvec(n):
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    if name == "fft1d":
-        x = cvec(N)
-        graph, ref = capture_fft1d(cl, N, x=x)
-        return graph, ref, (x,)
-    if name == "fft2d":
-        q = max(N.bit_length() - 1, 2)
-        M = 1 << ((q + 1) // 2)
-        a = cvec(N).reshape(M, N // M)
-        graph, ref = capture_fft2d(cl, M, N // M, a=a)
-        return graph, ref, (a,)
-    if name == "rfft":
-        x = rng.standard_normal(N)
-        graph, ref = capture_rfft(cl, N, x=x)
-        return graph, ref, (x,)
-    if name in ("fmm", "fmmfft"):
-        plan = FmmFftPlan.create(N=N, G=cl.G, build_operators=True,
-                                 **default_params(N, cl.G))
-        if name == "fmmfft":
-            x = cvec(N)
-            graph, ref = capture_fmmfft(cl, plan, x=x)
-            return graph, ref, (x,)
-        S = cvec(N).reshape(plan.M, plan.P).T.copy()
-        graph, _ = capture_fmm(cl, plan.operators, S=S)
-        return graph, np.asarray(graph.finalize()).copy(), (S,)
-    c, x = cvec(NUFFT_N), rng.random(NUFFT_M)
-    graph, ref = capture_nufft(cl, NUFFT_N, NUFFT_M, c=c, x=x)
-    return graph, ref, (c, x)
-
-
-@pytest.mark.parametrize("name", PIPELINE_NAMES)
-def test_execute_replay_byte_identity(name):
-    spec = p100_nvlink_node(1) if name == "nufft" else SPEC
-    cl = VirtualCluster(spec, execute=True)
-    rng = np.random.default_rng(23)
-    graph, ref, inputs = _capture_with_inputs(name, cl, rng)
-    graph.stage_in(*inputs)
+@pytest.mark.parametrize("name,params", VARIANTS)
+def test_execute_replay_byte_identity(name, params):
+    cl = VirtualCluster(pipelines.machine_for(name, SPEC), execute=True)
+    pipe = _build(name, params, cl)
+    graph, ref = capture_built(pipe, *pipelines.inputs(pipe, seed=23))
+    if name == "fmm":  # run returns (events, r); the output tensor is T
+        ref = np.asarray(graph.finalize()).copy()
+    graph.stage_in(*pipelines.inputs(pipe, seed=23))
     ReplayExecutor(graph, cl).run()
     out = graph.finalize()
     assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
@@ -171,9 +143,7 @@ def test_g1_graph_matches_host_plan_twin():
     x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
 
     cl = VirtualCluster(spec1, execute=True)
-    plan = FmmFftPlan.create(N=N, G=1, build_operators=True,
-                             **default_params(N, 1))
-    graph, _ = capture_fmmfft(cl, plan, x=x)
+    graph, _ = capture_built(pipelines.build("fmmfft", cl, N), x)
     graph.stage_in(x)
     ReplayExecutor(graph, cl).run()
     replayed = np.asarray(graph.finalize())

@@ -17,17 +17,18 @@ import pytest
 
 from repro.faults import FaultInjector, LinkFlap
 from repro.ir import (
-    PIPELINE_NAMES,
     CaptureError,
     ReplayExecutor,
     capture,
-    capture_fft1d,
+    capture_built,
     capture_pipeline,
 )
 from repro.ir.graph import OP_BARRIER, OP_COLL, OP_LAUNCH, OP_LOG
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_p100_nvlink, p100_nvlink_node
 from repro.machine.stream import Event
+from repro.pipelines import NAMES as PIPELINE_NAMES
+from repro.pipelines import build, machine_for
 from repro.util.validation import ParameterError
 
 N = 1 << 12
@@ -35,8 +36,7 @@ SPEC = p100_nvlink_node(2)
 
 
 def _cluster(name, execute=False):
-    spec = p100_nvlink_node(1) if name == "nufft" else SPEC
-    return VirtualCluster(spec, execute=execute)
+    return VirtualCluster(machine_for(name, SPEC), execute=execute)
 
 
 class TestGraphStructure:
@@ -93,7 +93,7 @@ class TestGraphStructure:
         assert s["peak_live_bytes"] is None  # not yet certified
 
     def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ParameterError, match="unknown pipeline"):
+        with pytest.raises(ParameterError, match="pipeline must be one of"):
             capture_pipeline("warp", _cluster("fft1d"), N)
 
 
@@ -104,14 +104,14 @@ class TestCaptureIsTransparent:
         plain = VirtualCluster(SPEC, execute=False)
         Distributed1DFFT(N, plain, comm_algorithm="bulk").run()
         captured = VirtualCluster(SPEC, execute=False)
-        capture_fft1d(captured, N, comm_algorithm="bulk")
+        capture_pipeline("fft1d", captured, N, comm_algorithm="bulk")
         assert captured.ledger.fingerprint() == plain.ledger.fingerprint()
 
     def test_execute_capture_returns_pipeline_result(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         cl = VirtualCluster(SPEC, execute=True)
-        graph, result = capture_fft1d(cl, N, x=x)
+        graph, result = capture_built(build("fft1d", cl, N), x)
         assert graph.meta["executed"]
         np.testing.assert_allclose(result, np.fft.fft(x), rtol=1e-9)
 
@@ -126,14 +126,14 @@ class TestCaptureIsTransparent:
         plain = flapping()
         Distributed1DFFT(N, plain, comm_algorithm="ring").run()
         captured = flapping()
-        graph, _ = capture_fft1d(captured, N, comm_algorithm="ring")
+        graph, _ = capture_pipeline("fft1d", captured, N, comm_algorithm="ring")
         # the capture run is the faulty eager run ...
         assert captured.ledger.fingerprint() == plain.ledger.fingerprint()
         fails = [r for r in captured.ledger if r.name.endswith("!fail")]
         assert fails
         # ... and the graph is what a healthy capture would have taped
         healthy = VirtualCluster(SPEC, execute=False)
-        clean, _ = capture_fft1d(healthy, N, comm_algorithm="ring")
+        clean, _ = capture_pipeline("fft1d", healthy, N, comm_algorithm="ring")
         assert graph.num_records == len(captured.ledger) - len(fails)
         assert ([(n.op, n.name, n.duration, n.deps) for n in graph.nodes]
                 == [(n.op, n.name, n.duration, n.deps) for n in clean.nodes])
@@ -317,7 +317,7 @@ class TestHarnessCompatibility:
     def test_wrapped_cluster_yields_certifiable_graph(self, name):
         calls = {"fn": 0}
         Wrapped = self.wrapped_cluster_class(calls)
-        spec = p100_nvlink_node(1) if name == "nufft" else SPEC
+        spec = machine_for(name, SPEC)
         n = 256 if name == "nufft" else N
         cl = Wrapped(spec, execute=True)
         graph, _ = capture_pipeline(name, cl, n)
@@ -347,13 +347,14 @@ class TestHarnessCompatibility:
 class TestGraphKeys:
     def test_key_carries_configuration(self):
         cl = _cluster("fft1d")
-        graph, _ = capture_fft1d(cl, N, comm_algorithm="ring")
+        graph, _ = capture_pipeline("fft1d", cl, N, comm_algorithm="ring")
+        # (name, N, M, P, dtype, effective chunks, algorithm, G)
         assert graph.meta["key"] == (
-            "fft1d", N, "complex128", 4, "ring", 2)
+            "fft1d", N, 64, 64, "complex128", 1, "ring", 2)
 
     def test_spec_fingerprint_recorded(self):
         from repro.machine.spec import spec_fingerprint
 
         cl = VirtualCluster(dual_p100_nvlink(), execute=False)
-        graph, _ = capture_fft1d(cl, N)
+        graph, _ = capture_pipeline("fft1d", cl, N)
         assert graph.meta["spec_fingerprint"] == spec_fingerprint(cl.spec)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
+from repro.pipelines import NAMES
 
 
 class TestIrCommand:
@@ -57,7 +58,7 @@ class TestVerifyIr:
         out = capsys.readouterr().out
         assert rc == 0
         assert "IR graph preallocation" in out
-        for name in ("fft1d", "fft2d", "rfft", "fmm", "fmmfft", "nufft"):
+        for name in NAMES:
             assert name in out
         assert "certified" in out
         doc = json.loads(path.read_text())

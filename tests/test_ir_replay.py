@@ -13,11 +13,9 @@ import pytest
 
 from repro.faults import FaultInjector, LinkFlap
 from repro.ir import (
-    PIPELINE_NAMES,
     ReplayError,
     ReplayExecutor,
-    capture_fft1d,
-    capture_nufft,
+    capture_built,
     capture_pipeline,
     check_graph_prealloc,
     fuse_elementwise,
@@ -26,14 +24,15 @@ from repro.ir import (
 from repro.ir.graph import OP_LAUNCH
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_k40c_pcie, p100_nvlink_node
+from repro.pipelines import NAMES as PIPELINE_NAMES
+from repro.pipelines import build, machine_for
 
 N = 1 << 12
 SPEC = p100_nvlink_node(2)
 
 
 def _cluster(name, execute=False):
-    spec = p100_nvlink_node(1) if name == "nufft" else SPEC
-    return VirtualCluster(spec, execute=execute)
+    return VirtualCluster(machine_for(name, SPEC), execute=execute)
 
 
 class TestScratchReplay:
@@ -88,6 +87,19 @@ class TestCertify:
         cl = _cluster(name)
         graph, _ = capture_pipeline(name, cl, N)
         assert check_graph_prealloc(graph, cl.spec) == []
+
+    def test_grouped_exchange_contract_read_off_the_messages(self):
+        """The pencil's subgroup all-to-alls certify, and a message that
+        carries the wrong share of the payload is a conservation finding."""
+        cl = VirtualCluster(p100_nvlink_node(8), execute=False)
+        graph, _ = capture_built(
+            build("fft3d", cl, N, params={"decomposition": "pencil"}))
+        assert check_graph_prealloc(graph, cl.spec) == []
+        assert graph.prealloc["peak_live_bytes"] > 0.0
+        msg = next(n for n in graph.nodes if n.name == "fft3d.rowx")
+        msg.comm_bytes *= 2.0
+        assert {f.rule for f in check_graph_prealloc(graph, cl.spec)} == {
+            "prealloc-conservation"}
 
 
 class TestRefusals:
@@ -177,7 +189,7 @@ class TestFusion:
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x = rng.random(m)
         cl = VirtualCluster(p100_nvlink_node(1), execute=True)
-        graph, ref = capture_nufft(cl, n, m, c=c, x=x)
+        graph, ref = capture_built(build("nufft", cl, n, params={"m": m}), c, x)
         fused = fuse_elementwise(graph, cl.spec)
         graph.stage_in(c, x)
         ReplayExecutor(fused, cl).run()
@@ -199,7 +211,7 @@ class TestExecuteReplayOnCaptureCluster:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         cl = VirtualCluster(SPEC, execute=True)
-        graph, ref = capture_fft1d(cl, N, x=x)
+        graph, ref = capture_built(build("fft1d", cl, N), x)
         x2 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         graph.stage_in(x2)
         ReplayExecutor(graph, cl).run()

@@ -6,7 +6,8 @@ from repro.core.plan import FmmFftPlan
 from repro.machine.cluster import VirtualCluster
 from repro.machine.multinode import DEFAULT_NIC, multinode_graph, multinode_p100
 from repro.machine.spec import NVLINK_P100_LINK
-from repro.model.search import find_fastest, simulate_fft1d
+from repro.model.search import find_fastest
+from repro.pipelines import simulate
 from repro.util.prng import random_signal
 from repro.util.validation import ParameterError
 
@@ -81,6 +82,6 @@ class TestPaperPrediction:
 
     def test_baseline_collapses_with_nodes(self):
         N = 1 << 24
-        t1 = simulate_fft1d(N, multinode_p100(1, 4))
-        t2 = simulate_fft1d(N, multinode_p100(2, 4))
+        t1 = simulate("fft1d", N, multinode_p100(1, 4)).wall_time()
+        t2 = simulate("fft1d", N, multinode_p100(2, 4)).wall_time()
         assert t2 > 3.0 * t1  # more devices, *much* slower baseline

@@ -9,13 +9,8 @@ from repro.model.roofline import (
     fmm_stage_times,
     fmmfft_model_time,
 )
-from repro.model.search import (
-    SearchResult,
-    find_fastest,
-    search_grid,
-    simulate_fft1d,
-    simulate_fmmfft,
-)
+from repro.model.search import SearchResult, find_fastest, search_grid
+from repro.pipelines import simulate
 
 
 def geom(M=1 << 19, P=256, ML=64, B=3, Q=16, G=2):
@@ -87,9 +82,10 @@ class TestSearch:
         assert all(c["Q"] == 8 for c in search_grid(1 << 16, 2, "complex64"))
 
     def test_simulate_times_positive(self):
-        t = simulate_fmmfft(1 << 20, dict(P=1024, ML=64, B=3, Q=16), SPEC)
-        assert t > 0
-        assert simulate_fft1d(1 << 20, SPEC) > 0
+        cl = simulate("fmmfft", 1 << 20, SPEC,
+                      params=dict(P=1024, ML=64, B=3, Q=16))
+        assert cl.wall_time() > 0
+        assert simulate("fft1d", 1 << 20, SPEC).wall_time() > 0
 
     def test_find_fastest_result(self):
         r = find_fastest(1 << 18, SPEC)

@@ -41,6 +41,15 @@ class TestWisdom:
         assert hit["params"] == dict(P=16, ML=16, B=2, Q=16)
         assert hit["comm_algorithm"] == "ring"
         assert len(w2) == 1
+        (entry,) = w2.entries.values()
+        assert entry["fmmfft_time"] == 1e-3
+
+    def test_returned_params_are_copies(self):
+        spec = p100_nvlink_node(2)
+        w = Wisdom()
+        w.put(spec, N, "complex128", dict(P=16, ML=16, B=2, Q=16), "ring")
+        w.get(spec, N, "complex128")["params"]["P"] = -1
+        assert w.get(spec, N, "complex128")["params"]["P"] == 16
 
     def test_miss_on_other_machine_or_size(self):
         spec = p100_nvlink_node(2)
@@ -63,6 +72,8 @@ class TestWisdom:
         '{"version": 2, "kind": "serve-wisdom", "entries": {}}',
         '{"version": 1, "kind": "other", "entries": {}}',
         '{"version": 1, "kind": "serve-wisdom", "entries": {"k": {}}}',
+        '{"version": 1, "kind": "serve-wisdom", "entries": '
+        '{"k": {"params": {"P": 4}, "comm_algorithm": "ring"}}}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ParameterError):
