@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 from repro.comm import plans as _plans
 from repro.comm import tuning as _tuning
 from repro.machine.stream import Event
-from repro.util.validation import ParameterError
+from repro.util.validation import ParameterError, check_count
 
 #: Accepted values for the ``algorithm`` parameter.
 ALGORITHMS = ("bulk", "direct", "ring", "bruck", "hier", "hier2", "auto")
@@ -169,7 +169,7 @@ def alltoall(
     producing kernels.  ``fn`` performs the real data movement, attached
     to the first op issued.
     """
-    _plans.check_chunks(chunks)
+    check_count("chunks", chunks)
     if after_chunks is not None and len(after_chunks) != chunks:
         raise ParameterError(
             f"after_chunks has {len(after_chunks)} entries for {chunks} chunks"

@@ -505,17 +505,22 @@ def price_plan(spec, plan: CommPlan) -> CommPlan:
                    time=sum(t for _, t in priced))
 
 
-def check_chunks(chunks: int) -> None:
-    """Require ``chunks`` to be an ``int`` >= 1."""
-    if type(chunks) is not int or chunks < 1:
-        raise ParameterError(f"chunks must be an int >= 1, got {chunks!r}")
-
-
 def check_payload(payload: float) -> None:
     """Reject a payload that is not finite and >= 0 (NaN fails too)."""
     if not 0.0 <= payload < float("inf"):
         raise ParameterError(
             f"payload must be finite and >= 0, got {payload!r}")
+
+
+#: algorithm -> its (alltoall, allgather) builders, in ``KINDS`` order;
+#: the hierarchical ones take the machine's graph (its node map) first
+_BUILDERS = {
+    "direct": (_alltoall_direct, _allgather_direct),
+    "ring": (_alltoall_ring, _allgather_ring),
+    "bruck": (_alltoall_bruck, _allgather_bruck),
+    "hier": (_alltoall_hier, _allgather_hier),
+    "hier2": (_alltoall_hier2, _allgather_hier2),
+}
 
 
 def build_plan(
@@ -536,12 +541,14 @@ def build_plan(
     chunk-qualified on the read side); ``part`` is the chunk tag appended
     to write names before the per-message ``#s``/``#b`` sub-parts.
 
-    The plan comes back priced on ``spec`` (:func:`price_plan`).
-    Unless ``certify=False``, it is also admitted through the static
-    verifier (:func:`repro.analysis.plancheck.certify_plan`) before it
-    is returned: deadlock-freedom, payload conservation, and buffer
+    The plan comes back priced on ``spec`` (:func:`price_plan`), built
+    once per spec object and argument tuple and kept in ``spec.plans``.
+    Unless ``certify=False``, every call — a stored plan too — admits it
+    through the static verifier
+    (:func:`repro.analysis.plancheck.certify_plan`) before it is
+    returned: deadlock-freedom, payload conservation, and buffer
     liveness are proved once per ``(spec_fingerprint, kind, algorithm)``
-    and cached, so the warm path pays one dict lookup.
+    and cached, so the warm path pays two dict lookups.
     """
     G = spec.num_devices
     check_payload(payload)
@@ -551,30 +558,16 @@ def build_plan(
         raise ParameterError("message plans need at least 2 devices")
     if not writes:
         raise ParameterError("message plans need at least one write buffer")
+    if algorithm not in _BUILDERS:
+        raise ParameterError(f"unknown plan algorithm {algorithm!r}; choose from {list(_BUILDERS)}")
     reads, writes = tuple(reads), tuple(writes)
-    if algorithm == "direct":
-        rounds, chained = (_alltoall_direct if kind == "alltoall"
-                           else _allgather_direct)(G, payload, reads, writes, part)
-    elif algorithm == "ring":
-        rounds, chained = (_alltoall_ring if kind == "alltoall"
-                           else _allgather_ring)(G, payload, reads, writes, part)
-    elif algorithm == "bruck":
-        rounds, chained = (_alltoall_bruck if kind == "alltoall"
-                           else _allgather_bruck)(G, payload, reads, writes, part)
-    elif algorithm == "hier":
-        rounds, chained = (_alltoall_hier if kind == "alltoall"
-                           else _allgather_hier)(spec.graph, G, payload,
-                                                 reads, writes, part)
-    elif algorithm == "hier2":
-        rounds, chained = (_alltoall_hier2 if kind == "alltoall"
-                           else _allgather_hier2)(spec.graph, G, payload,
-                                                  reads, writes, part)
-    else:
-        raise ParameterError(
-            f"unknown plan algorithm {algorithm!r}; choose from "
-            f"{[a for a in ALGORITHMS if a != 'bulk']}"
-        )
-    plan = price_plan(spec, CommPlan(algorithm, kind, rounds, chained))
+    key = (kind, payload, algorithm, reads, writes, part)
+    plan = spec.plans.get(key)
+    if plan is None:
+        build = _BUILDERS[algorithm][KINDS.index(kind)]
+        graph = (spec.graph,) if algorithm.startswith("hier") else ()
+        rounds, chained = build(*graph, G, payload, reads, writes, part)
+        plan = spec.plans[key] = price_plan(spec, CommPlan(algorithm, kind, rounds, chained))
     if certify:
         from repro.analysis.plancheck import certify_plan  # lazy: no cycle
 

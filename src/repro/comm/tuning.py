@@ -19,7 +19,8 @@ against the simulated ledger after a run.
 
 from __future__ import annotations
 
-from repro.comm.plans import build_plan, check_chunks, check_payload
+from repro.comm.plans import build_plan, check_payload
+from repro.util.validation import check_count
 
 #: Message sizes (bytes per device) swept by the CLI/bench tables.
 DEFAULT_SIZES = tuple(float(1 << p) for p in range(12, 28, 3))  # 4 KiB..128 MiB
@@ -47,7 +48,7 @@ def predict_time(spec, kind: str, payload: float, algorithm: str,
     from overlap with compute, which this closed form deliberately
     excludes — it prices the collective alone).
     """
-    check_chunks(chunks)
+    check_count("chunks", chunks)
     check_payload(payload)
     if algorithm == "bulk":
         per_dev = payload if kind == "alltoall" else \
@@ -57,12 +58,15 @@ def predict_time(spec, kind: str, payload: float, algorithm: str,
 
 
 def choose_algorithm(spec, kind: str, payload: float) -> str:
-    """Cheapest plan algorithm for this machine, kind, and payload."""
+    """Cheapest plan algorithm for this machine, kind, and payload (kept in ``spec.plans``)."""
     check_payload(payload)
     if spec.num_devices < 2:
         return "bulk"
-    return min(candidate_algorithms(spec, kind),
-               key=lambda a: predict_time(spec, kind, payload, a))
+    key = ("auto", kind, payload)
+    if key not in spec.plans:
+        spec.plans[key] = min(candidate_algorithms(spec, kind),
+                              key=lambda a: predict_time(spec, kind, payload, a))
+    return spec.plans[key]
 
 
 def algorithm_table(spec, kinds=("alltoall", "allgather"),

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import comm
+from repro.core.kernels import post_in_place
 from repro.core.plan import FmmFftPlan
 from repro.dfft.fft2d import Distributed2DFFT
+from repro.fmm import kernels
 from repro.fmm.distributed import DistributedFMM
 from repro.machine.cluster import VirtualCluster
-from repro.util.validation import ParameterError, host_input
+from repro.util.validation import ParameterError, check_count, check_in, host_input
 
 
 class FmmFftDistributed:
@@ -68,6 +71,8 @@ class FmmFftDistributed:
             raise ParameterError(f"plan G={plan.G} != cluster G={cluster.G}")
         if plan.operators is None and cluster.execute:
             raise ParameterError("execute-mode cluster requires built operators")
+        check_count("batch", batch)
+        check_in("comm_algorithm", comm_algorithm, comm.ALGORITHMS)
         self.plan = plan
         self.cl = cluster
         self.ns = "fmmfft" if ns is None else ns
@@ -94,33 +99,30 @@ class FmmFftDistributed:
         """Device g gets S_g = S[:, b0:b1, :] (its leaf boxes, all p).
 
         In terms of the natural vector this is exactly the contiguous
-        block ``x[g N/G : (g+1) N/G]`` re-viewed p-major.
+        block ``x[g N/G : (g+1) N/G]`` re-viewed p-major — a view of ``x``
+        that S2M's closure folds in one pass and nothing writes.
         """
         plan = self.plan
         x = host_input(x, plan.dtype, plan.N)
         if x.shape != (plan.N,):
             raise ParameterError(f"input must have shape ({plan.N},), got {x.shape}")
-        S = np.ascontiguousarray(x.reshape(plan.M, plan.P).T)  # (P, M)
-        self.fmm.stage_in(S, f"{self.ns}.S")
+        self.fmm.stage_in(x.reshape(plan.M, plan.P).T, f"{self.ns}.S")
 
     def finalize(self) -> np.ndarray:
         """The in-order spectrum, gathered from the 2D FFT's output."""
         return self.fft2d.finalize(f"{self.ns}.T").reshape(self.plan.N)
 
     def _post_callback(self, block: np.ndarray, g: int) -> np.ndarray:
-        """POST on device g's (M/G, P) block: columns p >= 1 scale by
-        rho_p after adding i r_p.
+        """POST on device g's (M/G, P) block, in place: columns p >= 1
+        scale by rho_p after adding i r_p.  The block is the one the
+        ``relayout`` pass wrote, never the caller's input.
 
         Reads the FMM's live reduction result (not a snapshot from the
         orchestrating ``run``), so a replayed schedule — where the FMM
         stage closures refresh ``fmm.state`` without re-running ``run`` —
         feeds POST the current pass's values.
         """
-        rho = self.plan.operators.rho
-        r = self.fmm.state.r
-        out = np.array(block, dtype=self.plan.dtype)
-        out[:, 1:] = rho[None, :] * (block[:, 1:] + 1j * r[None, :])
-        return out
+        return post_in_place(block, self.fmm.state.r, self.plan.operators.rho)
 
     # -- execution -----------------------------------------------------------
 
@@ -151,16 +153,16 @@ class FmmFftDistributed:
             ev_t, _ = self.fmm.run(key_in=key_s, key_out=key_t, staged=True,
                                    after=after)
 
-        # Relayout T (P, nb_loc, ML) -> A (M/G, P): free at the timing level
-        # (the fused load callback gathers directly from T's storage).
+        # Relayout T -> A (M/G, P), each device's block written once: free
+        # at the timing level (the fused load callback gathers from T).
         if cl.execute:
             def relayout(c):
-                for g in range(cl.G):
-                    T = np.asarray(c.dev(g)[key_t])  # (P, nb_loc, ML)
-                    mloc = T.shape[1] * T.shape[2]
-                    c.dev(g)[key_t] = np.ascontiguousarray(
-                        T.reshape(plan.P, mloc).T
-                    )
+                for g, slab in enumerate(np.split(self.fmm.state.T, cl.G, axis=-2)):
+                    A = np.empty((plan.M // cl.G, plan.P), dtype=plan.dtype)
+                    At = A.T.reshape(plan.P, -1, plan.ML)  # (P, nb/G, ML) view
+                    At[0] = c.dev(g)[key_s][0]
+                    kernels.unfold(slab, out=At[1:])
+                    c.dev(g)[key_t] = A
             with cl.region("fmmfft"), cl.region("relayout"):
                 cl.host_op(0, "relayout", relayout,
                            reads=[key_t], writes=[key_t])

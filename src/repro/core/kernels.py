@@ -65,5 +65,14 @@ def post_process(
     elif rho.shape != (P - 1,):
         raise ParameterError(f"rho must have shape ({P - 1},), got {rho.shape}")
     out = np.array(T, dtype=np.result_type(T.dtype, np.complex64))
-    out[..., 1:, :] = rho[:, None] * (T[..., 1:, :] + 1j * r[..., :, None])
+    post_in_place(np.swapaxes(out, -1, -2), r, rho)
     return out
+
+
+def post_in_place(A: np.ndarray, r: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """POST in place on m-major ``A`` (..., m, P), ``r`` (..., P-1).  Keep the
+    operand order: swapped, the complex product's FMA rounds differently."""
+    tail = A[..., 1:]
+    np.add(tail, 1j * r[..., None, :], out=tail)
+    np.multiply(rho, tail, out=tail)
+    return A

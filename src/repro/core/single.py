@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import post_process
+from repro.core.kernels import post_in_place
 from repro.core.plan import FmmFftPlan
 from repro.fftcore.oracle import reference_fft
 from repro.fftcore.plan import LocalFFTPlan
@@ -68,14 +68,14 @@ def fmmfft_batched(xs: np.ndarray, plan: FmmFftPlan) -> np.ndarray:
     k, (M, P) = xs.shape[0], (plan.M, plan.P)
     xs = xs.astype(plan.dtype, copy=False)
 
-    # p-major view per problem: S[i, p, m] = xs[i, p + m P]
-    S = np.ascontiguousarray(np.swapaxes(xs.reshape(k, M, P), -1, -2))
+    # p-major view per problem, S[i, p, m] = xs[i, p + m P], folded in place
+    S = np.swapaxes(xs.reshape(k, M, P), -1, -2)
 
     T, r = BatchedFMM(plan.operators).apply(S)
-    T = post_process(T, r, M, P, rho=plan.operators.rho)
+    # T is stored m-major: its transpose is the 2D FFT's (k, M, P) input
+    A = post_in_place(np.swapaxes(T, -1, -2), r, plan.operators.rho)
 
     # the M x P 2D FFT: every (problem, row) pair is one row of the local plan
-    A = np.ascontiguousarray(np.swapaxes(T, -1, -2))  # (k, M, P)
     A = LocalFFTPlan(P, dtype=plan.dtype).forward(A)
     Bt = np.ascontiguousarray(np.swapaxes(A, -1, -2))  # (k, P, M)
     return LocalFFTPlan(M, dtype=plan.dtype).forward(Bt).reshape(k, plan.N)

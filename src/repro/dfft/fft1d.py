@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.plans import check_chunks
 from repro.dfft.layout import BlockRows
 from repro.dfft.localfft import local_fft_stage
 from repro.dfft.transpose import distributed_transpose
@@ -35,6 +34,7 @@ from repro.machine.stream import Event
 from repro.util.bitmath import ilog2
 from repro.util.validation import (
     ParameterError,
+    check_count,
     check_multiple,
     check_pow2,
     host_input,
@@ -75,7 +75,7 @@ class Distributed1DFFT:
         comm_algorithm: str = "bulk",
     ):
         check_pow2("N", N)
-        check_chunks(chunks)
+        check_count("chunks", chunks)
         q = ilog2(N)
         if M is None:
             M = N // P if P is not None else 1 << ((q + 1) // 2)

@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.comm.plans import check_chunks
 from repro.dfft.layout import BlockRows
 from repro.dfft.localfft import local_fft_stage
 from repro.dfft.transpose import distributed_transpose
@@ -30,6 +29,7 @@ from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
 from repro.util.validation import (
     ParameterError,
+    check_count,
     check_multiple,
     check_pow2,
     host_input,
@@ -79,12 +79,11 @@ class Distributed2DFFT:
     ):
         check_pow2("M", M)
         check_pow2("P", P)
-        check_chunks(chunks)
+        check_count("chunks", chunks)
         G = cluster.G
         check_multiple("M", M, G, "G")
         check_multiple("P", P, G, "G")
-        if batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {batch}")
+        check_count("batch", batch)
         if batch > 1 and cluster.execute:
             raise ParameterError(
                 "batch > 1 is a timing-only cost model; execute-mode numerics "

@@ -22,7 +22,7 @@ from repro import comm
 from repro.dfft.layout import BlockRows
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
-from repro.util.validation import ParameterError
+from repro.util.validation import ParameterError, check_count
 
 
 def _move_blocks(cl: VirtualCluster, src_key: str, dst_key: str, layout: BlockRows) -> None:
@@ -33,11 +33,16 @@ def _move_blocks(cl: VirtualCluster, src_key: str, dst_key: str, layout: BlockRo
         np.asarray(cl.dev(g)[src_key]).reshape(layout.rows_local, layout.cols)
         for g in range(G)
     ]
+    r = layout.rows_local
+    step = min(r, 128)  # source rows per copy: the column walk stays in cache
     for h in range(G):
-        # rows h*c..(h+1)*c of the transposed matrix = cols h*c.. of A
-        cols = [srcs[g][:, h * c : (h + 1) * c] for g in range(G)]
-        block = np.vstack(cols)  # (rows, cols_local)
-        cl.dev(h)[dst_key] = np.ascontiguousarray(block.T)  # (cols_local, rows)
+        # rows h*c..(h+1)*c of the transposed matrix = cols h*c.. of A,
+        # written once: source g fills columns g*r..(g+1)*r
+        dst = np.empty((c, layout.rows), dtype=srcs[0].dtype)
+        for i in range(0, layout.rows, step):
+            g, j = divmod(i, r)
+            dst[:, i : i + step] = srcs[g][j : j + step, h * c : (h + 1) * c].T
+        cl.dev(h)[dst_key] = dst
 
 
 def distributed_transpose(
@@ -82,8 +87,7 @@ def distributed_transpose(
     """
     if cl.G != layout.G:
         raise ParameterError(f"cluster G={cl.G} != layout G={layout.G}")
-    if batch < 1:
-        raise ParameterError(f"batch must be >= 1, got {batch}")
+    check_count("batch", batch)
     itemsize = np.dtype(dtype).itemsize
     sent = layout.alltoall_bytes_sent(itemsize) * batch
 

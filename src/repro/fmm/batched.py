@@ -77,7 +77,8 @@ class BatchedFMM:
         -------
         (T, r):
             T of shape (..., P, M) and the reduction vector r of shape
-            (..., P-1) with ``r[..., p-1] = sum_m S[..., p, m]``.
+            (..., P-1) with ``r[..., p-1] = sum_m S[..., p, m]``.  T is
+            stored m-major (``T.swapaxes(-1, -2)`` is C-contiguous).
         """
         o = self.ops
         S = np.asarray(S)
@@ -86,5 +87,9 @@ class BatchedFMM:
         Sb = S.reshape(*S.shape[:-2], o.P, o.tree.num_leaves, o.ML)
         state = self._begin(Sb)
         drive_fmm(o.tree, state.run)
-        T = np.concatenate([Sb[..., :1, :, :], kernels.unfold(state.T)], axis=-3)
-        return T.reshape(S.shape), state.r
+        T = np.empty((*S.shape[:-2], o.M, o.P),
+                     dtype=np.result_type(S.dtype, o.real_dtype)).swapaxes(-1, -2)
+        Tb = T.reshape(Sb.shape)
+        Tb[..., 0, :, :] = Sb[..., 0, :, :]
+        kernels.unfold(state.T, out=Tb[..., 1:, :, :])
+        return T, state.r

@@ -35,7 +35,7 @@ from repro.fmm.driver import PassState, drive_fmm
 from repro.fmm.plan import FmmGeometry, FmmOperators
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
-from repro.util.validation import ParameterError, c_factor, real_dtype_for
+from repro.util.validation import ParameterError, c_factor, check_count, check_in, real_dtype_for
 
 
 #: stage -> the telemetry region (under ``fmm``) its ops are stamped with
@@ -92,20 +92,14 @@ class DistributedFMM:
         (see :mod:`repro.comm`); the halo exchanges are already
         per-message plans."""
         if operators.tree.G != cluster.G:
-            raise ParameterError(
-                f"operators built for G={operators.tree.G}, cluster has G={cluster.G}"
-            )
+            raise ParameterError(f"operators built for G={operators.tree.G}, cluster has G={cluster.G}")
         if cluster.execute and not isinstance(operators, FmmOperators):
-            raise ParameterError(
-                "execute-mode clusters need full FmmOperators, got geometry only"
-            )
-        if batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {batch}")
+            raise ParameterError("execute-mode clusters need full FmmOperators, got geometry only")
+        check_count("batch", batch)
+        check_in("comm_algorithm", comm_algorithm, comm.ALGORITHMS)
         if batch > 1 and cluster.execute:
-            raise ParameterError(
-                "batch > 1 is a timing-only cost model; execute-mode numerics "
-                "run through core.single.fmmfft_batched"
-            )
+            raise ParameterError("batch > 1 is a timing-only cost model; execute-mode numerics "
+                                 "run through core.single.fmmfft_batched")
         self.ops = operators
         self.cl = cluster
         self.dtype = np.dtype(dtype)
@@ -152,18 +146,22 @@ class DistributedFMM:
                 self.comm_algorithm)
 
     def stage_in(self, S: np.ndarray, key: str | None = None) -> None:
-        """Place each device's leaf-box slice of S (shape (P, M))."""
+        """Place each device's leaf-box slice of S ((P, M), any strides):
+        a view, which S2M's closure folds in one pass."""
         key = self._buf("S") if key is None else key
         Sb = np.asarray(S, dtype=self.dtype).reshape(self.ops.P, -1, self.ops.ML)
         for g in range(self.cl.G):
-            self.cl.dev(g)[key] = Sb[:, self._boxes(g), :].copy()
+            self.cl.dev(g)[key] = Sb[:, self._boxes(g), :]
 
-    def finalize(self, key: str | None = None) -> np.ndarray:
-        """Reassemble a (P, M) tensor (default: the output T) from
-        per-device box slices."""
-        key = self._buf("T") if key is None else key
-        parts = [np.asarray(self.cl.dev(g)[key]) for g in range(self.cl.G)]
-        return np.concatenate(parts, axis=1).reshape(self.ops.P, self.ops.M)
+    def finalize(self) -> np.ndarray:
+        """The (P, M) output T: each device's passthrough row ``p = 0``
+        over the pass's planar rows ``p >= 1``, unfolded in one pass."""
+        o = self.ops
+        T = np.empty((o.P, o.tree.num_leaves, o.ML), dtype=self.dtype)
+        for g in range(self.cl.G):
+            T[0, self._boxes(g)] = self.cl.dev(g)[self._buf("S")][0]
+        kernels.unfold(self.state.T, out=T[1:])
+        return T.reshape(o.P, o.M)
 
     def _boxes(self, g: int) -> slice:
         """Device g's leaf boxes on the global box axis."""
@@ -290,7 +288,7 @@ class DistributedFMM:
             mops += nbl * ML * n * self.csize  # read T for accumulation
             return self._launch(
                 "L2T", "batched_gemm", (flops, mops), [list(pair) for pair in zip(*tokens)],
-                lambda c: self._store(key_in, key_out),
+                fn,
                 reads=[buf(f"L{ell}"), key_out], writes=[key_out])
         raise ParameterError(f"unknown FMM stage {stage!r}")
 
@@ -318,23 +316,17 @@ class DistributedFMM:
         return comm.halo_exchange(
             self.cl, nbytes, f"COMM-{what}", src_buf, self._buf(f"halo.{what}"), after=after)
 
-    # -- execute mode: device buffers <-> pass state -------------------------
+    # -- execute mode: device input -> pass state ----------------------------
     # The pass state's box axis is global, each device's slab a contiguous
     # run of it: one kernel call reads each operator slice once for every
     # device, and neighbours' data reaches it only via the recorded halos.
+    # T stays there too, like every intermediate.
 
     def _load(self, key_in: str) -> None:
-        """S2M's closure: a new pass on the devices' input slices."""
+        """S2M's closure: a new pass, each device's input folded into its slab."""
         o = self.ops
-        S = self.finalize(key_in).reshape(o.P, -1, o.ML)[1:]
-        self.state = PassState(o, kernels.fold(S), self.cl.G)
-        self.state.run("S2M", o.L)
-
-    def _store(self, key_in: str, key_out: str) -> None:
-        """L2T's closure: far field onto near, then each device's slice
-        of T under its own passthrough row ``p = 0``."""
-        self.state.run("L2T", self.ops.L)
-        T = kernels.unfold(self.state.T)
+        S = np.empty((o.P - 1, self.C, o.tree.num_leaves, o.ML), dtype=real_dtype_for(self.dtype))
         for g in range(self.cl.G):
-            dev = self.cl.dev(g)
-            dev[key_out] = np.concatenate([dev[key_in][:1], T[:, self._boxes(g)]])
+            kernels.fold(self.cl.dev(g)[key_in][1:], out=S[..., self._boxes(g), :])
+        self.state = PassState(o, S, self.cl.G)
+        self.state.run("S2M", o.L)

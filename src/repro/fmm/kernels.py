@@ -21,7 +21,7 @@ docs/ALGORITHM.md ("Host kernels") has the reasoning and the rounding.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.fmm.interaction import COUSINS_EVEN, COUSINS_ODD
 from repro.fmm.plan import FmmOperators
@@ -33,18 +33,41 @@ Halo = tuple[np.ndarray, np.ndarray]
 
 # -- layout ---------------------------------------------------------------
 
-def fold(a: np.ndarray) -> np.ndarray:
-    """``(..., p, nb, X)`` real or complex, any strides -> planar."""
-    a = np.asarray(a)
-    return np.stack((a.real, a.imag) if np.iscomplexobj(a) else (a,), axis=-3)
+def _planes(a: np.ndarray) -> np.ndarray:
+    """``a`` (..., p, nb, X) as a planar view ``(..., p, C, nb, X)``, no copy."""
+    if not np.iscomplexobj(a):
+        return a[..., None, :, :]
+    return as_strided(a.real, (*a.shape[:-2], 2, *a.shape[-2:]),  # C: real part -> imaginary
+                      (*a.strides[:-2], a.itemsize // 2, *a.strides[-2:]))
 
 
-def unfold(a: np.ndarray) -> np.ndarray:
-    """Planar -> the real (C = 1) or complex (C = 2) array it stands for."""
-    if a.shape[-3] == 1:
-        return a[..., 0, :, :]
-    out = np.empty((*a.shape[:-3], *a.shape[-2:]), dtype=complex_dtype_for(a.dtype))
-    out.real, out.imag = a[..., 0, :, :], a[..., 1, :, :]
+def _copy(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """``dst[...] = src`` for planar arrays, one a view of m-major data.  NumPy
+    walks ``dst`` in memory order; cut into 64 elements of its fastest axis
+    (whole boxes, or ``(p, C)`` rows), the strided ``src`` stays cached."""
+    axis = -2 if dst.strides[-1] <= dst.strides[-4] else -4
+    step = max(1, 64 // dst.shape[axis + 1])
+    for i in range(0, dst.shape[axis], step):
+        cut = (..., slice(i, i + step)) + (slice(None),) * (-axis - 1)
+        dst[cut] = src[cut]
+    return dst
+
+
+def fold(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(..., p, nb, X)`` real or complex, any strides — typically the
+    p-major view ``x.reshape(M, P).T`` of a natural vector — -> planar."""
+    src = _planes(np.asarray(a))
+    return _copy(np.empty(src.shape, dtype=src.dtype) if out is None else out, src)
+
+
+def unfold(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Planar -> the real (C = 1) or complex (C = 2) array it stands for,
+    in one pass into ``out`` (any strides) when given."""
+    if out is None:
+        if a.shape[-3] == 1:
+            return a[..., 0, :, :]
+        out = np.empty((*a.shape[:-3], *a.shape[-2:]), dtype=complex_dtype_for(a.dtype))
+    _copy(_planes(out), a)
     return out
 
 

@@ -117,8 +117,9 @@ class ClusterSpec:
 
     A spec is immutable, so what is derived from it — :meth:`pair`
     facts, :meth:`comm_latency`, :meth:`alltoall_bandwidth`,
-    :attr:`fingerprint` — is worked out once per spec *object*, on first
-    use.  ``dataclasses.replace`` builds a new object: a rescaled or
+    :attr:`fingerprint`, the comm layer's priced :attr:`plans` — is
+    worked out once per spec *object*, on first use.
+    ``dataclasses.replace`` builds a new object: a rescaled or
     fault-degraded spec starts with nothing derived.
 
     Attributes
@@ -183,6 +184,11 @@ class ClusterSpec:
                 topo.link_class(g, a, b), topo.pair_bandwidth(g, a, b),
                 topo.pair_latency(g, a, b), topo.pair_segments(g, a, b))
         return facts
+
+    @cached_property
+    def plans(self) -> dict:
+        """What :mod:`repro.comm` priced and chose for this machine."""
+        return {}
 
     def pair_bandwidth(self, a: int, b: int) -> float:
         """Effective P2P bandwidth a->b, shortest-path routed."""

@@ -267,11 +267,6 @@ def retry_stats(ledger: Ledger) -> RetryStats:
 # comm/compute overlap
 # ---------------------------------------------------------------------------
 
-def _union_measure(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of intervals."""
-    return sum(b - a for a, b in _union(intervals))
-
-
 def _union(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Merge intervals into a sorted disjoint union."""
     out: list[tuple[float, float]] = []

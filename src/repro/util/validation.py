@@ -38,6 +38,12 @@ def check_multiple(name: str, value: int, of: int, of_name: str | None = None) -
         raise ParameterError(f"{name} (={value!r}) must be a multiple of {label} (={of!r})")
 
 
+def check_count(name: str, value: Any) -> None:
+    """Require ``value`` to be an ``int`` >= 1 (not a ``bool``, not a float)."""
+    if type(value) is not int or value < 1:
+        raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
+
+
 def check_range(name: str, value: int | float, lo: int | float | None = None, hi: int | float | None = None) -> None:
     """Require ``lo <= value <= hi`` (either bound may be None)."""
     if lo is not None and value < lo:

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro import comm
+from repro.analysis import plancheck as plancheck_mod
 from repro.analysis.plancheck import certify_plan, clear_verdicts
 from repro.comm import plans
 from repro.comm.plans import build_plan
@@ -180,19 +181,74 @@ def test_second_collective_on_a_spec_walks_no_routes(counters):
 
 def test_auto_prices_each_plan_it_builds_exactly_once(counters):
     spec = TESTBEDS["r2x8"]()
-    for _ in range(2):  # cold verdict cache (certification twins), then warm
+    calls = []
+    for _ in range(2):  # a fresh cluster on the same spec object each time
         counters["plans"].clear()
         counters["price_round"] = 0
         cl = VirtualCluster(spec, execute=False)
         comm.alltoall(cl, PAYLOAD, "t", writes=["y"], algorithm="auto",
                       chunks=4)
-        built = counters["plans"]
+        built = list(counters["plans"])
         assert counters["price_round"] == sum(len(p.rounds) for p in built)
-    # warm: one plan per candidate to choose, one per chunk to issue —
-    # issuing 4 x (messages) records and logging priced nothing more
+        calls.append(built)
+    first, second = calls
+    # first call: one plan per candidate to choose, one per chunk to issue
+    # (a certification twin is the stored candidate) -- issuing 4 x
+    # (messages) records and logging priced nothing more; second call:
+    # the spec object kept the choice and every plan
     ncand = len(comm.candidate_algorithms(spec, "alltoall"))
-    assert len(built) == ncand + 4
-    assert len(cl.ledger) == 4 * built[-1].num_messages
+    assert len(first) == ncand + 4 and second == []
+    assert len(cl.ledger) == 4 * first[-1].num_messages
+
+
+# -- (b') the store: one plan per spec object and argument tuple ------------
+
+def test_stored_plan_is_recertified_after_clear_verdicts(monkeypatch):
+    spec = preset("8xP100")
+    checks = []
+    real = plancheck_mod.check_plan
+    monkeypatch.setattr(plancheck_mod, "check_plan",
+                        lambda *a: checks.append(1) or real(*a))
+    first = build_plan(spec, "alltoall", PAYLOAD, "ring")
+    clear_verdicts()
+    assert build_plan(spec, "alltoall", PAYLOAD, "ring") is first
+    assert len(checks) == 1  # the stored plan went through the full check
+    assert build_plan(spec, "alltoall", PAYLOAD, "ring") is first
+    assert len(checks) == 1  # then a warm verdict lookup
+
+
+def test_stored_plan_still_passes_the_gate_on_every_certified_call(monkeypatch):
+    spec = preset("8xP100")
+    plan = build_plan(spec, "allgather", PAYLOAD, "bruck")
+    admitted = []
+    real = plancheck_mod.certify_plan
+    monkeypatch.setattr(plancheck_mod, "certify_plan",
+                        lambda *a: admitted.append(a[1]) or real(*a))
+    for _ in range(3):
+        assert build_plan(spec, "allgather", PAYLOAD, "bruck") is plan
+    assert build_plan(spec, "allgather", PAYLOAD, "bruck", certify=False) is plan
+    assert admitted == [plan] * 3
+
+
+@pytest.mark.parametrize("arg,value,name", [
+    ("reads", ("x",), "x"), ("writes", ("z",), "z#s"), ("part", "#t1", "#t1")])
+def test_different_buffers_get_a_different_plan(arg, value, name):
+    spec = preset("8xP100")
+    base = build_plan(spec, "alltoall", PAYLOAD, "direct")
+    other = build_plan(spec, "alltoall", PAYLOAD, "direct", **{arg: value})
+    assert other is not base and other.time == base.time
+    assert build_plan(spec, "alltoall", PAYLOAD, "direct", **{arg: value}) is other
+    names = {n for r in other.rounds for m in r for n in m.reads + m.writes}
+    assert any(name in n for n in names)
+
+
+def test_auto_choice_is_kept_per_spec_object(monkeypatch):
+    spec = preset("8xP100")
+    first = comm.choose_algorithm(spec, "alltoall", PAYLOAD)
+    monkeypatch.setattr(comm.tuning, "predict_time",
+                        lambda *a, **k: pytest.fail("re-priced a kept choice"))
+    assert comm.choose_algorithm(spec, "alltoall", PAYLOAD) == first
+    assert spec.plans[("auto", "alltoall", PAYLOAD)] == first
 
 
 # -- (c) a degraded spec is a new machine -----------------------------------
@@ -207,9 +263,12 @@ def test_degraded_spec_prices_its_own_links():
     degraded = inj.degraded_spec(0.5)
     assert degraded.pair(4, 5).bandwidth == 0.25 * healthy.bandwidth
     assert spec.pair(4, 5) is healthy  # the parent's table is untouched
+    assert spec.plans and degraded.plans == {}  # the parent's stay with it
     slow = build_plan(degraded, "alltoall", PAYLOAD, "direct")
     fast = build_plan(spec, "alltoall", PAYLOAD, "direct")
     assert slow.time == ref_plan_time(degraded.graph, slow) > fast.time
+    assert degraded.plans[("alltoall", PAYLOAD, "direct", (), ("comm",), "")] is slow
+    assert fast is not slow and fast is build_plan(spec, "alltoall", PAYLOAD, "direct")
     k = next(i for i, m in enumerate(slow.rounds[0]) if (m.src, m.dst) == (4, 5))
     assert slow.prices[0][k][0] == 0.25 * fast.prices[0][k][0]
 

@@ -4,6 +4,8 @@ import pytest
 from repro.core.distributed import FmmFftDistributed
 from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_single
+from repro.fftcore.oracle import reference_fft
+from repro.fmm.distributed import DistributedFMM
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_p100_nvlink, p100_nvlink_node
 from repro.util.prng import random_signal
@@ -123,3 +125,41 @@ class TestValidation:
         cl = VirtualCluster(p100_nvlink_node(2))
         with pytest.raises(ParameterError):
             FmmFftDistributed(plan, cl).run()
+
+    @pytest.mark.parametrize("executor", ["fmmfft", "fmm"])
+    def test_unknown_comm_algorithm_refused_before_any_issue(self, executor):
+        plan = _plan(G=2)
+        cl = VirtualCluster(p100_nvlink_node(2))
+        with pytest.raises(ParameterError, match="'bogus'"):
+            if executor == "fmmfft":
+                FmmFftDistributed(plan, cl, comm_algorithm="bogus")
+            else:
+                DistributedFMM(plan.operators, cl, comm_algorithm="bogus")
+        assert len(cl.ledger) == 0 and cl.comm_log == []
+
+
+class TestInputUntouched:
+    """The devices hold views of the caller's vector and POST runs in
+    place: neither may write ``x``, and ``y`` may not alias anything the
+    next run (or the caller) writes."""
+
+    @pytest.mark.parametrize("dtype", ["complex64", "complex128"])
+    @pytest.mark.parametrize("fuse_post", [True, False])
+    def test_run_neither_writes_nor_aliases_the_input(self, fuse_post, dtype):
+        plan = _plan(G=2, dtype=dtype)
+        tol = 1e-5 if dtype == "complex64" else 1e-12
+        ff = FmmFftDistributed(plan, VirtualCluster(p100_nvlink_node(2)),
+                               fuse_post=fuse_post)
+        x = random_signal(plan.N, dtype, seed=3)
+        x0 = x.copy()
+        y = ff.run(x)
+        assert x.tobytes() == x0.tobytes()
+        y0 = y.copy()
+        x *= 2
+        assert y.tobytes() == y0.tobytes()
+        x2 = random_signal(plan.N, dtype, seed=4)
+        y2 = ff.run(x2)  # a second run on the same cluster
+        assert y.tobytes() == y0.tobytes()
+        for xi, yi in ((x0, y), (x2, y2)):
+            ref = reference_fft(xi)
+            assert np.linalg.norm(yi - ref) / np.linalg.norm(ref) < tol

@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_batched, fmmfft_relative_error, fmmfft_single
+from repro.fftcore.oracle import reference_fft
 from repro.util.prng import random_signal
 from repro.util.validation import ParameterError
 
@@ -115,6 +116,27 @@ class TestOneBody:
             assert one.dtype == np.dtype(dtype)
             assert np.array_equal(one, fmmfft_batched(x[None], plan)[0])
             assert np.array_equal(one, row)
+
+
+class TestInputUntouched:
+    """The fold reads the caller's stack in place and POST runs in place
+    on the output: the stack stays as it was, the output is not a view
+    of it."""
+
+    @pytest.mark.parametrize("dtype", ["complex64", "complex128"])
+    def test_batched_neither_writes_nor_aliases_the_input(self, dtype):
+        plan = FmmFftPlan.create(N=4096, P=8, ML=16, B=3, Q=16, dtype=dtype)
+        xs = np.stack([random_signal(4096, dtype, seed=s) for s in (1, 2)])
+        xs0 = xs.copy()
+        ys = fmmfft_batched(xs, plan)
+        assert xs.tobytes() == xs0.tobytes()
+        ys0 = ys.copy()
+        xs *= 2
+        assert ys.tobytes() == ys0.tobytes()
+        tol = 1e-5 if dtype == "complex64" else 1e-12
+        for x, y in zip(xs0, ys):
+            ref = reference_fft(x)
+            assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < tol
 
 
 class TestValidation:

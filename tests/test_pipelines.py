@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro import pipelines
+from repro.core.distributed import FmmFftDistributed
+from repro.core.plan import FmmFftPlan
 from repro.dfft import (
     Distributed1DFFT,
     Distributed2DFFT,
@@ -23,6 +25,9 @@ from repro.dfft import (
     DistributedRealFFT,
 )
 from repro.fftcore.oracle import reference_fft, reference_rfft
+from repro.dfft.layout import BlockRows
+from repro.dfft.transpose import distributed_transpose
+from repro.fmm.distributed import DistributedFMM
 from repro.fmm.reference import dense_apply_all
 from repro.ir import ReplayExecutor, capture_built, capture_pipeline, scratch_replay
 from repro.machine.cluster import VirtualCluster
@@ -138,8 +143,28 @@ def _cl(G=2, execute=True):
 _TEXT = np.array(list("abcdefgh" * 8))
 _Z = np.ones(64, dtype=np.complex128)
 
+def _geometry_plan():
+    return FmmFftPlan.create(N=4096, P=8, ML=16, B=3, Q=16, G=2,
+                             build_operators=False)
+
+
+#: constructor -> a call with ``batch=b`` on a timing-only cluster
+_BATCH_DOORS = {
+    "DistributedFMM": lambda b: DistributedFMM(
+        _geometry_plan().geometry, _cl(execute=False), batch=b),
+    "FmmFftDistributed": lambda b: FmmFftDistributed(
+        _geometry_plan(), _cl(execute=False), batch=b),
+    "Distributed2DFFT": lambda b: Distributed2DFFT(
+        8, 8, _cl(execute=False), batch=b),
+    "distributed_transpose": lambda b: distributed_transpose(
+        _cl(execute=False), "a", "a", BlockRows(8, 8, 2), "complex128", batch=b),
+}
+
 #: case -> (call, the offending value as the message must name it)
 BAD_INPUT = {
+    **{f"{door}-batch={b!r}": (lambda call=call, b=b: call(b), repr(b))
+       for door, call in _BATCH_DOORS.items()
+       for b in (0, -2, True, 2.5, "2")},
     **{f"{cls.__name__}-chunks={c!r}":
        (lambda cls=cls, a=a, c=c: cls(*a, _cl(), chunks=c), repr(c))
        for cls, a in ((Distributed1DFFT, (64,)), (Distributed2DFFT, (8, 8)),
