@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.bench.figures import emit, out_dir
+from artifacts import emit, out_dir
 from repro.comm import algorithm_table, choose_algorithm
 from repro.core.api import default_params
 from repro.machine.multinode import multinode_p100

@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from repro.bench.figures import emit, out_dir
+from artifacts import emit, out_dir
 from repro.faults import FaultInjector, seeded_chaos
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import preset

@@ -21,7 +21,8 @@ Alongside the curves, recorded to ``benchmarks/out/BENCH_multinode.json``:
   every request accounted, and an identically seeded replay is
   **bit-identical** (:meth:`Ledger.fingerprint`).
 
-Run standalone with ``--smoke`` for the CI quick pass.
+CI runs the full sweep standalone: a shorter one stops before the
+strong-scaling curve bends back.
 """
 
 import json
@@ -29,7 +30,7 @@ import sys
 
 from repro import comm
 from repro.analysis.plancheck import check_plan
-from repro.bench.figures import emit, out_dir
+from artifacts import emit, out_dir
 from repro.comm.plans import build_plan
 from repro.faults import FaultInjector, node_loss
 from repro.machine.cluster import VirtualCluster
@@ -54,7 +55,6 @@ OVERSUBSCRIPTION = 2.0
 WEAK_PER_DEVICE = 1 << 22
 STRONG_N = 1 << 26
 DEVICE_SWEEP = (16, 32, 64, 128, 256)
-SMOKE_SWEEP = (16, 64)
 #: hier2 certification payload (per-device bytes)
 CERT_PAYLOAD = float(1 << 20)
 #: the paper's large-N leaf size (Section 6.3), used beyond B = 5
@@ -180,16 +180,15 @@ def _chaos(num_requests):
     }
 
 
-def _collect(smoke=False):
-    g_list = SMOKE_SWEEP if smoke else DEVICE_SWEEP
+def _collect():
     return {
         "dtype": DTYPE, "gpus_per_node": GPUS_PER_NODE,
         "radix": RADIX, "oversubscription": OVERSUBSCRIPTION,
-        "device_sweep": list(g_list),
-        "scaling": _scaling(g_list),
-        "hier2_certification": _certify(g_list),
+        "device_sweep": list(DEVICE_SWEEP),
+        "scaling": _scaling(DEVICE_SWEEP),
+        "hier2_certification": _certify(DEVICE_SWEEP),
         "algorithm_times_ms": _algorithms(),
-        "node_loss_chaos": _chaos(8 if smoke else 32),
+        "node_loss_chaos": _chaos(32),
     }
 
 
@@ -269,15 +268,14 @@ def _emit(payload):
 
 def test_multinode_crossover(benchmark):
     """Benchmark the routed-fabric sweep and validate the claims."""
-    payload = benchmark.pedantic(lambda: _collect(smoke=True),
-                                 rounds=1, iterations=1)
+    payload = benchmark.pedantic(_collect, rounds=1, iterations=1)
     _emit(payload)
     _check(payload)
 
 
-def main(argv):
-    """Standalone entry: ``--smoke`` runs the reduced sweep for CI."""
-    payload = _collect(smoke="--smoke" in argv)
+def main():
+    """Standalone entry: the full sweep, as CI runs it."""
+    payload = _collect()
     path = _emit(payload)
     _check(payload)
     print(_render(payload))
@@ -286,4 +284,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -31,7 +31,7 @@ import json
 import sys
 import time
 
-from repro.bench.figures import emit, out_dir
+from artifacts import emit, out_dir
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import preset
 from repro.serve import (

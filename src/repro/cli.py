@@ -54,14 +54,17 @@ Commands
     Build/extend a JSON tuning-wisdom file over a range of sizes.
 ``trace``
     Export a Perfetto / chrome://tracing JSON of a simulated run.
-``report``
-    Stitch the benchmark artifacts into one markdown report.
+``figures``
+    Run every row of the paper-claims table (:mod:`repro.figures`):
+    each row's sweep, checks and table, written as one markdown report
+    (``--out REPORT.md``); exits 1 if any check breaks.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro import pipelines
 from repro.comm import ALGORITHMS
@@ -689,13 +692,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    """Aggregate benchmark artifacts into one markdown report."""
-    from repro.bench.report import write_report
+def cmd_figures(args: argparse.Namespace) -> int:
+    """Run the paper-claims table; print or write its report."""
+    from repro.figures import report
 
-    out = write_report(args.out)
-    print(f"wrote {out}")
-    return 0
+    text, broken = report()
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}")
+    else:
+        print(text)
+    for label in broken:
+        print(f"check broken: {label}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 def _dtype_option(sub, **kw) -> None:
@@ -943,9 +952,10 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--out", default="trace.json")
     tc.set_defaults(fn=cmd_trace)
 
-    rp = sub.add_parser("report", help="aggregate benchmark artifacts")
-    rp.add_argument("--out", default="REPORT.md")
-    rp.set_defaults(fn=cmd_report)
+    fg = sub.add_parser("figures", help="check the paper's claims, write the report")
+    fg.add_argument("--out", default=None,
+                    help="write the markdown report here (default: print it)")
+    fg.set_defaults(fn=cmd_figures)
     return p
 
 

@@ -93,7 +93,7 @@ class TestDtypeDiscipline:
 
     def test_complex128_ok_outside_kernel_path(self):
         src = HDR + "import numpy as np\na = np.complex128\n"
-        assert rules(src, "src/repro/bench/x.py") == []
+        assert rules(src, "src/repro/model/x.py") == []
 
     def test_complex64_alternative_same_statement_ok(self):
         src = (HDR + "import numpy as np\n"

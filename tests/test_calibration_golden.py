@@ -1,53 +1,33 @@
-"""Golden calibration guard.
+"""Golden calibration guard, one test per frozen Figure 3 cell.
 
-The simulator's undocumented constants (latencies, all-to-all
-efficiency, FFT pass radix, derates — see EXPERIMENTS.md header) were
-calibrated once against Figure 3 and then frozen.  These tests pin the
-resulting speedup *bands* so an accidental re-tune (or an engine
-regression that silently shifts schedules) fails loudly rather than
-silently degrading the reproduction.
-
-Bands are deliberately wide (±~15%): they guard the calibration, not
-bit-exact timing.
+The simulator's constants the paper does not print were fitted once
+against Figure 3 and frozen.  The bands live in
+:data:`repro.figures.FIG3_BANDS` (the ``fig3_bands_*`` rows of the
+report); these tests pin each cell on its own so an accidental re-tune,
+or an engine change that shifts schedules, names the cell it moved.
 """
 
 import pytest
 
-from repro.machine.spec import preset
-from repro.model.search import find_fastest
+from repro.figures import FIG3_BANDS, TESTBEDS, _fastest
 
-#: (system, log2N) -> (lo, hi) speedup band from the frozen calibration
-GOLDEN_BANDS = {
-    ("2xK40c", 14): (1.15, 1.55),
-    ("2xK40c", 17): (1.40, 1.90),
-    ("2xK40c", 22): (1.05, 1.35),
-    ("2xK40c", 26): (0.95, 1.20),
-    ("2xP100", 14): (1.05, 1.40),
-    ("2xP100", 17): (1.35, 1.85),
-    ("2xP100", 22): (1.15, 1.50),
-    ("2xP100", 26): (1.10, 1.40),
-    ("8xP100", 16): (1.15, 1.55),
-    ("8xP100", 20): (1.35, 1.85),
-    ("8xP100", 24): (1.55, 2.00),
-    ("8xP100", 27): (1.65, 2.10),
-}
+CELLS = sorted((system, q) for system, cells in FIG3_BANDS.items() for q in cells)
 
 
-@pytest.mark.parametrize("system,q", sorted(GOLDEN_BANDS))
+@pytest.mark.parametrize("system,q", CELLS)
 def test_calibrated_speedup_band(system, q):
-    lo, hi = GOLDEN_BANDS[(system, q)]
-    r = find_fastest(1 << q, preset(system))
-    assert lo <= r.speedup <= hi, (
-        f"{system} N=2^{q}: speedup {r.speedup:.3f} left the calibrated "
+    lo, hi = FIG3_BANDS[system][q]
+    s = _fastest(system, "complex128", q).speedup
+    assert lo <= s <= hi, (
+        f"{system} N=2^{q}: speedup {s:.3f} left the calibrated "
         f"band [{lo}, {hi}] — did a simulator constant change?"
     )
 
 
 def test_ordering_invariants():
     """The qualitative Figure 3 facts that must never regress."""
-    s2 = find_fastest(1 << 26, preset("2xP100")).speedup
-    s8 = find_fastest(1 << 26, preset("8xP100")).speedup
-    sk = find_fastest(1 << 26, preset("2xK40c")).speedup
+    s2, s8, sk = (_fastest(s, "complex128", 26).speedup for s in ("2xP100", "8xP100", "2xK40c"))
+    assert set(TESTBEDS) == {"2xP100", "8xP100", "2xK40c"}
     assert s8 > s2 > sk          # gains grow with interconnect weakness
     assert s8 > 1.6              # the headline ~2x at 8 GPUs
     assert sk > 0.95             # K40 never loses badly at large N

@@ -2,8 +2,9 @@
 
 Keeps README/DESIGN/EXPERIMENTS honest: every referenced artifact
 exists, every example is listed and runnable-looking, every public
-module carries a docstring, and every benchmark both emits an artifact
-and asserts something.
+module carries a docstring, every benchmark asserts something, and
+every row of the paper-claims table cites the paper, checks something
+and appears in the committed REPORT.md.
 """
 
 import ast
@@ -11,6 +12,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from repro.figures import FIGURES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +40,13 @@ class TestDocsReferenceRealFiles:
         text = (ROOT / "EXPERIMENTS.md").read_text()
         for name in re.findall(r"`(bench_\w+\.py)`", text):
             assert (ROOT / "benchmarks" / name).exists(), name
+
+    def test_docs_name_real_figure_rows(self):
+        rows = {fig.name for fig in FIGURES}
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ALGORITHM.md"):
+            text = (ROOT / doc).read_text()
+            for name in re.findall(r"row `(\w+)`", text):
+                assert name in rows, (doc, name)
 
     def test_algorithm_doc_module_refs_exist(self):
         text = (ROOT / "docs" / "ALGORITHM.md").read_text()
@@ -85,9 +95,9 @@ class TestSourceHygiene:
         assert not missing, f"functions without docstrings: {missing}"
 
     def test_no_print_in_library_code(self):
-        """The library communicates through return values; only the CLI,
-        bench harness, and __main__ print."""
-        allowed = {"cli.py", "__main__.py", "figures.py"}
+        """The library communicates through return values; only the CLI
+        and __main__ print."""
+        allowed = {"cli.py", "__main__.py"}
         offenders = []
         for path in _py_files("src"):
             if path.name in allowed:
@@ -101,16 +111,29 @@ class TestSourceHygiene:
         assert not offenders, f"print() in library code: {offenders}"
 
 
+class TestFigureTable:
+    def test_every_row_cites_the_paper_and_checks_something(self):
+        for fig in FIGURES:
+            assert re.match(r"(Fig|Figs|Sec|Secs|Alg)\. ", fig.ref), fig.name
+            assert fig.checks, fig.name
+        assert len({fig.name for fig in FIGURES}) == len(FIGURES)
+
+    def test_every_row_in_committed_report(self):
+        report = (ROOT / "REPORT.md").read_text()
+        missing = [fig.name for fig in FIGURES if f"## {fig.name}\n" not in report]
+        assert not missing, f"rerun `python -m repro figures --out REPORT.md`: {missing}"
+
+
 class TestBenchmarkShape:
     def test_every_bench_has_docstring_and_assert(self):
-        for path in _py_files("benchmarks"):
+        for path in (ROOT / "benchmarks").glob("bench_*.py"):
             text = path.read_text()
             tree = ast.parse(text)
             assert ast.get_docstring(tree), f"{path.name} lacks a docstring"
             assert "assert" in text, f"{path.name} asserts nothing"
 
     def test_every_bench_uses_benchmark_fixture(self):
-        for path in _py_files("benchmarks"):
+        for path in (ROOT / "benchmarks").glob("bench_*.py"):
             assert "benchmark" in path.read_text(), path.name
 
     def test_examples_have_main_guard(self):
