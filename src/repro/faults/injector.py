@@ -378,8 +378,8 @@ def seeded_chaos(
     windows uniformly inside ``[0, horizon)`` from a generator seeded
     with ``seed`` — the scenario (and the injector's online transient
     stream, seeded with ``seed + 1``) is a pure function of the
-    arguments.  This is what ``repro chaos`` and ``bench_faults``
-    drive.
+    arguments.  This is what ``repro chaos`` and the chaos twin in
+    ``tests/test_serve_faults.py`` drive.
     """
     if horizon <= 0.0:
         raise ParameterError(f"horizon must be > 0, got {horizon!r}")

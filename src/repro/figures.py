@@ -1,10 +1,10 @@
 """The paper's claims as one table.
 
 Every row of :data:`FIGURES` is one claim of the paper's evaluation
-(Figs 1-9, the Sec. 5 roofline model, the Sec. 6.1 error bounds) or of
-the design's ablations and the Sec. 7 extensions.  A row cites where
-the paper makes the claim and the values the paper reports, runs one
-sweep through :func:`repro.pipelines.simulate`,
+(Figs 1-9, the Sec. 5 roofline model, the Sec. 6.1 error bounds, the
+Sec. 7 multi-node outlook) or of the design's ablations and the Sec. 7
+extensions.  A row cites where the paper makes the claim and the values
+the paper reports, runs one sweep through :func:`repro.pipelines.simulate`,
 :func:`repro.model.search.find_fastest` or the real numerics, holds the
 sweep to fixed bounds (its checks) and renders it as a table.
 ``tests/test_figures.py`` runs every row; ``python -m repro figures
@@ -22,12 +22,13 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro import comm
 from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_relative_error
 from repro.fmm.distributed import DistributedFMM
 from repro.fmm.plan import FmmGeometry
 from repro.machine.cluster import VirtualCluster
-from repro.machine.multinode import multinode_p100
+from repro.machine.multinode import multinode_p100, routed_multinode_p100
 from repro.machine.roofline import gemm_performance
 from repro.machine.spec import K40C, P100, preset
 from repro.model.comm import communication_savings
@@ -38,9 +39,9 @@ from repro.model.mops import fmm_stage_mops
 from repro.model.roofline import (
     fmm_intensity, fmm_model_time, fmm_stage_times, fmmfft_model_time,
 )
-from repro.model.search import SearchResult, find_fastest
+from repro.model.search import SearchResult, find_fastest, search_grid
 from repro.nufft import nudft2_direct, nufft2
-from repro.pipelines import simulate
+from repro.pipelines import build, simulate
 from repro.util.asciiplot import ascii_series
 from repro.util.prng import random_signal
 from repro.util.table import Table
@@ -165,14 +166,17 @@ def _fig2() -> dict:
     cfg = PAPER_FIG2
     spec = preset("2xP100")
     cl_b = simulate("fft1d", cfg["N"], spec, dtype=cfg["dtype"])
-    params = {k: cfg[k] for k in ("P", "ML", "B", "Q")}
-    cl_f = simulate("fmmfft", cfg["N"], spec, dtype=cfg["dtype"], params=params)
+    cl_f = VirtualCluster(spec, execute=False)
+    run = build("fmmfft", cl_f, cfg["N"], dtype=cfg["dtype"],
+                params={k: cfg[k] for k in ("P", "ML", "B", "Q")})
+    run.run()
+    geom = run.plan.geometry
     fmm_names = [n for n in cl_f.ledger.time_by_name()
                  if not n.startswith(("fft2d", "COMM", "relayout"))]
     tr_b, tr_f = cl_b.trace(), cl_f.trace()
     return dict(
         baseline=cl_b, fmmfft=cl_f,
-        fmm_count=cfg["P"] - 1, fmm_size=cfg["N"] // cfg["P"],
+        fmm_count=geom.P - 1, fmm_size=geom.M,
         launches=sum(1 for r in cl_f.ledger.records(device=0)
                      if r.name in fmm_names and r.kind not in ("comm", "host")),
         fmm_time=max(max(r.end for r in cl_f.ledger.records(device=g) if r.name in fmm_names)
@@ -532,6 +536,58 @@ def _nufft_accuracy() -> dict:
             for Q in (4, 8, 12, 16, 20)}
 
 
+# -- Section 7: across nodes ---------------------------------------------------
+
+#: the routed fabric: 4 P100s per node on a radix-36 fat tree whose leaf
+#: uplinks are 2x oversubscribed
+MN_GPUS_PER_NODE, MN_RADIX, MN_OVERSUBSCRIPTION = 4, 36, 2.0
+MN_DEVICES = (16, 32, 64, 128, 256)
+#: weak scaling holds 2^22 points per device; strong scaling holds N = 2^26
+MN_WEAK_PER_DEVICE, MN_STRONG_N = 1 << 22, 1 << 26
+#: the all-to-all algorithms compared at 4 MiB per device on 4 nodes
+MN_ALGORITHMS = ("bulk", "direct", "ring", "bruck", "hier", "hier2")
+MN_ALGO_NODES, MN_ALGO_PAYLOAD = 4, float(1 << 22)
+
+
+def _fat_tree(nodes: int):
+    return routed_multinode_p100(nodes, gpus_per_node=MN_GPUS_PER_NODE, radix=MN_RADIX,
+                                 oversubscription=MN_OVERSUBSCRIPTION)
+
+
+def _multinode() -> dict:
+    """The fastest FMM-FFT against the 1D FFT per device count, weak and
+    strong, over the first 12 candidates of the search grid; and the
+    simulated time of each all-to-all algorithm."""
+    d = {"weak": {}, "strong": {}, "alltoall": {}}
+    for G in MN_DEVICES:
+        spec = _fat_tree(G // MN_GPUS_PER_NODE)
+        for regime, N in (("weak", G * MN_WEAK_PER_DEVICE), ("strong", MN_STRONG_N)):
+            d[regime][G] = find_fastest(N, spec, grid=search_grid(N, G)[:12])
+    for algo in MN_ALGORITHMS:
+        cl = VirtualCluster(_fat_tree(MN_ALGO_NODES), execute=False)
+        comm.alltoall(cl, MN_ALGO_PAYLOAD, "a2a", algorithm=algo, reads=["x"], writes=["y"])
+        cl.barrier()
+        d["alltoall"][algo] = cl.wall_time()
+    return d
+
+
+def _multinode_render(d: dict) -> str:
+    return "\n\n".join([*(_table(
+        ["G", "nodes", "N", "FMM-FFT [ms]", "1D FFT [ms]", "speedup"],
+        f"{regime} scaling, fat-tree r{MN_RADIX} o{MN_OVERSUBSCRIPTION:g} (complex128)",
+        ([G, G // MN_GPUS_PER_NODE, r.N, f"{r.fmmfft_time * 1e3:.2f}",
+          f"{r.baseline_time * 1e3:.2f}", f"{r.speedup:.2f}"] for G, r in d[regime].items()))
+        for regime in ("weak", "strong")), _table(
+        ["algorithm", "alltoall [ms]"],
+        f"collective algorithms, {MN_ALGO_NODES * MN_GPUS_PER_NODE} devices, "
+        f"{MN_ALGO_PAYLOAD / 2**20:.0f} MiB/device",
+        ([algo, f"{t * 1e3:.3f}"] for algo, t in d["alltoall"].items()))])
+
+
+def _speedups(d: dict, regime: str) -> list[float]:
+    return [r.speedup for r in d[regime].values()]
+
+
 def _fmm_times(title: str, key: str, scale: float, unit: str) -> Callable[[dict], str]:
     return lambda d: _table([key, f"FMM time [{unit}]"], title,
                             ([k, v * scale] for k, v in d.items()))
@@ -701,6 +757,20 @@ FIGURES: tuple[Figure, ...] = (
          ("energy ratio 2 nodes > 8xP100",
           lambda d: d["2 nodes x 4 P100"][2] > d["8xP100"][2]),
          ("energy ratio 2 nodes > 1.5", lambda d: d["2 nodes x 4 P100"][2] > 1.5))),
+    Figure(
+        "multinode_crossover",
+        "Sec. 7: across nodes the FMM-FFT stays ahead when N grows with the machine, and "
+        "its lead over a fixed N peaks then bends back (16-256 P100s, routed fat tree)",
+        _multinode, _multinode_render,
+        (("1.0 < weak-scaling speedup < 3.5 at every G",
+          lambda d: all(1.0 < s < 3.5 for s in _speedups(d, "weak"))),
+         ("strong-scaling peak speedup > 1.5", lambda d: max(_speedups(d, "strong")) > 1.5),
+         ("strong-scaling speedup at the largest G below the peak",
+          lambda d: _speedups(d, "strong")[-1] < max(_speedups(d, "strong"))),
+         ("0.4 < strong-scaling speedup < 3.5 at every G",
+          lambda d: all(0.4 < s < 3.5 for s in _speedups(d, "strong"))),
+         ("hier2 all-to-all faster than direct",
+          lambda d: d["alltoall"]["hier2"] < d["alltoall"]["direct"]))),
     Figure(
         "ablation_base_level",
         "Secs. 4.7 and 6.3.3: B > 2 trades tree-top latency for dense base-level compute",

@@ -8,7 +8,9 @@ and returning the fastest simulated wall time alongside the baseline's.
 The grid mirrors the paper's practice: Q statically tuned (16 double,
 8 single — Section 6.3.4), M_L in 16..128 (they report M_L = 64 for
 large N), B in 2..5, and every power-of-two P with at least 2G columns
-and a usable tree.
+and a usable tree.  Beyond 32 devices no ``B <= 5`` splits the tree
+across G (that needs ``G | 2^B``), so the grid there takes the minimal
+split ``B = log2(G)`` at the paper's large-N leaf size.
 """
 
 from __future__ import annotations
@@ -29,24 +31,28 @@ def search_grid(N: int, G: int, dtype="complex128") -> list[dict]:
     Honors cuFFTXT's constraint that the 2D FFT has both dimensions
     >= 32 (Section 6.3.2), and orders candidates square-most first so
     that timing ties resolve toward the aspect ratios vendor 2D FFTs are
-    optimized for.
+    optimized for.  For ``G > 32`` the candidates are ``B = log2(G)``,
+    ``M_L = 64`` over every P, skinny-most (smallest P) first: on
+    many-node fabrics the all-to-all over P columns dominates.
     """
     check_pow2("N", N)
     Q = 16 if np.dtype(real_dtype_for(dtype)) == np.float64 else 8
+    wide = G > 32
     grid: list[dict] = []
     P = max(32, 2 * G)
     while N // P >= 32:
         M = N // P
-        for ML in (16, 32, 64, 128):
+        for ML in (64,) if wide else (16, 32, 64, 128):
             if ML * 4 > M:
                 continue
             L = ilog2(M // ML)
-            for B in range(2, min(L, 5) + 1):
-                if (1 << B) % G != 0:
+            for B in (ilog2(G),) if wide else range(2, min(L, 5) + 1):
+                if B > L or (1 << B) % G != 0:
                     continue
                 grid.append(dict(P=P, ML=ML, B=B, Q=Q))
         P *= 2
-    grid.sort(key=lambda c: abs(ilog2(c["P"]) - ilog2(N // c["P"])))
+    if not wide:
+        grid.sort(key=lambda c: abs(ilog2(c["P"]) - ilog2(N // c["P"])))
     return grid
 
 

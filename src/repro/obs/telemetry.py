@@ -290,8 +290,8 @@ class MetricsRegistry:
 
     The sole sanctioned constructor of metric series (lint rule
     ``telemetry-registry``).  ``enabled=False`` turns every accessor
-    into a shared no-op — the zero-overhead arm ``bench_serve`` measures
-    instrumentation cost against.
+    into a shared no-op — the zero-overhead arm
+    ``benchmarks/bench_host.py`` measures instrumentation cost against.
     """
 
     def __init__(self, enabled: bool = True):

@@ -61,8 +61,8 @@ class Batcher:
     max_batch:
         Largest coalesced batch.
     batching:
-        False degrades to one-request batches (the unbatched baseline
-        arm in ``bench_serve``).
+        False degrades to one-request batches (the unbatched arms of
+        ``TestServingArms`` in ``tests/test_serve_scheduler.py``).
     """
 
     def __init__(self, cache: PlanCache, max_batch: int = 8,

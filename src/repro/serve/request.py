@@ -4,7 +4,7 @@ A :class:`TransformRequest` is the unit of work the serving layer
 admits, batches, and schedules: one 1D FMM-FFT of a given size and
 precision, stamped with its (simulated) arrival time and a deadline
 class.  :func:`synthetic_workload` generates the Poisson-arrival /
-size-mix traffic the ``repro serve`` CLI and ``bench_serve`` drive —
+size-mix traffic the ``repro serve`` CLI and the serving tests drive —
 the open-loop model under which throughput and tail latency are
 meaningful (a closed loop would self-throttle and hide queueing).
 """

@@ -129,7 +129,7 @@ class ServeScheduler:
         True (default) captures each batch configuration's op graph on
         first issue and replays it for warm batches (see the module
         docstring); False always re-interprets — the baseline arm
-        :mod:`benchmarks.bench_serve` measures replay against.
+        ``benchmarks/bench_host.py`` measures replay against.
     """
 
     def __init__(

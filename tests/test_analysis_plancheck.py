@@ -76,6 +76,11 @@ MULTI_SPECS = [multinode_p100(2, gpus_per_node=2),
 ROUTED_SPECS = [routed_multinode_p100(2, gpus_per_node=4, radix=4),
                 routed_multinode_p100(5, gpus_per_node=2, radix=4,
                                       oversubscription=2.0)]
+#: the fabrics of the Sec. 7 row ``multinode_crossover``: 16-256 devices,
+#: 4 per node, on a radix-36 fat tree with 2x oversubscribed uplinks
+FAT_TREE_SWEEP = [routed_multinode_p100(G // 4, gpus_per_node=4, radix=36,
+                                        oversubscription=2.0)
+                  for G in (16, 32, 64, 128, 256)]
 
 
 @pytest.mark.parametrize("kind", ["alltoall", "allgather"])
@@ -95,7 +100,7 @@ def test_healthy_hier_plans_certify(spec, kind):
 
 
 @pytest.mark.parametrize("kind", ["alltoall", "allgather"])
-@pytest.mark.parametrize("spec", MULTI_SPECS[:3] + ROUTED_SPECS,
+@pytest.mark.parametrize("spec", MULTI_SPECS[:3] + ROUTED_SPECS + FAT_TREE_SWEEP,
                          ids=lambda s: s.name)
 def test_healthy_hier2_plans_certify(spec, kind):
     cert = check_plan(spec, plan_for(spec, kind, "hier2"), PAYLOAD)

@@ -76,6 +76,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Multi-node projection" in out
 
+    def test_multinode_beyond_32_devices(self, capsys):
+        # 8 nodes x 8 GPUs: 64 devices, past the paper's B <= 5 grid
+        assert main(["multinode", "--n", "2^24", "--gpus-per-node", "8"]) == 0
+        assert "\n8     | 64 |" in capsys.readouterr().out
+
     def test_tune_roundtrip(self, capsys, tmp_path):
         wisdom = str(tmp_path / "w.json")
         assert main(["tune", "--min", "14", "--max", "15", "--wisdom", wisdom]) == 0

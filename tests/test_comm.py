@@ -17,7 +17,7 @@ from repro.analysis.hazards import find_hazards
 from repro.analysis.lint import lint_source
 from repro.analysis.plancheck import PlanCheckError
 from repro.cli import main
-from repro.comm import build_plan, choose_algorithm, predict_time
+from repro.comm import algorithm_table, build_plan, choose_algorithm, predict_time
 from repro.core.api import default_params
 from repro.core.distributed import FmmFftDistributed
 from repro.core.plan import FmmFftPlan
@@ -32,6 +32,7 @@ from repro.machine.spec import (
     preset,
 )
 from repro.obs import build_trace, compute_metrics, validate_trace
+from repro.pipelines import simulate
 from repro.util.validation import ParameterError
 
 PAYLOAD = 1 << 20  # 1 MiB per device
@@ -154,6 +155,23 @@ class TestTuning:
             preds = {a: predict_time(spec, kind, float(PAYLOAD), a)
                      for a in ("direct", "ring", "bruck")}
             assert best == min(preds, key=preds.get)
+
+    @pytest.mark.parametrize("spec", [
+        preset("2xP100"), preset("8xP100"), multinode_p100(2, gpus_per_node=4),
+    ], ids=lambda s: s.name)
+    def test_algorithm_table_winner_is_argmin(self, spec):
+        rows = algorithm_table(spec)
+        for r in rows:
+            preds = r["predictions"]
+            assert preds[r["best"]] == pytest.approx(min(preds.values())), r
+            assert r["speedup_vs_bulk"] == pytest.approx(
+                r["bulk"] / preds[r["best"]]), r
+            assert choose_algorithm(spec, r["kind"], r["payload_bytes"]) == (
+                r["best"]), r
+        # small collectives dodge the bulk barrier + overhead by a wide
+        # margin on every topology (the point of the message plans)
+        small = [r for r in rows if r["payload_bytes"] <= 32768]
+        assert small and all(r["speedup_vs_bulk"] > 1.5 for r in small)
 
     def test_predict_matches_plan_time(self):
         spec = preset("8xP100")
@@ -370,6 +388,12 @@ class TestEndToEnd:
         _, runs = dgx1_runs
         assert runs["auto"].wall_time() < runs["bulk"].wall_time()
 
+    def test_auto_beats_bulk_fft1d(self):
+        bulk, auto = (simulate("fft1d", 1 << 20, preset("8xP100"),
+                               comm_algorithm=algo).wall_time()
+                      for algo in ("bulk", "auto"))
+        assert auto < bulk
+
     def test_auto_schedule_is_hazard_free(self, dgx1_runs):
         _, runs = dgx1_runs
         report = find_hazards(runs["auto"].ledger)
@@ -436,6 +460,14 @@ class TestEndToEnd:
         report = find_hazards(cl.ledger)
         assert report.ok, report.render()
         assert cl.wall_time() > 0.0
+
+    def test_hier2_fmmfft_hazard_free_on_routed_fabric(self):
+        cl = simulate("fmmfft", 1 << 20, routed_multinode_p100(4, 4, radix=8),
+                      comm_algorithm="hier2")
+        assert len(cl.ledger) == 992
+        assert any(c["algorithm"] == "hier2" for c in cl.comm_log)
+        report = find_hazards(cl.ledger)
+        assert report.ok, report.render()
 
 
 class TestGroupedAlltoall:

@@ -1,7 +1,7 @@
 """Documentation/product consistency checks.
 
-Keeps README/DESIGN/EXPERIMENTS honest: every referenced artifact
-exists, every example is listed and runnable-looking, every public
+Keeps README/DESIGN/EXPERIMENTS and docs/ honest: every referenced
+artifact exists, every example is listed and runnable-looking, every public
 module carries a docstring, every benchmark asserts something, and
 every row of the paper-claims table cites the paper, checks something
 and appears in the committed REPORT.md.
@@ -22,6 +22,19 @@ def _py_files(sub: str) -> list[Path]:
     return sorted((ROOT / sub).rglob("*.py"))
 
 
+DOCS_DIR = [str(p.relative_to(ROOT)) for p in sorted((ROOT / "docs").glob("*.md"))]
+#: the prose docs: the top-level three and everything under docs/
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", *DOCS_DIR]
+
+
+def _missing_bench_refs(doc: str) -> list[str]:
+    """Bench files and ``benchmarks/`` paths ``doc`` names that do not exist."""
+    text = (ROOT / doc).read_text()
+    refs = [f"benchmarks/{name}" for name in re.findall(r"\b(bench_\w+\.py)", text)]
+    refs += re.findall(r"\bbenchmarks/[\w./*]*\w", text)
+    return [ref for ref in refs if not list(ROOT.glob(ref))]
+
+
 class TestDocsReferenceRealFiles:
     def test_readme_examples_exist(self):
         readme = (ROOT / "README.md").read_text()
@@ -30,20 +43,18 @@ class TestDocsReferenceRealFiles:
             assert (ROOT / where / name).exists(), name
 
     def test_design_bench_targets_exist(self):
-        design = (ROOT / "DESIGN.md").read_text()
-        for name in re.findall(r"`benchmarks/(bench_\w+\.py)`", design):
-            assert (ROOT / "benchmarks" / name).exists(), name
-        for name in re.findall(r"\| `(bench_\w+\.py)`", design):
-            assert (ROOT / "benchmarks" / name).exists(), name
+        assert _missing_bench_refs("DESIGN.md") == []
 
     def test_experiments_bench_targets_exist(self):
-        text = (ROOT / "EXPERIMENTS.md").read_text()
-        for name in re.findall(r"`(bench_\w+\.py)`", text):
-            assert (ROOT / "benchmarks" / name).exists(), name
+        assert _missing_bench_refs("EXPERIMENTS.md") == []
+
+    @pytest.mark.parametrize("doc", ["README.md", *DOCS_DIR])
+    def test_docs_bench_targets_exist(self, doc):
+        assert _missing_bench_refs(doc) == []
 
     def test_docs_name_real_figure_rows(self):
         rows = {fig.name for fig in FIGURES}
-        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ALGORITHM.md"):
+        for doc in DOCS:
             text = (ROOT / doc).read_text()
             for name in re.findall(r"row `(\w+)`", text):
                 assert name in rows, (doc, name)

@@ -1,6 +1,7 @@
 """The paper's claims, checked: one test per row of
-:data:`repro.figures.FIGURES`, the seeded all-to-all-derate mutants the
-Fig 3 bands must catch, and ``repro figures --out``."""
+:data:`repro.figures.FIGURES`, a Fig 2 run forced off the paper's P, the
+seeded all-to-all-derate mutants the Fig 3 bands must catch, and
+``repro figures --out``."""
 
 import pytest
 
@@ -26,6 +27,20 @@ def test_cli_figures_writes_report(tmp_path, capsys):
     assert all(f"## {name}\n" in text for name in BY_NAME)
     assert "✗" not in text
     assert capsys.readouterr().out == f"wrote {out}\n"
+
+
+def test_fig2_counts_the_fmms_that_ran(monkeypatch):
+    real = figures.build
+
+    def at_p128(name, cluster, N, **kw):
+        if name == "fmmfft":
+            kw["params"] = {**kw["params"], "P": 128}
+        return real(name, cluster, N, **kw)
+
+    monkeypatch.setattr(figures, "build", at_p128)
+    fig = BY_NAME["fig2_profile"]
+    failed = fig.failures(fig.sweep())
+    assert {"255 FMMs", "each of size 524288"} <= set(failed), failed
 
 
 # The calibrated all-to-all derate is 0.55.  It is bound as the default

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.fmm.plan import FmmGeometry
+from repro.machine.multinode import routed_multinode_p100
 from repro.machine.spec import dual_p100_nvlink, dgx1_p100, dual_k40c_pcie, preset
 from repro.model.roofline import (
     fft1d_model_time,
@@ -77,6 +78,20 @@ class TestSearch:
         from repro.util.bitmath import ilog2
 
         assert abs(ilog2(first["P"]) - ilog2((1 << 20) // first["P"])) <= 2
+
+    def test_grid_beyond_32_devices(self):
+        # no B <= 5 splits the tree across 64 devices: B = log2(G) at
+        # M_L = 64, smallest P first
+        grid = search_grid(1 << 24, 64)
+        assert [c["P"] for c in grid] == [1 << k for k in range(7, 13)]
+        assert all(c == dict(P=c["P"], ML=64, B=6, Q=16) for c in grid)
+        assert all(c["Q"] == 8 for c in search_grid(1 << 24, 64, "complex64"))
+
+    def test_find_fastest_beyond_32_devices(self):
+        r = find_fastest(1 << 24, routed_multinode_p100(16, 4, radix=36,
+                                                        oversubscription=2.0))
+        assert r.params in search_grid(1 << 24, 64)
+        assert r.fmmfft_time > 0 and r.baseline_time > 0
 
     def test_single_precision_q8(self):
         assert all(c["Q"] == 8 for c in search_grid(1 << 16, 2, "complex64"))

@@ -1,13 +1,16 @@
-"""Serving under faults: retry/shed policy, replanning, determinism."""
+"""Serving under faults: retry/shed policy, replanning, determinism,
+a fault-free twin of a seeded chaos run, and a whole-node loss."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.comm import RetryPolicy
 from repro.comm.tuning import choose_algorithm
-from repro.faults import DeviceLoss, FaultInjector, LinkFlap, seeded_chaos
+from repro.faults import DeviceLoss, FaultInjector, LinkFlap, node_loss, seeded_chaos
 from repro.machine.cluster import VirtualCluster
+from repro.machine.multinode import routed_multinode_p100
 from repro.machine.spec import preset
 from repro.serve import (
     AdmissionQueue,
@@ -22,12 +25,15 @@ SPEC = preset("8xP100")
 
 
 def serve_run(requests, faults=None, retry=None, retry_budget=2,
-              max_inflight=2):
-    cl = VirtualCluster(SPEC, execute=False, faults=faults, retry=retry)
+              max_inflight=2, spec=SPEC, compute_outputs=False):
+    cl = VirtualCluster(spec, execute=False, faults=faults, retry=retry)
+    cache = PlanCache(spec, autotune=not compute_outputs,
+                      build_operators=compute_outputs)
     sched = ServeScheduler(
-        cl, Batcher(PlanCache(SPEC), max_batch=8),
+        cl, Batcher(cache, max_batch=8),
         queue=AdmissionQueue(capacity=256),
         max_inflight=max_inflight, retry_budget=retry_budget,
+        compute_outputs=compute_outputs,
     )
     sched.run(requests)
     return cl, sched
@@ -154,3 +160,81 @@ class TestReportAccounting:
         rep = summarize(sched)
         assert rep.fault_events == 0 and rep.retry_time == 0.0
         assert "faults" not in rep.render()
+
+
+# ---------------------------------------------------------------------------
+# a seeded chaos run against its fault-free twin, and a whole-node loss
+# ---------------------------------------------------------------------------
+
+#: 32 requests of the default size mix at 2000 req/s
+TRACE = synthetic_workload(32, rate=2000.0, seed=11)
+
+
+def chaos():
+    """2% per-attempt transient message failures plus one straggler."""
+    return seeded_chaos(SPEC, seed=7, transient_rate=0.02, stragglers=1)
+
+
+class TestChaosTwin:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        runs = {"fault_free": serve_run(TRACE),
+                "chaos": serve_run(TRACE, faults=chaos()),
+                "replay": serve_run(TRACE, faults=chaos()),
+                "zero_fault": serve_run(TRACE, faults=FaultInjector(SPEC))}
+        for cl, _ in runs.values():
+            cl.sanitize()     # retried schedules stay hazard-free
+        return runs
+
+    def test_chaos_replay_is_bit_identical(self, runs):
+        assert (runs["chaos"][0].ledger.fingerprint()
+                == runs["replay"][0].ledger.fingerprint())
+
+    def test_zero_fault_injector_is_invisible(self, runs):
+        assert (runs["zero_fault"][0].ledger.fingerprint()
+                == runs["fault_free"][0].ledger.fingerprint())
+
+    def test_fault_free_arm_is_quiet(self, runs):
+        rep = summarize(runs["fault_free"][1])
+        assert rep.fault_events == 0 and rep.failed_batches == 0
+        assert rep.retry_time == 0.0
+        assert sum(rep.retried.values()) == 0
+
+    def test_chaos_injects_faults(self, runs):
+        assert summarize(runs["chaos"][1]).fault_events > 0
+
+    @pytest.mark.parametrize("arm", ["fault_free", "chaos"])
+    def test_every_request_accounted(self, runs, arm):
+        assert accounted(runs[arm][1]) == len(TRACE)
+
+    def test_chaos_outputs_equal_fault_free(self):
+        # retries re-run schedules; they never corrupt data
+        reqs = synthetic_workload(8, rate=2000.0, sizes={1 << 12: 1.0},
+                                  seed=13, with_payloads=True)
+        cl_base, base = serve_run(reqs, compute_outputs=True)
+        cl_chaos, under = serve_run(reqs, faults=chaos(), compute_outputs=True)
+        cl_base.sanitize()
+        cl_chaos.sanitize()
+        assert under.outputs and set(under.outputs) == set(base.outputs)
+        for rid in under.outputs:
+            assert np.array_equal(under.outputs[rid], base.outputs[rid])
+
+
+def test_node_loss_completes_sheds_and_replays():
+    # node 1 of a routed 2 x 4 fabric dies at 15 ms, under 1% transient
+    # failures: earlier requests complete, later ones are shed
+    spec = routed_multinode_p100(2, gpus_per_node=4, radix=4)
+
+    def run():
+        inj = FaultInjector(spec, seed=7, transient_rate=0.01,
+                            scheduled=node_loss(spec, 1, 15e-3))
+        cl, sched = serve_run(TRACE, faults=inj, spec=spec)
+        cl.sanitize()
+        return cl, sched
+
+    (cl, sched), (cl2, _) = run(), run()
+    assert cl.ledger.fingerprint() == cl2.ledger.fingerprint()
+    rep = summarize(sched)
+    assert rep.fault_events >= 4      # every device of the lost node
+    assert rep.completed > 0
+    assert accounted(sched) == len(TRACE)
