@@ -7,15 +7,17 @@ Commands
 ``transform``
     FMM-FFT a synthetic signal and report the error vs the exact FFT.
 ``search``
-    Find the fastest (P, M_L, B, Q) for one size on one system.
-``speedup``
-    The Figure 3 sweep for one system/precision as a table.
-``profile``
-    Render the Figure-2-style simulated timeline for a configuration.
+    The fastest (P, M_L, B, Q) and its speedup over the 1D FFT, one row
+    per (N, machine): one size, the Figure 3 sweep (``--n 2^14..2^24``)
+    or the Section 7 multi-node projection (``--nodes 1,2,4,8``).
 ``analyze``
-    Profile a pipeline and run the hazard sanitizer over its recorded
-    schedule (``--sanitize`` raises on any data race or defect;
-    ``--json`` writes the shared analysis-findings document).
+    The report of one simulated run: the Figure-2-style timeline, the
+    metrics (per-region and per-op-name rollups, the measured-vs-model
+    join, comm/compute overlap, the critical path) and the hazard
+    sanitizer over its schedule; exits 1 on any hazard (``--sanitize``
+    raises).  ``--json`` writes the shared analysis-findings document
+    with the metrics under ``metrics``; ``--trace-out`` the Perfetto
+    trace.
 ``verify``
     Statically certify every comm-plan algorithm on every topology
     class — deadlock-freedom, payload conservation, buffer liveness —
@@ -25,22 +27,16 @@ Commands
     (:mod:`repro.ir.prealloc`).
 ``ir``
     Capture a pipeline into the backend-neutral op-graph IR
-    (:mod:`repro.ir`), certify it (hazards + prealloc), fuse its
-    elementwise stages, and report graph structure plus the host-side
-    capture-vs-replay wall time — the compiled-replay payoff.
-``metrics``
-    Observability report for a simulated run: per-region rollups, the
-    measured-vs-model join, comm/compute overlap and the critical path.
+    (:mod:`repro.ir`), certify it (hazards + prealloc), and report graph
+    structure plus the host-side capture-vs-replay wall time — the
+    compiled-replay payoff.
 ``comm``
     Collective-algorithm cost table for one testbed: per-size predicted
     times for every :mod:`repro.comm` plan, the model-chosen winner,
     and its speedup over the legacy bulk collective.
 ``model``
-    Section 5 model breakdown (per-stage roofline) for a configuration.
-``energy``
-    Energy projection of FMM-FFT vs the 1D baseline on one system.
-``multinode``
-    The Section 7 multi-node projection table.
+    Section 5 model breakdown (per-stage roofline) for a configuration,
+    then the energy projection of FMM-FFT vs the 1D baseline.
 ``serve``
     Drive a synthetic open-loop workload through the batching transform
     service (:mod:`repro.serve`): Poisson arrivals, continuous batching,
@@ -50,16 +46,19 @@ Commands
     link flaps/degrades, stragglers, transient message failures.  Reports
     retry/shed accounting and can assert replay determinism
     (``--replay-check``) and hazard freedom (``--sanitize``).
+``top``
+    ASCII telemetry dashboard of a serve run or a saved snapshot.
 ``tune``
-    Build/extend a JSON tuning-wisdom file over a range of sizes.
-``trace``
-    Export a Perfetto / chrome://tracing JSON of a simulated run.
+    Build/extend a JSON tuning-wisdom file over a list of sizes.
 ``figures``
     Run every row of the paper-claims table (:mod:`repro.figures`):
     each row's sweep, checks and table, written as one markdown report
     (``--out REPORT.md``); exits 1 if any check breaks.
-"""
 
+Every size option (``--n``, ``--payload``, ``--ir-n``, ``--sizes``)
+takes ``4096``, ``2^12`` or ``2**12``; the list ones also take a
+power-of-two range ``2^14..2^24``.
+"""
 from __future__ import annotations
 
 import argparse
@@ -79,13 +78,57 @@ from repro.util.table import Table, format_bytes, format_time
 
 
 def _parse_size(s: str) -> int:
-    """Accept plain ints or '2^k' / '2**k' forms."""
+    """A size: ``4096``, ``2^12`` or ``2**12`` (an argparse ``type=``)."""
     s = s.strip()
-    for sep in ("^", "**"):
-        if sep in s:
-            base, exp = s.split(sep)
-            return int(base) ** int(exp)
-    return int(s)
+    parts = s.split("^") if "^" in s else s.split("**")
+    if len(parts) > 2 or not all(p.isdecimal() for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"invalid size {s!r} (expected e.g. 4096, 2^12 or 2**12)")
+    return int(parts[0]) ** int(parts[1]) if len(parts) == 2 else int(s)
+
+
+def _parse_sizes(s: str) -> list[int]:
+    """A comma list of sizes; an item ``lo..hi`` is every power of two
+    from ``lo`` to ``hi`` (an argparse ``type=``)."""
+    out = []
+    for item in s.split(","):
+        lo, dots, hi = item.partition("..")
+        if not dots:
+            out.append(_parse_size(item))
+            continue
+        a, b = _parse_size(lo), _parse_size(hi)
+        if not (0 < a <= b and a & (a - 1) == 0 == b & (b - 1)):
+            raise argparse.ArgumentTypeError(
+                f"invalid size range {item.strip()!r} (expected powers of "
+                "two lo <= hi, e.g. 2^14..2^24)")
+        out.extend(1 << q for q in range(a.bit_length() - 1, b.bit_length()))
+    return out
+
+
+def _ints(s: str) -> list[int]:
+    """A comma list of integers (an argparse ``type=``)."""
+    return [int(v) for v in s.split(",")]
+
+
+def _size_label(N: int) -> str:
+    return f"2^{N.bit_length() - 1}" if N & (N - 1) == 0 else str(N)
+
+
+def _machines(args: argparse.Namespace, nodes: list[int]) -> list:
+    """The machines ``--system``/``--nodes``/... name: ``--system`` when
+    ``nodes`` is ``[1]``, else one multi-node P100 machine per node count
+    with ``--gpus-per-node`` GPUs each — flat NICs, or a routed fat tree
+    when ``--radix`` is > 0."""
+    from repro.machine.multinode import multinode_p100, routed_multinode_p100
+
+    if nodes == [1]:
+        return [preset(args.system)]
+    if getattr(args, "radix", 0) > 0:
+        return [routed_multinode_p100(
+                    n, gpus_per_node=args.gpus_per_node, radix=args.radix,
+                    oversubscription=args.oversubscription) for n in nodes]
+    return [multinode_p100(n, gpus_per_node=args.gpus_per_node)
+            for n in nodes]
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -106,7 +149,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     """FMM-FFT a synthetic signal; exit 1 if tolerance missed."""
-    N = _parse_size(args.n)
+    N = args.n
     Q = args.q if args.q else choose_q(args.tolerance, args.dtype)
     x = random_signal(N, args.dtype, seed=args.seed)
     from repro.core.api import default_params
@@ -120,41 +163,28 @@ def cmd_transform(args: argparse.Namespace) -> int:
     print(f"plan: {plan.describe()}")
     print(f"relative l2 error vs exact FFT: {err:.3e} "
           f"(target {args.tolerance:g}, chosen Q={Q})")
-    if args.trace_out:
-        # replay the same size on a simulated testbed and export the
-        # Perfetto trace of the distributed schedule
-        from repro.obs import save_trace
-
-        spec = preset(args.system)
-        cl, _ = _simulate("fmmfft", N, spec, args.dtype)
-        save_trace(args.trace_out, cl.ledger, spec)
-        print(f"wrote {args.trace_out} ({spec.name} timing replay, "
-              f"{len(cl.ledger)} ops)")
     return 0 if err <= args.tolerance else 1
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    """Find the fastest parameters for one size/system."""
-    N = _parse_size(args.n)
-    spec = preset(args.system)
-    r = find_fastest(N, spec, dtype=args.dtype)
-    p = r.params
-    print(f"N={N} on {spec.name} ({args.dtype}):")
-    print(f"  fastest: P={p['P']}, ML={p['ML']}, B={p['B']}, Q={p['Q']}")
-    print(f"  FMM-FFT {format_time(r.fmmfft_time)}  "
-          f"1D FFT {format_time(r.baseline_time)}  speedup {r.speedup:.2f}x")
-    return 0
-
-
-def cmd_speedup(args: argparse.Namespace) -> int:
-    """Figure-3-style speedup sweep for one system."""
-    spec = preset(args.system)
-    t = Table(["log2N", "FMM-FFT", "1D FFT", "speedup"],
-              title=f"Speedup sweep, {spec.name}, {args.dtype}")
-    for q in range(args.min, args.max + 1):
-        r = find_fastest(1 << q, spec, dtype=args.dtype)
-        t.add_row([q, format_time(r.fmmfft_time), format_time(r.baseline_time),
-                   f"{r.speedup:.2f}"])
+    """The fastest parameters and speedup per (N, machine)."""
+    specs = _machines(args, args.nodes)
+    if args.nodes == [1]:
+        where = specs[0].name
+    else:
+        where = "Multi-node projection, " + (
+            f"fat-tree r{args.radix} o{args.oversubscription:g}"
+            if args.radix > 0 else "flat NIC")
+    t = Table(["nodes", "G", "N", "P", "ML", "B", "Q", "FMM-FFT", "1D FFT",
+               "speedup"],
+              title=f"{where}: fastest FMM-FFT vs the 1D FFT ({args.dtype})")
+    for nodes, spec in zip(args.nodes, specs):
+        for N in args.n:
+            r = find_fastest(N, spec, dtype=args.dtype)
+            p = r.params
+            t.add_row([nodes, spec.num_devices, _size_label(N), p["P"],
+                       p["ML"], p["B"], p["Q"], format_time(r.fmmfft_time),
+                       format_time(r.baseline_time), f"{r.speedup:.2f}"])
     print(t.render())
     return 0
 
@@ -172,54 +202,49 @@ def _simulate(pipeline: str, N: int, spec, dtype: str, comm: str = "bulk"):
     return cl, params
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Render the simulated timeline for a configuration."""
-    N = _parse_size(args.n)
-    spec = preset(args.system)
-    pipeline = "fft1d" if args.baseline else "fmmfft"
-    cl, params = _simulate(pipeline, N, spec, args.dtype)
-    if params is not None:
-        print(f"params: {params}")
-    devices = [int(d) for d in args.devices.split(",")] if args.devices else None
-    print(cl.trace().render_profile(width=args.width, devices=devices))
-    print()
-    print(cl.trace().stage_summary().render())
-    if args.trace_out:
-        from repro.obs import save_trace
-
-        save_trace(args.trace_out, cl.ledger, spec)
-        print(f"wrote {args.trace_out}")
-    return 0
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Profile a pipeline and run the hazard sanitizer over its schedule."""
-    from repro.machine.multinode import multinode_p100
+    """The report of one simulated run: timeline, metrics, hazards."""
+    from repro.obs import compute_metrics, save_trace
 
-    N = _parse_size(args.n)
-    if args.nodes > 1:
-        spec = multinode_p100(args.nodes, gpus_per_node=args.gpus_per_node)
+    [spec] = _machines(args, [args.nodes])
+    params, serve_text = None, ""
+    if args.pipeline == "serve":
+        from repro.serve import summarize
+
+        cl, sched = _run_serve(spec, args)
+        serve_text = ("\n\nserve latency / throughput\n"
+                      + summarize(sched).render())
     else:
-        spec = preset(args.system)
-    cl, params = _simulate(args.pipeline, N, spec, args.dtype, comm=args.comm)
+        cl, params = _simulate(args.pipeline, args.n, spec, args.dtype,
+                               comm=args.comm)
     if params is not None:
         print(f"params: {params}")
-
-    print(cl.trace().render_profile(width=args.width))
-    print()
-    report = cl.trace().hazards()
-    print(report.render())
+    print(cl.trace().render_profile(width=args.width, devices=args.devices))
+    geom = params and _geometry(args.n, spec, args.dtype, params)
+    rep = compute_metrics(cl.ledger, cl.spec, geom=geom, dtype=args.dtype,
+                          comm_log=cl.comm_log)
+    print(f"\n{rep.render()}{serve_text}\n")
+    hazards = cl.trace().hazards()
+    print(hazards.render())
     if args.json:
-        from repro.analysis.findings import (finding_context, from_hazards,
-                                             write_findings)
+        import json
+
+        from repro.analysis.findings import (finding_context, findings_doc,
+                                             from_hazards)
 
         ctx = finding_context(pipeline=args.pipeline, comm=args.comm,
-                              n=N, system=cl.spec.name)
-        write_findings(args.json, from_hazards(report, context=ctx))
-        print(f"findings JSON written to {args.json}")
+                              n=args.n, system=cl.spec.name)
+        doc = findings_doc(from_hazards(hazards, context=ctx))
+        doc["metrics"] = rep.to_json()
+        Path(args.json).write_text(json.dumps(doc, indent=1))
+        print(f"findings + metrics JSON written to {args.json}")
+    if args.trace_out:
+        save_trace(args.trace_out, cl.ledger, cl.spec)
+        print(f"wrote {args.trace_out} ({len(cl.ledger)} ops; load in "
+              "chrome://tracing or Perfetto)")
     if args.sanitize:
-        report.raise_if_any()
-    return 0 if report.ok else 1
+        hazards.raise_if_any()
+    return 0 if hazards.ok else 1
 
 
 def _verify_ir(N: int, dtype: str, comm: str):
@@ -262,10 +287,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis.findings import write_findings
     from repro.analysis.plancheck import DEFAULT_G_LIST, verify_matrix
 
-    g_list = (tuple(int(g) for g in args.g_list.split(","))
-              if args.g_list else DEFAULT_G_LIST)
-    payload = float(_parse_size(args.payload))
-    rows, findings = verify_matrix(g_list=g_list, payload=payload,
+    g_list = tuple(args.g_list) if args.g_list else DEFAULT_G_LIST
+    rows, findings = verify_matrix(g_list=g_list, payload=float(args.payload),
                                    include_degraded=not args.no_degraded)
     t = Table(
         ["spec", "kind", "algorithm", "G", "rounds", "msgs",
@@ -283,13 +306,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(t.render())
     print()
     if args.ir:
-        ir_rows, ir_findings = _verify_ir(_parse_size(args.ir_n),
-                                          args.dtype, args.comm)
+        ir_rows, ir_findings = _verify_ir(args.ir_n, args.dtype, args.comm)
         findings = list(findings) + ir_findings
         it = Table(
             ["pipeline", "G", "nodes", "records", "comm", "peak live/dev",
              "verdict"],
-            title=f"IR graph preallocation (N={_parse_size(args.ir_n)})",
+            title=f"IR graph preallocation (N={args.ir_n})",
         )
         for r in ir_rows:
             it.add_row([
@@ -316,17 +338,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_ir(args: argparse.Namespace) -> int:
     """Capture pipelines into the IR and report graph facts + timings."""
     import gc
-    import json as _json
+    import json
     import time as _time
 
-    from repro.ir import ReplayExecutor, capture_pipeline, fuse_elementwise
+    from repro.ir import ReplayExecutor, capture_pipeline
 
-    N = _parse_size(args.n)
+    N = args.n
     spec = preset(args.system)
     names = pipelines.NAMES if args.pipeline == "all" else (args.pipeline,)
     reps = max(1, args.repeats)
     t = Table(
-        ["pipeline", "G", "nodes", "records", "buffers", "comm", "fused",
+        ["pipeline", "G", "nodes", "records", "buffers", "comm",
          "peak live/dev", "capture [ms]", "replay [ms]", "host speedup"],
         title=f"IR capture/replay, {args.system}, N={N}, {args.comm}",
     )
@@ -339,7 +361,6 @@ def cmd_ir(args: argparse.Namespace) -> int:
                                     comm_algorithm=args.comm)
         graph.certify(pspec)
         capture_s = _time.perf_counter() - t0
-        fused = fuse_elementwise(graph, pspec)
         ex = ReplayExecutor(graph, VirtualCluster(pspec, execute=False))
         # start every timing loop at the same point of the collector's
         # cycle: a generation-2 pass over the earlier pipelines' graphs
@@ -350,13 +371,12 @@ def cmd_ir(args: argparse.Namespace) -> int:
             ex.run()
         replay_s = (_time.perf_counter() - t0) / reps
         row = graph.summary()
-        row.update(fused_launches=fused.meta["fused"],
-                   capture_s=capture_s, replay_s=replay_s,
+        row.update(capture_s=capture_s, replay_s=replay_s,
                    host_speedup=capture_s / max(replay_s, 1e-12))
         rows.append(row)
         t.add_row([
             name, row["G"], row["nodes"], row["records_per_replay"],
-            row["buffers"], row["comm_calls"], row["fused_launches"],
+            row["buffers"], row["comm_calls"],
             format_bytes(row["peak_live_bytes"] or 0.0),
             f"{capture_s * 1e3:.2f}", f"{replay_s * 1e3:.2f}",
             f"{row['host_speedup']:.1f}x",
@@ -369,8 +389,7 @@ def cmd_ir(args: argparse.Namespace) -> int:
     if args.json:
         payload = {"system": args.system, "n": N, "dtype": args.dtype,
                    "comm": args.comm, "repeats": reps, "pipelines": rows}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, indent=1)
+        Path(args.json).write_text(json.dumps(payload, indent=1))
         print(f"graph summaries written to {args.json}")
     return 0
 
@@ -378,50 +397,71 @@ def cmd_ir(args: argparse.Namespace) -> int:
 def _plan_cache(spec, wisdom_path: str | None):
     """A serve plan cache over the wisdom file at ``wisdom_path``, when
     there is one: what ``tune`` fills and ``serve`` starts warm from."""
-    from pathlib import Path
-
     from repro.serve import PlanCache, Wisdom
 
     warm = wisdom_path and Path(wisdom_path).exists()
     return PlanCache(spec, wisdom=Wisdom.load(wisdom_path) if warm else None)
 
 
-def _run_serve(spec, args: argparse.Namespace):
+def _run_serve(spec, args: argparse.Namespace, faults=None):
     """Serve a synthetic workload; returns (cluster, scheduler).
 
-    Shared by ``serve`` and ``metrics --pipeline serve`` so both observe
+    Shared by ``serve``, ``top``, ``analyze --pipeline serve`` and
+    ``chaos`` (which passes its fault injector) so all of them observe
     identical schedules.
     """
     from repro.serve import (AdmissionQueue, Batcher, ServeScheduler,
                              synthetic_workload)
 
-    sizes = None
-    if getattr(args, "sizes", None):
-        sizes = {_parse_size(s): 1.0 for s in args.sizes.split(",")}
+    sizes = getattr(args, "sizes", None)
     cache = _plan_cache(spec, getattr(args, "wisdom", None))
-    cl = VirtualCluster(spec, execute=False)
+    cl = VirtualCluster(spec, execute=False, faults=faults)
     batcher = Batcher(cache, max_batch=getattr(args, "max_batch", 8),
                       batching=not getattr(args, "no_batching", False))
     sched = ServeScheduler(
         cl, batcher,
         queue=AdmissionQueue(capacity=getattr(args, "queue_capacity", 64)),
         max_inflight=getattr(args, "max_inflight", 2),
+        retry_budget=getattr(args, "retry_budget", 2),
     )
     reqs = synthetic_workload(
         getattr(args, "requests", 32), rate=getattr(args, "rate", 2000.0),
-        sizes=sizes, dtype=args.dtype, seed=getattr(args, "seed", 0),
+        sizes=sizes and {n: 1.0 for n in sizes}, dtype=args.dtype,
+        seed=getattr(args, "seed", 0),
     )
     sched.run(reqs)
     return cl, sched
 
 
+def _write_serve_run(args: argparse.Namespace, cl, sched, rep) -> None:
+    """``--json`` and ``--trace-out`` of ``serve`` and ``chaos``: the
+    serve-run document, and the Perfetto trace with the serve track (and
+    the fault track when the run had an injector)."""
+    import json
+
+    from repro.obs import build_trace, merge_fault_track
+    from repro.serve import merge_serve_track, serve_run_doc
+
+    if args.json:
+        doc = serve_run_doc(sched, rep)
+        Path(args.json).write_text(json.dumps(doc, indent=1, sort_keys=True))
+        print(f"wrote {args.json} (serve-run v{doc['version']}: report + "
+              f"{len(doc['telemetry']['series'])} telemetry series)")
+    if args.trace_out:
+        doc = merge_serve_track(build_trace(cl.ledger, cl.spec), sched)
+        tracks = "serve track"
+        if cl.faults is not None:
+            doc = merge_fault_track(doc, cl.faults.events)
+            tracks = "serve + fault tracks"
+        Path(args.trace_out).write_text(json.dumps(doc))
+        print(f"wrote {args.trace_out} ({len(doc['traceEvents'])} events, "
+              f"{tracks} included)")
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a synthetic open-loop workload on a simulated testbed."""
-    import json
-    from pathlib import Path
-
-    from repro.obs import build_trace, prometheus_text
-    from repro.serve import merge_serve_track, serve_run_doc, summarize
+    from repro.obs import prometheus_text
+    from repro.serve import summarize
 
     spec = preset(args.system)
     cl, sched = _run_serve(spec, args)
@@ -437,57 +477,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sched.batcher.cache.wisdom.save(args.wisdom)
         print(f"wisdom saved to {args.wisdom} "
               f"({len(sched.batcher.cache.wisdom)} entries)")
-    if args.json:
-        doc = serve_run_doc(sched, rep)
-        Path(args.json).write_text(json.dumps(doc, indent=1, sort_keys=True))
-        print(f"wrote {args.json} (serve-run v{doc['version']}: report + "
-              f"{len(doc['telemetry']['series'])} telemetry series)")
     if args.prom:
         snap = sched.telemetry.snapshot(time=sched.wall_time)
         Path(args.prom).write_text(prometheus_text(snap))
         print(f"wrote {args.prom} (Prometheus text exposition)")
-    if args.trace_out:
-        doc = merge_serve_track(build_trace(cl.ledger, spec), sched)
-        Path(args.trace_out).write_text(json.dumps(doc))
-        print(f"wrote {args.trace_out} ({len(doc['traceEvents'])} events, "
-              "serve track included)")
+    _write_serve_run(args, cl, sched, rep)
     return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Serve workload under seeded fault injection; graceful degradation."""
-    import json
-    from pathlib import Path
-
     from repro.faults import seeded_chaos
-    from repro.obs import build_trace, merge_fault_track
-    from repro.serve import (AdmissionQueue, Batcher, PlanCache,
-                             ServeScheduler, merge_serve_track, serve_run_doc,
-                             summarize, synthetic_workload)
+    from repro.serve import summarize
 
     spec = preset(args.system)
-    sizes = None
-    if args.sizes:
-        sizes = {_parse_size(s): 1.0 for s in args.sizes.split(",")}
-    reqs = synthetic_workload(args.requests, rate=args.rate, sizes=sizes,
-                             dtype=args.dtype, seed=args.seed)
 
     def run_once():
         """One chaos run from scratch — fresh injector, cluster, caches."""
-        inj = seeded_chaos(
+        return _run_serve(spec, args, faults=seeded_chaos(
             spec, seed=args.fault_seed, transient_rate=args.transient_rate,
             flaps=args.flaps, stragglers=args.stragglers,
-            degrades=args.degrades, horizon=args.horizon,
-        )
-        cl = VirtualCluster(spec, execute=False, faults=inj)
-        sched = ServeScheduler(
-            cl, Batcher(PlanCache(spec), max_batch=args.max_batch),
-            queue=AdmissionQueue(capacity=args.queue_capacity),
-            max_inflight=args.max_inflight,
-            retry_budget=args.retry_budget,
-        )
-        sched.run(reqs)
-        return cl, sched
+            degrades=args.degrades, horizon=args.horizon))
 
     cl, sched = run_once()
     if args.replay_check:
@@ -502,32 +512,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         cl.sanitize()
         print("sanitizer: retried chaos schedule certified hazard-free")
     rep = summarize(sched)
-    inj = cl.faults
     print(f"chaos: {args.requests} requests at {args.rate:g} req/s on "
           f"{spec.name} (fault seed {args.fault_seed}, transient rate "
           f"{args.transient_rate:g}, {args.stragglers} straggler(s), "
           f"{args.flaps} flap(s), {args.degrades} degrade(s); "
-          f"{len(inj.events)} fault events)")
+          f"{len(cl.faults.events)} fault events)")
     print(rep.render())
-    if args.json:
-        doc = serve_run_doc(sched, rep)
-        Path(args.json).write_text(json.dumps(doc, indent=1, sort_keys=True))
-        print(f"wrote {args.json} (serve-run v{doc['version']}: report + "
-              f"{len(doc['telemetry']['series'])} telemetry series)")
-    if args.trace_out:
-        doc = merge_fault_track(
-            merge_serve_track(build_trace(cl.ledger, spec), sched),
-            inj.events)
-        Path(args.trace_out).write_text(json.dumps(doc))
-        print(f"wrote {args.trace_out} ({len(doc['traceEvents'])} events, "
-              "serve + fault tracks included)")
+    _write_serve_run(args, cl, sched, rep)
     return 0
 
 
 def cmd_top(args: argparse.Namespace) -> int:
     """ASCII telemetry dashboard: live serve run or snapshot replay."""
     import json
-    from pathlib import Path
 
     from repro.obs import render_dashboard
     from repro.serve import serve_run_doc
@@ -535,8 +532,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     if args.replay:
         doc = json.loads(Path(args.replay).read_text())
     else:
-        spec = preset(args.system)
-        _, sched = _run_serve(spec, args)
+        _, sched = _run_serve(preset(args.system), args)
         doc = serve_run_doc(sched)
     out = render_dashboard(doc)
     print(out)
@@ -546,49 +542,11 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Observability report: rollups, model join, overlap, critical path."""
-    from repro.obs import compute_metrics, save_trace
-
-    N = _parse_size(args.n)
-    spec = preset(args.system)
-    serve_report = None
-    if args.pipeline == "serve":
-        from repro.serve import summarize
-
-        cl, sched = _run_serve(spec, args)
-        params = None
-        serve_report = summarize(sched)
-    else:
-        cl, params = _simulate(args.pipeline, N, spec, args.dtype,
-                               comm=args.comm)
-    geom = params and _geometry(N, spec, args.dtype, params)
-    rep = compute_metrics(cl.ledger, cl.spec, geom=geom, dtype=args.dtype,
-                          comm_log=cl.comm_log)
-    if params is not None:
-        print(f"params: {params}")
-    print(rep.render())
-    if serve_report is not None:
-        print()
-        print("serve latency / throughput")
-        print(serve_report.render())
-    if args.json:
-        import json
-        from pathlib import Path
-
-        Path(args.json).write_text(json.dumps(rep.to_json(), indent=1))
-        print(f"wrote {args.json}")
-    if args.trace_out:
-        save_trace(args.trace_out, cl.ledger, cl.spec)
-        print(f"wrote {args.trace_out}")
-    return 0
-
-
 def cmd_comm(args: argparse.Namespace) -> int:
     """Collective-algorithm cost table for one testbed."""
     from repro.comm import algorithm_table
 
-    spec = preset(args.testbed)
+    spec = preset(args.system)
     rows = algorithm_table(spec)
     algos = sorted({a for r in rows for a in r["predictions"]})
     t = Table(["kind", "payload/dev", "bulk"] + algos + ["best", "vs bulk"],
@@ -603,7 +561,6 @@ def cmd_comm(args: argparse.Namespace) -> int:
     print(t.render())
     if args.json:
         import json
-        from pathlib import Path
 
         Path(args.json).write_text(json.dumps(rows, indent=1))
         print(f"wrote {args.json}")
@@ -617,25 +574,17 @@ def _geometry(N: int, spec, dtype: str, params: dict):
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    """Print the Section 5 model breakdown."""
+    """The Section 5 model breakdown, then the energy projection."""
+    from repro.model.energy import energy_ratio, run_energy
     from repro.model.report import render_model_report
 
-    N = _parse_size(args.n)
-    spec = preset(args.system)
-    params = find_fastest(N, spec, dtype=args.dtype).params
+    N, spec = args.n, preset(args.system)
+    cl_f, params = _simulate("fmmfft", N, spec, args.dtype)
     print(render_model_report(_geometry(N, spec, args.dtype, params), spec,
                               args.dtype))
-    return 0
-
-
-def cmd_energy(args: argparse.Namespace) -> int:
-    """Energy projection of FMM-FFT vs the baseline."""
-    from repro.model.energy import energy_ratio, run_energy
-
-    N = _parse_size(args.n)
-    spec = preset(args.system)
+    print()
     e_b = run_energy(_simulate("fft1d", N, spec, args.dtype)[0])
-    e_f = run_energy(_simulate("fmmfft", N, spec, args.dtype)[0])
+    e_f = run_energy(cl_f)
     t = Table(["pipeline", "compute [J]", "memory [J]", "comm [J]", "idle [J]", "total [J]"],
               title=f"Energy projection, N={N} on {spec.name}")
     for label, e in (("1D FFT", e_b), ("FMM-FFT", e_f)):
@@ -645,50 +594,14 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_multinode(args: argparse.Namespace) -> int:
-    """Multi-node projection table (flat NICs or a routed fat tree)."""
-    from repro.machine.multinode import multinode_p100, routed_multinode_p100
-
-    N = _parse_size(args.n)
-    routed = args.radix > 0
-    fabric = (f"fat-tree r{args.radix} o{args.oversubscription:g}"
-              if routed else "flat NIC")
-    t = Table(["nodes", "G", "FMM-FFT", "1D FFT", "speedup"],
-              title=f"Multi-node projection, N={N} ({args.dtype}, {fabric})")
-    for nodes in (1, 2, 4, 8):
-        if routed:
-            spec = routed_multinode_p100(
-                nodes, gpus_per_node=args.gpus_per_node, radix=args.radix,
-                oversubscription=args.oversubscription)
-        else:
-            spec = multinode_p100(nodes, gpus_per_node=args.gpus_per_node)
-        r = find_fastest(N, spec, dtype=args.dtype)
-        t.add_row([nodes, spec.num_devices, format_time(r.fmmfft_time),
-                   format_time(r.baseline_time), f"{r.speedup:.2f}"])
-    print(t.render())
-    return 0
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
     """Build or extend the wisdom file ``repro serve --wisdom`` reads."""
     cache = _plan_cache(preset(args.system), args.wisdom)
-    for q in range(args.min, args.max + 1):
-        params, alg, _ = cache.resolve(1 << q, args.dtype)
-        print(f"N=2^{q}: {params} comm={alg}")
+    for N in args.n:
+        params, alg, _ = cache.resolve(N, args.dtype)
+        print(f"N={_size_label(N)}: {params} comm={alg}")
     cache.wisdom.save(args.wisdom)
     print(f"wisdom saved to {args.wisdom} ({len(cache.wisdom)} entries)")
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Export a Perfetto / chrome://tracing JSON of a simulated run."""
-    from repro.obs import save_trace
-
-    spec = preset(args.system)
-    cl, _ = _simulate("fmmfft", _parse_size(args.n), spec, args.dtype)
-    save_trace(args.out, cl.ledger, spec)
-    print(f"wrote {len(cl.ledger)} ops to {args.out} "
-          f"(load in chrome://tracing or Perfetto)")
     return 0
 
 
@@ -707,25 +620,34 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 1 if broken else 0
 
 
+def _system_option(sub, default: str = "2xP100") -> None:
+    sub.add_argument("--system", default=default, choices=sorted(_PRESETS))
+
+
+def _size_option(sub, default: str, flag: str = "--n",
+                 help: str = "size (e.g. 4096 or 2^20)") -> None:
+    sub.add_argument(flag, default=default, type=_parse_size, help=help)
+
+
 def _dtype_option(sub, **kw) -> None:
     sub.add_argument("--dtype", default="complex128",
                      choices=["complex64", "complex128"], **kw)
 
 
-def _comm_option(sub, help: str) -> None:
+def _comm_option(sub, help: str = "collective algorithm (see repro.comm)") -> None:
     sub.add_argument("--comm", default="bulk", choices=ALGORITHMS,
                      help=help)
 
 
 def _workload_options(sub) -> None:
     """The synthetic serve workload ``serve``, ``chaos`` and ``top`` share."""
-    sub.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
+    _system_option(sub, "8xP100")
     _dtype_option(sub)
     sub.add_argument("--requests", type=int, default=32,
                      help="number of requests in the synthetic trace")
     sub.add_argument("--rate", type=float, default=2000.0,
                      help="offered load [req/s] (Poisson arrivals)")
-    sub.add_argument("--sizes", default=None,
+    sub.add_argument("--sizes", type=_parse_sizes, default=None,
                      help="comma-separated size mix (e.g. '2^16,2^18'); "
                           "default 3:2:1 mix of 2^16/2^17/2^18")
     sub.add_argument("--max-batch", type=int, default=8,
@@ -745,6 +667,17 @@ def _pipeline_option(sub, default: str, *extra: str) -> None:
                      choices=[*extra, *pipelines.NAMES])
 
 
+def _serve_outputs(sub, tracks: str) -> None:
+    """``--sanitize``/``--json``/``--trace-out`` of ``serve`` and ``chaos``."""
+    sub.add_argument("--sanitize", action="store_true",
+                     help="hazard-sanitize the interleaved schedule")
+    sub.add_argument("--json", default=None,
+                     help="write the versioned serve-run document (report + "
+                          "telemetry snapshot + SLO timeline) to this path")
+    sub.add_argument("--trace-out", default=None,
+                     help=f"export a Perfetto trace with the {tracks}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     p = argparse.ArgumentParser(prog="repro", description=__doc__,
@@ -754,67 +687,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="list simulated testbeds").set_defaults(fn=cmd_info)
 
     tr = sub.add_parser("transform", help="FMM-FFT a synthetic signal")
-    tr.add_argument("--n", default="2^14", help="size (e.g. 4096 or 2^20)")
+    _size_option(tr, "2^14")
     _dtype_option(tr)
     tr.add_argument("--tolerance", type=float, default=1e-12)
     tr.add_argument("--q", type=int, default=0, help="override expansion order")
     tr.add_argument("--p", type=int, default=0, help="override P")
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--system", default="2xP100", choices=sorted(_PRESETS),
-                    help="testbed for the --trace-out timing replay")
-    tr.add_argument("--trace-out", default=None,
-                    help="also export a Perfetto trace of the simulated run")
     tr.set_defaults(fn=cmd_transform)
 
-    se = sub.add_parser("search", help="find the fastest parameters")
-    se.add_argument("--n", default="2^24")
-    se.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
+    se = sub.add_parser(
+        "search", help="fastest parameters per (N, machine): one size, "
+                       "the Fig. 3 sweep or the Sec. 7 node sweep")
+    se.add_argument("--n", default="2^24", type=_parse_sizes,
+                    help="comma-separated sizes; lo..hi is every power of "
+                         "two between (e.g. 2^14..2^24)")
+    _system_option(se)
+    se.add_argument("--nodes", type=_ints, default=[1],
+                    help="comma-separated node counts; anything but 1 "
+                         "sweeps multi-node machines instead of --system")
+    se.add_argument("--gpus-per-node", type=int, default=4)
+    se.add_argument("--radix", type=int, default=0,
+                    help="fat-tree switch radix (0 = flat NIC model)")
+    se.add_argument("--oversubscription", type=float, default=1.0,
+                    help="leaf uplink oversubscription factor")
     _dtype_option(se)
     se.set_defaults(fn=cmd_search)
 
-    sp = sub.add_parser("speedup", help="Figure-3-style sweep")
-    sp.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    _dtype_option(sp)
-    sp.add_argument("--min", type=int, default=14)
-    sp.add_argument("--max", type=int, default=24)
-    sp.set_defaults(fn=cmd_speedup)
-
-    pr = sub.add_parser("profile", help="Figure-2-style timeline")
-    pr.add_argument("--n", default="2^24")
-    pr.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    _dtype_option(pr)
-    pr.add_argument("--baseline", action="store_true",
-                    help="profile the six-step 1D FFT instead")
-    pr.add_argument("--width", type=int, default=100)
-    pr.add_argument("--devices", default=None,
-                    help="comma-separated device ids to show (default all)")
-    pr.add_argument("--trace-out", default=None,
-                    help="also export a Perfetto trace of the run")
-    pr.set_defaults(fn=cmd_profile)
-
-    an = sub.add_parser("analyze", help="hazard-sanitize a simulated schedule")
-    _pipeline_option(an, "fmmfft")
-    an.add_argument("--n", default="2^20", help="size (e.g. 4096 or 2^20)")
-    an.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
+    an = sub.add_parser(
+        "analyze", help="report of a simulated run: timeline, metrics, "
+                        "hazards, Perfetto trace")
+    _pipeline_option(an, "fmmfft", "serve")
+    _size_option(an, "2^20")
+    _system_option(an)
     an.add_argument("--nodes", type=int, default=1,
                     help="> 1 analyzes a multi-node machine instead of --system")
     an.add_argument("--gpus-per-node", type=int, default=4)
     _dtype_option(an)
+    _comm_option(an)
     an.add_argument("--width", type=int, default=100)
-    _comm_option(an, "collective algorithm (see repro.comm)")
+    an.add_argument("--devices", type=_ints, default=None,
+                    help="comma-separated device ids to show (default all)")
     an.add_argument("--sanitize", action="store_true",
                     help="strict mode: raise HazardError on any finding")
     an.add_argument("--json", metavar="PATH", default=None,
-                    help="write the shared analysis-findings JSON to PATH")
+                    help="write the shared analysis-findings JSON, with the "
+                         "metrics under 'metrics', to PATH")
+    an.add_argument("--trace-out", default=None,
+                    help="also export a Perfetto trace of the run")
     an.set_defaults(fn=cmd_analyze)
 
     vf = sub.add_parser(
         "verify", help="statically certify comm plans (no simulation)")
-    vf.add_argument("--g-list", default=None,
+    vf.add_argument("--g-list", type=_ints, default=None,
                     help="comma-separated device counts "
                          "(default 2,4,8,16,64,256)")
-    vf.add_argument("--payload", default="2^20",
-                    help="per-device payload bytes (e.g. 2^20)")
+    _size_option(vf, "2^20", "--payload",
+                 "per-device payload bytes (e.g. 2^20)")
     vf.add_argument("--no-degraded", action="store_true",
                     help="skip the fault-degraded topology views")
     vf.add_argument("--json", metavar="PATH", default=None,
@@ -822,8 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--ir", action="store_true",
                     help="also capture every pipeline's op graph and check "
                          "it against the prealloc contracts (repro.ir)")
-    vf.add_argument("--ir-n", default="2^12",
-                    help="problem size for the --ir captures")
+    _size_option(vf, "2^12", "--ir-n", "problem size for the --ir captures")
     _dtype_option(vf, help="dtype for the --ir captures")
     _comm_option(vf, "collective algorithm for the --ir captures")
     vf.set_defaults(fn=cmd_verify)
@@ -831,55 +758,28 @@ def build_parser() -> argparse.ArgumentParser:
     ir = sub.add_parser(
         "ir", help="capture/certify/replay a pipeline's op-graph IR")
     _pipeline_option(ir, "all", "all")
-    ir.add_argument("--n", default="2^12", help="size (e.g. 4096 or 2^12)")
-    ir.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
+    _size_option(ir, "2^12")
+    _system_option(ir, "8xP100")
     _dtype_option(ir)
-    _comm_option(ir, "collective algorithm (see repro.comm)")
+    _comm_option(ir)
     ir.add_argument("--repeats", type=int, default=5,
                     help="replay repetitions for the host-wall timing")
     ir.add_argument("--json", metavar="PATH", default=None,
                     help="write the per-pipeline graph summaries to PATH")
     ir.set_defaults(fn=cmd_ir)
 
-    me = sub.add_parser("metrics", help="observability report for a run")
-    _pipeline_option(me, "fmmfft", "serve")
-    me.add_argument("--n", default="2^20", help="size (e.g. 4096 or 2^20)")
-    me.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    _dtype_option(me)
-    _comm_option(me, "collective algorithm (see repro.comm)")
-    me.add_argument("--json", default=None,
-                    help="also write the report as JSON to this path")
-    me.add_argument("--trace-out", default=None,
-                    help="also export a Perfetto trace of the run")
-    me.set_defaults(fn=cmd_metrics)
-
     cm = sub.add_parser("comm", help="collective-algorithm cost table")
-    cm.add_argument("--testbed", default="8xP100", choices=sorted(_PRESETS))
+    _system_option(cm, "8xP100")
     cm.add_argument("--json", default=None,
                     help="also write the table rows as JSON to this path")
     cm.set_defaults(fn=cmd_comm)
 
-    mo = sub.add_parser("model", help="Section 5 model breakdown")
-    mo.add_argument("--n", default="2^24")
-    mo.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
+    mo = sub.add_parser("model", help="Section 5 model breakdown and energy "
+                                      "projection")
+    _size_option(mo, "2^24")
+    _system_option(mo)
     _dtype_option(mo)
     mo.set_defaults(fn=cmd_model)
-
-    en = sub.add_parser("energy", help="energy projection")
-    en.add_argument("--n", default="2^24")
-    en.add_argument("--system", default="8xP100", choices=sorted(_PRESETS))
-    _dtype_option(en)
-    en.set_defaults(fn=cmd_energy)
-
-    mn = sub.add_parser("multinode", help="multi-node projection")
-    mn.add_argument("--n", default="2^24")
-    mn.add_argument("--gpus-per-node", type=int, default=4)
-    mn.add_argument("--radix", type=int, default=0,
-                    help="fat-tree switch radix (0 = flat NIC model)")
-    mn.add_argument("--oversubscription", type=float, default=1.0,
-                    help="leaf uplink oversubscription factor")
-    _dtype_option(mn)
-    mn.set_defaults(fn=cmd_multinode)
 
     sv = sub.add_parser("serve", help="batching transform service workload")
     _workload_options(sv)
@@ -888,16 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--wisdom", default=None,
                     help="persistent wisdom JSON: loaded if present, "
                          "saved after the run (warm starts skip autotuning)")
-    sv.add_argument("--sanitize", action="store_true",
-                    help="hazard-sanitize the interleaved schedule")
-    sv.add_argument("--json", default=None,
-                    help="write the versioned serve-run document (report + "
-                         "telemetry snapshot + SLO timeline) to this path")
     sv.add_argument("--prom", default=None,
                     help="write the telemetry snapshot in Prometheus text "
                          "exposition format to this path")
-    sv.add_argument("--trace-out", default=None,
-                    help="export a Perfetto trace with the serve track")
+    _serve_outputs(sv, "serve track")
     sv.set_defaults(fn=cmd_serve)
 
     ch = sub.add_parser("chaos", help="serve workload under fault injection")
@@ -916,15 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="chaos scenario horizon [s]")
     ch.add_argument("--retry-budget", type=int, default=2,
                     help="service-level re-enqueues per failed request")
-    ch.add_argument("--sanitize", action="store_true",
-                    help="hazard-sanitize the retried chaos schedule")
     ch.add_argument("--replay-check", action="store_true",
                     help="run twice and require bit-identical ledgers")
-    ch.add_argument("--json", default=None,
-                    help="write the versioned serve-run document (report + "
-                         "telemetry snapshot + SLO timeline) to this path")
-    ch.add_argument("--trace-out", default=None,
-                    help="export a Perfetto trace with serve + fault tracks")
+    _serve_outputs(ch, "serve + fault tracks")
     ch.set_defaults(fn=cmd_chaos)
 
     tp = sub.add_parser("top", help="ASCII telemetry dashboard for serve")
@@ -937,20 +825,13 @@ def build_parser() -> argparse.ArgumentParser:
     tp.set_defaults(fn=cmd_top)
 
     tu = sub.add_parser("tune", help="build a tuning-wisdom file")
-    tu.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
+    _system_option(tu)
     _dtype_option(tu)
-    tu.add_argument("--min", type=int, default=14)
-    tu.add_argument("--max", type=int, default=20)
+    tu.add_argument("--n", default="2^14..2^20", type=_parse_sizes,
+                    help="comma-separated sizes to tune (e.g. 2^14..2^20)")
     tu.add_argument("--wisdom", default="wisdom.json",
                     help="wisdom JSON to extend (what `serve --wisdom` reads)")
     tu.set_defaults(fn=cmd_tune)
-
-    tc = sub.add_parser("trace", help="export a Perfetto trace JSON")
-    tc.add_argument("--n", default="2^24")
-    tc.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
-    _dtype_option(tc)
-    tc.add_argument("--out", default="trace.json")
-    tc.set_defaults(fn=cmd_trace)
 
     fg = sub.add_parser("figures", help="check the paper's claims, write the report")
     fg.add_argument("--out", default=None,

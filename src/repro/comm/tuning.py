@@ -12,7 +12,7 @@ for an allgather, ``hier`` on multi-node machines), never back to
 ``bulk``, because the flat model's synthetic synchronization is what we
 are replacing.
 
-``repro comm --testbed ...`` prints :func:`algorithm_table`;
+``repro comm --system ...`` prints :func:`algorithm_table`;
 :func:`repro.obs.metrics.join_comm_model` validates these predictions
 against the simulated ledger after a run.
 """

@@ -41,6 +41,7 @@ from repro.model.roofline import (
 )
 from repro.model.search import SearchResult, find_fastest, search_grid
 from repro.nufft import nudft2_direct, nufft2
+from repro.obs.metrics import rollup, rollup_table
 from repro.pipelines import build, simulate
 from repro.util.asciiplot import ascii_series
 from repro.util.prng import random_signal
@@ -195,7 +196,7 @@ def _fig2_render(d: dict) -> str:
         "-- FMM-FFT (bottom panel) --",
         cl_f.trace().render_profile(width=96, devices=[0]),
         "",
-        cl_f.trace().stage_summary().render(),
+        rollup_table(rollup(cl_f.ledger, by="name"), "name").render(),
         "",
         f"claims: FMMs={d['fmm_count']} of size {d['fmm_size']}x{d['fmm_size']} "
         f"(paper: {PAPER_FIG2['fmm_count']} of {PAPER_FIG2['fmm_size']}); "

@@ -19,15 +19,13 @@ The subsystem in three moves:
    the eager run by construction.
 
 :mod:`repro.ir.pipelines` captures the pipelines of the one table
-(:mod:`repro.pipelines`) by name or from a built object;
-:mod:`repro.ir.fuse` implements the opt-in elementwise-stage fusion.
+(:mod:`repro.pipelines`) by name or from a built object.
 """
 
 from __future__ import annotations
 
 from repro.ir.capture import CaptureError, capture
 from repro.ir.executor import ReplayError, ReplayExecutor, scratch_replay
-from repro.ir.fuse import fuse_elementwise
 from repro.ir.graph import IRGraph, IRNode
 from repro.ir.pipelines import capture_built, capture_pipeline
 from repro.ir.prealloc import check_graph_prealloc
@@ -42,6 +40,5 @@ __all__ = [
     "capture_built",
     "capture_pipeline",
     "check_graph_prealloc",
-    "fuse_elementwise",
     "scratch_replay",
 ]

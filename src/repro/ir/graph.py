@@ -150,7 +150,6 @@ class IRGraph:
             "op_counts": self.op_counts(),
             "buffers": len(self.buffers()),
             "comm_calls": len(self.comm_calls()),
-            "fused": self.meta.get("fused", 0),
             "peak_live_bytes": (
                 None if self.prealloc is None
                 else self.prealloc["peak_live_bytes"]),

@@ -1,4 +1,4 @@
-"""Execution traces: nvprof-style ASCII profiles and stage summaries.
+"""Execution traces: nvprof-style ASCII profiles.
 
 Figure 2 of the paper is an nvprof timeline showing yellow (comm) bars
 and compute kernels per GPU.  :meth:`ExecutionTrace.render_profile`
@@ -12,7 +12,7 @@ from collections import defaultdict
 
 from repro.machine.ledger import Ledger
 from repro.machine.spec import ClusterSpec
-from repro.util.table import Table, format_bytes, format_count, format_time
+from repro.util.table import format_time
 
 
 class ExecutionTrace:
@@ -74,27 +74,6 @@ class ExecutionTrace:
                 + "  ".join(f"{ch}={name}" for ch, name in sorted(legend.items()))
             )
         return "\n".join(lines)
-
-    def stage_summary(self) -> Table:
-        """Per-stage totals: time, launches, flops, memory and comm bytes."""
-        times = self.ledger.time_by_name()
-        flops = self.ledger.flops_by_name()
-        mops = self.ledger.mops_by_name()
-        comm = self.ledger.comm_bytes_by_name()
-        counts: dict[str, int] = defaultdict(int)
-        for r in self.ledger:
-            counts[r.name] += 1
-        t = Table(["stage", "ops", "time", "flops", "mem bytes", "comm bytes"])
-        for name in sorted(times, key=lambda n: -times[n]):
-            t.add_row([
-                name,
-                counts[name],
-                format_time(times[name]),
-                format_count(flops.get(name, 0.0)),
-                format_bytes(mops.get(name, 0.0)),
-                format_bytes(comm.get(name, 0.0)),
-            ])
-        return t
 
     def compute_time(self, device: int | None = None) -> float:
         """Total duration of non-comm ops (summed, not unioned)."""

@@ -29,8 +29,8 @@ predictions.  This package gives the simulator the same toolchain:
 - :mod:`repro.obs.top` — the ``repro top`` ASCII dashboard rendered
   from a snapshot or serve-run document.
 
-CLI entry points: ``repro metrics``, ``repro profile --trace-out``,
-``repro transform --trace-out``, ``repro trace``, ``repro top``.
+CLI entry points: ``repro analyze`` (the report of one simulated run,
+``--trace-out`` for its Perfetto file) and ``repro top``.
 See ``docs/OBSERVABILITY.md``.
 """
 

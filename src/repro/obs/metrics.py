@@ -18,8 +18,8 @@ Four analyses over one recorded run, all pure functions of the
   hazard sanitizer builds), plus per-op slack from a backward pass.
 
 :func:`compute_metrics` bundles all four into a :class:`MetricsReport`
-with ``render()`` (the ``repro metrics`` CLI output) and ``to_json()``
-(its ``--json`` payload).
+with ``render()`` (part of the ``repro analyze`` report) and
+``to_json()`` (the ``metrics`` key of its ``--json`` document).
 """
 
 from __future__ import annotations
@@ -104,6 +104,17 @@ def rollup(
     ]
     stats.sort(key=lambda s: (-s.time, s.key))
     return stats
+
+
+def rollup_table(stats: list[StageStat], by: str) -> Table:
+    """One :func:`rollup` as a table, keyed by ``by`` ('region' or 'name')."""
+    t = Table([by, "ops", "time", "flops", "mem bytes", "comm bytes",
+               "GFLOP/s", "GB/s"], title=f"Per-stage rollup (by {by})")
+    for s in stats:
+        t.add_row([s.key, s.ops, format_time(s.time), format_count(s.flops),
+                   format_bytes(s.mops), format_bytes(s.comm_bytes),
+                   f"{s.gflops:.1f}", f"{s.mem_gbs:.1f}"])
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +465,7 @@ def critical_path(ledger: Ledger) -> CriticalPath:
 
 @dataclass
 class MetricsReport:
-    """Everything ``repro metrics`` reports for one run."""
+    """Everything ``repro analyze`` measures for one run."""
 
     wall_time: float
     stages: list[StageStat]
@@ -476,16 +487,8 @@ class MetricsReport:
 
     def render(self) -> str:
         """Human-readable report (tables + summary lines)."""
-        parts: list[str] = []
-        t = Table(["region", "ops", "time", "flops", "mem bytes",
-                   "comm bytes", "GFLOP/s", "GB/s"],
-                  title="Per-stage rollup (by region)")
-        for s in self.stages:
-            t.add_row([s.key, s.ops, format_time(s.time),
-                       format_count(s.flops), format_bytes(s.mops),
-                       format_bytes(s.comm_bytes),
-                       f"{s.gflops:.1f}", f"{s.mem_gbs:.1f}"])
-        parts.append(t.render())
+        parts = [rollup_table(self.stages, "region").render(),
+                 rollup_table(self.names, "name").render()]
         if self.model:
             t = Table(["stage", "measured", "model (Sec. 5)", "efficiency"],
                       title="Measured vs Section-5 roofline (per device)")

@@ -1,6 +1,10 @@
 import pytest
 
-from repro.cli import _parse_size, build_parser, main
+from repro.cli import _parse_size, _parse_sizes, build_parser, main
+
+#: names the CLI rejects: one command per job, and these jobs belong to
+#: search, analyze and model
+REMOVED = ("speedup", "profile", "metrics", "trace", "energy", "multinode")
 
 
 class TestParseSize:
@@ -9,6 +13,27 @@ class TestParseSize:
     ])
     def test_forms(self, s, expected):
         assert _parse_size(s) == expected
+
+    @pytest.mark.parametrize("s,expected", [
+        ("2^14", [1 << 14]),
+        ("2^14..2^16", [1 << 14, 1 << 15, 1 << 16]),
+        ("4096,2^14..2^15", [4096, 1 << 14, 1 << 15]),
+    ])
+    def test_lists_and_ranges(self, s, expected):
+        assert _parse_sizes(s) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "2^x"], ["search", "--n", "2^"],
+        ["search", "--n", "abc"], ["search", "--n", "2^-3"],
+        ["search", "--n", "2^16..3000"], ["search", "--n", "2^16..2^14"],
+        ["analyze", "--n", "2^x"], ["verify", "--payload", "abc"],
+        ["verify", "--ir-n", "2^"], ["serve", "--sizes", "2^14,x"],
+    ])
+    def test_malformed_size_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid size" in capsys.readouterr().err
 
 
 class TestParser:
@@ -20,8 +45,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--system", "9xH100"])
 
+    def test_one_command_per_job(self):
+        import argparse
+
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [
+            "info", "transform", "search", "analyze", "verify", "ir", "comm",
+            "model", "serve", "chaos", "top", "tune", "figures"]
+        options = sum(len([a for a in sp._actions if a.dest != "help"])
+                      for sp in sub.choices.values())
+        assert options <= 100
+
+    @pytest.mark.parametrize("command", REMOVED)
+    def test_merged_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
+    """One command per job: the timeline, trace and metrics tests run
+    ``analyze``, the speedup and multi-node sweeps ``search``, the energy
+    projection ``model``."""
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
@@ -47,17 +95,17 @@ class TestCommands:
         assert "speedup" in out and "fastest" in out
 
     def test_speedup_sweep(self, capsys):
-        assert main(["speedup", "--system", "2xK40c", "--min", "14", "--max", "16"]) == 0
+        assert main(["search", "--system", "2xK40c", "--n", "2^14..2^16"]) == 0
         out = capsys.readouterr().out
         assert "14" in out and "16" in out
 
     def test_profile_fmmfft(self, capsys):
-        assert main(["profile", "--n", "2^18", "--system", "2xP100", "--width", "60"]) == 0
+        assert main(["analyze", "--n", "2^18", "--system", "2xP100", "--width", "60"]) == 0
         out = capsys.readouterr().out
         assert "dev0:" in out and "legend" in out
 
     def test_profile_baseline(self, capsys):
-        assert main(["profile", "--n", "2^18", "--baseline", "--width", "60"]) == 0
+        assert main(["analyze", "--n", "2^18", "--pipeline", "fft1d", "--width", "60"]) == 0
         out = capsys.readouterr().out
         assert "transpose" in out
 
@@ -67,25 +115,26 @@ class TestCommands:
         assert "FMM stage model" in out and "model speedup" in out
 
     def test_energy(self, capsys):
-        assert main(["energy", "--n", "2^20", "--system", "8xP100"]) == 0
+        assert main(["model", "--n", "2^20", "--system", "8xP100"]) == 0
         out = capsys.readouterr().out
         assert "energy ratio" in out
 
     def test_multinode(self, capsys):
-        assert main(["multinode", "--n", "2^18"]) == 0
+        assert main(["search", "--n", "2^18", "--nodes", "1,2,4,8"]) == 0
         out = capsys.readouterr().out
         assert "Multi-node projection" in out
 
     def test_multinode_beyond_32_devices(self, capsys):
         # 8 nodes x 8 GPUs: 64 devices, past the paper's B <= 5 grid
-        assert main(["multinode", "--n", "2^24", "--gpus-per-node", "8"]) == 0
+        assert main(["search", "--n", "2^24", "--nodes", "1,2,4,8",
+                     "--gpus-per-node", "8"]) == 0
         assert "\n8     | 64 |" in capsys.readouterr().out
 
     def test_tune_roundtrip(self, capsys, tmp_path):
         wisdom = str(tmp_path / "w.json")
-        assert main(["tune", "--min", "14", "--max", "15", "--wisdom", wisdom]) == 0
+        assert main(["tune", "--n", "2^14..2^15", "--wisdom", wisdom]) == 0
         # second run hits the cache and keeps the same entries
-        assert main(["tune", "--min", "14", "--max", "15", "--wisdom", wisdom]) == 0
+        assert main(["tune", "--n", "2^14..2^15", "--wisdom", wisdom]) == 0
         out = capsys.readouterr().out
         assert "2 entries" in out
 
@@ -95,8 +144,8 @@ class TestCommands:
         import json
 
         wisdom, doc = str(tmp_path / "w.json"), tmp_path / "run.json"
-        assert main(["tune", "--system", "8xP100", "--min", "16",
-                     "--max", "18", "--wisdom", wisdom]) == 0
+        assert main(["tune", "--system", "8xP100", "--n", "2^16..2^18",
+                     "--wisdom", wisdom]) == 0
         assert main(["serve", "--requests", "12", "--wisdom", wisdom,
                      "--json", str(doc)]) == 0
         rep = json.loads(doc.read_text())["report"]
@@ -109,7 +158,7 @@ class TestCommands:
         from repro.obs import validate_trace
 
         out_file = tmp_path / "t.json"
-        assert main(["trace", "--n", "2^16", "--out", str(out_file)]) == 0
+        assert main(["analyze", "--n", "2^16", "--trace-out", str(out_file)]) == 0
         doc = json.loads(out_file.read_text())
         assert doc["traceEvents"] and validate_trace(doc) == []
 
@@ -120,12 +169,12 @@ class TestCommands:
 
         j = tmp_path / "m.json"
         t = tmp_path / "t.json"
-        assert main(["metrics", "--pipeline", "fmmfft", "--n", "2^18",
+        assert main(["analyze", "--pipeline", "fmmfft", "--n", "2^18",
                      "--json", str(j), "--trace-out", str(t)]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out and "hidden frac" in out
         assert "Sec. 5" in out  # the model join table
-        payload = json.loads(j.read_text())
+        payload = json.loads(j.read_text())["metrics"]
         assert payload["critical_path_length"] == pytest.approx(
             payload["wall_time"], abs=1e-9
         )
@@ -133,12 +182,12 @@ class TestCommands:
         assert validate_trace(json.loads(t.read_text())) == []
 
     def test_metrics_baseline_pipeline(self, capsys):
-        assert main(["metrics", "--pipeline", "fft1d", "--n", "2^16"]) == 0
+        assert main(["analyze", "--pipeline", "fft1d", "--n", "2^16"]) == 0
         out = capsys.readouterr().out
         assert "fft1d/" in out  # regioned rollup
 
     def test_profile_devices_filter(self, capsys):
-        assert main(["profile", "--n", "2^18", "--devices", "0",
+        assert main(["analyze", "--n", "2^18", "--devices", "0",
                      "--width", "60"]) == 0
         out = capsys.readouterr().out
         assert "dev0:" in out and "dev1:" not in out
@@ -149,7 +198,7 @@ class TestCommands:
         from repro.obs import validate_trace
 
         t = tmp_path / "t.json"
-        assert main(["profile", "--n", "2^18", "--width", "60",
+        assert main(["analyze", "--n", "2^18", "--width", "60",
                      "--trace-out", str(t)]) == 0
         assert validate_trace(json.loads(t.read_text())) == []
 
@@ -159,8 +208,7 @@ class TestCommands:
         from repro.obs import validate_trace
 
         t = tmp_path / "t.json"
-        rc = main(["transform", "--n", "2^12", "--tolerance", "1e-9",
-                   "--trace-out", str(t)])
+        rc = main(["analyze", "--n", "2^12", "--trace-out", str(t)])
         assert rc == 0
         assert validate_trace(json.loads(t.read_text())) == []
 
@@ -215,7 +263,7 @@ class TestServeCommand:
         assert "mean size 1.00" in out
 
     def test_metrics_serve_pipeline(self, capsys):
-        assert main(["metrics", "--pipeline", "serve", "--system", "2xP100"]) == 0
+        assert main(["analyze", "--pipeline", "serve", "--system", "2xP100"]) == 0
         out = capsys.readouterr().out
         assert "serve latency / throughput" in out
         assert "p99" in out and "serve/" in out  # regioned rollup too

@@ -555,18 +555,18 @@ class TestRawCommLint:
 
 class TestCommCli:
     def test_comm_table(self, capsys):
-        assert main(["comm", "--testbed", "8xP100"]) == 0
+        assert main(["comm", "--system", "8xP100"]) == 0
         out = capsys.readouterr().out
         assert "bruck" in out and "vs bulk" in out
 
     def test_comm_table_json(self, capsys, tmp_path):
         path = tmp_path / "comm.json"
-        assert main(["comm", "--testbed", "2xP100", "--json", str(path)]) == 0
+        assert main(["comm", "--system", "2xP100", "--json", str(path)]) == 0
         rows = json.loads(path.read_text())
         assert rows and all("predictions" in r and "best" in r for r in rows)
 
     def test_metrics_comm_flag(self, capsys):
-        assert main(["metrics", "--pipeline", "fft1d", "--n", "2^16",
+        assert main(["analyze", "--pipeline", "fft1d", "--n", "2^16",
                      "--system", "8xP100", "--comm", "auto"]) == 0
         out = capsys.readouterr().out
         assert "Comm measured vs plan model" in out

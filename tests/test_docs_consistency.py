@@ -4,7 +4,8 @@ Keeps README/DESIGN/EXPERIMENTS and docs/ honest: every referenced
 artifact exists, every example is listed and runnable-looking, every public
 module carries a docstring, every benchmark asserts something, and
 every row of the paper-claims table cites the paper, checks something
-and appears in the committed REPORT.md.
+and appears in the committed REPORT.md, and every CLI command they name
+exists.
 """
 
 import ast
@@ -58,6 +59,20 @@ class TestDocsReferenceRealFiles:
             text = (ROOT / doc).read_text()
             for name in re.findall(r"row `(\w+)`", text):
                 assert name in rows, (doc, name)
+
+    def test_docs_name_real_cli_commands(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        for doc in [*DOCS, ".claude/skills/verify/SKILL.md",
+                    ".github/workflows/ci.yml"]:
+            text = (ROOT / doc).read_text()
+            for word in re.findall(r"(?:python\s+-m\s+|`)repro\s+([a-z][\w-]*)",
+                                   text):
+                assert word in sub.choices, (doc, word)
 
     def test_algorithm_doc_module_refs_exist(self):
         text = (ROOT / "docs" / "ALGORITHM.md").read_text()

@@ -16,7 +16,7 @@ class TestIrCommand:
         assert rc == 0
         assert "IR capture/replay" in out
         assert "fft1d" in out
-        for col in ("nodes", "records", "fused", "peak live/dev",
+        for col in ("nodes", "records", "peak live/dev",
                     "capture [ms]", "replay [ms]", "host speedup"):
             assert col in out
 

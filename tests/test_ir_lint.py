@@ -33,7 +33,7 @@ class TestIrCaptureSite:
 
     def test_inside_repro_ir_allowed(self):
         src = "n = IRNode(op='launch', name='x')\ng = IRGraph([n], {})\n"
-        assert "engine-site" not in _rules("src/repro/ir/fuse.py", src)
+        assert "engine-site" not in _rules("src/repro/ir/graph.py", src)
 
     def test_name_reference_without_call_allowed(self):
         src = "from repro.ir import IRGraph\n\n\ndef f(g: IRGraph):\n    return g\n"

@@ -2,8 +2,7 @@
 
 Covers the scratch-replay fingerprint contract, the certification
 gauntlet (hazards + prealloc), the executor's refusal conditions, the
-uid-continuity of the ledger fast path, and elementwise fusion — which
-must change *only* launch count and modeled duration, never numerics.
+and the uid-continuity of the ledger fast path.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ from repro.ir import (
     capture_built,
     capture_pipeline,
     check_graph_prealloc,
-    fuse_elementwise,
     scratch_replay,
 )
-from repro.ir.graph import OP_LAUNCH
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_k40c_pcie, p100_nvlink_node
 from repro.pipelines import NAMES as PIPELINE_NAMES
@@ -146,64 +143,6 @@ class TestLedgerFastPath:
         names = {b for r in cl2.ledger for _, b in (*r.reads, *r.writes)}
         assert any(b.startswith("slot0") for b in names)
         assert not any(b.startswith("dfft1") for b in names)
-
-
-class TestFusion:
-    def test_fft1d_fuses_reorder_into_row_fft(self):
-        cl = _cluster("fft1d")
-        graph, _ = capture_pipeline("fft1d", cl, N)
-        fused = fuse_elementwise(graph, cl.spec)
-        # one reorder+fft merge per device per transpose stage
-        assert fused.meta["fused"] == 2 * cl.G
-        assert len(fused.nodes) == len(graph.nodes) - 2 * cl.G
-
-    def test_fused_graph_saves_launch_latency(self):
-        cl = _cluster("nufft")
-        graph, _ = capture_pipeline("nufft", cl, 256)
-        fused = fuse_elementwise(graph, cl.spec)
-        assert fused.meta["fused"] == 2  # pad+ifft+eval -> one kernel
-        lat = cl.spec.device.launch_latency
-        t0 = max(r.end for r in scratch_replay(graph, cl.spec).ledger)
-        t1 = max(r.end for r in scratch_replay(fused, cl.spec).ledger)
-        assert t1 == pytest.approx(t0 - 2 * lat)
-
-    def test_fused_graph_certifies(self):
-        cl = _cluster("fft1d")
-        graph, _ = capture_pipeline("fft1d", cl, N)
-        fused = fuse_elementwise(graph, cl.spec)
-        cert = fused.certify(cl.spec)
-        assert cert["hazards"] == 0
-
-    def test_fused_region_rolls_up_to_common_prefix(self):
-        cl = _cluster("fft1d")
-        graph, _ = capture_pipeline("fft1d", cl, N)
-        fused = fuse_elementwise(graph, cl.spec)
-        merged = [n for n in fused.nodes
-                  if n.op == OP_LAUNCH and "+" in n.name]
-        assert merged
-        assert all(n.region == "fft1d" for n in merged)
-
-    def test_fused_numerics_byte_identical(self):
-        rng = np.random.default_rng(7)
-        n, m = 128, 64
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = rng.random(m)
-        cl = VirtualCluster(p100_nvlink_node(1), execute=True)
-        graph, ref = capture_built(build("nufft", cl, n, params={"m": m}), c, x)
-        fused = fuse_elementwise(graph, cl.spec)
-        graph.stage_in(c, x)
-        ReplayExecutor(fused, cl).run()
-        out = fused.finalize()
-        assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
-
-    def test_fusion_never_merges_across_collectives(self):
-        cl = _cluster("fmmfft")
-        graph, _ = capture_pipeline("fmmfft", cl, N)
-        fused = fuse_elementwise(graph, cl.spec)
-        fused.validate()
-        assert fused.num_records < graph.num_records
-        # the collective structure is untouched
-        assert fused.comm_calls() == graph.comm_calls()
 
 
 class TestExecuteReplayOnCaptureCluster:

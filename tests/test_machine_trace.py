@@ -39,9 +39,11 @@ class TestProfile:
 
 
 class TestSummary:
-    def test_stage_summary_rows(self, traced_cluster):
-        table = traced_cluster.trace().stage_summary()
-        text = table.render()
+    def test_stage_summary_rows(self, capsys):
+        from repro.cli import main
+
+        assert main(["analyze", "--n", "2^16", "--width", "60"]) == 0
+        text = capsys.readouterr().out.split("Per-stage rollup (by name)")[1]
         assert "S2M" in text and "S2T" in text and "COMM-MB" in text
 
     def test_compute_vs_comm_split(self, traced_cluster):
