@@ -80,7 +80,8 @@ to guard against (run with ``python tools/lint.py src``):
 
 ``engine-site``
     One engine owns the simulated timeline.  Ledger records
-    (``OpRecord``) are constructed and stream clocks (``Stream.clock``)
+    (``OpRecord``, or the stamping ``Ledger.stamp`` call that builds
+    them) are constructed and stream clocks (``Stream.clock``)
     assigned only inside :mod:`repro.machine`, so the
     stream/event algebra exists once — the replay executor re-issues
     taped steps through the engine's issue halves instead of mirroring
@@ -165,6 +166,10 @@ IR_TYPES = ("IRNode", "IRGraph")
 
 #: the only packages allowed to build IR nodes/graphs (tape + IR)
 IR_CONSTRUCT_ALLOWED = ("repro/machine/", "repro/ir/")
+
+#: calls that build ledger records: the record type and the stamping
+#: method of :class:`~repro.machine.ledger.Ledger`
+RECORD_BUILDERS = ("OpRecord", "stamp")
 
 #: the only package allowed to build OpRecords or write stream clocks,
 #: and the one package that must not import repro.ir
@@ -509,12 +514,12 @@ class _Checker(ast.NodeVisitor):
                 "(repro.ir.capture / repro.ir.pipelines); hand-built "
                 "graphs skip certify()",
             )
-        if callee == "OpRecord" and not self.engine:
+        if callee in RECORD_BUILDERS and not self.engine:
             self._report(
                 node, "engine-site",
-                "OpRecord constructed outside repro.machine -- ledger "
-                "records come from the engine's issue halves, the one "
-                "copy of the stream/event algebra",
+                f"{callee}() builds a ledger record outside repro.machine "
+                "-- ledger records come from the engine's issue halves, "
+                "the one copy of the stream/event algebra",
             )
         if isinstance(func, ast.Attribute):
             # dtype-less allocations in kernel code

@@ -62,6 +62,7 @@ power-of-two range ``2^14..2^24``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -208,12 +209,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     [spec] = _machines(args, [args.nodes])
     params, serve_text = None, ""
+    n, comm = args.n, args.comm
     if args.pipeline == "serve":
         from repro.serve import summarize
 
         cl, sched = _run_serve(spec, args)
         serve_text = ("\n\nserve latency / throughput\n"
                       + summarize(sched).render())
+        # the serve run ignores --n/--comm: record what it did serve
+        n = tuple(sorted({b["N"] for b in sched.batches}))
+        comm = tuple(sorted({e["algorithm"] for e in cl.comm_log}))
     else:
         cl, params = _simulate(args.pipeline, args.n, spec, args.dtype,
                                comm=args.comm)
@@ -232,8 +237,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         from repro.analysis.findings import (finding_context, findings_doc,
                                              from_hazards)
 
-        ctx = finding_context(pipeline=args.pipeline, comm=args.comm,
-                              n=args.n, system=cl.spec.name)
+        ctx = finding_context(pipeline=args.pipeline, comm=comm, n=n,
+                              system=cl.spec.name)
         doc = findings_doc(from_hazards(hazards, context=ctx))
         doc["metrics"] = rep.to_json()
         Path(args.json).write_text(json.dumps(doc, indent=1))
@@ -843,7 +848,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``repro analyze | head``): stop
+        # quietly with the shell's SIGPIPE status; stdout goes to devnull
+        # so the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

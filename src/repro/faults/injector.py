@@ -178,6 +178,8 @@ class FaultInjector:
         #: optional MetricsRegistry (see :meth:`attach_telemetry`)
         self.telemetry = None
         self._rng = np.random.default_rng(seed)
+        #: degraded spec per fault state (see :meth:`degraded_spec`)
+        self._degraded: dict[tuple, ClusterSpec] = {}
         self._stamp_scheduled()
 
     def attach_telemetry(self, registry) -> None:
@@ -318,23 +320,37 @@ class FaultInjector:
         """The machine as it stands at time t: flapped links removed,
         degraded links rescaled, lost devices isolated.  Feed this to
         :func:`repro.comm.tuning.choose_algorithm` to replan against
-        the topology that actually exists."""
+        the topology that actually exists.
+
+        One spec object per fault state (the flaps and degrades active
+        at t, the losses up to t): a spec tabulates its link facts and
+        the comm layer keeps its plans per spec object, so a replan in
+        a state seen before reuses them instead of starting empty."""
+        flaps = tuple(f for f in self.flaps if _active(f, t))
+        degrades = tuple(f for f in self.degrades if _active(f, t))
+        losses = tuple(f for f in self.losses if f.time <= t)
+        spec = self._degraded.get((flaps, degrades, losses))
+        if spec is None:
+            spec = self._degraded[flaps, degrades, losses] = self._degrade(
+                flaps, degrades, losses)
+        return spec
+
+    def _degrade(self, flaps, degrades, losses) -> ClusterSpec:
         g = self.spec.graph.copy()
-        for f in self.flaps:
-            if _active(f, t) and g.has_edge(f.a, f.b):
+        for f in flaps:
+            if g.has_edge(f.a, f.b):
                 g.remove_edge(f.a, f.b)
-        for f in self.degrades:
-            if _active(f, t) and g.has_edge(f.a, f.b):
+        for f in degrades:
+            if g.has_edge(f.a, f.b):
                 link = g.edges[f.a, f.b]["link"]
                 g.edges[f.a, f.b]["link"] = replace(
                     link,
                     bandwidth=link.bandwidth * f.bandwidth_scale,
                     latency=link.latency * f.latency_scale,
                 )
-        for f in self.losses:
-            if f.time <= t:
-                for peer in list(g.neighbors(f.device)):
-                    g.remove_edge(f.device, peer)
+        for f in losses:
+            for peer in list(g.neighbors(f.device)):
+                g.remove_edge(f.device, peer)
         return replace(self.spec, graph=g, name=f"{self.spec.name} (degraded)")
 
 

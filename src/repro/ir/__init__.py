@@ -12,11 +12,12 @@ The subsystem in three moves:
    ledger, and check every captured collective against its
    :class:`~repro.analysis.plancheck.PlanCertificate`, deriving the
    graph-level preallocation contract.
-3. **Replay** (:class:`ReplayExecutor`): a loop that hands the compiled
-   steps to the engine's issue halves — the same code an eager op runs
-   after pricing — with zero per-run plan/graph construction, so
-   ledger, telemetry, and (execute mode) numerics are bit-identical to
-   the eager run by construction.
+3. **Replay** (:func:`~repro.ir.executor.compile_tape` once per graph,
+   then :class:`ReplayExecutor` per cluster): a loop that hands the
+   compiled steps to the engine's issue halves — the same code an
+   eager op runs after pricing — with zero per-run plan/graph
+   construction, so ledger, telemetry, and (execute mode) numerics are
+   bit-identical to the eager run by construction.
 
 :mod:`repro.ir.pipelines` captures the pipelines of the one table
 (:mod:`repro.pipelines`) by name or from a built object.

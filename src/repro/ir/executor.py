@@ -1,20 +1,20 @@
 """Compiled replay executor: re-issue a captured tape with zero planning.
 
-:class:`ReplayExecutor` compiles an :class:`~repro.ir.graph.IRGraph`
-against one live cluster exactly once — binding each node to the engine
-*issue half* of its primitive (``VirtualCluster._issue_*``), resolving
-stream objects, pre-qualifying (and optionally slot-renaming) buffer
-declarations, pre-splitting region paths, and freezing every modeled
-duration — and then :meth:`run` is a loop that turns each step's
-dependency indices into a time and a ``waits`` tuple and hands the step
-to the engine.  Start times, attempt outcomes under a fault injector,
-ledger records, clock advances, closures, and per-message telemetry are
-the engine's: the eager primitives call the same issue halves right
-after pricing, so there is one copy of the stream/event algebra and
-nothing here to keep in step with it.  No
-pipeline object, plan, operator bundle, comm plan, roofline evaluation,
-or region context manager is constructed per run — that is the entire
-point.
+:func:`compile_tape` turns an :class:`~repro.ir.graph.IRGraph` into a
+cluster-independent *tape*, once, kept on the graph: each node names
+the engine *issue half* of its primitive (``VirtualCluster._issue_*``)
+with its arguments frozen — buffers qualified (and optionally
+slot-renamed), regions stripped, durations as priced.
+:class:`ReplayExecutor` binds a tape to one cluster's issue halves, and
+:meth:`ReplayExecutor.run` is a loop that turns each step's
+dependency indices into a time and a ``waits`` tuple and hands the
+step to the engine.  Start times, attempt outcomes under a fault
+injector, ledger records, clock advances, closures, and per-message
+telemetry are the engine's: the eager primitives call the same issue
+halves right after pricing, so there is one copy of the stream/event
+algebra and nothing here to keep in step with it.  No pipeline object,
+plan, operator bundle, comm plan, roofline evaluation, or region
+context manager is constructed per run — that is the entire point.
 
 All durations were priced fault-free at capture and every dependency
 names its producers, so a replay beginning from the same stream state
@@ -59,8 +59,86 @@ def _rename(name: str, old: str, new: str) -> str:
     return name
 
 
+def compile_tape(graph, rename: tuple | None = None,
+                 region_strip: int = 0) -> tuple:
+    """The cluster-independent half of replaying ``graph`` (parameters as
+    for :class:`ReplayExecutor`), kept in ``graph.tapes``: per node, its
+    issue half's name and frozen arguments, dependency slots and region."""
+    tape = graph.tapes.get((rename, region_strip))
+    if tape is not None:
+        return tape
+    old, new = rename if rename is not None else ("", "")
+    G = graph.meta["G"]
+    # tapes outlive the batches binding them, so they share what they can
+    # (the dependency slots are the same in all tapes of a graph)
+    names: dict = {}
+    quals: dict = {}
+    regions: dict = {}
+    other = next(iter(graph.tapes.values()), None)
+
+    def q(g, bufs):
+        out = quals.get((g, bufs))
+        if out is None:
+            out = quals[g, bufs] = tuple([(g, names.setdefault(
+                b, _rename(b, old, new))) for b in bufs])
+        return out
+
+    steps = []
+    for k, n in enumerate(graph.nodes):
+        op, g = n.op, n.device
+        if op in (OP_LAUNCH, OP_HOST):  # a host op is a free launch
+            issue = "_issue_launch"
+            args = (g, n.stream, n.kind, n.name, n.duration, n.flops,
+                    n.mops, q(g, n.reads), q(g, n.writes), n.fn)
+        elif op in (OP_P2P, OP_P2P_SELF):  # a self-send a free message
+            issue = "_issue_p2p"
+            args = (g, n.peer, n.name, n.duration, n.comm_bytes,
+                    q(g, n.reads), q(n.peer, n.writes), n.fn, n.tel)
+        elif op == OP_COLL:
+            issue = "_issue_collective"
+            args = (n.name, n.duration, n.comm_bytes,
+                    [q(d, n.reads) for d in range(G)],
+                    [q(d, n.writes) for d in range(G)], n.fn)
+        elif op in (OP_COLL1, OP_ACTION):
+            issue = "_issue_collective1" if op == OP_COLL1 else "_issue_action"
+            args = (n.fn,)
+        elif op == OP_BARRIER:
+            issue, args = "_issue_barrier", ()
+        elif op == OP_LOG:
+            issue = "_issue_log"
+            args = (n.payload["entry"], n.payload.get("bulk_bytes"))
+        else:  # pragma: no cover - graph.validate() rejects these
+            raise ReplayError(f"unknown IR opcode {op!r}")
+        # the deps as slots of the loop's per-run tables (slot 0 is the
+        # release, step i is slot i + 1): the distinct producers gating
+        # the start, and the wait edges — fixed, or (``among``) every
+        # entry's candidates when one of them is decided per run
+        order = wait = among = ()
+        if other is not None:
+            order, wait, among = other[k][2:5]
+        elif n.deps:
+            slots = [[(i + 1, sub, w) for i, sub, w in
+                      (d if type(d[0]) is tuple else (d,))]
+                     for d in n.deps]
+            order = tuple(dict.fromkeys(
+                [c[0] for cands in slots for c in cands]))
+            if max(map(len, slots)) > 1:
+                among = tuple([(*cands[0], tuple(cands[1:]))
+                               for cands in slots])
+            else:
+                wait = tuple([c[:2] for (c,) in slots if c[2]])
+        region = regions.get(n.region)
+        if region is None:
+            region = regions[n.region] = "/".join(
+                n.region.split("/")[region_strip:])
+        steps.append((issue, args, order, wait, among, region))
+    tape = graph.tapes[rename, region_strip] = tuple(steps)
+    return tape
+
+
 class ReplayExecutor:
-    """One graph compiled against one cluster (see module docstring).
+    """One graph's compiled tape bound to one cluster (see module
+    docstring).
 
     Parameters
     ----------
@@ -93,75 +171,15 @@ class ReplayExecutor:
                 "durations would not transfer")
         self.graph = graph
         self.cluster = cluster
-        old, new = rename if rename is not None else ("", "")
-        G = cluster.G
-        devs = cluster.devices
-        tx = [d.stream("comm.tx") for d in devs]
-        rx = [d.stream("comm.rx") for d in devs]
-        regions: dict = {}
-        renamed: dict = {}
-
-        def q(g, names):
-            out = []
-            for b in names:
-                r = renamed.get(b)
-                if r is None:
-                    r = renamed[b] = _rename(b, old, new)
-                out.append((g, r))
-            return tuple(out)
-
+        # only the issue halves belong to a cluster (they find the streams)
+        halves: dict = {}
         steps = []
-        for n in graph.nodes:
-            op, g = n.op, n.device
-            if op in (OP_LAUNCH, OP_HOST):  # a host op is a free launch
-                issue = cluster._issue_launch
-                args = (devs[g].stream(n.stream), g, n.stream, n.kind,
-                        n.name, n.duration, n.flops, n.mops,
-                        q(g, n.reads), q(g, n.writes), n.fn)
-            elif op in (OP_P2P, OP_P2P_SELF):  # a self-send a free message
-                issue = cluster._issue_p2p
-                args = (tx[g], rx[n.peer], g, n.peer, n.name, n.duration,
-                        n.comm_bytes, q(g, n.reads), q(n.peer, n.writes),
-                        n.fn, n.tel)
-            elif op == OP_COLL:
-                issue = cluster._issue_collective
-                args = (n.name, n.duration, n.comm_bytes,
-                        [q(d, n.reads) for d in range(G)],
-                        [q(d, n.writes) for d in range(G)], n.fn)
-            elif op == OP_COLL1:
-                issue = cluster._issue_collective1
-                args = (tx[0], n.fn)
-            elif op == OP_BARRIER:
-                issue, args = cluster._issue_barrier, ()
-            elif op == OP_ACTION:
-                issue, args = cluster._issue_action, (n.fn,)
-            elif op == OP_LOG:
-                issue = cluster._issue_log
-                args = (n.payload["entry"], n.payload.get("bulk_bytes"))
-            else:  # pragma: no cover - graph.validate() rejects these
-                raise ReplayError(f"unknown IR opcode {op!r}")
-            # what the loop needs of the deps, as slots of its per-run
-            # tables (slot 0 is the release, step i is slot i + 1): the
-            # distinct producers whose completion gates the start, and
-            # the wait edges — fixed ones, or (``among``) every entry as
-            # its candidates when one of them is decided per run
-            order = wait = among = ()
-            if n.deps:
-                slots = [[(i + 1, sub, w) for i, sub, w in
-                          (d if type(d[0]) is tuple else (d,))]
-                         for d in n.deps]
-                order = tuple(dict.fromkeys(
-                    [c[0] for cands in slots for c in cands]))
-                if max(map(len, slots)) > 1:
-                    among = tuple([(*cands[0], tuple(cands[1:]))
-                                   for cands in slots])
-                else:
-                    wait = tuple([c[:2] for (c,) in slots if c[2]])
-            region = regions.get(n.region)
-            if region is None:
-                region = regions[n.region] = "/".join(
-                    n.region.split("/")[region_strip:])
-            steps.append((partial(issue, *args), order, wait, among, region))
+        for issue, args, order, wait, among, region in compile_tape(
+                graph, rename, region_strip):
+            bound = halves.get(issue)
+            if bound is None:
+                bound = halves[issue] = getattr(cluster, issue)
+            steps.append((partial(bound, *args), order, wait, among, region))
         self._steps = steps
 
     def run(self, release: float = 0.0, region_prefix: str = "") -> float:
@@ -215,5 +233,8 @@ def scratch_replay(graph, spec):
     from repro.machine.cluster import VirtualCluster
 
     cl = VirtualCluster(spec, execute=False)
+    kept = (None, 0) in graph.tapes
     ReplayExecutor(graph, cl).run()
+    if not kept:  # a one-off replay does not keep its tape
+        del graph.tapes[None, 0]
     return cl

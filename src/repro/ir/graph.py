@@ -85,6 +85,9 @@ class IRGraph:
         :class:`~repro.analysis.plancheck.PlanCertificate` of every
         captured collective (see :mod:`repro.ir.prealloc`); None until
         :meth:`certify` runs.
+    tapes:
+        Replay tapes (:func:`repro.ir.executor.compile_tape`) by
+        ``(rename, region_strip)``: they go when the graph goes.
     """
 
     def __init__(self, nodes: list[IRNode], meta: dict):
@@ -94,6 +97,7 @@ class IRGraph:
         self.finalize = None
         self.prealloc: dict | None = None
         self._certified: dict | None = None
+        self.tapes: dict[tuple, tuple] = {}
 
     # -- introspection -------------------------------------------------
 

@@ -60,7 +60,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.machine.device import Device
-from repro.machine.ledger import Ledger, OpRecord
+from repro.machine.ledger import Ledger
 from repro.machine.retry import DEFAULT_RETRY, CommFailure
 from repro.machine.roofline import op_time
 from repro.machine.spec import ClusterSpec
@@ -151,10 +151,11 @@ class VirtualCluster:
             Device(g, spec.device, execute=execute) for g in range(spec.num_devices)
         ]
         self.ledger = Ledger()
-        #: every device's comm.tx then comm.rx stream (a collective
-        #: occupies them all)
-        self._comm_streams = ([d.stream("comm.tx") for d in self.devices]
-                              + [d.stream("comm.rx") for d in self.devices])
+        #: every device's comm.tx and comm.rx stream (the issue halves'
+        #: lookup tables), and both together (a collective occupies all)
+        self._tx = [d.stream("comm.tx") for d in self.devices]
+        self._rx = [d.stream("comm.rx") for d in self.devices]
+        self._comm_streams = self._tx + self._rx
         self._region_path = ""
         #: one entry per repro.comm collective call (algorithm, payload,
         #: predicted time) — joined against the ledger by obs.metrics;
@@ -371,13 +372,14 @@ class VirtualCluster:
             device=g, stream=stream, duration=dur, flops=flops, mops=mops,
             fn=fn)
         end, uid = self._issue_launch(
-            st, g, stream, kind, name, dur, flops, mops,
+            g, stream, kind, name, dur, flops, mops,
             self._qualify(g, reads), self._qualify(g, writes), fn,
             t_dep, waits, self._region_path)
         return Event(end, st.label, op=uid, src=src)
 
-    def _issue_launch(self, st, g, stream, kind, name, dur, flops, mops,
+    def _issue_launch(self, g, stream, kind, name, dur, flops, mops,
                       reads, writes, fn, t_dep, waits, region) -> tuple:
+        st = self.devices[g].stream(stream)
         start = st.clock
         if t_dep > start:
             start = t_dep
@@ -385,10 +387,8 @@ class VirtualCluster:
             s = self.faults.compute_scale(g, start)
             if s != 1.0:
                 dur *= s
-        uid = self.ledger.append_stamped(OpRecord(
-            device=g, stream=stream, kind=kind, name=name,
-            start=start, duration=dur, flops=flops, mops=mops,
-            reads=reads, writes=writes, waits=waits, region=region))
+        uid = self.ledger.stamp(g, stream, kind, name, start, dur, flops,
+                                mops, 0.0, -1, reads, writes, waits, region)
         if fn is not None and self.execute:
             fn(self)
         end = st.clock = start + dur
@@ -432,7 +432,7 @@ class VirtualCluster:
             OP_HOST, (), (), reads, writes, name=name, kind="host", device=g,
             stream="compute", fn=fn)
         end, uid = self._issue_launch(
-            st, g, "compute", "host", name, 0.0, 0.0, 0.0,
+            g, "compute", "host", name, 0.0, 0.0, 0.0,
             self._qualify(g, reads), self._qualify(g, writes), fn,
             0.0, (), self._region_path)
         return Event(end, name, op=uid, src=src)
@@ -513,13 +513,15 @@ class VirtualCluster:
             device=src, peer=dst, duration=dur, comm_bytes=nbytes, fn=fn,
             tel=tel)
         end, uid = self._issue_p2p(
-            tx, rx, src, dst, name, dur, nbytes, self._qualify(src, reads),
+            src, dst, name, dur, nbytes, self._qualify(src, reads),
             self._qualify(dst, writes), fn, tel, t_dep, waits,
             self._region_path)
         return Event(end, rx.label, op=uid, src=seq)
 
-    def _issue_p2p(self, tx, rx, src, dst, name, dur, nbytes, reads, writes,
-                   fn, tel, t_dep, waits, region) -> tuple:
+    def _issue_p2p(self, src, dst, name, dur, nbytes, reads, writes, fn, tel,
+                   t_dep, waits, region) -> tuple:
+        tx = self._tx[src]
+        rx = self._rx[dst]
         start = tx.clock
         if rx.clock > start:
             start = rx.clock
@@ -542,22 +544,20 @@ class VirtualCluster:
                 # names so they never alias the real destination
                 n = self._failed_attempts
                 wait = self.retry.timeout * faults.comm_scale(src, dst, start)
-                self.ledger.append_stamped(OpRecord(
-                    device=src, stream="comm", kind="comm",
-                    name=f"{name}!fail", start=start, duration=wait,
-                    comm_bytes=0.0, peer=dst, reads=reads,
-                    writes=tuple((g, f"{w}.fail{n}") for g, w in writes),
-                    waits=waits, region=region))
+                self.ledger.stamp(
+                    src, "comm", "comm", f"{name}!fail", start, wait, 0.0,
+                    0.0, 0.0, dst, reads,
+                    tuple((g, f"{w}.fail{n}") for g, w in writes), waits,
+                    region)
                 tx.clock = rx.clock = start + wait
                 start = self._charge_attempt(
                     name, start + wait, f" on link {src}->{dst}")
             s = faults.comm_scale(src, dst, start)
             if s != 1.0:
                 dur *= s
-        uid = self.ledger.append_stamped(OpRecord(
-            device=src, stream="comm", kind="comm", name=name,
-            start=start, duration=dur, comm_bytes=nbytes, peer=dst,
-            reads=reads, writes=writes, waits=waits, region=region))
+        uid = self.ledger.stamp(src, "comm", "comm", name, start, dur, 0.0,
+                                0.0, nbytes, dst, reads, writes, waits,
+                                region)
         if fn is not None and self.execute:
             fn(self)
         end = tx.clock = rx.clock = start + dur
@@ -650,8 +650,7 @@ class VirtualCluster:
         if self.G == 1:
             src = -1 if self._tape is None else self._taped(
                 OP_COLL1, after, name=name, device=0, fn=fn)
-            end, _ = self._issue_collective1(
-                self._comm_streams[0], fn, t_dep, waits, "")
+            end, _ = self._issue_collective1(fn, t_dep, waits, "")
             return [Event(end, name, src=src)]
         dur = self.spec.collective_time(bytes_per_device)
         G = self.G
@@ -668,10 +667,10 @@ class VirtualCluster:
         return [Event(end, self._comm_streams[G + g].label, op=uids[g], src=src)
                 for g in range(G)]
 
-    def _issue_collective1(self, tx0, fn, t_dep, waits, region) -> tuple:
+    def _issue_collective1(self, fn, t_dep, waits, region) -> tuple:
         if fn is not None and self.execute:
             fn(self)
-        return (t_dep if t_dep > tx0.clock else tx0.clock), None
+        return max(t_dep, self._tx[0].clock), None
 
     def _issue_collective(self, name, dur, nbytes, reads, writes, fn,
                           t_dep, waits, region) -> tuple:
@@ -711,15 +710,10 @@ class VirtualCluster:
                             waits, region) -> tuple:
         """Append a collective's G records and move every comm engine to
         their shared end; returns ``(end, uids)``."""
-        append = self.ledger.append_stamped
-        uids = [
-            append(OpRecord(
-                device=g, stream="comm", kind="comm", name=name,
-                start=start, duration=dur, comm_bytes=nbytes,
-                reads=reads[g], writes=writes[g], waits=waits,
-                region=region))
-            for g in range(self.G)
-        ]
+        stamp = self.ledger.stamp
+        uids = [stamp(g, "comm", "comm", name, start, dur, 0.0, 0.0, nbytes,
+                      -1, reads[g], writes[g], waits, region)
+                for g in range(self.G)]
         end = start + dur
         for st in self._comm_streams:
             st.clock = end

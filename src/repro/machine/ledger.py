@@ -13,17 +13,20 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
 
 #: op kinds with distinct costing rules in the engine
 KINDS = ("gemm", "batched_gemm", "gemv", "custom", "fft", "copy", "comm", "host")
 
+#: :meth:`Ledger.stamp`'s constructor: ``OpRecord._make`` unchecked
+_new_record = tuple.__new__
 
-@dataclass(frozen=True, init=False)
-class OpRecord:
-    """One simulated operation.
+
+class OpRecord(NamedTuple):
+    """One simulated operation: an immutable named tuple, since one is
+    built per simulated op (by :meth:`Ledger.stamp` on the engine's
+    path) and a tuple is the cheapest object Python builds.
 
     Attributes
     ----------
@@ -86,20 +89,6 @@ class OpRecord:
     waits: tuple = ()
     region: str = ""
 
-    def __init__(self, device, stream, kind, name, start, duration,
-                 flops=0.0, mops=0.0, comm_bytes=0.0, peer=-1, uid=-1,
-                 reads=(), writes=(), waits=(), region=""):
-        # One record is built per simulated op, on the eager and the
-        # replay path alike; the generated frozen __init__ pays an
-        # object.__setattr__ per field — half the cost of issuing an op.
-        # Stores in field order keep the instance dict key-sharing.
-        d = self.__dict__
-        (d["device"], d["stream"], d["kind"], d["name"], d["start"],
-         d["duration"], d["flops"], d["mops"], d["comm_bytes"], d["peer"],
-         d["uid"], d["reads"], d["writes"], d["waits"], d["region"]) = (
-            device, stream, kind, name, start, duration, flops, mops,
-            comm_bytes, peer, uid, reads, writes, waits, region)
-
     @property
     def end(self) -> float:
         return self.start + self.duration
@@ -137,26 +126,24 @@ class Ledger:
                 f"op {rec.name!r} has negative duration {rec.duration!r}"
             )
         if rec.uid < 0:
-            rec = replace(rec, uid=self._next_uid)
+            rec = rec._replace(uid=self._next_uid)
         self._next_uid = max(self._next_uid, rec.uid) + 1
         self._records.append(rec)
         return rec.uid
 
-    def append_stamped(self, rec: OpRecord) -> int:
-        """Store a freshly built record, stamping the next uid in place.
+    def stamp(self, device, stream, kind, name, start, duration, flops,
+              mops, comm_bytes, peer, reads, writes, waits, region) -> int:
+        """Build a record with the next uid and store it; returns the uid.
 
-        The engine's path (the issue halves of
+        The engine's one call per simulated op (the issue halves of
         :class:`~repro.machine.cluster.VirtualCluster`, eager and
         replayed alike): the pricing halves have already validated what
-        :meth:`append` checks, so this skips it — and stamps the uid
-        with ``object.__setattr__`` instead of ``dataclasses.replace``,
-        avoiding a second full construction per record.  ``rec`` must be
-        freshly constructed (``uid=-1``, never shared).
-        """
+        :meth:`append` checks, and the tuple is built with no keywords."""
         uid = self._next_uid
-        object.__setattr__(rec, "uid", uid)
         self._next_uid = uid + 1
-        self._records.append(rec)
+        self._records.append(_new_record(OpRecord, (
+            device, stream, kind, name, start, duration, flops, mops,
+            comm_bytes, peer, uid, reads, writes, waits, region)))
         return uid
 
     def __len__(self) -> int:
@@ -262,11 +249,7 @@ class Ledger:
         """
         h = hashlib.sha256()
         for r in self._records:
-            h.update(repr((
-                r.device, r.stream, r.kind, r.name, r.start, r.duration,
-                r.flops, r.mops, r.comm_bytes, r.peer, r.uid,
-                r.reads, r.writes, r.waits, r.region,
-            )).encode())
+            h.update(repr(tuple(r)).encode())
         return h.hexdigest()
 
     def by_uid(self, uid: int) -> OpRecord:
@@ -285,11 +268,7 @@ class Ledger:
         """
         shift = self._next_uid
         for r in other._records:
-            self._records.append(
-                replace(
-                    r,
-                    uid=r.uid + shift if r.uid >= 0 else r.uid,
-                    waits=tuple(w + shift for w in r.waits),
-                )
-            )
+            self._records.append(r._replace(
+                uid=r.uid + shift if r.uid >= 0 else r.uid,
+                waits=tuple(w + shift for w in r.waits)))
         self._next_uid += other._next_uid

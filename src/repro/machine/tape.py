@@ -53,7 +53,7 @@ class CaptureError(ParameterError):
     """A pipeline issued something the tape cannot faithfully replay."""
 
 
-@dataclass
+@dataclass(slots=True)  # a cached graph keeps one per step it replays
 class IRNode:
     """One priced engine step.
 

@@ -70,7 +70,7 @@ from repro.comm.tuning import choose_algorithm
 from repro.core.distributed import FmmFftDistributed
 from repro.core.single import fmmfft_batched
 from repro.ir.capture import capture
-from repro.ir.executor import ReplayExecutor
+from repro.ir.executor import ReplayExecutor, compile_tape
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
 from repro.obs.slo import SloTracker
@@ -210,7 +210,8 @@ class ServeScheduler:
         #: into ``serve.r<slot>``; a slot is reusable once that batch
         #: finished before the next batch's release
         self._slot_free: list[float] = []
-        #: compiled executors keyed by (graph_key, slot)
+        #: executors bound to this cluster, keyed by (graph_key, slot);
+        #: their compiled tapes live on the cached graphs
         self._executors: dict[tuple, ReplayExecutor] = {}
         #: batches issued via graph replay (mirrors ``cache.replays``)
         self.replayed_batches = 0
@@ -317,6 +318,10 @@ class ServeScheduler:
                     key=gkey, buffer_prefix=f"serve.b{batch.bid}")
         if gkey is not None:
             graph.certify(cl.spec)
+            # one tape per slot a replay can land in: at most
+            # max_inflight batches are in flight, so slots stay below it
+            for slot in range(self.max_inflight):
+                compile_tape(graph, self._slot_rename(graph, slot), 2)
             self.batcher.cache.put_graph(gkey, graph)
         return max((r.end for r in islice(cl.ledger, start_idx, None)),
                    default=release)
@@ -327,7 +332,7 @@ class ServeScheduler:
 
         Picks the lowest slot whose previous batch finished by this
         batch's release (so same-name buffer intervals never overlap),
-        reusing the slot's compiled executor when one exists.  Returns
+        reusing the executor bound to that slot when one exists.  Returns
         the batch finish time; a batch that dies mid-replay holds its
         slot until the time it died (its partial records live there).
         """
@@ -338,11 +343,9 @@ class ServeScheduler:
             slot = len(self._slot_free) - 1
         ex = self._executors.get((gkey, slot))
         if ex is None:
-            ex = ReplayExecutor(
-                graph, self.cluster,
-                rename=(graph.meta["buffer_prefix"], f"serve.r{slot}"),
+            ex = self._executors[(gkey, slot)] = ReplayExecutor(
+                graph, self.cluster, rename=self._slot_rename(graph, slot),
                 region_strip=2)
-            self._executors[(gkey, slot)] = ex
         try:
             finish = ex.run(release=release,
                             region_prefix=f"serve/b{batch.bid}/")
@@ -353,6 +356,11 @@ class ServeScheduler:
         self.replayed_batches += 1
         self.batcher.cache.count_replay()
         return finish
+
+    @staticmethod
+    def _slot_rename(graph, slot: int) -> tuple:
+        """Re-home a captured batch's buffers into replay slot ``slot``."""
+        return (graph.meta["buffer_prefix"], f"serve.r{slot}")
 
     def _fail_time(self, exc: CommFailure, release: float,
                    start_idx: int) -> float:

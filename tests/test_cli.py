@@ -268,6 +268,59 @@ class TestServeCommand:
         assert "serve latency / throughput" in out
         assert "p99" in out and "serve/" in out  # regioned rollup too
 
+    def test_analyze_serve_json_records_what_ran(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """The findings context names the sizes served and the collective
+        algorithms run, not the unused --n/--comm defaults."""
+        import repro.analysis.findings as findings
+        import repro.cli as cli
+
+        runs, contexts = [], []
+        run_serve, from_hazards = cli._run_serve, findings.from_hazards
+
+        def spy_run(*a, **kw):
+            runs.append(run_serve(*a, **kw))
+            return runs[-1]
+
+        def spy_hazards(report, context=()):
+            contexts.append(dict(context))
+            return from_hazards(report, context=context)
+
+        monkeypatch.setattr(cli, "_run_serve", spy_run)
+        monkeypatch.setattr(findings, "from_hazards", spy_hazards)
+        j = str(tmp_path / "f.json")
+        assert main(["analyze", "--pipeline", "serve", "--system", "2xP100",
+                     "--json", j]) == 0
+        [(cl, sched)] = runs
+        [ctx] = contexts
+        assert ctx["n"] == tuple(sorted({b["N"] for b in sched.batches}))
+        assert set(ctx["n"]) <= {1 << 16, 1 << 17, 1 << 18}
+        assert ctx["comm"] == tuple(sorted({e["algorithm"]
+                                            for e in cl.comm_log}))
+        assert ctx["comm"] and "auto" not in ctx["comm"]
+
+    def test_closed_stdout_exits_quietly(self):
+        """`repro analyze | head -1`: no traceback, SIGPIPE's status."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        # a 100000-column profile is far more than a pipe buffers, so
+        # the run is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "analyze", "--n", "2^14",
+             "--width", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
 
 class TestTopCommand:
     ARGS = ["top", "--system", "2xP100", "--requests", "8",

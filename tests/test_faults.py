@@ -177,6 +177,19 @@ class TestDegradedSpec:
         g = inj.degraded_spec(1.5).graph
         assert list(g.neighbors(2)) == []
 
+    def test_one_spec_per_fault_state(self):
+        inj = FaultInjector(spec4(), scheduled=(
+            LinkFlap(0, 1, 1.0, 2.0), DeviceLoss(2, 1.6)))
+        flapped = inj.degraded_spec(1.2)
+        assert inj.degraded_spec(1.5) is flapped
+        lost = inj.degraded_spec(1.7)  # a new loss: a new spec
+        assert lost is not flapped
+        assert list(lost.graph.neighbors(2)) == []
+        assert inj.degraded_spec(1.9) is lost
+        # the flap is over, the loss is not: a third state
+        assert inj.degraded_spec(2.5) is not lost
+        assert inj.degraded_spec(2.5).graph.has_edge(0, 1)
+
     def test_active_tracks_windows(self):
         inj = FaultInjector(spec4(), scheduled=(Straggler(0, 1.0, 2.0),))
         assert not inj.active(0.5)

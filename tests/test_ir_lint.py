@@ -69,6 +69,13 @@ class TestEngineSite:
         src = "r = OpRecord(device=0, stream='s', kind='copy', name='x')\n"
         assert "engine-site" not in _rules("src/repro/machine/cluster.py", src)
 
+    def test_stamp_outside_machine_flagged(self):
+        src = ("uid = cl.ledger.stamp(0, 'compute', 'copy', 'x', 0.0, 1.0, "
+               "0.0, 0.0, 0.0, -1, (), (), (), '')\n")
+        assert "engine-site" in _rules("src/repro/ir/executor.py", src)
+        assert "engine-site" in _rules("src/repro/serve/hack.py", src)
+        assert "engine-site" not in _rules("src/repro/machine/cluster.py", src)
+
     def test_clock_write_outside_machine_flagged(self):
         for stmt in ("st.clock = 1.0\n", "end = tx.clock = rx.clock = t\n",
                      "st.clock += dur\n"):
@@ -109,5 +116,18 @@ class TestEngineSite:
         mutant = source.replace(
             anchor, anchor + "            self.cluster.devices[0].stream("
             "'compute').clock = end\n")
+        assert [i.rule for i in lint_source(str(path), mutant)] == [
+            "engine-site"]
+
+    def test_seeded_stamp_mutant_only_this_rule_catches(self):
+        """A record stamped by hand in the real replay loop."""
+        path = Path(__file__).resolve().parents[1] / "src/repro/ir/executor.py"
+        source = path.read_text()
+        anchor = "            ends.append(end)\n"
+        assert anchor in source
+        mutant = source.replace(
+            anchor, anchor + "            self.cluster.ledger.stamp("
+            "0, 'compute', 'host', 'x', end, 0.0, 0.0, 0.0, 0.0, -1, (), "
+            "(), (), region)\n")
         assert [i.rule for i in lint_source(str(path), mutant)] == [
             "engine-site"]

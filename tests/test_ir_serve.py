@@ -9,7 +9,9 @@ batch namespace (``serve.b<bid>``).
 
 from __future__ import annotations
 
+import gc
 import re
+import weakref
 
 from repro.faults import FaultInjector
 from repro.machine.cluster import VirtualCluster
@@ -111,6 +113,53 @@ class TestWarmBatchesReplay:
         assert on.replayed_batches > 0
         assert any(r.name.endswith("!fail") for r in cl_on.ledger)
         assert _normalized(cl_on) == _normalized(cl_off)
+
+
+class TestCompiledTapes:
+    """A captured graph is compiled once, on the graph, and every later
+    scheduler only binds it to its own cluster."""
+
+    REQS = synthetic_workload(12, rate=1e5, seed=7,
+                              sizes={1 << 12: 1.0, 1 << 13: 1.0})
+
+    @staticmethod
+    def _serve(cache, reqs):
+        sched = ServeScheduler(VirtualCluster(SPEC, execute=False),
+                               Batcher(cache, max_batch=4),
+                               queue=AdmissionQueue(capacity=256),
+                               max_inflight=2)
+        sched.run(reqs)
+        return sched
+
+    @staticmethod
+    def _tapes(cache):
+        return {(gkey, tkey): tape for gkey, g in cache._graphs.items()
+                for tkey, tape in g.tapes.items()}
+
+    def test_warm_cache_fresh_scheduler_compiles_no_tape(self):
+        cache = PlanCache(SPEC, autotune=False)
+        self._serve(cache, self.REQS)
+        before = self._tapes(cache)
+        assert before
+        again = self._serve(cache, self.REQS)
+        assert again.replayed_batches == len(again.batches) > 0
+        after = self._tapes(cache)
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
+
+    def test_evicted_graph_drops_its_tapes(self):
+        cache = PlanCache(SPEC, autotune=False, capacity=1)
+        small = [r for r in self.REQS if r.N == 1 << 12]
+        first = self._serve(cache, small)
+        assert first.replayed_batches > 0
+        [graph] = cache._graphs.values()
+        assert graph.tapes
+        ref = weakref.ref(graph)
+        del graph, first
+        self._serve(cache, [r for r in self.REQS if r.N == 1 << 13])
+        assert ref() not in cache._graphs.values()
+        gc.collect()
+        assert ref() is None
 
 
 class TestReplayDisables:

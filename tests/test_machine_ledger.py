@@ -18,8 +18,48 @@ class TestOpRecord:
 
     def test_frozen(self):
         r = rec()
-        with pytest.raises(Exception):
-            r.start = 5.0
+        for field in ("start", "uid", "waits", "region"):
+            with pytest.raises(AttributeError):
+                setattr(r, field, 5.0)
+
+    def test_repr_names_every_field(self):
+        assert repr(rec()) == (
+            "OpRecord(device=0, stream='compute', kind='gemm', name='S2M', "
+            "start=0.0, duration=1.0, flops=10.0, mops=5.0, comm_bytes=0.0, "
+            "peer=-1, uid=-1, reads=(), writes=(), waits=(), region='')")
+
+    def test_replace_builds_a_new_record(self):
+        r = rec()
+        s = r._replace(uid=7, waits=(3,))
+        assert (s.uid, s.waits, s.name) == (7, (3,), "S2M")
+        assert (r.uid, r.waits) == (-1, ())
+
+    def test_interval(self):
+        assert rec(start=1.0, duration=0.5).interval() == (1.0, 1.5)
+
+    def test_stamp_matches_append(self):
+        """The engine's one-call path stores what append would."""
+        fields = (1, "comm", "comm", "x", 1.0, 2.0, 0.0, 0.0, 8.0, 0,
+                  ((1, "a"),), ((0, "b"),), (0,), "r/s")
+        a, b = Ledger(), Ledger()
+        a.append(rec())
+        b.append(rec())
+        assert b.stamp(*fields) == a.append(OpRecord(*fields[:10], -1,
+                                                     *fields[10:])) == 1
+        assert list(a) == list(b) and type(list(b)[1]) is OpRecord
+        assert a.fingerprint() == b.fingerprint()
+        assert b.stamp(*fields) == 2
+
+    def test_fingerprint_bytes_unchanged(self):
+        """Hashes the repr of each record's field tuple; the digest is
+        the one the frozen-dataclass record gave."""
+        l = Ledger()
+        l.append(rec())
+        l.append(OpRecord(1, "comm", "comm", "x", 1.0, 2.0, comm_bytes=8.0,
+                          peer=0, reads=((1, "a"),), waits=(0,),
+                          region="r/s"))
+        assert l.fingerprint() == (
+            "46d52a6064dac5f4b8a20c60a4527311b441ea91e7a276629014618a0e390a75")
 
 
 class TestLedger:
@@ -122,6 +162,12 @@ class TestLedgerHardening:
             l.append(rec(start=float("nan")))
         with pytest.raises(ValueError, match="finite"):
             l.append(rec(duration=float("inf")))
+
+    def test_rejects_negative_duration(self):
+        l = Ledger()
+        with pytest.raises(ValueError, match="negative"):
+            l.append(rec(duration=-1.0))
+        assert len(l) == 0
 
     def test_merge_shifts_uids_and_waits(self):
         a, b = Ledger(), Ledger()
