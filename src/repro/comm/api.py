@@ -17,8 +17,9 @@ through these functions instead of calling the
 
 Nothing is priced here: :func:`~repro.comm.plans.build_plan` returns a
 plan carrying each message's contended bandwidth and latency and its
-own ``time``, and this layer hands that object to issue (the stored
-prices go to ``cluster.sendrecv``) and to the log (``chunks *
+own ``time``, and this layer hands that object to issue (its messages
+compiled once per spec object by :func:`~repro.comm.plans.compile_issue`
+go straight to the engine's issue half) and to the log (``chunks *
 plan.time``); bulk and lone-transfer predictions are the spec's own
 ``collective_time`` / ``p2p_time``, the formulas the engine charges.
 
@@ -26,7 +27,8 @@ Dependency contract: ``after`` (or each ``after_chunks[i]``) with
 exactly G entries is treated as *per-device* producer events — round-0
 messages wait on both endpoints' entries, which is what makes in-place
 exchanges WAW-safe; any other length is a flat dependency list applied
-to every round-0 message.  The returned list holds one completion event
+to every round-0 message.  A ``None`` entry is a ``ParameterError`` on
+every algorithm.  The returned list holds one completion event
 per device: the latest message event touching that device, so a
 consumer waiting on ``events[g]`` is ordered after every send and
 receive at device ``g`` (chained forwarding plans additionally order
@@ -60,8 +62,9 @@ from typing import Callable, Sequence
 
 from repro.comm import plans as _plans
 from repro.comm import tuning as _tuning
+from repro.machine.cluster import check_amounts
 from repro.machine.stream import Event
-from repro.util.validation import ParameterError, check_count
+from repro.util.validation import ParameterError, check_count, check_names
 
 #: Accepted values for the ``algorithm`` parameter.
 ALGORITHMS = ("bulk", "direct", "ring", "bruck", "hier", "hier2", "auto")
@@ -78,6 +81,14 @@ def _resolve(cl, kind: str, payload: float, algorithm: str) -> str:
     if algorithm == "auto":
         return _tuning.choose_algorithm(cl.spec, kind, payload)
     return algorithm
+
+
+def _check_door(payload, reads, writes) -> None:
+    """A collective's payload and buffer lists, checked before anything
+    is derived from them."""
+    _plans.check_payload(payload)
+    check_names("reads", reads)
+    check_names("writes", writes)
 
 
 def _log(cl, name: str, kind: str, algorithm: str, payload: float,
@@ -99,40 +110,45 @@ def _log(cl, name: str, kind: str, algorithm: str, payload: float,
 
 
 def _issue_plan(cl, plan, name: str, after, fn, touch):
-    """Issue one priced plan's rounds as sendrecv ops at its prices.
-    ``after`` with exactly G entries is per-device, else a flat list.
-    ``touch[g]`` (updated in place across chunks) keeps device g's last
-    send and last receive in issue order: its engines are in-order, so
-    those two bound every message touching it."""
-    given = list(after or ())
+    """Issue one priced plan's messages as compiled once
+    (:func:`~repro.comm.plans.compile_issue`) straight to the engine's
+    issue half, with this call's dependencies, name and region; the one
+    carrying ``fn`` goes through ``cl.sendrecv``, where data movement is
+    attributed.  ``after`` with exactly G entries is per-device, else a
+    flat list (a ``None`` entry is a ``ParameterError``).  ``touch[g]``
+    (updated in place across chunks) keeps device g's last send and last
+    receive in issue order: its engines are in-order, so those two bound
+    every message touching it."""
+    msgs, last = _plans.compile_issue(cl.spec, plan)
+    check_amounts(name)
+    given = tuple(after or ())
+    cl._wait(given)  # every entry is checked, used in round 0 or not
     per_dev = given if len(given) == cl.G else None
-    extra = [e for e in given if e is not None]
-    last_recv: list = [None] * cl.G
-    for ridx, (rnd, prices) in enumerate(
-            zip(plan.rounds, plan.prices, strict=True)):
-        new_recv: dict = {}
-        for m, (bw, lat) in zip(rnd, prices, strict=True):
-            if ridx == 0:
-                if per_dev is not None:
-                    deps = [e for e in (per_dev[m.src], per_dev[m.dst])
-                            if e is not None]
-                else:
-                    deps = extra
-            elif plan.chained and last_recv[m.src] is not None:
-                deps = [last_recv[m.src]]
-            else:
-                deps = []
-            ev = cl.sendrecv(
-                m.src, m.dst, m.nbytes, name, after=deps, fn=fn,
-                reads=list(m.reads), writes=list(m.writes), bandwidth=bw,
-                latency=lat)
+    tape, region, tx, rx = cl._tape, cl.region_path, cl._tx, cl._rx
+    evs: list[Event] = []
+    for (src, dst, op, dur, nbytes, reads, writes, qreads, qwrites, tel,
+         dep) in msgs:
+        deps = (() if dep == -1 else (evs[dep],) if dep is not None
+                else given if per_dev is None else (per_dev[src], per_dev[dst]))
+        t_dep, waits = cl._wait(deps)
+        if fn is not None:
+            bw, lat = plan.prices[0][0]
+            evs.append(cl.sendrecv(
+                src, dst, nbytes, name, after=deps, fn=fn, reads=reads,
+                writes=writes, bandwidth=bw, latency=lat))
             fn = None
-            new_recv[m.dst] = ev
-            for g, engine in ((m.src, "tx"), (m.dst, "rx")):
-                touch[g].pop(engine, None)
-                touch[g][engine] = ev
-        for d, ev in new_recv.items():
-            last_recv[d] = ev
+            continue
+        seq = -1 if tape is None else cl._taped(
+            op, deps, (tx[src], rx[dst]), reads, writes, name=name,
+            kind="comm", device=src, peer=dst, duration=dur,
+            comm_bytes=nbytes, tel=tel)
+        end, uid = cl._issue_p2p(src, dst, name, dur, nbytes, qreads,
+                                 qwrites, None, tel, t_dep, waits, region)
+        evs.append(Event(end, rx[dst].label, op=uid, src=seq))
+    for g, engines in enumerate(last):
+        for engine, i in engines:
+            touch[g].pop(engine, None)
+            touch[g][engine] = evs[i]
     return touch
 
 
@@ -169,6 +185,7 @@ def alltoall(
     producing kernels.  ``fn`` performs the real data movement, attached
     to the first op issued.
     """
+    _check_door(bytes_sent_per_device, reads, writes)
     check_count("chunks", chunks)
     if after_chunks is not None and len(after_chunks) != chunks:
         raise ParameterError(
@@ -235,6 +252,7 @@ def allgather(
     reading the whole gathered buffer conflict with every block and are
     therefore ordered by the returned per-device events.
     """
+    _check_door(bytes_per_device, reads, writes)
     algo = _resolve(cl, "allgather", bytes_per_device, algorithm)
     if algo == "bulk":
         events = cl.allgather(bytes_per_device, name, after=after, fn=fn,
@@ -275,6 +293,7 @@ def grouped_alltoall(
     Devices outside every group do not participate.  Returns one
     completion event per device.
     """
+    _check_door(bytes_sent_per_device, reads, writes)
     seen: set[int] = set()
     for grp in groups:
         for g in grp:
@@ -288,25 +307,31 @@ def grouped_alltoall(
             seen.add(g)
     if not writes:
         raise ParameterError("grouped_alltoall needs at least one write buffer")
-    rounds: list[tuple] = []
-    nmax = max((len(grp) for grp in groups), default=0)
-    for k in range(1, nmax):
-        msgs = []
-        for grp in groups:
-            n = len(grp)
-            if k >= n:
-                continue
-            s = bytes_sent_per_device / (n - 1)
-            for i, g in enumerate(grp):
-                msgs.append(_plans.Msg(
-                    g, grp[(i + k) % n], s, tuple(reads),
-                    tuple(f"{w}#s{g}" for w in writes)))
-        if msgs:
-            rounds.append(tuple(msgs))
+    # like a built plan, kept per spec object and argument tuple
+    key = ("grouped", bytes_sent_per_device, tuple(map(tuple, groups)),
+           tuple(reads), tuple(writes))
+    if key not in cl.spec.plans:
+        rounds: list[tuple] = []
+        nmax = max((len(grp) for grp in groups), default=0)
+        for k in range(1, nmax):
+            msgs = []
+            for grp in groups:
+                n = len(grp)
+                if k >= n:
+                    continue
+                s = bytes_sent_per_device / (n - 1)
+                for i, g in enumerate(grp):
+                    msgs.append(_plans.Msg(
+                        g, grp[(i + k) % n], s, tuple(reads),
+                        tuple(f"{w}#s{g}" for w in writes)))
+            if msgs:
+                rounds.append(tuple(msgs))
+        cl.spec.plans[key] = rounds and _plans.price_plan(
+            cl.spec, _plans.CommPlan("grouped", "alltoall", tuple(rounds),
+                                     False))
+    plan = cl.spec.plans[key]
     touch: list = [{} for _ in range(cl.G)]
-    if rounds:
-        plan = _plans.price_plan(cl.spec, _plans.CommPlan(
-            "grouped", "alltoall", tuple(rounds), False))
+    if plan:
         touch = _issue_plan(cl, plan, name, after, fn, touch)
         _log(cl, name, "alltoall", "grouped", bytes_sent_per_device, 1,
              plan.time)

@@ -47,10 +47,12 @@ is what makes the sanitizer prove them race-free.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from repro.util.validation import ParameterError
+from repro.machine.cluster import VirtualCluster, price_p2p
+from repro.util.validation import ParameterError, check_names
 
 #: All algorithm names accepted by :func:`repro.comm.api.alltoall` /
 #: ``allgather`` ("auto" resolves to one of the others per call).
@@ -85,9 +87,10 @@ class CommPlan:
 
     A plan from :func:`price_plan` (every plan the library issues or
     selects among) carries its prices: ``prices[r][i]`` is the
-    ``(contended bandwidth, latency)`` of ``rounds[r][i]`` — what issue
-    hands ``cluster.sendrecv`` — and ``time`` the predicted completion,
-    rounds back to back.  A hand-assembled plan is unpriced.
+    ``(contended bandwidth, latency)`` of ``rounds[r][i]`` and ``time``
+    the predicted completion, rounds back to back.  A hand-assembled
+    plan is unpriced.  The first issue of a priced plan compiles it at
+    those prices (:func:`compile_issue`), once per spec object.
     """
 
     algorithm: str
@@ -217,39 +220,42 @@ def _allgather_bruck(G: int, b: float, reads: tuple, writes: tuple,
 # hierarchical (two-level) plans for multi-node machines
 # ---------------------------------------------------------------------------
 
-def _node_groups(graph) -> list[list[int]] | None:
-    """Device groups per node from the ``node_of`` annotation (or None)."""
-    node_of = graph.graph.get("node_of")
-    if not node_of:
-        return None
+def _node_groups(graph, algorithm: str) -> list[list[int]]:
+    """Device groups per node from the ``node_of`` annotation; a machine
+    of fewer than two nodes has no ``algorithm`` plan."""
     nodes: dict[int, list[int]] = {}
-    for dev, nd in node_of.items():
+    for dev, nd in (graph.graph.get("node_of") or {}).items():
         nodes.setdefault(nd, []).append(dev)
+    if len(nodes) < 2:
+        raise ParameterError(
+            f"{algorithm} plans need a multi-node topology (node_of)")
     return [sorted(devs) for _, devs in sorted(nodes.items())]
+
+
+def _intra_pairwise(groups, nbytes: float, reads: tuple, writes: tuple,
+                    tag: str) -> list[tuple]:
+    """Pairwise rounds inside every node: in round ``k`` each device
+    sends to the one ``k`` places on in its group, writing ``w{tag}{g}``."""
+    rounds = []
+    for k in range(1, max(len(grp) for grp in groups)):
+        msgs = tuple(Msg(g, grp[(i + k) % len(grp)], nbytes, reads,
+                         tuple(f"{w}{tag}{g}" for w in writes))
+                     for grp in groups if k < len(grp)
+                     for i, g in enumerate(grp))
+        if msgs:
+            rounds.append(msgs)
+    return rounds
 
 
 def _alltoall_hier(graph, G: int, payload: float, reads: tuple,
                    writes: tuple, part: str) -> tuple[tuple, bool]:
-    groups = _node_groups(graph)
-    if groups is None or len(groups) < 2:
-        raise ParameterError("hier plans need a multi-node topology (node_of)")
+    groups = _node_groups(graph, "hier")
     s = payload / (G - 1)
     w0 = writes[0]
     leaders = [grp[0] for grp in groups]
     nnodes = len(groups)
-    rounds: list[tuple] = []
     # phase 0: intra-node pairwise exchange (final placement)
-    for k in range(1, max(len(grp) for grp in groups)):
-        msgs = []
-        for grp in groups:
-            if k >= len(grp):
-                continue
-            for i, g in enumerate(grp):
-                dst = grp[(i + k) % len(grp)]
-                msgs.append(Msg(g, dst, s, reads,
-                                tuple(f"{w}{part}#s{g}" for w in writes)))
-        if msgs:
-            rounds.append(tuple(msgs))
+    rounds = _intra_pairwise(groups, s, reads, writes, f"{part}#s")
     # phase 1: non-leaders funnel their off-node data to the leader
     msgs = []
     for grp in groups:
@@ -281,9 +287,7 @@ def _alltoall_hier(graph, G: int, payload: float, reads: tuple,
 
 def _allgather_hier(graph, G: int, b: float, reads: tuple, writes: tuple,
                     part: str) -> tuple[tuple, bool]:
-    groups = _node_groups(graph)
-    if groups is None or len(groups) < 2:
-        raise ParameterError("hier plans need a multi-node topology (node_of)")
+    groups = _node_groups(graph, "hier")
     leaders = [grp[0] for grp in groups]
     nnodes = len(groups)
     rounds: list[tuple] = []
@@ -336,25 +340,12 @@ def hier2_relay(groups: list[list[int]], i: int, j: int) -> int:
 
 def _alltoall_hier2(graph, G: int, payload: float, reads: tuple,
                     writes: tuple, part: str) -> tuple[tuple, bool]:
-    groups = _node_groups(graph)
-    if groups is None or len(groups) < 2:
-        raise ParameterError("hier2 plans need a multi-node topology (node_of)")
+    groups = _node_groups(graph, "hier2")
     s = payload / (G - 1)
     w0 = writes[0]
     nnodes = len(groups)
-    rounds: list[tuple] = []
     # phase 0: intra-node pairwise exchange (final placement)
-    for k in range(1, max(len(grp) for grp in groups)):
-        msgs = []
-        for grp in groups:
-            if k >= len(grp):
-                continue
-            for i, g in enumerate(grp):
-                dst = grp[(i + k) % len(grp)]
-                msgs.append(Msg(g, dst, s, reads,
-                                tuple(f"{w}{part}#s{g}" for w in writes)))
-        if msgs:
-            rounds.append(tuple(msgs))
+    rounds = _intra_pairwise(groups, s, reads, writes, f"{part}#s")
     # phase 1: gather — each device hands every relay the blocks that
     # relay will carry, one combined message per (device, relay) pair
     msgs = []
@@ -413,27 +404,15 @@ def _alltoall_hier2(graph, G: int, payload: float, reads: tuple,
 
 def _allgather_hier2(graph, G: int, b: float, reads: tuple, writes: tuple,
                      part: str) -> tuple[tuple, bool]:
-    groups = _node_groups(graph)
-    if groups is None or len(groups) < 2:
-        raise ParameterError("hier2 plans need a multi-node topology (node_of)")
+    groups = _node_groups(graph, "hier2")
     nnodes = len(groups)
-    rounds: list[tuple] = []
 
     def blocks(devs) -> tuple:
         return tuple(f"{w}{part}#b{x}" for x in devs for w in writes)
 
     # phase 0: intra-node pairwise allgather (every device gets its
     # siblings' contributions — so any device can relay the node block)
-    for k in range(1, max(len(grp) for grp in groups)):
-        msgs = []
-        for grp in groups:
-            if k >= len(grp):
-                continue
-            for i, g in enumerate(grp):
-                msgs.append(Msg(g, grp[(i + k) % len(grp)], b, reads,
-                                blocks([g])))
-        if msgs:
-            rounds.append(tuple(msgs))
+    rounds = _intra_pairwise(groups, b, reads, writes, f"{part}#b")
     # phase 1: one inter-node message per ordered node pair carries the
     # whole node block, relays spread across the node's devices
     for k in range(1, nnodes):
@@ -505,11 +484,56 @@ def price_plan(spec, plan: CommPlan) -> CommPlan:
                    time=sum(t for _, t in priced))
 
 
+def compile_issue(spec, plan: CommPlan) -> tuple:
+    """``plan``'s messages as the engine's issue half takes them, priced
+    by :func:`repro.machine.cluster.price_p2p` at the stored prices once
+    per spec object and kept in ``spec.plans`` beside the plan.
+
+    Returns ``(messages, last)``.  A message is ``(src, dst, opcode,
+    duration, bytes, reads, writes, qualified reads, qualified writes,
+    tel, dep)``; ``dep`` indexes the message it waits on (a chained
+    plan's last receive at its sender in an earlier round), -1 for none,
+    ``None`` for the caller's ``after`` (round 0).  ``last[g]`` holds
+    ``(engine, index)`` of the messages that last used device ``g``'s
+    ``tx`` and ``rx`` engines, in issue order.
+    """
+    key = ("issue", id(plan))  # the entry holds the plan: no id reuse
+    form = spec.plans.get(key)
+    if form is not None:
+        return form[1]
+    qualify = VirtualCluster._qualify
+    msgs: list[tuple] = []
+    last: list[dict] = [{} for _ in range(spec.num_devices)]
+    last_recv = [-1] * spec.num_devices
+    for ridx, (rnd, prices) in enumerate(
+            zip(plan.rounds, plan.prices, strict=True)):
+        new_recv = {}
+        for m, (bw, lat) in zip(rnd, prices, strict=True):
+            op, dur, nbytes, tel = price_p2p(
+                spec, m.src, m.dst, m.nbytes, plan.algorithm, bw, lat)
+            i = len(msgs)
+            msgs.append((m.src, m.dst, op, dur, nbytes, m.reads, m.writes,
+                         qualify(m.src, m.reads), qualify(m.dst, m.writes),
+                         tel, None if ridx == 0
+                         else last_recv[m.src] if plan.chained else -1))
+            new_recv[m.dst] = i
+            for g, engine in ((m.src, "tx"), (m.dst, "rx")):
+                last[g].pop(engine, None)
+                last[g][engine] = i
+        for d, i in new_recv.items():
+            last_recv[d] = i
+    form = (tuple(msgs), tuple(tuple(t.items()) for t in last))
+    spec.plans[key] = (plan, form)
+    return form
+
+
 def check_payload(payload: float) -> None:
-    """Reject a payload that is not finite and >= 0 (NaN fails too)."""
-    if not 0.0 <= payload < float("inf"):
+    """Reject a payload that is not a number of bytes (a ``bool`` is
+    not one), finite and >= 0 (NaN fails too)."""
+    if (isinstance(payload, bool) or not isinstance(payload, numbers.Real)
+            or not 0.0 <= payload < float("inf")):
         raise ParameterError(
-            f"payload must be finite and >= 0, got {payload!r}")
+            f"payload must be finite and >= 0 bytes, got {payload!r}")
 
 
 #: algorithm -> its (alltoall, allgather) builders, in ``KINDS`` order;
@@ -560,6 +584,8 @@ def build_plan(
         raise ParameterError("message plans need at least one write buffer")
     if algorithm not in _BUILDERS:
         raise ParameterError(f"unknown plan algorithm {algorithm!r}; choose from {list(_BUILDERS)}")
+    check_names("reads", reads)
+    check_names("writes", writes)
     reads, writes = tuple(reads), tuple(writes)
     key = (kind, payload, algorithm, reads, writes, part)
     plan = spec.plans.get(key)

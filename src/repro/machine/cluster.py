@@ -10,7 +10,8 @@ library runs on.  It provides:
 - ``sendrecv`` — point-to-point transfer occupying both endpoints' comm
   streams: a lone transfer (a halo) at the spec's worst-path latency
   and pair bandwidth, a message of a priced plan at the prices it
-  carries (``spec.p2p_time`` either way).
+  carries (:func:`price_p2p` either way; :mod:`repro.comm` prices a
+  plan's messages once and hands them to the issue half directly).
 - ``alltoall`` / ``allgather`` — the legacy flat ("bulk") collectives
   costed with the topology's effective bandwidth
   (``spec.collective_time``).  Pipelines issue collectives through
@@ -80,12 +81,12 @@ from repro.machine.tape import (
     Tape,
 )
 from repro.machine.trace import ExecutionTrace
-from repro.util.validation import ParameterError
+from repro.util.validation import ParameterError, check_names
 
 _INF = float("inf")
 
 
-def _check_amounts(name: str, **amounts: float) -> None:
+def check_amounts(name: str, **amounts: float) -> None:
     """Reject an op whose name is empty or whose work/byte counts are
     not finite and >= 0 (NaN fails the comparison too)."""
     if not name:
@@ -94,6 +95,34 @@ def _check_amounts(name: str, **amounts: float) -> None:
         if not 0.0 <= v < _INF:
             raise ParameterError(
                 f"op {name!r}: {what} must be finite and >= 0, got {v!r}")
+
+
+def price_p2p(spec: ClusterSpec, src: int, dst: int, nbytes: float,
+              name: str, bandwidth: float | None = None,
+              latency: float | None = None, tel: bool = True) -> tuple:
+    """One transfer ``src -> dst`` priced on ``spec``: ``(opcode,
+    duration, bytes moved, tel)`` for :meth:`VirtualCluster._issue_p2p`,
+    whether ``sendrecv`` or :func:`repro.comm.plans.compile_issue` asks.
+    ``tel`` wants the telemetry triple of a message with bytes: link
+    class, link label, its time at the pair's own latency (or the plan's).
+    """
+    if src == dst:
+        return OP_P2P_SELF, 0.0, 0.0, None
+    # Links are full duplex: the sender's tx engine and the receiver's
+    # rx engine are occupied, so a ring shift (every device one send +
+    # one receive) proceeds fully in parallel, as on real NVLink.
+    dur = spec.p2p_time(src, dst, nbytes, bandwidth, latency)
+    if not 0.0 <= dur < _INF:
+        raise ParameterError(
+            f"op {name!r}: latency {latency!r} / bandwidth "
+            f"{bandwidth!r} price a transfer of {dur!r} s")
+    if not (tel and nbytes > 0.0):
+        return OP_P2P, dur, nbytes, None
+    pair = spec.pair(src, dst)
+    return OP_P2P, dur, nbytes, (
+        pair.link_class, f"{min(src, dst)}-{max(src, dst)}",
+        spec.p2p_time(src, dst, nbytes, bandwidth,
+                      pair.latency if latency is None else latency))
 
 
 class VirtualCluster:
@@ -286,6 +315,7 @@ class VirtualCluster:
     @staticmethod
     def _qualify(g: int, keys: Sequence[str]) -> tuple:
         """Tag device-local buffer names with their device id."""
+        check_names("reads/writes", keys)
         return tuple((g, k) for k in keys)
 
     @staticmethod
@@ -298,7 +328,7 @@ class VirtualCluster:
         uids = []
         for ev in after:
             if ev is None:
-                raise ValueError(
+                raise ParameterError(
                     "None event in dependency list; filter absent "
                     "dependencies at the call site instead of passing None")
             if ev.time > t:
@@ -306,7 +336,7 @@ class VirtualCluster:
             if ev.op >= 0:
                 uids.append(ev.op)
         if t == _INF:
-            raise ValueError("dependency list holds an event at t=inf")
+            raise ParameterError("dependency list holds an event at t=inf")
         return t, tuple(uids)
 
     def latest(self, *events: Event) -> Event:
@@ -363,7 +393,7 @@ class VirtualCluster:
         touches, for the hazard sanitizer.
         """
         dev = self._device(g)
-        _check_amounts(name, flops=flops, mops=mops)
+        check_amounts(name, flops=flops, mops=mops)
         dur = dev.spec.launch_latency + op_time(dev.spec, flops, mops, dtype, kind=kind)
         st = dev.stream(stream)
         t_dep, waits = self._wait(after)
@@ -427,7 +457,7 @@ class VirtualCluster:
         """Zero-cost bookkeeping op (plan setup, pointer swaps): a
         ``host``-kind launch of no work, duration or dependencies."""
         st = self._device(g).stream("compute")
-        _check_amounts(name)
+        check_amounts(name)
         src = -1 if self._tape is None else self._taped(
             OP_HOST, (), (), reads, writes, name=name, kind="host", device=g,
             stream="compute", fn=fn)
@@ -482,32 +512,11 @@ class VirtualCluster:
         """
         tx = self._device(src, "source device").stream("comm.tx")
         rx = self._device(dst, "destination device").stream("comm.rx")
-        _check_amounts(name, nbytes=nbytes)
+        check_amounts(name, nbytes=nbytes)
         t_dep, waits = self._wait(after)
-        op, dur, tel = OP_P2P_SELF, 0.0, None
-        if src == dst:
-            nbytes = 0.0
-        else:
-            # Links are full duplex: the sender's tx engine and the
-            # receiver's rx engine are occupied, so a ring shift (every
-            # device one send + one receive) proceeds fully in parallel,
-            # as on real NVLink.
-            op = OP_P2P
-            dur = self.spec.p2p_time(src, dst, nbytes, bandwidth, latency)
-            if not 0.0 <= dur < _INF:
-                raise ParameterError(
-                    f"op {name!r}: latency {latency!r} / bandwidth "
-                    f"{bandwidth!r} price a transfer of {dur!r} s")
-            if nbytes > 0.0 and (self.telemetry is not None
-                                 or self._tape is not None):
-                # (link_class, link label, predicted seconds): the lone
-                # time on this pair's own latency (the plan's prices where
-                # given), so measured/predicted calibrates the link
-                pair = self.spec.pair(src, dst)
-                tel = (pair.link_class, f"{min(src, dst)}-{max(src, dst)}",
-                       self.spec.p2p_time(
-                           src, dst, nbytes, bandwidth,
-                           pair.latency if latency is None else latency))
+        op, dur, nbytes, tel = price_p2p(
+            self.spec, src, dst, nbytes, name, bandwidth, latency,
+            self.telemetry is not None or self._tape is not None)
         seq = -1 if self._tape is None else self._taped(
             op, after, (tx, rx), reads, writes, name=name, kind="comm",
             device=src, peer=dst, duration=dur, comm_bytes=nbytes, fn=fn,
@@ -645,7 +654,7 @@ class VirtualCluster:
         wraps it (``algorithm="bulk"``) alongside the per-round message
         plans, and the ``raw-comm`` lint rule enforces that boundary.
         """
-        _check_amounts(name, bytes_per_device=bytes_per_device)
+        check_amounts(name, bytes_per_device=bytes_per_device)
         t_dep, waits = self._wait(after)
         if self.G == 1:
             src = -1 if self._tape is None else self._taped(

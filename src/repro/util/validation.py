@@ -44,6 +44,14 @@ def check_count(name: str, value: Any) -> None:
         raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
 
 
+def check_names(name: str, value: Any) -> None:
+    """Reject a bare ``str`` where a sequence of buffer names belongs:
+    iterated, ``"out"`` would name the buffers ``o``, ``u`` and ``t``."""
+    if isinstance(value, str):
+        raise ParameterError(
+            f"{name} must be a sequence of buffer names, got the string {value!r}")
+
+
 def check_range(name: str, value: int | float, lo: int | float | None = None, hi: int | float | None = None) -> None:
     """Require ``lo <= value <= hi`` (either bound may be None)."""
     if lo is not None and value < lo:

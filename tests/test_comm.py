@@ -280,6 +280,53 @@ class TestEntryPointValidation:
         assert len(cl.ledger) <= 1  # nothing issued past the producer
 
 
+    @pytest.mark.parametrize("algo", ["bulk", "direct", "ring", "bruck",
+                                      "hier", "hier2", "auto"])
+    @pytest.mark.parametrize("shape", ["per-device", "one-of-G", "flat"])
+    def test_none_dependency_refused_on_every_algorithm(self, algo, shape):
+        cl = VirtualCluster(multinode_p100(2, gpus_per_node=4), execute=False)
+        ready = [cl.host_op(g, "produce", writes=["x"]) for g in range(8)]
+        after = {"per-device": [None] * 8, "flat": [None],
+                 "one-of-G": ready[:5] + [None] + ready[6:]}[shape]
+        for call in (
+                lambda: comm.alltoall(cl, 8.0, "t", after=after, reads=["x"],
+                                      writes=["y"], algorithm=algo),
+                lambda: comm.allgather(cl, 8.0, "g", after=after, reads=["x"],
+                                       writes=["z"], algorithm=algo)):
+            with pytest.raises(ParameterError, match="None event"):
+                call()
+            assert len(cl.ledger) == 8 and not cl.comm_log  # nothing issued
+
+    @pytest.mark.parametrize("call", [
+        lambda cl: cl.launch(0, "k", "gemm", 1.0, 1.0, "float64",
+                             reads="abc", writes=["out"]),
+        lambda cl: cl.launch(0, "k", "gemm", 1.0, 1.0, "float64",
+                             reads=["x"], writes="abc"),
+        lambda cl: cl.host_op(0, "h", writes="abc"),
+        lambda cl: cl.sendrecv(0, 1, 8.0, "s", reads="abc", writes=["y"]),
+        lambda cl: comm.sendrecv(cl, 0, 1, 8.0, "s", reads=["x"],
+                                 writes="abc"),
+        lambda cl: comm.alltoall(cl, 8.0, "t", reads="abc", writes=["y"]),
+        lambda cl: comm.alltoall(cl, 8.0, "t", reads="abc", writes=["y"],
+                                 algorithm="ring", chunks=2),
+        lambda cl: comm.alltoall(cl, 8.0, "t", reads=["x"], writes="abc",
+                                 algorithm="direct"),
+        lambda cl: comm.allgather(cl, 8.0, "g", reads=["x"], writes="abc"),
+        lambda cl: comm.allgather(cl, 8.0, "g", reads="abc", writes=["z"],
+                                  algorithm="bruck"),
+        lambda cl: comm.grouped_alltoall(cl, 8.0, "g", groups=[[0, 1]],
+                                         writes="abc"),
+        lambda cl: build_plan(cl.spec, "alltoall", 8.0, "ring", reads="abc"),
+        lambda cl: build_plan(cl.spec, "allgather", 8.0, "ring",
+                              writes="abc"),
+    ])
+    def test_bare_string_buffer_list_refused(self, call):
+        cl = VirtualCluster(preset("8xP100"), execute=False)
+        with pytest.raises(ParameterError, match="the string 'abc'"):
+            call(cl)
+        assert len(cl.ledger) == 0
+
+
 # ---------------------------------------------------------------------------
 # bulk back-compat: the legacy model, bit for bit
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ import pytest
 from repro import comm
 from repro.analysis import plancheck as plancheck_mod
 from repro.analysis.plancheck import certify_plan, clear_verdicts
-from repro.comm import plans
+from repro.comm import api as comm_api, plans
 from repro.comm.plans import build_plan
 from repro.faults import FaultInjector, LinkDegrade, LinkFlap
+from repro.ir.capture import capture
 from repro.machine import routing, spec as spec_mod, topology as topo
 from repro.machine.cluster import VirtualCluster
 from repro.machine.multinode import multinode_p100, routed_multinode_p100
@@ -296,3 +297,137 @@ def test_fingerprint_ignores_name_and_is_computed_once(monkeypatch):
     assert wisdom.get(fresh, 1 << 12, "complex128") is not None
     assert spec_fingerprint(fresh) == spec_fingerprint(spec)
     assert len(hashed) == 1
+
+
+# -- (e) the compiled issue is the per-message sendrecv loop ----------------
+
+def _sendrecv_loop(cl, plan, name, after, fn, touch):
+    """The reference issue: every message through ``cl.sendrecv`` at its
+    stored prices, dependencies and last touchers worked out per call."""
+    given = list(after or ())
+    per_dev = given if len(given) == cl.G else None
+    last_recv = [None] * cl.G
+    for ridx, (rnd, prices) in enumerate(zip(plan.rounds, plan.prices)):
+        new_recv = {}
+        for m, (bw, lat) in zip(rnd, prices):
+            if ridx == 0:
+                deps = given if per_dev is None else [per_dev[m.src],
+                                                      per_dev[m.dst]]
+            elif plan.chained and last_recv[m.src] is not None:
+                deps = [last_recv[m.src]]
+            else:
+                deps = []
+            ev = cl.sendrecv(m.src, m.dst, m.nbytes, name, after=deps, fn=fn,
+                             reads=list(m.reads), writes=list(m.writes),
+                             bandwidth=bw, latency=lat)
+            fn = None
+            new_recv[m.dst] = ev
+            for g, engine in ((m.src, "tx"), (m.dst, "rx")):
+                touch[g].pop(engine, None)
+                touch[g][engine] = ev
+        for d, ev in new_recv.items():
+            last_recv[d] = ev
+    return touch
+
+
+COMPILED_BEDS = ("8xP100", "r2x8")
+#: (kind, chunks): allgather has no chunks
+COMPILED_CASES = (("alltoall", 1), ("alltoall", 4), ("allgather", 1))
+
+
+def _issue_twice(cl, kind, algo, chunks):
+    """A collective gated per device on its producers, then an allgather
+    gated on a flat list of two of its events; returns every event."""
+    ready = [cl.host_op(g, "produce", writes=["x"]) for g in range(cl.G)]
+    if kind == "alltoall":
+        evs = comm.alltoall(cl, PAYLOAD, "t", after=ready, reads=["x"],
+                            writes=["y"], algorithm=algo, chunks=chunks)
+    else:
+        evs = comm.allgather(cl, PAYLOAD, "t", after=ready, reads=["x"],
+                             writes=["y"], algorithm=algo)
+    return evs + comm.allgather(cl, PAYLOAD / 8, "g", after=[evs[0], evs[3]],
+                                reads=["y"], writes=["z"], algorithm=algo)
+
+
+def _outcome(spec, kind, algo, chunks, faults=False, tape=False):
+    from repro.obs.telemetry import MetricsRegistry
+
+    inj = (FaultInjector(spec, seed=11, transient_rate=0.03) if faults
+           else None)
+    cl = VirtualCluster(spec, execute=False, faults=inj,
+                        retry=comm.RetryPolicy(budget=64) if faults else None,
+                        telemetry=MetricsRegistry())
+    nodes = None
+    try:
+        if tape:
+            graph, evs = capture(lambda c: _issue_twice(c, kind, algo, chunks),
+                                 cl)
+            nodes = graph.nodes
+            graph.certify(spec)
+        else:
+            evs = _issue_twice(cl, kind, algo, chunks)
+    except comm.CommFailure as e:  # the same failure on both paths
+        evs = [repr(e), e.time]
+    return (cl.ledger.fingerprint(), repr(list(cl.ledger)), cl.comm_log,
+            cl.telemetry.snapshot(), repr(evs), nodes)
+
+
+@pytest.mark.parametrize("mode", ["eager", "taped", "faults"])
+@pytest.mark.parametrize("kind,chunks", COMPILED_CASES)
+@pytest.mark.parametrize("bed", COMPILED_BEDS)
+def test_compiled_issue_equals_the_sendrecv_loop(bed, kind, chunks, mode,
+                                                monkeypatch):
+    spec = TESTBEDS[bed]()
+    for algo in _algorithms(spec):
+        kw = dict(faults=mode == "faults", tape=mode == "taped")
+        compiled = _outcome(spec, kind, algo, chunks, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(comm_api, "_issue_plan", _sendrecv_loop)
+            reference = _outcome(spec, kind, algo, chunks, **kw)
+        assert compiled == reference, (algo, mode)
+        if mode == "faults":
+            assert "t!fail" in compiled[1]  # retries were exercised
+        if mode == "taped":
+            assert compiled[5]  # the tape was compared, not two Nones
+
+
+def test_compiled_issue_keeps_fn_on_the_public_door(monkeypatch):
+    spec = preset("8xP100")
+    cl = VirtualCluster(spec, execute=True)
+    moved, doors = [], []
+    real = VirtualCluster.sendrecv
+    monkeypatch.setattr(VirtualCluster, "sendrecv",
+                        lambda self, *a, **k: doors.append(k.get("fn"))
+                        or real(self, *a, **k))
+    comm.alltoall(cl, PAYLOAD, "t", writes=["y"], algorithm="ring", chunks=4,
+                  fn=lambda c: moved.append(1))
+    assert moved == [1] and len(doors) == 1 and doors[0] is not None
+
+
+def test_warm_collective_prices_nothing(monkeypatch):
+    spec = TESTBEDS["r2x8"]()
+    calls = Counter()
+    for name in ("p2p_time", "pair"):
+        real = getattr(spec_mod.ClusterSpec, name)
+        monkeypatch.setattr(
+            spec_mod.ClusterSpec, name,
+            lambda self, *a, _n=name, _f=real: calls.update([_n]) or _f(self, *a))
+    for warm in (False, True):
+        calls.clear()
+        cl = VirtualCluster(spec, execute=False)
+        comm.alltoall(cl, PAYLOAD, "t", writes=["y"], algorithm="auto",
+                      chunks=4)
+        comm.allgather(cl, PAYLOAD, "g", writes=["z"], algorithm="hier2")
+        assert (sum(calls.values()) == 0) is warm, calls
+    assert len(cl.ledger) > 0
+
+
+def test_compiled_form_lives_with_the_spec_object():
+    spec = preset("8xP100")
+    plan = build_plan(spec, "alltoall", PAYLOAD, "ring")
+    form = plans.compile_issue(spec, plan)
+    assert plans.compile_issue(spec, plan) is form
+    msgs, last = form
+    assert len(msgs) == plan.num_messages and len(last) == 8
+    # a fresh spec object (a degraded one is another) starts with nothing
+    assert not any(k[0] == "issue" for k in preset("8xP100").plans)

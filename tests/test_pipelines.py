@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from repro import pipelines
+from repro import comm, pipelines
 from repro.core.distributed import FmmFftDistributed
 from repro.core.plan import FmmFftPlan
 from repro.dfft import (
@@ -160,6 +160,20 @@ _BATCH_DOORS = {
         _cl(execute=False), "a", "a", BlockRows(8, 8, 2), "complex128", batch=b),
 }
 
+#: comm collective -> a call on ``cl`` with payload ``p``
+_PAYLOAD_DOORS = {
+    "alltoall-bulk": lambda cl, p: comm.alltoall(cl, p, "t", writes=["y"]),
+    "alltoall-ring": lambda cl, p: comm.alltoall(
+        cl, p, "t", writes=["y"], algorithm="ring", chunks=2),
+    "alltoall-auto": lambda cl, p: comm.alltoall(
+        cl, p, "t", writes=["y"], algorithm="auto"),
+    "allgather-bulk": lambda cl, p: comm.allgather(cl, p, "g", writes=["z"]),
+    "allgather-direct": lambda cl, p: comm.allgather(
+        cl, p, "g", writes=["z"], algorithm="direct"),
+    "grouped": lambda cl, p: comm.grouped_alltoall(
+        cl, p, "g", groups=[[0, 1], [2, 3]]),
+}
+
 #: case -> (call, the offending value as the message must name it)
 BAD_INPUT = {
     **{f"{door}-batch={b!r}": (lambda call=call, b=b: call(b), repr(b))
@@ -188,6 +202,10 @@ BAD_INPUT = {
         "got 1"),
     "rfft-complex": (
         lambda: DistributedRealFFT(64, _cl()).run(_Z), "complex128"),
+    **{f"comm-{door}-payload={p!r}": (
+        lambda call=call, p=p: call(_cl(8, execute=False), p), repr(p))
+       for door, call in _PAYLOAD_DOORS.items()
+       for p in ("8", None, True, [8.0])},
 }
 
 
