@@ -18,7 +18,6 @@ from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import preset
 from repro.nufft import nufft2
 from repro.nufft.nonuniform_fmm import NonuniformPeriodicFMM
-from repro.obs.telemetry import MetricsRegistry
 from repro.serve import (
     AdmissionQueue,
     Batcher,
@@ -98,35 +97,36 @@ def _scheduler(cache, **kw):
 
 
 def _telemetry_overhead():
-    """Scheduler host time with a live MetricsRegistry against a disabled
-    one (whose series lookups return shared no-ops)."""
+    """Scheduler host time of a run plus the derivation of its telemetry
+    (``sched.telemetry``, read off what the run left behind) against the
+    run alone."""
 
-    def _once(registry):
-        sched = _scheduler(_warm_cache(), telemetry=registry)
+    def _once(derive):
+        sched = _scheduler(_warm_cache())
         t0 = time.perf_counter()
         sched.run(SERVE_TRACE)
+        if derive:
+            assert len(sched.telemetry) > 0
         return time.perf_counter() - t0
 
     on = off = float("inf")
     fracs = []
     for _ in range(PAIRS):
-        a = _once(MetricsRegistry())
-        b = _once(MetricsRegistry(enabled=False))
+        a = _once(True)
+        b = _once(False)
         on, off = min(on, a), min(off, b)
         fracs.append((a - b) / b)
     return on, off, statistics.median(fracs)
 
 
 def _replay_speedup():
-    """Per-batch host time: interpreted re-issue against IR graph replay.
-    Both arms run with telemetry disabled: its cost is common to both."""
+    """Per-batch host time: interpreted re-issue against IR graph replay."""
 
     def _once(replay):
         cache = _warm_cache()
         if replay:  # capture every batch's graph outside the timed window
             _scheduler(cache, replay=True).run(SERVE_TRACE)
-        sched = _scheduler(cache, replay=replay,
-                           telemetry=MetricsRegistry(enabled=False))
+        sched = _scheduler(cache, replay=replay)
         # both arms start at the same point of the collector's cycle: a
         # generation-2 pass over the priming run's garbage costs more
         # than the handful of batches being timed
@@ -151,9 +151,9 @@ def _replay_speedup():
 
 
 def test_serve_telemetry_overhead(benchmark):
-    """Live telemetry must be a rounding error against the serve loop: 3%
-    is the tracked target; the gate is looser because host times this
-    small are noisy."""
+    """Deriving a run's telemetry must be a rounding error against the
+    serve loop: 3% is the tracked target; the gate is looser because host
+    times this small are noisy."""
     on, off, overhead = benchmark.pedantic(_telemetry_overhead, rounds=1, iterations=1)
     assert on > 0 and off > 0, (on, off)
     assert overhead < 0.25, (on, off, overhead)

@@ -74,9 +74,13 @@ to guard against (run with ``python tools/lint.py src``):
     ``HistogramSeries``) are constructed only inside
     :mod:`repro.obs.telemetry` — everyone else goes through a
     :class:`~repro.obs.telemetry.MetricsRegistry`, whose keyed lookup
-    is what makes snapshots complete and merges deterministic.  A
-    free-floating series never lands in any snapshot, so ``repro top``
-    and the exporters silently under-report.
+    is what makes snapshots complete.  A free-floating series never
+    lands in any snapshot, so ``repro top`` and the exporters silently
+    under-report.  And the registry's series methods (``.counter`` /
+    ``.gauge`` / ``.histogram``) are called only inside
+    :mod:`repro.obs`: metrics are read off the finished run, so an
+    emission on the run path is a second recorder the derivation
+    already covers.
 
 ``engine-site``
     One engine owns the simulated timeline.  Ledger records
@@ -160,6 +164,12 @@ TELEMETRY_SERIES = ("CounterSeries", "GaugeSeries", "HistogramSeries")
 
 #: the one module allowed to construct series directly (the registry)
 TELEMETRY_ALLOWED = "repro/obs/telemetry.py"
+
+#: registry methods that look up (and so feed) a series
+TELEMETRY_METHODS = ("counter", "gauge", "histogram")
+
+#: the one package allowed to call them: metrics are derived post-run
+TELEMETRY_PACKAGE = "repro/obs/"
 
 #: IR node/graph classes whose construction the engine-site rule confines
 IR_TYPES = ("IRNode", "IRGraph")
@@ -252,6 +262,7 @@ class _Checker(ast.NodeVisitor):
         self.det_time_ok = any(frag in p for frag in DETERMINISTIC_TIME_ALLOWED)
         self.tests = TESTS_PATH in "/" + p
         self.telemetry_ok = TELEMETRY_ALLOWED in p
+        self.obs = TELEMETRY_PACKAGE in p
         self.ir_ok = any(frag in p for frag in IR_CONSTRUCT_ALLOWED)
         self.engine = ENGINE_PATH in p
         self._stmt: ast.stmt | None = None
@@ -503,6 +514,14 @@ class _Checker(ast.NodeVisitor):
                     "get series from a MetricsRegistry "
                     "(.counter/.gauge/.histogram) so they land in snapshots",
                 )
+        if (not self.obs and isinstance(func, ast.Attribute)
+                and func.attr in TELEMETRY_METHODS and not _is_np(func.value)):
+            self._report(
+                node, "telemetry-registry",
+                f".{func.attr}() outside repro.obs -- metrics are read off "
+                "the finished run (repro.obs.telemetry), not recorded on "
+                "the run path",
+            )
         # the engine-site rule: who may build records, nodes and graphs
         callee = (func.id if isinstance(func, ast.Name)
                   else func.attr if isinstance(func, ast.Attribute) else "")

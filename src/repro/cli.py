@@ -528,7 +528,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    """ASCII telemetry dashboard: live serve run or snapshot replay."""
+    """ASCII telemetry dashboard: a fresh serve run or a snapshot replay."""
     import json
 
     from repro.obs import render_dashboard

@@ -37,13 +37,11 @@ round ``k+1`` sends after round ``k`` receives).
 Every call logs a record through ``cluster.log_comm`` (algorithm,
 payload, the predicted time of what was issued) which
 :func:`repro.obs.metrics.join_comm_model` joins against the ledger for
-measured-vs-model validation.  Per-message
-telemetry is the engine's: with a
-:class:`~repro.obs.telemetry.MetricsRegistry` on the cluster, its issue
-halves stream ``comm.bytes{link_class=...}`` and
-``comm.measured_vs_model{link=...}`` for every message (and the flat
-model's bytes when a bulk call is logged), identically for eager and
-replayed ops.
+measured-vs-model validation.  Per-message telemetry
+(``comm.bytes``, ``comm.measured_vs_model``, ``comm.retry``) is read off
+that log and the ledger once the run is over
+(:func:`repro.obs.telemetry.comm_telemetry`), so eager and replayed ops
+report the same series: they leave the same records.
 
 Fault handling is the engine's too: when the cluster carries a
 :class:`~repro.faults.FaultInjector`, its issue halves draw the outcome
@@ -92,21 +90,13 @@ def _check_door(payload, reads, writes) -> None:
 
 
 def _log(cl, name: str, kind: str, algorithm: str, payload: float,
-         chunks: int, predicted: float,
-         bulk_done: Sequence[Event] | None = None) -> None:
+         chunks: int, predicted: float) -> None:
     """Log one comm-layer call.  ``predicted`` is the price of what was
     just issued, taken from where it was priced — never re-derived here.
-
-    ``bulk_done`` — the final events of a flat-model collective — makes
-    the engine count its payload on ``comm.bytes{link_class=bulk}``.
     """
-    entry = {"name": name, "kind": kind, "algorithm": algorithm,
-             "payload": payload, "chunks": chunks, "G": cl.G,
-             "predicted": predicted}
-    if bulk_done is None:
-        cl.log_comm(entry)
-    else:
-        cl.log_comm(entry, bulk_bytes=payload * cl.G, done=bulk_done)
+    cl.log_comm({"name": name, "kind": kind, "algorithm": algorithm,
+                 "payload": payload, "chunks": chunks, "G": cl.G,
+                 "predicted": predicted})
 
 
 def _issue_plan(cl, plan, name: str, after, fn, touch):
@@ -126,7 +116,7 @@ def _issue_plan(cl, plan, name: str, after, fn, touch):
     per_dev = given if len(given) == cl.G else None
     tape, region, tx, rx = cl._tape, cl.region_path, cl._tx, cl._rx
     evs: list[Event] = []
-    for (src, dst, op, dur, nbytes, reads, writes, qreads, qwrites, tel,
+    for (src, dst, op, dur, nbytes, reads, writes, qreads, qwrites,
          dep) in msgs:
         deps = (() if dep == -1 else (evs[dep],) if dep is not None
                 else given if per_dev is None else (per_dev[src], per_dev[dst]))
@@ -141,9 +131,9 @@ def _issue_plan(cl, plan, name: str, after, fn, touch):
         seq = -1 if tape is None else cl._taped(
             op, deps, (tx[src], rx[dst]), reads, writes, name=name,
             kind="comm", device=src, peer=dst, duration=dur,
-            comm_bytes=nbytes, tel=tel)
+            comm_bytes=nbytes)
         end, uid = cl._issue_p2p(src, dst, name, dur, nbytes, qreads,
-                                 qwrites, None, tel, t_dep, waits, region)
+                                 qwrites, None, t_dep, waits, region)
         evs.append(Event(end, rx[dst].label, op=uid, src=seq))
     for g, engines in enumerate(last):
         for engine, i in engines:
@@ -213,7 +203,7 @@ def alltoall(
         if cl.G > 1:  # a G=1 degenerate collective is not logged
             _log(cl, name, "alltoall", "bulk", bytes_sent_per_device, chunks,
                  chunks * cl.spec.collective_time(
-                     bytes_sent_per_device / chunks), bulk_done=events)
+                     bytes_sent_per_device / chunks))
         return events
 
     touch: list = [{} for _ in range(cl.G)]
@@ -259,8 +249,7 @@ def allgather(
                               reads=list(reads), writes=list(writes))
         if cl.G > 1:
             _log(cl, name, "allgather", "bulk", bytes_per_device, 1,
-                 cl.spec.collective_time((cl.G - 1) * bytes_per_device),
-                 bulk_done=events)
+                 cl.spec.collective_time((cl.G - 1) * bytes_per_device))
         return events
 
     plan = _plans.build_plan(cl.spec, "allgather", bytes_per_device, algo,
@@ -351,7 +340,8 @@ def halo_exchange(
     Device ``g`` sends ``nbytes`` from ``src_buf`` to both neighbours;
     the receiver's left (``#L``) and right (``#R``) halo slots of
     ``halo_buf`` are disjoint sub-resources, so the shifts never alias.
-    ``after[g]`` gates device g's sends on its producer.  Returns the
+    ``after[g]`` gates device g's sends on its producer (a ``None``
+    entry is a ``ParameterError``, as on every collective).  Returns the
     per-device halo-arrival events.  Already a per-message plan (this is
     the paper's COMM-S / COMM-M pattern), so there is no algorithm knob.
     """
@@ -359,13 +349,13 @@ def halo_exchange(
     if after and len(after) != G:
         raise ParameterError(
             f"after must be empty or hold G={G} entries, got {len(after)}")
+    cl._wait(after or ())  # every entry is checked before anything issues
     if G == 1:
         if after:
             # nothing to exchange: the halo "arrives" with its producer
             return [Event(after[0].time, name, src=after[0].src)]
         return [cl.stream_event(0, "comm.rx", name)]
-    deps = [[e] if e is not None else []
-            for e in (after if after else [None] * G)]
+    deps = [[e] for e in after] if after else [()] * G
     ev_right = [
         cl.sendrecv(g, (g + 1) % G, nbytes, name, after=deps[g],
                     reads=[src_buf], writes=[f"{halo_buf}#L"])

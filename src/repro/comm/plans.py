@@ -491,7 +491,7 @@ def compile_issue(spec, plan: CommPlan) -> tuple:
 
     Returns ``(messages, last)``.  A message is ``(src, dst, opcode,
     duration, bytes, reads, writes, qualified reads, qualified writes,
-    tel, dep)``; ``dep`` indexes the message it waits on (a chained
+    dep)``; ``dep`` indexes the message it waits on (a chained
     plan's last receive at its sender in an earlier round), -1 for none,
     ``None`` for the caller's ``after`` (round 0).  ``last[g]`` holds
     ``(engine, index)`` of the messages that last used device ``g``'s
@@ -509,12 +509,12 @@ def compile_issue(spec, plan: CommPlan) -> tuple:
             zip(plan.rounds, plan.prices, strict=True)):
         new_recv = {}
         for m, (bw, lat) in zip(rnd, prices, strict=True):
-            op, dur, nbytes, tel = price_p2p(
+            op, dur, nbytes = price_p2p(
                 spec, m.src, m.dst, m.nbytes, plan.algorithm, bw, lat)
             i = len(msgs)
             msgs.append((m.src, m.dst, op, dur, nbytes, m.reads, m.writes,
                          qualify(m.src, m.reads), qualify(m.dst, m.writes),
-                         tel, None if ridx == 0
+                         None if ridx == 0
                          else last_recv[m.src] if plan.chained else -1))
             new_recv[m.dst] = i
             for g, engine in ((m.src, "tx"), (m.dst, "rx")):

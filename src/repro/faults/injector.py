@@ -136,7 +136,8 @@ class FaultInjector:
     events:
         The fault ledger: one :class:`FaultEvent` per scheduled fault
         (stamped up front) plus one per online transient drawn (stamped
-        as it happens).
+        as it happens).  ``faults.events{kind=...}`` is counted off it
+        once the run is over (:func:`repro.obs.telemetry.run_telemetry`).
     """
 
     def __init__(
@@ -175,26 +176,10 @@ class FaultInjector:
                 raise ParameterError(f"unknown scheduled fault {f!r}")
         self.events: list[FaultEvent] = []
         self.transient_count = 0
-        #: optional MetricsRegistry (see :meth:`attach_telemetry`)
-        self.telemetry = None
         self._rng = np.random.default_rng(seed)
         #: degraded spec per fault state (see :meth:`degraded_spec`)
         self._degraded: dict[tuple, ClusterSpec] = {}
         self._stamp_scheduled()
-
-    def attach_telemetry(self, registry) -> None:
-        """Stream the fault ledger into a metrics registry.
-
-        Already-stamped events (the scheduled windows) are counted
-        immediately at their window-start times; every future transient
-        draw increments ``faults.events{kind=...}`` as it is stamped.
-        Attach once per registry — re-attaching double-counts the
-        scheduled windows.
-        """
-        self.telemetry = registry
-        for e in self.events:
-            registry.counter("faults.events", {"kind": e.kind}).inc(
-                1.0, t=e.time)
 
     def _stamp_scheduled(self) -> None:
         for f in self.degrades:
@@ -222,9 +207,7 @@ class FaultInjector:
 
     def reset(self) -> None:
         """Rewind to construction state (replay support): reseed the
-        transient generator and drop the dynamically stamped events.
-        An attached telemetry registry is *not* rewound — replays build
-        a fresh registry alongside the fresh cluster."""
+        transient generator and drop the dynamically stamped events."""
         self._rng = np.random.default_rng(self.seed)
         self.transient_count = 0
         self.events = [e for e in self.events if e.kind != "transient"]
@@ -301,9 +284,6 @@ class FaultInjector:
         self.events.append(FaultEvent(
             time=t, kind="transient", device=src, peer=dst, detail=name,
         ))
-        if self.telemetry is not None:
-            self.telemetry.counter("faults.events", {"kind": "transient"}).inc(
-                1.0, t=t)
 
     # -- degraded topology (queried by the serve replanner) ------------
 

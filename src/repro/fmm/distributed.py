@@ -225,7 +225,7 @@ class DistributedFMM:
         if stage == "S2M":  # line 1: one BatchedGEMM per device
             return self._launch(
                 "S2M", "batched_gemm", self._gemm_cost(Q, nbl, ML, n),
-                [[e] if e is not None else () for e in rel or [None] * cl.G],
+                [[e] for e in rel] if rel else [()] * cl.G,
                 lambda c: self._load(key_in), reads=[key_in], writes=[buf(f"M{ell}")])
         if stage == "COMM-S":  # line 2: halo width 1, overlapped with S2M
             return self._halo_exchange("S", key_in, n * ML * self.csize, fn, rel)

@@ -93,7 +93,7 @@ def compile_tape(graph, rename: tuple | None = None,
         elif op in (OP_P2P, OP_P2P_SELF):  # a self-send a free message
             issue = "_issue_p2p"
             args = (g, n.peer, n.name, n.duration, n.comm_bytes,
-                    q(g, n.reads), q(n.peer, n.writes), n.fn, n.tel)
+                    q(g, n.reads), q(n.peer, n.writes), n.fn)
         elif op == OP_COLL:
             issue = "_issue_collective"
             args = (n.name, n.duration, n.comm_bytes,
@@ -106,7 +106,7 @@ def compile_tape(graph, rename: tuple | None = None,
             issue, args = "_issue_barrier", ()
         elif op == OP_LOG:
             issue = "_issue_log"
-            args = (n.payload["entry"], n.payload.get("bulk_bytes"))
+            args = (n.payload["entry"],)
         else:  # pragma: no cover - graph.validate() rejects these
             raise ReplayError(f"unknown IR opcode {op!r}")
         # the deps as slots of the loop's per-run tables (slot 0 is the

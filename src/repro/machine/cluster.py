@@ -41,7 +41,7 @@ events — followed by an *issue* half (``_issue_*``): start = max(stream
 clocks, dependency time), the fault injector's verdict on each attempt
 of a transfer (timed-out ``!fail`` records, backoff,
 :class:`~repro.machine.retry.CommFailure`), fault scaling, ledger
-append, ``fn``, clock advance, per-message telemetry.  Prices are
+append, ``fn``, clock advance.  Prices are
 fault-free; everything a fault does happens at issue, so a step priced
 once meets whatever faults are live when it is issued.  The eager call
 is price then issue;
@@ -88,26 +88,29 @@ _INF = float("inf")
 
 def check_amounts(name: str, **amounts: float) -> None:
     """Reject an op whose name is empty or whose work/byte counts are
-    not finite and >= 0 (NaN fails the comparison too)."""
+    not numbers (a ``bool`` is not one), finite and >= 0 (NaN fails the
+    comparison too)."""
     if not name:
         raise ParameterError("ops need a non-empty stage name")
     for what, v in amounts.items():
-        if not 0.0 <= v < _INF:
+        try:
+            ok = 0.0 <= v < _INF
+        except TypeError:  # not a number: the comparison refuses it
+            ok = False
+        if not ok or v is True or v is False:
             raise ParameterError(
                 f"op {name!r}: {what} must be finite and >= 0, got {v!r}")
 
 
 def price_p2p(spec: ClusterSpec, src: int, dst: int, nbytes: float,
               name: str, bandwidth: float | None = None,
-              latency: float | None = None, tel: bool = True) -> tuple:
+              latency: float | None = None) -> tuple:
     """One transfer ``src -> dst`` priced on ``spec``: ``(opcode,
-    duration, bytes moved, tel)`` for :meth:`VirtualCluster._issue_p2p`,
+    duration, bytes moved)`` for :meth:`VirtualCluster._issue_p2p`,
     whether ``sendrecv`` or :func:`repro.comm.plans.compile_issue` asks.
-    ``tel`` wants the telemetry triple of a message with bytes: link
-    class, link label, its time at the pair's own latency (or the plan's).
     """
     if src == dst:
-        return OP_P2P_SELF, 0.0, 0.0, None
+        return OP_P2P_SELF, 0.0, 0.0
     # Links are full duplex: the sender's tx engine and the receiver's
     # rx engine are occupied, so a ring shift (every device one send +
     # one receive) proceeds fully in parallel, as on real NVLink.
@@ -116,13 +119,7 @@ def price_p2p(spec: ClusterSpec, src: int, dst: int, nbytes: float,
         raise ParameterError(
             f"op {name!r}: latency {latency!r} / bandwidth "
             f"{bandwidth!r} price a transfer of {dur!r} s")
-    if not (tel and nbytes > 0.0):
-        return OP_P2P, dur, nbytes, None
-    pair = spec.pair(src, dst)
-    return OP_P2P, dur, nbytes, (
-        pair.link_class, f"{min(src, dst)}-{max(src, dst)}",
-        spec.p2p_time(src, dst, nbytes, bandwidth,
-                      pair.latency if latency is None else latency))
+    return OP_P2P, dur, nbytes
 
 
 class VirtualCluster:
@@ -148,16 +145,14 @@ class VirtualCluster:
         the timeout/backoff of a failed attempt and the failed-attempt
         budget of one comm-layer call.  Defaults to ``DEFAULT_RETRY``
         whenever ``faults`` is installed.
-    telemetry:
-        Optional :class:`~repro.obs.telemetry.MetricsRegistry`.  When
-        installed, the engine emits ``comm.bytes`` /
-        ``comm.retry`` / ``comm.measured_vs_model`` series (stamped
-        with simulated time).  None (the default) keeps the bare
-        cluster's hot path free of any instrumentation.
+
+    The engine keeps no metrics: what it leaves behind (the ledger and
+    :attr:`comm_log`) is what :func:`repro.obs.telemetry.comm_telemetry`
+    reads its ``comm.*`` series off once the run is over.
     """
 
     def __init__(self, spec: ClusterSpec, execute: bool = True,
-                 faults=None, retry=None, telemetry=None):
+                 faults=None, retry=None):
         self.spec = spec
         self.execute = execute
         if faults is not None and faults.spec.num_devices != spec.num_devices:
@@ -174,8 +169,6 @@ class VirtualCluster:
         #: timed-out attempts charged to the open comm-layer call (the
         #: retry budget's spend; :meth:`log_comm` or a failure closes it)
         self._failed_attempts = 0
-        #: live metrics registry, or None (serve installs one)
-        self.telemetry = telemetry
         self.devices = [
             Device(g, spec.device, execute=execute) for g in range(spec.num_devices)
         ]
@@ -194,8 +187,6 @@ class VirtualCluster:
         self._tape: Tape | None = None
         #: tape steps ever recorded on this cluster (``Event.src`` base)
         self._seq = 0
-        #: (registry, {(link_class, label): (counter, histogram)})
-        self._series_memo: tuple = (None, {})
 
     # -- basic accessors ----------------------------------------------
 
@@ -498,11 +489,6 @@ class VirtualCluster:
         read/write declares so the hazard sanitizer and G=1 traces see
         it (``fn`` still runs, so G=1 degenerates correctly).
 
-        With a telemetry registry installed, each message that carries
-        bytes counts on ``comm.bytes{link_class=...}`` and observes its
-        measured/predicted time on ``comm.measured_vs_model{link=...}``
-        (a zero-byte record — a timed-out attempt — is not a sample).
-
         Under a fault injector the issue half asks it for the outcome
         of each attempt at the time the attempt would start: a transient
         failure is charged as a zero-byte ``{name}!fail`` record of the
@@ -514,20 +500,17 @@ class VirtualCluster:
         rx = self._device(dst, "destination device").stream("comm.rx")
         check_amounts(name, nbytes=nbytes)
         t_dep, waits = self._wait(after)
-        op, dur, nbytes, tel = price_p2p(
-            self.spec, src, dst, nbytes, name, bandwidth, latency,
-            self.telemetry is not None or self._tape is not None)
+        op, dur, nbytes = price_p2p(self.spec, src, dst, nbytes, name,
+                                    bandwidth, latency)
         seq = -1 if self._tape is None else self._taped(
             op, after, (tx, rx), reads, writes, name=name, kind="comm",
-            device=src, peer=dst, duration=dur, comm_bytes=nbytes, fn=fn,
-            tel=tel)
+            device=src, peer=dst, duration=dur, comm_bytes=nbytes, fn=fn)
         end, uid = self._issue_p2p(
             src, dst, name, dur, nbytes, self._qualify(src, reads),
-            self._qualify(dst, writes), fn, tel, t_dep, waits,
-            self._region_path)
+            self._qualify(dst, writes), fn, t_dep, waits, self._region_path)
         return Event(end, rx.label, op=uid, src=seq)
 
-    def _issue_p2p(self, src, dst, name, dur, nbytes, reads, writes, fn, tel,
+    def _issue_p2p(self, src, dst, name, dur, nbytes, reads, writes, fn,
                    t_dep, waits, region) -> tuple:
         tx = self._tx[src]
         rx = self._rx[dst]
@@ -570,29 +553,15 @@ class VirtualCluster:
         if fn is not None and self.execute:
             fn(self)
         end = tx.clock = rx.clock = start + dur
-        if tel is not None and self.telemetry is not None:
-            # measured = the record's full priced window, contention and
-            # fault stretching included, against the pair's lone roofline
-            cls, link, predicted = tel
-            counter, ratio = self._series(cls, link)
-            counter.inc(nbytes, t=end)
-            if predicted > 0.0 and end > start:
-                ratio.observe((end - start) / predicted, t=end)
         return end, uid
 
     def _charge_attempt(self, name: str, end: float, where: str = "") -> float:
         """Charge a timed-out attempt of ``name``, over at ``end``, to the
         open comm-layer call's budget; returns when the seeded backoff
-        lets the next attempt start.  The ``comm.retry`` stage label is
-        the last dot-component of the op name, so batch namespaces
-        (``serve.b3.transpose`` -> ``transpose``) stay bounded.
+        lets the next attempt start.
         """
         n = self._failed_attempts
         self._failed_attempts = n + 1
-        if self.telemetry is not None:
-            self.telemetry.counter(
-                "comm.retry", {"stage": name.rsplit(".", 1)[-1]}
-            ).inc(1.0, t=end)
         policy = self.retry
         if n >= policy.budget:
             raise self._comm_failure(
@@ -605,24 +574,6 @@ class VirtualCluster:
         """The failure ending the open comm-layer call (budget closed)."""
         self._failed_attempts = 0
         return CommFailure(message, time=time, permanent=permanent)
-
-    def _series(self, cls: str, link: str) -> tuple:
-        """Memoized ``(comm.bytes counter, measured_vs_model histogram)``
-        of one link: resolving a series through the registry builds and
-        sorts a labels dict every time.  Guarded by registry identity,
-        so a scheduler that swaps registries on a reused cluster never
-        emits into a stale one.
-        """
-        tel = self.telemetry
-        if self._series_memo[0] is not tel:
-            self._series_memo = (tel, {})
-        handles = self._series_memo[1]
-        pair = handles.get((cls, link))
-        if pair is None:
-            pair = handles[(cls, link)] = (
-                tel.counter("comm.bytes", {"link_class": cls}),
-                tel.histogram("comm.measured_vs_model", {"link": link}))
-        return pair
 
     # -- collectives -----------------------------------------------------
 
@@ -781,31 +732,17 @@ class VirtualCluster:
 
     # -- comm log ----------------------------------------------------------
 
-    def log_comm(self, entry: dict, bulk_bytes: float | None = None,
-                 done: Sequence[Event] = ()) -> None:
+    def log_comm(self, entry: dict) -> None:
         """Append one ``comm_log`` entry, closing one comm-layer call
-        (and with it the retry budget its failed attempts drew on).
-
-        ``bulk_bytes`` — given for a flat-model collective, whose G
-        records are not messages — is counted on
-        ``comm.bytes{link_class=bulk}``, stamped at the completion of
-        ``done`` (the collective's events).
-        """
+        (and with it the retry budget its failed attempts drew on)."""
         if self._tape is not None:
-            payload = {"entry": entry}
-            if bulk_bytes is not None:
-                payload["bulk_bytes"] = bulk_bytes
-            self._taped(OP_LOG, done, name=entry.get("name", "log"),
-                        payload=payload)
-        t_dep = max((e.time for e in done), default=0.0)
-        self._issue_log(entry, bulk_bytes, t_dep, (), "")
+            self._taped(OP_LOG, name=entry.get("name", "log"),
+                        payload={"entry": entry})
+        self._issue_log(entry, 0.0, (), "")
 
-    def _issue_log(self, entry, bulk_bytes, t_dep, waits, region) -> tuple:
+    def _issue_log(self, entry, t_dep, waits, region) -> tuple:
         self.comm_log.append(dict(entry))
         self._failed_attempts = 0  # the comm-layer call is over
-        if bulk_bytes is not None and self.telemetry is not None:
-            self.telemetry.counter("comm.bytes", {"link_class": "bulk"}).inc(
-                bulk_bytes, t=t_dep)
         return t_dep, None
 
     # -- memory helpers ---------------------------------------------------

@@ -46,7 +46,7 @@ OP_COLL = "coll"          #: bulk collective (G synchronized records)
 OP_COLL1 = "coll1"        #: G=1 degenerate collective (no records)
 OP_BARRIER = "barrier"    #: all-stream synchronization
 OP_ACTION = "action"      #: host-side data action (no ledger footprint)
-OP_LOG = "log"            #: comm_log entry (+ bulk byte counter)
+OP_LOG = "log"            #: comm_log entry
 
 
 class CaptureError(ParameterError):
@@ -62,11 +62,7 @@ class IRNode:
     module docstring).  ``fn`` is the capture-time NumPy closure — it
     already binds the operators/twiddles built when the pipeline was
     constructed, which is what makes replay free of plan construction.
-    ``tel`` is the per-message telemetry intent of a real p2p transfer:
-    ``(link_class, link_label, predicted_seconds)``.  ``payload`` belongs
-    to an :data:`OP_LOG` step: the comm_log ``entry`` and, for a
-    flat-model collective, the ``bulk_bytes`` it counts on
-    ``comm.bytes{link_class=bulk}`` at the completion of its ``deps``.
+    ``payload`` belongs to an :data:`OP_LOG` step: its comm_log ``entry``.
     """
 
     op: str
@@ -84,7 +80,6 @@ class IRNode:
     region: str = ""
     deps: tuple = ()
     fn: object = None
-    tel: tuple | None = None
     payload: dict | None = None
 
     def producers(self):

@@ -20,12 +20,13 @@ predictions.  This package gives the simulator the same toolchain:
   validating :mod:`repro.comm` predictions against the ledger,
   comm/compute overlap and exposed-comm accounting, and critical-path
   extraction with per-op slack over the happens-before graph;
-- :mod:`repro.obs.telemetry` — the *live* side: a process-wide metrics
-  registry (counters, gauges, streaming histograms on a fixed
-  log-spaced grid) every serve run emits into, with versioned snapshot
-  / diff documents and Prometheus text exposition;
+- :mod:`repro.obs.telemetry` — a metrics registry (counters, gauges,
+  histograms on a fixed log-spaced grid) built from a finished run
+  (:func:`~repro.obs.telemetry.comm_telemetry`,
+  :func:`~repro.obs.telemetry.run_telemetry`), with a versioned
+  snapshot document and Prometheus text exposition;
 - :mod:`repro.obs.slo` — windowed availability objectives with
-  multi-window burn-rate alerting over the registry;
+  multi-window burn-rate alerting over a run's outcomes;
 - :mod:`repro.obs.top` — the ``repro top`` ASCII dashboard rendered
   from a snapshot or serve-run document.
 
@@ -61,16 +62,18 @@ from repro.obs.perfetto import (
     validate_trace,
 )
 from repro.obs.region import region
-from repro.obs.slo import SloAlert, SloObjective, SloTracker
+from repro.obs.slo import SloAlert, SloObjective, SloTimeline, slo_timeline
 from repro.obs.telemetry import (
     CounterSeries,
     GaugeSeries,
     HistogramSeries,
     MetricsRegistry,
     bucket_bounds,
-    diff_snapshots,
+    comm_telemetry,
     load_snapshot,
     prometheus_text,
+    run_telemetry,
+    slo_telemetry,
 )
 from repro.obs.top import render_dashboard
 
@@ -87,13 +90,13 @@ __all__ = [
     "RetryStats",
     "SloAlert",
     "SloObjective",
-    "SloTracker",
+    "SloTimeline",
     "StageStat",
     "bucket_bounds",
     "build_trace",
+    "comm_telemetry",
     "compute_metrics",
     "critical_path",
-    "diff_snapshots",
     "fault_track_events",
     "join_comm_model",
     "join_fmm_model",
@@ -106,6 +109,9 @@ __all__ = [
     "render_dashboard",
     "retry_stats",
     "rollup",
+    "run_telemetry",
     "save_trace",
+    "slo_telemetry",
+    "slo_timeline",
     "validate_trace",
 ]

@@ -1,28 +1,22 @@
-"""Windowed SLO tracking with multi-window burn-rate alerts.
+"""Windowed SLO evaluation with multi-window burn-rate alerts.
 
 The serve tier's objective is availability against the deadline
-targets: the fraction of completed requests in a class that finished
-within their target.  :class:`SloTracker` watches that fraction over
-two rolling windows of simulated time — the SRE multi-window pattern
-(short window for fast detection, long window to reject blips) scaled
-from human 5m/1h horizons down to the simulator's millisecond traces —
-and converts it to a **burn rate**: the observed miss fraction divided
-by the error budget (``1 - objective``).  Burn 1.0 spends the budget
-exactly at the objective's pace; a run sustained at burn ≥
-``burn_threshold`` in *both* windows trips an alert, which clears when
-the short window recovers.
-
-Every :meth:`SloTracker.record` feeds the telemetry registry
-(``slo.burn_rate{class=,window=}`` gauges, ``slo.alerts{class=,kind=}``
-counters) at the completion's simulated time, and the trigger/clear
-timeline lands in :attr:`SloTracker.alerts` — exported to the serve
-Perfetto track by :func:`repro.serve.stats.serve_trace_events` and to
-the ``serve-run`` JSON document, where the replay-bit-identity
-acceptance test pins it.
+targets: the fraction of a class's requests that finished within their
+target (a request shed on retry is a miss).  :func:`slo_timeline` reads
+a finished run's outcomes in time order and, at each, takes that
+fraction over two rolling windows of simulated time — the SRE
+multi-window pattern scaled down to millisecond traces — as a **burn
+rate**: miss fraction over the error budget (``1 - objective``).  Burn
+≥ ``burn_threshold`` in *both* windows trips an alert, which clears
+when the short window recovers.  The burn samples and transitions become
+the ``slo.*`` series of :func:`repro.obs.telemetry.run_telemetry`, and
+the alerts land on the serve Perfetto track and in the ``serve-run``
+JSON document.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 from repro.util.validation import ParameterError
@@ -76,72 +70,26 @@ class SloAlert:
     long_burn: float
 
 
-class SloTracker:
-    """Rolling per-class availability objectives over a served trace.
+def burn_rate(misses: int, n: int, objective: SloObjective) -> float:
+    """Burn of a window holding ``n`` outcomes, ``misses`` of them
+    misses: the miss fraction over the error budget (0.0 when empty)."""
+    return (misses / n) / (1.0 - objective.availability) if n else 0.0
 
-    Parameters
-    ----------
-    registry:
-        The :class:`~repro.obs.telemetry.MetricsRegistry` burn-rate
-        gauges and alert counters are emitted into.
-    objectives:
-        Per-class :class:`SloObjective`; missing classes get the
-        default objective.
-    """
 
-    def __init__(self, registry, objectives: dict[str, SloObjective] | None = None):
-        # local import: serve.scheduler imports this module, so pulling
-        # serve.request at module scope would close an import cycle
-        from repro.serve.request import DEADLINE_CLASSES
+@dataclass(frozen=True)
+class SloTimeline:
+    """The objectives' burn rates and alerts over one finished run."""
 
-        self.registry = registry
-        self.objectives = {
-            cls: (objectives or {}).get(cls, SloObjective())
-            for cls in DEADLINE_CLASSES
-        }
-        #: trigger/clear transitions in completion order
-        self.alerts: list[SloAlert] = []
-        self._events: dict[str, list[tuple[float, bool]]] = {
-            cls: [] for cls in DEADLINE_CLASSES
-        }
-        self._active: dict[str, bool] = {cls: False for cls in DEADLINE_CLASSES}
-
-    def _burn(self, cls: str, now: float, window: float) -> float:
-        obj = self.objectives[cls]
-        evs = self._events[cls]
-        inside = [ok for t, ok in evs if t > now - window]
-        if not inside:
-            return 0.0
-        miss = sum(1 for ok in inside if not ok) / len(inside)
-        return miss / (1.0 - obj.availability)
-
-    def record(self, cls: str, t: float, ok: bool) -> None:
-        """Feed one completion: class, simulated finish time, in-SLO?"""
-        obj = self.objectives[cls]
-        evs = self._events[cls]
-        evs.append((t, ok))
-        cutoff = t - obj.long_window
-        while evs and evs[0][0] <= cutoff:
-            evs.pop(0)
-        short = self._burn(cls, t, obj.short_window)
-        long_ = self._burn(cls, t, obj.long_window)
-        reg = self.registry
-        reg.gauge("slo.burn_rate", {"class": cls, "window": "short"}).set(short, t=t)
-        reg.gauge("slo.burn_rate", {"class": cls, "window": "long"}).set(long_, t=t)
-        if not self._active[cls] and (
-            short >= obj.burn_threshold and long_ >= obj.burn_threshold
-        ):
-            self._active[cls] = True
-            self.alerts.append(SloAlert(t, cls, "trigger", short, long_))
-            reg.counter("slo.alerts", {"class": cls, "kind": "trigger"}).inc(1.0, t=t)
-        elif self._active[cls] and short < obj.burn_threshold:
-            self._active[cls] = False
-            self.alerts.append(SloAlert(t, cls, "clear", short, long_))
-            reg.counter("slo.alerts", {"class": cls, "kind": "clear"}).inc(1.0, t=t)
+    objectives: dict[str, SloObjective]
+    #: per class, ``(time, short burn, long burn)`` at each of its outcomes
+    burns: dict[str, list[tuple[float, float, float]]]
+    #: trigger/clear transitions in time order
+    alerts: list[SloAlert]
 
     def active(self, cls: str) -> bool:
-        """True while the class's burn-rate alert is firing."""
-        return self._active[cls]
+        """True when the class's alert was still firing at the end."""
+        kinds = [a.kind for a in self.alerts if a.deadline_class == cls]
+        return bool(kinds) and kinds[-1] == "trigger"
 
     def to_json(self) -> dict:
         """JSON-ready objectives + alert timeline for the serve-run doc."""
@@ -149,3 +97,42 @@ class SloTracker:
             "objectives": {cls: asdict(o) for cls, o in self.objectives.items()},
             "alerts": [asdict(a) for a in self.alerts],
         }
+
+
+def slo_timeline(outcomes, objectives: dict[str, SloObjective] | None = None
+                 ) -> SloTimeline:
+    """Evaluate the objectives over ``(time, deadline class, in target)``
+    outcomes, taken in time order (a stable sort: ties keep their given
+    order), whatever order they are given in.
+
+    At each outcome, a window holds the class's outcomes so far that are
+    newer than ``time - window``.  Classes missing from ``objectives``
+    get the default :class:`SloObjective`.
+    """
+    # local import: serve.scheduler imports this module, so pulling
+    # serve.request at module scope would close an import cycle
+    from repro.serve.request import DEADLINE_CLASSES
+
+    objs = {cls: (objectives or {}).get(cls, SloObjective())
+            for cls in DEADLINE_CLASSES}
+    times: dict[str, list[float]] = {cls: [] for cls in objs}
+    misses: dict[str, list[int]] = {cls: [0] for cls in objs}
+    burns: dict[str, list] = {cls: [] for cls in objs}
+    alerts: list[SloAlert] = []
+    active = {cls: False for cls in objs}
+    for t, cls, ok in sorted(outcomes, key=lambda o: o[0]):
+        obj, ts, ms = objs[cls], times[cls], misses[cls]
+        ts.append(t)
+        ms.append(ms[-1] + (not ok))
+        short, long_ = (burn_rate(ms[-1] - ms[lo], len(ts) - lo, obj)
+                        for lo in (bisect_right(ts, t - obj.short_window),
+                                   bisect_right(ts, t - obj.long_window)))
+        burns[cls].append((t, short, long_))
+        if not active[cls] and (short >= obj.burn_threshold
+                                and long_ >= obj.burn_threshold):
+            active[cls] = True
+            alerts.append(SloAlert(t, cls, "trigger", short, long_))
+        elif active[cls] and short < obj.burn_threshold:
+            active[cls] = False
+            alerts.append(SloAlert(t, cls, "clear", short, long_))
+    return SloTimeline(objs, burns, alerts)

@@ -1,40 +1,25 @@
-"""Streaming metrics registry: the serve tier's live signal plane.
+"""Metrics read off a finished run.
 
-`ServeReport` and the Perfetto traces are *post-hoc* — computed once
-after the scheduler finishes.  This module is the *during-the-run*
-counterpart: a process-wide registry of labeled series
+A run leaves every observation behind — the ledger, the comm log, the
+scheduler's batch, completion and failure records, the queue's samples,
+the injector's fault events — each stamped in simulated time.  So the
+metrics are a function of the finished run, built once after it:
+:func:`comm_telemetry` reads the ``comm.*`` series off a cluster and
+:func:`run_telemetry` adds ``faults.*``, ``cache.*``, ``serve.*`` and
+``slo.*`` for a serve run.  Nothing on the run path keeps a registry.
 
-- :class:`CounterSeries` — monotone totals (``comm.retry``,
-  ``cache.plan_hit``, ``faults.events{kind=...}``);
-- :class:`GaugeSeries` — last-value-wins with a bounded sample history
-  (``serve.queue_depth{class=...}``);
-- :class:`HistogramSeries` — a mergeable streaming quantile sketch
-  (``serve.request_latency{class=...}``,
-  ``comm.measured_vs_model{link=...}``).
+A :class:`MetricsRegistry` holds labeled counters (monotone totals),
+gauges (last value, bounded sample history) and histograms on one fixed
+log-spaced bucket grid (:func:`bucket_bounds`): bucket counts are
+integers, so quantiles do not depend on observation order and replays
+report them bit-identically (the float ``sum`` is not
+reordering-invariant).  The ``telemetry-registry`` lint rule keeps
+series construction in this module and series lookups in
+:mod:`repro.obs`, so every metric lands in one snapshot.
 
-Every observation is stamped with **simulated** time from the
-discrete-event clock — never the wall clock — so instrumented runs stay
-bit-identical under ``repro chaos --replay-check`` and the
-``deterministic-time`` lint rule holds.
-
-Determinism of the sketch is by construction: every histogram shares
-one fixed log-spaced bucket grid (:func:`bucket_bounds`), so merging
-sketches from different fleet members is integer bucket-count addition
-— associative, commutative, and therefore merge-order invariant — and
-the nearest-rank quantiles read off the merged counts are replay- and
-merge-stable bits.  (The ``sum`` field is a float accumulator and is
-*not* reordering-invariant; quantiles are the contract.)
-
-Series may only be constructed through :class:`MetricsRegistry` — the
-``telemetry-registry`` lint rule flags direct ``CounterSeries`` /
-``GaugeSeries`` / ``HistogramSeries`` constructions outside this module
-— so every metric in the process is discoverable from one snapshot.
-
-Exporters: :meth:`MetricsRegistry.snapshot` (shared versioned-JSON
-envelope, kind ``telemetry-snapshot``), :func:`diff_snapshots` (the
-delta a polling fleet router pays for instead of the full registry),
-and :func:`prometheus_text` (Prometheus text exposition format,
-validated in CI by ``tools/check_prometheus.py``).
+Exporters: :meth:`MetricsRegistry.snapshot` (versioned JSON, kind
+``telemetry-snapshot``) and :func:`prometheus_text` (Prometheus text
+exposition, validated in CI by ``tools/check_prometheus.py``).
 """
 
 from __future__ import annotations
@@ -51,9 +36,6 @@ SCHEMA_VERSION = 1
 
 #: the snapshot envelope's ``kind`` tag
 SCHEMA_KIND = "telemetry-snapshot"
-
-#: the diff envelope's ``kind`` tag
-DIFF_KIND = "telemetry-diff"
 
 #: smallest finite bucket upper bound (seconds / ratio / bytes — the
 #: grid is unit-agnostic)
@@ -76,8 +58,7 @@ def bucket_bounds() -> list[float]:
     """The shared bucket upper bounds (ascending, finite).
 
     A pure function of module constants — every histogram in every
-    process uses bit-identical boundaries, which is what makes sketch
-    merges deterministic.
+    process uses bit-identical boundaries.
     """
     n = BUCKET_DECADES * BUCKETS_PER_DECADE
     return [BUCKET_LO * 10.0 ** (i / BUCKETS_PER_DECADE) for i in range(n + 1)]
@@ -137,13 +118,6 @@ class CounterSeries:
         if t > self.last_time:
             self.last_time = t
 
-    def merge(self, other: "CounterSeries") -> None:
-        """Fold another member's counter into this one."""
-        self.value += other.value
-        self.count += other.count
-        self.last_time = max(self.last_time, other.last_time)
-
-
 class GaugeSeries:
     """A last-value gauge with a bounded, deterministically decimated
     sample history (construct via ``registry.gauge``).
@@ -181,22 +155,13 @@ class GaugeSeries:
                 self._stride *= 2
         self._seen += 1
 
-    def merge(self, other: "GaugeSeries") -> None:
-        """Fold another member's gauge in: latest timestamp wins the
-        value; histories concatenate in time order."""
-        if other.last_time >= self.last_time:
-            self.value = other.value
-            self.last_time = other.last_time
-        self.samples = sorted(self.samples + other.samples)
-
-
 class HistogramSeries:
     """A streaming quantile sketch on the shared log-spaced grid
     (construct via ``registry.histogram``).
 
     Buckets are integer counts on :func:`bucket_bounds`; quantiles are
-    nearest-rank reads of the bucket upper bound, so two sketches merged
-    in any order report bit-identical p50/p95/p99.
+    nearest-rank reads of the bucket upper bound, so the same
+    observations in any order report bit-identical p50/p95/p99.
     """
 
     __slots__ = ("name", "labels", "counts", "count", "sum", "max",
@@ -227,19 +192,10 @@ class HistogramSeries:
         if t > self.last_time:
             self.last_time = t
 
-    def merge(self, other: "HistogramSeries") -> None:
-        """Fold another sketch in (integer addition — order invariant)."""
-        for idx, n in other.counts.items():
-            self.counts[idx] = self.counts.get(idx, 0) + n
-        self.count += other.count
-        self.sum += other.sum
-        self.max = max(self.max, other.max)
-        self.last_time = max(self.last_time, other.last_time)
-
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile, reported as its bucket's upper bound.
 
-        Overflow observations report the exact (merge-stable) maximum;
+        Overflow observations report the exact maximum;
         an empty sketch reports 0.0.  Within :data:`BUCKET_GROWTH` of
         the exact nearest-rank sample value for in-range data.
         """
@@ -267,38 +223,19 @@ class HistogramSeries:
         return self.sum / self.count if self.count else 0.0
 
 
-class _NullSeries:
-    """No-op stand-in returned by a disabled registry."""
-
-    kind = "null"
-
-    def inc(self, amount: float = 1.0, t: float = 0.0) -> None:
-        """Discard (registry disabled)."""
-
-    def set(self, value: float, t: float = 0.0) -> None:
-        """Discard (registry disabled)."""
-
-    def observe(self, value: float, t: float = 0.0) -> None:
-        """Discard (registry disabled)."""
-
-
-_NULL = _NullSeries()
-
-
 class MetricsRegistry:
-    """Process-wide named/labeled series store.
+    """Named/labeled series store.
 
     The sole sanctioned constructor of metric series (lint rule
-    ``telemetry-registry``).  ``enabled=False`` turns every accessor
-    into a shared no-op — the zero-overhead arm
-    ``benchmarks/bench_host.py`` measures instrumentation cost against.
+    ``telemetry-registry``).  A disabled one (``enabled=False``) hands
+    out series that land nowhere, so it stays empty.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._series: dict[tuple, object] = {}
-        # names validated once; hot emission paths re-resolve series
-        # per event, so re-scanning the name each time is pure waste
+        # names validated once; derivations re-resolve series per
+        # observation, so re-scanning the name each time is pure waste
         self._checked_names: set[str] = set()
 
     def __len__(self) -> int:
@@ -306,7 +243,7 @@ class MetricsRegistry:
 
     def _get(self, cls, name: str, labels: dict | None):
         if not self.enabled:
-            return _NULL
+            return cls(name)
         if name not in self._checked_names:
             _check_name(name)
             self._checked_names.add(name)
@@ -342,30 +279,13 @@ class MetricsRegistry:
         """All series, sorted by (name, labels) for stable iteration."""
         return [self._series[k] for k in sorted(self._series)]
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in, series by series.
-
-        Counter and histogram merges are integer/plus merges (order
-        invariant); gauges resolve by latest timestamp.  This is the
-        fleet-aggregation path: N member registries merged in any order
-        produce bit-identical quantiles.
-        """
-        for key, s in other._series.items():
-            mine = self._series.get(key)
-            if mine is None:
-                cls = type(s)
-                mine = cls(s.name, s.labels)
-                self._series[key] = mine
-            mine.merge(s)
-
     # -- export --------------------------------------------------------
 
     def snapshot(self, time: float = 0.0) -> dict:
         """The registry as a versioned JSON-ready document.
 
-        ``time`` is the simulated instant the snapshot represents (the
-        scheduler passes its wall time); it orders snapshots for
-        :func:`diff_snapshots`.
+        ``time`` is the simulated instant the snapshot represents (a
+        serve run's is its wall time).
         """
         rows = []
         for s in self.series():
@@ -392,32 +312,6 @@ class MetricsRegistry:
             "series": rows,
         }
 
-    @classmethod
-    def from_snapshot(cls, doc: dict) -> "MetricsRegistry":
-        """Rebuild a registry from a snapshot document (replay path)."""
-        _check_snapshot(doc)
-        reg = cls()
-        for row in doc["series"]:
-            labels = row["labels"] or None
-            if row["type"] == "counter":
-                s = reg.counter(row["name"], labels)
-                s.value = float(row["value"])
-                s.count = int(row["count"])
-            elif row["type"] == "gauge":
-                s = reg.gauge(row["name"], labels)
-                s.value = float(row["value"])
-                s.samples = [(float(t), float(v)) for t, v in row["samples"]]
-            elif row["type"] == "histogram":
-                s = reg.histogram(row["name"], labels)
-                s.counts = {int(i): int(n) for i, n in row["counts"].items()}
-                s.count = int(row["count"])
-                s.sum = float(row["sum"])
-                s.max = float(row["max"])
-            else:
-                raise ParameterError(f"unknown series type {row['type']!r}")
-            s.last_time = float(row["last_time"])
-        return reg
-
     def save(self, path: str | Path, time: float = 0.0) -> None:
         """Write the snapshot document to ``path``."""
         Path(path).write_text(json.dumps(self.snapshot(time), indent=1))
@@ -441,75 +335,134 @@ def load_snapshot(path: str | Path) -> dict:
     return doc
 
 
-def diff_snapshots(new: dict, old: dict) -> dict:
-    """The delta from ``old`` to ``new`` (two snapshot documents).
+def comm_telemetry(cluster, registry: MetricsRegistry | None = None
+                   ) -> MetricsRegistry:
+    """The ``comm.*`` series of what ran on ``cluster``, read off its
+    ledger and comm log into ``registry`` (default: a fresh one).
 
-    Counters and histograms report count/value/bucket deltas (series
-    with no change are dropped); gauges report their latest value plus
-    only the samples newer than ``old``'s time.  ``old`` must precede
-    ``new`` from the same registry — a counter regression raises, since
-    it means the snapshots were swapped or crossed between runs.
+    ``comm.bytes{link_class}`` counts every message's bytes at its end
+    (``bulk``: a flat-model call's ``G x payload``, at the last one's
+    end).  ``comm.measured_vs_model{link}`` observes each message's
+    record window over its fault-free price at the pair's own latency (a
+    lone transfer pays the worst-path one); under a stretch fault that
+    price is the duration over the injector's stretch, which can miss
+    the priced value in the last bit.  ``comm.retry{stage}`` counts
+    timed-out attempts (``!fail`` records; a collective's G are one) by
+    the op name's last dot-component, so batch namespaces stay bounded.
     """
-    _check_snapshot(new)
-    _check_snapshot(old)
-    old_by_key = {(r["name"], tuple(sorted(r["labels"].items()))): r
-                  for r in old["series"]}
-    rows = []
-    for row in new["series"]:
-        key = (row["name"], tuple(sorted(row["labels"].items())))
-        prev = old_by_key.pop(key, None)
-        if row["type"] == "counter":
-            pv = prev["value"] if prev else 0.0
-            pc = prev["count"] if prev else 0
-            if row["value"] < pv or row["count"] < pc:
-                raise ParameterError(
-                    f"counter {row['name']} regressed across snapshots"
-                )
-            if row["count"] == pc:
-                continue
-            rows.append({"name": row["name"], "labels": row["labels"],
-                         "type": "counter", "value": row["value"] - pv,
-                         "count": row["count"] - pc,
-                         "last_time": row["last_time"]})
-        elif row["type"] == "gauge":
-            cut = old["time"] if prev else -math.inf
-            fresh = [sv for sv in row["samples"] if sv[0] > cut]
-            if prev and not fresh and row["value"] == prev["value"]:
-                continue
-            rows.append({"name": row["name"], "labels": row["labels"],
-                         "type": "gauge", "value": row["value"],
-                         "samples": fresh, "last_time": row["last_time"]})
+    reg = MetricsRegistry() if registry is None else registry
+    spec, faults = cluster.spec, cluster.faults
+    links: dict[tuple, tuple] = {}
+    bulk_end = 0.0
+    for r in cluster.ledger:
+        if r.kind != "comm":
+            continue
+        src, dst, nbytes = r.device, r.peer, r.comm_bytes
+        if r.name.endswith("!fail"):
+            if dst >= 0 or src == 0:
+                stage = r.name[:-len("!fail")].rsplit(".", 1)[-1]
+                reg.counter("comm.retry", {"stage": stage}).inc(1.0, t=r.end)
+            continue
+        if dst < 0:
+            bulk_end = max(bulk_end, r.end)
+            continue
+        if dst == src or not nbytes > 0.0:
+            continue
+        link = links.get((src, dst))
+        if link is None:
+            pair = spec.pair(src, dst)
+            link = links[src, dst] = (
+                reg.counter("comm.bytes", {"link_class": pair.link_class}),
+                reg.histogram("comm.measured_vs_model",
+                              {"link": f"{min(src, dst)}-{max(src, dst)}"}),
+                pair.latency)
+        counter, ratio, latency = link
+        start, end = r.start, r.end
+        counter.inc(nbytes, t=end)
+        s = 1.0 if faults is None else faults.comm_scale(src, dst, start)
+        lone = spec.p2p_time(src, dst, nbytes)
+        if r.duration == (lone if s == 1.0 else lone * s):
+            model = spec.p2p_time(src, dst, nbytes, None, latency)
+        else:  # a plan's message: priced at the pair's latency already
+            model = r.duration if s == 1.0 else r.duration / s
+        if model > 0.0 and end > start:
+            ratio.observe((end - start) / model, t=end)
+    for e in cluster.comm_log:
+        if e["algorithm"] == "bulk":
+            reg.counter("comm.bytes", {"link_class": "bulk"}).inc(
+                e["payload"] * e["G"], t=bulk_end)
+    return reg
+
+
+def run_telemetry(sched, registry: MetricsRegistry | None = None
+                  ) -> MetricsRegistry:
+    """Every series of a finished serve run (a
+    :class:`~repro.serve.scheduler.ServeScheduler`) into ``registry``
+    (default: a fresh one): :func:`comm_telemetry` of its cluster, the
+    injector's events, the cache's counter moves since the scheduler
+    took it over (at the issue time of the batch that moved them), the
+    queue's samples and sheds, per-batch, per-completion and
+    per-failed-request series, and :func:`slo_telemetry` of ``sched.slo``.
+    """
+    # local import: serve.scheduler imports this module
+    from repro.serve.request import DEADLINE_CLASSES
+
+    reg = comm_telemetry(sched.cluster, registry)
+    if sched.faults is not None:
+        for e in sched.faults.events:
+            reg.counter("faults.events", {"kind": e.kind}).inc(1.0, t=e.time)
+    seen = sched.cache_baseline
+    for b in sched.batches:
+        for name, n in b["cache"].items():
+            for _ in range(n - seen[name]):
+                reg.counter(name).inc(1.0, t=b["issued"])
+        seen = b["cache"]
+        if b["failed"]:
+            reg.counter("serve.batch_failed").inc(1.0, t=b["finish"])
         else:
-            pcounts = ({int(i): n for i, n in prev["counts"].items()}
-                       if prev else {})
-            pc = prev["count"] if prev else 0
-            if row["count"] < pc:
-                raise ParameterError(
-                    f"histogram {row['name']} regressed across snapshots"
-                )
-            if row["count"] == pc:
-                continue
-            delta = {}
-            for i, n in row["counts"].items():
-                d = int(n) - pcounts.get(int(i), 0)
-                if d < 0:
-                    raise ParameterError(
-                        f"histogram {row['name']} bucket {i} regressed"
-                    )
-                if d:
-                    delta[i] = d
-            rows.append({"name": row["name"], "labels": row["labels"],
-                         "type": "histogram",
-                         "count": row["count"] - pc,
-                         "sum": row["sum"] - (prev["sum"] if prev else 0.0),
-                         "counts": delta, "last_time": row["last_time"]})
-    if old_by_key:
-        gone = sorted(k[0] for k in old_by_key)
-        raise ParameterError(
-            f"series vanished between snapshots (swapped order?): {gone}"
-        )
-    return {"version": SCHEMA_VERSION, "kind": DIFF_KIND,
-            "time": new["time"], "since": old["time"], "series": rows}
+            reg.histogram("serve.batch_latency").observe(
+                max(0.0, b["finish"] - b["issued"]), t=b["finish"])
+    q = sched.queue
+    depth = [reg.gauge("serve.queue_depth", {"class": c})
+             for c in DEADLINE_CLASSES]
+    shed = {c: reg.counter("serve.shed", {"class": c})
+            for c in DEADLINE_CLASSES}
+    for t, by_class in q.class_depths[1:]:
+        for gauge, d in zip(depth, by_class):
+            gauge.set(d, t=t)
+    for t, c in q.shed_at:
+        shed[c].inc(1.0, t=t)
+    for c in sched.completed:
+        cls, lat = c.request.deadline, c.finish - c.request.arrival
+        reg.histogram("serve.request_latency", {"class": cls}).observe(
+            lat, t=c.finish)
+        if lat > sched.deadline_targets[cls]:
+            reg.counter("serve.deadline_miss", {"class": cls}).inc(
+                1.0, t=c.finish)
+    for t, r, was_shed in sched.failures:
+        reg.counter("serve.retry_shed" if was_shed else "serve.retry",
+                    {"class": r.deadline}).inc(1.0, t=t)
+    return slo_telemetry(sched.slo, reg)
+
+
+def slo_telemetry(timeline, registry: MetricsRegistry | None = None
+                  ) -> MetricsRegistry:
+    """The ``slo.*`` series of an :class:`~repro.obs.slo.SloTimeline`
+    into ``registry`` (default: a fresh one): ``slo.burn_rate{class,
+    window}`` gauges set at each burn sample and ``slo.alerts{class,
+    kind}`` counters at each trigger/clear, all at their outcome's time.
+    """
+    reg = MetricsRegistry() if registry is None else registry
+    for cls, burns in timeline.burns.items():
+        for t, short, long_ in burns:
+            reg.gauge("slo.burn_rate", {"class": cls, "window": "short"}
+                      ).set(short, t=t)
+            reg.gauge("slo.burn_rate", {"class": cls, "window": "long"}
+                      ).set(long_, t=t)
+    for a in timeline.alerts:
+        reg.counter("slo.alerts", {"class": a.deadline_class,
+                                   "kind": a.kind}).inc(1.0, t=a.time)
+    return reg
 
 
 def _prom_name(name: str) -> str:

@@ -1,4 +1,4 @@
-"""`repro top` — an ASCII dashboard over the live telemetry registry.
+"""`repro top` — an ASCII dashboard over a run's telemetry snapshot.
 
 htop for the serve tier: one screenful summarizing a served trace from
 its telemetry alone — queue-depth sparklines, per-class latency
@@ -6,10 +6,10 @@ quantiles, cache hit rates, comm volume by link class, fault and retry
 counters, per-link measured-vs-model calibration, and SLO burn-rate
 status.  :func:`render_dashboard` is a pure function of a snapshot (or
 serve-run) document, so ``repro top --replay`` of a saved JSON file
-renders bit-identically to the live run that produced it — that
+renders bit-identically to the run that produced it — that
 property is pinned by the replay acceptance test.
 
-The renderer deliberately consumes the *document*, not a live
+The renderer deliberately consumes the *document*, not a
 :class:`~repro.obs.telemetry.MetricsRegistry`: everything shown here
 survives a JSON round-trip, which keeps the dashboard honest about
 what the exported telemetry actually contains.

@@ -21,11 +21,8 @@ transform requests the way an inference server serves tokens:
   throughput, hit rates, deadline-miss and retry accounting, the
   Perfetto serve track, and the versioned ``serve-run`` JSON document.
 
-Live telemetry: every scheduler run streams into a
-:class:`~repro.obs.telemetry.MetricsRegistry` (queue depth, latency
-histograms, cache/comm/fault counters) with a windowed
-:class:`~repro.obs.slo.SloTracker` on top — see ``repro top`` and the
-"Live telemetry vs post-hoc traces" section of ``docs/OBSERVABILITY.md``.
+Telemetry is read off the finished run (``ServeScheduler.telemetry``
+and ``.slo``) — see ``repro top`` and ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

@@ -113,9 +113,6 @@ class Batcher:
         head = queue.head()
         if head is None:
             return None
-        # stamp the cache's telemetry clock so hit/miss/search counters
-        # carry this batch's issue time (its methods take no `now`)
-        self.cache.sim_now = now
         plan, alg, setup = self.cache.plan_for(head.N, head.dtype)
         self._key_memo[(head.N, np.dtype(head.dtype).name)] = (
             head.N, np.dtype(head.dtype).name, plan.P, plan.ML, plan.B,

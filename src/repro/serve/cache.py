@@ -179,26 +179,21 @@ class PlanCache:
         self.searches = 0
         self.graph_hits = 0
         self.graph_misses = 0
-        #: replayed-batch count (the scheduler increments via
-        #: :meth:`count_replay` when a graph hit is actually replayed)
+        #: replayed-batch count (the scheduler's, when a graph hit is
+        #: actually replayed)
         self.replays = 0
-        #: optional MetricsRegistry (see :meth:`attach_telemetry`)
-        self.telemetry = None
-        #: simulated time the next counter emission is stamped with —
-        #: the batcher sets it before each resolve (the cache's own
-        #: methods carry no time parameter)
-        self.sim_now = 0.0
 
-    def attach_telemetry(self, registry) -> None:
-        """Stream cache counters (``cache.plan_hit`` / ``cache.plan_miss``
-        / ``cache.wisdom_hit`` / ``cache.wisdom_miss`` / ``cache.search``
-        / ``cache.graph_hit`` / ``cache.graph_miss`` / ``cache.replay``)
-        into a metrics registry, stamped with :attr:`sim_now`."""
-        self.telemetry = registry
-
-    def _count(self, name: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.counter(name).inc(1.0, t=self.sim_now)
+    def counters(self) -> dict[str, int]:
+        """Every counter, keyed by the ``cache.*`` series it becomes in a
+        run's telemetry (the scheduler keeps them per batch)."""
+        return {"cache.plan_hit": self.plan_hits,
+                "cache.plan_miss": self.plan_misses,
+                "cache.wisdom_hit": self.wisdom_hits,
+                "cache.wisdom_miss": self.wisdom_misses,
+                "cache.search": self.searches,
+                "cache.graph_hit": self.graph_hits,
+                "cache.graph_miss": self.graph_misses,
+                "cache.replay": self.replays}
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -212,14 +207,11 @@ class PlanCache:
         hit = self.wisdom.get(self.spec, N, dtype)
         if hit is not None:
             self.wisdom_hits += 1
-            self._count("cache.wisdom_hit")
             return hit["params"], hit["comm_algorithm"], 0.0
         self.wisdom_misses += 1
-        self._count("cache.wisdom_miss")
         t = 0.0
         if self.autotune and self.spec.num_devices > 1:
             self.searches += 1
-            self._count("cache.search")
             t += SEARCH_SETUP_TIME
             result = find_fastest(N, self.spec, dtype=dtype)
             params, best_time = dict(result.params), result.fmmfft_time
@@ -248,11 +240,9 @@ class PlanCache:
         plan = self._plans.get(key)
         if plan is not None:
             self.plan_hits += 1
-            self._count("cache.plan_hit")
             self._plans.move_to_end(key)
             return plan, alg, t
         self.plan_misses += 1
-        self._count("cache.plan_miss")
         plan = FmmFftPlan.create(
             N=N, G=self.spec.num_devices, dtype=dtype,
             build_operators=self.build_operators, **params,
@@ -299,15 +289,13 @@ class PlanCache:
     def graph_for(self, key: tuple):
         """The certified :class:`~repro.ir.graph.IRGraph` captured for
         a ``(plan_key, comm_algorithm, batch_k)`` configuration, or
-        None (counted as ``cache.graph_hit`` / ``cache.graph_miss``)."""
+        None (counted in ``graph_hits`` / ``graph_misses``)."""
         graph = self._graphs.get(key)
         if graph is not None:
             self.graph_hits += 1
-            self._count("cache.graph_hit")
             self._graphs.move_to_end(key)
             return graph
         self.graph_misses += 1
-        self._count("cache.graph_miss")
         return None
 
     def put_graph(self, key: tuple, graph) -> None:
@@ -317,11 +305,6 @@ class PlanCache:
             self._graphs[key] = graph
             while len(self._graphs) > self.capacity:
                 self._graphs.popitem(last=False)
-
-    def count_replay(self) -> None:
-        """Account one replayed batch (``cache.replay``)."""
-        self.replays += 1
-        self._count("cache.replay")
 
     @property
     def hit_rate(self) -> float:

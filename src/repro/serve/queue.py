@@ -14,9 +14,10 @@ admission gets a fresh sequence token, so a re-offered request queues
 behind its class like any other arrival and never corrupts a sibling
 still waiting from an earlier admission.
 
-Queue-depth samples are recorded at every state change — including
-shed arrivals, so depth percentiles and the Perfetto depth counter
-show the queue pinned at capacity at the exact instants of
+Queue-depth samples (total and per class) are recorded at every state
+change — including shed arrivals, so depth percentiles, the Perfetto
+depth counter and the ``serve.queue_depth`` gauges read off them after
+the run show the queue pinned at capacity at the exact instants of
 backpressure.
 """
 
@@ -24,7 +25,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.serve.request import DEADLINE_CLASSES, TransformRequest
+from repro.serve.request import (
+    DEADLINE_CLASSES,
+    TransformRequest,
+    count_by_class,
+)
 from repro.util.validation import ParameterError
 
 
@@ -45,54 +50,38 @@ class AdmissionQueue:
         #: (admission token, request), token assigned per offer()
         self._items: list[tuple[int, TransformRequest]] = []
         self._next_seq = 0
-        #: shed counts per deadline class
-        self.shed: dict[str, int] = {c: 0 for c in DEADLINE_CLASSES}
         #: admitted counts per deadline class
         self.admitted: dict[str, int] = {c: 0 for c in DEADLINE_CLASSES}
-        #: (time, depth) samples at every admission/shed/drain
-        self.depth_samples: list[tuple[float, int]] = [(0.0, 0)]
-        #: queued requests per class, maintained incrementally so the
-        #: per-change telemetry sample never rescans the queue
+        #: queued requests per class, maintained incrementally so a
+        #: sample never rescans the queue
         self._class_depth: dict[str, int] = {c: 0 for c in DEADLINE_CLASSES}
-        #: optional MetricsRegistry (see :meth:`attach_telemetry`)
-        self.telemetry = None
-        self._depth_gauges: dict[str, object] = {}
-        self._shed_counters: dict[str, object] = {}
-
-    def attach_telemetry(self, registry) -> None:
-        """Stream queue state into a metrics registry.
-
-        Every state change re-emits the per-class
-        ``serve.queue_depth{class=...}`` gauges, and shed arrivals
-        increment ``serve.shed{class=...}`` — all stamped with the
-        simulated time of the change.  Series handles are resolved once
-        here; the per-change path touches no registry lookups.
-        """
-        self.telemetry = registry
-        self._depth_gauges = {
-            c: registry.gauge("serve.queue_depth", {"class": c})
-            for c in DEADLINE_CLASSES
-        }
-        self._shed_counters = {
-            c: registry.counter("serve.shed", {"class": c})
-            for c in DEADLINE_CLASSES
-        }
+        #: (time, per-class depths in ``DEADLINE_CLASSES`` order) at
+        #: every admission/shed/drain
+        self.class_depths: list[tuple[float, tuple[int, ...]]] = [
+            (0.0, tuple(self._class_depth.values()))]
+        #: (time, deadline class) of every shed arrival
+        self.shed_at: list[tuple[float, str]] = []
 
     def __len__(self) -> int:
         return len(self._items)
 
+    @property
+    def depth_samples(self) -> list[tuple[float, int]]:
+        """(time, total depth) at every admission/shed/drain."""
+        return [(t, sum(d)) for t, d in self.class_depths]
+
+    @property
+    def shed(self) -> dict[str, int]:
+        """Shed counts per deadline class."""
+        return count_by_class(c for _, c in self.shed_at)
+
     def _sample(self, now: float) -> None:
-        self.depth_samples.append((now, len(self._items)))
-        if self.telemetry is not None:
-            for c, gauge in self._depth_gauges.items():
-                gauge.set(self._class_depth[c], t=now)
+        self.class_depths.append((now, tuple(self._class_depth.values())))
 
     def offer(self, req: TransformRequest, now: float) -> bool:
         """Admit ``req`` at time ``now``; False means shed (queue full)."""
         if len(self._items) >= self.capacity:
-            self.shed[req.deadline] += 1
-            if self.telemetry is not None:
-                self._shed_counters[req.deadline].inc(1.0, t=now)
+            self.shed_at.append((now, req.deadline))
             self._sample(now)
             return False
         self._items.append((self._next_seq, req))

@@ -28,6 +28,14 @@ DEADLINE_CLASSES = ("interactive", "batch")
 DEADLINE_TARGETS = {"interactive": 10e-3, "batch": 100e-3}
 
 
+def count_by_class(classes) -> dict[str, int]:
+    """How many of ``classes`` (deadline-class names) fall in each class."""
+    counts = dict.fromkeys(DEADLINE_CLASSES, 0)
+    for c in classes:
+        counts[c] += 1
+    return counts
+
+
 @dataclass(frozen=True)
 class TransformRequest:
     """One FMM-FFT to serve.

@@ -51,12 +51,14 @@ with a throttled link switches algorithms instead of hammering the
 dead link.  All retry/shed accounting lands in
 :class:`~repro.serve.stats.ServeReport`.
 
-Every run also streams *live* telemetry: the scheduler owns (or is
-given) a :class:`~repro.obs.telemetry.MetricsRegistry`, wires it into
-the cluster's comm layer, the admission queue, the plan cache, and the
-fault injector, and feeds per-completion latency/deadline series plus a
-windowed :class:`~repro.obs.slo.SloTracker` — all stamped with
-simulated time, so instrumented runs replay bit-identically.
+Telemetry is read off the finished run, not streamed during it: the
+ledger, the comm log, :attr:`ServeScheduler.batches`, the completions,
+the failed requests, the queue's samples and the injector's fault
+events hold every observation, so :attr:`ServeScheduler.telemetry` and
+:attr:`ServeScheduler.slo` derive their series and burn-rate alerts
+from them on first read (:func:`~repro.obs.telemetry.run_telemetry`,
+:func:`~repro.obs.slo.slo_timeline`).  Every stamp is simulated time,
+so a replayed run reports bit-identical telemetry.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from repro.ir.capture import capture
 from repro.ir.executor import ReplayExecutor, compile_tape
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
-from repro.obs.slo import SloTracker
-from repro.obs.telemetry import MetricsRegistry
+from repro.obs.slo import SloTimeline, slo_timeline
+from repro.obs.telemetry import MetricsRegistry, run_telemetry
 from repro.serve.batcher import Batch, Batcher
 from repro.serve.queue import AdmissionQueue
 from repro.serve.request import (
@@ -82,6 +84,7 @@ from repro.serve.request import (
     DEADLINE_TARGETS,
     CompletedRequest,
     TransformRequest,
+    count_by_class,
 )
 from repro.util.validation import ParameterError
 
@@ -116,15 +119,9 @@ class ServeScheduler:
         and the stats layer counts completions past it as deadline
         misses.
     telemetry:
-        The :class:`~repro.obs.telemetry.MetricsRegistry` the run
-        streams into.  None builds a fresh enabled registry (pass
-        ``MetricsRegistry(enabled=False)`` for the zero-instrumentation
-        arm).  The scheduler wires it into the cluster, the queue, the
-        plan cache, and any installed fault injector, so every
-        emission point shares one registry.
-    slo:
-        The :class:`~repro.obs.slo.SloTracker` fed per completion;
-        None builds one with default objectives over ``telemetry``.
+        The :class:`~repro.obs.telemetry.MetricsRegistry` the run's
+        series are written into when :attr:`telemetry` is first read;
+        None builds a fresh one, and a disabled one stays empty.
     replay:
         True (default) captures each batch configuration's op graph on
         first issue and replays it for warm batches (see the module
@@ -142,7 +139,6 @@ class ServeScheduler:
         retry_budget: int = 2,
         deadline_targets: dict[str, float] | None = None,
         telemetry: MetricsRegistry | None = None,
-        slo: SloTracker | None = None,
         replay: bool = True,
     ):
         if cluster.execute:
@@ -179,28 +175,25 @@ class ServeScheduler:
                                  if deadline_targets is None
                                  else dict(deadline_targets))
         self.faults = cluster.faults
-        #: the run's live metrics registry, shared by every emission
-        #: point (cluster comm layer, queue, cache, fault injector)
-        self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
-        cluster.telemetry = self.telemetry
-        self.queue.attach_telemetry(self.telemetry)
-        batcher.cache.attach_telemetry(self.telemetry)
-        if self.faults is not None:
-            self.faults.attach_telemetry(self.telemetry)
-        #: windowed burn-rate tracker fed at every completion
-        self.slo = slo if slo is not None else SloTracker(self.telemetry)
+        self._registry = (telemetry if telemetry is not None
+                          else MetricsRegistry())
+        self._telemetry: MetricsRegistry | None = None
+        self._slo: SloTimeline | None = None
+        #: the cache's counters when this scheduler took it over (a warm
+        #: cache's earlier lookups belong to earlier runs)
+        self.cache_baseline = batcher.cache.counters()
         #: rid -> output vector (only with ``compute_outputs``)
         self.outputs: dict[int, np.ndarray] = {}
-        #: per-batch telemetry: {bid, k, N, release, finish, setup_time,
-        #: failed, replayed}
+        #: one record per issued batch: {bid, k, N, issued, release,
+        #: finish, setup_time, failed, replayed, cache}; ``cache`` holds
+        #: the cache's counters once the batch was issued
         self.batches: list[dict] = []
         self.completed: list[CompletedRequest] = []
+        #: (failure time, request, shed) of every request whose batch
+        #: failed: shed on retry, or re-enqueued
+        self.failures: list[tuple[float, TransformRequest, bool]] = []
         #: batches that raised CommFailure
         self.failed_batches = 0
-        #: per-class counts of requests re-enqueued after a batch failure
-        self.retried: dict[str, int] = {c: 0 for c in DEADLINE_CLASSES}
-        #: per-class counts shed on retry (budget or deadline exceeded)
-        self.retry_shed: dict[str, int] = {c: 0 for c in DEADLINE_CLASSES}
         self._attempts: dict[int, int] = {}
         self._retry_pending: list[tuple[float, TransformRequest]] = []
         #: replay enabled (off automatically with a zero-capacity cache —
@@ -259,7 +252,7 @@ class ServeScheduler:
                 finish = self._interpret_batch(batch, rel, algo, gkey,
                                                start_idx, release)
         except CommFailure as e:
-            return self._fail(batch, release, start_idx, e)
+            return self._fail(batch, now, release, start_idx, e)
         if self.compute_outputs:
             host_plan = self.batcher.cache.host_plan_for(
                 batch.plan.N, batch.plan.dtype
@@ -268,28 +261,23 @@ class ServeScheduler:
             ys = fmmfft_batched(xs, host_plan)
             for j, r in enumerate(batch.requests):
                 self.outputs[r.rid] = ys[j]
-        self.batches.append(dict(
-            bid=batch.bid, k=batch.k, N=batch.plan.N, release=release,
-            finish=finish, setup_time=batch.setup_time, failed=False,
-            replayed=graph is not None,
-        ))
-        tel = self.telemetry
-        tel.histogram("serve.batch_latency").observe(
-            max(0.0, finish - now), t=finish)
+        self._record(batch, now, release, finish, False, graph is not None)
         for r in batch.requests:
             self.completed.append(CompletedRequest(
                 request=r, batch_id=batch.bid, batch_size=batch.k,
                 release=release, finish=finish,
             ))
-            lat = finish - r.arrival
-            tel.histogram("serve.request_latency",
-                          {"class": r.deadline}).observe(lat, t=finish)
-            ok = lat <= self.deadline_targets[r.deadline]
-            if not ok:
-                tel.counter("serve.deadline_miss",
-                            {"class": r.deadline}).inc(1.0, t=finish)
-            self.slo.record(r.deadline, finish, ok)
         return finish
+
+    def _record(self, batch: Batch, now: float, release: float,
+                finish: float, failed: bool, replayed: bool) -> None:
+        """Append the batch's record to :attr:`batches`."""
+        self.batches.append(dict(
+            bid=batch.bid, k=batch.k, N=batch.plan.N, issued=now,
+            release=release, finish=finish, setup_time=batch.setup_time,
+            failed=failed, replayed=replayed,
+            cache=self.batcher.cache.counters(),
+        ))
 
     def _interpret_batch(self, batch: Batch, rel: Event, algo: str,
                          gkey: tuple | None, start_idx: int,
@@ -354,7 +342,7 @@ class ServeScheduler:
             raise
         self._slot_free[slot] = finish
         self.replayed_batches += 1
-        self.batcher.cache.count_replay()
+        self.batcher.cache.replays += 1
         return finish
 
     @staticmethod
@@ -368,33 +356,19 @@ class ServeScheduler:
         return max(exc.time, release, *(
             r.end for r in islice(self.cluster.ledger, start_idx, None)))
 
-    def _fail(self, batch: Batch, release: float, start_idx: int,
-              exc: CommFailure) -> float:
+    def _fail(self, batch: Batch, now: float, release: float,
+              start_idx: int, exc: CommFailure) -> float:
         """Account one failed batch; returns the time it died."""
         fail_time = self._fail_time(exc, release, start_idx)
         self.failed_batches += 1
-        tel = self.telemetry
-        tel.counter("serve.batch_failed").inc(1.0, t=fail_time)
-        self.batches.append(dict(
-            bid=batch.bid, k=batch.k, N=batch.plan.N, release=release,
-            finish=fail_time, setup_time=batch.setup_time, failed=True,
-            replayed=False,
-        ))
+        self._record(batch, now, release, fail_time, True, False)
         for r in batch.requests:
             n = self._attempts.get(r.rid, 0) + 1
             self._attempts[r.rid] = n
             late = fail_time - r.arrival > self.deadline_targets[r.deadline]
-            if exc.permanent or n > self.retry_budget or late:
-                self.retry_shed[r.deadline] += 1
-                tel.counter("serve.retry_shed",
-                            {"class": r.deadline}).inc(1.0, t=fail_time)
-                # a shed request is an availability miss, not a latency
-                # sample — feed the SLO, skip the latency histogram
-                self.slo.record(r.deadline, fail_time, False)
-            else:
-                self.retried[r.deadline] += 1
-                tel.counter("serve.retry",
-                            {"class": r.deadline}).inc(1.0, t=fail_time)
+            shed = exc.permanent or n > self.retry_budget or late
+            self.failures.append((fail_time, r, shed))
+            if not shed:
                 self._retry_pending.append((fail_time, r))
         return fail_time
 
@@ -443,3 +417,39 @@ class ServeScheduler:
     def wall_time(self) -> float:
         """Last completion time of the serviced trace (0.0 if none ran)."""
         return max((c.finish for c in self.completed), default=0.0)
+
+    # -- what the finished run reports --------------------------------
+
+    @property
+    def retried(self) -> dict[str, int]:
+        """Per-class counts of requests re-enqueued after a batch failure."""
+        return count_by_class(r.deadline for _, r, s in self.failures if not s)
+
+    @property
+    def retry_shed(self) -> dict[str, int]:
+        """Per-class counts shed on retry (budget or deadline exceeded)."""
+        return count_by_class(r.deadline for _, r, s in self.failures if s)
+
+    @property
+    def slo(self) -> SloTimeline:
+        """Burn rates and alerts of the default objectives over every
+        completion (in its class's target or not) and every request shed
+        on retry (a miss: an availability loss, not a latency sample), in
+        time order; computed on first read."""
+        if self._slo is None:
+            outcomes = [(c.finish, c.request.deadline,
+                         c.finish - c.request.arrival
+                         <= self.deadline_targets[c.request.deadline])
+                        for c in self.completed]
+            outcomes += [(t, r.deadline, False)
+                         for t, r, shed in self.failures if shed]
+            self._slo = slo_timeline(outcomes)
+        return self._slo
+
+    @property
+    def telemetry(self) -> MetricsRegistry:
+        """The run's metrics registry, written on first read from what the
+        run left behind (:func:`~repro.obs.telemetry.run_telemetry`)."""
+        if self._telemetry is None:
+            self._telemetry = run_telemetry(self, self._registry)
+        return self._telemetry

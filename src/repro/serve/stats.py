@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.obs.metrics import retry_stats
 from repro.serve.request import DEADLINE_CLASSES, DEADLINE_TARGETS
 from repro.serve.scheduler import ServeScheduler
 
@@ -132,27 +133,6 @@ class ServeReport:
         return "\n".join(lines)
 
 
-def _retry_time(ledger) -> float:
-    """Total simulated time charged to ``!fail`` comm attempts.
-
-    P2P fail records count individually; a failed bulk collective's G
-    coherent records (same name/start/duration, ``peer < 0``) count
-    once — the whole machine lost that window together, not G times.
-    """
-    total, seen = 0.0, set()
-    for r in ledger:
-        if r.kind != "comm" or not r.name.endswith("!fail"):
-            continue
-        if r.peer >= 0:
-            total += r.duration
-        else:
-            key = (r.name, r.start, r.duration)
-            if key not in seen:
-                seen.add(key)
-                total += r.duration
-    return total
-
-
 def summarize(sched: ServeScheduler) -> ServeReport:
     """Fold a finished scheduler run into a :class:`ServeReport`."""
     cache = sched.batcher.cache
@@ -195,7 +175,7 @@ def summarize(sched: ServeScheduler) -> ServeReport:
         retry_shed=dict(sched.retry_shed),
         failed_batches=sched.failed_batches,
         fault_events=len(faults.events) if faults is not None else 0,
-        retry_time=_retry_time(sched.cluster.ledger),
+        retry_time=retry_stats(sched.cluster.ledger).retry_time,
     )
 
 
@@ -239,7 +219,7 @@ def _slo_alert_events(sched: ServeScheduler) -> list[dict]:
     still-firing alert spans to the run's wall time.  (The Perfetto
     validator whitelists X/M/C/s/t/f shapes — no instant events.)
     """
-    alerts = getattr(getattr(sched, "slo", None), "alerts", None)
+    alerts = sched.slo.alerts
     if not alerts:
         return []
     events: list[dict] = [

@@ -424,7 +424,35 @@ class TestTelemetryRegistry:
 
     def test_registry_lookup_ok(self):
         src = HDR + "s = reg.counter('comm.bytes', {'link_class': 'direct'})\n"
-        assert rules(src, "src/repro/comm/api.py") == []
+        assert rules(src, "src/repro/obs/slo.py") == []
+
+    def test_series_methods_flagged_outside_obs(self):
+        for call in ("reg.counter('comm.bytes')", "self.telemetry.gauge('q.d')",
+                     "tel.histogram('serve.batch_latency')"):
+            src = HDR + f"s = {call}\n"
+            assert rules(src, "src/repro/comm/api.py") == [
+                "telemetry-registry"], call
+            assert rules(src, "src/repro/obs/telemetry.py") == [], call
+        # numpy's histogram is not a series lookup
+        src = HDR + "import numpy as np\nh = np.histogram(x)\n"
+        assert rules(src, "src/repro/serve/stats.py") == []
+
+    def test_mutant_emission_put_back_in_the_engine_caught_by_this_rule_only(
+            self):
+        """Seeded mutant: a ``comm.bytes`` emission put back into the
+        engine's p2p issue half."""
+        import repro.machine.cluster as cluster
+
+        src = open(cluster.__file__).read()
+        path = "src/repro/machine/cluster.py"
+        assert rules(src, path) == []
+        tail = "        end = tx.clock = rx.clock = start + dur\n        return end, uid\n"
+        assert src.count(tail) == 1
+        mutant = src.replace(tail, tail.replace(
+            "        return", "        self.telemetry.counter(\"comm.bytes\", "
+            "{\"link_class\": \"direct\"}).inc(nbytes, t=end)\n        return"))
+        assert mutant != src
+        assert rules(mutant, path) == ["telemetry-registry"]
 
     def test_unrelated_names_ok(self):
         # collections.Counter and lookalike names must not trip it

@@ -288,14 +288,34 @@ class TestEntryPointValidation:
         ready = [cl.host_op(g, "produce", writes=["x"]) for g in range(8)]
         after = {"per-device": [None] * 8, "flat": [None],
                  "one-of-G": ready[:5] + [None] + ready[6:]}[shape]
-        for call in (
-                lambda: comm.alltoall(cl, 8.0, "t", after=after, reads=["x"],
-                                      writes=["y"], algorithm=algo),
-                lambda: comm.allgather(cl, 8.0, "g", after=after, reads=["x"],
-                                       writes=["z"], algorithm=algo)):
+        calls = [
+            lambda: comm.alltoall(cl, 8.0, "t", after=after, reads=["x"],
+                                  writes=["y"], algorithm=algo),
+            lambda: comm.allgather(cl, 8.0, "g", after=after, reads=["x"],
+                                   writes=["z"], algorithm=algo)]
+        if len(after) == cl.G:  # the halo's ``after`` is per device
+            calls.append(lambda: comm.halo_exchange(cl, 8.0, "h", "x", "hb",
+                                                    after=after))
+        for call in calls:
             with pytest.raises(ParameterError, match="None event"):
                 call()
             assert len(cl.ledger) == 8 and not cl.comm_log  # nothing issued
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda cl: cl.sendrecv(0, 1, "8", "s"), "nbytes"),
+        (lambda cl: cl.launch(0, "k", "gemm", "1", 1.0, "float64"), "flops"),
+        (lambda cl: comm.halo_exchange(cl, "8", "h", "s", "hb"), "nbytes"),
+        (lambda cl: comm.sendrecv(cl, 0, 1, None, "p"), "nbytes"),
+        (lambda cl: cl.sendrecv(0, 1, True, "s"), "nbytes"),
+        (lambda cl: cl.launch(0, "k", "gemm", 1.0, False, "float64"), "mops"),
+    ], ids=["sendrecv-str", "launch-str", "halo-str", "comm-sendrecv-none",
+            "sendrecv-bool", "launch-bool"])
+    def test_non_number_amounts_are_parameter_errors(self, call, what):
+        cl = VirtualCluster(preset("8xP100"), execute=False)
+        with pytest.raises(ParameterError,
+                           match=f"{what} must be finite and >= 0"):
+            call(cl)
+        assert not len(cl.ledger) and not cl.comm_log  # nothing issued
 
     @pytest.mark.parametrize("call", [
         lambda cl: cl.launch(0, "k", "gemm", 1.0, 1.0, "float64",

@@ -350,13 +350,12 @@ def _issue_twice(cl, kind, algo, chunks):
 
 
 def _outcome(spec, kind, algo, chunks, faults=False, tape=False):
-    from repro.obs.telemetry import MetricsRegistry
+    from repro.obs.telemetry import comm_telemetry
 
     inj = (FaultInjector(spec, seed=11, transient_rate=0.03) if faults
            else None)
     cl = VirtualCluster(spec, execute=False, faults=inj,
-                        retry=comm.RetryPolicy(budget=64) if faults else None,
-                        telemetry=MetricsRegistry())
+                        retry=comm.RetryPolicy(budget=64) if faults else None)
     nodes = None
     try:
         if tape:
@@ -369,7 +368,7 @@ def _outcome(spec, kind, algo, chunks, faults=False, tape=False):
     except comm.CommFailure as e:  # the same failure on both paths
         evs = [repr(e), e.time]
     return (cl.ledger.fingerprint(), repr(list(cl.ledger)), cl.comm_log,
-            cl.telemetry.snapshot(), repr(evs), nodes)
+            comm_telemetry(cl).snapshot(), repr(evs), nodes)
 
 
 @pytest.mark.parametrize("mode", ["eager", "taped", "faults"])

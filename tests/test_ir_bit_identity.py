@@ -2,8 +2,8 @@
 
 Three layers of identity, swept across every pipeline:
 
-- **schedule**: a replay's ledger fingerprint, telemetry snapshot and
-  ``comm_log`` equal a plain (tape-closed) eager run's, for every comm
+- **schedule**: a replay's ledger fingerprint, ``comm_log`` and the
+  comm telemetry derived from them equal a plain (tape-closed) eager run's, for every comm
   algorithm;
 - **numerics**: execute-mode replay with re-staged inputs returns the
   same output bytes the interpreted run produced;
@@ -22,7 +22,7 @@ from repro.core.plan import FmmFftPlan
 from repro.ir import ReplayExecutor, capture_built, scratch_replay
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
-from repro.obs.telemetry import MetricsRegistry
+from repro.obs.telemetry import comm_telemetry
 
 N = 1 << 12
 NUFFT_N, NUFFT_M = 128, 64
@@ -92,8 +92,7 @@ def test_schedule_bit_identity(name, params, algo):
     spec = pipelines.machine_for(name, SPEC)
 
     def cluster():
-        return VirtualCluster(spec, execute=False,
-                              telemetry=MetricsRegistry())
+        return VirtualCluster(spec, execute=False)
 
     plain = cluster()
     _plain_run(name, params, plain, algo)
@@ -103,19 +102,18 @@ def test_schedule_bit_identity(name, params, algo):
     replayed = cluster()
     ReplayExecutor(graph, replayed).run()
     fp = plain.ledger.fingerprint()
-    telemetry = plain.telemetry.snapshot()
+    telemetry = comm_telemetry(plain).snapshot()
     if spec.num_devices > 1:
         assert telemetry["series"] and plain.comm_log
     for cl in (captured, replayed):
         assert cl.ledger.fingerprint() == fp
-        assert cl.telemetry.snapshot() == telemetry
+        assert comm_telemetry(cl).snapshot() == telemetry
         assert cl.comm_log == plain.comm_log
-    # a graph taped without a registry replays the same series
-    bare = VirtualCluster(spec, execute=False)
-    graph, _ = capture_built(_build(name, params, bare, algo))
+    # a second capture replays the same series
+    graph, _ = capture_built(_build(name, params, cluster(), algo))
     replayed = cluster()
     ReplayExecutor(graph, replayed).run()
-    assert replayed.telemetry.snapshot() == telemetry
+    assert comm_telemetry(replayed).snapshot() == telemetry
     assert scratch_replay(graph, spec).ledger.fingerprint() == fp
     n, kw = _table_args(name, params, algo)
     assert pipelines.simulate(name, n, SPEC, **kw).ledger.fingerprint() == fp

@@ -9,7 +9,7 @@ producers, so:
   none of A's faults;
 - replayed under A — or under a differently seeded B — it is
   indistinguishable from interpreting the pipeline under that injector:
-  ledger fingerprint (``waits`` included), telemetry snapshot,
+  ledger fingerprint (``waits`` included), comm telemetry,
   ``comm_log``, the injector's own event ledger, and the
   :class:`CommFailure` that ended the run, if one did;
 - the serve scheduler therefore issues every batch one way, faults or
@@ -42,7 +42,7 @@ from repro.ir.graph import OP_COLL
 from repro.machine.cluster import VirtualCluster
 from repro.machine.multinode import routed_multinode_p100
 from repro.machine.spec import preset
-from repro.obs.telemetry import MetricsRegistry
+from repro.obs.telemetry import comm_telemetry
 from repro.serve import (
     AdmissionQueue,
     Batcher,
@@ -98,8 +98,7 @@ def _chaos(spec, seed):
 
 
 def _cluster(spec, faults, retry=None):
-    return VirtualCluster(spec, execute=False, faults=faults, retry=retry,
-                          telemetry=MetricsRegistry())
+    return VirtualCluster(spec, execute=False, faults=faults, retry=retry)
 
 
 def _observed(cl, run):
@@ -111,7 +110,7 @@ def _observed(cl, run):
         failure = (str(e), e.time, e.permanent)
     return {
         "ledger": cl.ledger.fingerprint(),
-        "telemetry": cl.telemetry.snapshot(),
+        "telemetry": comm_telemetry(cl).snapshot(),
         "comm_log": list(cl.comm_log),
         "fault_events": list(cl.faults.events),
         "failure": failure,

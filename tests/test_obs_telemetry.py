@@ -1,21 +1,23 @@
-"""The live metrics registry: determinism, merges, snapshots, exporters.
+"""The metrics registry and the telemetry read off a finished run.
 
 The load-bearing guarantees:
 
-- histogram quantiles are **merge-order invariant and bit-identical**
-  (integer bucket counts on a fixed log-spaced grid), so seeded chaos
-  replays export byte-identical snapshots;
+- histogram quantiles are integer bucket reads on a fixed log-spaced
+  grid, so seeded chaos replays export byte-identical snapshots;
 - the histogram's nearest-rank quantile agrees with the report's exact
   nearest-rank percentile within one bucket's width;
-- snapshots round-trip, diff correctly, and render valid Prometheus
-  text exposition (validated by the same checker CI runs).
+- the registry a serve run reports is a function of what the run left
+  behind: it agrees with the counts the run keeps, reads the same twice,
+  and writes into the registry the scheduler was given;
+- snapshots save/load and render valid Prometheus text exposition
+  (validated by the same checker CI runs).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,9 +32,20 @@ from repro.obs.telemetry import (
     HistogramSeries,
     MetricsRegistry,
     bucket_bounds,
-    diff_snapshots,
     load_snapshot,
     prometheus_text,
+    run_telemetry,
+)
+from repro.cli import main
+from repro.faults import seeded_chaos
+from repro.machine.cluster import VirtualCluster
+from repro.machine.spec import preset
+from repro.serve import (
+    AdmissionQueue,
+    Batcher,
+    PlanCache,
+    ServeScheduler,
+    synthetic_workload,
 )
 from repro.serve.stats import _percentiles
 import numpy as np
@@ -117,53 +130,6 @@ class TestRegistry:
         assert g1.value == 99.0  # latest value survives decimation
 
 
-class TestMergeDeterminism:
-    def _shards(self, seed=7, shards=4, per=200):
-        g = np.random.default_rng(seed)
-        out = []
-        for s in range(shards):
-            h = HistogramSeries("lat")
-            for _ in range(per):
-                h.observe(float(g.uniform(1e-6, 10.0)), t=0.0)
-            out.append(h)
-        return out
-
-    def test_merge_order_invariance_bit_identical(self):
-        shards = self._shards()
-        results = []
-        for perm in itertools.permutations(range(len(shards))):
-            total = HistogramSeries("lat")
-            for i in perm:
-                total.merge(shards[i])
-            results.append((total.quantiles(), dict(total.counts),
-                            total.count, total.max))
-        first = results[0]
-        for other in results[1:]:
-            assert other == first  # == on floats: bit-identical
-
-    def test_merge_equals_single_stream(self):
-        shards = self._shards(seed=11, shards=3)
-        merged = HistogramSeries("lat")
-        for h in shards:
-            merged.merge(h)
-        single = HistogramSeries("lat")
-        for h in shards:
-            for idx, n in h.counts.items():
-                single.counts[idx] = single.counts.get(idx, 0) + n
-            single.count += h.count
-            single.max = max(single.max, h.max)
-        assert merged.quantiles() == single.quantiles()
-
-    def test_registry_merge_creates_and_adds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c.x").inc(2.0, t=1.0)
-        b.counter("c.x").inc(3.0, t=2.0)
-        b.counter("c.y").inc(1.0, t=2.0)
-        a.merge(b)
-        assert a.counter("c.x").value == 5.0
-        assert a.counter("c.y").value == 1.0
-
-
 class TestNearestRankAgreement:
     def test_histogram_within_one_bucket_of_exact(self):
         g = np.random.default_rng(3)
@@ -190,53 +156,11 @@ class TestSnapshots:
             h.observe(v, t=1.0)
         return reg
 
-    def test_roundtrip(self):
-        reg = self._populated()
-        snap = reg.snapshot(time=1.0)
-        back = MetricsRegistry.from_snapshot(json.loads(json.dumps(snap)))
-        assert back.snapshot(time=1.0) == snap
-
     def test_save_and_load(self, tmp_path):
         reg = self._populated()
         p = tmp_path / "snap.json"
         reg.save(p, time=2.0)
         assert load_snapshot(p) == reg.snapshot(time=2.0)
-
-    def test_diff_counters_and_histograms(self):
-        reg = self._populated()
-        old = reg.snapshot(time=1.0)
-        reg.counter("c.hits", {"class": "a"}).inc(2.0, t=1.5)
-        reg.histogram("h.lat", {"class": "a"}).observe(1e-3, t=1.5)
-        reg.gauge("g.depth").set(7.0, t=1.5)
-        d = diff_snapshots(reg.snapshot(time=2.0), old)
-        assert d["kind"] == "telemetry-diff"
-        by_name = {(r["name"],): r for r in d["series"]}
-        assert by_name[("c.hits",)]["value"] == 2.0
-        assert by_name[("h.lat",)]["count"] == 1
-        assert by_name[("g.depth",)]["samples"] == [[1.5, 7.0]]
-
-    def test_diff_drops_unchanged_series(self):
-        reg = self._populated()
-        old = reg.snapshot(time=1.0)
-        reg.counter("c.hits", {"class": "a"}).inc(1.0, t=1.5)
-        d = diff_snapshots(reg.snapshot(time=2.0), old)
-        assert {r["name"] for r in d["series"]} == {"c.hits"}
-
-    def test_diff_rejects_regressions(self):
-        reg = self._populated()
-        new = reg.snapshot(time=1.0)
-        reg.counter("c.hits", {"class": "a"}).inc(1.0, t=1.5)
-        old = reg.snapshot(time=2.0)
-        with pytest.raises(ParameterError):
-            diff_snapshots(new, old)  # counter went backwards
-
-    def test_diff_rejects_vanished_series(self):
-        reg = self._populated()
-        old = reg.snapshot(time=1.0)
-        fresh = MetricsRegistry()
-        fresh.counter("other.thing").inc(1.0, t=2.0)
-        with pytest.raises(ParameterError):
-            diff_snapshots(fresh.snapshot(time=2.0), old)
 
 
 class TestPrometheus:
@@ -274,3 +198,121 @@ class TestSeriesClasses:
         h.observe(3.0)
         assert h.mean == pytest.approx(2.0)
         assert HistogramSeries("a.b").mean == 0.0
+
+
+SERVE_SPEC = preset("8xP100")
+
+
+def chaos_run(telemetry=None):
+    """48 requests on 8xP100 under transients, flaps, stragglers and a
+    degraded link, on a cache warmed by an earlier run (its lookups
+    belong to that run) and a queue small enough to shed."""
+    cache = PlanCache(SERVE_SPEC)
+    ServeScheduler(VirtualCluster(SERVE_SPEC, execute=False),
+                   Batcher(cache)).run(synthetic_workload(4, rate=2e3, seed=1))
+    inj = seeded_chaos(SERVE_SPEC, seed=0, transient_rate=0.2, flaps=2,
+                       stragglers=2, degrades=1, horizon=30e-3)
+    sched = ServeScheduler(VirtualCluster(SERVE_SPEC, execute=False, faults=inj),
+                           Batcher(cache), queue=AdmissionQueue(capacity=24),
+                           retry_budget=1, telemetry=telemetry)
+    sched.run(synthetic_workload(48, rate=4e3, seed=5))
+    return sched
+
+
+def _value(reg, name, labels=None):
+    s = reg.get(name, labels)
+    return 0 if s is None else s.count
+
+
+class TestDerivedFromTheRun:
+    @pytest.fixture(scope="class")
+    def sched(self):
+        return chaos_run()
+
+    def test_registry_agrees_with_the_counts_the_run_keeps(self, sched):
+        reg, q, cache = sched.telemetry, sched.queue, sched.batcher.cache
+        # not vacuous: batches failed, requests were retried, shed on
+        # retry and shed at the door
+        assert sched.failed_batches and sum(q.shed.values())
+        assert sum(sched.retried.values()) and sum(sched.retry_shed.values())
+        lat = sum(_value(reg, "serve.request_latency", {"class": c})
+                  for c in q.shed)
+        assert lat == len(sched.completed)
+        now = cache.counters()
+        assert any(sched.cache_baseline.values())  # the warm-up counted
+        for name, n in now.items():
+            assert _value(reg, name) == n - sched.cache_baseline[name], name
+        kinds = Counter(e.kind for e in sched.faults.events)
+        assert {k: _value(reg, "faults.events", {"kind": k})
+                for k in kinds} == kinds
+        for c, n in q.shed.items():
+            assert _value(reg, "serve.shed", {"class": c}) == n
+        for c in q.shed:
+            assert _value(reg, "serve.retry_shed", {"class": c}) \
+                == sched.retry_shed[c]
+            assert _value(reg, "serve.retry", {"class": c}) \
+                == sched.retried[c]
+        assert _value(reg, "serve.batch_failed") == sched.failed_batches
+        fails = Counter(r.name[:-len("!fail")].rsplit(".", 1)[-1]
+                        for r in sched.cluster.ledger
+                        if r.name.endswith("!fail")
+                        and (r.peer >= 0 or r.device == 0))
+        assert fails  # attempts timed out
+        assert {k: _value(reg, "comm.retry", {"stage": k})
+                for k in fails} == fails
+
+    def test_slo_series_are_the_runs_burns_and_alerts(self, sched):
+        reg, slo = sched.telemetry, sched.slo
+        kinds = Counter((a.deadline_class, a.kind) for a in slo.alerts)
+        assert kinds[("interactive", "trigger")] and kinds[("batch", "clear")]
+        for (cls, kind), n in kinds.items():
+            series = reg.get("slo.alerts", {"class": cls, "kind": kind})
+            assert series.value == n
+            assert series.last_time == max(
+                a.time for a in slo.alerts
+                if (a.deadline_class, a.kind) == (cls, kind))
+        for cls, burns in slo.burns.items():
+            assert burns, cls
+            for i, window in ((1, "short"), (2, "long")):
+                gauge = reg.get("slo.burn_rate",
+                                {"class": cls, "window": window})
+                assert gauge.samples == [(b[0], b[i]) for b in burns]
+
+    def test_reading_twice_gives_the_same_snapshot(self, sched):
+        first = json.dumps(sched.telemetry.snapshot(time=sched.wall_time))
+        assert sched.telemetry is sched.telemetry
+        assert json.dumps(sched.telemetry.snapshot(time=sched.wall_time)) \
+            == first
+        # a second derivation over the same run is the same registry
+        again = run_telemetry(sched).snapshot(time=sched.wall_time)
+        assert json.dumps(again) == first
+
+    def test_given_registry_is_written_and_a_disabled_one_stays_empty(self):
+        reg = MetricsRegistry()
+        sched = chaos_run(telemetry=reg)
+        assert len(reg) == 0  # nothing is recorded during the run
+        assert sched.telemetry is reg and len(reg) > 0
+        off = chaos_run(telemetry=MetricsRegistry(enabled=False))
+        assert off.telemetry.snapshot()["series"] == []
+
+    def test_serve_run_histograms_agree_with_the_report(self, tmp_path):
+        """The serve run of CI's ``telemetry`` job: the document's
+        per-class histogram quantiles bound the report's exact
+        nearest-rank percentiles, exact <= hist <= exact * BUCKET_GROWTH."""
+        path = tmp_path / "telemetry_run.json"
+        assert main(["serve", "--system", "8xP100", "--requests", "24",
+                     "--rate", "20000", "--json", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["kind"] == "serve-run" and doc["version"] == 1, doc
+        hist = {r["labels"]["class"]: r["quantiles"]
+                for r in doc["telemetry"]["series"]
+                if r["name"] == "serve.request_latency"}
+        assert hist
+        for cls, pct in doc["report"]["latency_by_class"].items():
+            if cls not in hist:
+                continue
+            for k in ("p50", "p95", "p99"):
+                exact, got = pct[k], hist[cls][k]
+                assert exact <= got * (1 + 1e-12), (cls, k, exact, got)
+                assert got <= exact * BUCKET_GROWTH * (1 + 1e-12), \
+                    (cls, k, exact, got)
