@@ -12,10 +12,9 @@ Three legs:
   certifies a :class:`~repro.comm.plans.CommPlan` *before* any op runs:
   deadlock-freedom (send/recv matching, round-dependency cycles),
   payload-matrix conservation (every logical block delivered exactly
-  once, wire bytes matching the tuner's model), and buffer liveness
-  (no dangling staging reads, no dead stores, a per-device peak-live
-  preallocation contract).  Wired into ``build_plan`` behind a
-  fingerprint-keyed verdict cache; swept from ``repro verify``.
+  once) and buffer liveness (no dangling staging reads, no dead
+  stores).  Wired into ``build_plan`` behind a fingerprint-keyed
+  verdict cache; swept from ``repro verify``.
 - :mod:`repro.analysis.lint` — repo-specific AST lint rules enforcing
   the numeric discipline the kernels depend on (dtype hygiene, declared
   launch data-flow, no stray ``np.fft``, no wall clocks or unseeded
@@ -49,7 +48,6 @@ from repro.analysis.plancheck import (
     PlanCertificate,
     PlanCheckError,
     certify_plan,
-    check_bulk,
     check_plan,
     clear_verdicts,
     verify_matrix,
@@ -64,7 +62,6 @@ __all__ = [
     "PlanCertificate",
     "PlanCheckError",
     "certify_plan",
-    "check_bulk",
     "check_plan",
     "clear_verdicts",
     "find_hazards",

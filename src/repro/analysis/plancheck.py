@@ -27,18 +27,13 @@ Finding` rows whose rule prefix is the category:
     allgather), each message must carry exactly the blocks its
     algorithm's forwarding rule prescribes (and their bytes must equal
     ``Msg.nbytes``), and at the end every logical block must have been
-    delivered exactly once with nothing stranded in staging.  Wire
-    bytes and the plan's carried price are cross-checked against the
-    tuner's model input (an independently rebuilt twin), so
-    :func:`repro.comm.tuning.predict_time` prices exactly the bytes
-    certified here.
+    delivered exactly once with nothing stranded in staging.
 ``liveness-*``
     Buffer def-use over the declared reads/writes: reads of staging
     sub-resources (``#via``/``#fwd``/``#nd`` parts) that nothing wrote
     (dangling ``buf#part`` reads), and staging stores no later round
-    consumes (dead stores).  The interpreter also computes per-device
-    peak live bytes — the preallocation contract a compiled plan-IR
-    executor can size its buffers from.
+    consumes (dead stores).  The interpreter also tallies per-device
+    peak live bytes, which ``repro verify`` prints per plan.
 
 Certification is wired into :func:`repro.comm.plans.build_plan` behind
 a verdict cache keyed by ``(spec_fingerprint, kind, algorithm)`` — plan
@@ -77,10 +72,10 @@ class PlanCheckError(ParameterError):
 class PlanCertificate:
     """Outcome of statically verifying one plan.
 
-    ``prealloc`` is the preallocation contract: per-device peak live
-    bytes (source blocks still held + staged forwards + delivered
-    payload) and final resident bytes, as the plan-IR executor will
-    need to size buffers without running the schedule.
+    ``prealloc`` is the interpreter's memory tally: per-device peak
+    live bytes (source blocks still held + staged forwards + delivered
+    payload) and final resident bytes.  ``repro verify`` prints the
+    peak; nothing sizes buffers from it.
     """
 
     algorithm: str
@@ -687,29 +682,6 @@ def check_plan(spec, plan, payload: float, lost=frozenset()) -> PlanCertificate:
         fingerprint=spec_fingerprint(spec))
 
 
-def check_bulk(spec, kind: str, payload: float) -> PlanCertificate:
-    """Certificate for the legacy flat (``bulk``) collective.
-
-    Bulk has no message decomposition to interpret: the machine layer
-    issues one synchronized op per device at the topology's effective
-    all-to-all bandwidth, so conservation holds by construction.  The
-    certificate records the logical byte volume and the trivial
-    preallocation contract so ``repro verify`` covers all five
-    algorithms uniformly.
-    """
-    G = spec.num_devices
-    final = payload if kind == "alltoall" else G * payload
-    return PlanCertificate(
-        algorithm="bulk", kind=kind, num_devices=G, payload=payload,
-        wire_bytes=G * payload, num_messages=0, num_rounds=0, findings=(),
-        prealloc={
-            "per_device_peak_live_bytes": [float(final)] * G,
-            "per_device_final_bytes": [float(final)] * G,
-            "peak_live_bytes": float(final),
-        },
-        fingerprint=spec_fingerprint(spec))
-
-
 #: verdict cache: (spec_fingerprint, kind, algorithm) -> PlanCertificate.
 #: Plan structure is payload-linear, so one certification covers every
 #: payload at that structural key — the serve warm path pays one dict hit.
@@ -725,54 +697,16 @@ def certify_plan(spec, plan, payload: float) -> PlanCertificate:
     """Cached strict verification: raises :class:`PlanCheckError`.
 
     This is the :func:`repro.comm.plans.build_plan` admission gate.  On
-    a verdict-cache miss the plan is fully checked and its wire bytes
-    and price are cross-checked against an independently rebuilt twin
-    (the tuner's model input); on a hit the stored certificate is
-    returned at zero cost.
+    a verdict-cache miss the plan is fully checked; on a hit the stored
+    certificate is returned at zero cost.
     """
     key = (spec_fingerprint(spec), plan.kind, plan.algorithm)
     cert = _VERDICTS.get(key)
     if cert is None:
-        cert = check_plan(spec, plan, payload)
-        if cert.ok:
-            cert = _cross_check_model(spec, plan, payload, cert)
-        _VERDICTS[key] = cert
+        cert = _VERDICTS[key] = check_plan(spec, plan, payload)
     if not cert.ok:
         raise PlanCheckError(cert.render())
     return cert
-
-
-def _cross_check_model(spec, plan, payload: float,
-                       cert: PlanCertificate) -> PlanCertificate:
-    """Wire-byte / model-input consistency vs a freshly built twin."""
-    from repro.comm import plans as _plans
-
-    twin = _plans.build_plan(spec, plan.kind, payload, plan.algorithm,
-                             certify=False)
-    rows = list(cert.findings)
-    if not _close(twin.wire_bytes(), plan.wire_bytes()):
-        rows.append(Finding(
-            tool=_TOOL, rule="conservation-model-drift", severity="error",
-            message=(
-                f"plan carries {plan.wire_bytes():.0f} wire bytes but the "
-                f"tuner's model input carries {twin.wire_bytes():.0f} -- "
-                "predict_time would price a different plan"),
-            context=finding_context(algorithm=plan.algorithm, kind=plan.kind,
-                                    G=spec.num_devices)))
-    elif not _close(twin.time, plan.time):
-        rows.append(Finding(
-            tool=_TOOL, rule="conservation-model-drift", severity="error",
-            message="plan prices differently from the tuner's model twin",
-            context=finding_context(algorithm=plan.algorithm, kind=plan.kind,
-                                    G=spec.num_devices)))
-    if len(rows) == len(cert.findings):
-        return cert
-    return PlanCertificate(
-        algorithm=cert.algorithm, kind=cert.kind,
-        num_devices=cert.num_devices, payload=cert.payload,
-        wire_bytes=cert.wire_bytes, num_messages=cert.num_messages,
-        num_rounds=cert.num_rounds, findings=tuple(rows),
-        prealloc=cert.prealloc, fingerprint=cert.fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +767,7 @@ def _matrix_specs(g_list, include_degraded: bool):
 
 def verify_matrix(g_list=DEFAULT_G_LIST, payload: float = float(1 << 20),
                   include_degraded: bool = True):
-    """Certify every algorithm x kind over the topology matrix.
+    """Certify every message-plan algorithm x kind over the topology matrix.
 
     Returns ``(rows, findings)``: one summary dict per (spec, kind,
     algorithm) certification and the flat list of findings across all
@@ -845,18 +779,13 @@ def verify_matrix(g_list=DEFAULT_G_LIST, payload: float = float(1 << 20),
     findings: list = []
     for label, spec in _matrix_specs(tuple(g_list), include_degraded):
         multinode = _hier_info(spec) is not None
-        algorithms = ("bulk", "direct", "ring", "bruck") + (
+        algorithms = ("direct", "ring", "bruck") + (
             ("hier", "hier2") if multinode else ())
         for kind in ("alltoall", "allgather"):
             for algorithm in algorithms:
-                if algorithm == "bulk":
-                    cert = check_bulk(spec, kind, payload)
-                else:
-                    plan = build_plan(spec, kind, payload, algorithm,
-                                      reads=("x",), certify=False)
-                    cert = check_plan(spec, plan, payload)
-                    if cert.ok:
-                        cert = _cross_check_model(spec, plan, payload, cert)
+                plan = build_plan(spec, kind, payload, algorithm,
+                                  reads=("x",), certify=False)
+                cert = check_plan(spec, plan, payload)
                 row = cert.to_json()
                 row["spec"] = label
                 rows.append(row)

@@ -22,14 +22,11 @@ Commands
     Statically certify every comm-plan algorithm on every topology
     class — deadlock-freedom, payload conservation, buffer liveness —
     without running the simulator (:mod:`repro.analysis.plancheck`).
-    ``--ir`` additionally captures every pipeline's op graph and checks
-    it against the plan certificates' preallocation contracts
-    (:mod:`repro.ir.prealloc`).
 ``ir``
     Capture a pipeline into the backend-neutral op-graph IR
-    (:mod:`repro.ir`), certify it (hazards + prealloc), and report graph
-    structure plus the host-side capture-vs-replay wall time — the
-    compiled-replay payoff.
+    (:mod:`repro.ir`), certify it (a hazard-free scratch replay), and
+    report graph structure plus the host-side capture-vs-replay wall
+    time — the compiled-replay payoff.
 ``comm``
     Collective-algorithm cost table for one testbed: per-size predicted
     times for every :mod:`repro.comm` plan, the model-chosen winner,
@@ -55,7 +52,7 @@ Commands
     each row's sweep, checks and table, written as one markdown report
     (``--out REPORT.md``); exits 1 if any check breaks.
 
-Every size option (``--n``, ``--payload``, ``--ir-n``, ``--sizes``)
+Every size option (``--n``, ``--payload``, ``--sizes``)
 takes ``4096``, ``2^12`` or ``2**12``; the list ones also take a
 power-of-two range ``2^14..2^24``.
 """
@@ -252,41 +249,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if hazards.ok else 1
 
 
-def _verify_ir(N: int, dtype: str, comm: str):
-    """Capture every pipeline and check its graph prealloc contract.
-
-    Returns ``(rows, findings)``: one row per pipeline (graph facts +
-    verdict) and the :mod:`repro.ir.prealloc` findings, for folding
-    into ``repro verify``'s table and findings JSON.
-    """
-    from repro.ir import capture_pipeline, check_graph_prealloc
-    from repro.ir.executor import scratch_replay
-
-    rows, findings = [], []
-    for name in pipelines.NAMES:
-        spec = pipelines.machine_for(name, preset("8xP100"))
-        cl = VirtualCluster(spec, execute=False)
-        graph, _ = capture_pipeline(name, cl, N, dtype=dtype,
-                                    comm_algorithm=comm)
-        fnd = check_graph_prealloc(graph, spec)
-        findings.extend(fnd)
-        # the replay-memory assertion: every buffer the replay touches
-        # fits the contract the certificates promised
-        scratch = scratch_replay(graph, spec)
-        scratch.sanitize()
-        rows.append({
-            "pipeline": name, "G": graph.meta["G"],
-            "nodes": len(graph.nodes),
-            "records": graph.num_records,
-            "comm_calls": len(graph.comm_calls()),
-            "peak_live_bytes": (0.0 if graph.prealloc is None
-                                else graph.prealloc["peak_live_bytes"]),
-            "findings": len(fnd),
-            "ok": not fnd,
-        })
-    return rows, findings
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """Statically certify comm plans over the algorithm x topology matrix."""
     from repro.analysis.findings import write_findings
@@ -310,23 +272,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ])
     print(t.render())
     print()
-    if args.ir:
-        ir_rows, ir_findings = _verify_ir(args.ir_n, args.dtype, args.comm)
-        findings = list(findings) + ir_findings
-        it = Table(
-            ["pipeline", "G", "nodes", "records", "comm", "peak live/dev",
-             "verdict"],
-            title=f"IR graph preallocation (N={args.ir_n})",
-        )
-        for r in ir_rows:
-            it.add_row([
-                r["pipeline"], r["G"], r["nodes"], r["records"],
-                r["comm_calls"], format_bytes(r["peak_live_bytes"]),
-                "certified" if r["ok"] else f"{r['findings']} finding(s)",
-            ])
-        print(it.render())
-        print()
-        rows = list(rows) + ir_rows
     if args.json:
         write_findings(args.json, findings)
         print(f"findings JSON written to {args.json}")
@@ -354,7 +299,7 @@ def cmd_ir(args: argparse.Namespace) -> int:
     reps = max(1, args.repeats)
     t = Table(
         ["pipeline", "G", "nodes", "records", "buffers", "comm",
-         "peak live/dev", "capture [ms]", "replay [ms]", "host speedup"],
+         "capture [ms]", "replay [ms]", "host speedup"],
         title=f"IR capture/replay, {args.system}, N={N}, {args.comm}",
     )
     rows = []
@@ -382,7 +327,6 @@ def cmd_ir(args: argparse.Namespace) -> int:
         t.add_row([
             name, row["G"], row["nodes"], row["records_per_replay"],
             row["buffers"], row["comm_calls"],
-            format_bytes(row["peak_live_bytes"] or 0.0),
             f"{capture_s * 1e3:.2f}", f"{replay_s * 1e3:.2f}",
             f"{row['host_speedup']:.1f}x",
         ])
@@ -634,14 +578,14 @@ def _size_option(sub, default: str, flag: str = "--n",
     sub.add_argument(flag, default=default, type=_parse_size, help=help)
 
 
-def _dtype_option(sub, **kw) -> None:
+def _dtype_option(sub) -> None:
     sub.add_argument("--dtype", default="complex128",
-                     choices=["complex64", "complex128"], **kw)
+                     choices=["complex64", "complex128"])
 
 
-def _comm_option(sub, help: str = "collective algorithm (see repro.comm)") -> None:
+def _comm_option(sub) -> None:
     sub.add_argument("--comm", default="bulk", choices=ALGORITHMS,
-                     help=help)
+                     help="collective algorithm (see repro.comm)")
 
 
 def _workload_options(sub) -> None:
@@ -752,12 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the fault-degraded topology views")
     vf.add_argument("--json", metavar="PATH", default=None,
                     help="write the shared analysis-findings JSON to PATH")
-    vf.add_argument("--ir", action="store_true",
-                    help="also capture every pipeline's op graph and check "
-                         "it against the prealloc contracts (repro.ir)")
-    _size_option(vf, "2^12", "--ir-n", "problem size for the --ir captures")
-    _dtype_option(vf, help="dtype for the --ir captures")
-    _comm_option(vf, "collective algorithm for the --ir captures")
     vf.set_defaults(fn=cmd_verify)
 
     ir = sub.add_parser(

@@ -7,11 +7,11 @@ The subsystem in three moves:
    capture run *is* the eager run — and get an :class:`IRGraph` of
    every step the engine priced, with dependency edges naming their
    true producers.
-2. **Certify** (:meth:`IRGraph.certify` + :mod:`repro.ir.prealloc`):
-   replay timing-only onto a scratch cluster, hazard-sanitize the
-   ledger, and check every captured collective against its
-   :class:`~repro.analysis.plancheck.PlanCertificate`, deriving the
-   graph-level preallocation contract.
+2. **Certify** (:meth:`IRGraph.certify`): replay timing-only onto a
+   scratch cluster and hazard-sanitize the ledger.  The captured
+   messages are not checked again: they are the compiled messages of
+   plans :func:`~repro.comm.plans.build_plan` certified when the
+   capture run built them.
 3. **Replay** (:func:`~repro.ir.executor.compile_tape` once per graph,
    then :class:`ReplayExecutor` per cluster): a loop that hands the
    compiled steps to the engine's issue halves — the same code an
@@ -29,7 +29,6 @@ from repro.ir.capture import CaptureError, capture
 from repro.ir.executor import ReplayError, ReplayExecutor, scratch_replay
 from repro.ir.graph import IRGraph, IRNode
 from repro.ir.pipelines import capture_built, capture_pipeline
-from repro.ir.prealloc import check_graph_prealloc
 
 __all__ = [
     "CaptureError",
@@ -40,6 +39,5 @@ __all__ = [
     "capture",
     "capture_built",
     "capture_pipeline",
-    "check_graph_prealloc",
     "scratch_replay",
 ]

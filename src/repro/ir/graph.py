@@ -80,11 +80,6 @@ class IRGraph:
     finalize:
         Optional ``finalize() -> ndarray`` gathering the output after
         an execute-mode replay (same binding).
-    prealloc:
-        The graph-level preallocation contract derived from the
-        :class:`~repro.analysis.plancheck.PlanCertificate` of every
-        captured collective (see :mod:`repro.ir.prealloc`); None until
-        :meth:`certify` runs.
     tapes:
         Replay tapes (:func:`repro.ir.executor.compile_tape`) by
         ``(rename, region_strip)``: they go when the graph goes.
@@ -95,7 +90,6 @@ class IRGraph:
         self.meta = dict(meta)
         self.stage_in = None
         self.finalize = None
-        self.prealloc: dict | None = None
         self._certified: dict | None = None
         self.tapes: dict[tuple, tuple] = {}
 
@@ -154,9 +148,6 @@ class IRGraph:
             "op_counts": self.op_counts(),
             "buffers": len(self.buffers()),
             "comm_calls": len(self.comm_calls()),
-            "peak_live_bytes": (
-                None if self.prealloc is None
-                else self.prealloc["peak_live_bytes"]),
         }
 
     # -- validation ----------------------------------------------------
@@ -175,36 +166,23 @@ class IRGraph:
                         f"node {idx}")
 
     def certify(self, spec) -> dict:
-        """Certify the graph once: hazards + plancheck prealloc.
+        """Certify the graph once: a hazard-free scratch replay.
 
         Replays the graph timing-only onto a scratch cluster of the
-        same spec, runs the hazard sanitizer over the resulting ledger,
-        and checks every captured collective against its
-        :class:`~repro.analysis.plancheck.PlanCertificate` (attaching
-        the graph-level ``prealloc`` contract).  Returns a summary dict
-        and caches it; raises on hazards or prealloc violations, so a
-        graph that certifies once is safe to replay forever.
+        same spec and runs the hazard sanitizer over the resulting
+        ledger.  Returns a summary dict and caches it; raises
+        :class:`~repro.analysis.hazards.HazardError` on any hazard, so
+        a graph that certifies once is safe to replay forever.  Its
+        messages are not checked again: they are the compiled messages
+        of plans ``build_plan`` certified when the capture run built
+        them (grouped, halo and p2p exchanges forward nothing).
         """
         if self._certified is not None:
             return self._certified
         from repro.ir.executor import scratch_replay
-        from repro.ir.prealloc import check_graph_prealloc
 
         self.validate()
         scratch = scratch_replay(self, spec)
         scratch.sanitize()
-        findings = check_graph_prealloc(self, spec)
-        errors = [f for f in findings if f.severity == "error"]
-        if errors:
-            raise ParameterError(
-                "captured graph fails prealloc certification: "
-                + "; ".join(f.message for f in errors[:4]))
-        self._certified = {
-            "hazards": 0,
-            "prealloc_findings": len(findings),
-            "records": len(scratch.ledger),
-            "peak_live_bytes": (
-                None if self.prealloc is None
-                else self.prealloc["peak_live_bytes"]),
-        }
+        self._certified = {"hazards": 0, "records": len(scratch.ledger)}
         return self._certified

@@ -51,7 +51,14 @@ BUCKET_DECADES = 10
 #: resolution" means within this factor
 BUCKET_GROWTH = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
 
-_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
+#: the standard quantile read: (key, q) pairs
+QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
+
+
+def nearest_rank(q: float, n: int) -> int:
+    """1-based rank of the nearest-rank ``q``-quantile of ``n`` samples:
+    the ``ceil(q * n)``-th smallest, an observed value, never rank 0."""
+    return max(1, math.ceil(q * n))
 
 
 def bucket_bounds() -> list[float]:
@@ -203,7 +210,7 @@ class HistogramSeries:
             raise ParameterError(f"quantile must be in (0, 1], got {q!r}")
         if self.count == 0:
             return 0.0
-        rank = max(1, math.ceil(q * self.count))
+        rank = nearest_rank(q, self.count)
         seen = 0
         for idx in sorted(self.counts):
             seen += self.counts[idx]
@@ -215,7 +222,7 @@ class HistogramSeries:
 
     def quantiles(self) -> dict[str, float]:
         """The standard ``{"p50": ..., "p95": ..., "p99": ...}`` read."""
-        return {k: self.quantile(q) for k, q in _QUANTILES}
+        return {k: self.quantile(q) for k, q in QUANTILES}
 
     @property
     def mean(self) -> float:

@@ -30,7 +30,7 @@ from repro.serve.request import (
     TransformRequest,
     count_by_class,
 )
-from repro.util.validation import ParameterError
+from repro.util.validation import ParameterError, check_count
 
 
 class AdmissionQueue:
@@ -44,8 +44,7 @@ class AdmissionQueue:
     """
 
     def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ParameterError(f"capacity must be >= 1, got {capacity}")
+        check_count("capacity", capacity)
         self.capacity = capacity
         #: (admission token, request), token assigned per offer()
         self._items: list[tuple[int, TransformRequest]] = []

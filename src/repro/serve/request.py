@@ -11,6 +11,7 @@ meaningful (a closed loop would self-throttle and hide queueing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,9 @@ class TransformRequest:
             raise ParameterError(
                 f"dtype must be complex64/complex128, got {self.dtype!r}"
             )
-        if self.arrival < 0.0:
-            raise ParameterError(f"arrival must be >= 0, got {self.arrival}")
+        if not 0.0 <= self.arrival < math.inf:
+            raise ParameterError(
+                f"arrival must be finite and >= 0, got {self.arrival}")
         if self.deadline not in DEADLINE_CLASSES:
             raise ParameterError(
                 f"deadline must be one of {DEADLINE_CLASSES}, got {self.deadline!r}"
@@ -136,7 +138,7 @@ def synthetic_workload(
     """
     if num_requests < 1:
         raise ParameterError(f"num_requests must be >= 1, got {num_requests}")
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise ParameterError(f"rate must be > 0, got {rate}")
     if not 0.0 <= interactive_fraction <= 1.0:
         raise ParameterError(

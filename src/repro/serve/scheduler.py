@@ -19,11 +19,11 @@ free, and launches each batch onto the *shared* virtual cluster:
 IR replay: the first batch at each ``(plan_key, comm_algorithm, k)``
 configuration is issued through :func:`repro.ir.capture.capture` — the
 normal eager run with the engine's capture tape open — then certified
-(hazards + prealloc) and stored in the plan cache's graph tier.  Every
-warm batch replays the compiled graph instead of re-constructing the
-pipeline: buffers are renamed into a reusable slot namespace
-(``serve.r<slot>``, slots reused only after their previous batch
-finished, so the hazard sanitizer still certifies the interleaving),
+(a hazard-free scratch replay) and stored in the plan cache's graph
+tier.  Every warm batch replays the compiled graph instead of
+re-constructing the pipeline: buffers are renamed into a reusable slot
+namespace (``serve.r<slot>``, slots reused only after their previous
+batch finished, so the hazard sanitizer still certifies the interleaving),
 regions are re-stamped ``serve/b<bid>/...`` truthfully, and the ledger
 records are bit-identical to what the eager issue would have appended
 (replay re-issues the taped steps through the same engine halves).
@@ -86,7 +86,7 @@ from repro.serve.request import (
     TransformRequest,
     count_by_class,
 )
-from repro.util.validation import ParameterError
+from repro.util.validation import ParameterError, check_count
 
 
 class ServeScheduler:
@@ -150,14 +150,14 @@ class ServeScheduler:
                 f"cluster G={cluster.G} != cache spec G="
                 f"{batcher.cache.spec.num_devices}"
             )
-        if max_inflight < 1:
-            raise ParameterError(f"max_inflight must be >= 1, got {max_inflight}")
+        check_count("max_inflight", max_inflight)
         if compute_outputs and not batcher.cache.build_operators:
             raise ParameterError(
                 "compute_outputs requires a PlanCache(build_operators=True)"
             )
-        if retry_budget < 0:
-            raise ParameterError(f"retry_budget must be >= 0, got {retry_budget}")
+        if type(retry_budget) is not int or retry_budget < 0:
+            raise ParameterError(
+                f"retry_budget must be an int >= 0, got {retry_budget!r}")
         if deadline_targets is not None and set(deadline_targets) != set(
             DEADLINE_CLASSES
         ):

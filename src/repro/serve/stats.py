@@ -16,12 +16,12 @@ the same Perfetto timeline as the kernels and collectives they caused.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.obs.metrics import retry_stats
+from repro.obs.telemetry import QUANTILES, nearest_rank
 from repro.serve.request import DEADLINE_CLASSES, DEADLINE_TARGETS
 from repro.serve.scheduler import ServeScheduler
 
@@ -38,19 +38,15 @@ def _percentiles(xs: list[float]) -> dict[str, float]:
     ``np.percentile`` default) invents a value below the true tail on
     small samples: p99 of 100 latencies interpolated between the 99th
     and 100th order statistics under-reports the worst observed
-    request.  Nearest-rank is also exactly the discipline the telemetry
-    histogram's :meth:`~repro.obs.telemetry.HistogramSeries.quantile`
-    uses, so the two agree within one bucket's width.
+    request.  The telemetry histogram's
+    :meth:`~repro.obs.telemetry.HistogramSeries.quantile` ranks by the
+    same :func:`~repro.obs.telemetry.nearest_rank`, so the two agree
+    within one bucket's width.
     """
     if not xs:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
     arr = sorted(xs)
-    n = len(arr)
-
-    def rank(q: float) -> float:
-        return arr[min(n, max(1, math.ceil(q * n))) - 1]
-
-    return {"p50": rank(0.50), "p95": rank(0.95), "p99": rank(0.99)}
+    return {k: arr[nearest_rank(q, len(arr)) - 1] for k, q in QUANTILES}
 
 
 @dataclass(frozen=True)

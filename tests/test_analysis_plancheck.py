@@ -12,12 +12,9 @@ import pytest
 
 from repro.analysis.plancheck import (
     DEFAULT_G_LIST,
-    PlanCertificate,
     PlanCheckError,
-    _cross_check_model,
     _VERDICTS,
     certify_plan,
-    check_bulk,
     check_plan,
     clear_verdicts,
     verify_matrix,
@@ -127,13 +124,6 @@ def test_degraded_topology_plans_certify():
         for algorithm in ("direct", "ring", "bruck", "hier"):
             cert = check_plan(spec, plan_for(spec, kind, algorithm), PAYLOAD)
             assert cert.ok, cert.render()
-
-
-def test_bulk_certificate_trivially_ok():
-    cert = check_bulk(flat(4), "alltoall", PAYLOAD)
-    assert cert.ok
-    assert cert.algorithm == "bulk"
-    assert cert.num_messages == 0
 
 
 def test_prealloc_contract():
@@ -360,24 +350,6 @@ class TestCertifyPlan:
     def test_plancheck_error_is_parameter_error(self):
         assert issubclass(PlanCheckError, ParameterError)
 
-    def test_model_cross_check_flags_wire_drift(self):
-        # hand the cross-check a certificate claiming health, with a plan
-        # whose wire bytes disagree with a freshly built twin
-        spec = flat(4)
-        plan = plan_for(spec, "alltoall", "ring")
-        short = mutate(plan, plan.rounds[:-1])
-        cert = PlanCertificate(
-            algorithm="ring", kind="alltoall", num_devices=4,
-            payload=PAYLOAD, wire_bytes=short.wire_bytes(),
-            num_messages=short.num_messages, num_rounds=len(short.rounds),
-            findings=(), prealloc={}, fingerprint=spec_fingerprint(spec))
-        checked = _cross_check_model(spec, short, PAYLOAD, cert)
-        assert any(f.rule == "conservation-model-drift"
-                   for f in checked.findings)
-        healthy = _cross_check_model(
-            spec, plan, PAYLOAD, replace(cert, wire_bytes=plan.wire_bytes()))
-        assert healthy.ok
-
 
 # ---------------------------------------------------------------------------
 # the repro-verify sweep
@@ -388,11 +360,11 @@ def test_verify_matrix_small_is_clean():
     assert findings == []
     assert all(r["ok"] for r in rows)
     algos = {r["algorithm"] for r in rows}
-    assert algos == {"bulk", "direct", "ring", "bruck", "hier", "hier2"}
+    assert algos == {"direct", "ring", "bruck", "hier", "hier2"}
     specs = {r["spec"] for r in rows}
     assert {"flat2", "flat4", "nodes2x2", "nodes2x4-degraded",
             "dgx1-degraded", "routed4x4-nodeloss"} <= specs
-    # certificates double as the preallocation contract
+    # every row carries the interpreter's peak-live tally
     for r in rows:
         assert r["prealloc"]["peak_live_bytes"] >= 0
 

@@ -27,7 +27,7 @@ class TestParseSize:
         ["search", "--n", "abc"], ["search", "--n", "2^-3"],
         ["search", "--n", "2^16..3000"], ["search", "--n", "2^16..2^14"],
         ["analyze", "--n", "2^x"], ["verify", "--payload", "abc"],
-        ["verify", "--ir-n", "2^"], ["serve", "--sizes", "2^14,x"],
+        ["ir", "--n", "2^"], ["serve", "--sizes", "2^14,x"],
     ])
     def test_malformed_size_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -56,6 +56,9 @@ class TestParser:
         options = sum(len([a for a in sp._actions if a.dest != "help"])
                       for sp in sub.choices.values())
         assert options <= 100
+        assert [a.option_strings for a in sub.choices["verify"]._actions
+                if a.dest != "help"] == [
+            ["--g-list"], ["--payload"], ["--no-degraded"], ["--json"]]
 
     @pytest.mark.parametrize("command", REMOVED)
     def test_merged_commands_are_gone(self, command, capsys):

@@ -90,7 +90,6 @@ class TestGraphStructure:
         assert s["nodes"] == len(graph.nodes)
         assert s["records_per_replay"] == graph.num_records
         assert s["buffers"] > 0
-        assert s["peak_live_bytes"] is None  # not yet certified
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ParameterError, match="pipeline must be one of"):

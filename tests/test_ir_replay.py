@@ -1,8 +1,9 @@
 """Replay executor: certified graphs replay bit-identically and safely.
 
-Covers the scratch-replay fingerprint contract, the certification
-gauntlet (hazards + prealloc), the executor's refusal conditions, the
-and the uid-continuity of the ledger fast path.
+Covers the scratch-replay fingerprint contract, certification (a
+hazard-free scratch replay, and its refusal of a seeded hazard), the
+executor's refusal conditions, and the uid-continuity of the ledger
+fast path.
 """
 
 from __future__ import annotations
@@ -10,15 +11,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.hazards import HazardError
 from repro.faults import FaultInjector, LinkFlap
 from repro.ir import (
     ReplayError,
     ReplayExecutor,
     capture_built,
     capture_pipeline,
-    check_graph_prealloc,
     scratch_replay,
 )
+from repro.ir.graph import OP_P2P
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import dual_k40c_pcie, p100_nvlink_node
 from repro.pipelines import NAMES as PIPELINE_NAMES
@@ -65,38 +67,34 @@ class TestScratchReplay:
 
 
 class TestCertify:
-    def test_certify_attaches_prealloc_contract(self):
-        cl = _cluster("fmmfft")
-        graph, _ = capture_pipeline("fmmfft", cl, N)
-        cert = graph.certify(cl.spec)
-        assert cert["hazards"] == 0
-        assert graph.prealloc is not None
-        assert graph.prealloc["peak_live_bytes"] > 0
-        assert len(graph.prealloc["per_device_peak_live_bytes"]) == cl.G
-
     def test_certify_is_cached(self):
         cl = _cluster("fft1d")
         graph, _ = capture_pipeline("fft1d", cl, N)
         assert graph.certify(cl.spec) is graph.certify(cl.spec)
 
     @pytest.mark.parametrize("name", PIPELINE_NAMES)
-    def test_prealloc_check_clean_on_every_pipeline(self, name):
+    def test_certify_succeeds_on_every_pipeline(self, name):
         cl = _cluster(name)
         graph, _ = capture_pipeline(name, cl, N)
-        assert check_graph_prealloc(graph, cl.spec) == []
+        assert graph.certify(cl.spec) == {"hazards": 0,
+                                          "records": graph.num_records}
 
-    def test_grouped_exchange_contract_read_off_the_messages(self):
-        """The pencil's subgroup all-to-alls certify, and a message that
-        carries the wrong share of the payload is a conservation finding."""
+    def test_certify_succeeds_on_the_fft3d_pencil(self):
+        """The pencil's concurrent subgroup all-to-alls replay race-free."""
         cl = VirtualCluster(p100_nvlink_node(8), execute=False)
         graph, _ = capture_built(
             build("fft3d", cl, N, params={"decomposition": "pencil"}))
-        assert check_graph_prealloc(graph, cl.spec) == []
-        assert graph.prealloc["peak_live_bytes"] > 0.0
-        msg = next(n for n in graph.nodes if n.name == "fft3d.rowx")
-        msg.comm_bytes *= 2.0
-        assert {f.rule for f in check_graph_prealloc(graph, cl.spec)} == {
-            "prealloc-conservation"}
+        assert graph.certify(cl.spec)["hazards"] == 0
+
+    def test_certify_refuses_a_dropped_dependency(self):
+        """The gate is live: a message stripped of its ordering edges
+        races the buffer it reads, and certify refuses the graph."""
+        cl = VirtualCluster(p100_nvlink_node(8), execute=False)
+        graph, _ = capture_pipeline("fft1d", cl, N, comm_algorithm="direct")
+        msg = next(n for n in graph.nodes if n.op == OP_P2P and n.deps)
+        msg.deps = ()
+        with pytest.raises(HazardError, match="WAR"):
+            graph.certify(cl.spec)
 
 
 class TestRefusals:

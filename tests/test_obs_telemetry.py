@@ -33,6 +33,7 @@ from repro.obs.telemetry import (
     MetricsRegistry,
     bucket_bounds,
     load_snapshot,
+    nearest_rank,
     prometheus_text,
     run_telemetry,
 )
@@ -131,6 +132,13 @@ class TestRegistry:
 
 
 class TestNearestRankAgreement:
+    @pytest.mark.parametrize("q,n,rank", [
+        (0.50, 1, 1), (0.99, 100, 99), (0.99, 7, 7), (0.95, 20, 19),
+        (0.01, 10, 1), (1.0, 5, 5),
+    ])
+    def test_one_rank_rule(self, q, n, rank):
+        assert nearest_rank(q, n) == rank
+
     def test_histogram_within_one_bucket_of_exact(self):
         g = np.random.default_rng(3)
         xs = [float(g.uniform(1e-5, 2.0)) for _ in range(500)]

@@ -37,6 +37,11 @@ class TestAdmission:
         with pytest.raises(ParameterError):
             AdmissionQueue(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [1.5, True])
+    def test_rejects_non_integer_capacity(self, capacity):
+        with pytest.raises(ParameterError, match="int"):
+            AdmissionQueue(capacity=capacity)
+
 
 class TestPriority:
     def test_interactive_ahead_of_batch(self):

@@ -26,6 +26,11 @@ class TestTransformRequest:
         with pytest.raises(ParameterError):
             TransformRequest(rid=0, N=64, arrival=-1.0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_rejects_non_finite_arrival(self, arrival):
+        with pytest.raises(ParameterError, match="finite"):
+            TransformRequest(rid=0, N=1 << 16, arrival=arrival)
+
     def test_rejects_unknown_deadline(self):
         with pytest.raises(ParameterError):
             TransformRequest(rid=0, N=64, deadline="urgent")
@@ -83,6 +88,7 @@ class TestSyntheticWorkload:
         dict(num_requests=4, rate=1.0, interactive_fraction=1.5),
         dict(num_requests=4, rate=1.0, sizes={100: 1.0}),
         dict(num_requests=4, rate=1.0, sizes={256: -1.0}),
+        dict(num_requests=4, rate=float("nan")),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):

@@ -94,6 +94,16 @@ class TestEventLoop:
         with pytest.raises(ParameterError):
             ServeScheduler(cl, Batcher(cache))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_inflight=1.5), dict(max_inflight=True),
+        dict(retry_budget=True), dict(retry_budget=1.5),
+    ])
+    def test_rejects_non_integer_counts(self, kwargs):
+        cache = PlanCache(SPEC, autotune=False)
+        cl = VirtualCluster(SPEC, execute=False)
+        with pytest.raises(ParameterError, match="int"):
+            ServeScheduler(cl, Batcher(cache), **kwargs)
+
     def test_compute_outputs_requires_operators_and_payloads(self):
         cache = PlanCache(SPEC, autotune=False)
         cl = VirtualCluster(SPEC, execute=False)
