@@ -34,8 +34,8 @@ to guard against (run with ``python tools/lint.py src``):
     Pipelines (``core/``, ``dfft/``, ``fmm/``) must issue collectives
     through :mod:`repro.comm` (receiver spelled ``comm``), never the raw
     :class:`~repro.machine.cluster.VirtualCluster` methods — raw calls
-    bypass the algorithm knob, topology routing, and the comm_log
-    measured-vs-model join.  ``._collective`` is internal to the machine
+    bypass the algorithm knob, topology routing, and the comm log.
+    ``._collective`` is internal to the machine
     and comm layers and is flagged everywhere else.
 
 ``serve-plan-cache``
@@ -68,19 +68,6 @@ to guard against (run with ``python tools/lint.py src``):
     ``derandomize`` to anything but ``True`` or names a ``database``:
     the tier-1 gate runs the one derandomized, database-less profile of
     ``tests/conftest.py``, so a green run is the same run everywhere.
-
-``telemetry-registry``
-    Metric series (``CounterSeries`` / ``GaugeSeries`` /
-    ``HistogramSeries``) are constructed only inside
-    :mod:`repro.obs.telemetry` — everyone else goes through a
-    :class:`~repro.obs.telemetry.MetricsRegistry`, whose keyed lookup
-    is what makes snapshots complete.  A free-floating series never
-    lands in any snapshot, so ``repro top`` and the exporters silently
-    under-report.  And the registry's series methods (``.counter`` /
-    ``.gauge`` / ``.histogram``) are called only inside
-    :mod:`repro.obs`: metrics are read off the finished run, so an
-    emission on the run path is a second recorder the derivation
-    already covers.
 
 ``engine-site``
     One engine owns the simulated timeline.  Ledger records
@@ -159,18 +146,6 @@ TESTS_PATH = "/tests/"
 #: hypothesis settings a test module may only restate, never change
 HYPOTHESIS_PINNED = {"derandomize": True, "database": None}
 
-#: metric series classes that must be built via the registry
-TELEMETRY_SERIES = ("CounterSeries", "GaugeSeries", "HistogramSeries")
-
-#: the one module allowed to construct series directly (the registry)
-TELEMETRY_ALLOWED = "repro/obs/telemetry.py"
-
-#: registry methods that look up (and so feed) a series
-TELEMETRY_METHODS = ("counter", "gauge", "histogram")
-
-#: the one package allowed to call them: metrics are derived post-run
-TELEMETRY_PACKAGE = "repro/obs/"
-
 #: IR node/graph classes whose construction the engine-site rule confines
 IR_TYPES = ("IRNode", "IRGraph")
 
@@ -205,7 +180,6 @@ RULES = (
     "np-fft",
     "raw-comm",
     "serve-plan-cache",
-    "telemetry-registry",
 )
 
 _PRAGMA = re.compile(r"#\s*lint:\s*allow-([a-z0-9-]+)")
@@ -261,8 +235,6 @@ class _Checker(ast.NodeVisitor):
         self.fault_raise_ok = any(frag in p for frag in FAULT_RAISE_ALLOWED)
         self.det_time_ok = any(frag in p for frag in DETERMINISTIC_TIME_ALLOWED)
         self.tests = TESTS_PATH in "/" + p
-        self.telemetry_ok = TELEMETRY_ALLOWED in p
-        self.obs = TELEMETRY_PACKAGE in p
         self.ir_ok = any(frag in p for frag in IR_CONSTRUCT_ALLOWED)
         self.engine = ENGINE_PATH in p
         self._stmt: ast.stmt | None = None
@@ -496,31 +468,6 @@ class _Checker(ast.NodeVisitor):
                 "FmmFftPlan constructed in serving code -- resolve plans "
                 "through repro.serve.cache.PlanCache so wisdom and hit-rate "
                 "accounting stay truthful",
-            )
-        # metric series come only from the registry's keyed lookup
-        if not self.telemetry_ok:
-            series = None
-            if isinstance(func, ast.Name) and func.id in TELEMETRY_SERIES:
-                series = func.id
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr in TELEMETRY_SERIES
-            ):
-                series = func.attr
-            if series is not None:
-                self._report(
-                    node, "telemetry-registry",
-                    f"{series} constructed outside repro.obs.telemetry -- "
-                    "get series from a MetricsRegistry "
-                    "(.counter/.gauge/.histogram) so they land in snapshots",
-                )
-        if (not self.obs and isinstance(func, ast.Attribute)
-                and func.attr in TELEMETRY_METHODS and not _is_np(func.value)):
-            self._report(
-                node, "telemetry-registry",
-                f".{func.attr}() outside repro.obs -- metrics are read off "
-                "the finished run (repro.obs.telemetry), not recorded on "
-                "the run path",
             )
         # the engine-site rule: who may build records, nodes and graphs
         callee = (func.id if isinstance(func, ast.Name)

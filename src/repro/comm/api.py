@@ -35,13 +35,11 @@ receive at device ``g`` (chained forwarding plans additionally order
 round ``k+1`` sends after round ``k`` receives).
 
 Every call logs a record through ``cluster.log_comm`` (algorithm,
-payload, the predicted time of what was issued) which
-:func:`repro.obs.metrics.join_comm_model` joins against the ledger for
-measured-vs-model validation.  Per-message telemetry
-(``comm.bytes``, ``comm.measured_vs_model``, ``comm.retry``) is read off
-that log and the ledger once the run is over
-(:func:`repro.obs.telemetry.comm_telemetry`), so eager and replayed ops
-report the same series: they leave the same records.
+payload, the predicted time of what was issued).  Per-message
+measured-vs-model, comm bytes and retries are read off the ledger (and
+that log, for bulk bytes) once the run is over
+(:func:`repro.obs.fold.fold_run`), so eager and replayed ops report the
+same series: they leave the same records.
 
 Fault handling is the engine's too: when the cluster carries a
 :class:`~repro.faults.FaultInjector`, its issue halves draw the outcome
@@ -390,7 +388,7 @@ def sendrecv(
 
     Thin wrapper over ``cluster.sendrecv`` (same cost model, same
     event/declare semantics, including the zero-cost self-send record)
-    that additionally logs the transfer for measured-vs-model joins.
+    that additionally logs the transfer in the cluster's comm log.
     """
     ev = cl.sendrecv(src, dst, nbytes, name, after=after, fn=fn,
                      reads=reads, writes=writes)

@@ -12,9 +12,9 @@ for an allgather, ``hier`` on multi-node machines), never back to
 ``bulk``, because the flat model's synthetic synchronization is what we
 are replacing.
 
-``repro comm --system ...`` prints :func:`algorithm_table`;
-:func:`repro.obs.metrics.join_comm_model` validates these predictions
-against the simulated ledger after a run.
+``repro comm --system ...`` prints :func:`algorithm_table`; after a
+run, :func:`repro.obs.fold.fold_run` sets each message the engine
+charged against its fault-free price.
 """
 
 from __future__ import annotations

@@ -137,7 +137,7 @@ class FaultInjector:
         The fault ledger: one :class:`FaultEvent` per scheduled fault
         (stamped up front) plus one per online transient drawn (stamped
         as it happens).  ``faults.events{kind=...}`` is counted off it
-        once the run is over (:func:`repro.obs.telemetry.run_telemetry`).
+        once the run is over (:func:`repro.obs.fold.fold_run`).
     """
 
     def __init__(

@@ -147,8 +147,8 @@ class VirtualCluster:
         whenever ``faults`` is installed.
 
     The engine keeps no metrics: what it leaves behind (the ledger and
-    :attr:`comm_log`) is what :func:`repro.obs.telemetry.comm_telemetry`
-    reads its ``comm.*`` series off once the run is over.
+    :attr:`comm_log`) is what :func:`repro.obs.fold.fold_run` reads once
+    the run is over.
     """
 
     def __init__(self, spec: ClusterSpec, execute: bool = True,

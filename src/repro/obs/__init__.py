@@ -15,15 +15,21 @@ predictions.  This package gives the simulator the same toolchain:
   memory GB/s, and in-flight comm bytes, plus a fault track
   (:func:`~repro.obs.perfetto.fault_track_events`) placing injected
   faults next to the retries they caused;
+- :mod:`repro.obs.fold` — one read of a finished run
+  (:func:`~repro.obs.fold.fold_run`): comm bytes, per-message
+  measured-vs-model, retry attempts, and for a serve run its faults,
+  cache moves, queue samples, sheds, per-class outcomes and SLO
+  timeline, as :class:`~repro.obs.fold.RunFacts`.  ``ServeReport``, the
+  telemetry snapshot and the metrics' comm table and retry line all
+  render it;
 - :mod:`repro.obs.metrics` — per-stage rollups, the measured-vs-model
-  join (Figure 5 efficiencies), the comm measured-vs-plan-model join
-  validating :mod:`repro.comm` predictions against the ledger,
-  comm/compute overlap and exposed-comm accounting, and critical-path
-  extraction with per-op slack over the happens-before graph;
-- :mod:`repro.obs.telemetry` — a metrics registry (counters, gauges,
-  histograms on a fixed log-spaced grid) built from a finished run
-  (:func:`~repro.obs.telemetry.comm_telemetry`,
-  :func:`~repro.obs.telemetry.run_telemetry`), with a versioned
+  join (Figure 5 efficiencies), the comm table (per-message measured vs
+  plan model, summed per stage), comm/compute overlap and exposed-comm
+  accounting, and critical-path extraction with per-op slack over the
+  happens-before graph;
+- :mod:`repro.obs.telemetry` — the snapshot of a run's facts
+  (counters, gauges, histograms on a fixed log-spaced grid) held by a
+  :class:`~repro.obs.telemetry.MetricsRegistry`, with a versioned
   snapshot document and Prometheus text exposition;
 - :mod:`repro.obs.slo` — windowed availability objectives with
   multi-window burn-rate alerting over a run's outcomes;
@@ -37,21 +43,20 @@ See ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
+from repro.obs.fold import Message, RunFacts, fold_run
 from repro.obs.metrics import (
-    CommJoin,
+    CommStage,
     CriticalPath,
     MetricsReport,
     ModelJoin,
     OverlapStats,
-    RetryStats,
     StageStat,
+    comm_stages,
     compute_metrics,
     critical_path,
-    join_comm_model,
     join_fmm_model,
     overlap_stats,
     overlap_summary,
-    retry_stats,
     rollup,
 )
 from repro.obs.perfetto import (
@@ -64,41 +69,34 @@ from repro.obs.perfetto import (
 from repro.obs.region import region
 from repro.obs.slo import SloAlert, SloObjective, SloTimeline, slo_timeline
 from repro.obs.telemetry import (
-    CounterSeries,
-    GaugeSeries,
-    HistogramSeries,
     MetricsRegistry,
     bucket_bounds,
-    comm_telemetry,
     load_snapshot,
     prometheus_text,
-    run_telemetry,
-    slo_telemetry,
+    telemetry_rows,
 )
 from repro.obs.top import render_dashboard
 
 __all__ = [
-    "CommJoin",
-    "CounterSeries",
+    "CommStage",
     "CriticalPath",
-    "GaugeSeries",
-    "HistogramSeries",
+    "Message",
     "MetricsRegistry",
     "MetricsReport",
     "ModelJoin",
     "OverlapStats",
-    "RetryStats",
+    "RunFacts",
     "SloAlert",
     "SloObjective",
     "SloTimeline",
     "StageStat",
     "bucket_bounds",
     "build_trace",
-    "comm_telemetry",
+    "comm_stages",
     "compute_metrics",
     "critical_path",
     "fault_track_events",
-    "join_comm_model",
+    "fold_run",
     "join_fmm_model",
     "load_snapshot",
     "merge_fault_track",
@@ -107,11 +105,9 @@ __all__ = [
     "prometheus_text",
     "region",
     "render_dashboard",
-    "retry_stats",
     "rollup",
-    "run_telemetry",
     "save_trace",
-    "slo_telemetry",
     "slo_timeline",
+    "telemetry_rows",
     "validate_trace",
 ]

@@ -17,9 +17,11 @@ Four analyses over one recorded run, all pure functions of the
   happens-before graph (program order + wait edges, the same graph the
   hazard sanitizer builds), plus per-op slack from a backward pass.
 
-:func:`compute_metrics` bundles all four into a :class:`MetricsReport`
-with ``render()`` (part of the ``repro analyze`` report) and
-``to_json()`` (the ``metrics`` key of its ``--json`` document).
+:func:`compute_metrics` bundles all four into a :class:`MetricsReport`,
+with the comm table (:func:`comm_stages`) and the retry line rendered
+from the run's :func:`~repro.obs.fold.fold_run`, and ``render()`` (part
+of the ``repro analyze`` report) and ``to_json()`` (the ``metrics`` key
+of its ``--json`` document).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.analysis.hazards import happens_before
 from repro.machine.ledger import Ledger, OpRecord
 from repro.machine.spec import ClusterSpec
+from repro.obs.fold import fold_run
 from repro.util.table import Table, format_bytes, format_count, format_time
 
 
@@ -164,114 +167,42 @@ def join_fmm_model(
 
 
 # ---------------------------------------------------------------------------
-# measured vs comm plan model
+# comm measured vs model, per stage
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CommJoin:
-    """One collective's measured comm time against its plan prediction.
-
-    ``measured`` is the per-device average busy time of the stage's comm
-    records (ledger durations divided by G for collectives/halos, raw
-    for p2p — matching the per-device convention of the predictions);
-    ``model`` is the :func:`repro.comm.tuning.predict_time` total over
-    the logged calls.  For ``bulk`` the two agree exactly (the flat
-    model *is* the charged duration); for message plans the ratio is a
-    balance diagnostic — below 1.0 when devices idle between rounds of
-    the plan's critical path, above 1.0 when queueing stretched rounds.
-    """
+class CommStage:
+    """One comm stage's messages (:class:`~repro.obs.fold.Message`):
+    the durations the engine charged against their fault-free prices,
+    summed.  A plan's messages and bulk calls read 1.0 unless a fault
+    stretched them; a lone transfer (a halo) reads above 1.0, since it
+    pays the worst-path latency and is modelled at its pair's own."""
 
     name: str
-    kind: str
-    algorithm: str
-    calls: int
-    payload: float
+    messages: int
     measured: float
     model: float
 
     @property
     def ratio(self) -> float:
-        """measured / model; 1.0 when both are zero (degenerate calls)."""
+        """measured / model; 1.0 when both are zero."""
         if self.model > 0:
             return self.measured / self.model
         return 1.0 if self.measured == 0 else float("inf")
 
 
-def join_comm_model(
-    ledger: Ledger,
-    comm_log: list[dict],
-    num_devices: int,
-) -> list[CommJoin]:
-    """Join the cluster's ``comm_log`` against the ledger's comm records.
-
-    Groups log entries by (stage name, kind, algorithm), sums their
-    predictions, and compares with the summed durations of the comm
-    records carrying that stage name — the measured-vs-model validation
-    for the :mod:`repro.comm` cost model.
-    """
-    if not comm_log:
-        return []
-    groups: dict[tuple, list[float]] = {}
-    for e in comm_log:
-        k = (e["name"], e["kind"], e["algorithm"])
-        g = groups.setdefault(k, [0, 0.0, 0.0])
-        g[0] += 1
-        g[1] += e["payload"]
-        g[2] += e["predicted"]
-    dur_by_name: dict[str, float] = defaultdict(float)
-    for r in ledger:
-        if r.kind == "comm":
-            dur_by_name[r.name] += r.duration
-    out = []
-    for (name, kind, algo), (calls, payload, model) in groups.items():
-        measured = dur_by_name.get(name, 0.0)
-        if kind in ("alltoall", "allgather", "halo"):
-            measured /= max(num_devices, 1)
-        out.append(CommJoin(name=name, kind=kind, algorithm=algo,
-                            calls=int(calls), payload=payload,
-                            measured=measured, model=model))
-    out.sort(key=lambda j: -j.measured)
+def comm_stages(messages) -> list[CommStage]:
+    """Sum a run's messages per op name, largest measured first."""
+    acc: dict[str, list] = {}
+    for m in messages:
+        a = acc.setdefault(m.name, [0, 0.0, 0.0])
+        a[0] += 1
+        a[1] += m.duration
+        a[2] += m.model
+    out = [CommStage(name, n, measured, model)
+           for name, (n, measured, model) in acc.items()]
+    out.sort(key=lambda c: -c.measured)
     return out
-
-
-# ---------------------------------------------------------------------------
-# retry accounting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RetryStats:
-    """Time and attempts charged to timed-out ``!fail`` comm records.
-
-    The comm layer names every failed attempt ``<stage>!fail``, so
-    retry cost is recoverable from the ledger alone.  ``attempts``
-    counts failed attempts (a failed bulk collective's G coherent
-    records count once); ``retry_time`` is their total duration — the
-    simulated time the run spent discovering failures, before backoff.
-    """
-
-    attempts: int
-    retry_time: float
-    by_name: dict[str, float]
-
-
-def retry_stats(ledger: Ledger) -> RetryStats:
-    """Fold a ledger's ``!fail`` records into a :class:`RetryStats`."""
-    attempts, total = 0, 0.0
-    by_name: dict[str, float] = defaultdict(float)
-    seen: set = set()
-    for r in ledger:
-        if r.kind != "comm" or not r.name.endswith("!fail"):
-            continue
-        if r.peer < 0:
-            key = (r.name, r.start, r.duration)
-            if key in seen:
-                continue
-            seen.add(key)
-        attempts += 1
-        total += r.duration
-        by_name[r.name] += r.duration
-    return RetryStats(attempts=attempts, retry_time=total,
-                      by_name=dict(by_name))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +404,10 @@ class MetricsReport:
     model: list[ModelJoin]
     overlap: list[OverlapStats]
     path: CriticalPath
-    comm: list[CommJoin] = field(default_factory=list)
-    retry: RetryStats | None = None
+    comm: list[CommStage] = field(default_factory=list)
+    #: one timed-out ``!fail`` record per failed attempt, and their total
+    retries: list[OpRecord] = field(default_factory=list)
+    retry_time: float = 0.0
 
     @property
     def exposed_comm(self) -> float:
@@ -497,12 +430,11 @@ class MetricsReport:
                            format_time(j.model), f"{j.efficiency:.2f}"])
             parts.append(t.render())
         if self.comm:
-            t = Table(["collective", "kind", "algorithm", "calls", "payload",
-                       "measured", "model", "ratio"],
-                      title="Comm measured vs plan model (per device)")
+            t = Table(["collective", "messages", "measured", "model",
+                       "ratio"],
+                      title="Comm measured vs plan model (summed per message)")
             for c in self.comm:
-                t.add_row([c.name, c.kind, c.algorithm, c.calls,
-                           format_bytes(c.payload), format_time(c.measured),
+                t.add_row([c.name, c.messages, format_time(c.measured),
                            format_time(c.model), f"{c.ratio:.2f}"])
             parts.append(t.render())
         t = Table(["device", "comm busy", "compute busy", "overlapped",
@@ -514,11 +446,14 @@ class MetricsReport:
                        format_time(s.overlap), format_time(s.exposed),
                        f"{s.overlap_fraction:.3f}"])
         parts.append(t.render())
-        if self.retry is not None and self.retry.attempts > 0:
-            top = sorted(self.retry.by_name.items(), key=lambda kv: -kv[1])[:4]
+        if self.retries:
+            by_name: dict[str, float] = defaultdict(float)
+            for r in self.retries:
+                by_name[r.name] += r.duration
+            top = sorted(by_name.items(), key=lambda kv: -kv[1])[:4]
             parts.append(
-                f"comm retries: {self.retry.attempts} failed attempts, "
-                f"{format_time(self.retry.retry_time)} in timeouts ("
+                f"comm retries: {len(self.retries)} failed attempts, "
+                f"{format_time(self.retry_time)} in timeouts ("
                 + ", ".join(f"{n} {format_time(tm)}" for n, tm in top) + ")"
             )
         n_critical = sum(1 for v in self.path.slack.values() if v == 0.0)
@@ -542,10 +477,8 @@ class MetricsReport:
             "wall_time": self.wall_time,
             "exposed_comm": self.exposed_comm,
             "overlap_fraction": self.overlap_fraction,
-            "retry_attempts": (self.retry.attempts
-                               if self.retry is not None else 0),
-            "retry_time": (self.retry.retry_time
-                           if self.retry is not None else 0.0),
+            "retry_attempts": len(self.retries),
+            "retry_time": self.retry_time,
             "critical_path_length": self.path.length,
             "critical_path_ops": len(self.path.ops),
             "critical_path_idle": self.path.idle,
@@ -562,8 +495,7 @@ class MetricsReport:
                 for j in self.model
             ],
             "comm_join": [
-                {"name": c.name, "kind": c.kind, "algorithm": c.algorithm,
-                 "calls": c.calls, "payload": c.payload,
+                {"name": c.name, "messages": c.messages,
                  "measured": c.measured, "model": c.model, "ratio": c.ratio}
                 for c in self.comm
             ],
@@ -588,11 +520,15 @@ def compute_metrics(
 
     ``geom`` (an :class:`~repro.fmm.plan.FmmGeometry`) enables the
     Section-5 model join; without it the report simply omits that table
-    (baseline FFT pipelines have no FMM stages to predict).  ``comm_log``
-    (the cluster's :mod:`repro.comm` call log) enables the comm
-    measured-vs-plan-model table the same way.
+    (baseline FFT pipelines have no FMM stages to predict).  The comm
+    table and the retry line render the run's
+    :func:`~repro.obs.fold.fold_run`, which reads them off the ledger
+    (``comm_log``, the cluster's :mod:`repro.comm` call log, adds only
+    bulk-call bytes, which the report does not show); a fault-stretched
+    message reads as priced here, since the fold sees no injector.
     """
     start, end = ledger.span()
+    facts = fold_run(ledger, spec, comm_log or ())
     return MetricsReport(
         wall_time=end - start,
         stages=rollup(ledger, by="region"),
@@ -600,7 +536,7 @@ def compute_metrics(
         model=join_fmm_model(ledger, geom, spec, dtype) if geom is not None else [],
         overlap=overlap_summary(ledger, spec.num_devices),
         path=critical_path(ledger),
-        comm=join_comm_model(ledger, comm_log, spec.num_devices)
-        if comm_log else [],
-        retry=retry_stats(ledger),
+        comm=comm_stages(facts.messages),
+        retries=facts.retries,
+        retry_time=facts.retry_time,
     )

@@ -8,10 +8,10 @@ fraction over two rolling windows of simulated time — the SRE
 multi-window pattern scaled down to millisecond traces — as a **burn
 rate**: miss fraction over the error budget (``1 - objective``).  Burn
 ≥ ``burn_threshold`` in *both* windows trips an alert, which clears
-when the short window recovers.  The burn samples and transitions become
-the ``slo.*`` series of :func:`repro.obs.telemetry.run_telemetry`, and
-the alerts land on the serve Perfetto track and in the ``serve-run``
-JSON document.
+when the short window recovers.  A serve run's timeline is part of its
+:func:`repro.obs.fold.fold_run`: the burn samples and transitions become
+the ``slo.*`` telemetry series, and the alerts land on the serve
+Perfetto track and in the ``serve-run`` JSON document.
 """
 
 from __future__ import annotations

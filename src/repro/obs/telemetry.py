@@ -1,21 +1,17 @@
-"""Metrics read off a finished run.
+"""The telemetry snapshot: one finished run's series.
 
-A run leaves every observation behind — the ledger, the comm log, the
-scheduler's batch, completion and failure records, the queue's samples,
-the injector's fault events — each stamped in simulated time.  So the
-metrics are a function of the finished run, built once after it:
-:func:`comm_telemetry` reads the ``comm.*`` series off a cluster and
-:func:`run_telemetry` adds ``faults.*``, ``cache.*``, ``serve.*`` and
-``slo.*`` for a serve run.  Nothing on the run path keeps a registry.
+The rows are a rendering of the run's :class:`~repro.obs.fold.RunFacts`
+(:func:`telemetry_rows`): ``comm.*`` for any run, plus ``faults.*``,
+``cache.*``, ``serve.*`` and ``slo.*`` for a serve run.  A
+:class:`MetricsRegistry` holds one run's rows.
 
-A :class:`MetricsRegistry` holds labeled counters (monotone totals),
-gauges (last value, bounded sample history) and histograms on one fixed
-log-spaced bucket grid (:func:`bucket_bounds`): bucket counts are
-integers, so quantiles do not depend on observation order and replays
-report them bit-identically (the float ``sum`` is not
-reordering-invariant).  The ``telemetry-registry`` lint rule keeps
-series construction in this module and series lookups in
-:mod:`repro.obs`, so every metric lands in one snapshot.
+Counters are totals; gauges keep their last value and a sample history
+thinned by one pure rule (:func:`decimate`); histograms are integer
+counts on one fixed log-spaced bucket grid (:func:`bucket_bounds`), so
+quantiles do not depend on observation order and replays report them
+bit-identically (the float ``sum`` is not reordering-invariant).  A
+quantile is the nearest-rank sample's bucket upper bound, capped at the
+observed maximum.
 
 Exporters: :meth:`MetricsRegistry.snapshot` (versioned JSON, kind
 ``telemetry-snapshot``) and :func:`prometheus_text` (Prometheus text
@@ -73,242 +69,182 @@ def bucket_bounds() -> list[float]:
 
 _BOUNDS = bucket_bounds()
 
+#: each bucket's cap: its upper bound, and +inf for the overflow bucket
+_CAPS = _BOUNDS + [math.inf]
 
-def _bucket_index(value: float) -> int:
-    """Index of the bucket holding ``value``.
+#: gauge sample history kept per series
+MAX_SAMPLES = 2048
 
-    Bucket ``i`` (0 < i < len(bounds)) holds ``bounds[i-1] < v <=
-    bounds[i]``; bucket 0 is the underflow (``v <= bounds[0]``) and the
-    last index (``len(bounds)``) is the overflow.
+
+def decimate(samples: list, max_samples: int = MAX_SAMPLES) -> list:
+    """Every ``stride``-th sample, for the least power-of-two stride that
+    keeps at most ``max_samples``: a pure function of the sequence, so
+    replays thin identically."""
+    stride = 1
+    while len(samples[::stride]) > max_samples:
+        stride *= 2
+    return samples[::stride]
+
+
+def _total(values) -> float:
+    """Left-to-right float sum, in the order the values happened in
+    (``sum`` compensates its rounding from Python 3.12 on, which would
+    change the exported bits between interpreters)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def histogram(values: list[float]) -> dict:
+    """Bucket counts, sum, maximum and quantiles of ``values``.
+
+    Bucket ``i`` holds ``bounds[i-1] < v <= bounds[i]`` (0 is the
+    underflow, ``len(bounds)`` the overflow).  A quantile is the
+    nearest-rank sample's bucket upper bound, never above the observed
+    maximum, so it is within :data:`BUCKET_GROWTH` of the exact
+    nearest-rank value; an empty histogram reports 0.0.
     """
-    return bisect_left(_BOUNDS, value)
-
-
-def _check_name(name: str) -> None:
-    if not name or not all(
-        c.islower() or c.isdigit() or c in "._" for c in name
-    ) or not name[0].islower():
-        raise ParameterError(
-            f"metric name must be lowercase dotted ([a-z0-9._]), got {name!r}"
-        )
-
-
-def _label_key(labels: dict | None) -> tuple:
-    if not labels:
-        return ()
-    for k, v in labels.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            raise ParameterError(f"labels must be str -> str, got {labels!r}")
-    return tuple(sorted(labels.items()))
-
-
-class CounterSeries:
-    """A monotone labeled counter (construct via ``registry.counter``)."""
-
-    __slots__ = ("name", "labels", "value", "count", "last_time")
-
-    kind = "counter"
-
-    def __init__(self, name: str, labels: tuple = ()):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self.count = 0
-        self.last_time = 0.0
-
-    def inc(self, amount: float = 1.0, t: float = 0.0) -> None:
-        """Add ``amount`` at simulated time ``t``."""
-        if amount < 0.0:
-            raise ParameterError(f"counter increments must be >= 0, got {amount!r}")
-        self.value += amount
-        self.count += 1
-        if t > self.last_time:
-            self.last_time = t
-
-class GaugeSeries:
-    """A last-value gauge with a bounded, deterministically decimated
-    sample history (construct via ``registry.gauge``).
-
-    When the history exceeds ``max_samples`` every other sample is
-    dropped and the keep-stride doubles — a pure function of the
-    arrival sequence, so replays decimate identically.
-    """
-
-    __slots__ = ("name", "labels", "value", "last_time", "samples",
-                 "max_samples", "_stride", "_seen")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: tuple = (), max_samples: int = 2048):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self.last_time = 0.0
-        #: retained (time, value) history for sparklines / replay
-        self.samples: list[tuple[float, float]] = []
-        self.max_samples = max_samples
-        self._stride = 1
-        self._seen = 0
-
-    def set(self, value: float, t: float = 0.0) -> None:
-        """Record the gauge's value at simulated time ``t``."""
-        self.value = float(value)
-        if t >= self.last_time:
-            self.last_time = t
-        if self._seen % self._stride == 0:
-            self.samples.append((t, float(value)))
-            if len(self.samples) > self.max_samples:
-                self.samples = self.samples[::2]
-                self._stride *= 2
-        self._seen += 1
-
-class HistogramSeries:
-    """A streaming quantile sketch on the shared log-spaced grid
-    (construct via ``registry.histogram``).
-
-    Buckets are integer counts on :func:`bucket_bounds`; quantiles are
-    nearest-rank reads of the bucket upper bound, so the same
-    observations in any order report bit-identical p50/p95/p99.
-    """
-
-    __slots__ = ("name", "labels", "counts", "count", "sum", "max",
-                 "last_time")
-
-    kind = "histogram"
-
-    def __init__(self, name: str, labels: tuple = ()):
-        self.name = name
-        self.labels = labels
-        #: sparse bucket index -> integer count
-        self.counts: dict[int, int] = {}
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-        self.last_time = 0.0
-
-    def observe(self, value: float, t: float = 0.0) -> None:
-        """Record one observation at simulated time ``t``."""
-        if value != value or value < 0.0:
-            raise ParameterError(f"histogram values must be >= 0, got {value!r}")
-        idx = _bucket_index(value)
-        self.counts[idx] = self.counts.get(idx, 0) + 1
-        self.count += 1
-        self.sum += value
-        if value > self.max:
-            self.max = value
-        if t > self.last_time:
-            self.last_time = t
-
-    def quantile(self, q: float) -> float:
-        """Nearest-rank quantile, reported as its bucket's upper bound.
-
-        Overflow observations report the exact maximum;
-        an empty sketch reports 0.0.  Within :data:`BUCKET_GROWTH` of
-        the exact nearest-rank sample value for in-range data.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ParameterError(f"quantile must be in (0, 1], got {q!r}")
-        if self.count == 0:
-            return 0.0
-        rank = nearest_rank(q, self.count)
-        seen = 0
-        for idx in sorted(self.counts):
-            seen += self.counts[idx]
+    counts: dict[int, int] = {}
+    for v in values:
+        if v != v or v < 0.0:
+            raise ParameterError(f"histogram values must be >= 0, got {v!r}")
+        i = bisect_left(_BOUNDS, v)
+        counts[i] = counts.get(i, 0) + 1
+    top = max([0.0, *values])
+    quantiles = {}
+    for key, q in QUANTILES:
+        rank, seen, cap = nearest_rank(q, len(values)), 0, 0.0
+        for i in sorted(counts):
+            seen += counts[i]
             if seen >= rank:
-                if idx >= len(_BOUNDS):
-                    return self.max
-                return _BOUNDS[idx]
-        return self.max
+                cap = min(_CAPS[i], top)
+                break
+        quantiles[key] = cap
+    return {"count": len(values), "sum": _total(values), "max": top,
+            "counts": {str(i): n for i, n in sorted(counts.items())},
+            "quantiles": quantiles}
 
-    def quantiles(self) -> dict[str, float]:
-        """The standard ``{"p50": ..., "p95": ..., "p99": ...}`` read."""
-        return {k: self.quantile(q) for k, q in QUANTILES}
 
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (0.0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
+def _row(name: str, labels: tuple, kind: str, stamps: list) -> dict:
+    """One snapshot row of a series observed as ``(time, value)`` stamps,
+    in the order they happened."""
+    row = {"name": name, "labels": dict(labels), "type": kind,
+           "last_time": max([0.0, *(t for t, _ in stamps)])}
+    values = [v for _, v in stamps]
+    if kind == "counter":
+        row.update(value=_total(values), count=len(values))
+    elif kind == "gauge":
+        row.update(value=float(values[-1]) if values else 0.0,
+                   samples=[[t, float(v)] for t, v in decimate(stamps)])
+    else:
+        row.update(histogram(values))
+    return row
+
+
+def telemetry_rows(facts) -> list[dict]:
+    """The snapshot rows of a run's :class:`~repro.obs.fold.RunFacts`,
+    sorted by (name, labels): ``comm.*`` always, and ``faults.*``,
+    ``cache.*``, ``serve.*`` and ``slo.*`` for a serve run, each stamped
+    at its event's simulated time (the series table is in
+    ``docs/OBSERVABILITY.md``).  ``comm.retry{stage}`` keys attempts by
+    the op name's last dot-component, so batch namespaces stay bounded.
+    """
+    series: dict[tuple, tuple[str, list]] = {}
+
+    def put(kind, name, labels=(), t=None, value=1.0):
+        stamps = series.setdefault((name, labels), (kind, []))[1]
+        if t is not None:
+            stamps.append((t, value))
+
+    # messages are grouped in one tight pass: a serve run has ~10^4
+    sent: dict[str, list] = {}
+    ratios: dict[str, list] = {}
+    bulk_end = 0.0
+    for m in facts.messages:
+        if not m.link:
+            bulk_end = max(bulk_end, m.end)
+            continue
+        sent.setdefault(m.link_class, []).append((m.end, m.nbytes))
+        ratio = ratios.setdefault(m.link, [])
+        if m.model > 0.0 and m.duration > 0.0:
+            ratio.append((m.end, m.ratio))
+    if facts.bulk_bytes:
+        sent["bulk"] = [(bulk_end, nbytes) for nbytes in facts.bulk_bytes]
+    for link_class, stamps in sent.items():
+        series["comm.bytes", (("link_class", link_class),)] = (
+            "counter", stamps)
+    for link, stamps in ratios.items():
+        series["comm.measured_vs_model", (("link", link),)] = (
+            "histogram", stamps)
+    for r in facts.retries:
+        stage = r.name[:-len("!fail")].rsplit(".", 1)[-1]
+        put("counter", "comm.retry", (("stage", stage),), r.end)
+    if facts.slo is not None:  # a serve run
+        # local import: serve.scheduler imports this module
+        from repro.serve.request import DEADLINE_CLASSES
+
+        for e in facts.fault_events:
+            put("counter", "faults.events", (("kind", e.kind),), e.time)
+        for name, t in facts.cache_moves:
+            put("counter", name, (), t)
+        for _, finish, lat in facts.batches:
+            if lat is None:
+                put("counter", "serve.batch_failed", (), finish)
+            else:
+                put("histogram", "serve.batch_latency", (), finish, lat)
+        for cls in DEADLINE_CLASSES:
+            put("gauge", "serve.queue_depth", (("class", cls),))
+            put("counter", "serve.shed", (("class", cls),))
+        for t, by_class in facts.depths[1:]:
+            for cls, depth in zip(DEADLINE_CLASSES, by_class):
+                put("gauge", "serve.queue_depth", (("class", cls),), t, depth)
+        for t, cls in facts.sheds:
+            put("counter", "serve.shed", (("class", cls),), t)
+        for t, cls, lat, missed in facts.completions:
+            put("histogram", "serve.request_latency", (("class", cls),), t,
+                lat)
+            if missed:
+                put("counter", "serve.deadline_miss", (("class", cls),), t)
+        for t, cls, shed in facts.failures:
+            put("counter", "serve.retry_shed" if shed else "serve.retry",
+                (("class", cls),), t)
+        for cls, burns in facts.slo.burns.items():
+            for t, short, long_ in burns:
+                for window, burn in (("short", short), ("long", long_)):
+                    put("gauge", "slo.burn_rate",
+                        (("class", cls), ("window", window)), t, burn)
+        for a in facts.slo.alerts:
+            put("counter", "slo.alerts",
+                (("class", a.deadline_class), ("kind", a.kind)), a.time)
+    return [_row(name, labels, kind, stamps)
+            for (name, labels), (kind, stamps) in sorted(series.items())]
 
 
 class MetricsRegistry:
-    """Named/labeled series store.
-
-    The sole sanctioned constructor of metric series (lint rule
-    ``telemetry-registry``).  A disabled one (``enabled=False``) hands
-    out series that land nowhere, so it stays empty.
-    """
+    """One finished run's snapshot rows, written once by :meth:`fill`
+    (a scheduler fills the one it was given when its ``telemetry`` is
+    first read); a disabled registry (``enabled=False``) stays empty."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._series: dict[tuple, object] = {}
-        # names validated once; derivations re-resolve series per
-        # observation, so re-scanning the name each time is pure waste
-        self._checked_names: set[str] = set()
+        self.rows: list[dict] = []
 
     def __len__(self) -> int:
-        return len(self._series)
+        return len(self.rows)
 
-    def _get(self, cls, name: str, labels: dict | None):
-        if not self.enabled:
-            return cls(name)
-        if name not in self._checked_names:
-            _check_name(name)
-            self._checked_names.add(name)
-        lk = _label_key(labels)
-        key = (name, lk)
-        s = self._series.get(key)
-        if s is None:
-            s = cls(name, lk)
-            self._series[key] = s
-        elif not isinstance(s, cls):
-            raise ParameterError(
-                f"series {name}{dict(lk)} already registered as {s.kind}"
-            )
-        return s
-
-    def counter(self, name: str, labels: dict | None = None) -> CounterSeries:
-        """The counter for (name, labels), created on first use."""
-        return self._get(CounterSeries, name, labels)
-
-    def gauge(self, name: str, labels: dict | None = None) -> GaugeSeries:
-        """The gauge for (name, labels), created on first use."""
-        return self._get(GaugeSeries, name, labels)
-
-    def histogram(self, name: str, labels: dict | None = None) -> HistogramSeries:
-        """The histogram for (name, labels), created on first use."""
-        return self._get(HistogramSeries, name, labels)
-
-    def get(self, name: str, labels: dict | None = None):
-        """Look up an existing series (None when never emitted)."""
-        return self._series.get((name, _label_key(labels)))
-
-    def series(self) -> list:
-        """All series, sorted by (name, labels) for stable iteration."""
-        return [self._series[k] for k in sorted(self._series)]
-
-    # -- export --------------------------------------------------------
+    def fill(self, facts) -> MetricsRegistry:
+        """Write the rows of a run's :class:`~repro.obs.fold.RunFacts`."""
+        if self.enabled:
+            self.rows = telemetry_rows(facts)
+        return self
 
     def snapshot(self, time: float = 0.0) -> dict:
-        """The registry as a versioned JSON-ready document.
+        """The rows as a versioned JSON-ready document.
 
         ``time`` is the simulated instant the snapshot represents (a
         serve run's is its wall time).
         """
-        rows = []
-        for s in self.series():
-            row = {"name": s.name, "labels": dict(s.labels),
-                   "type": s.kind, "last_time": s.last_time}
-            if s.kind == "counter":
-                row.update(value=s.value, count=s.count)
-            elif s.kind == "gauge":
-                row.update(value=s.value,
-                           samples=[[t, v] for t, v in s.samples])
-            else:
-                row.update(count=s.count, sum=s.sum, max=s.max,
-                           counts={str(i): n for i, n in
-                                   sorted(s.counts.items())},
-                           quantiles=s.quantiles())
-            rows.append(row)
         return {
             "version": SCHEMA_VERSION,
             "kind": SCHEMA_KIND,
@@ -316,7 +252,7 @@ class MetricsRegistry:
             "buckets": {"lo": BUCKET_LO,
                         "per_decade": BUCKETS_PER_DECADE,
                         "decades": BUCKET_DECADES},
-            "series": rows,
+            "series": list(self.rows),
         }
 
     def save(self, path: str | Path, time: float = 0.0) -> None:
@@ -342,134 +278,6 @@ def load_snapshot(path: str | Path) -> dict:
     return doc
 
 
-def comm_telemetry(cluster, registry: MetricsRegistry | None = None
-                   ) -> MetricsRegistry:
-    """The ``comm.*`` series of what ran on ``cluster``, read off its
-    ledger and comm log into ``registry`` (default: a fresh one).
-
-    ``comm.bytes{link_class}`` counts every message's bytes at its end
-    (``bulk``: a flat-model call's ``G x payload``, at the last one's
-    end).  ``comm.measured_vs_model{link}`` observes each message's
-    record window over its fault-free price at the pair's own latency (a
-    lone transfer pays the worst-path one); under a stretch fault that
-    price is the duration over the injector's stretch, which can miss
-    the priced value in the last bit.  ``comm.retry{stage}`` counts
-    timed-out attempts (``!fail`` records; a collective's G are one) by
-    the op name's last dot-component, so batch namespaces stay bounded.
-    """
-    reg = MetricsRegistry() if registry is None else registry
-    spec, faults = cluster.spec, cluster.faults
-    links: dict[tuple, tuple] = {}
-    bulk_end = 0.0
-    for r in cluster.ledger:
-        if r.kind != "comm":
-            continue
-        src, dst, nbytes = r.device, r.peer, r.comm_bytes
-        if r.name.endswith("!fail"):
-            if dst >= 0 or src == 0:
-                stage = r.name[:-len("!fail")].rsplit(".", 1)[-1]
-                reg.counter("comm.retry", {"stage": stage}).inc(1.0, t=r.end)
-            continue
-        if dst < 0:
-            bulk_end = max(bulk_end, r.end)
-            continue
-        if dst == src or not nbytes > 0.0:
-            continue
-        link = links.get((src, dst))
-        if link is None:
-            pair = spec.pair(src, dst)
-            link = links[src, dst] = (
-                reg.counter("comm.bytes", {"link_class": pair.link_class}),
-                reg.histogram("comm.measured_vs_model",
-                              {"link": f"{min(src, dst)}-{max(src, dst)}"}),
-                pair.latency)
-        counter, ratio, latency = link
-        start, end = r.start, r.end
-        counter.inc(nbytes, t=end)
-        s = 1.0 if faults is None else faults.comm_scale(src, dst, start)
-        lone = spec.p2p_time(src, dst, nbytes)
-        if r.duration == (lone if s == 1.0 else lone * s):
-            model = spec.p2p_time(src, dst, nbytes, None, latency)
-        else:  # a plan's message: priced at the pair's latency already
-            model = r.duration if s == 1.0 else r.duration / s
-        if model > 0.0 and end > start:
-            ratio.observe((end - start) / model, t=end)
-    for e in cluster.comm_log:
-        if e["algorithm"] == "bulk":
-            reg.counter("comm.bytes", {"link_class": "bulk"}).inc(
-                e["payload"] * e["G"], t=bulk_end)
-    return reg
-
-
-def run_telemetry(sched, registry: MetricsRegistry | None = None
-                  ) -> MetricsRegistry:
-    """Every series of a finished serve run (a
-    :class:`~repro.serve.scheduler.ServeScheduler`) into ``registry``
-    (default: a fresh one): :func:`comm_telemetry` of its cluster, the
-    injector's events, the cache's counter moves since the scheduler
-    took it over (at the issue time of the batch that moved them), the
-    queue's samples and sheds, per-batch, per-completion and
-    per-failed-request series, and :func:`slo_telemetry` of ``sched.slo``.
-    """
-    # local import: serve.scheduler imports this module
-    from repro.serve.request import DEADLINE_CLASSES
-
-    reg = comm_telemetry(sched.cluster, registry)
-    if sched.faults is not None:
-        for e in sched.faults.events:
-            reg.counter("faults.events", {"kind": e.kind}).inc(1.0, t=e.time)
-    seen = sched.cache_baseline
-    for b in sched.batches:
-        for name, n in b["cache"].items():
-            for _ in range(n - seen[name]):
-                reg.counter(name).inc(1.0, t=b["issued"])
-        seen = b["cache"]
-        if b["failed"]:
-            reg.counter("serve.batch_failed").inc(1.0, t=b["finish"])
-        else:
-            reg.histogram("serve.batch_latency").observe(
-                max(0.0, b["finish"] - b["issued"]), t=b["finish"])
-    q = sched.queue
-    depth = [reg.gauge("serve.queue_depth", {"class": c})
-             for c in DEADLINE_CLASSES]
-    shed = {c: reg.counter("serve.shed", {"class": c})
-            for c in DEADLINE_CLASSES}
-    for t, by_class in q.class_depths[1:]:
-        for gauge, d in zip(depth, by_class):
-            gauge.set(d, t=t)
-    for t, c in q.shed_at:
-        shed[c].inc(1.0, t=t)
-    for c in sched.completed:
-        cls, lat = c.request.deadline, c.finish - c.request.arrival
-        reg.histogram("serve.request_latency", {"class": cls}).observe(
-            lat, t=c.finish)
-        if lat > sched.deadline_targets[cls]:
-            reg.counter("serve.deadline_miss", {"class": cls}).inc(
-                1.0, t=c.finish)
-    for t, r, was_shed in sched.failures:
-        reg.counter("serve.retry_shed" if was_shed else "serve.retry",
-                    {"class": r.deadline}).inc(1.0, t=t)
-    return slo_telemetry(sched.slo, reg)
-
-
-def slo_telemetry(timeline, registry: MetricsRegistry | None = None
-                  ) -> MetricsRegistry:
-    """The ``slo.*`` series of an :class:`~repro.obs.slo.SloTimeline`
-    into ``registry`` (default: a fresh one): ``slo.burn_rate{class,
-    window}`` gauges set at each burn sample and ``slo.alerts{class,
-    kind}`` counters at each trigger/clear, all at their outcome's time.
-    """
-    reg = MetricsRegistry() if registry is None else registry
-    for cls, burns in timeline.burns.items():
-        for t, short, long_ in burns:
-            reg.gauge("slo.burn_rate", {"class": cls, "window": "short"}
-                      ).set(short, t=t)
-            reg.gauge("slo.burn_rate", {"class": cls, "window": "long"}
-                      ).set(long_, t=t)
-    for a in timeline.alerts:
-        reg.counter("slo.alerts", {"class": a.deadline_class,
-                                   "kind": a.kind}).inc(1.0, t=a.time)
-    return reg
 
 
 def _prom_name(name: str) -> str:
@@ -526,7 +334,7 @@ def prometheus_text(doc: dict) -> str:
             cum = 0
             for idx in sorted(counts):
                 cum += counts[idx]
-                le = (_BOUNDS[idx] if idx < len(_BOUNDS) else math.inf)
+                le = _CAPS[idx]
                 lines.append(
                     f"{pname}_bucket"
                     f"{_prom_labels(row['labels'], (('le', _prom_float(le)),))}"

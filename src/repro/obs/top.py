@@ -9,10 +9,10 @@ serve-run) document, so ``repro top --replay`` of a saved JSON file
 renders bit-identically to the run that produced it — that
 property is pinned by the replay acceptance test.
 
-The renderer deliberately consumes the *document*, not a
-:class:`~repro.obs.telemetry.MetricsRegistry`: everything shown here
-survives a JSON round-trip, which keeps the dashboard honest about
-what the exported telemetry actually contains.
+The renderer consumes the *document*, not the run's
+:class:`~repro.obs.fold.RunFacts`: everything shown here survives a
+JSON round-trip, which keeps the dashboard honest about what the
+exported telemetry actually contains.
 """
 
 from __future__ import annotations

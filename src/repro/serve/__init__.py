@@ -21,8 +21,10 @@ transform requests the way an inference server serves tokens:
   throughput, hit rates, deadline-miss and retry accounting, the
   Perfetto serve track, and the versioned ``serve-run`` JSON document.
 
-Telemetry is read off the finished run (``ServeScheduler.telemetry``
-and ``.slo``) — see ``repro top`` and ``docs/OBSERVABILITY.md``.
+A finished run is read once (``ServeScheduler.facts``, see
+:mod:`repro.obs.fold`); its report, telemetry (``.telemetry``) and SLO
+timeline (``.slo``) render those facts — see ``repro top`` and
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

@@ -54,11 +54,11 @@ dead link.  All retry/shed accounting lands in
 Telemetry is read off the finished run, not streamed during it: the
 ledger, the comm log, :attr:`ServeScheduler.batches`, the completions,
 the failed requests, the queue's samples and the injector's fault
-events hold every observation, so :attr:`ServeScheduler.telemetry` and
-:attr:`ServeScheduler.slo` derive their series and burn-rate alerts
-from them on first read (:func:`~repro.obs.telemetry.run_telemetry`,
-:func:`~repro.obs.slo.slo_timeline`).  Every stamp is simulated time,
-so a replayed run reports bit-identical telemetry.
+events hold every observation.  :attr:`ServeScheduler.facts` reads them
+once, on first use (:func:`~repro.obs.fold.fold_run`), and
+:attr:`~ServeScheduler.telemetry`, :attr:`~ServeScheduler.slo` and
+:func:`~repro.serve.stats.summarize` render those facts.  Every stamp is
+simulated time, so a replayed run reports bit-identical telemetry.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ from repro.ir.capture import capture
 from repro.ir.executor import ReplayExecutor, compile_tape
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
-from repro.obs.slo import SloTimeline, slo_timeline
-from repro.obs.telemetry import MetricsRegistry, run_telemetry
+from repro.obs.fold import RunFacts, fold_run
+from repro.obs.slo import SloTimeline
+from repro.obs.telemetry import MetricsRegistry
 from repro.serve.batcher import Batch, Batcher
 from repro.serve.queue import AdmissionQueue
 from repro.serve.request import (
@@ -178,7 +179,7 @@ class ServeScheduler:
         self._registry = (telemetry if telemetry is not None
                           else MetricsRegistry())
         self._telemetry: MetricsRegistry | None = None
-        self._slo: SloTimeline | None = None
+        self._facts: RunFacts | None = None
         #: the cache's counters when this scheduler took it over (a warm
         #: cache's earlier lookups belong to earlier runs)
         self.cache_baseline = batcher.cache.counters()
@@ -431,25 +432,27 @@ class ServeScheduler:
         return count_by_class(r.deadline for _, r, s in self.failures if s)
 
     @property
+    def facts(self) -> RunFacts:
+        """The finished run read once (:func:`~repro.obs.fold.fold_run`),
+        on first use."""
+        if self._facts is None:
+            cl = self.cluster
+            self._facts = fold_run(cl.ledger, cl.spec, cl.comm_log,
+                                   cl.faults, self)
+        return self._facts
+
+    @property
     def slo(self) -> SloTimeline:
         """Burn rates and alerts of the default objectives over every
         completion (in its class's target or not) and every request shed
         on retry (a miss: an availability loss, not a latency sample), in
-        time order; computed on first read."""
-        if self._slo is None:
-            outcomes = [(c.finish, c.request.deadline,
-                         c.finish - c.request.arrival
-                         <= self.deadline_targets[c.request.deadline])
-                        for c in self.completed]
-            outcomes += [(t, r.deadline, False)
-                         for t, r, shed in self.failures if shed]
-            self._slo = slo_timeline(outcomes)
-        return self._slo
+        time order."""
+        return self.facts.slo
 
     @property
     def telemetry(self) -> MetricsRegistry:
-        """The run's metrics registry, written on first read from what the
-        run left behind (:func:`~repro.obs.telemetry.run_telemetry`)."""
+        """The run's metrics registry, filled from :attr:`facts` on first
+        read."""
         if self._telemetry is None:
-            self._telemetry = run_telemetry(self, self._registry)
+            self._telemetry = self._registry.fill(self.facts)
         return self._telemetry

@@ -1,10 +1,11 @@
 """Serving telemetry: latency percentiles, throughput, cache hit rates.
 
-:func:`summarize` folds a finished :class:`ServeScheduler` into a
-:class:`ServeReport` — p50/p95/p99 latency overall and per deadline
-class, throughput, queue depth, shed counts, batch shape, and the plan/
-wisdom cache counters (whose ``searches`` field is the acceptance
-criterion's "zero autotune searches on a warm start").
+:func:`summarize` renders a finished :class:`ServeScheduler`'s
+:attr:`~ServeScheduler.facts` as a :class:`ServeReport` — p50/p95/p99
+latency overall and per deadline class, throughput, queue depth, shed
+counts, batch shape, and the plan/wisdom cache counters (whose
+``searches`` field is the acceptance criterion's "zero autotune
+searches on a warm start").
 
 :func:`serve_trace_events` renders the same run as a Chrome-trace
 process — one X span per batch (release to finish) plus a queue-depth
@@ -16,13 +17,12 @@ the same Perfetto timeline as the kernels and collectives they caused.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.obs.metrics import retry_stats
 from repro.obs.telemetry import QUANTILES, nearest_rank
-from repro.serve.request import DEADLINE_CLASSES, DEADLINE_TARGETS
+from repro.serve.request import DEADLINE_CLASSES, count_by_class
 from repro.serve.scheduler import ServeScheduler
 
 #: Chrome-trace pid for the serve track; device pids are 0..G-1 and real
@@ -31,18 +31,12 @@ SERVE_PID = 99
 
 
 def _percentiles(xs: list[float]) -> dict[str, float]:
-    """Nearest-rank percentiles (not interpolated).
-
-    The p-th percentile of n samples is the ``ceil(p/100 * n)``-th
-    smallest — an *observed* value.  Linear interpolation (the old
-    ``np.percentile`` default) invents a value below the true tail on
-    small samples: p99 of 100 latencies interpolated between the 99th
-    and 100th order statistics under-reports the worst observed
-    request.  The telemetry histogram's
-    :meth:`~repro.obs.telemetry.HistogramSeries.quantile` ranks by the
-    same :func:`~repro.obs.telemetry.nearest_rank`, so the two agree
-    within one bucket's width.
-    """
+    """Nearest-rank percentiles: the p-th of n samples is the
+    ``ceil(p/100 * n)``-th smallest, an *observed* value (interpolation
+    would report a tail below the worst request).  The telemetry
+    :func:`~repro.obs.telemetry.histogram` ranks by the same
+    :func:`~repro.obs.telemetry.nearest_rank`, so the two agree within
+    one bucket's width."""
     if not xs:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
     arr = sorted(xs)
@@ -68,20 +62,17 @@ class ServeReport:
     wisdom_misses: int
     searches: int
     #: per-class completions that finished past their deadline target
-    deadline_misses: dict[str, int] = field(
-        default_factory=lambda: {c: 0 for c in DEADLINE_CLASSES})
+    deadline_misses: dict[str, int]
     #: per-class requests re-enqueued after their batch failed
-    retried: dict[str, int] = field(
-        default_factory=lambda: {c: 0 for c in DEADLINE_CLASSES})
+    retried: dict[str, int]
     #: per-class requests shed on retry (budget/deadline exceeded)
-    retry_shed: dict[str, int] = field(
-        default_factory=lambda: {c: 0 for c in DEADLINE_CLASSES})
+    retry_shed: dict[str, int]
     #: batches that died with a CommFailure
-    failed_batches: int = 0
+    failed_batches: int
     #: fault events the injector stamped (0 on fault-free runs)
-    fault_events: int = 0
+    fault_events: int
     #: total ledger time spent in timed-out ``!fail`` comm attempts
-    retry_time: float = 0.0
+    retry_time: float
 
     def to_json(self) -> str:
         """Serialize the report as indented JSON."""
@@ -130,48 +121,37 @@ class ServeReport:
 
 
 def summarize(sched: ServeScheduler) -> ServeReport:
-    """Fold a finished scheduler run into a :class:`ServeReport`."""
-    cache = sched.batcher.cache
-    lat = [c.latency for c in sched.completed]
-    by_class = {
-        cls: _percentiles(
-            [c.latency for c in sched.completed if c.request.deadline == cls]
-        )
-        for cls in DEADLINE_CLASSES
-    }
-    targets = getattr(sched, "deadline_targets", DEADLINE_TARGETS)
-    deadline_misses = {
-        cls: sum(
-            1 for c in sched.completed
-            if c.request.deadline == cls and c.latency > targets[cls]
-        )
-        for cls in DEADLINE_CLASSES
-    }
-    faults = getattr(sched.cluster, "faults", None)
-    depths = [d for _, d in sched.queue.depth_samples]
-    ks = [b["k"] for b in sched.batches]
-    wall = sched.wall_time
+    """Render a finished scheduler run's facts as a :class:`ServeReport`."""
+    facts, cache, wall = sched.facts, sched.batcher.cache, sched.wall_time
+    by_class = {cls: [] for cls in DEADLINE_CLASSES}
+    misses = dict.fromkeys(DEADLINE_CLASSES, 0)
+    for _, cls, lat, missed in facts.completions:
+        by_class[cls].append(lat)
+        misses[cls] += missed
+    depths = [sum(d) for _, d in facts.depths]
+    ks = [k for k, _, _ in facts.batches]
+    done = len(facts.completions)
     return ServeReport(
-        completed=len(sched.completed),
-        shed=dict(sched.queue.shed),
+        completed=done,
+        shed=count_by_class(c for _, c in facts.sheds),
         wall_time=wall,
-        throughput=len(sched.completed) / wall if wall > 0 else 0.0,
-        latency=_percentiles(lat),
-        latency_by_class=by_class,
+        throughput=done / wall if wall > 0 else 0.0,
+        latency=_percentiles([lat for _, _, lat, _ in facts.completions]),
+        latency_by_class={c: _percentiles(xs) for c, xs in by_class.items()},
         queue_depth_max=max(depths) if depths else 0,
         queue_depth_mean=float(np.mean(depths)) if depths else 0.0,
-        batches=len(sched.batches),
+        batches=len(ks),
         mean_batch_size=float(np.mean(ks)) if ks else 0.0,
         plan_hit_rate=cache.hit_rate,
         wisdom_hits=cache.wisdom_hits,
         wisdom_misses=cache.wisdom_misses,
         searches=cache.searches,
-        deadline_misses=deadline_misses,
-        retried=dict(sched.retried),
-        retry_shed=dict(sched.retry_shed),
-        failed_batches=sched.failed_batches,
-        fault_events=len(faults.events) if faults is not None else 0,
-        retry_time=retry_stats(sched.cluster.ledger).retry_time,
+        deadline_misses=misses,
+        retried=count_by_class(c for _, c, shed in facts.failures if not shed),
+        retry_shed=count_by_class(c for _, c, shed in facts.failures if shed),
+        failed_batches=sum(lat is None for _, _, lat in facts.batches),
+        fault_events=len(facts.fault_events),
+        retry_time=facts.retry_time,
     )
 
 

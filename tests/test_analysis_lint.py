@@ -404,69 +404,6 @@ class TestDeterministicGate:
         assert lint_paths([here]) == []
 
 
-class TestTelemetryRegistry:
-    COUNTER = HDR + "s = CounterSeries('comm.bytes')\n"
-    GAUGE = HDR + "s = GaugeSeries('serve.queue_depth')\n"
-    HIST = HDR + "s = telemetry.HistogramSeries('serve.batch_latency')\n"
-
-    def test_direct_construction_flagged(self):
-        for src in (self.COUNTER, self.GAUGE, self.HIST):
-            assert rules(src, "src/repro/serve/scheduler.py") == [
-                "telemetry-registry"
-            ], src
-            assert rules(src, "src/repro/comm/api.py") == [
-                "telemetry-registry"
-            ], src
-
-    def test_registry_module_exempt(self):
-        for src in (self.COUNTER, self.GAUGE, self.HIST):
-            assert rules(src, "src/repro/obs/telemetry.py") == [], src
-
-    def test_registry_lookup_ok(self):
-        src = HDR + "s = reg.counter('comm.bytes', {'link_class': 'direct'})\n"
-        assert rules(src, "src/repro/obs/slo.py") == []
-
-    def test_series_methods_flagged_outside_obs(self):
-        for call in ("reg.counter('comm.bytes')", "self.telemetry.gauge('q.d')",
-                     "tel.histogram('serve.batch_latency')"):
-            src = HDR + f"s = {call}\n"
-            assert rules(src, "src/repro/comm/api.py") == [
-                "telemetry-registry"], call
-            assert rules(src, "src/repro/obs/telemetry.py") == [], call
-        # numpy's histogram is not a series lookup
-        src = HDR + "import numpy as np\nh = np.histogram(x)\n"
-        assert rules(src, "src/repro/serve/stats.py") == []
-
-    def test_mutant_emission_put_back_in_the_engine_caught_by_this_rule_only(
-            self):
-        """Seeded mutant: a ``comm.bytes`` emission put back into the
-        engine's p2p issue half."""
-        import repro.machine.cluster as cluster
-
-        src = open(cluster.__file__).read()
-        path = "src/repro/machine/cluster.py"
-        assert rules(src, path) == []
-        tail = "        end = tx.clock = rx.clock = start + dur\n        return end, uid\n"
-        assert src.count(tail) == 1
-        mutant = src.replace(tail, tail.replace(
-            "        return", "        self.telemetry.counter(\"comm.bytes\", "
-            "{\"link_class\": \"direct\"}).inc(nbytes, t=end)\n        return"))
-        assert mutant != src
-        assert rules(mutant, path) == ["telemetry-registry"]
-
-    def test_unrelated_names_ok(self):
-        # collections.Counter and lookalike names must not trip it
-        src = HDR + "from collections import Counter\nc = Counter()\n"
-        assert rules(src, "src/repro/machine/topology.py") == []
-        src = HDR + "x = MyCounterSeriesFactory()\n"
-        assert rules(src, "src/repro/serve/queue.py") == []
-
-    def test_pragma_waives(self):
-        src = HDR + ("s = CounterSeries('x.y')"
-                     "  # lint: allow-telemetry-registry\n")
-        assert rules(src, "src/repro/serve/scheduler.py") == []
-
-
 class TestPerRuleWaivers:
     """`# lint: allow-<rule>` suppresses exactly that rule on exactly
     that line — a waiver elsewhere, or for another rule, changes nothing."""
@@ -530,10 +467,6 @@ class TestPerRuleWaivers:
 
     def test_deterministic_time(self):
         self.waiver_case("t = time.time()", "deterministic-time",
-                         path="src/repro/serve/x.py")
-
-    def test_telemetry_registry(self):
-        self.waiver_case("s = GaugeSeries('q.depth')", "telemetry-registry",
                          path="src/repro/serve/x.py")
 
     def test_engine_site(self):

@@ -472,17 +472,25 @@ class TestEndToEnd:
         assert validate_trace(doc) == []
 
     def test_comm_join_bulk_ratio_is_one(self, dgx1_runs):
+        """Per message over the fault-free price the engine charged: a
+        bulk call and a plan's message read exactly 1.0, a halo's lone
+        transfers above it (they pay the worst-path latency and are
+        modelled at their pair's own)."""
         spec, runs = dgx1_runs
-        cl = runs["bulk"]
-        rep = compute_metrics(cl.ledger, spec, comm_log=cl.comm_log)
-        assert rep.comm
-        bulk = [c for c in rep.comm if c.algorithm == "bulk"]
-        assert bulk
-        for c in bulk:
-            assert c.ratio == pytest.approx(1.0)
-        for c in rep.comm:  # halos/plans: within the balance envelope
-            assert 0.0 < c.ratio <= 1.0 + 1e-9
-        assert rep.to_json()["comm_join"]
+        for algo, cl in runs.items():
+            rep = compute_metrics(cl.ledger, spec, comm_log=cl.comm_log)
+            ratio = {c.name: c.ratio for c in rep.comm}
+            kinds = {e["name"]: (e["kind"], e["algorithm"])
+                     for e in cl.comm_log}
+            assert set(ratio) == set(kinds)
+            assert (algo == "bulk") == any(a == "bulk"
+                                           for _, a in kinds.values())
+            for name, (kind, _) in kinds.items():
+                if kind == "halo":
+                    assert ratio[name] > 1.0, name
+                else:
+                    assert ratio[name] == 1.0, name
+            assert rep.to_json()["comm_join"]
 
     def test_execute_mode_correct_under_plans(self):
         # the fn-at-issue contract survives the per-message decomposition

@@ -350,7 +350,8 @@ def _issue_twice(cl, kind, algo, chunks):
 
 
 def _outcome(spec, kind, algo, chunks, faults=False, tape=False):
-    from repro.obs.telemetry import comm_telemetry
+    from repro.obs.fold import fold_run
+    from repro.obs.telemetry import telemetry_rows
 
     inj = (FaultInjector(spec, seed=11, transient_rate=0.03) if faults
            else None)
@@ -368,7 +369,8 @@ def _outcome(spec, kind, algo, chunks, faults=False, tape=False):
     except comm.CommFailure as e:  # the same failure on both paths
         evs = [repr(e), e.time]
     return (cl.ledger.fingerprint(), repr(list(cl.ledger)), cl.comm_log,
-            comm_telemetry(cl).snapshot(), repr(evs), nodes)
+            telemetry_rows(fold_run(cl.ledger, spec, cl.comm_log, inj)),
+            repr(evs), nodes)
 
 
 @pytest.mark.parametrize("mode", ["eager", "taped", "faults"])

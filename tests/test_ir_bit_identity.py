@@ -22,7 +22,8 @@ from repro.core.plan import FmmFftPlan
 from repro.ir import ReplayExecutor, capture_built, scratch_replay
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import p100_nvlink_node
-from repro.obs.telemetry import comm_telemetry
+from repro.obs.fold import fold_run
+from repro.obs.telemetry import telemetry_rows
 
 N = 1 << 12
 NUFFT_N, NUFFT_M = 128, 64
@@ -74,6 +75,11 @@ def _plain_run(name, params, cl, algo):
         ClusterNufft2(NUFFT_N, NUFFT_M, cl).run()
 
 
+def _series(cl):
+    """The telemetry rows of what ran on ``cl``."""
+    return telemetry_rows(fold_run(cl.ledger, cl.spec, cl.comm_log))
+
+
 def _table_args(name, params, algo="bulk"):
     """The table's spelling of what ``_plain_run`` constructs by hand."""
     if name == "nufft":
@@ -102,18 +108,18 @@ def test_schedule_bit_identity(name, params, algo):
     replayed = cluster()
     ReplayExecutor(graph, replayed).run()
     fp = plain.ledger.fingerprint()
-    telemetry = comm_telemetry(plain).snapshot()
+    telemetry = _series(plain)
     if spec.num_devices > 1:
-        assert telemetry["series"] and plain.comm_log
+        assert telemetry and plain.comm_log
     for cl in (captured, replayed):
         assert cl.ledger.fingerprint() == fp
-        assert comm_telemetry(cl).snapshot() == telemetry
+        assert _series(cl) == telemetry
         assert cl.comm_log == plain.comm_log
     # a second capture replays the same series
     graph, _ = capture_built(_build(name, params, cluster(), algo))
     replayed = cluster()
     ReplayExecutor(graph, replayed).run()
-    assert comm_telemetry(replayed).snapshot() == telemetry
+    assert _series(replayed) == telemetry
     assert scratch_replay(graph, spec).ledger.fingerprint() == fp
     n, kw = _table_args(name, params, algo)
     assert pipelines.simulate(name, n, SPEC, **kw).ledger.fingerprint() == fp

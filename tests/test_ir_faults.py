@@ -42,7 +42,8 @@ from repro.ir.graph import OP_COLL
 from repro.machine.cluster import VirtualCluster
 from repro.machine.multinode import routed_multinode_p100
 from repro.machine.spec import preset
-from repro.obs.telemetry import comm_telemetry
+from repro.obs.fold import fold_run
+from repro.obs.telemetry import telemetry_rows
 from repro.serve import (
     AdmissionQueue,
     Batcher,
@@ -110,7 +111,8 @@ def _observed(cl, run):
         failure = (str(e), e.time, e.permanent)
     return {
         "ledger": cl.ledger.fingerprint(),
-        "telemetry": comm_telemetry(cl).snapshot(),
+        "telemetry": telemetry_rows(fold_run(cl.ledger, cl.spec,
+                                             cl.comm_log, cl.faults)),
         "comm_log": list(cl.comm_log),
         "fault_events": list(cl.faults.events),
         "failure": failure,

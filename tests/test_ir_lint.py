@@ -103,8 +103,9 @@ class TestEngineSite:
 
     def test_rule_count_unchanged(self):
         # engine-site replaced ir-capture-site one for one; launch-trig
-        # (the per-op twiddle rule) is the thirteenth
-        assert len(RULES) == 13 and "ir-capture-site" not in RULES
+        # (the per-op twiddle rule) came thirteenth and telemetry-registry
+        # went with the series API it guarded
+        assert len(RULES) == 12 and "ir-capture-site" not in RULES
 
     def test_seeded_mutant_only_this_rule_catches(self):
         """A hand-advanced clock planted in the real replay loop."""

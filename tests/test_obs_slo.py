@@ -17,7 +17,8 @@ from repro.obs.slo import (
     burn_rate,
     slo_timeline,
 )
-from repro.obs.telemetry import MetricsRegistry, slo_telemetry
+from repro.obs.fold import RunFacts
+from repro.obs.telemetry import telemetry_rows
 from repro.util.validation import ParameterError
 
 # default objective: availability 0.9 -> budget 0.1, threshold 2.0,
@@ -73,21 +74,24 @@ class TestTriggerAndClear:
         its outcome's simulated time."""
         tl = slo_timeline([(i * OBJ.long_window / 10, "batch", False)
                            for i in range(10)])
-        reg = slo_telemetry(tl, MetricsRegistry())
-        trig = reg.get("slo.alerts", {"class": "batch", "kind": "trigger"})
-        assert trig.value == 1.0 and trig.last_time == tl.alerts[0].time
-        assert reg.get("slo.alerts", {"class": "batch", "kind": "clear"}) \
-            is None
-        short = reg.get("slo.burn_rate", {"class": "batch", "window": "short"})
-        long_ = reg.get("slo.burn_rate", {"class": "batch", "window": "long"})
-        assert short.value >= OBJ.burn_threshold
-        assert long_.value >= OBJ.burn_threshold
+        rows = {(r["name"], tuple(r["labels"].items())): r
+                for r in telemetry_rows(RunFacts(slo=tl))}
+        trig = rows["slo.alerts", (("class", "batch"), ("kind", "trigger"))]
+        assert trig["value"] == 1.0
+        assert trig["last_time"] == tl.alerts[0].time
+        assert ("slo.alerts", (("class", "batch"), ("kind", "clear"))) \
+            not in rows
+        short = rows["slo.burn_rate", (("class", "batch"), ("window", "short"))]
+        long_ = rows["slo.burn_rate", (("class", "batch"), ("window", "long"))]
+        assert short["value"] >= OBJ.burn_threshold
+        assert long_["value"] >= OBJ.burn_threshold
         # gauges are stamped at the completion's simulated time
-        assert short.samples[-1][0] == pytest.approx(9 * OBJ.long_window / 10)
-        assert short.samples == [(t, s) for t, s, _ in tl.burns["batch"]]
-        assert long_.samples == [(t, lg) for t, _, lg in tl.burns["batch"]]
-        assert reg.get("slo.burn_rate",
-                       {"class": "interactive", "window": "short"}) is None
+        assert short["samples"][-1][0] == pytest.approx(
+            9 * OBJ.long_window / 10)
+        assert short["samples"] == [[t, s] for t, s, _ in tl.burns["batch"]]
+        assert long_["samples"] == [[t, lg] for t, _, lg in tl.burns["batch"]]
+        assert ("slo.burn_rate", (("class", "interactive"),
+                                  ("window", "short"))) not in rows
 
     def test_no_retrigger_while_active(self):
         tl = slo_timeline([(i * OBJ.long_window / 10, "interactive", False)

@@ -1,14 +1,17 @@
-"""The metrics registry and the telemetry read off a finished run.
+"""The telemetry snapshot of a finished run's facts.
 
 The load-bearing guarantees:
 
 - histogram quantiles are integer bucket reads on a fixed log-spaced
   grid, so seeded chaos replays export byte-identical snapshots;
 - the histogram's nearest-rank quantile agrees with the report's exact
-  nearest-rank percentile within one bucket's width;
-- the registry a serve run reports is a function of what the run left
+  nearest-rank percentile within one bucket's width, and never exceeds
+  the observed maximum;
+- the registry a serve run reports is a rendering of what the run left
   behind: it agrees with the counts the run keeps, reads the same twice,
   and writes into the registry the scheduler was given;
+- one retry rule: the report, the metrics and the counters count the
+  same attempts;
 - snapshots save/load and render valid Prometheus text exposition
   (validated by the same checker CI runs).
 """
@@ -17,27 +20,29 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
 
+from repro.obs.fold import RunFacts, fold_run
+from repro.obs.metrics import compute_metrics
+from repro.obs.slo import slo_timeline
 from repro.obs.telemetry import (
     BUCKET_DECADES,
     BUCKET_GROWTH,
     BUCKET_LO,
     BUCKETS_PER_DECADE,
-    CounterSeries,
-    GaugeSeries,
-    HistogramSeries,
     MetricsRegistry,
     bucket_bounds,
+    decimate,
+    histogram,
     load_snapshot,
     nearest_rank,
     prometheus_text,
-    run_telemetry,
 )
 from repro.cli import main
+from repro.core.api import default_params
 from repro.faults import seeded_chaos
 from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import preset
@@ -46,8 +51,10 @@ from repro.serve import (
     Batcher,
     PlanCache,
     ServeScheduler,
+    summarize,
     synthetic_workload,
 )
+from repro.serve.cache import Wisdom
 from repro.serve.stats import _percentiles
 import numpy as np
 from repro.util.validation import ParameterError
@@ -66,69 +73,56 @@ class TestBucketGrid:
             assert hi / lo == pytest.approx(BUCKET_GROWTH)
 
     def test_quantile_reports_bucket_upper_bound(self):
-        h = HistogramSeries("x.y")
-        h.observe(1.0e-3)
-        q = h.quantile(0.5)
-        assert q in bucket_bounds()
-        assert 1.0e-3 <= q <= 1.0e-3 * BUCKET_GROWTH
+        q = histogram([1.0e-3, 5.0e-3])["quantiles"]
+        assert q["p50"] in bucket_bounds()
+        assert 1.0e-3 <= q["p50"] <= 1.0e-3 * BUCKET_GROWTH
+        # the top sample's bucket bound exceeds the maximum: capped there
+        assert q["p99"] == 5.0e-3
 
     def test_overflow_reports_exact_max(self):
-        h = HistogramSeries("x.y")
-        h.observe(1e5)  # beyond the last finite bound
-        assert h.quantile(0.99) == 1e5
+        # beyond the last finite bound
+        assert histogram([1e5])["quantiles"]["p99"] == 1e5
 
     def test_empty_quantile_is_zero(self):
-        assert HistogramSeries("x.y").quantile(0.5) == 0.0
+        assert histogram([])["quantiles"]["p50"] == 0.0
+
+    def test_quantile_never_exceeds_the_observed_maximum(self):
+        assert histogram([1.0e-3])["quantiles"] == {
+            "p50": 1.0e-3, "p95": 1.0e-3, "p99": 1.0e-3}
+        g = np.random.default_rng(5)
+        xs = [float(g.uniform(1e-5, 2.0)) for _ in range(50)]
+        h = histogram(xs)
+        assert h["max"] == max(xs)
+        assert all(q <= h["max"] for q in h["quantiles"].values())
 
 
 class TestRegistry:
     def test_keyed_by_name_and_labels(self):
-        reg = MetricsRegistry()
-        a = reg.counter("a.b", {"k": "1"})
-        assert reg.counter("a.b", {"k": "1"}) is a
-        assert reg.counter("a.b", {"k": "2"}) is not a
-        assert len(reg) == 2
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a.b")
-        with pytest.raises(ParameterError):
-            reg.gauge("a.b")
-
-    def test_bad_names_rejected(self):
-        reg = MetricsRegistry()
-        for bad in ("", "UPPER.case", "9leading", "sp ace"):
-            with pytest.raises(ParameterError):
-                reg.counter(bad)
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            MetricsRegistry().counter("a.b").inc(-1.0)
+        rows = MetricsRegistry().fill(chaos_run().facts).rows
+        keys = [(r["name"], tuple(r["labels"].items())) for r in rows]
+        assert len(keys) > 10 and keys == sorted(set(keys))
 
     def test_histogram_rejects_bad_values(self):
-        h = MetricsRegistry().histogram("a.b")
         with pytest.raises(ParameterError):
-            h.observe(-1.0)
+            histogram([-1.0])
         with pytest.raises(ParameterError):
-            h.observe(float("nan"))
+            histogram([float("nan")])
 
     def test_disabled_registry_is_a_noop(self):
         reg = MetricsRegistry(enabled=False)
-        reg.counter("a.b").inc(5.0, t=1.0)
-        reg.gauge("c.d").set(2.0, t=1.0)
-        reg.histogram("e.f").observe(0.5, t=1.0)
+        assert reg.fill(_served_facts()) is reg
         assert len(reg) == 0
         assert reg.snapshot()["series"] == []
 
     def test_gauge_decimation_is_deterministic(self):
-        g1 = GaugeSeries("q.d", max_samples=8)
-        g2 = GaugeSeries("q.d", max_samples=8)
-        for i in range(100):
-            g1.set(float(i), t=i * 0.5)
-            g2.set(float(i), t=i * 0.5)
-        assert g1.samples == g2.samples
-        assert len(g1.samples) <= 8
-        assert g1.value == 99.0  # latest value survives decimation
+        samples = [(i * 0.5, float(i)) for i in range(100)]
+        kept = decimate(samples, 8)
+        assert kept == decimate(list(samples), 8)
+        assert len(kept) <= 8 and kept == samples[::16]
+        depth = next(r for r in MetricsRegistry().fill(_served_facts()).rows
+                     if r["name"] == "serve.queue_depth")
+        assert depth["value"] == 1.0  # the latest value, not the peak
+        assert depth["samples"] == [[0.5, 2.0], [1.0, 1.0]]
 
 
 class TestNearestRankAgreement:
@@ -142,30 +136,36 @@ class TestNearestRankAgreement:
     def test_histogram_within_one_bucket_of_exact(self):
         g = np.random.default_rng(3)
         xs = [float(g.uniform(1e-5, 2.0)) for _ in range(500)]
-        h = HistogramSeries("lat")
-        for x in xs:
-            h.observe(x, t=0.0)
         exact = _percentiles(xs)
-        hist = h.quantiles()
+        hist = histogram(xs)["quantiles"]
         for k in ("p50", "p95", "p99"):
             # bucket upper bound: exact <= hist <= exact * growth
             assert exact[k] <= hist[k] * (1 + 1e-12), k
             assert hist[k] <= exact[k] * BUCKET_GROWTH * (1 + 1e-12), k
 
 
-class TestSnapshots:
-    def _populated(self):
-        reg = MetricsRegistry()
-        reg.counter("c.hits", {"class": "a"}).inc(3.0, t=0.5)
-        reg.gauge("g.depth").set(4.0, t=0.25)
-        reg.gauge("g.depth").set(2.0, t=0.75)
-        h = reg.histogram("h.lat", {"class": "a"})
-        for v in (1e-4, 2e-4, 5e-3):
-            h.observe(v, t=1.0)
-        return reg
+#: a fault event's two fields the telemetry reads (any kind string, so
+#: labels that need escaping can be made)
+Event = namedtuple("Event", "time kind")
 
+
+def _served_facts(latencies=(1e-4, 2e-4, 5e-3), fault_kind="link_flap"):
+    """Hand-made facts of a small serve run: two batch-class completions
+    and an interactive one, one door shed, one fault event and three
+    queue samples."""
+    completions = [(1.0, "batch" if i < 2 else "interactive", lat, False)
+                   for i, lat in enumerate(latencies)]
+    return RunFacts(
+        fault_events=[Event(0.25, fault_kind)],
+        depths=[(0.0, (0, 0)), (0.5, (0, 2)), (1.0, (0, 1))],
+        sheds=[(0.75, "interactive")],
+        completions=completions,
+        slo=slo_timeline([(t, c, True) for t, c, _, _ in completions]))
+
+
+class TestSnapshots:
     def test_save_and_load(self, tmp_path):
-        reg = self._populated()
+        reg = MetricsRegistry().fill(_served_facts())
         p = tmp_path / "snap.json"
         reg.save(p, time=2.0)
         assert load_snapshot(p) == reg.snapshot(time=2.0)
@@ -173,20 +173,15 @@ class TestSnapshots:
 
 class TestPrometheus:
     def test_exposition_passes_the_ci_checker(self):
-        reg = MetricsRegistry()
-        reg.counter("serve.shed", {"class": "interactive"}).inc(2.0, t=1.0)
-        reg.counter("serve.shed", {"class": "batch"}).inc(1.0, t=1.0)
-        reg.gauge("serve.queue_depth", {"class": "batch"}).set(3.0, t=1.0)
-        h = reg.histogram("serve.request_latency", {"class": "batch"})
-        for v in (1e-4, 3e-4, 2e-2, 1e9):  # incl. overflow bucket
-            h.observe(v, t=1.0)
-        text = prometheus_text(reg.snapshot(time=1.0))
+        # incl. the overflow bucket
+        facts = _served_facts(latencies=(1e-4, 3e-4, 2e-2, 1e9))
+        text = prometheus_text(MetricsRegistry().fill(facts).snapshot(1.0))
+        assert "le=\"+Inf\"" in text and "serve_shed" in text
         assert check_exposition(text) == []
 
     def test_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("a.b", {"k": 'with"quote\\and\nnewline'}).inc(1.0)
-        text = prometheus_text(reg.snapshot())
+        facts = _served_facts(fault_kind='with"quote\\and\nnewline')
+        text = prometheus_text(MetricsRegistry().fill(facts).snapshot())
         assert '\\"' in text and "\\\\" in text and "\\n" in text
         assert check_exposition(text) == []
 
@@ -196,16 +191,11 @@ class TestPrometheus:
 
 class TestSeriesClasses:
     def test_kinds(self):
-        assert CounterSeries("a.b").kind == "counter"
-        assert GaugeSeries("a.b").kind == "gauge"
-        assert HistogramSeries("a.b").kind == "histogram"
-
-    def test_histogram_mean(self):
-        h = HistogramSeries("a.b")
-        h.observe(1.0)
-        h.observe(3.0)
-        assert h.mean == pytest.approx(2.0)
-        assert HistogramSeries("a.b").mean == 0.0
+        kinds = {r["name"]: r["type"]
+                 for r in MetricsRegistry().fill(_served_facts()).rows}
+        assert kinds["serve.shed"] == "counter"
+        assert kinds["serve.queue_depth"] == "gauge"
+        assert kinds["serve.request_latency"] == "histogram"
 
 
 SERVE_SPEC = preset("8xP100")
@@ -227,9 +217,31 @@ def chaos_run(telemetry=None):
     return sched
 
 
+def _row(reg, name, labels=None):
+    """The snapshot row of one series (None when it was never emitted)."""
+    return next((r for r in reg.rows
+                 if r["name"] == name and r["labels"] == (labels or {})),
+                None)
+
+
 def _value(reg, name, labels=None):
-    s = reg.get(name, labels)
-    return 0 if s is None else s.count
+    row = _row(reg, name, labels)
+    return 0 if row is None else row["count"]
+
+
+def bulk_chaos_run():
+    """12 requests on 8xP100 whose wisdom pins the ``bulk`` collectives,
+    under 30% transients: failed collectives and failed halo messages."""
+    n = 1 << 12
+    wisdom = Wisdom()
+    wisdom.put(SERVE_SPEC, n, "complex128", default_params(n, 8), "bulk")
+    inj = seeded_chaos(SERVE_SPEC, seed=0, transient_rate=0.3, flaps=0,
+                       stragglers=0, degrades=0, horizon=5e-3)
+    sched = ServeScheduler(VirtualCluster(SERVE_SPEC, execute=False,
+                                          faults=inj),
+                           Batcher(PlanCache(SERVE_SPEC, wisdom=wisdom)))
+    sched.run(synthetic_workload(12, rate=4e3, sizes={n: 1.0}, seed=5))
+    return sched
 
 
 class TestDerivedFromTheRun:
@@ -274,17 +286,17 @@ class TestDerivedFromTheRun:
         kinds = Counter((a.deadline_class, a.kind) for a in slo.alerts)
         assert kinds[("interactive", "trigger")] and kinds[("batch", "clear")]
         for (cls, kind), n in kinds.items():
-            series = reg.get("slo.alerts", {"class": cls, "kind": kind})
-            assert series.value == n
-            assert series.last_time == max(
+            series = _row(reg, "slo.alerts", {"class": cls, "kind": kind})
+            assert series["value"] == n
+            assert series["last_time"] == max(
                 a.time for a in slo.alerts
                 if (a.deadline_class, a.kind) == (cls, kind))
         for cls, burns in slo.burns.items():
             assert burns, cls
             for i, window in ((1, "short"), (2, "long")):
-                gauge = reg.get("slo.burn_rate",
-                                {"class": cls, "window": window})
-                assert gauge.samples == [(b[0], b[i]) for b in burns]
+                gauge = _row(reg, "slo.burn_rate",
+                             {"class": cls, "window": window})
+                assert gauge["samples"] == [[b[0], b[i]] for b in burns]
 
     def test_reading_twice_gives_the_same_snapshot(self, sched):
         first = json.dumps(sched.telemetry.snapshot(time=sched.wall_time))
@@ -292,7 +304,10 @@ class TestDerivedFromTheRun:
         assert json.dumps(sched.telemetry.snapshot(time=sched.wall_time)) \
             == first
         # a second derivation over the same run is the same registry
-        again = run_telemetry(sched).snapshot(time=sched.wall_time)
+        cl = sched.cluster
+        again = MetricsRegistry().fill(fold_run(
+            cl.ledger, cl.spec, cl.comm_log, cl.faults, sched)
+        ).snapshot(time=sched.wall_time)
         assert json.dumps(again) == first
 
     def test_given_registry_is_written_and_a_disabled_one_stays_empty(self):
@@ -324,3 +339,66 @@ class TestDerivedFromTheRun:
                 assert exact <= got * (1 + 1e-12), (cls, k, exact, got)
                 assert got <= exact * BUCKET_GROWTH * (1 + 1e-12), \
                     (cls, k, exact, got)
+
+
+@pytest.fixture(scope="module")
+def ci_serve_doc(tmp_path_factory):
+    """The serve-run document of CI's ``telemetry`` job."""
+    path = tmp_path_factory.mktemp("ci") / "telemetry_run.json"
+    assert main(["serve", "--system", "8xP100", "--requests", "24",
+                 "--rate", "20000", "--json", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+class TestTheCiServeRun:
+    def test_no_quantile_exceeds_its_observed_maximum(self, ci_serve_doc):
+        """A bucket's upper bound can lie past every sample in it: the
+        interactive p99 read 15.85 ms in a 13.15 ms run."""
+        rows = [r for r in ci_serve_doc["telemetry"]["series"]
+                if r["type"] == "histogram" and r["count"]]
+        assert any(r["name"] == "serve.request_latency" for r in rows)
+        for r in rows:
+            for k, q in r["quantiles"].items():
+                assert q <= r["max"], (r["name"], r["labels"], k)
+
+    def test_exactly_priced_messages_read_one(self, ci_serve_doc):
+        """Links that carry no halo (a lone transfer, modelled at the
+        pair's own latency) carry only plan messages, each charged its
+        price: every ratio is exactly 1.0, not the next bucket up."""
+        ring = {f"{g}-{g + 1}" for g in range(7)} | {"0-7"}
+        rows = [r for r in ci_serve_doc["telemetry"]["series"]
+                if r["name"] == "comm.measured_vs_model"
+                and r["labels"]["link"] not in ring]
+        assert len(rows) >= 10
+        one = str(bucket_bounds().index(1.0))
+        for r in rows:
+            assert r["counts"] == {one: r["count"]}, r["labels"]
+            assert r["max"] == 1.0 and r["sum"] == r["count"]
+            assert set(r["quantiles"].values()) == {1.0}
+
+
+class TestOneRetryRule:
+    def test_report_metrics_and_counters_count_the_same_attempts(self):
+        """A failed collective's G records are one attempt, a failed
+        message's record is one; ``ServeReport.retry_time``, the metrics'
+        retry line and the ``comm.retry`` counters agree."""
+        sched = bulk_chaos_run()
+        cl = sched.cluster
+        fails = [r for r in cl.ledger if r.name.endswith("!fail")]
+        groups = Counter((r.name, r.start) for r in fails if r.peer < 0)
+        p2p = [r for r in fails if r.peer >= 0]
+        assert groups and p2p  # both kinds failed
+        assert set(groups.values()) == {cl.G}
+        attempts = len(groups) + len(p2p)
+        expected = (sum(r.duration for r in p2p)
+                    + sum(r.duration for r in fails
+                          if r.peer < 0 and r.device == 0))
+        metrics = compute_metrics(cl.ledger, cl.spec, comm_log=cl.comm_log)
+        assert len(metrics.retries) == attempts
+        assert metrics.to_json()["retry_attempts"] == attempts
+        assert f"comm retries: {attempts} failed attempts" in metrics.render()
+        counted = sum(r["value"] for r in sched.telemetry.rows
+                      if r["name"] == "comm.retry")
+        assert counted == attempts
+        assert summarize(sched).retry_time == metrics.retry_time
+        assert metrics.retry_time == pytest.approx(expected, rel=1e-12)
