@@ -19,7 +19,8 @@ contraction:
 - :mod:`repro.fmm.driver` — Algorithm 1, once: ``drive_fmm`` names the
   stage order against an ``issue(stage, level, *tokens)`` callback, and
   ``PassState`` is each stage's data path over ``G`` slabs of the box
-  axis (halos always explicit).  The two executors are its wranglers:
+  axis (halos always explicit).  Its wranglers are the two executors
+  below and :class:`repro.nufft.NonuniformPeriodicFMM`:
 - :mod:`repro.fmm.batched` — single device: ``issue`` runs the data path
   on the spot (all P-1 FMMs at once, one ``matmul`` per stage = one
   BatchedGEMM), one slab, cyclic halos.

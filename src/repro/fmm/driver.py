@@ -4,12 +4,14 @@
 It knows nothing about where a stage runs: it hands every stage to an
 ``issue(stage, level, *tokens) -> token`` callback with the tokens of
 the stages it depends on, the way boxtree's ``drive_fmm`` drives an
-expansion wrangler.  The host executor's ``issue`` runs the stage's data
-path on the spot and its tokens are ``None``; the cluster executor's
-prices the stage, launches it on every device after the events its
-tokens hold, and returns the completion events.
+expansion wrangler.  It has three.  The host one (:mod:`repro.fmm.batched`)
+runs the stage's data path on the spot, its tokens ``None``; the cluster
+one (:mod:`repro.fmm.distributed`) prices the stage, launches it on every
+device after the events its tokens hold and returns the completion
+events; the NUFFT's (:mod:`repro.nufft.nonuniform_fmm`) runs S2M, S2T and
+L2T over the point positions itself and the rest through :class:`PassState`.
 
-:class:`PassState` is the data path both share: the planar tensors of
+:class:`PassState` is the data path all three share: the planar tensors of
 one pass over ``G`` contiguous slabs of the global box axis, one
 :mod:`repro.fmm.kernels` call per stage.  A slab sees its neighbours
 only through the halo a COMM stage recorded — ``G = 1`` is the cyclic
@@ -55,10 +57,11 @@ class PassState:
     """The planar tensors of one FMM pass (see :mod:`repro.fmm.kernels`
     for the layout) and the one data path of every stage.
 
-    ``S`` is the folded input rows ``p >= 1``; ``M``/``L`` hold the
-    multipole/local expansions per level, ``halo`` what each COMM stage
-    moved (``"S"``, ``"M<level>"``), ``MB`` the gathered base
-    multipoles, ``T`` the output rows and ``r`` the reduction vector.
+    ``ops`` needs only the operators of the stages run.  ``S`` is the folded
+    input rows ``p >= 1``; ``M``/``L`` hold the multipole/local expansions
+    per level, ``halo`` what each COMM stage moved (``"S"``, ``"M<level>"``),
+    ``MB`` the gathered base multipoles, ``T`` the output rows and ``r``
+    the reduction vector.
     """
 
     def __init__(self, ops: FmmOperators, S: np.ndarray | None = None, G: int = 1):

@@ -10,13 +10,15 @@ S2M        (Q, M_L)           ``ell_q(s_m)``, ``s_m = -1 + (2m+1)/M_L``
 L2T        (M_L, Q)           ``S2M^T``
 M2M        (Q, 2Q)            ``[ell_q((z_k - 1)/2) | ell_q((z_k + 1)/2)]``
 L2L        (2Q, Q)            ``M2M^T``
-M2L-ell    (P-1, 2, 3, Q, Q)  ``cot(pi/2^ell (z_j/2 - z_i/2 + s) + pi p / N)``
+M2L-ell    (P-1, 2, 3, Q, Q)  ``cot(pi/2^ell (z_j/2 - z_i/2 + s) + c_p)``
 M2L-B      (P-1, S, Q, Q)     same at level B for s = 2..2^B-2
 S2T        (P-1, M_L, 3 M_L)  ``cot(pi (p + P k) / N)``, Toeplitz in k
 rho        (P-1,)             ``exp(-i pi p / P) sin(pi p / P) / M``
 =========  =================  ========================================
 
-The S2T matrix is the flattened "interleaved and overlapped convolution"
+The M2L builders take the kernel shifts ``c_p``: ``pi p / N`` for the
+FMM-FFT, ``0`` for the nonuniform FMM (:mod:`repro.nufft`).  The S2T
+matrix is the flattened "interleaved and overlapped convolution"
 of Section 4.6: entry (i, j') is the kernel at lag ``k = j' - M_L - i``
 so that a single batched GEMM against the halo-extended sources applies
 the whole near field.
@@ -73,44 +75,32 @@ def l2l_matrix(Q: int) -> np.ndarray:
     return m2m_matrix(Q).T
 
 
-def m2l_level_tensor(level: int, P: int, Q: int, N: int) -> np.ndarray:
-    """Cousin M2L operators at a hierarchical level.
+def _m2l_tensor(level: int, Q: int, s, shifts) -> np.ndarray:
+    """``K[pi, *s.shape, i, j] = cot(pi/2^level (z_j/2 - z_i/2 + s) + shifts[pi])``."""
+    zq = cheb_points(Q)
+    s = np.asarray(s, dtype=np.float64)[..., None, None]
+    c = np.asarray(shifts, dtype=np.float64).reshape(-1, *(1,) * s.ndim)
+    return cot(np.pi / (1 << level) * (zq[None, :] / 2.0 - zq[:, None] / 2.0 + s) + c)
 
-    Returns ``K[pi, parity, si, i, j]`` of shape (P-1, 2, 3, Q, Q) with
-    ``K = cot(pi/2^level (z_j/2 - z_i/2 + s) + pi (pi+1) / N)`` and
+
+def m2l_level_tensor(level: int, Q: int, shifts) -> np.ndarray:
+    """Cousin M2L operators at a hierarchical level, one per kernel shift.
+
+    Returns ``K[pi, parity, si, i, j]`` of shape (len(shifts), 2, 3, Q, Q)
+    with ``K = cot(pi/2^level (z_j/2 - z_i/2 + s) + shifts[pi])`` and
     ``s = COUSINS_EVEN[si]`` / ``COUSINS_ODD[si]`` (Section 4.7).
     """
     check_range("level", level, 3, None)  # cyclic offsets need 2^level >= 8
-    zq = cheb_points(Q)
-    p = np.arange(1, P, dtype=np.float64)
-    s = np.array([COUSINS_EVEN, COUSINS_ODD], dtype=np.float64)  # (2, 3)
-    arg = (
-        np.pi / (1 << level)
-        * (zq[None, None, None, None, :] / 2.0
-           - zq[None, None, None, :, None] / 2.0
-           + s[None, :, :, None, None])
-        + np.pi * p[:, None, None, None, None] / N
-    )
-    return cot(arg)
+    return _m2l_tensor(level, Q, [COUSINS_EVEN, COUSINS_ODD], shifts)
 
 
-def m2l_base_tensor(B: int, P: int, Q: int, N: int) -> np.ndarray:
+def m2l_base_tensor(B: int, Q: int, shifts) -> np.ndarray:
     """Dense base-level M2L: all non-neighbour offsets s = 2..2^B-2.
 
-    Returns ``K[pi, si, i, j]`` of shape (P-1, 2^B-3, Q, Q).
+    Returns ``K[pi, si, i, j]`` of shape (len(shifts), 2^B-3, Q, Q).
     """
     check_range("B", B, 2, None)
-    zq = cheb_points(Q)
-    p = np.arange(1, P, dtype=np.float64)
-    s = np.asarray(base_offsets(B), dtype=np.float64)
-    arg = (
-        np.pi / (1 << B)
-        * (zq[None, None, None, :] / 2.0
-           - zq[None, None, :, None] / 2.0
-           + s[None, :, None, None])
-        + np.pi * p[:, None, None, None] / N
-    )
-    return cot(arg)
+    return _m2l_tensor(B, Q, base_offsets(B), shifts)
 
 
 def s2t_lags(P: int, ML: int, N: int) -> np.ndarray:

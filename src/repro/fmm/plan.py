@@ -17,7 +17,20 @@ import numpy as np
 
 from repro.fmm import operators as ops
 from repro.fmm.tree import Tree1D
-from repro.util.validation import ParameterError, check_positive, real_dtype_for
+from repro.util.validation import ParameterError, check_positive, complex_dtype_for, real_dtype_for
+
+
+def _gemm_layout(K: np.ndarray, rdt, *shape: int) -> np.ndarray:
+    """A per-shift operator stack, ``(out, in)`` swapped, as ``(shifts, *shape)``."""
+    return K.swapaxes(-1, -2).astype(rdt, order="C").reshape(len(K), *shape)
+
+
+def m2l_operators(tree: Tree1D, Q: int, shifts, rdt) -> tuple[dict, np.ndarray]:
+    """The cousin (level -> ``(S, 2, 3Q, Q)``) and base (``(S, (2^B-3)Q,
+    Q)``) M2L operators of ``tree`` for ``S`` kernel shifts, GEMM layout."""
+    level = {ell: _gemm_layout(ops.m2l_level_tensor(ell, Q, shifts), rdt, 2, 3 * Q, Q)
+             for ell in tree.levels_m2l()}
+    return level, _gemm_layout(ops.m2l_base_tensor(tree.B, Q, shifts), rdt, -1, Q)
 
 
 @dataclass(frozen=True)
@@ -97,15 +110,8 @@ class FmmOperators(FmmGeometry):
         geo = FmmGeometry.create(M, P, ML, B, Q, G)  # validates the shape
         tree, N = geo.tree, geo.N
         rdt = real_dtype_for(dtype)
-        cdt = np.complex64 if rdt == np.float32 else np.complex128
-
-        def gemm_layout(K: np.ndarray, *shape: int) -> np.ndarray:
-            return K.swapaxes(-1, -2).astype(rdt, order="C").reshape(P - 1, *shape)
-
-        m2l_level = {
-            ell: gemm_layout(ops.m2l_level_tensor(ell, P, Q, N), 2, 3 * Q, Q)
-            for ell in tree.levels_m2l()
-        }
+        shifts = np.pi * np.arange(1, P, dtype=np.float64) / N
+        m2l_level, m2l_base = m2l_operators(tree, Q, shifts, rdt)
         return cls(
             tree=tree,
             P=P,
@@ -115,9 +121,9 @@ class FmmOperators(FmmGeometry):
             s2m=ops.s2m_matrix(Q, ML).astype(rdt),
             m2m=ops.m2m_matrix(Q).astype(rdt),
             m2l_level=m2l_level,
-            m2l_base=gemm_layout(ops.m2l_base_tensor(B, P, Q, N), -1, Q),
-            s2t=gemm_layout(ops.s2t_matrix(P, ML, N), 3 * ML, ML),
-            rho=ops.rho_factors(P, M).astype(cdt),
+            m2l_base=m2l_base,
+            s2t=_gemm_layout(ops.s2t_matrix(P, ML, N), rdt, 3 * ML, ML),
+            rho=ops.rho_factors(P, M).astype(complex_dtype_for(rdt)),
         )
 
     @property

@@ -7,9 +7,9 @@ implements that ancestor with the same machinery:
 
 - :mod:`repro.nufft.nonuniform_fmm` — a periodic 1D FMM for the
   cotangent kernel ``cot(pi (x - y))`` with *arbitrary* source and
-  target positions on [0, 1): the same Chebyshev M2M/M2L/L2L operators
-  as the FMM-FFT (they are position-independent), with per-box S2M/L2T
-  built from the actual points.
+  target positions on [0, 1): the FMM-FFT's driver and M2M/M2L/L2L
+  kernels (they are position-independent), with S2M, L2T and the near
+  field as sparse matrices built from the actual points.
 - :mod:`repro.nufft.barycentric` — trigonometric barycentric
   interpolation on equispaced nodes, whose weights are exactly the
   cotangent kernel (Henrici's formula) — the bridge between FFTs and

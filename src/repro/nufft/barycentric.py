@@ -19,6 +19,8 @@ layer guarantees that by oversampling.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nufft.nonuniform_fmm import NonuniformPeriodicFMM, cot_pi
@@ -26,6 +28,11 @@ from repro.util.validation import ParameterError
 
 #: node-coincidence tolerance (fraction of the node spacing)
 HIT_TOL = 1e-12
+
+
+def tree_depth(n: int, B: int) -> int:
+    """Leaf level of the FMM over ``n`` nodes: about 16 nodes per box."""
+    return max(B, int(math.log2(max(n, 2))) - 4)
 
 
 def _prep(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -37,6 +44,14 @@ def _prep(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, j_near, hits
 
 
+def _ratio(f, num, den, j_near, hits) -> np.ndarray:
+    """``num / den`` off the nodes; a node hit takes its node's value."""
+    out = np.empty(hits.shape, dtype=np.result_type(f.dtype, np.float64))
+    out[~hits] = num[~hits] / den[~hits]
+    out[hits] = f[j_near[hits]]
+    return out
+
+
 def trig_barycentric_dense(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Direct O(n m) barycentric evaluation (oracle / small problems)."""
     f = np.asarray(f)
@@ -46,22 +61,11 @@ def trig_barycentric_dense(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     sign = (-1.0) ** np.arange(n)
     diff = x[:, None] - t[None, :]
     C = cot_pi(diff - np.round(diff)) * sign[None, :]
-    num = C @ f
-    den = C.sum(axis=1)
-    out = np.empty(x.shape, dtype=np.result_type(f.dtype, np.float64))
-    ok = ~hits
-    out[ok] = num[ok] / den[ok]
-    out[hits] = f[j_near[hits]]
-    return out
+    return _ratio(f, C @ f, C.sum(axis=1), j_near, hits)
 
 
-def trig_barycentric_fmm(
-    f: np.ndarray,
-    x: np.ndarray,
-    L: int | None = None,
-    B: int = 3,
-    Q: int = 16,
-) -> np.ndarray:
+def trig_barycentric_fmm(f: np.ndarray, x: np.ndarray, L: int | None = None,
+                         B: int = 3, Q: int = 16) -> np.ndarray:
     """FMM-accelerated barycentric evaluation, O((n + m) Q ...).
 
     Numerator and denominator ride the same FMM as two right-hand
@@ -71,17 +75,11 @@ def trig_barycentric_fmm(
     n = f.shape[0]
     x, j_near, hits = _prep(n, x)
     if L is None:
-        import math
-
-        L = max(B, int(math.log2(max(n, 2))) - 4)
+        L = tree_depth(n, B)
     t = np.arange(n) / n
     sign = (-1.0) ** np.arange(n)
     fmm = NonuniformPeriodicFMM(t, x, L=L, B=min(B, L), Q=Q)
     rhs = np.stack([sign * f, sign.astype(np.result_type(f.dtype, np.float64))],
                    axis=1)
     sums = fmm.apply(rhs)
-    out = np.empty(x.shape, dtype=np.result_type(f.dtype, np.float64))
-    ok = ~hits
-    out[ok] = sums[ok, 0] / sums[ok, 1]
-    out[hits] = f[j_near[hits]]
-    return out
+    return _ratio(f, sums[:, 0], sums[:, 1], j_near, hits)

@@ -33,10 +33,22 @@ import math
 import numpy as np
 
 from repro.fftcore.plan import LocalFFTPlan
-from repro.nufft.barycentric import HIT_TOL
+from repro.nufft.barycentric import _prep, tree_depth, trig_barycentric_fmm
 from repro.nufft.nonuniform_fmm import NonuniformPeriodicFMM
 from repro.util.bitmath import next_pow2
 from repro.util.validation import ParameterError
+
+
+def _check(shape: tuple, sigma: float, x: np.ndarray | None = None) -> None:
+    """The NUFFT doors' one input check: one axis of an even coefficient
+    count >= 2, a finite ``sigma >= 1.5`` and finite points."""
+    if len(shape) != 1 or shape[0] < 2 or shape[0] % 2:
+        raise ParameterError(
+            f"coefficient count must be even and >= 2 on one axis, got shape {shape}")
+    if not (math.isfinite(sigma) and sigma >= 1.5):
+        raise ParameterError(f"sigma must be finite and >= 1.5, got {sigma}")
+    if x is not None and not np.isfinite(x).all():
+        raise ParameterError("points must be finite")
 
 
 def _fine_grid_size(n: int, sigma: float) -> int:
@@ -88,17 +100,11 @@ def nufft2(
         FMM order and base level (Q = 16 gives ~1e-13).
     """
     c = np.asarray(c, dtype=np.complex128)
-    n = c.shape[0]
-    if n % 2:
-        raise ParameterError(f"coefficient count must be even, got {n}")
-    if sigma < 1.5:
-        raise ParameterError(f"sigma must be >= 1.5, got {sigma}")
-    nf = _fine_grid_size(n, sigma)
+    x = np.asarray(x, dtype=np.float64)
+    _check(c.shape, sigma, x)
+    nf = _fine_grid_size(c.shape[0], sigma)
     spec = _pad_spectrum(c, nf)
     grid = LocalFFTPlan(nf).inverse(spec) * nf  # sum_k spec_k e^{+2pi i k m/nf}
-
-    from repro.nufft.barycentric import trig_barycentric_fmm
-
     return trig_barycentric_fmm(grid, x, Q=Q, B=B)
 
 
@@ -119,39 +125,28 @@ def nufft1_adjoint(
     for the spreading), then one uniform FFT and spectrum truncation.
     """
     w = np.asarray(w, dtype=np.complex128).ravel()
-    x = np.asarray(x, dtype=np.float64).ravel() % 1.0
+    x = np.asarray(x, dtype=np.float64).ravel()
     if w.shape != x.shape:
         raise ParameterError(f"weights {w.shape} and points {x.shape} differ")
-    if n % 2:
-        raise ParameterError(f"coefficient count must be even, got {n}")
+    _check((n,), sigma, x)
     nf = _fine_grid_size(n, sigma)
-    t = np.arange(nf) / nf
-    sign = (-1.0) ** np.arange(nf)
-
-    j_near = np.round(x * nf).astype(np.intp) % nf
-    hits = np.abs(x * nf - np.round(x * nf)) < HIT_TOL
-
-    L = max(B, int(math.log2(nf)) - 4)
-    # denominators D(x_j) = sum_m (-1)^m cot(pi (x_j - t_m))
-    fwd = NonuniformPeriodicFMM(t, x[~hits] if (~hits).any() else t[:1],
-                                L=L, B=min(B, L), Q=Q)
+    x, j_near, hits = _prep(nf, x)
     grid = np.zeros(nf, dtype=np.complex128)
-    if (~hits).any():
-        den = fwd.apply(sign.astype(np.float64))
-        coeff = w[~hits] / den
+    miss = ~hits
+    if miss.any():
+        t = np.arange(nf) / nf
+        sign = (-1.0) ** np.arange(nf)
+        L = tree_depth(nf, B)
+        # denominators D(x_j) = sum_m (-1)^m cot(pi (x_j - t_m))
+        den = NonuniformPeriodicFMM(t, x[miss], L=L, B=B, Q=Q).apply(sign)
         # spread: g_m = (-1)^m sum_j coeff_j cot(pi (x_j - t_m))
         #             = -(-1)^m sum_j coeff_j cot(pi (t_m - x_j))
-        rev = NonuniformPeriodicFMM(x[~hits], t, L=L, B=min(B, L), Q=Q)
-        grid -= sign * rev.apply(coeff)
-    if hits.any():
-        np.add.at(grid, j_near[hits], w[hits])
+        rev = NonuniformPeriodicFMM(x[miss], t, L=L, B=B, Q=Q)
+        grid -= sign * rev.apply(w[miss] / den)
+    np.add.at(grid, j_near[hits], w[hits])
 
     spec = LocalFFTPlan(nf).forward(grid)  # sum_m g_m e^{-2pi i k m/nf}
-    half = n // 2
-    out = np.empty(n, dtype=np.complex128)
-    out[half:] = spec[:half]
-    out[:half] = spec[nf - half :]
-    return out
+    return np.concatenate([spec[nf - n // 2 :], spec[: n // 2]])  # k = -n/2 .. n/2-1
 
 
 class ClusterNufft2:
@@ -186,10 +181,7 @@ class ClusterNufft2:
         if cluster.G != 1:
             raise ParameterError(
                 f"ClusterNufft2 is a single-device pipeline, got G={cluster.G}")
-        if n % 2:
-            raise ParameterError(f"coefficient count must be even, got {n}")
-        if sigma < 1.5:
-            raise ParameterError(f"sigma must be >= 1.5, got {sigma}")
+        _check((n,), sigma)
         if m < 1:
             raise ParameterError(f"need at least one point, got m={m}")
         self.n, self.m, self.cl = n, m, cluster
@@ -221,7 +213,6 @@ class ClusterNufft2:
             key: str = ns) -> np.ndarray | None:
         """Execute the three-stage pipeline; returns samples or None."""
         from repro.fftcore.flops import fft_flops, fft_mops
-        from repro.nufft.barycentric import trig_barycentric_fmm
 
         cl, n, nf, m = self.cl, self.n, self.nf, self.m
         if cl.execute:

@@ -24,6 +24,7 @@ from repro.util.validation import ParameterError
 
 M, P, ML, B, Q = 256, 4, 16, 2, 16          # L = 4: levels 4 and 3 are hierarchical
 N, NB = M * P, M // ML
+SHIFTS = np.pi * np.arange(1, P) / N  # the FMM-FFT's kernel shifts pi p / N
 DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 LAYOUTS = ["contiguous", "transposed", "sliced"]
 BATCHES = [(), (3,)]
@@ -81,7 +82,7 @@ def _ref_m2m(child):
 
 
 def _ref_m2l_level(level, Mexp):
-    K = operators.m2l_level_tensor(level, P, Q, N)  # [p, parity, si, i, j]
+    K = operators.m2l_level_tensor(level, Q, SHIFTS)  # [p, parity, si, i, j]
     nb = Mexp.shape[-2]
     out = np.zeros(Mexp.shape, dtype=np.result_type(Mexp.dtype, np.float64))
     for b in range(nb):
@@ -92,7 +93,7 @@ def _ref_m2l_level(level, Mexp):
 
 
 def _ref_m2l_base(MB):
-    K = operators.m2l_base_tensor(B, P, Q, N)  # [p, si, i, j]
+    K = operators.m2l_base_tensor(B, Q, SHIFTS)  # [p, si, i, j]
     nb = MB.shape[-2]
     out = np.zeros(MB.shape, dtype=np.result_type(MB.dtype, np.float64))
     for b in range(nb):

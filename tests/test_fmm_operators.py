@@ -58,17 +58,17 @@ class TestM2M:
 
 class TestM2L:
     def test_level_tensor_shape(self):
-        K = ops.m2l_level_tensor(4, P=8, Q=6, N=2048)
+        K = ops.m2l_level_tensor(4, Q=6, shifts=np.pi * np.arange(1, 8) / 2048)
         assert K.shape == (7, 2, 3, 6, 6)
 
     def test_base_tensor_shape(self):
-        K = ops.m2l_base_tensor(3, P=8, Q=6, N=2048)
+        K = ops.m2l_base_tensor(3, Q=6, shifts=np.pi * np.arange(1, 8) / 2048)
         assert K.shape == (7, 5, 6, 6)
 
     def test_level_entries(self):
         """Spot-check the formula against Section 4.7."""
         level, P, Q, N = 3, 4, 3, 1024
-        K = ops.m2l_level_tensor(level, P, Q, N)
+        K = ops.m2l_level_tensor(level, Q, np.pi * np.arange(1, P) / N)
         zq = cheb_points(Q)
         p, parity, si, i, j = 2, 0, 1, 1, 2  # s = +2 for even boxes
         s = 2.0
@@ -79,10 +79,10 @@ class TestM2L:
 
     def test_level_requires_8_boxes(self):
         with pytest.raises(ParameterError):
-            ops.m2l_level_tensor(2, P=4, Q=4, N=256)
+            ops.m2l_level_tensor(2, Q=4, shifts=[0.0])
 
     def test_finite(self):
-        K = ops.m2l_base_tensor(4, P=16, Q=16, N=1 << 14)
+        K = ops.m2l_base_tensor(4, Q=16, shifts=np.pi * np.arange(1, 16) / (1 << 14))
         assert np.isfinite(K).all()
 
 
@@ -139,7 +139,7 @@ class TestFmmOperatorsBundle:
         assert all(a.flags.c_contiguous for a in (b.s2t, b.m2l_base, b.m2l_level[3]))
         np.testing.assert_array_equal(
             b.s2t, ops.s2t_matrix(4, 16, 1024).transpose(0, 2, 1))
-        K = ops.m2l_level_tensor(4, 4, 8, 1024)  # [p, parity, si, i, j]
+        K = ops.m2l_level_tensor(4, 8, np.pi * np.arange(1, 4) / 1024)  # [p, parity, si, i, j]
         np.testing.assert_array_equal(
             b.m2l_level[4].reshape(3, 2, 3, 8, 8), K.transpose(0, 1, 2, 4, 3))
         assert b.rho.shape == (3,)

@@ -3,7 +3,10 @@ import pytest
 
 from repro.nufft.barycentric import trig_barycentric_dense, trig_barycentric_fmm
 from repro.nufft.nonuniform_fmm import NonuniformPeriodicFMM, cot_pi
+from repro.machine.cluster import VirtualCluster
+from repro.machine.spec import p100_nvlink_node
 from repro.nufft.transforms import (
+    ClusterNufft2,
     nudft1_direct,
     nudft2_direct,
     nufft1_adjoint,
@@ -30,9 +33,15 @@ class TestCotPi:
 
 
 class TestNonuniformFMM:
-    @pytest.mark.parametrize("L,B,Q", [(4, 2, 16), (5, 3, 16), (6, 4, 16), (4, 4, 16)])
-    def test_matches_dense(self, L, B, Q, rng):
+    @pytest.mark.parametrize(
+        "L,B,Q,edges",
+        [(4, 2, 16, False), (5, 3, 16, False), (6, 4, 16, False), (4, 4, 16, False),
+         (4, 2, 16, True), (6, 3, 16, True)],
+        ids=["4-2-16", "5-3-16", "6-4-16", "4-4-16", "4-2-16-edges", "6-3-16-edges"])
+    def test_matches_dense(self, L, B, Q, edges, rng):
         src, tgt = rng.uniform(0, 1, 400), rng.uniform(0, 1, 300)
+        if edges:  # every leaf-box edge b / 2^L, 0.0 included: local coordinate -1
+            src[: 1 << L] = tgt[: 1 << L] = np.arange(1 << L) / (1 << L)
         fmm = NonuniformPeriodicFMM(src, tgt, L=L, B=B, Q=Q)
         w = rng.standard_normal(400) + 1j * rng.standard_normal(400)
         got, ref = fmm.apply(w), fmm.apply_dense(w)
@@ -200,3 +209,34 @@ class TestNufft1Adjoint:
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError):
             nufft1_adjoint(np.zeros(3), np.zeros(4), 8)
+
+
+_X = np.array([0.1, 0.6])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nufft2(np.zeros(0, dtype=complex), _X),
+    lambda: nufft2(np.zeros((8, 2), dtype=complex), _X),
+    lambda: nufft2(np.zeros(8, dtype=complex), _X, sigma=float("nan")),
+    lambda: nufft2(np.zeros(8, dtype=complex), _X, sigma=float("inf")),
+    lambda: nufft2(np.zeros(8, dtype=complex), np.array([0.1, np.nan])),
+    lambda: nufft2(np.zeros(8, dtype=complex), np.array([0.1, np.inf])),
+    lambda: nufft1_adjoint(np.ones(2), _X, 0),
+    lambda: nufft1_adjoint(np.ones(2), _X, -4),
+    lambda: nufft1_adjoint(np.ones(2), _X, 8, sigma=1.1),
+    lambda: nufft1_adjoint(np.ones(2), _X, 8, sigma=0.1),
+    lambda: nufft1_adjoint(np.ones(2), np.array([0.1, np.nan]), 8),
+    lambda: nufft1_adjoint(np.ones(2), np.array([0.1, -np.inf]), 8),
+    lambda: ClusterNufft2(0, 4, VirtualCluster(p100_nvlink_node(1), execute=False)),
+    lambda: ClusterNufft2(8, 4, VirtualCluster(p100_nvlink_node(1), execute=False),
+                          sigma=float("nan")),
+    lambda: NonuniformPeriodicFMM(np.array([0.2, np.nan]), _X, L=2, B=2, Q=4),
+], ids=["nufft2-n0", "nufft2-2d", "nufft2-sigma-nan", "nufft2-sigma-inf",
+        "nufft2-x-nan", "nufft2-x-inf", "adjoint-n0", "adjoint-n-neg",
+        "adjoint-sigma-1.1", "adjoint-sigma-0.1", "adjoint-x-nan", "adjoint-x-inf",
+        "cluster-n0", "cluster-sigma-nan", "fmm-nan-source"])
+def test_doors_raise_parameter_error(call):
+    """Every NUFFT entry point refuses bad input with ParameterError, not
+    NumPy's ValueError, a NaN result or silent zeros."""
+    with pytest.raises(ParameterError):
+        call()
