@@ -5,9 +5,9 @@ package replaces that hardware with an event-driven simulator:
 
 - :mod:`repro.machine.spec` — device/link/cluster specifications with the
   paper's *achieved* architecture parameters (Section 5.4 / Section 6).
-- :mod:`repro.machine.topology` — networkx interconnect graphs (PCIe
-  switch, NVLink pair, DGX-1 hybrid cube-mesh) and an all-to-all
-  effective-bandwidth analysis based on shortest-path link loading.
+- :mod:`repro.machine.graph` / :mod:`topology` — adjacency-map interconnect
+  graphs (PCIe switch, NVLink pair, DGX-1 hybrid cube-mesh) and an all-to-all
+  bandwidth analysis (direct edges in parallel, the rest on the fallback).
 - :mod:`repro.machine.routing` / :mod:`multinode` — routed multi-node
   fabrics: NVLink islands joined by a two-level fat tree
   (:class:`~repro.machine.routing.Fabric`) with per-hop latency and

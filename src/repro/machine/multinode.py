@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-
 from repro.machine import topology as topo
+from repro.machine.graph import Graph
 from repro.machine.routing import Fabric
 from repro.machine.spec import ClusterSpec, DeviceSpec, LinkSpec, NVLINK_P100_LINK, P100
 from repro.util.validation import ParameterError, check_positive
@@ -43,22 +42,16 @@ def multinode_graph(
     gpus_per_node: int,
     intra_link: LinkSpec,
     nic: LinkSpec,
-) -> nx.Graph:
+) -> Graph:
     """Fully-connected NVLink islands joined only through per-node NICs."""
     check_positive("nodes", nodes)
     check_positive("gpus_per_node", gpus_per_node)
-    G = nodes * gpus_per_node
-    g = nx.Graph()
-    g.add_nodes_from(range(G))
-    node_of = {}
-    for n in range(nodes):
-        devs = range(n * gpus_per_node, (n + 1) * gpus_per_node)
-        for d in devs:
-            node_of[d] = n
-        for a, b in itertools.combinations(devs, 2):
-            g.add_edge(a, b, link=intra_link)
+    islands = [range(n * gpus_per_node, (n + 1) * gpus_per_node)
+               for n in range(nodes)]
+    g = topo.linked(nodes * gpus_per_node, itertools.chain.from_iterable(
+        itertools.combinations(devs, 2) for devs in islands), intra_link)
     g.graph["fallback_link"] = nic
-    g.graph["node_of"] = node_of
+    g.graph["node_of"] = {d: n for n, devs in enumerate(islands) for d in devs}
     g.graph["gpus_per_node"] = gpus_per_node
     g.graph["mpi_latency"] = DEFAULT_NIC_LATENCY
     return g
@@ -72,7 +65,7 @@ def routed_multinode_graph(
     radix: int = DEFAULT_RADIX,
     oversubscription: float = 1.0,
     switch_latency: float = DEFAULT_SWITCH_LATENCY,
-) -> nx.Graph:
+) -> Graph:
     """NVLink islands joined by a routed two-level fat tree.
 
     Same island structure as :func:`multinode_graph`, plus a

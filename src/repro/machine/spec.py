@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from repro.machine import routing, topology as topo
+from repro.machine.graph import Graph, is_connected
 from repro.util.validation import ParameterError, check_positive
 
 
@@ -129,16 +129,16 @@ class ClusterSpec:
     num_devices:
         G.
     graph:
-        networkx graph over device ids 0..G-1; edges carry a 'link'
-        attribute (:class:`LinkSpec`).  Missing edges are routed via
-        shortest paths (relayed transfers share link capacity).
+        :class:`~repro.machine.graph.Graph` over device ids 0..G-1; edges
+        carry a 'link' (:class:`LinkSpec`).  A pair with no edge rides the
+        shared ``fallback_link`` or, across nodes, its routed path.
     name:
         Label used in benchmark output, e.g. ``"2xP100, NVLINK"``.
     """
 
     device: DeviceSpec
     num_devices: int
-    graph: nx.Graph
+    graph: Graph
     name: str
     #: Host-side synchronization cost of a collective (all-to-all /
     #: allgather): plan coordination + stream syncs across all devices.
@@ -155,8 +155,8 @@ class ClusterSpec:
             )
         if (
             self.num_devices > 1
-            and not nx.is_connected(self.graph)
             and self.graph.graph.get("fallback_link") is None
+            and not is_connected(self.graph)
         ):
             # disconnected islands are fine when a fallback path (PCIe,
             # NIC) joins them; otherwise the graph is misbuilt
@@ -191,7 +191,7 @@ class ClusterSpec:
         return {}
 
     def pair_bandwidth(self, a: int, b: int) -> float:
-        """Effective P2P bandwidth a->b, shortest-path routed."""
+        """Bandwidth of a lone a->b transfer: its edge, fallback or route."""
         return self.pair(a, b).bandwidth
 
     @cached_property
@@ -312,8 +312,8 @@ def dual_p100_nvlink() -> ClusterSpec:
 def dgx1_p100() -> ClusterSpec:
     """8x P100 in the DGX-1 hybrid cube-mesh NVLink topology.
 
-    Only 4 of the 7 peer GPUs are NVLink-adjacent; the rest are reached
-    via two-hop routes that share link capacity, which is what makes the
+    Only 4 of the 7 peer GPUs are NVLink-adjacent; the rest share each
+    device's PCIe fallback interface, which is what makes the
     all-to-all scale "more poorly" at G=8 (Section 6.1) and widens the
     FMM-FFT's win to ~2.1x.
     """

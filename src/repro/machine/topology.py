@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-import networkx as nx
-
 from repro.machine import routing
+from repro.machine.graph import Graph
 from repro.util.validation import ParameterError
 
 #: Shared PCIe/QPI path used when two GPUs have no NVLink edge
@@ -52,37 +51,35 @@ class _FallbackLink:
         self.latency = latency
 
 
-def _with_fallback(g: nx.Graph, fallback) -> nx.Graph:
+def linked(n: int, edges, link, fallback=None) -> Graph:
+    """Devices ``0..n-1`` joined by ``edges``, each carrying ``link``;
+    other pairs ride ``fallback`` (default: the shared PCIe path)."""
+    g = Graph()
+    g.add_nodes_from(range(n))
+    for a, b in edges:
+        g.add_edge(a, b, link=link)
     g.graph["fallback_link"] = fallback or _FallbackLink(
         DEFAULT_FALLBACK_BANDWIDTH, DEFAULT_FALLBACK_LATENCY
     )
     return g
 
 
-def fully_connected(n: int, link, fallback=None) -> nx.Graph:
+def fully_connected(n: int, link, fallback=None) -> Graph:
     """All-pairs direct links (PCIe switch pair, NVLink pair/quad)."""
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for a, b in itertools.combinations(range(n), 2):
-        g.add_edge(a, b, link=link)
-    return _with_fallback(g, fallback)
+    return linked(n, itertools.combinations(range(n), 2), link, fallback)
 
 
-def ring(n: int, link, fallback=None) -> nx.Graph:
+def ring(n: int, link, fallback=None) -> Graph:
     """A ring of n devices."""
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for a in range(n):
-        g.add_edge(a, (a + 1) % n, link=link)
-    return _with_fallback(g, fallback)
+    return linked(n, ((a, (a + 1) % n) for a in range(n)), link, fallback)
 
 
-def nvlink_quad(link, fallback=None) -> nx.Graph:
+def nvlink_quad(link, fallback=None) -> Graph:
     """4 GPUs, fully NVLink-connected (half a DGX-1 board)."""
     return fully_connected(4, link, fallback)
 
 
-def dgx1_hybrid_cube_mesh(link, fallback=None) -> nx.Graph:
+def dgx1_hybrid_cube_mesh(link, fallback=None) -> Graph:
     """The DGX-1 (P100) hybrid cube-mesh: 8 GPUs, 4 NVLinks each.
 
     Two quads {0..3} and {4..7}; within each quad a ring plus one
@@ -95,16 +92,13 @@ def dgx1_hybrid_cube_mesh(link, fallback=None) -> nx.Graph:
         (4, 5), (5, 6), (6, 7), (7, 4), (4, 6), (5, 7),   # quad 1
         (0, 4), (1, 5), (2, 6), (3, 7),                    # cube edges
     ]
-    g = nx.Graph()
-    g.add_nodes_from(range(8))
-    for a, b in edges:
-        g.add_edge(a, b, link=link)
+    g = linked(8, edges, link, fallback)
     # NVLink budget check: 4 ports per P100 — ring(2) + diagonal(1) + cube(1).
     assert all(d == 4 for _, d in g.degree()), "hybrid cube-mesh must be 4-regular"
-    return _with_fallback(g, fallback)
+    return g
 
 
-def fallback_link(graph: nx.Graph):
+def fallback_link(graph: Graph):
     """The shared fallback path descriptor for non-adjacent pairs."""
     fb = graph.graph.get("fallback_link")
     if fb is None:
@@ -112,7 +106,7 @@ def fallback_link(graph: nx.Graph):
     return fb
 
 
-def _internode(graph: nx.Graph, a: int, b: int) -> bool:
+def _internode(graph: Graph, a: int, b: int) -> bool:
     """True when both endpoints are mapped to *different* nodes."""
     node_of = graph.graph.get("node_of")
     if node_of is None:
@@ -121,7 +115,7 @@ def _internode(graph: nx.Graph, a: int, b: int) -> bool:
     return na is not None and nb is not None and na != nb
 
 
-def pair_bandwidth(graph: nx.Graph, a: int, b: int) -> float:
+def pair_bandwidth(graph: Graph, a: int, b: int) -> float:
     """Effective bandwidth for a lone a->b transfer."""
     if a == b:
         raise ParameterError("pair_bandwidth requires distinct devices")
@@ -132,7 +126,7 @@ def pair_bandwidth(graph: nx.Graph, a: int, b: int) -> float:
     return fallback_link(graph).bandwidth
 
 
-def pair_latency(graph: nx.Graph, a: int, b: int) -> float:
+def pair_latency(graph: Graph, a: int, b: int) -> float:
     """Per-message latency for an a->b transfer.
 
     Inter-node pairs pay the routed path: MPI software overhead plus
@@ -146,7 +140,7 @@ def pair_latency(graph: nx.Graph, a: int, b: int) -> float:
     return fallback_link(graph).latency
 
 
-def pair_segments(graph: nx.Graph, a: int, b: int) -> tuple[tuple[tuple, float], ...]:
+def pair_segments(graph: Graph, a: int, b: int) -> tuple[tuple[tuple, float], ...]:
     """(contention key, capacity) per wire segment an a->b message crosses.
 
     Direct edges are a single dedicated segment.  Inter-node messages
@@ -165,7 +159,7 @@ def pair_segments(graph: nx.Graph, a: int, b: int) -> tuple[tuple[tuple, float],
     return ((("fb-tx", a), fb), (("fb-rx", b), fb))
 
 
-def link_class(graph: nx.Graph, a: int, b: int) -> str:
+def link_class(graph: Graph, a: int, b: int) -> str:
     """Coarse label for the path an a->b message crosses.
 
     ``"self"`` (no wire), ``"inter-node"`` (endpoints on different
@@ -195,7 +189,7 @@ def link_class(graph: nx.Graph, a: int, b: int) -> str:
     return "direct" if graph.has_edge(a, b) else "fallback"
 
 
-def alltoall_effective_bandwidth(graph: nx.Graph, efficiency: float = ALLTOALL_EFFICIENCY) -> float:
+def alltoall_effective_bandwidth(graph: Graph, efficiency: float = ALLTOALL_EFFICIENCY) -> float:
     """Per-device effective injection bandwidth for personalized all-to-all.
 
     Each device sends one message of unit size to every peer: direct
@@ -245,7 +239,7 @@ def alltoall_effective_bandwidth(graph: nx.Graph, efficiency: float = ALLTOALL_E
     return efficiency * (n - 1) / unit_time
 
 
-def diameter_latency(graph: nx.Graph) -> float:
+def diameter_latency(graph: Graph) -> float:
     """Worst-case single-message latency across the topology.
 
     Scans per link *class* instead of all O(n^2) pairs: the worst

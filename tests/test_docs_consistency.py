@@ -120,6 +120,28 @@ class TestSourceHygiene:
                         missing.append(f"{path.name}:{node.name}")
         assert not missing, f"functions without docstrings: {missing}"
 
+    def test_cold_start_loads_only_numpy(self):
+        """Importing the package and its command surfaces loads no
+        third-party package but numpy: the interconnect graph is in-tree,
+        and scipy is loaded by the NUFFT alone, when it is used."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro, repro.pipelines, repro.cli, repro.serve\n"
+            "import repro.faults, repro.analysis, repro.ir, repro.obs\n"
+            "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names)"
+            " - {'repro', 'numpy'}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]", out.stdout
+
     def test_no_print_in_library_code(self):
         """The library communicates through return values; only the CLI
         and __main__ print."""

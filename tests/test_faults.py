@@ -171,6 +171,8 @@ class TestDegradedSpec:
         healthy = s.graph.edges[0, 1]["link"].bandwidth
         degraded = inj.degraded_spec(1.5).graph.edges[0, 1]["link"].bandwidth
         assert degraded == pytest.approx(0.25 * healthy)
+        # the degraded copy owns its edge data: the healthy link is intact
+        assert s.graph.edges[0, 1]["link"].bandwidth == healthy
 
     def test_loss_isolates_device(self):
         inj = FaultInjector(spec4(), scheduled=(DeviceLoss(2, 1.0),))

@@ -17,6 +17,7 @@ from repro.machine.spec import (
     scaled,
 )
 from repro.machine import topology as topo
+from repro.machine.graph import Graph
 from repro.util.validation import ParameterError
 
 
@@ -92,13 +93,31 @@ class TestClusterSpec:
         assert dgx1_p100().alltoall_bandwidth() < dual_p100_nvlink().alltoall_bandwidth()
 
     def test_nodes_must_be_contiguous(self):
-        import networkx as nx
-
-        g = nx.Graph()
+        g = Graph()
         g.add_nodes_from([0, 2])
         g.add_edge(0, 2, link=LinkSpec(1e9))
         with pytest.raises(ParameterError):
             ClusterSpec(device=P100, num_devices=2, graph=g, name="bad")
+
+    @staticmethod
+    def _islands():
+        """Devices {0, 1} and {2, 3}, no edge between the pairs."""
+        g = Graph()
+        g.add_nodes_from(range(4))
+        g.add_edge(0, 1, link=LinkSpec(1e9))
+        g.add_edge(2, 3, link=LinkSpec(1e9))
+        return g
+
+    def test_islands_without_fallback_rejected(self):
+        with pytest.raises(ParameterError, match="must be connected"):
+            ClusterSpec(device=P100, num_devices=4, graph=self._islands(),
+                        name="bad")
+
+    def test_islands_joined_by_fallback_accepted(self):
+        g = self._islands()
+        g.graph["fallback_link"] = LinkSpec(1e9)
+        spec = ClusterSpec(device=P100, num_devices=4, graph=g, name="ok")
+        assert spec.pair_bandwidth(0, 2) == pytest.approx(1e9)
 
     def test_single_device_latency_zero(self):
         assert p100_nvlink_node(1).comm_latency() == 0.0

@@ -1,6 +1,6 @@
-import networkx as nx
 import pytest
 
+from repro.machine.graph import Graph
 from repro.machine.spec import LinkSpec
 from repro.machine import topology as topo
 from repro.util.validation import ParameterError
@@ -91,7 +91,7 @@ class TestAllToAll:
             topo.alltoall_effective_bandwidth(g, efficiency=0.0)
 
     def test_missing_fallback_raises(self):
-        g = nx.Graph()
+        g = Graph()
         g.add_edge(0, 1, link=LINK)
         with pytest.raises(ParameterError):
             topo.fallback_link(g)
